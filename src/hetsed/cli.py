@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .core import (
     Origin,
     Posteriorgram,
     build_vocabulary,
+    canonicalize_events,
     default_vocabulary,
 )
 
@@ -330,24 +332,20 @@ def _psds_config_from(cfg, dtc=None, gtc=None, emax=None, alpha_st=None) -> eval
     )
 
 
+def _reindex(events: list[Event], names: list[str], class_names: list[str]) -> list[Event]:
+    """Move class indices from a file's own sorted names to class_names."""
+    index = [class_names.index(name) for name in names]
+    return canonicalize_events([replace(ev, class_idx=index[ev.class_idx]) for ev in events])
+
+
 def _cmd_eval_psds(args, cfg) -> int:
     psds_cfg = _psds_config_from(cfg, args.dtc, args.gtc, args.emax, args.alpha_st)
     refs, ref_names = formats.read_events_tsv(args.refs)
-    dets_raw, det_names = formats.read_events_tsv(args.dets)
+    dets, det_names = formats.read_events_tsv(args.dets)
     class_names = sorted(set(ref_names) | set(det_names))
-    refs, _ = formats.read_events_tsv(args.refs, class_names)
-    dets, _ = formats.read_events_tsv(args.dets, class_names)
+    refs, dets = _reindex(refs, ref_names, class_names), _reindex(dets, det_names, class_names)
     hours = sum(formats.read_durations_tsv(args.durations).values()) / 3600.0
-
-    if any(ev.confidence is not None for ev in dets):
-        sebbs = [
-            postprocess.SEBB(e.clip_id, e.class_idx, e.onset, e.offset,
-                             e.confidence if e.confidence is not None else 1.0)
-            for e in dets
-        ]
-        curve = evaluation.roc_from_confidences(sebbs, refs, hours, psds_cfg, len(class_names))
-    else:
-        curve = evaluation.curve_from_events(dets, refs, hours, psds_cfg, len(class_names))
+    curve = evaluation.roc_from_confidences(dets, refs, hours, psds_cfg, len(class_names))
     value = evaluation.psds(curve, psds_cfg)
 
     entries = {"psds": value, "hours": hours}

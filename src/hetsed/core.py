@@ -193,8 +193,6 @@ class Event:
     confidence: Optional[float] = None
 
 
-EventList = list[Event]  # canonical detection/reference container
-
 
 def _event_problems(i: int, ev: Event) -> list[str]:
     problems = []

@@ -4,10 +4,16 @@ PSDS scores timestamped events: a detection is valid when it overlaps
 same-class references by at least rho_dtc of its own duration, a reference
 counts as found when valid detections cover at least rho_gtc of it, and the
 score is the normalized area under the effective-TPR vs effective-FPR curve
-obtained by sweeping the detection confidences.  mPAUC scores one-second
-segments per class by the partial area under the ROC up to a maximum false
-positive rate, McClish-standardized so chance sits at 0.5, then macro
-averaged.  The ranking joint score is simply PSDS + mPAUC.
+obtained by sweeping the detection confidences.  The sweep makes one pass
+(Ebbers, Haeb-Umbach & Serizel, ICASSP 2022): each detection is classified
+against the references once and each reference records the threshold at
+which it is found, so the whole curve costs about O(N log N + overlapping
+pairs) for N detections rather than one re-match per threshold.
+
+mPAUC scores one-second segments per class by the partial area under the
+ROC up to a maximum false positive rate, McClish-standardized so chance
+sits at 0.5, then macro averaged.  The ranking joint score is simply
+PSDS + mPAUC.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -77,18 +85,6 @@ class OperatingPointCurve:
         if efpr.size and (efpr[0] < 0 or tpr.min(initial=0) < 0 or tpr.max(initial=0) > 1):
             raise ValueError("efpr must be >= 0 and tpr within [0, 1]")
 
-    @property
-    def tpr_std(self) -> np.ndarray:
-        """Population std of the per-class TPRs (included classes) per point."""
-        if not self.included.any():
-            return np.zeros(self.efpr.size)
-        return self.tpr[:, self.included].std(axis=1)
-
-    @property
-    def points(self) -> list[tuple[float, np.ndarray, float]]:
-        stds = self.tpr_std
-        return [(float(e), self.tpr[i], float(stds[i])) for i, e in enumerate(self.efpr)]
-
 
 def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     if not intervals:
@@ -105,78 +101,6 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, 
 
 def _overlap(lo: float, hi: float, merged: list[tuple[float, float]]) -> float:
     return sum(max(0.0, min(hi, b) - max(lo, a)) for a, b in merged)
-
-
-def _by_clip(events, class_idx: int) -> dict[str, list[tuple[float, float]]]:
-    grouped: dict[str, list[tuple[float, float]]] = {}
-    for ev in events:
-        if ev.class_idx == class_idx:
-            grouped.setdefault(ev.clip_id, []).append((ev.onset, ev.offset))
-    return grouped
-
-
-def intersection_match(
-    dets: Sequence, refs: Sequence[Event], rho_dtc: float, rho_gtc: float, num_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class true/false positive counts under the intersection criteria.
-
-    A detection passes the DTC when its overlap with the union of same-class
-    references (same clip) is at least rho_dtc of its own duration; failing
-    detections are false positives.  A reference is a true positive when the
-    union of DTC-passing detections covers at least rho_gtc of it.
-    """
-    tp = np.zeros(num_classes, dtype=np.int64)
-    fp = np.zeros(num_classes, dtype=np.int64)
-    for c in range(num_classes):
-        ref_by_clip = {k: _merge_intervals(v) for k, v in _by_clip(refs, c).items()}
-        passing: dict[str, list[tuple[float, float]]] = {}
-        for clip_id, det_spans in _by_clip(dets, c).items():
-            merged_refs = ref_by_clip.get(clip_id, [])
-            for lo, hi in det_spans:
-                ratio = _overlap(lo, hi, merged_refs) / (hi - lo)
-                if ratio >= rho_dtc:
-                    passing.setdefault(clip_id, []).append((lo, hi))
-                else:
-                    fp[c] += 1
-        for clip_id, ref_spans in _by_clip(refs, c).items():
-            covering = _merge_intervals(passing.get(clip_id, []))
-            for lo, hi in ref_spans:
-                if _overlap(lo, hi, covering) / (hi - lo) >= rho_gtc:
-                    tp[c] += 1
-    return tp, fp
-
-
-def cross_trigger_counts(
-    dets: Sequence, refs: Sequence[Event], rho_dtc: float, rho_cttc: float, num_classes: int
-) -> np.ndarray:
-    """Cross-trigger matrix ct[c, c']: DTC-failing class-c detections whose
-    overlap ratio with class-c' references reaches rho_cttc."""
-    ct = np.zeros((num_classes, num_classes), dtype=np.int64)
-    merged_refs = {
-        c: {k: _merge_intervals(v) for k, v in _by_clip(refs, c).items()} for c in range(num_classes)
-    }
-    for c in range(num_classes):
-        for clip_id, det_spans in _by_clip(dets, c).items():
-            own = merged_refs[c].get(clip_id, [])
-            for lo, hi in det_spans:
-                if _overlap(lo, hi, own) / (hi - lo) >= rho_dtc:
-                    continue
-                for other in range(num_classes):
-                    if other == c:
-                        continue
-                    spans = merged_refs[other].get(clip_id, [])
-                    if spans and _overlap(lo, hi, spans) / (hi - lo) >= rho_cttc:
-                        ct[c, other] += 1
-    return ct
-
-
-def _effective_fpr(
-    fp: np.ndarray, ct: np.ndarray | None, hours: float, cfg: PsdsConfig, num_classes: int
-) -> np.ndarray:
-    efpr = fp / hours
-    if cfg.alpha_ct > 0 and ct is not None and num_classes > 1:
-        efpr = efpr + cfg.alpha_ct * ct.sum(axis=1) / (num_classes - 1) / hours
-    return efpr
 
 
 def _ref_counts(refs: Sequence[Event], num_classes: int) -> np.ndarray:
@@ -213,17 +137,31 @@ def _curve_from_point_lists(per_class: list[list[tuple[float, float]]], included
 
 
 def roc_from_confidences(
-    dets: Sequence[SEBB],
+    dets: Sequence[Event | SEBB],
     refs: Sequence[Event],
     total_hours: float,
     cfg: PsdsConfig = PsdsConfig(),
     num_classes: int | None = None,
 ) -> OperatingPointCurve:
-    """Operating point curve from a confidence sweep over the detections.
+    """Operating point curve from a one-pass sweep over the detection confidences.
 
-    Every distinct confidence value is a threshold (keeping detections with
-    confidence >= that value); classes without references are excluded with
-    a warning.
+    Every distinct confidence is a threshold keeping the detections with
+    confidence >= that value.  A missing confidence (None) counts as 1.0, so
+    hard detections give a single operating point.  Classes without
+    references are excluded with a warning.
+
+    The curve equals re-matching the kept detections at every threshold, bit
+    for bit, without doing so.  A detection's DTC verdict and the classes it
+    cross-triggers depend on the references only, so each detection is
+    classified once.  Each reference then takes the DTC-passing detections
+    that overlap it in descending-confidence tie groups and records the
+    thresholds where its GTC verdict changes (coverage only grows, so once
+    in practice).  Per-class TP, FP and cross-trigger counts at every
+    threshold are cumulative sums over the sorted thresholds.  Cost:
+    O(N log N) for N detections plus one scan, per reference, of the passing
+    detections of its clip and class (O(overlapping pairs) when those are
+    few, as boxes and frame events are), against O(thresholds x N) for
+    re-matching.
     """
     if total_hours <= 0:
         raise ValueError(f"total_hours must be > 0, got {total_hours}")
@@ -238,48 +176,55 @@ def roc_from_confidences(
         warnings.warn(f"classes without references excluded from PSDS: {excluded.tolist()}", stacklevel=2)
 
     per_class: list[list[tuple[float, float]]] = [[(0.0, 0.0)] for _ in range(num_classes)]
-    ordered = sorted(dets, key=lambda d: -d.confidence)
-    thresholds = sorted({d.confidence for d in dets}, reverse=True)
-    for value in thresholds:
-        subset = [d for d in ordered if d.confidence >= value]
-        tp, fp = intersection_match(subset, refs, cfg.rho_dtc, cfg.rho_gtc, num_classes)
-        ct = None
+    if not dets:
+        return _curve_from_point_lists(per_class, included)
+    confidences = [1.0 if d.confidence is None else d.confidence for d in dets]
+    # level t holds the detections kept from the t-th highest threshold on
+    levels, level_of = np.unique(-np.asarray(confidences, dtype=np.float64), return_inverse=True)
+    tp, fp, ct = (np.zeros((levels.size, num_classes), dtype=np.int64) for _ in range(3))
+
+    ref_spans: dict[str, dict[int, list[tuple[float, float]]]] = {}
+    for ev in refs:
+        ref_spans.setdefault(ev.clip_id, {}).setdefault(ev.class_idx, []).append((ev.onset, ev.offset))
+    merged = {clip: {c: _merge_intervals(v) for c, v in by_class.items()} for clip, by_class in ref_spans.items()}
+    passing: dict[tuple[str, int], list[tuple[int, float, float]]] = {}
+    for d, t in zip(dets, level_of.tolist()):
+        c, lo, hi = d.class_idx, d.onset, d.offset
+        if not 0 <= c < num_classes:
+            continue
+        clip_refs = merged.get(d.clip_id, {})
+        if _overlap(lo, hi, clip_refs.get(c, [])) / (hi - lo) >= cfg.rho_dtc:
+            passing.setdefault((d.clip_id, c), []).append((t, lo, hi))
+            continue
+        fp[t, c] += 1
         if cfg.alpha_ct > 0:
-            ct = cross_trigger_counts(subset, refs, cfg.rho_dtc, cfg.rho_cttc, num_classes)
-        efpr = _effective_fpr(fp, ct, total_hours, cfg, num_classes)
-        with np.errstate(invalid="ignore"):
-            tpr = np.where(included, tp / np.maximum(n_refs, 1), 0.0)
-        for c in range(num_classes):
-            per_class[c].append((float(efpr[c]), float(tpr[c])))
-    return _curve_from_point_lists(per_class, included)
+            ct[t, c] += sum(
+                other != c and _overlap(lo, hi, spans) / (hi - lo) >= cfg.rho_cttc
+                for other, spans in clip_refs.items()
+            )
 
+    for clip, by_class in ref_spans.items():
+        for c, spans in by_class.items():
+            candidates = passing.get((clip, c), [])
+            for lo, hi in spans:
+                hits = sorted(x for x in candidates if x[1] < hi and x[2] > lo)
+                # an uncovered reference is found only when rho_gtc is 0
+                found = 0.0 / (hi - lo) >= cfg.rho_gtc
+                tp[0, c] += found
+                covering: list[tuple[float, float]] = []
+                for t, group in groupby(hits, key=itemgetter(0)):
+                    covering.extend((a, b) for _, a, b in group)
+                    now = _overlap(lo, hi, _merge_intervals(covering)) / (hi - lo) >= cfg.rho_gtc
+                    tp[t, c] += int(now) - int(found)
+                    found = now
 
-def curve_from_events(
-    dets: Sequence[Event],
-    refs: Sequence[Event],
-    total_hours: float,
-    cfg: PsdsConfig = PsdsConfig(),
-    num_classes: int | None = None,
-) -> OperatingPointCurve:
-    """Single-operating-point curve for detections without confidences."""
-    if total_hours <= 0:
-        raise ValueError(f"total_hours must be > 0, got {total_hours}")
-    if num_classes is None:
-        num_classes = 1 + max(
-            [e.class_idx for e in refs] + [d.class_idx for d in dets], default=-1
-        )
-    n_refs = _ref_counts(refs, num_classes)
-    included = n_refs > 0
-    excluded = np.flatnonzero(~included)
-    if excluded.size:
-        warnings.warn(f"classes without references excluded from PSDS: {excluded.tolist()}", stacklevel=2)
-    tp, fp = intersection_match(dets, refs, cfg.rho_dtc, cfg.rho_gtc, num_classes)
-    ct = None
-    if cfg.alpha_ct > 0:
-        ct = cross_trigger_counts(dets, refs, cfg.rho_dtc, cfg.rho_cttc, num_classes)
-    efpr = _effective_fpr(fp, ct, total_hours, cfg, num_classes)
+    fp, ct, tp = np.cumsum(fp, axis=0), np.cumsum(ct, axis=0), np.cumsum(tp, axis=0)
+    efpr = fp / total_hours
+    if cfg.alpha_ct > 0 and num_classes > 1:
+        efpr = efpr + cfg.alpha_ct * ct / (num_classes - 1) / total_hours
     tpr = np.where(included, tp / np.maximum(n_refs, 1), 0.0)
-    per_class = [[(0.0, 0.0), (float(efpr[c]), float(tpr[c]))] for c in range(num_classes)]
+    for c in range(num_classes):
+        per_class[c].extend(zip(efpr[:, c].tolist(), tpr[:, c].tolist()))
     return _curve_from_point_lists(per_class, included)
 
 

@@ -11,7 +11,7 @@ event-level thresholding, which never moves a surviving box's boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -186,6 +186,44 @@ def _greedy_merge(
     return sums, lengths
 
 
+def _segments(track: np.ndarray, p: ClassSebbParams) -> tuple[list[float], list[int]]:
+    """Smooth a class track and cut it at change points: (segment sums of
+    the smoothed track, segment lengths)."""
+    smoothed = moving_average(track, p.window)
+    edges = [0] + _change_points(smoothed, p.half_width, p.min_gap) + [track.size]
+    sums = [float(smoothed[a:b].sum()) for a, b in zip(edges[:-1], edges[1:])]
+    return sums, [b - a for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _detect(
+    post: Posteriorgram,
+    params: CsebbParams,
+    class_names: Sequence[str] | None,
+    segmentations: dict[tuple, tuple[list[float], list[int]]],
+) -> list[SEBB]:
+    """Merge step of the detector; ``segmentations`` memoizes the segmentation
+    step per (class, window, half_width, min_gap)."""
+    if class_names is not None and len(class_names) != post.num_classes:
+        raise ValueError("class_names length must match the posteriorgram")
+    boxes: list[SEBB] = []
+    fp = post.frame_period
+    for c in range(post.num_classes):
+        p = params.for_class(class_names[c] if class_names is not None else None)
+        key = (c, p.window, p.half_width, p.min_gap)
+        if key not in segmentations:
+            segmentations[key] = _segments(post.scores[:, c], p)
+        sums, lengths = _greedy_merge(*segmentations[key], p.rel_merge, p.abs_merge)
+        start = 0
+        for s, n in zip(sums, lengths):
+            mean = s / n
+            if mean > NOISE_FLOOR:
+                conf = min(1.0, max(0.0, mean))
+                boxes.append(SEBB(post.clip_id, c, start * fp, (start + n) * fp, conf))
+            start += n
+    boxes.sort(key=lambda b: (b.clip_id, b.class_idx, b.onset))
+    return boxes
+
+
 def csebb_detect(
     post: Posteriorgram,
     params: CsebbParams = CsebbParams(),
@@ -198,28 +236,7 @@ def csebb_detect(
     similar means, and emit every merged segment whose mean smoothed score
     clears the noise floor as a box with confidence = that mean.
     """
-    if class_names is not None and len(class_names) != post.num_classes:
-        raise ValueError("class_names length must match the posteriorgram")
-    boxes: list[SEBB] = []
-    fp = post.frame_period
-    t = post.num_frames
-    for c in range(post.num_classes):
-        p = params.for_class(class_names[c] if class_names is not None else None)
-        smoothed = moving_average(post.scores[:, c], p.window)
-        bounds = _change_points(smoothed, p.half_width, p.min_gap)
-        edges = [0] + bounds + [t]
-        sums = [float(smoothed[a:b].sum()) for a, b in zip(edges[:-1], edges[1:])]
-        lengths = [b - a for a, b in zip(edges[:-1], edges[1:])]
-        sums, lengths = _greedy_merge(sums, lengths, p.rel_merge, p.abs_merge)
-        start = 0
-        for s, n in zip(sums, lengths):
-            mean = s / n
-            if mean > NOISE_FLOOR:
-                conf = min(1.0, max(0.0, mean))
-                boxes.append(SEBB(post.clip_id, c, start * fp, (start + n) * fp, conf))
-            start += n
-    boxes.sort(key=lambda b: (b.clip_id, b.class_idx, b.onset))
-    return boxes
+    return _detect(post, params, class_names, {})
 
 
 def event_threshold(sebbs: Sequence[SEBB], class_thresholds: Sequence[float]) -> list[Event]:
@@ -291,23 +308,17 @@ def tune_csebb(
     """
     if not grid:
         raise ValueError("parameter grid is empty")
+    # the segmentation depends on (window, half_width, min_gap) only, so each
+    # clip keeps it across grid points and only the merge step reruns
+    segmentations: list[dict] = [{} for _ in posts]
     scored = []
     for candidate in grid:
         sebbs: list[SEBB] = []
-        for post in posts:
-            sebbs.extend(csebb_detect(post, candidate, class_names))
+        for post, memo in zip(posts, segmentations):
+            sebbs.extend(_detect(post, candidate, class_names, memo))
         scored.append((metric(sebbs, refs), candidate))
     best_score = max(score for score, _ in scored)
     contenders = [cand for score, cand in scored if score == best_score]
     contenders.sort(key=lambda c: c.sort_key(class_names))
     return contenders[0]
 
-
-def with_uniform_params(params: ClassSebbParams) -> CsebbParams:
-    """Convenience: the same per-class parameters for every class."""
-    return CsebbParams(default=params)
-
-
-def scale_params(params: CsebbParams, **changes) -> CsebbParams:
-    """Return a copy of `params` with default-field overrides applied."""
-    return CsebbParams(default=replace(params.default, **changes), per_class=dict(params.per_class))

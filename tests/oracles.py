@@ -8,6 +8,7 @@ structured implementations are checked against a genuinely separate route.
 import numpy as np
 
 from hetsed.domain_gen import freq_mixstyle, freq_stats
+from hetsed.evaluation import _curve_from_point_lists
 
 
 def union_measure(lo, hi, spans):
@@ -81,6 +82,98 @@ def brute_pauc(labels, scores, max_fpr):
             area += (max_fpr - x0) * (y0 + y_at) / 2
             break
     return 0.5 * (1 + (area - max_fpr**2 / 2) / (max_fpr - max_fpr**2 / 2))
+
+
+# --------------------------------------- PSDS by re-matching every threshold
+# The library sweeps once; these re-match the kept detections at every
+# distinct confidence and must give the same curve bit for bit.  Only the
+# envelope assembly (``_curve_from_point_lists``) is shared.
+
+def _merge_intervals(intervals):
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def _overlap(lo, hi, merged):
+    return sum(max(0.0, min(hi, b) - max(lo, a)) for a, b in merged)
+
+
+def _by_clip(events, class_idx):
+    grouped = {}
+    for ev in events:
+        if ev.class_idx == class_idx:
+            grouped.setdefault(ev.clip_id, []).append((ev.onset, ev.offset))
+    return grouped
+
+
+def intersection_match(dets, refs, rho_dtc, rho_gtc, num_classes):
+    """Per-class (TP, FP): a detection passes the DTC when the union of
+    same-class references of its clip covers rho_dtc of it, failing ones are
+    false positives; a reference is found when the union of passing
+    detections covers rho_gtc of it."""
+    tp = np.zeros(num_classes, dtype=np.int64)
+    fp = np.zeros(num_classes, dtype=np.int64)
+    for c in range(num_classes):
+        ref_by_clip = {k: _merge_intervals(v) for k, v in _by_clip(refs, c).items()}
+        passing = {}
+        for clip_id, det_spans in _by_clip(dets, c).items():
+            merged_refs = ref_by_clip.get(clip_id, [])
+            for lo, hi in det_spans:
+                if _overlap(lo, hi, merged_refs) / (hi - lo) >= rho_dtc:
+                    passing.setdefault(clip_id, []).append((lo, hi))
+                else:
+                    fp[c] += 1
+        for clip_id, ref_spans in _by_clip(refs, c).items():
+            covering = _merge_intervals(passing.get(clip_id, []))
+            for lo, hi in ref_spans:
+                if _overlap(lo, hi, covering) / (hi - lo) >= rho_gtc:
+                    tp[c] += 1
+    return tp, fp
+
+
+def cross_trigger_counts(dets, refs, rho_dtc, rho_cttc, num_classes):
+    """ct[c, c']: DTC-failing class-c detections whose overlap ratio with
+    class-c' references reaches rho_cttc."""
+    ct = np.zeros((num_classes, num_classes), dtype=np.int64)
+    merged_refs = {
+        c: {k: _merge_intervals(v) for k, v in _by_clip(refs, c).items()} for c in range(num_classes)
+    }
+    for c in range(num_classes):
+        for clip_id, det_spans in _by_clip(dets, c).items():
+            own = merged_refs[c].get(clip_id, [])
+            for lo, hi in det_spans:
+                if _overlap(lo, hi, own) / (hi - lo) >= rho_dtc:
+                    continue
+                for other in range(num_classes):
+                    spans = merged_refs[other].get(clip_id, [])
+                    if other != c and spans and _overlap(lo, hi, spans) / (hi - lo) >= rho_cttc:
+                        ct[c, other] += 1
+    return ct
+
+
+def rematch_curve(dets, refs, hours, cfg, num_classes):
+    """Operating point curve with the kept detections re-matched at every
+    distinct confidence (None counts as 1.0)."""
+    conf = [1.0 if d.confidence is None else d.confidence for d in dets]
+    n_refs = np.bincount([r.class_idx for r in refs], minlength=num_classes)
+    included = n_refs > 0
+    per_class = [[(0.0, 0.0)] for _ in range(num_classes)]
+    for value in sorted(set(conf), reverse=True):
+        subset = [d for d, v in zip(dets, conf) if v >= value]
+        tp, fp = intersection_match(subset, refs, cfg.rho_dtc, cfg.rho_gtc, num_classes)
+        efpr = fp / hours
+        if cfg.alpha_ct > 0 and num_classes > 1:
+            ct = cross_trigger_counts(subset, refs, cfg.rho_dtc, cfg.rho_cttc, num_classes)
+            efpr = efpr + cfg.alpha_ct * ct.sum(axis=1) / (num_classes - 1) / hours
+        tpr = np.where(included, tp / np.maximum(n_refs, 1), 0.0)
+        for c in range(num_classes):
+            per_class[c].append((float(efpr[c]), float(tpr[c])))
+    return _curve_from_point_lists(per_class, included)
 
 
 def mixstyle_numerical_grad(batch, perm, lam, upstream, step=1e-4):

@@ -25,7 +25,6 @@ from hetsed.core import (
 from hetsed.domain_gen import freq_mixstyle, freq_mixstyle_input_grad
 from hetsed.evaluation import (
     PsdsConfig,
-    curve_from_events,
     joint_score,
     mpauc,
     psds,
@@ -105,7 +104,7 @@ def test_criterion_03_csebb_beats_best_single_threshold():
             for post in test_posts:
                 dets.extend(frame_threshold_merge(post, [thr] * num_classes))
             value = _quiet(
-                lambda: psds(curve_from_events(dets, test_refs, test_hours, cfg, num_classes), cfg)
+                lambda: psds(roc_from_confidences(dets, test_refs, test_hours, cfg, num_classes), cfg)
             )
             frame_best = max(frame_best, value)
 
@@ -148,7 +147,7 @@ def test_criterion_04_noiseless_end_to_end_perfection():
         for post in posts:
             dets.extend(frame_threshold_merge(post, [0.5] * num_classes))
         cfg = PsdsConfig()
-        psds_value = psds(curve_from_events(dets, refs, hours, cfg, num_classes), cfg)
+        psds_value = psds(roc_from_confidences(dets, refs, hours, cfg, num_classes), cfg)
         assert abs(psds_value - 1.0) <= 1e-9
 
         by_clip = {}

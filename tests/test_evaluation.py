@@ -1,14 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetsed.core import Event, Posteriorgram
 from hetsed.evaluation import (
     OperatingPointCurve,
     PsdsConfig,
     binary_roc,
-    cross_trigger_counts,
-    curve_from_events,
-    intersection_match,
     joint_score,
     mpauc,
     mpauc_per_class,
@@ -25,45 +26,52 @@ CFG = PsdsConfig()
 
 # ----------------------------------------------------- intersection matching
 
+def one_threshold_counts(dets, refs, rho_dtc, rho_gtc):
+    """(TP, FP) of one class read off the one-threshold curve (one hour)."""
+    cfg = PsdsConfig(rho_dtc=rho_dtc, rho_gtc=rho_gtc)
+    curve = roc_from_confidences(dets, refs, 1.0, cfg, 1)
+    return curve.tpr[-1, 0] * len(refs), curve.efpr[-1]
+
+
 def test_match_perfect_overlap():
     refs = [Event("a", 0, 1.0, 3.0)]
     dets = [Event("a", 0, 1.0, 3.0)]
-    tp, fp = intersection_match(dets, refs, 1.0, 1.0, 1)
-    assert tp[0] == 1 and fp[0] == 0
+    tp, fp = one_threshold_counts(dets, refs, 1.0, 1.0)
+    assert tp == 1 and fp == 0
 
 
 def test_match_disjoint_is_fp():
     refs = [Event("a", 0, 1.0, 3.0)]
     dets = [Event("a", 0, 5.0, 6.0)]
-    tp, fp = intersection_match(dets, refs, 0.7, 0.7, 1)
-    assert tp[0] == 0 and fp[0] == 1
+    tp, fp = one_threshold_counts(dets, refs, 0.7, 0.7)
+    assert tp == 0 and fp == 1
 
 
 def test_match_boundary_ratio_interval_arithmetic():
     # det (0,10) vs ref (0,7): det ratio 7/10 = 0.7 passes at 0.7; ref fully covered
     refs = [Event("a", 0, 0.0, 7.0)]
     dets = [Event("a", 0, 0.0, 10.0)]
-    tp, fp = intersection_match(dets, refs, 0.7, 0.7, 1)
-    assert tp[0] == 1 and fp[0] == 0
-    tp, fp = intersection_match(dets, refs, 0.71, 0.7, 1)
-    assert tp[0] == 0 and fp[0] == 1
+    tp, fp = one_threshold_counts(dets, refs, 0.7, 0.7)
+    assert tp == 1 and fp == 0
+    tp, fp = one_threshold_counts(dets, refs, 0.71, 0.7)
+    assert tp == 0 and fp == 1
 
 
 def test_match_respects_clip_boundaries():
     refs = [Event("a", 0, 1.0, 3.0)]
     dets = [Event("b", 0, 1.0, 3.0)]  # same span, different clip
-    tp, fp = intersection_match(dets, refs, 0.7, 0.7, 1)
-    assert tp[0] == 0 and fp[0] == 1
+    tp, fp = one_threshold_counts(dets, refs, 0.7, 0.7)
+    assert tp == 0 and fp == 1
 
 
 def test_match_union_coverage_across_fragments():
     # two fragments jointly cover 80% of the ref; each passes the DTC alone
     refs = [Event("a", 0, 0.0, 10.0)]
     dets = [Event("a", 0, 0.0, 4.0), Event("a", 0, 6.0, 10.0)]
-    tp, fp = intersection_match(dets, refs, 0.7, 0.7, 1)
-    assert tp[0] == 1 and fp[0] == 0
-    tp, fp = intersection_match(dets, refs, 0.7, 0.9, 1)
-    assert tp[0] == 0 and fp[0] == 0
+    tp, fp = one_threshold_counts(dets, refs, 0.7, 0.7)
+    assert tp == 1 and fp == 0
+    tp, fp = one_threshold_counts(dets, refs, 0.7, 0.9)
+    assert tp == 0 and fp == 0
 
 
 # ---------------------------------------------------------------- the curve
@@ -115,7 +123,7 @@ def test_curve_validation():
 
 # ------------------------------------------------ PSDS brute-force oracle
 
-from oracles import brute_force_psds, brute_pauc  # noqa: E402
+from oracles import brute_force_psds, brute_pauc, cross_trigger_counts, rematch_curve  # noqa: E402
 
 
 def _random_case(rng):
@@ -158,9 +166,9 @@ def test_psds_matches_bruteforce_enumeration():
 def test_psds_monotone_under_tp_and_fp_additions():
     refs = [Event("a", 0, 1.0, 3.0), Event("a", 0, 5.0, 7.0)]
     partial = [Event("a", 0, 1.0, 3.0)]
-    base = psds(curve_from_events(partial, refs, 0.2, CFG, 1), CFG)
-    with_tp = psds(curve_from_events(partial + [Event("a", 0, 5.0, 7.0)], refs, 0.2, CFG, 1), CFG)
-    with_fp = psds(curve_from_events(partial + [Event("a", 0, 8.5, 9.5)], refs, 0.2, CFG, 1), CFG)
+    base = psds(roc_from_confidences(partial, refs, 0.2, CFG, 1), CFG)
+    with_tp = psds(roc_from_confidences(partial + [Event("a", 0, 5.0, 7.0)], refs, 0.2, CFG, 1), CFG)
+    with_fp = psds(roc_from_confidences(partial + [Event("a", 0, 8.5, 9.5)], refs, 0.2, CFG, 1), CFG)
     assert with_tp >= base
     assert with_fp <= base
 
@@ -199,6 +207,49 @@ def test_cross_triggers_counted_behind_alpha_ct():
     assert off == pytest.approx(0.995)
     assert on == pytest.approx(0.945)
     assert on < off  # cross-trigger inflates the effective FP rate
+
+
+# ------------------------------------- one-pass sweep vs re-match oracle
+
+# onsets and lengths on a coarse grid so intervals touch (onset == offset)
+# and nest; few confidence values so thresholds tie (None counts as 1.0)
+_spans = st.tuples(st.integers(0, 12), st.integers(1, 4)).map(lambda s: (s[0] * 0.5, (s[0] + s[1]) * 0.5))
+_clips = st.sampled_from(["a", "b", "c"])
+
+
+@st.composite
+def sweep_cases(draw):
+    num_classes = draw(st.integers(1, 3))
+    classes = st.integers(0, num_classes - 1)
+    refs = [Event(clip, c, lo, hi) for clip, c, (lo, hi) in
+            draw(st.lists(st.tuples(_clips, classes, _spans), min_size=1, max_size=6))]
+    confidence = st.sampled_from([0.2, 0.5, 0.9, 1.0, None])
+    dets = [Event(clip, c, lo, hi, conf) for clip, c, (lo, hi), conf in
+            draw(st.lists(st.tuples(_clips, classes, _spans, confidence), max_size=12))]
+    cfg = PsdsConfig(
+        rho_dtc=draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0])),
+        rho_gtc=draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0])),
+        rho_cttc=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        alpha_ct=draw(st.sampled_from([0.0, 0.5, 10.0])),
+        alpha_st=draw(st.sampled_from([0.0, 1.0])),
+    )
+    hours = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    return dets, refs, hours, cfg, num_classes, draw(st.permutations(range(len(dets))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+def test_one_pass_sweep_equals_rematch_oracle(case):
+    dets, refs, hours, cfg, num_classes, order = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curve = roc_from_confidences(dets, refs, hours, cfg, num_classes)
+        shuffled = roc_from_confidences([dets[i] for i in order], refs, hours, cfg, num_classes)
+    expected = rematch_curve(dets, refs, hours, cfg, num_classes)
+    assert np.array_equal(curve.efpr, expected.efpr)
+    assert np.array_equal(curve.tpr, expected.tpr)
+    assert np.array_equal(curve.included, expected.included)
+    assert psds(shuffled, cfg) == psds(curve, cfg)
 
 
 # ----------------------------------------------------------------- segments

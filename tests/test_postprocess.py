@@ -289,6 +289,23 @@ def test_tune_csebb_tie_breaks_toward_smaller_window():
     assert best is small
 
 
+def test_tune_csebb_scores_the_boxes_csebb_detect_gives():
+    # the segmentation is shared across grid points with the same
+    # (window, half_width, min_gap), per class: the boxes must not change
+    rng = np.random.default_rng(3)
+    posts = [post_of(moving_average(rng.uniform(size=120), 5)[:, None] * [1.0, 0.8], clip_id=f"c{i}")
+             for i in range(3)]
+    names = ["x", "y"]
+    grid = default_grid() + [
+        CsebbParams(default=ClassSebbParams(window=3, half_width=1),
+                    per_class={"y": ClassSebbParams(window=7, half_width=2, min_gap=0.05)})
+    ]
+    seen = []
+    tune_csebb(posts, [], grid, lambda sebbs, refs: seen.append(sebbs) or 0.0, names)
+    assert seen == [[b for p in posts for b in csebb_detect(p, cand, names)] for cand in grid]
+    assert len({len(boxes) for boxes in seen}) > 1
+
+
 def test_tune_csebb_empty_grid():
     with pytest.raises(ValueError):
         tune_csebb([], [], [], box_count_metric)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hetsed.core import Origin
-from hetsed.evaluation import PsdsConfig, curve_from_events, psds
+from hetsed.evaluation import PsdsConfig, psds, roc_from_confidences
 from hetsed.postprocess import frame_threshold_merge
 from hetsed.synth import gen_ground_truth, render_posteriors
 
@@ -101,5 +101,5 @@ def test_zero_corruption_recovers_ground_truth_exactly():
     assert len(recovered) <= len(events)  # touching events merge into one run
     cfg = PsdsConfig()
     hours = sum(m.duration for m in metas) / 3600.0
-    value = psds(curve_from_events(recovered, events, hours, cfg, 3), cfg)
+    value = psds(roc_from_confidences(recovered, events, hours, cfg, 3), cfg)
     assert value == pytest.approx(1.0, abs=1e-9)
