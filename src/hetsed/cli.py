@@ -2,9 +2,9 @@
 
 Subcommands cover feature extraction, synthetic fixture generation,
 posteriorgram post-processing, box-detector tuning, ensembling, metric
-evaluation, and masked-loss inspection.  Every flag has a config twin
-(see config.py); flags win.  Exit codes: 0 on success, 2 on any
-validation problem.
+evaluation, and masked-loss inspection.  The metric flags and ``loss
+--mode`` have config twins (see config.py); flags win.  Exit codes: 0 on
+success, 2 on any validation problem.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ from .core import (
     Posteriorgram,
     build_vocabulary,
     canonicalize_events,
+    class_mask,
     default_vocabulary,
+    frame_span,
+    rasterize,
 )
 
 EXIT_OK = 0
@@ -229,10 +232,9 @@ def _cmd_postprocess(args, cfg) -> int:
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(detect, loaded))
-        sebbs = [b for clip_boxes in results for b in clip_boxes]
-        sebbs.sort(key=lambda b: (b.clip_id, b.class_idx, b.onset))
-        formats.write_sebbs_tsv(args.out, sebbs, class_names)
-        print(f"wrote {len(sebbs)} boxes to {args.out}", file=sys.stderr)
+        boxes = [b for clip_boxes in results for b in clip_boxes]
+        formats.write_soft_events_tsv(args.out, boxes, class_names)
+        print(f"wrote {len(boxes)} boxes to {args.out}", file=sys.stderr)
         return EXIT_OK
 
     thresholds, window = _class_thresholds(args.params, class_names)
@@ -248,10 +250,7 @@ def _cmd_postprocess(args, cfg) -> int:
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(process, loaded))
-    events = sorted(
-        (ev for clip_events in results for ev in clip_events),
-        key=lambda e: (e.clip_id, e.class_idx, e.onset, e.offset),
-    )
+    events = [ev for clip_events in results for ev in clip_events]
     formats.write_events_tsv(args.out, events, class_names)
     print(f"wrote {len(events)} events to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -291,13 +290,13 @@ def _cmd_tune_csebb(args, cfg) -> int:
     posts = [post for post, _ in loaded]
     refs, _ = formats.read_events_tsv(args.val_refs, class_names)
     if args.durations is not None:
-        hours = sum(formats.read_durations_tsv(args.durations).values()) / 3600.0
+        hours = _read_hours(args.durations, [ev.clip_id for ev in refs] + [p.clip_id for p in posts])
     else:
         hours = sum(p.duration for p in posts) / 3600.0
     psds_cfg = _psds_config_from(cfg)
 
-    def metric(sebbs, refs_):
-        curve = evaluation.roc_from_confidences(sebbs, refs_, hours, psds_cfg, len(class_names))
+    def metric(boxes, refs_):
+        curve = evaluation.roc_from_confidences(boxes, refs_, hours, psds_cfg, len(class_names))
         return evaluation.psds(curve, psds_cfg)
 
     best = postprocess.tune_csebb(posts, refs, _read_grid(args.grid), metric, class_names)
@@ -338,13 +337,22 @@ def _reindex(events: list[Event], names: list[str], class_names: list[str]) -> l
     return canonicalize_events([replace(ev, class_idx=index[ev.class_idx]) for ev in events])
 
 
+def _read_hours(path: Path, clip_ids) -> float:
+    """Total hours of a durations file, which must list every clip in clip_ids."""
+    durations = formats.read_durations_tsv(path)
+    missing = sorted(set(clip_ids) - durations.keys())
+    if missing:
+        raise ValueError(f"{path}: no duration for {len(missing)} clip(s), e.g. {missing[:5]}")
+    return sum(durations.values()) / 3600.0
+
+
 def _cmd_eval_psds(args, cfg) -> int:
     psds_cfg = _psds_config_from(cfg, args.dtc, args.gtc, args.emax, args.alpha_st)
     refs, ref_names = formats.read_events_tsv(args.refs)
     dets, det_names = formats.read_events_tsv(args.dets)
     class_names = sorted(set(ref_names) | set(det_names))
     refs, dets = _reindex(refs, ref_names, class_names), _reindex(dets, det_names, class_names)
-    hours = sum(formats.read_durations_tsv(args.durations).values()) / 3600.0
+    hours = _read_hours(args.durations, [ev.clip_id for ev in refs + dets])
     curve = evaluation.roc_from_confidences(dets, refs, hours, psds_cfg, len(class_names))
     value = evaluation.psds(curve, psds_cfg)
 
@@ -381,13 +389,10 @@ def _cmd_eval_mpauc(args, cfg) -> int:
 
     score_rows, label_rows = [], []
     for post, _ in loaded:
-        scores = evaluation.segment_scores(post, segment)
-        labels = evaluation.segmentize(
-            by_clip.get(post.clip_id, []), post.duration, post.num_classes, segment
+        score_rows.append(evaluation.segment_scores(post, segment))
+        label_rows.append(
+            evaluation.segmentize(by_clip.get(post.clip_id, []), post.duration, post.num_classes, segment)
         )
-        rows = min(scores.shape[0], labels.shape[0])
-        score_rows.append(scores[:rows])
-        label_rows.append(labels[:rows])
     scores = np.concatenate(score_rows)
     hard = np.concatenate(label_rows) >= hard_thr
     per_class = evaluation.mpauc_per_class(scores, hard, max_fpr)
@@ -444,13 +449,17 @@ def _cmd_loss(args, cfg) -> int:
             matching = refs  # single-clip target file; filename need not match
         else:
             raise ValueError(f"target file has no rows for clip {post.clip_id!r}")
-    refs = matching
-    target = training.frame_targets(refs, post.num_frames, post.frame_period, len(vocab))
+    n, fp = post.num_frames, post.frame_period
+    late = [ev.onset for ev in matching if frame_span(ev.onset, ev.offset, fp, n)[0] == n]
+    if late:
+        raise ValueError(
+            f"{args.target}: {len(late)} target row(s) start at or after the end of the"
+            f" {post.duration:g} s prediction, e.g. at {late[0]:g} s"
+        )
+    target = rasterize(matching, n, fp, len(vocab))
     origin = Origin.MAESTRO if args.origin == "maestro" else Origin.DESED_STRONG
     meta = ClipMetadata(clip_id=post.clip_id, origin=origin, duration=post.duration)
     value = training.soft_clip_loss(pred, target, meta, vocab, mode)
-    from .core import class_mask
-
     active = int(class_mask(meta, vocab, mode).sum())
     print(f"bce\t{value:.6f}")
     print(f"active_classes\t{active}")

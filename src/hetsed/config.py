@@ -1,28 +1,22 @@
 """Flat key-value configuration files.
 
-Syntax: one ``key = value`` per line, ``#`` comments, keys dotted by module
-(``train.batch_size``, ``mixstyle.alpha``, ...).  Every CLI flag has a config
-twin and flags win.  ``mixstyle.enabled_at_eval`` must stay false: the
-style-mixing transform is a train-time augmentation.
+Syntax: one ``key = value`` per line, ``#`` comments, keys dotted by module.
+The keys are exactly those of DEFAULTS; any other key is an error naming the
+file and line.  ``psds.*`` and ``eval.*`` are the twins of the ``eval psds``
+and ``eval mpauc`` flags (``tune-csebb`` scores with ``psds.*`` too),
+``train.loss_mode`` is the twin of ``loss --mode``, and flags win.
+``mixstyle.enabled_at_eval`` must stay false: the style-mixing transform is
+a train-time augmentation.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 DEFAULTS: dict[str, str] = {
-    "mixstyle.alpha": "0.3",
-    "mixstyle.apply_prob": "0.5",
     "mixstyle.enabled_at_eval": "false",
-    "augment.mixup_alpha": "0.5",
-    "augment.dropstep_ratio": "0.25",
-    "augment.dropstep_count": "1",
-    "train.batch_size": "60",
-    "train.ema": "0.999",
-    "train.warmup_epochs": "50",
-    "train.ssl_max": "2",
     "train.loss_mode": "independent",
-    "train.weak_uses_attention_pool": "true",
     "eval.segment": "1.0",
     "eval.max_fpr": "0.1",
     "eval.hard_threshold": "0.5",
@@ -36,8 +30,8 @@ _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
 
-def parse_config(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _entries(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) for every non-blank, non-comment line."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -45,15 +39,21 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        yield lineno, key.strip(), value.strip()
+
+
+def parse_config(text: str) -> dict[str, str]:
+    return {key: value for _, key, value in _entries(text)}
 
 
 def load_config(path: Path | str | None) -> dict[str, str]:
     """Defaults overlaid with the file (if any), then validated."""
     cfg = dict(DEFAULTS)
     if path is not None:
-        cfg.update(parse_config(Path(path).read_text(encoding="utf-8")))
+        for lineno, key, value in _entries(Path(path).read_text(encoding="utf-8")):
+            if key not in DEFAULTS:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            cfg[key] = value
     validate_config(cfg)
     return cfg
 
@@ -82,7 +82,3 @@ def get_bool(cfg: dict[str, str], key: str, default: bool | None = None) -> bool
 
 def get_float(cfg: dict[str, str], key: str) -> float:
     return float(cfg[key])
-
-
-def get_int(cfg: dict[str, str], key: str) -> int:
-    return int(cfg[key])

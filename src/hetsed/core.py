@@ -11,6 +11,7 @@ downstream are driven by these tags.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Optional, Sequence
@@ -183,7 +184,8 @@ class Event:
     """One detected or annotated sound event.
 
     ``confidence`` is optional: absent (None) is not the same as 0.0, and the
-    TSV writers keep the distinction (empty field).
+    TSV writers keep the distinction (empty field).  A sound event bounding
+    box is an Event whose confidence is always set.
     """
 
     clip_id: str
@@ -192,6 +194,34 @@ class Event:
     offset: float
     confidence: Optional[float] = None
 
+
+def frame_span(onset: float, offset: float, period: float, n: int) -> tuple[int, int]:
+    """Half-open range [first, stop) of the frames k in [0, n) whose span
+    [k*period, (k+1)*period) meets [onset, offset).
+
+    Both edges carry a 1e-9 frame tolerance, so an edge on a frame boundary
+    does not reach into the neighbouring frame.  An event that starts inside
+    the grid gets at least one frame; one that starts at or after n*period
+    gets none (first == stop == n).
+    """
+    first = min(n, max(0, math.floor(onset / period + 1e-9)))
+    return first, min(n, max(first + 1, math.ceil(offset / period - 1e-9)))
+
+
+def rasterize(events: Iterable[Event], n: int, period: float, num_classes: int) -> np.ndarray:
+    """Per-frame max of event values, [n, num_classes], frames as in frame_span.
+
+    The value of a hard event (confidence None) is 1.0; frames no event
+    meets stay 0.
+    """
+    grid = np.zeros((n, num_classes))
+    for ev in events:
+        if not 0 <= ev.class_idx < num_classes:
+            raise ValueError(f"class index {ev.class_idx} out of range")
+        first, stop = frame_span(ev.onset, ev.offset, period, n)
+        cells = grid[first:stop, ev.class_idx]
+        np.maximum(cells, 1.0 if ev.confidence is None else ev.confidence, out=cells)
+    return grid
 
 
 def _event_problems(i: int, ev: Event) -> list[str]:

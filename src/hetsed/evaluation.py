@@ -18,7 +18,7 @@ PSDS + mPAUC.
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import groupby
@@ -27,8 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram
-from .postprocess import SEBB
+from .core import Event, Posteriorgram, frame_span, rasterize
 
 SECONDS_PER_HOUR = 3600.0
 SEGMENT_SECONDS = 1.0
@@ -137,7 +136,7 @@ def _curve_from_point_lists(per_class: list[list[tuple[float, float]]], included
 
 
 def roc_from_confidences(
-    dets: Sequence[Event | SEBB],
+    dets: Sequence[Event],
     refs: Sequence[Event],
     total_hours: float,
     cfg: PsdsConfig = PsdsConfig(),
@@ -265,21 +264,12 @@ def segmentize(
     """
     if duration < segment:
         raise ValueError(f"duration {duration} shorter than one segment {segment}")
-    n_segments = _segment_count(duration, segment)
-    labels = np.zeros((n_segments, num_classes))
-    for ev in refs:
-        if not 0 <= ev.class_idx < num_classes:
-            raise ValueError(f"class index {ev.class_idx} out of range")
-        value = 1.0 if ev.confidence is None else ev.confidence
-        first = max(0, int(math.floor(ev.onset / segment + 1e-9)))
-        last = min(n_segments - 1, int(math.ceil(ev.offset / segment - 1e-9)) - 1)
-        for s in range(first, last + 1):
-            labels[s, ev.class_idx] = max(labels[s, ev.class_idx], value)
-    return labels
+    return rasterize(refs, _segment_count(duration, segment), segment, num_classes)
 
 
 def _segment_count(duration: float, segment: float) -> int:
-    return max(1, int(math.ceil(duration / segment - 1e-9)))
+    # the segments [0, duration) meets on an unbounded grid
+    return frame_span(0.0, duration, segment, sys.maxsize)[1]
 
 
 def segment_scores(post: Posteriorgram, segment: float = SEGMENT_SECONDS) -> np.ndarray:

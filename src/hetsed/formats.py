@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import Event, Posteriorgram, canonicalize_events
-from .postprocess import ClassSebbParams, CsebbParams, SEBB
+from .postprocess import ClassSebbParams, CsebbParams
 
 POSTERIOR_MAGIC = b"SEDP"
 FEATURE_MAGIC = b"SEDF"
@@ -77,11 +77,6 @@ def write_soft_events_tsv(path: Path | str, events: Sequence[Event], class_names
                 f"{ev.clip_id}\t{_format_seconds(ev.onset)}\t{_format_seconds(ev.offset)}"
                 f"\t{class_names[ev.class_idx]}\t{conf}\n"
             )
-
-
-def write_sebbs_tsv(path: Path | str, sebbs: Sequence[SEBB], class_names: Sequence[str]) -> None:
-    events = [Event(b.clip_id, b.class_idx, b.onset, b.offset, b.confidence) for b in sebbs]
-    write_soft_events_tsv(path, events, class_names)
 
 
 def read_events_tsv(

@@ -2,6 +2,10 @@
 change-point sound event bounding boxes (SEBBs), event-level thresholding,
 and ensemble averaging.
 
+A box is a ``core.Event`` whose confidence is always set (the mean smoothed
+score of its segment), so boxes go wherever events go: the TSV writers, the
+PSDS sweep and event-level thresholding.
+
 Frame-level thresholding couples an event's extent to the detection
 threshold: raising the threshold shrinks or fragments events.  SEBBs decouple
 the two by first segmenting each class track at change points and assigning
@@ -19,23 +23,6 @@ import numpy as np
 from .core import Event, Posteriorgram, canonicalize_events
 
 NOISE_FLOOR = 0.01
-
-
-@dataclass(frozen=True)
-class SEBB:
-    """One-dimensional bounding box: an event candidate with a confidence."""
-
-    clip_id: str
-    class_idx: int
-    onset: float
-    offset: float
-    confidence: float
-
-    def __post_init__(self) -> None:
-        if self.offset <= self.onset:
-            raise ValueError(f"offset {self.offset} <= onset {self.onset}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -200,12 +187,12 @@ def _detect(
     params: CsebbParams,
     class_names: Sequence[str] | None,
     segmentations: dict[tuple, tuple[list[float], list[int]]],
-) -> list[SEBB]:
+) -> list[Event]:
     """Merge step of the detector; ``segmentations`` memoizes the segmentation
     step per (class, window, half_width, min_gap)."""
     if class_names is not None and len(class_names) != post.num_classes:
         raise ValueError("class_names length must match the posteriorgram")
-    boxes: list[SEBB] = []
+    boxes: list[Event] = []
     fp = post.frame_period
     for c in range(post.num_classes):
         p = params.for_class(class_names[c] if class_names is not None else None)
@@ -218,9 +205,8 @@ def _detect(
             mean = s / n
             if mean > NOISE_FLOOR:
                 conf = min(1.0, max(0.0, mean))
-                boxes.append(SEBB(post.clip_id, c, start * fp, (start + n) * fp, conf))
+                boxes.append(Event(post.clip_id, c, start * fp, (start + n) * fp, conf))
             start += n
-    boxes.sort(key=lambda b: (b.clip_id, b.class_idx, b.onset))
     return boxes
 
 
@@ -228,8 +214,8 @@ def csebb_detect(
     post: Posteriorgram,
     params: CsebbParams = CsebbParams(),
     class_names: Sequence[str] | None = None,
-) -> list[SEBB]:
-    """Change-point SEBB detector.
+) -> list[Event]:
+    """Change-point sound event bounding box detector.
 
     Per class: smooth the track, locate change points with a two-sided step
     filter, partition the clip at those points, greedily merge segments with
@@ -239,7 +225,7 @@ def csebb_detect(
     return _detect(post, params, class_names, {})
 
 
-def event_threshold(sebbs: Sequence[SEBB], class_thresholds: Sequence[float]) -> list[Event]:
+def event_threshold(boxes: Sequence[Event], class_thresholds: Sequence[float]) -> list[Event]:
     """Keep boxes whose confidence exceeds their class threshold.
 
     Onsets and offsets pass through untouched; only membership changes.
@@ -247,12 +233,7 @@ def event_threshold(sebbs: Sequence[SEBB], class_thresholds: Sequence[float]) ->
     thresholds = np.asarray(class_thresholds, dtype=np.float64)
     if thresholds.size and (thresholds.min() < 0.0 or thresholds.max() > 1.0):
         raise ValueError("thresholds must lie in [0, 1]")
-    events = [
-        Event(b.clip_id, b.class_idx, b.onset, b.offset, b.confidence)
-        for b in sebbs
-        if b.confidence > thresholds[b.class_idx]
-    ]
-    return canonicalize_events(events)
+    return canonicalize_events([b for b in boxes if b.confidence > thresholds[b.class_idx]])
 
 
 def ensemble_average(posts: Sequence[Posteriorgram]) -> Posteriorgram:
@@ -298,7 +279,7 @@ def tune_csebb(
     posts: Sequence[Posteriorgram],
     refs: Sequence[Event],
     grid: Sequence[CsebbParams],
-    metric: Callable[[list[SEBB], Sequence[Event]], float],
+    metric: Callable[[list[Event], Sequence[Event]], float],
     class_names: Sequence[str] | None = None,
 ) -> CsebbParams:
     """Grid-search the detector parameters against a validation metric.
@@ -313,10 +294,10 @@ def tune_csebb(
     segmentations: list[dict] = [{} for _ in posts]
     scored = []
     for candidate in grid:
-        sebbs: list[SEBB] = []
+        boxes: list[Event] = []
         for post, memo in zip(posts, segmentations):
-            sebbs.extend(_detect(post, candidate, class_names, memo))
-        scored.append((metric(sebbs, refs), candidate))
+            boxes.extend(_detect(post, candidate, class_names, memo))
+        scored.append((metric(boxes, refs), candidate))
     best_score = max(score for score, _ in scored)
     contenders = [cand for score, cand in scored if score == best_score]
     contenders.sort(key=lambda c: c.sort_key(class_names))

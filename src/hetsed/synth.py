@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import ClipMetadata, Event, Origin, Posteriorgram, canonicalize_events
+from .core import ClipMetadata, Event, Origin, Posteriorgram, canonicalize_events, frame_span, rasterize
 from .postprocess import moving_average
 
 DURATION_RANGE = (0.25, 5.0)  # log-uniform event durations, seconds
@@ -78,7 +78,8 @@ def render_posteriors(
 ) -> list[Posteriorgram]:
     """Render events as corrupted confidence tracks, one posteriorgram per clip.
 
-    A frame is active when its span intersects the event.  Corruption order:
+    Each event raises the frames it meets (``core.frame_span``) to 1.0, or
+    to its confidence when it has one.  Corruption order:
     blur (moving average over ``blur`` frames), multiplicative dips, additive
     Gaussian noise, then a clip to [0, 1].  Dips are drawn after blurring so
     a notch stays sub-threshold.
@@ -96,19 +97,16 @@ def render_posteriors(
     posts = []
     for meta in metas:
         t = int(round(meta.duration / frame_period))
-        scores = np.zeros((t, num_classes))
         clip_events = by_clip.get(meta.clip_id, [])
-        for ev in clip_events:
-            first, last = _active_span(ev, frame_period, t)
-            scores[first : last + 1, ev.class_idx] = 1.0
+        scores = rasterize(clip_events, t, frame_period, num_classes)
         if blur > 1:
             window = blur if blur % 2 == 1 else blur + 1
             for c in range(num_classes):
                 scores[:, c] = moving_average(scores[:, c], window)
         if dip_prob > 0:
             for ev in clip_events:
-                first, last = _active_span(ev, frame_period, t)
-                interior_lo, interior_hi = first + 1, last - 1  # notches stay mid-event
+                first, stop = frame_span(ev.onset, ev.offset, frame_period, t)
+                interior_lo, interior_hi = first + 1, stop - 2  # notches stay mid-event
                 if interior_hi - interior_lo + 1 < DIP_FRAMES[0] + 2:
                     continue
                 interior_seconds = (interior_hi - interior_lo + 1) * frame_period
@@ -133,9 +131,3 @@ def render_posteriors(
         )
     return posts
 
-
-def _active_span(ev: Event, frame_period: float, t: int) -> tuple[int, int]:
-    """First and last frame whose span [t*fp, (t+1)*fp) intersects the event."""
-    first = max(0, int(math.floor(ev.onset / frame_period + 1e-9)))
-    last = min(t - 1, int(math.ceil(ev.offset / frame_period - 1e-9)) - 1)
-    return first, max(first, last)

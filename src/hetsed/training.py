@@ -185,24 +185,6 @@ def total_loss(
     )
 
 
-def frame_targets(events, num_frames: int, frame_period: float, num_classes: int) -> np.ndarray:
-    """Rasterize events into per-frame soft targets [T, C].
-
-    A frame is covered when its span intersects the event; the target is the
-    max value of covering events (1.0 for events without a confidence).
-    """
-    target = np.zeros((num_frames, num_classes))
-    for ev in events:
-        if not 0 <= ev.class_idx < num_classes:
-            raise ValueError(f"class index {ev.class_idx} out of range")
-        value = 1.0 if ev.confidence is None else ev.confidence
-        first = max(0, int(math.floor(ev.onset / frame_period + 1e-9)))
-        last = min(num_frames - 1, int(math.ceil(ev.offset / frame_period - 1e-9)) - 1)
-        for t in range(first, max(first, last) + 1):
-            target[t, ev.class_idx] = max(target[t, ev.class_idx], value)
-    return target
-
-
 def baseline_expand_targets(target: np.ndarray, vocab: ClassVocabulary) -> np.ndarray:
     """Fill DESED super-class targets from their mapped MAESTRO soft labels.
 

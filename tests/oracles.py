@@ -194,3 +194,15 @@ def mixstyle_numerical_grad(batch, perm, lam, upstream, step=1e-4):
         minus = objective(bumped.reshape(batch.shape))
         grad.ravel()[i] = (plus - minus) / (2 * step)
     return grad
+
+
+def brute_rasterize(cells, n, num_classes):
+    """Frame grid by definition, in exact quarter-frame units: frame k spans
+    [4k, 4k + 4) and holds the max value of the (class, a, b, value) cells
+    whose [a, b) meets it."""
+    grid = np.zeros((n, num_classes))
+    for k in range(n):
+        for cls, a, b, value in cells:
+            if a < 4 * k + 4 and b > 4 * k:
+                grid[k, cls] = max(grid[k, cls], value)
+    return grid

@@ -37,7 +37,6 @@ from hetsed.features import AudioClip, extract_log_mel, load_wav, num_frames
 from hetsed.postprocess import (
     ClassSebbParams,
     CsebbParams,
-    SEBB,
     csebb_detect,
     frame_threshold_merge,
     tune_csebb,
@@ -179,9 +178,9 @@ def test_criterion_05_psds_bruteforce_equivalence():
                 for _ in range(int(rng.integers(1, 5)))
             ]
             dets = [
-                SEBB(f"c{rng.integers(2)}", int(rng.integers(num_classes)),
-                     on := float(rng.uniform(0, 8)), on + float(rng.uniform(0.2, 2.0)),
-                     float(rng.choice(confidences)))
+                Event(f"c{rng.integers(2)}", int(rng.integers(num_classes)),
+                      on := float(rng.uniform(0, 8)), on + float(rng.uniform(0.2, 2.0)),
+                      float(rng.choice(confidences)))
                 for _ in range(int(rng.integers(0, 5)))
             ]
             value = _quiet(

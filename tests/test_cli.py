@@ -218,3 +218,39 @@ def test_config_twin_flags_win(tmp_path, capsys):
     assert run("--config", cfg, "eval", "mpauc", "--posteriors", data / "posteriors",
                "--refs", data / "refs.tsv", "--hard-threshold", "0.5") == 0
     assert "mpauc\t1.000000" in capsys.readouterr().out
+
+
+def test_eval_psds_rejects_clips_missing_from_durations(tmp_path, capsys):
+    names = ["car"]
+    refs, dets, durations = tmp_path / "refs.tsv", tmp_path / "dets.tsv", tmp_path / "durations.tsv"
+    formats.write_events_tsv(refs, [Event("x", 0, 1.0, 2.0), Event("y", 0, 1.0, 2.0)], names)
+    formats.write_soft_events_tsv(dets, [Event("z", 0, 1.0, 2.0, 0.95)], names)
+    formats.write_durations_tsv(durations, {"x": 10.0})
+    assert run("eval", "psds", "--dets", dets, "--refs", refs, "--durations", durations) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(durations) in captured.err and "['y', 'z']" in captured.err
+
+
+def test_tune_csebb_rejects_clips_missing_from_durations(tmp_path, capsys):
+    data = synth_dir(tmp_path, clips=8)
+    durations = tmp_path / "durations.tsv"
+    formats.write_durations_tsv(durations, {"clip_0000": 10.0})
+    assert run("tune-csebb", "--val-posteriors", data / "posteriors", "--val-refs", data / "refs.tsv",
+               "--durations", durations, "--out", tmp_path / "tuned.tsv") == 2
+    err = capsys.readouterr().err
+    assert str(durations) in err
+    assert "['clip_0001', 'clip_0002', 'clip_0003', 'clip_0004', 'clip_0005']" in err
+    assert not (tmp_path / "tuned.tsv").exists()
+
+
+def test_loss_rejects_target_past_the_prediction(tmp_path, capsys):
+    vocab = default_vocabulary()
+    pred_path = tmp_path / "m1.sedp"
+    scores = np.full((4, len(vocab)), 0.5, dtype=np.float32)
+    formats.write_posteriorgram(pred_path, Posteriorgram(scores, 0.25, "m1"), list(vocab.classes))
+    target_path = tmp_path / "target.tsv"
+    formats.write_events_tsv(target_path, [Event("m1", vocab.index("car"), 2.0, 3.0)], list(vocab.classes))
+    assert run("loss", "--pred", pred_path, "--target", target_path, "--origin", "maestro") == 2
+    err = capsys.readouterr().err
+    assert str(target_path) in err and "start at or after the end" in err

@@ -1,6 +1,6 @@
 import pytest
 
-from hetsed.config import DEFAULTS, get_bool, get_float, get_int, load_config, parse_config
+from hetsed.config import DEFAULTS, get_bool, get_float, load_config, parse_config
 
 
 def test_parse_basic_syntax():
@@ -14,32 +14,34 @@ def test_parse_rejects_bad_lines():
 
 
 def test_defaults_cover_documented_keys():
-    for key in (
-        "mixstyle.alpha",
-        "mixstyle.apply_prob",
+    assert set(DEFAULTS) == {
         "mixstyle.enabled_at_eval",
-        "augment.mixup_alpha",
-        "augment.dropstep_ratio",
-        "augment.dropstep_count",
-        "train.batch_size",
-        "train.ema",
-        "train.warmup_epochs",
-        "train.ssl_max",
         "train.loss_mode",
-    ):
-        assert key in DEFAULTS
-    assert get_int(DEFAULTS, "train.batch_size") == 60
-    assert get_float(DEFAULTS, "train.ema") == 0.999
-    assert get_int(DEFAULTS, "train.warmup_epochs") == 50
-    assert get_float(DEFAULTS, "train.ssl_max") == 2.0
+        "eval.segment",
+        "eval.max_fpr",
+        "eval.hard_threshold",
+        "psds.dtc",
+        "psds.gtc",
+        "psds.emax",
+        "psds.alpha_st",
+    }
+    assert get_float(DEFAULTS, "psds.emax") == 100.0
+    assert get_bool(DEFAULTS, "mixstyle.enabled_at_eval") is False
 
 
 def test_load_config_file_overrides_defaults(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("train.batch_size = 30\n")
+    path.write_text("psds.dtc = 0.5\n")
     cfg = load_config(path)
-    assert get_int(cfg, "train.batch_size") == 30
-    assert get_float(cfg, "mixstyle.alpha") == 0.3
+    assert get_float(cfg, "psds.dtc") == 0.5
+    assert get_float(cfg, "psds.gtc") == 0.7
+
+
+def test_load_config_rejects_unknown_key(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("# tuned\npsds.dtc = 0.5\npsds.dtcc = 0.5\n")
+    with pytest.raises(ValueError, match=r"typo\.cfg:3: unknown config key 'psds\.dtcc'"):
+        load_config(path)
 
 
 def test_mixstyle_eval_flag_must_stay_false(tmp_path):

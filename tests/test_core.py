@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetsed.core import (
     ClassOrigin,
@@ -12,7 +14,10 @@ from hetsed.core import (
     canonicalize_events,
     class_mask,
     default_vocabulary,
+    frame_span,
+    rasterize,
 )
+from oracles import brute_rasterize
 
 DESED10 = [
     "alarm_bell_ringing", "blender", "cat", "dishes", "dog",
@@ -155,3 +160,53 @@ def test_posteriorgram_validation():
 def test_clip_metadata_validation():
     with pytest.raises(ValueError):
         ClipMetadata("x", Origin.MAESTRO, 0.0)
+
+
+def test_rasterize_frames():
+    events = [Event("x", 0, 0.0, 0.2, None), Event("x", 1, 0.35, 0.5, 0.6)]
+    target = rasterize(events, n=5, period=0.1, num_classes=2)
+    assert np.allclose(target[:, 0], [1, 1, 0, 0, 0])
+    assert np.allclose(target[:, 1], [0, 0, 0, 0.6, 0.6])
+
+
+def test_frame_span_edges():
+    assert frame_span(0.3, 0.5, 0.1, 10) == (3, 5)  # edges on frame boundaries
+    assert frame_span(0.35, 0.5, 0.05, 20) == (7, 10)  # 0.35 / 0.05 = 6.999999999999999
+    assert frame_span(0.14, 0.28, 0.02, 20) == (7, 14)  # 0.28 / 0.02 = 14.000000000000002
+    assert frame_span(0.35, 0.36, 0.1, 10) == (3, 4)  # inside one frame
+    assert frame_span(0.8, 2.0, 0.1, 10) == (8, 10)  # runs past the clip
+    assert frame_span(1.0, 2.0, 0.1, 10) == (10, 10)  # starts at the end: no frame
+    assert frame_span(0.3, 0.3 + 1e-12, 0.1, 10) == (3, 4)  # at least one frame
+    with pytest.raises(ValueError, match="class index 2"):
+        rasterize([Event("x", 2, 0.0, 1.0)], 5, 0.1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    period=st.sampled_from([0.01, 0.02, 0.04, 0.05, 0.1, 0.25, 1.0]),
+    n=st.integers(1, 16),
+    num_classes=st.integers(1, 3),
+    data=st.data(),
+)
+def test_rasterize_equals_frame_meets_event_oracle(period, n, num_classes, data):
+    # edges on a quarter-frame grid, rounded to 6 decimals as a TSV gives
+    # them back; onsets run up to two frames past the clip
+    cells = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, num_classes - 1),
+                st.integers(0, 4 * n + 8),
+                st.integers(1, 4 * n),
+                st.one_of(st.none(), st.floats(0.0, 1.0)),
+            ),
+            max_size=8,
+        )
+    )
+    events = [
+        Event("c", cls, round(a * period / 4, 6), round((a + k) * period / 4, 6), conf)
+        for cls, a, k, conf in cells
+    ]
+    expected = brute_rasterize(
+        [(cls, a, a + k, 1.0 if conf is None else conf) for cls, a, k, conf in cells], n, num_classes
+    )
+    assert np.array_equal(rasterize(events, n, period, num_classes), expected)

@@ -19,7 +19,6 @@ from hetsed.evaluation import (
     segment_scores,
     segmentize,
 )
-from hetsed.postprocess import SEBB
 
 CFG = PsdsConfig()
 
@@ -77,7 +76,7 @@ def test_match_union_coverage_across_fragments():
 # ---------------------------------------------------------------- the curve
 
 def sebb(clip, cls, on, off, conf):
-    return SEBB(clip, cls, on, off, conf)
+    return Event(clip, cls, on, off, conf)
 
 
 def test_curve_perfect_detections_single_point():

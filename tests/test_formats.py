@@ -15,11 +15,10 @@ from hetsed.formats import (
     write_features,
     write_posteriorgram,
     write_score_report,
-    write_sebbs_tsv,
     write_soft_events_tsv,
     write_summary,
 )
-from hetsed.postprocess import ClassSebbParams, CsebbParams, SEBB
+from hetsed.postprocess import ClassSebbParams, CsebbParams
 
 CLASSES = ["car", "dog", "speech"]
 
@@ -78,9 +77,10 @@ def test_soft_tsv_preserves_missing_confidence(tmp_path):
 
 
 def test_sebbs_tsv_round_trip(tmp_path):
+    # a box is an Event whose confidence is set
     path = tmp_path / "sebbs.tsv"
-    boxes = [SEBB("c", 0, 1.0, 2.0, 0.75)]
-    write_sebbs_tsv(path, boxes, ["x"])
+    boxes = [Event("c", 0, 1.0, 2.0, 0.75)]
+    write_soft_events_tsv(path, boxes, ["x"])
     back, _ = read_events_tsv(path, ["x"])
     assert back[0].confidence == pytest.approx(0.75)
 

@@ -3,11 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hetsed.core import Posteriorgram
+from hetsed.core import Event, Posteriorgram
 from hetsed.postprocess import (
     ClassSebbParams,
     CsebbParams,
-    SEBB,
     csebb_detect,
     default_grid,
     ensemble_average,
@@ -157,8 +156,8 @@ def test_csebb_matches_frame_threshold_on_noiseless_rectangles():
 
 def boxes_fixture():
     return [
-        SEBB("a", 0, 1.0, 2.0, 0.3),
-        SEBB("a", 1, 3.0, 4.5, 0.7),
+        Event("a", 0, 1.0, 2.0, 0.3),
+        Event("a", 1, 3.0, 4.5, 0.7),
     ]
 
 

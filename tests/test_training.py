@@ -12,7 +12,6 @@ from hetsed.training import (
     compose_batch,
     consistency_mse,
     ema_update,
-    frame_targets,
     masked_bce,
     plan_batch,
     soft_clip_loss,
@@ -279,11 +278,3 @@ def test_soft_clip_loss_baseline_sees_speech():
     messed[:, VOCAB.index("speech")] = np.clip(pred[:, VOCAB.index("speech")] + 0.02, 0, 1)
     assert soft_clip_loss(messed, target, maestro_meta(), VOCAB, MaskMode.BASELINE) != base
 
-
-def test_frame_targets_rasterization():
-    from hetsed.core import Event
-
-    events = [Event("x", 0, 0.0, 0.2, None), Event("x", 1, 0.35, 0.5, 0.6)]
-    target = frame_targets(events, num_frames=5, frame_period=0.1, num_classes=2)
-    assert np.allclose(target[:, 0], [1, 1, 0, 0, 0])
-    assert np.allclose(target[:, 1], [0, 0, 0, 0.6, 0.6])
