@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", type=Path, default=None)
     p.add_argument("--in", dest="input", type=Path, required=True, help="posteriorgram file or directory")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    # accepted and ignored: a thread pool over clips gave no speed-up
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_postprocess)
 
     p = sub.add_parser("tune-csebb", help="grid-search box-detector parameters")
@@ -204,7 +205,7 @@ def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np
     default_thr = 0.5
     per_class: dict[str, float] = {}
     if cfg_file is not None:
-        raw = config_mod.parse_config(Path(cfg_file).read_text(encoding="utf-8"))
+        raw = config_mod.parse_config(Path(cfg_file).read_text(encoding="utf-8"), cfg_file)
         for key, value in raw.items():
             if key == "window":
                 window = int(value)
@@ -221,36 +222,20 @@ def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np
 def _cmd_postprocess(args, cfg) -> int:
     loaded = _load_posteriors(args.input)
     class_names = loaded[0][1]
-    jobs = max(1, args.jobs)
 
     if args.method == "csebb":
         params = formats.read_csebb_params(args.params) if args.params else postprocess.CsebbParams()
-
-        def detect(item):
-            post, _ = item
-            return postprocess.csebb_detect(post, params, class_names)
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(detect, loaded))
-        boxes = [b for clip_boxes in results for b in clip_boxes]
+        boxes = [b for post, _ in loaded for b in postprocess.csebb_detect(post, params, class_names)]
         formats.write_soft_events_tsv(args.out, boxes, class_names)
         print(f"wrote {len(boxes)} boxes to {args.out}", file=sys.stderr)
         return EXIT_OK
 
     thresholds, window = _class_thresholds(args.params, class_names)
-
-    def process(item):
-        post, _ = item
+    events = []
+    for post, _ in loaded:
         if args.method == "median":
-            filtered = np.column_stack(
-                [postprocess.median_filter(post.scores[:, c], window) for c in range(post.num_classes)]
-            )
-            post = Posteriorgram(filtered, post.frame_period, post.clip_id)
-        return postprocess.frame_threshold_merge(post, thresholds)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(process, loaded))
-    events = [ev for clip_events in results for ev in clip_events]
+            post = Posteriorgram(postprocess.median_filter(post.scores, window), post.frame_period, post.clip_id)
+        events.extend(postprocess.frame_threshold_merge(post, thresholds))
     formats.write_events_tsv(args.out, events, class_names)
     print(f"wrote {len(events)} events to {args.out}", file=sys.stderr)
     return EXIT_OK

@@ -30,27 +30,29 @@ _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
 
-def _entries(text: str) -> Iterator[tuple[int, str, str]]:
-    """(line number, key, value) for every non-blank, non-comment line."""
+def _entries(text: str, source: Path | str | None = None) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) for every non-blank, non-comment line;
+    errors name ``source`` (the file the text came from) when given."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
+            where = f"{source}:{lineno}" if source is not None else f"line {lineno}"
+            raise ValueError(f"{where}: expected 'key = value', got {line!r}")
         key, value = stripped.split("=", 1)
         yield lineno, key.strip(), value.strip()
 
 
-def parse_config(text: str) -> dict[str, str]:
-    return {key: value for _, key, value in _entries(text)}
+def parse_config(text: str, source: Path | str | None = None) -> dict[str, str]:
+    return {key: value for _, key, value in _entries(text, source)}
 
 
 def load_config(path: Path | str | None) -> dict[str, str]:
     """Defaults overlaid with the file (if any), then validated."""
     cfg = dict(DEFAULTS)
     if path is not None:
-        for lineno, key, value in _entries(Path(path).read_text(encoding="utf-8")):
+        for lineno, key, value in _entries(Path(path).read_text(encoding="utf-8"), path):
             if key not in DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             cfg[key] = value

@@ -9,6 +9,7 @@ appear, even under parallel tuning runs.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -125,17 +126,29 @@ def write_durations_tsv(path: Path | str, durations: dict[str, float]) -> None:
 
 
 def read_durations_tsv(path: Path | str) -> dict[str, float]:
+    """Clip durations in seconds; each clip once, each duration finite and >= 0."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split("\t") != DURATIONS_HEADER.split("\t"):
         raise ValueError(f"{path}: expected header {DURATIONS_HEADER!r}")
     out: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 2 columns")
-        out[parts[0]] = float(parts[1])
+        clip_id, text = parts
+        if clip_id in first_line:
+            raise ValueError(f"{path}:{lineno}: clip {clip_id!r} already listed on line {first_line[clip_id]}")
+        try:
+            duration = float(text)
+        except ValueError:
+            duration = math.nan
+        if not math.isfinite(duration) or duration < 0:
+            raise ValueError(f"{path}:{lineno}: duration must be a finite number >= 0, got {text!r}")
+        first_line[clip_id] = lineno
+        out[clip_id] = duration
     return out
 
 
@@ -160,21 +173,42 @@ def write_posteriorgram(path: Path | str, post: Posteriorgram, class_names: Sequ
         fh.write(np.ascontiguousarray(post.scores, dtype="<f4").tobytes())
 
 
+def _check_length(path: Path | str, data: bytes, end: int, part: str) -> None:
+    """``data`` must hold at least ``end`` bytes, the end of ``part``."""
+    if len(data) < end:
+        raise ValueError(f"{path}: truncated {part}: {len(data)} bytes, need at least {end}")
+
+
+def _float32_payload(path: Path | str, data: bytes, offset: int, count: int) -> np.ndarray:
+    """The ``count`` float32 values at ``offset``, which must end the file."""
+    end = offset + 4 * count
+    _check_length(path, data, end, "data")
+    if len(data) > end:
+        raise ValueError(f"{path}: {len(data) - end} trailing bytes after the data")
+    return np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+
+
 def read_posteriorgram(path: Path | str, clip_id: str | None = None) -> tuple[Posteriorgram, list[str]]:
     data = Path(path).read_bytes()
     if data[:4] != POSTERIOR_MAGIC:
         raise ValueError(f"{path}: bad magic {data[:4]!r}")
+    offset = 4 + struct.calcsize("<HIII")
+    _check_length(path, data, offset, "header")
     version, t, c, period_us = struct.unpack_from("<HIII", data, 4)
     if version != POSTERIOR_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    offset = 4 + struct.calcsize("<HIII")
     names = []
     for _ in range(c):
+        _check_length(path, data, offset + 2, "class table")
         (length,) = struct.unpack_from("<H", data, offset)
         offset += 2
-        names.append(data[offset : offset + length].decode("utf-8"))
+        _check_length(path, data, offset + length, "class table")
+        try:
+            names.append(data[offset : offset + length].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: class name {len(names)} is not UTF-8") from None
         offset += length
-    scores = np.frombuffer(data, dtype="<f4", count=t * c, offset=offset).reshape(t, c)
+    scores = _float32_payload(path, data, offset, t * c).reshape(t, c)
     if clip_id is None:
         clip_id = Path(path).stem
     post = Posteriorgram(scores=scores.astype(np.float64), frame_period=period_us / 1e6, clip_id=clip_id)
@@ -199,8 +233,9 @@ def read_features(path: Path | str) -> tuple[np.ndarray, float]:
     data = Path(path).read_bytes()
     if data[:4] != FEATURE_MAGIC:
         raise ValueError(f"{path}: bad magic {data[:4]!r}")
+    _check_length(path, data, 16, "header")
     t, m, period_us = struct.unpack_from("<III", data, 4)
-    values = np.frombuffer(data, dtype="<f4", count=t * m, offset=16).reshape(t, m)
+    values = _float32_payload(path, data, 16, t * m).reshape(t, m)
     return values.astype(np.float64), period_us / 1e6
 
 

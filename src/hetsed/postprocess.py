@@ -11,6 +11,12 @@ threshold: raising the threshold shrinks or fragments events.  SEBBs decouple
 the two by first segmenting each class track at change points and assigning
 every segment a scalar confidence; sensitivity is then controlled purely by
 event-level thresholding, which never moves a surviving box's boundaries.
+
+Each step takes a whole [T, C] posteriorgram per numpy pass rather than one
+class track at a time: the filters run along axis 0, and the frame runs and
+the change points of all classes come out of one pass.  Results equal the
+track-by-track computation bit for bit; segment sums stay one ``sum()`` per
+segment, because a cumulative sum would change the last bit.
 """
 
 from __future__ import annotations
@@ -68,91 +74,135 @@ class CsebbParams:
         )
 
 
-def median_filter(scores: np.ndarray, window: int) -> np.ndarray:
-    """Sliding median with edge replication."""
+def _filter_tracks(scores: np.ndarray, window: int, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Reduce the edge-replicated sliding windows along axis 0 of a [T] or
+    [T, C] array; ``reduce`` maps [C, T, window] windows to [C, T]."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError(f"expected a 1-D score track, got shape {scores.shape}")
+    if scores.ndim not in (1, 2):
+        raise ValueError(f"expected a [T] or [T, C] score array, got shape {scores.shape}")
     if window % 2 == 0:
         raise ValueError(f"window must be odd, got {window}")
-    if window > 2 * scores.size - 1:
-        raise ValueError(f"window {window} too large for {scores.size} frames")
     if window == 1:
         return scores.copy()
-    padded = np.pad(scores, window // 2, mode="edge")
-    return np.median(np.lib.stride_tricks.sliding_window_view(padded, window), axis=1)
+    tracks = np.pad(np.atleast_2d(scores.T), ((0, 0), (window // 2, window // 2)), mode="edge")
+    filtered = reduce(np.lib.stride_tricks.sliding_window_view(tracks, window, axis=1))
+    return np.ascontiguousarray(filtered[0] if scores.ndim == 1 else filtered.T)
+
+
+def _window_mean(windows: np.ndarray) -> np.ndarray:
+    # Copied contiguous, each window is summed along memory like the windows
+    # of a lone 1-D track; on the strided [C, T, window] view numpy picks
+    # another loop order for some shapes, which changes the last bit.
+    return np.ascontiguousarray(windows).mean(axis=-1)
+
+
+def _window_median(windows: np.ndarray) -> np.ndarray:
+    mid = windows.shape[-1] // 2
+    medians = np.partition(windows, mid, axis=-1)[..., mid]
+    if np.isnan(windows).any():  # as np.median: a window holding NaN gives NaN
+        medians[np.isnan(windows).any(axis=-1)] = np.nan
+    return medians
+
+
+def median_filter(scores: np.ndarray, window: int) -> np.ndarray:
+    """Sliding median along axis 0 (every column of a [T, C] array, or one
+    [T] track) with edge replication."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim and window % 2 and window > 2 * scores.shape[0] - 1:
+        raise ValueError(f"window {window} too large for {scores.shape[0]} frames")
+    return _filter_tracks(scores, window, _window_median)
 
 
 def moving_average(scores: np.ndarray, window: int) -> np.ndarray:
-    """Sliding mean with edge replication (window odd; 1 = identity)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if window % 2 == 0:
-        raise ValueError(f"window must be odd, got {window}")
-    if window == 1:
-        return scores.copy()
-    padded = np.pad(scores, window // 2, mode="edge")
-    return np.lib.stride_tricks.sliding_window_view(padded, window).mean(axis=1)
+    """Sliding mean along axis 0 (every column of a [T, C] array, or one [T]
+    track) with edge replication (window odd; 1 = identity)."""
+    return _filter_tracks(scores, window, _window_mean)
 
 
 def frame_threshold_merge(post: Posteriorgram, thresholds: Sequence[float]) -> list[Event]:
     """Threshold each class track and merge consecutive positive frames.
 
     A maximal run of frames with score > threshold becomes one event spanning
-    [start * frame_period, (end + 1) * frame_period).
+    [start * frame_period, (end + 1) * frame_period).  The runs of all
+    classes come from one pass over the posteriorgram.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if thresholds.shape != (post.num_classes,):
         raise ValueError(f"need one threshold per class, got {thresholds.shape}")
     if thresholds.min(initial=0.0) < 0.0 or thresholds.max(initial=0.0) > 1.0:
         raise ValueError("thresholds must lie in [0, 1]")
-    events = []
+    active = (post.scores > thresholds).T.astype(np.int8)
+    # per class, run starts and stops alternate along the row
+    classes, frames = np.nonzero(np.diff(active, axis=1, prepend=0, append=0))
     fp = post.frame_period
-    for c in range(post.num_classes):
-        for start, stop in _runs(post.scores[:, c] > thresholds[c]):
-            events.append(Event(post.clip_id, c, start * fp, stop * fp))
+    events = [
+        Event(post.clip_id, c, start * fp, stop * fp)
+        for c, start, stop in zip(classes[::2].tolist(), frames[::2].tolist(), frames[1::2].tolist())
+    ]
     return canonicalize_events(events)
-
-
-def _runs(active: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal [start, stop) index runs where `active` is true."""
-    padded = np.concatenate([[False], active, [False]])
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    return list(zip(edges[::2], edges[1::2]))
 
 
 _PLATEAU_TOL = 1e-9
 
 
-def _change_points(track: np.ndarray, half_width: int, min_gap: float) -> list[int]:
-    """Plateau-midpoint local maxima of the two-sided step response |d|.
-
-    d[t] = track[t+s] - track[t-s] with edge replication.  A run of equal
-    |d| values (equal within a tolerance: the same mean reached by different
-    summation orders differs in the last bit) is a candidate when it strictly
-    dominates both neighbours (or touches an array end) and exceeds min_gap;
-    the candidate index is the midpoint rounded up, which straddles symmetric
-    ramps onto the true edge.
-    """
-    t = track.size
-    idx = np.arange(t)
-    d = track[np.minimum(idx + half_width, t - 1)] - track[np.maximum(idx - half_width, 0)]
-    a = np.abs(d)
-    candidates: list[int] = []
+def _anchored_starts(a: np.ndarray) -> np.ndarray:
+    """Plateau starts of one |d| row by the anchored rule: a plateau goes on
+    while values stay within the tolerance of its first value."""
+    starts = np.zeros(a.size, dtype=bool)
     i = 0
-    while i < t:
-        j = i
-        while j + 1 < t and abs(a[j + 1] - a[i]) <= _PLATEAU_TOL:
+    while i < a.size:
+        starts[i] = True
+        j = i + 1
+        while j < a.size and abs(a[j] - a[i]) <= _PLATEAU_TOL:
             j += 1
-        value = a[i]
-        if (
-            value > min_gap
-            and (i == 0 or value > a[i - 1] + _PLATEAU_TOL)
-            and (j == t - 1 or value > a[j + 1] + _PLATEAU_TOL)
-            and not (i == 0 and j == t - 1)
-        ):
-            candidates.append((i + j + 1) // 2)
-        i = j + 1
-    return [c for c in candidates if 0 < c < t]
+        i = j
+    return starts
+
+
+def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> list[np.ndarray]:
+    """Per row of ``tracks`` [K, T]: the plateau-midpoint local maxima of the
+    two-sided step response |d|.
+
+    d[t] = y[t+s] - y[t-s] with edge replication.  A plateau is a run of |d|
+    values within a tolerance of the run's first value (the same mean
+    reached by different summation orders differs in the last bit).  It is a
+    candidate when it strictly dominates both neighbours (or touches an
+    array end) and exceeds min_gap; the candidate index is the midpoint
+    rounded up, which straddles symmetric ramps onto the true edge.
+
+    The plateaus of all rows come from one vectorised pass that chains
+    consecutive values within the tolerance.  Chaining and the anchored rule
+    agree unless a chained run drifts past the tolerance from its first
+    value, or the value after it is back within the tolerance of that first
+    value; only a row where either happens is rescanned with the anchored
+    rule.
+    """
+    k, t = tracks.shape
+    idx = np.arange(t)
+    a = np.abs(tracks[:, np.minimum(idx + half_width, t - 1)] - tracks[:, np.maximum(idx - half_width, 0)])
+    starts = np.ones((k, t), dtype=bool)
+    starts[:, 1:] = ~(np.abs(np.diff(a, axis=1)) <= _PLATEAU_TOL)
+    first_value = np.take_along_axis(a, np.maximum.accumulate(np.where(starts, idx, 0), axis=1), axis=1)
+    drifts = ~starts & ~(np.abs(a - first_value) <= _PLATEAU_TOL)
+    rejoins = starts[:, 1:] & (np.abs(a[:, 1:] - first_value[:, :-1]) <= _PLATEAU_TOL)
+    for r in np.flatnonzero(drifts.any(axis=1) | rejoins.any(axis=1)):
+        starts[r] = _anchored_starts(a[r])
+
+    # one entry per plateau, rows in order: its row, first and last index
+    ends = np.ones_like(starts)
+    ends[:, :-1] = starts[:, 1:]
+    row, first = np.nonzero(starts)
+    last = np.nonzero(ends)[1]
+    value = a[row, first]
+    mid = (first + last + 1) // 2
+    keep = (
+        (value > min_gap)
+        & ((first == 0) | (value > a[row, first - 1] + _PLATEAU_TOL))
+        & ((last == t - 1) | (value > a[row, np.minimum(last + 1, t - 1)] + _PLATEAU_TOL))
+        & ~((first == 0) & (last == t - 1))
+        & (mid > 0)
+    )
+    return np.split(mid[keep], np.cumsum(np.bincount(row[keep], minlength=k))[:-1])
 
 
 def _greedy_merge(
@@ -173,33 +223,39 @@ def _greedy_merge(
     return sums, lengths
 
 
-def _segments(track: np.ndarray, p: ClassSebbParams) -> tuple[list[float], list[int]]:
-    """Smooth a class track and cut it at change points: (segment sums of
-    the smoothed track, segment lengths)."""
-    smoothed = moving_average(track, p.window)
-    edges = [0] + _change_points(smoothed, p.half_width, p.min_gap) + [track.size]
-    sums = [float(smoothed[a:b].sum()) for a, b in zip(edges[:-1], edges[1:])]
-    return sums, [b - a for a, b in zip(edges[:-1], edges[1:])]
+def _segments(
+    scores: np.ndarray, window: int, half_width: int, min_gap: float
+) -> list[tuple[list[float], list[int]]]:
+    """Smooth every column of ``scores`` [T, C] and cut it at its change
+    points: per column, (segment sums of the smoothed track, segment lengths)."""
+    tracks = np.ascontiguousarray(moving_average(scores, window).T)
+    t = tracks.shape[1]
+    out = []
+    for track, cuts in zip(tracks, _change_points(tracks, half_width, min_gap)):
+        edges = [0, *cuts.tolist(), t]
+        sums = [float(track[a:b].sum()) for a, b in zip(edges[:-1], edges[1:])]
+        out.append((sums, [b - a for a, b in zip(edges[:-1], edges[1:])]))
+    return out
 
 
 def _detect(
     post: Posteriorgram,
     params: CsebbParams,
     class_names: Sequence[str] | None,
-    segmentations: dict[tuple, tuple[list[float], list[int]]],
+    segmentations: dict[tuple, list[tuple[list[float], list[int]]]],
 ) -> list[Event]:
     """Merge step of the detector; ``segmentations`` memoizes the segmentation
-    step per (class, window, half_width, min_gap)."""
+    step per (window, half_width, min_gap), for every class at once."""
     if class_names is not None and len(class_names) != post.num_classes:
         raise ValueError("class_names length must match the posteriorgram")
     boxes: list[Event] = []
     fp = post.frame_period
     for c in range(post.num_classes):
         p = params.for_class(class_names[c] if class_names is not None else None)
-        key = (c, p.window, p.half_width, p.min_gap)
+        key = (p.window, p.half_width, p.min_gap)
         if key not in segmentations:
-            segmentations[key] = _segments(post.scores[:, c], p)
-        sums, lengths = _greedy_merge(*segmentations[key], p.rel_merge, p.abs_merge)
+            segmentations[key] = _segments(post.scores, *key)
+        sums, lengths = _greedy_merge(*segmentations[key][c], p.rel_merge, p.abs_merge)
         start = 0
         for s, n in zip(sums, lengths):
             mean = s / n
@@ -220,7 +276,9 @@ def csebb_detect(
     Per class: smooth the track, locate change points with a two-sided step
     filter, partition the clip at those points, greedily merge segments with
     similar means, and emit every merged segment whose mean smoothed score
-    clears the noise floor as a box with confidence = that mean.
+    clears the noise floor as a box with confidence = that mean.  Smoothing
+    and change points run once per (window, half_width, min_gap) for all
+    classes together; only the merge step is per class.
     """
     return _detect(post, params, class_names, {})
 

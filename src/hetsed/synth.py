@@ -100,9 +100,7 @@ def render_posteriors(
         clip_events = by_clip.get(meta.clip_id, [])
         scores = rasterize(clip_events, t, frame_period, num_classes)
         if blur > 1:
-            window = blur if blur % 2 == 1 else blur + 1
-            for c in range(num_classes):
-                scores[:, c] = moving_average(scores[:, c], window)
+            scores = moving_average(scores, blur if blur % 2 == 1 else blur + 1)
         if dip_prob > 0:
             for ev in clip_events:
                 first, stop = frame_span(ev.onset, ev.offset, frame_period, t)

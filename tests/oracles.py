@@ -9,6 +9,7 @@ import numpy as np
 
 from hetsed.domain_gen import freq_mixstyle, freq_stats
 from hetsed.evaluation import _curve_from_point_lists
+from hetsed.postprocess import _PLATEAU_TOL
 
 
 def union_measure(lo, hi, spans):
@@ -174,6 +175,38 @@ def rematch_curve(dets, refs, hours, cfg, num_classes):
         for c in range(num_classes):
             per_class[c].append((float(efpr[c]), float(tpr[c])))
     return _curve_from_point_lists(per_class, included)
+
+
+def change_points_loop(track: np.ndarray, half_width: int, min_gap: float) -> list[int]:
+    """Plateau-midpoint local maxima of the two-sided step response |d|.
+
+    d[t] = track[t+s] - track[t-s] with edge replication.  A run of equal
+    |d| values (equal within a tolerance: the same mean reached by different
+    summation orders differs in the last bit) is a candidate when it strictly
+    dominates both neighbours (or touches an array end) and exceeds min_gap;
+    the candidate index is the midpoint rounded up, which straddles symmetric
+    ramps onto the true edge.
+    """
+    t = track.size
+    idx = np.arange(t)
+    d = track[np.minimum(idx + half_width, t - 1)] - track[np.maximum(idx - half_width, 0)]
+    a = np.abs(d)
+    candidates: list[int] = []
+    i = 0
+    while i < t:
+        j = i
+        while j + 1 < t and abs(a[j + 1] - a[i]) <= _PLATEAU_TOL:
+            j += 1
+        value = a[i]
+        if (
+            value > min_gap
+            and (i == 0 or value > a[i - 1] + _PLATEAU_TOL)
+            and (j == t - 1 or value > a[j + 1] + _PLATEAU_TOL)
+            and not (i == 0 and j == t - 1)
+        ):
+            candidates.append((i + j + 1) // 2)
+        i = j + 1
+    return [c for c in candidates if 0 < c < t]
 
 
 def mixstyle_numerical_grad(batch, perm, lam, upstream, step=1e-4):

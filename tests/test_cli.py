@@ -254,3 +254,50 @@ def test_loss_rejects_target_past_the_prediction(tmp_path, capsys):
     assert run("loss", "--pred", pred_path, "--target", target_path, "--origin", "maestro") == 2
     err = capsys.readouterr().err
     assert str(target_path) in err and "start at or after the end" in err
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda data: data[:10], "truncated header: 10 bytes, need at least 18"),
+    (lambda data: data[:300], "truncated data: 300 bytes"),
+    (lambda data: data + b"\x00" * 4, "4 trailing bytes after the data"),
+])
+def test_postprocess_rejects_a_damaged_posteriorgram(tmp_path, capsys, damage, message):
+    data = synth_dir(tmp_path, clips=2)
+    path = data / "posteriors" / "clip_0001.sedp"
+    path.write_bytes(damage(path.read_bytes()))
+    assert run("postprocess", "--method", "frame", "--in", data / "posteriors", "--out", tmp_path / "dets.tsv") == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "dets.tsv").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("x\t10.0\nx\t3600.0\n", ":3: clip 'x' already listed on line 2"),
+    ("x\t10.0\ny\t-3.0\n", ":3: duration must be a finite number >= 0, got '-3.0'"),
+    ("x\t10.0\ny\tinf\n", ":3: duration must be a finite number >= 0, got 'inf'"),
+])
+def test_eval_psds_rejects_a_bad_durations_file(tmp_path, capsys, rows, message):
+    refs, dets, durations = tmp_path / "refs.tsv", tmp_path / "dets.tsv", tmp_path / "durations.tsv"
+    formats.write_events_tsv(refs, [Event("x", 0, 1.0, 2.0)], ["car"])
+    formats.write_soft_events_tsv(dets, [Event("x", 0, 1.0, 2.0, 0.9)], ["car"])
+    durations.write_text("filename\tduration\n" + rows)
+    assert run("eval", "psds", "--dets", dets, "--refs", refs, "--durations", durations) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {durations}{message}" in captured.err
+
+
+def test_config_line_error_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("psds.dtc 0.5\n")
+    data = synth_dir(tmp_path, clips=2)
+    assert run("--config", cfg, "eval", "mpauc", "--posteriors", data / "posteriors", "--refs", data / "refs.tsv") == 2
+    assert f"error: {cfg}:1: expected 'key = value', got 'psds.dtc 0.5'" in capsys.readouterr().err
+
+
+def test_postprocess_params_line_error_names_the_file(tmp_path, capsys):
+    params = tmp_path / "median.cfg"
+    params.write_text("# frame thresholds\nwindow 7\n")
+    data = synth_dir(tmp_path, clips=2)
+    assert run("postprocess", "--method", "median", "--params", params, "--in", data / "posteriors",
+               "--out", tmp_path / "dets.tsv") == 2
+    assert f"error: {params}:2: expected 'key = value', got 'window 7'" in capsys.readouterr().err

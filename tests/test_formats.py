@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,37 @@ def test_features_round_trip(tmp_path):
     assert np.array_equal(back, values.astype(np.float64))
     assert path.read_bytes()[:4] == b"SEDF"
     assert len(path.read_bytes()) == 16 + 618 * 128 * 4
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda data: data[:9], "truncated header: 9 bytes, need at least 16"),
+    (lambda data: data[:-1], "truncated data"),
+    (lambda data: data + b"\x00", "1 trailing bytes after the data"),
+])
+def test_features_reject_damaged_files(tmp_path, damage, message):
+    path = tmp_path / "clip.mel"
+    write_features(path, np.zeros((5, 3)), 0.016)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        read_features(path)
+
+
+def test_posteriorgram_rejects_a_truncated_class_table(tmp_path):
+    path = tmp_path / "clip.sedp"
+    write_posteriorgram(path, Posteriorgram(np.zeros((2, 3)), 0.1, "clip"), CLASSES)
+    path.write_bytes(path.read_bytes()[:21])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated class table"):
+        read_posteriorgram(path)
+
+
+def test_posteriorgram_rejects_a_class_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "clip.sedp"
+    write_posteriorgram(path, Posteriorgram(np.zeros((2, 3)), 0.1, "clip"), CLASSES)
+    data = bytearray(path.read_bytes())
+    data[25] = 0xFF  # first byte of the second name, "dog"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: class name 1 is not UTF-8"):
+        read_posteriorgram(path)
 
 
 def test_csebb_params_round_trip(tmp_path):

@@ -2,9 +2,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hetsed import postprocess
 from hetsed.core import Event, Posteriorgram
 from hetsed.postprocess import (
+    NOISE_FLOOR,
     ClassSebbParams,
     CsebbParams,
     csebb_detect,
@@ -16,6 +20,7 @@ from hetsed.postprocess import (
     moving_average,
     tune_csebb,
 )
+from oracles import change_points_loop
 
 
 def post_of(track, fp=0.05, clip_id="p0"):
@@ -315,6 +320,141 @@ def test_default_grid_shape():
     assert len(grid) == 24
     windows = {g.default.window for g in grid}
     assert windows == {3, 7, 11, 21}
+
+
+# ------------------------------- whole-posteriorgram passes vs per track
+
+_SWV = np.lib.stride_tricks.sliding_window_view
+
+
+@st.composite
+def filter_cases(draw):
+    t = draw(st.integers(1, 30))
+    c = draw(st.integers(1, 4))
+    decimals = draw(st.integers(0, 2))
+    cells = draw(st.lists(st.integers(0, 10**decimals), min_size=t * c, max_size=t * c))
+    scores = np.array(cells, dtype=np.float64).reshape(t, c) / 10**decimals
+    return scores, draw(st.sampled_from([1, 3, 5, 7, 9, 11, 21, 33, 129, 131]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_cases())
+def test_filters_on_a_posteriorgram_equal_the_per_track_filters(case):
+    scores, window = case
+    pad = window // 2
+    averaged = moving_average(scores, window)
+    for c in range(scores.shape[1]):
+        track = scores[:, c]
+        assert np.array_equal(averaged[:, c], moving_average(track, window))
+        plain = _SWV(np.pad(track, pad, mode="edge"), window).mean(axis=1) if window > 1 else track
+        assert np.array_equal(averaged[:, c], plain)
+    if window <= 2 * scores.shape[0] - 1:
+        medians = median_filter(scores, window)
+        for c in range(scores.shape[1]):
+            track = scores[:, c]
+            assert np.array_equal(medians[:, c], median_filter(track, window))
+            plain = np.median(_SWV(np.pad(track, pad, mode="edge"), window), axis=1)
+            assert np.array_equal(medians[:, c], plain)
+
+
+def test_median_filter_keeps_nan_windows_nan():
+    track = np.array([0.1, np.nan, 0.3, 0.4, 0.5, 0.6])
+    plain = np.median(_SWV(np.pad(track, 1, mode="edge"), 3), axis=1)
+    assert np.array_equal(median_filter(track, 3), plain, equal_nan=True)
+
+
+def _track_with_steps(steps, half_width):
+    """A track whose interior step response d[t] = y[t+s] - y[t-s] is
+    ``steps`` (the 2s edge frames of d follow from edge replication)."""
+    y = np.zeros(len(steps) + 2 * half_width)
+    for k, step in enumerate(steps):
+        y[k + 2 * half_width] = y[k] + step
+    return y
+
+
+@st.composite
+def change_point_cases(draw):
+    """Rows of one length T; each row is either rounded scores or a track
+    built from plateaus of |d| whose values drift by a few 1e-10, so that
+    plateaus of the chained and the anchored reading part ways."""
+    half_width = draw(st.integers(1, 4))
+    decimals = draw(st.integers(0, 2))
+    level = st.integers(0, 10**decimals).map(lambda v: v / 10**decimals)
+    t = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        if t <= 2 * half_width or draw(st.booleans()):
+            rows.append(np.array(draw(st.lists(level, min_size=t, max_size=t))))
+            continue
+        steps = []
+        while len(steps) < t - 2 * half_width:
+            value = draw(level) * draw(st.sampled_from([1.0, -1.0]))
+            walk = np.cumsum(draw(st.lists(st.integers(-7, 7), min_size=1, max_size=8)))
+            steps.extend(value + walk * 1e-10)
+        rows.append(_track_with_steps(steps[: t - 2 * half_width], half_width))
+    return np.array(rows), half_width, draw(st.sampled_from([0.0, 0.05, 0.3]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(change_point_cases())
+def test_vectorised_change_points_equal_the_loop(case):
+    tracks, half_width, min_gap = case
+    got = postprocess._change_points(tracks, half_width, min_gap)
+    assert [cuts.tolist() for cuts in got] == [change_points_loop(row, half_width, min_gap) for row in tracks]
+
+
+@pytest.mark.parametrize("steps", [
+    # a chained run drifting 1.2e-9 from its first value: the anchored
+    # plateau ends before the chained one
+    [0.0, 0.5, 0.5 + 6e-10, 0.5 + 1.2e-9, 0.5 + 1.8e-9, 0.0, 0.0],
+    # the value after a chained run is back within 1e-9 of its first value:
+    # the anchored plateau runs on past the chained break
+    [0.0, 0.0, 0.5, 0.5 + 9e-10, 0.5 - 3e-10, 0.5 - 3e-10, 0.0],
+])
+def test_change_points_rescan_rows_where_chaining_differs(monkeypatch, steps):
+    rescanned = []
+    anchored = postprocess._anchored_starts
+    monkeypatch.setattr(postprocess, "_anchored_starts", lambda a: rescanned.append(a) or anchored(a))
+    tracks = np.array([_track_with_steps(steps, 1), np.linspace(0.0, 1.0, len(steps) + 2)])
+    got = postprocess._change_points(tracks, 1, 0.1)
+    assert [cuts.tolist() for cuts in got] == [change_points_loop(row, 1, 0.1) for row in tracks]
+    assert len(rescanned) == 1
+
+
+def _boxes_from_loop(post, p):
+    """csebb_detect's boxes, segmented column by column with the loop."""
+    boxes = []
+    fp = post.frame_period
+    for c in range(post.num_classes):
+        track = post.scores[:, c]
+        if p.window > 1:
+            track = _SWV(np.pad(track, p.window // 2, mode="edge"), p.window).mean(axis=1)
+        edges = [0] + change_points_loop(track, p.half_width, p.min_gap) + [track.size]
+        sums = [float(track[a:b].sum()) for a, b in zip(edges[:-1], edges[1:])]
+        lengths = [b - a for a, b in zip(edges[:-1], edges[1:])]
+        start = 0
+        for total, n in zip(*postprocess._greedy_merge(sums, lengths, p.rel_merge, p.abs_merge)):
+            if total / n > NOISE_FLOOR:
+                boxes.append(Event(post.clip_id, c, start * fp, (start + n) * fp, min(1.0, max(0.0, total / n))))
+            start += n
+    return boxes
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 120),
+    st.sampled_from([1, 3, 7, 11, 21]),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.1]),
+)
+def test_csebb_boxes_equal_those_of_the_loop_segmentation(seed, t, window, half_width, min_gap):
+    rng = np.random.default_rng(seed)
+    levels = np.repeat(rng.integers(0, 11, size=(t // 5 + 1, 3)) / 10, 5, axis=0)[:t]
+    scores = np.clip(levels + rng.normal(0.0, 0.05, size=levels.shape).round(2), 0.0, 1.0)
+    post = post_of(scores.astype(np.float32).astype(np.float64))
+    p = ClassSebbParams(window=window, half_width=half_width, min_gap=min_gap)
+    assert csebb_detect(post, CsebbParams(default=p)) == _boxes_from_loop(post, p)
 
 
 def test_moving_average_edge_replication():
