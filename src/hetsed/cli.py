@@ -342,10 +342,9 @@ def _cmd_eval_psds(args, cfg) -> int:
     value = evaluation.psds(curve, psds_cfg)
 
     entries = {"psds": value, "hours": hours}
-    final_tpr = curve.tpr[-1] if curve.efpr.size else np.zeros(len(class_names))
     for c, name in enumerate(class_names):
         if curve.included[c]:
-            entries[f"tpr.{name}"] = float(final_tpr[c])
+            entries[f"tpr.{name}"] = float(curve.tpr[-1, c])
     if args.out is not None:
         formats.write_score_report(args.out, entries)
         formats.write_summary(args.out.with_suffix(".txt"), "PSDS report", entries)
@@ -381,7 +380,9 @@ def _cmd_eval_mpauc(args, cfg) -> int:
     scores = np.concatenate(score_rows)
     hard = np.concatenate(label_rows) >= hard_thr
     per_class = evaluation.mpauc_per_class(scores, hard, max_fpr)
-    value = float(np.nanmean(per_class)) if not np.all(np.isnan(per_class)) else 0.0
+    if np.all(np.isnan(per_class)):
+        raise ValueError(f"no class has both positive and negative segments at hard threshold {hard_thr:g}")
+    value = float(np.nanmean(per_class))
 
     entries = {"mpauc": value}
     for c, name in enumerate(class_names):

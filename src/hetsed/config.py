@@ -5,8 +5,6 @@ The keys are exactly those of DEFAULTS; any other key is an error naming the
 file and line.  ``psds.*`` and ``eval.*`` are the twins of the ``eval psds``
 and ``eval mpauc`` flags (``tune-csebb`` scores with ``psds.*`` too),
 ``train.loss_mode`` is the twin of ``loss --mode``, and flags win.
-``mixstyle.enabled_at_eval`` must stay false: the style-mixing transform is
-a train-time augmentation.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from pathlib import Path
 from typing import Iterator
 
 DEFAULTS: dict[str, str] = {
-    "mixstyle.enabled_at_eval": "false",
     "train.loss_mode": "independent",
     "eval.segment": "1.0",
     "eval.max_fpr": "0.1",
@@ -25,9 +22,6 @@ DEFAULTS: dict[str, str] = {
     "psds.emax": "100",
     "psds.alpha_st": "1",
 }
-
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
 
 
 def _entries(text: str, source: Path | str | None = None) -> Iterator[tuple[int, str, str]]:
@@ -61,25 +55,9 @@ def load_config(path: Path | str | None) -> dict[str, str]:
 
 
 def validate_config(cfg: dict[str, str]) -> None:
-    if get_bool(cfg, "mixstyle.enabled_at_eval", default=False):
-        raise ValueError("mixstyle.enabled_at_eval must be false (train-time only transform)")
     mode = cfg.get("train.loss_mode", "independent")
     if mode not in ("independent", "baseline"):
         raise ValueError(f"train.loss_mode must be independent or baseline, got {mode!r}")
-
-
-def get_bool(cfg: dict[str, str], key: str, default: bool | None = None) -> bool:
-    raw = cfg.get(key)
-    if raw is None:
-        if default is None:
-            raise KeyError(key)
-        return default
-    lowered = raw.lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise ValueError(f"{key}: expected a boolean, got {raw!r}")
 
 
 def get_float(cfg: dict[str, str], key: str) -> float:

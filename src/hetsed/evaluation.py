@@ -37,22 +37,23 @@ HARD_LABEL_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class PsdsConfig:
+    """DCASE 2024 Task 4 scenario 1 by default; cross-triggers are not scored
+    (scenario 1 weighs them 0)."""
+
     rho_dtc: float = 0.7  # detection tolerance: intersection / detection length
     rho_gtc: float = 0.7  # ground truth intersection: coverage / reference length
-    rho_cttc: float = 0.3  # cross-trigger tolerance (active when alpha_ct > 0)
-    alpha_ct: float = 0.0  # cross-trigger weight in the effective FP rate
     alpha_st: float = 1.0  # across-class instability penalty on the TPR
     e_max: float = 100.0  # FP-per-hour integration limit
 
     def __post_init__(self) -> None:
         if self.e_max <= 0:
             raise ValueError(f"e_max must be > 0, got {self.e_max}")
-        for name in ("rho_dtc", "rho_gtc", "rho_cttc"):
+        for name in ("rho_dtc", "rho_gtc"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.alpha_ct < 0 or self.alpha_st < 0:
-            raise ValueError("alpha_ct and alpha_st must be >= 0")
+        if self.alpha_st < 0:
+            raise ValueError("alpha_st must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,28 +112,19 @@ def _ref_counts(refs: Sequence[Event], num_classes: int) -> np.ndarray:
     return counts
 
 
-def _curve_from_point_lists(per_class: list[list[tuple[float, float]]], included: np.ndarray) -> OperatingPointCurve:
-    """Assemble the step-function curve on the union grid of per-class rates,
-    applying the monotone upper envelope (running max TPR) per class."""
-    envelopes = []
-    for pts in per_class:
-        pts = sorted(set(pts))
-        best = 0.0
-        env_e, env_t = [], []
-        for e, t in pts:
-            best = max(best, t)
-            if env_e and env_e[-1] == e:
-                env_t[-1] = best
-            else:
-                env_e.append(e)
-                env_t.append(best)
-        envelopes.append((np.asarray(env_e), np.asarray(env_t)))
-    grid = np.unique(np.concatenate([[0.0]] + [e for e, _ in envelopes]))
-    tpr = np.zeros((grid.size, len(per_class)))
-    for c, (env_e, env_t) in enumerate(envelopes):
-        pos = np.searchsorted(env_e, grid, side="right") - 1
-        tpr[:, c] = np.where(pos >= 0, env_t[np.maximum(pos, 0)], 0.0)
-    return OperatingPointCurve(efpr=grid, tpr=tpr, included=included)
+def _curve(efpr: np.ndarray, tpr: np.ndarray, included: np.ndarray) -> OperatingPointCurve:
+    """The step-function curve from per-class rates [levels, C] cumulated
+    down the thresholds: a (0, 0) level on top, TPR replaced by its running
+    max (the upper envelope; eFPR never decreases down the levels), and each
+    class's value read off at every point of the union grid of rates."""
+    top = np.zeros((1, tpr.shape[1]))
+    efpr = np.vstack([top, efpr])
+    tpr = np.maximum.accumulate(np.vstack([top, tpr]), axis=0)
+    grid = np.unique(efpr)
+    level = np.empty((grid.size, tpr.shape[1]), dtype=np.intp)
+    for c in range(tpr.shape[1]):
+        level[:, c] = np.searchsorted(efpr[:, c], grid, side="right") - 1
+    return OperatingPointCurve(efpr=grid, tpr=np.take_along_axis(tpr, level, axis=0), included=included)
 
 
 def roc_from_confidences(
@@ -150,17 +142,16 @@ def roc_from_confidences(
     references are excluded with a warning.
 
     The curve equals re-matching the kept detections at every threshold, bit
-    for bit, without doing so.  A detection's DTC verdict and the classes it
-    cross-triggers depend on the references only, so each detection is
-    classified once.  Each reference then takes the DTC-passing detections
-    that overlap it in descending-confidence tie groups and records the
-    thresholds where its GTC verdict changes (coverage only grows, so once
-    in practice).  Per-class TP, FP and cross-trigger counts at every
-    threshold are cumulative sums over the sorted thresholds.  Cost:
-    O(N log N) for N detections plus one scan, per reference, of the passing
-    detections of its clip and class (O(overlapping pairs) when those are
-    few, as boxes and frame events are), against O(thresholds x N) for
-    re-matching.
+    for bit, without doing so.  A detection's DTC verdict depends on the
+    references only, so each detection is classified once.  Each reference
+    then takes the DTC-passing detections that overlap it in
+    descending-confidence tie groups and records the thresholds where its
+    GTC verdict changes (coverage only grows, so once in practice).
+    Per-class TP and FP counts at every threshold are cumulative sums over
+    the sorted thresholds.  Cost: O(N log N) for N detections plus one scan,
+    per reference, of the passing detections of its clip and class
+    (O(overlapping pairs) when those are few, as boxes and frame events
+    are), against O(thresholds x N) for re-matching.
     """
     if total_hours <= 0:
         raise ValueError(f"total_hours must be > 0, got {total_hours}")
@@ -174,13 +165,12 @@ def roc_from_confidences(
     if excluded.size:
         warnings.warn(f"classes without references excluded from PSDS: {excluded.tolist()}", stacklevel=2)
 
-    per_class: list[list[tuple[float, float]]] = [[(0.0, 0.0)] for _ in range(num_classes)]
     if not dets:
-        return _curve_from_point_lists(per_class, included)
+        return _curve(np.zeros((0, num_classes)), np.zeros((0, num_classes)), included)
     confidences = [1.0 if d.confidence is None else d.confidence for d in dets]
     # level t holds the detections kept from the t-th highest threshold on
     levels, level_of = np.unique(-np.asarray(confidences, dtype=np.float64), return_inverse=True)
-    tp, fp, ct = (np.zeros((levels.size, num_classes), dtype=np.int64) for _ in range(3))
+    tp, fp = (np.zeros((levels.size, num_classes), dtype=np.int64) for _ in range(2))
 
     ref_spans: dict[str, dict[int, list[tuple[float, float]]]] = {}
     for ev in refs:
@@ -191,16 +181,10 @@ def roc_from_confidences(
         c, lo, hi = d.class_idx, d.onset, d.offset
         if not 0 <= c < num_classes:
             continue
-        clip_refs = merged.get(d.clip_id, {})
-        if _overlap(lo, hi, clip_refs.get(c, [])) / (hi - lo) >= cfg.rho_dtc:
+        if _overlap(lo, hi, merged.get(d.clip_id, {}).get(c, [])) / (hi - lo) >= cfg.rho_dtc:
             passing.setdefault((d.clip_id, c), []).append((t, lo, hi))
-            continue
-        fp[t, c] += 1
-        if cfg.alpha_ct > 0:
-            ct[t, c] += sum(
-                other != c and _overlap(lo, hi, spans) / (hi - lo) >= cfg.rho_cttc
-                for other, spans in clip_refs.items()
-            )
+        else:
+            fp[t, c] += 1
 
     for clip, by_class in ref_spans.items():
         for c, spans in by_class.items():
@@ -217,14 +201,8 @@ def roc_from_confidences(
                     tp[t, c] += int(now) - int(found)
                     found = now
 
-    fp, ct, tp = np.cumsum(fp, axis=0), np.cumsum(ct, axis=0), np.cumsum(tp, axis=0)
-    efpr = fp / total_hours
-    if cfg.alpha_ct > 0 and num_classes > 1:
-        efpr = efpr + cfg.alpha_ct * ct / (num_classes - 1) / total_hours
-    tpr = np.where(included, tp / np.maximum(n_refs, 1), 0.0)
-    for c in range(num_classes):
-        per_class[c].extend(zip(efpr[:, c].tolist(), tpr[:, c].tolist()))
-    return _curve_from_point_lists(per_class, included)
+    tpr = np.where(included, np.cumsum(tp, axis=0) / np.maximum(n_refs, 1), 0.0)
+    return _curve(np.cumsum(fp, axis=0) / total_hours, tpr, included)
 
 
 def psds(curve: OperatingPointCurve, cfg: PsdsConfig = PsdsConfig()) -> float:
@@ -269,6 +247,8 @@ def segmentize(
 
 def _segment_count(duration: float, segment: float) -> int:
     # the segments [0, duration) meets on an unbounded grid
+    if not 0.0 < segment < float("inf"):
+        raise ValueError(f"segment must be a finite length > 0 s, got {segment}")
     return frame_span(0.0, duration, segment, sys.maxsize)[1]
 
 

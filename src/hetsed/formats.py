@@ -211,7 +211,10 @@ def read_posteriorgram(path: Path | str, clip_id: str | None = None) -> tuple[Po
     scores = _float32_payload(path, data, offset, t * c).reshape(t, c)
     if clip_id is None:
         clip_id = Path(path).stem
-    post = Posteriorgram(scores=scores.astype(np.float64), frame_period=period_us / 1e6, clip_id=clip_id)
+    try:
+        post = Posteriorgram(scores=scores.astype(np.float64), frame_period=period_us / 1e6, clip_id=clip_id)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return post, names
 
 

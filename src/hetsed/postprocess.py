@@ -214,7 +214,7 @@ def _greedy_merge(
     while len(sums) > 1:
         means = [s / n for s, n in zip(sums, lengths)]
         diffs = [abs(means[i + 1] - means[i]) for i in range(len(means) - 1)]
-        k = int(np.argmin(diffs))
+        k = min(range(len(diffs)), key=diffs.__getitem__)
         limit = max(abs_merge, rel_merge * max(means[k], means[k + 1]))
         if diffs[k] >= limit:
             break

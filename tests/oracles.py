@@ -8,7 +8,7 @@ structured implementations are checked against a genuinely separate route.
 import numpy as np
 
 from hetsed.domain_gen import freq_mixstyle, freq_stats
-from hetsed.evaluation import _curve_from_point_lists
+from hetsed.evaluation import OperatingPointCurve
 from hetsed.postprocess import _PLATEAU_TOL
 
 
@@ -86,9 +86,9 @@ def brute_pauc(labels, scores, max_fpr):
 
 
 # --------------------------------------- PSDS by re-matching every threshold
-# The library sweeps once; these re-match the kept detections at every
-# distinct confidence and must give the same curve bit for bit.  Only the
-# envelope assembly (``_curve_from_point_lists``) is shared.
+# The library sweeps once and builds the curve from count arrays; these
+# re-match the kept detections at every distinct confidence, assemble the
+# envelope from point lists, and must give the same curve bit for bit.
 
 def _merge_intervals(intervals):
     merged = []
@@ -137,24 +137,28 @@ def intersection_match(dets, refs, rho_dtc, rho_gtc, num_classes):
     return tp, fp
 
 
-def cross_trigger_counts(dets, refs, rho_dtc, rho_cttc, num_classes):
-    """ct[c, c']: DTC-failing class-c detections whose overlap ratio with
-    class-c' references reaches rho_cttc."""
-    ct = np.zeros((num_classes, num_classes), dtype=np.int64)
-    merged_refs = {
-        c: {k: _merge_intervals(v) for k, v in _by_clip(refs, c).items()} for c in range(num_classes)
-    }
-    for c in range(num_classes):
-        for clip_id, det_spans in _by_clip(dets, c).items():
-            own = merged_refs[c].get(clip_id, [])
-            for lo, hi in det_spans:
-                if _overlap(lo, hi, own) / (hi - lo) >= rho_dtc:
-                    continue
-                for other in range(num_classes):
-                    spans = merged_refs[other].get(clip_id, [])
-                    if other != c and spans and _overlap(lo, hi, spans) / (hi - lo) >= rho_cttc:
-                        ct[c, other] += 1
-    return ct
+def _curve_from_point_lists(per_class: list[list[tuple[float, float]]], included: np.ndarray) -> OperatingPointCurve:
+    """Assemble the step-function curve on the union grid of per-class rates,
+    applying the monotone upper envelope (running max TPR) per class."""
+    envelopes = []
+    for pts in per_class:
+        pts = sorted(set(pts))
+        best = 0.0
+        env_e, env_t = [], []
+        for e, t in pts:
+            best = max(best, t)
+            if env_e and env_e[-1] == e:
+                env_t[-1] = best
+            else:
+                env_e.append(e)
+                env_t.append(best)
+        envelopes.append((np.asarray(env_e), np.asarray(env_t)))
+    grid = np.unique(np.concatenate([[0.0]] + [e for e, _ in envelopes]))
+    tpr = np.zeros((grid.size, len(per_class)))
+    for c, (env_e, env_t) in enumerate(envelopes):
+        pos = np.searchsorted(env_e, grid, side="right") - 1
+        tpr[:, c] = np.where(pos >= 0, env_t[np.maximum(pos, 0)], 0.0)
+    return OperatingPointCurve(efpr=grid, tpr=tpr, included=included)
 
 
 def rematch_curve(dets, refs, hours, cfg, num_classes):
@@ -168,9 +172,6 @@ def rematch_curve(dets, refs, hours, cfg, num_classes):
         subset = [d for d, v in zip(dets, conf) if v >= value]
         tp, fp = intersection_match(subset, refs, cfg.rho_dtc, cfg.rho_gtc, num_classes)
         efpr = fp / hours
-        if cfg.alpha_ct > 0 and num_classes > 1:
-            ct = cross_trigger_counts(subset, refs, cfg.rho_dtc, cfg.rho_cttc, num_classes)
-            efpr = efpr + cfg.alpha_ct * ct.sum(axis=1) / (num_classes - 1) / hours
         tpr = np.where(included, tp / np.maximum(n_refs, 1), 0.0)
         for c in range(num_classes):
             per_class[c].append((float(efpr[c]), float(tpr[c])))

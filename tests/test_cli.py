@@ -301,3 +301,51 @@ def test_postprocess_params_line_error_names_the_file(tmp_path, capsys):
     assert run("postprocess", "--method", "median", "--params", params, "--in", data / "posteriors",
                "--out", tmp_path / "dets.tsv") == 2
     assert f"error: {params}:2: expected 'key = value', got 'window 7'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "scores contain non-finite values"),
+    (2.0, "scores outside [0, 1]"),
+])
+def test_postprocess_names_the_file_for_bad_scores(tmp_path, capsys, value, message):
+    data = synth_dir(tmp_path, clips=2)
+    path = data / "posteriors" / "clip_0001.sedp"
+    path.write_bytes(path.read_bytes()[:-4] + np.float32(value).astype("<f4").tobytes())
+    assert run("postprocess", "--method", "frame", "--in", data / "posteriors", "--out", tmp_path / "dets.tsv") == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "dets.tsv").exists()
+
+
+@pytest.mark.parametrize("flag, config, shown", [
+    (["--segment", "0"], "", "got 0.0"),
+    (["--segment", "-1"], "", "got -1.0"),
+    ([], "eval.segment = 0\n", "got 0.0"),
+])
+def test_eval_mpauc_rejects_a_bad_segment(tmp_path, capsys, flag, config, shown):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    data = synth_dir(tmp_path, clips=2)
+    assert run("--config", cfg, "eval", "mpauc", "--posteriors", data / "posteriors",
+               "--refs", data / "refs.tsv", *flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: segment must be a finite length > 0 s, {shown}" in captured.err
+
+
+def test_eval_mpauc_rejects_labels_without_both_polarities(tmp_path, capsys):
+    data = synth_dir(tmp_path, clips=2)
+    with pytest.warns(UserWarning, match="without both label polarities"):
+        code = run("eval", "mpauc", "--posteriors", data / "posteriors", "--refs", data / "refs.tsv",
+                   "--hard-threshold", "5", "--out", tmp_path / "mpauc.tsv")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no class has both positive and negative segments at hard threshold 5" in captured.err
+    assert not (tmp_path / "mpauc.tsv").exists()
+
+
+def test_removed_config_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("mixstyle.enabled_at_eval = false\n")
+    assert run("--config", cfg, "eval", "joint", "--psds", tmp_path / "p.tsv", "--mpauc", tmp_path / "m.tsv") == 2
+    assert f"error: {cfg}:1: unknown config key 'mixstyle.enabled_at_eval'" in capsys.readouterr().err

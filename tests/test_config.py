@@ -1,6 +1,6 @@
 import pytest
 
-from hetsed.config import DEFAULTS, get_bool, get_float, load_config, parse_config
+from hetsed.config import DEFAULTS, get_float, load_config, parse_config
 
 
 def test_parse_basic_syntax():
@@ -15,7 +15,6 @@ def test_parse_rejects_bad_lines():
 
 def test_defaults_cover_documented_keys():
     assert set(DEFAULTS) == {
-        "mixstyle.enabled_at_eval",
         "train.loss_mode",
         "eval.segment",
         "eval.max_fpr",
@@ -26,7 +25,6 @@ def test_defaults_cover_documented_keys():
         "psds.alpha_st",
     }
     assert get_float(DEFAULTS, "psds.emax") == 100.0
-    assert get_bool(DEFAULTS, "mixstyle.enabled_at_eval") is False
 
 
 def test_load_config_file_overrides_defaults(tmp_path):
@@ -44,25 +42,8 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(path)
 
 
-def test_mixstyle_eval_flag_must_stay_false(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("mixstyle.enabled_at_eval = true\n")
-    with pytest.raises(ValueError, match="enabled_at_eval"):
-        load_config(path)
-
-
 def test_loss_mode_validated(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("train.loss_mode = sideways\n")
     with pytest.raises(ValueError, match="loss_mode"):
         load_config(path)
-
-
-def test_get_bool_parsing():
-    assert get_bool({"k": "true"}, "k") is True
-    assert get_bool({"k": "off"}, "k") is False
-    assert get_bool({}, "k", default=True) is True
-    with pytest.raises(ValueError):
-        get_bool({"k": "maybe"}, "k")
-    with pytest.raises(KeyError):
-        get_bool({}, "k")

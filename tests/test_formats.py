@@ -1,9 +1,14 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hetsed.core import Event, Posteriorgram
+from hetsed.core import Event, Posteriorgram, canonicalize_events
 from hetsed.formats import (
     read_csebb_params,
     read_durations_tsv,
@@ -198,3 +203,49 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     write_durations_tsv(path, {"a": 1.0})
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.tsv"]
     assert leftovers == []
+
+
+# ------------------------------------------------- write then read, exactly
+
+@st.composite
+def tsv_events(draw, confidence):
+    """Events with times on a 1 ms grid and the given confidence strategy."""
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(["a", "clip_1", "b-2"]),
+        st.integers(0, len(CLASSES) - 1),
+        st.integers(0, 600_000),
+        st.integers(1, 60_000),
+        confidence,
+    ), max_size=12))
+    return [Event(clip, c, on / 1000, (on + length) / 1000, conf) for clip, c, on, length, conf in rows]
+
+
+_six_decimals = st.integers(0, 10**6).map(lambda m: m / 10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tsv_events(st.none()), tsv_events(st.one_of(st.none(), _six_decimals)))
+def test_event_tsvs_read_back_identical(events, boxes):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_events_tsv(Path(tmp) / "events.tsv", events, CLASSES)
+        write_soft_events_tsv(Path(tmp) / "boxes.tsv", boxes, CLASSES)
+        assert read_events_tsv(Path(tmp) / "events.tsv", CLASSES) == (canonicalize_events(events), CLASSES)
+        assert read_events_tsv(Path(tmp) / "boxes.tsv", CLASSES) == (canonicalize_events(boxes), CLASSES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(np.float32, st.tuples(st.integers(1, 30), st.integers(1, 4)), elements=st.floats(0, 1, width=32)),
+    st.integers(1, 10**6).map(lambda us: us / 1e6),
+    st.lists(st.text(max_size=6), min_size=4, max_size=4),
+)
+def test_posteriorgram_reads_back_identical(scores, period, names):
+    names = names[: scores.shape[1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clip_7.sedp"
+        write_posteriorgram(path, Posteriorgram(scores, period, "clip_7"), names)
+        back, back_names = read_posteriorgram(path)
+    assert back_names == names
+    assert back.clip_id == "clip_7"
+    assert back.frame_period == period
+    assert np.array_equal(back.scores, scores.astype(np.float64))
