@@ -155,11 +155,18 @@ def _cmd_features(args, cfg) -> int:
 
 
 def _read_class_list(path: Path) -> list[str]:
-    names = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
-    names = [n for n in names if n and not n.startswith("#")]
-    if not names:
+    """One class name per line; blank lines and '#' comments are skipped."""
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        name = line.strip()
+        if not name or name.startswith("#"):
+            continue
+        if name in first_line:
+            raise ValueError(f"{path}:{lineno}: class {name!r} already listed on line {first_line[name]}")
+        first_line[name] = lineno
+    if not first_line:
         raise ValueError(f"{path}: no class names")
-    return names
+    return list(first_line)
 
 
 def _cmd_synth(args, cfg) -> int:
@@ -191,10 +198,14 @@ def _load_posteriors(path: Path) -> list[tuple[Posteriorgram, list[str]]]:
     paths = [path] if path.is_file() else sorted(path.glob("*.sedp"))
     if not paths:
         raise ValueError(f"no posteriorgram files under {path}")
-    loaded = [formats.read_posteriorgram(p) for p in paths]
-    names = loaded[0][1]
-    for (post, other), p in zip(loaded, paths):
-        if other != names:
+    return _read_posteriorgrams(paths)
+
+
+def _read_posteriorgrams(paths: list[Path], clip_id: str | None = None) -> list[tuple[Posteriorgram, list[str]]]:
+    """Posteriorgram files that must share one class table."""
+    loaded = [formats.read_posteriorgram(p, clip_id) for p in paths]
+    for (_, names), p in zip(loaded, paths):
+        if names != loaded[0][1]:
             raise ValueError(f"{p}: class table differs from {paths[0]}")
     return loaded
 
@@ -241,41 +252,14 @@ def _cmd_postprocess(args, cfg) -> int:
     return EXIT_OK
 
 
-def _read_grid(path: Path | None) -> list[postprocess.CsebbParams]:
-    if path is None:
-        return postprocess.default_grid()
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = ["window", "half_width", "rel_merge", "abs_merge", "min_gap"]
-    if not lines or lines[0].split("\t") != header:
-        raise ValueError(f"{path}: expected header {header}")
-    grid = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        w, s, rel, abs_, gap = line.split("\t")
-        grid.append(
-            postprocess.CsebbParams(
-                default=postprocess.ClassSebbParams(
-                    window=int(w),
-                    half_width=int(s),
-                    rel_merge=float(rel),
-                    abs_merge=float(abs_),
-                    min_gap=float(gap),
-                )
-            )
-        )
-    if not grid:
-        raise ValueError(f"{path}: empty grid")
-    return grid
-
-
 def _cmd_tune_csebb(args, cfg) -> int:
     loaded = _load_posteriors(args.val_posteriors)
     class_names = loaded[0][1]
     posts = [post for post, _ in loaded]
     refs, _ = formats.read_events_tsv(args.val_refs, class_names)
+    _check_ref_clips(args.val_refs, refs, posts)
     if args.durations is not None:
-        hours = _read_hours(args.durations, [ev.clip_id for ev in refs] + [p.clip_id for p in posts])
+        hours = _read_hours(args.durations, [p.clip_id for p in posts])
     else:
         hours = sum(p.duration for p in posts) / 3600.0
     psds_cfg = _psds_config_from(cfg)
@@ -284,26 +268,18 @@ def _cmd_tune_csebb(args, cfg) -> int:
         curve = evaluation.roc_from_confidences(boxes, refs_, hours, psds_cfg, len(class_names))
         return evaluation.psds(curve, psds_cfg)
 
-    best = postprocess.tune_csebb(posts, refs, _read_grid(args.grid), metric, class_names)
+    grid = formats.read_csebb_grid(args.grid) if args.grid is not None else postprocess.default_grid()
+    best = postprocess.tune_csebb(posts, refs, grid, metric, class_names)
     formats.write_csebb_params(args.out, best)
     print(f"wrote tuned parameters to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_ensemble(args, cfg) -> int:
-    clip_id = args.out.stem
-    posts = []
-    names = None
-    for path in args.inputs:
-        post, table = formats.read_posteriorgram(path, clip_id=clip_id)
-        if names is None:
-            names = table
-        elif table != names:
-            raise ValueError(f"{path}: class table differs")
-        posts.append(post)
-    merged = postprocess.ensemble_average(posts)
-    formats.write_posteriorgram(args.out, merged, names)
-    print(f"averaged {len(posts)} posteriorgrams into {args.out}", file=sys.stderr)
+    loaded = _read_posteriorgrams(args.inputs, clip_id=args.out.stem)
+    merged = postprocess.ensemble_average([post for post, _ in loaded])
+    formats.write_posteriorgram(args.out, merged, loaded[0][1])
+    print(f"averaged {len(loaded)} posteriorgrams into {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -320,6 +296,13 @@ def _reindex(events: list[Event], names: list[str], class_names: list[str]) -> l
     """Move class indices from a file's own sorted names to class_names."""
     index = [class_names.index(name) for name in names]
     return canonicalize_events([replace(ev, class_idx=index[ev.class_idx]) for ev in events])
+
+
+def _check_ref_clips(path: Path, refs: list[Event], posts: list[Posteriorgram]) -> None:
+    """Every clip of the reference file must have a posteriorgram."""
+    missing = sorted({ev.clip_id for ev in refs} - {post.clip_id for post in posts})
+    if missing:
+        raise ValueError(f"{path}: references for clips without posteriors: {missing[:5]}")
 
 
 def _read_hours(path: Path, clip_ids) -> float:
@@ -363,13 +346,10 @@ def _cmd_eval_mpauc(args, cfg) -> int:
     loaded = _load_posteriors(args.posteriors)
     class_names = loaded[0][1]
     refs, _ = formats.read_events_tsv(args.refs, class_names)
+    _check_ref_clips(args.refs, refs, [post for post, _ in loaded])
     by_clip: dict[str, list[Event]] = {}
     for ev in refs:
         by_clip.setdefault(ev.clip_id, []).append(ev)
-    known_clips = {post.clip_id for post, _ in loaded}
-    missing = sorted(set(by_clip) - known_clips)
-    if missing:
-        raise ValueError(f"references for clips without posteriors: {missing[:5]}")
 
     score_rows, label_rows = [], []
     for post, _ in loaded:
@@ -396,9 +376,13 @@ def _cmd_eval_mpauc(args, cfg) -> int:
 
 
 def _cmd_eval_joint(args, cfg) -> int:
-    psds_value = formats.read_score_report(args.psds)["psds"]
-    mpauc_value = formats.read_score_report(args.mpauc)["mpauc"]
-    print(f"{evaluation.joint_score(psds_value, mpauc_value):.3f}")
+    values = []
+    for path, key in ((args.psds, "psds"), (args.mpauc, "mpauc")):
+        report = formats.read_score_report(path)
+        if key not in report:
+            raise ValueError(f"{path}: no {key!r} row")
+        values.append(report[key])
+    print(f"{evaluation.joint_score(*values):.3f}")
     return EXIT_OK
 
 

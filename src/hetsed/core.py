@@ -224,16 +224,19 @@ def rasterize(events: Iterable[Event], n: int, period: float, num_classes: int) 
     return grid
 
 
-def _event_problems(i: int, ev: Event) -> list[str]:
+def _event_problems(onset: float, offset: float, confidence: float | None, class_idx: int = 0) -> list[str]:
+    """What is wrong with an event of these fields, as messages; empty when valid."""
     problems = []
-    if ev.offset <= ev.onset:
-        problems.append(f"event {i}: offset {ev.offset} <= onset {ev.onset}")
-    if ev.onset < 0:
-        problems.append(f"event {i}: negative onset {ev.onset}")
-    if ev.class_idx < 0:
-        problems.append(f"event {i}: negative class index {ev.class_idx}")
-    if ev.confidence is not None and not 0.0 <= ev.confidence <= 1.0:
-        problems.append(f"event {i}: confidence {ev.confidence} outside [0, 1]")
+    if not (math.isfinite(onset) and math.isfinite(offset)):
+        problems.append(f"non-finite time: onset {onset}, offset {offset}")
+    elif offset <= onset:
+        problems.append(f"offset {offset} <= onset {onset}")
+    if onset < 0:
+        problems.append(f"negative onset {onset}")
+    if class_idx < 0:
+        problems.append(f"negative class index {class_idx}")
+    if confidence is not None and not 0.0 <= confidence <= 1.0:
+        problems.append(f"confidence {confidence} outside [0, 1]")
     return problems
 
 
@@ -244,9 +247,11 @@ def canonicalize_events(events: Sequence[Event]) -> list[Event]:
     are aggregated into a single error so callers see every bad row at once.
     Idempotent on valid input.
     """
-    problems: list[str] = []
-    for i, ev in enumerate(events):
-        problems.extend(_event_problems(i, ev))
+    problems = [
+        f"event {i}: {problem}"
+        for i, ev in enumerate(events)
+        for problem in _event_problems(ev.onset, ev.offset, ev.confidence, ev.class_idx)
+    ]
     if problems:
         raise ValueError("invalid events:\n" + "\n".join(problems))
     return sorted(events, key=lambda e: (e.clip_id, e.class_idx, e.onset, e.offset))

@@ -9,9 +9,7 @@ one einsum.  GLU and inference-time batch norm round out the block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -188,51 +186,4 @@ def random_fdy_params(
         attn_weight=rng.standard_normal((num_kernels, attn_width)),
         attn_bias=rng.standard_normal(num_kernels),
         temperature=temperature,
-    )
-
-
-def save_tensors(manifest_path: Path | str, blob_path: Path | str, tensors: dict[str, np.ndarray]) -> None:
-    """Write named tensors as a JSON manifest plus one little-endian f32 blob."""
-    manifest = [{"name": name, "shape": list(arr.shape)} for name, arr in tensors.items()]
-    Path(manifest_path).write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
-    with open(blob_path, "wb") as fh:
-        for arr in tensors.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def load_tensors(manifest_path: Path | str, blob_path: Path | str) -> dict[str, np.ndarray]:
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    blob = np.frombuffer(Path(blob_path).read_bytes(), dtype="<f4")
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        tensors[entry["name"]] = blob[offset : offset + size].reshape(shape).astype(np.float64)
-        offset += size
-    if offset != blob.size:
-        raise ValueError(f"blob has {blob.size} floats, manifest expects {offset}")
-    return tensors
-
-
-def save_fdy_params(manifest_path: Path | str, blob_path: Path | str, params: FdyParams) -> None:
-    save_tensors(
-        manifest_path,
-        blob_path,
-        {
-            "basis_kernels": params.basis_kernels,
-            "attn_weight": params.attn_weight,
-            "attn_bias": params.attn_bias,
-            "temperature": np.array([params.temperature]),
-        },
-    )
-
-
-def load_fdy_params(manifest_path: Path | str, blob_path: Path | str) -> FdyParams:
-    tensors = load_tensors(manifest_path, blob_path)
-    return FdyParams(
-        basis_kernels=tensors["basis_kernels"],
-        attn_weight=tensors["attn_weight"],
-        attn_bias=tensors["attn_bias"],
-        temperature=float(tensors["temperature"][0]),
     )

@@ -42,7 +42,6 @@ class AudioClip:
 class MelSpectrogram:
     values: np.ndarray  # [T, M], natural-log power mel
     frame_period: float
-    mel_range: tuple[float, float] = MEL_RANGE
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -122,8 +121,7 @@ def mel_filterbank(
     return fb
 
 
-def log_mel(spec: np.ndarray, fb: np.ndarray, frame_period: float,
-            mel_range: tuple[float, float] = MEL_RANGE) -> MelSpectrogram:
+def log_mel(spec: np.ndarray, fb: np.ndarray, frame_period: float) -> MelSpectrogram:
     """Natural-log power mel spectrogram, floored at LOG_FLOOR."""
     if spec.shape[1] != fb.shape[1]:
         raise ValueError(f"spectrogram bins {spec.shape[1]} != filterbank bins {fb.shape[1]}")
@@ -132,7 +130,6 @@ def log_mel(spec: np.ndarray, fb: np.ndarray, frame_period: float,
     return MelSpectrogram(
         values=np.log(np.maximum(mel_power, LOG_FLOOR)),
         frame_period=frame_period,
-        mel_range=mel_range,
     )
 
 

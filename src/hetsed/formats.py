@@ -15,16 +15,18 @@ import struct
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, canonicalize_events
+from .core import Event, Posteriorgram, _event_problems, canonicalize_events
 from .postprocess import ClassSebbParams, CsebbParams
 
 POSTERIOR_MAGIC = b"SEDP"
 FEATURE_MAGIC = b"SEDF"
 POSTERIOR_VERSION = 1
+_POSTERIOR_HEADER = struct.Struct("<4sHIII")  # magic, version, T, C, period in us
+_FEATURE_HEADER = struct.Struct("<4sIII")  # magic, T, M, period in us
 EVENTS_HEADER = "filename\tonset\toffset\tevent_label"
 SOFT_HEADER = "filename\tonset\toffset\tevent_label\tconfidence"
 DURATIONS_HEADER = "filename\tduration"
@@ -80,6 +82,38 @@ def write_soft_events_tsv(path: Path | str, events: Sequence[Event], class_names
             )
 
 
+def _table(path: Path | str, headers: Sequence[str], row: Callable[[list[str], int], object]) -> list:
+    """``row(fields, lineno)`` of every line of a tab-separated file.
+
+    The first line must be one of ``headers``; blank lines are skipped and
+    every other line must have as many fields as the header.  A ValueError
+    raised for a line is raised again with ``path:line:`` in front.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] not in headers:
+        raise ValueError(f"{path}:1: expected header {' or '.join(map(repr, headers))}, got {lines[:1]}")
+    width = lines[0].count("\t") + 1
+    out = []
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise ValueError(f"expected {width} columns, got {len(fields)}")
+            out.append(row(fields, lineno))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def read_events_tsv(
     path: Path | str, class_names: Sequence[str] | None = None
 ) -> tuple[list[Event], list[str]]:
@@ -88,33 +122,23 @@ def read_events_tsv(
     Returns the events plus the class-name list used for indices; when
     class_names is None, names are collected from the file and sorted.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    header = lines[0].rstrip("\n").split("\t")
-    if header[:4] != EVENTS_HEADER.split("\t"):
-        raise ValueError(f"{path}: unexpected header {header!r}")
-    has_confidence = len(header) == 5 and header[4] == "confidence"
-    raw: list[tuple[str, float, float, str, float | None]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        expected = 5 if has_confidence else 4
-        if len(parts) != expected:
-            raise ValueError(f"{path}:{lineno}: expected {expected} columns, got {len(parts)}")
-        conf = None
-        if has_confidence and parts[4] != "":
-            conf = float(parts[4])
-        raw.append((parts[0], float(parts[1]), float(parts[2]), parts[3], conf))
-    if class_names is None:
-        class_names = sorted({label for _, _, _, label, _ in raw})
-    index = {name: i for i, name in enumerate(class_names)}
-    events = []
-    for clip_id, onset, offset, label, conf in raw:
-        if label not in index:
-            raise ValueError(f"{path}: unknown class label {label!r}")
-        events.append(Event(clip_id, index[label], onset, offset, conf))
+    index = None if class_names is None else {name: i for i, name in enumerate(class_names)}
+
+    def row(fields: list[str], lineno: int) -> tuple[str, str, float, float, float | None]:
+        onset, offset = float(fields[1]), float(fields[2])
+        conf = float(fields[4]) if len(fields) == 5 and fields[4] != "" else None
+        problems = _event_problems(onset, offset, conf)
+        if problems:
+            raise ValueError("; ".join(problems))
+        if index is not None and fields[3] not in index:
+            raise ValueError(f"unknown class label {fields[3]!r}")
+        return fields[0], fields[3], onset, offset, conf
+
+    rows = _table(path, (EVENTS_HEADER, SOFT_HEADER), row)
+    if index is None:
+        class_names = sorted({label for _, label, _, _, _ in rows})
+        index = {name: i for i, name in enumerate(class_names)}
+    events = [Event(clip_id, index[label], onset, offset, conf) for clip_id, label, onset, offset, conf in rows]
     return canonicalize_events(events), list(class_names)
 
 
@@ -127,29 +151,30 @@ def write_durations_tsv(path: Path | str, durations: dict[str, float]) -> None:
 
 def read_durations_tsv(path: Path | str) -> dict[str, float]:
     """Clip durations in seconds; each clip once, each duration finite and >= 0."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split("\t") != DURATIONS_HEADER.split("\t"):
-        raise ValueError(f"{path}: expected header {DURATIONS_HEADER!r}")
-    out: dict[str, float] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 columns")
-        clip_id, text = parts
+
+    def row(fields: list[str], lineno: int) -> tuple[str, float]:
+        clip_id, text = fields
         if clip_id in first_line:
-            raise ValueError(f"{path}:{lineno}: clip {clip_id!r} already listed on line {first_line[clip_id]}")
+            raise ValueError(f"clip {clip_id!r} already listed on line {first_line[clip_id]}")
         try:
             duration = float(text)
         except ValueError:
             duration = math.nan
         if not math.isfinite(duration) or duration < 0:
-            raise ValueError(f"{path}:{lineno}: duration must be a finite number >= 0, got {text!r}")
+            raise ValueError(f"duration must be a finite number >= 0, got {text!r}")
         first_line[clip_id] = lineno
-        out[clip_id] = duration
-    return out
+        return clip_id, duration
+
+    return dict(_table(path, [DURATIONS_HEADER], row))
+
+
+def _period_us(path: Path | str, period: float) -> int:
+    """The frame period in whole microseconds, as both binary headers store it."""
+    us = round(period * 1e6) if math.isfinite(period) else 0
+    if not 0 < us < 2**32 or us / 1e6 != period:
+        raise ValueError(f"{path}: frame period {period!r} s is not a whole number of microseconds in (0, 2**32)")
+    return us
 
 
 def write_posteriorgram(path: Path | str, post: Posteriorgram, class_names: Sequence[str]) -> None:
@@ -157,12 +182,8 @@ def write_posteriorgram(path: Path | str, post: Posteriorgram, class_names: Sequ
     microseconds, class-name table, then row-major little-endian float32."""
     if len(class_names) != post.num_classes:
         raise ValueError("class name count must match the posteriorgram")
-    header = POSTERIOR_MAGIC + struct.pack(
-        "<HIII",
-        POSTERIOR_VERSION,
-        post.num_frames,
-        post.num_classes,
-        int(round(post.frame_period * 1e6)),
+    header = _POSTERIOR_HEADER.pack(
+        POSTERIOR_MAGIC, POSTERIOR_VERSION, post.num_frames, post.num_classes, _period_us(path, post.frame_period)
     )
     with atomic_write(path, "wb") as fh:
         fh.write(header)
@@ -179,6 +200,19 @@ def _check_length(path: Path | str, data: bytes, end: int, part: str) -> None:
         raise ValueError(f"{path}: truncated {part}: {len(data)} bytes, need at least {end}")
 
 
+def _read_header(path: Path | str, magic: bytes, header: struct.Struct) -> tuple[bytes, tuple]:
+    """The bytes of a binary file and its header fields after the magic; the
+    last field, the frame period, must be positive and is returned in seconds."""
+    data = Path(path).read_bytes()
+    if data[:4] != magic:
+        raise ValueError(f"{path}: bad magic {data[:4]!r}")
+    _check_length(path, data, header.size, "header")
+    *fields, period_us = header.unpack_from(data)[1:]
+    if period_us == 0:
+        raise ValueError(f"{path}: frame period must be positive, got 0 us")
+    return data, (*fields, period_us / 1e6)
+
+
 def _float32_payload(path: Path | str, data: bytes, offset: int, count: int) -> np.ndarray:
     """The ``count`` float32 values at ``offset``, which must end the file."""
     end = offset + 4 * count
@@ -189,14 +223,10 @@ def _float32_payload(path: Path | str, data: bytes, offset: int, count: int) -> 
 
 
 def read_posteriorgram(path: Path | str, clip_id: str | None = None) -> tuple[Posteriorgram, list[str]]:
-    data = Path(path).read_bytes()
-    if data[:4] != POSTERIOR_MAGIC:
-        raise ValueError(f"{path}: bad magic {data[:4]!r}")
-    offset = 4 + struct.calcsize("<HIII")
-    _check_length(path, data, offset, "header")
-    version, t, c, period_us = struct.unpack_from("<HIII", data, 4)
+    data, (version, t, c, period) = _read_header(path, POSTERIOR_MAGIC, _POSTERIOR_HEADER)
     if version != POSTERIOR_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
+    offset = _POSTERIOR_HEADER.size
     names = []
     for _ in range(c):
         _check_length(path, data, offset + 2, "class table")
@@ -208,11 +238,13 @@ def read_posteriorgram(path: Path | str, clip_id: str | None = None) -> tuple[Po
         except UnicodeDecodeError:
             raise ValueError(f"{path}: class name {len(names)} is not UTF-8") from None
         offset += length
+    if len(set(names)) != len(names):
+        raise ValueError(f"{path}: class table repeats a name: {names}")
     scores = _float32_payload(path, data, offset, t * c).reshape(t, c)
     if clip_id is None:
         clip_id = Path(path).stem
     try:
-        post = Posteriorgram(scores=scores.astype(np.float64), frame_period=period_us / 1e6, clip_id=clip_id)
+        post = Posteriorgram(scores=scores.astype(np.float64), frame_period=period, clip_id=clip_id)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return post, names
@@ -224,22 +256,16 @@ def write_features(path: Path | str, values: np.ndarray, frame_period: float) ->
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"expected a [T, M] matrix, got shape {values.shape}")
-    header = FEATURE_MAGIC + struct.pack(
-        "<III", values.shape[0], values.shape[1], int(round(frame_period * 1e6))
-    )
+    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, values.shape[0], values.shape[1], _period_us(path, frame_period))
     with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
 
 
 def read_features(path: Path | str) -> tuple[np.ndarray, float]:
-    data = Path(path).read_bytes()
-    if data[:4] != FEATURE_MAGIC:
-        raise ValueError(f"{path}: bad magic {data[:4]!r}")
-    _check_length(path, data, 16, "header")
-    t, m, period_us = struct.unpack_from("<III", data, 4)
-    values = _float32_payload(path, data, 16, t * m).reshape(t, m)
-    return values.astype(np.float64), period_us / 1e6
+    data, (t, m, period) = _read_header(path, FEATURE_MAGIC, _FEATURE_HEADER)
+    values = _float32_payload(path, data, _FEATURE_HEADER.size, t * m).reshape(t, m)
+    return values.astype(np.float64), period
 
 
 _SEBB_FIELDS = ("window", "half_width", "rel_merge", "abs_merge", "min_gap")
@@ -256,30 +282,24 @@ def write_csebb_params(path: Path | str, params: CsebbParams) -> None:
             )
 
 
+def _sebb_params(fields: list[str]) -> ClassSebbParams:
+    """Detector parameters from the five cells of a ``_SEBB_FIELDS`` row."""
+    window, half_width, *merges = fields
+    return ClassSebbParams(int(window), int(half_width), *map(_finite, merges))
+
+
 def read_csebb_params(path: Path | str) -> CsebbParams:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split("\t") != ["class", *_SEBB_FIELDS]:
-        raise ValueError(f"{path}: unexpected parameter file header")
-    default = ClassSebbParams()
-    per_class: dict[str, ClassSebbParams] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise ValueError(f"{path}:{lineno}: expected 6 columns")
-        p = ClassSebbParams(
-            window=int(parts[1]),
-            half_width=int(parts[2]),
-            rel_merge=float(parts[3]),
-            abs_merge=float(parts[4]),
-            min_gap=float(parts[5]),
-        )
-        if parts[0] == "*":
-            default = p
-        else:
-            per_class[parts[0]] = p
-    return CsebbParams(default=default, per_class=per_class)
+    header = "class\t" + "\t".join(_SEBB_FIELDS)
+    per_class = dict(_table(path, [header], lambda fields, _: (fields[0], _sebb_params(fields[1:]))))
+    return CsebbParams(default=per_class.pop("*", ClassSebbParams()), per_class=per_class)
+
+
+def read_csebb_grid(path: Path | str) -> list[CsebbParams]:
+    """Tuning candidates, one ``_SEBB_FIELDS`` row each, applied to every class."""
+    grid = _table(path, ["\t".join(_SEBB_FIELDS)], lambda fields, _: CsebbParams(default=_sebb_params(fields)))
+    if not grid:
+        raise ValueError(f"{path}: empty grid")
+    return grid
 
 
 def write_score_report(path: Path | str, entries: dict[str, float]) -> None:
@@ -291,16 +311,7 @@ def write_score_report(path: Path | str, entries: dict[str, float]) -> None:
 
 
 def read_score_report(path: Path | str) -> dict[str, float]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split("\t") != ["key", "value"]:
-        raise ValueError(f"{path}: expected a key/value report")
-    out: dict[str, float] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        key, value = line.split("\t")
-        out[key] = float(value)
-    return out
+    return dict(_table(path, ["key\tvalue"], lambda fields, _: (fields[0], _finite(fields[1]))))
 
 
 def write_summary(path: Path | str, title: str, entries: dict[str, float]) -> None:

@@ -349,3 +349,93 @@ def test_removed_config_key_is_unknown(tmp_path, capsys):
     cfg.write_text("mixstyle.enabled_at_eval = false\n")
     assert run("--config", cfg, "eval", "joint", "--psds", tmp_path / "p.tsv", "--mpauc", tmp_path / "m.tsv") == 2
     assert f"error: {cfg}:1: unknown config key 'mixstyle.enabled_at_eval'" in capsys.readouterr().err
+
+
+# header, a good row, and a bad row per case, for each text reader
+TEXT_READERS = {
+    "events": ("filename\tonset\toffset\tevent_label\tconfidence", "clip_0000\t1.0\t2.0\tcar\t0.9", {
+        "text": "clip_0000\tabc\t2.0\tcar\t0.9", "columns": "clip_0000\t1.0\t2.0\tcar",
+        "inf": "clip_0000\t1.0\tinf\tcar\t0.9"}),
+    "durations": ("filename\tduration", "clip_0000\t10.0", {
+        "text": "clip_0001\tabc", "columns": "clip_0001", "inf": "clip_0001\tinf"}),
+    "params": ("class\twindow\thalf_width\trel_merge\tabs_merge\tmin_gap", "*\t3\t1\t0.2\t0.15\t0.1", {
+        "text": "car\tthree\t1\t0.2\t0.15\t0.1", "columns": "car\t3\t1\t0.2\t0.15",
+        "inf": "car\t3\t1\tinf\t0.15\t0.1"}),
+    "grid": ("window\thalf_width\trel_merge\tabs_merge\tmin_gap", "3\t1\t0.2\t0.15\t0.1", {
+        "text": "3\t1\t0.2\tabc\t0.1", "columns": "3\t1\t0.2\t0.15\t0.1\t7", "inf": "3\t1\t0.2\t0.15\t-inf"}),
+    "report": ("key\tvalue", "hours\t1.0", {"text": "psds\tabc", "columns": "psds", "inf": "psds\tinf"}),
+}
+
+TEXT_READER_COMMANDS = {
+    "events": lambda data, bad, out: ["eval", "psds", "--dets", bad, "--refs", data / "refs.tsv",
+                                      "--durations", data / "durations.tsv"],
+    "durations": lambda data, bad, out: ["eval", "psds", "--dets", data / "refs.tsv", "--refs", data / "refs.tsv",
+                                         "--durations", bad],
+    "params": lambda data, bad, out: ["postprocess", "--method", "csebb", "--params", bad,
+                                      "--in", data / "posteriors", "--out", out],
+    "grid": lambda data, bad, out: ["tune-csebb", "--val-posteriors", data / "posteriors",
+                                    "--val-refs", data / "refs.tsv", "--grid", bad, "--out", out],
+    "report": lambda data, bad, out: ["eval", "joint", "--psds", bad, "--mpauc", bad],
+}
+
+
+@pytest.mark.parametrize("case", ["text", "columns", "inf"])
+@pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+def test_text_readers_name_the_file_and_line(tmp_path, capsys, reader, case):
+    data = synth_dir(tmp_path, clips=2)
+    capsys.readouterr()
+    header, good, bad_rows = TEXT_READERS[reader]
+    bad, out = tmp_path / "bad.tsv", tmp_path / "out.tsv"
+    bad.write_text(f"{header}\n{good}\n\n{bad_rows[case]}\n")  # the bad row is line 4
+    assert run(*TEXT_READER_COMMANDS[reader](data, bad, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}:4: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, shown", [
+    ("x\tnan\t2.0\tcar\t0.9", "onset nan"),
+    ("x\t1.0\tinf\tcar\t0.9", "offset inf"),
+])
+def test_eval_psds_rejects_non_finite_detection_times(tmp_path, capsys, row, shown):
+    refs, dets, durations = tmp_path / "refs.tsv", tmp_path / "dets.tsv", tmp_path / "durations.tsv"
+    formats.write_events_tsv(refs, [Event("x", 0, 1.0, 2.0)], ["car"])
+    formats.write_durations_tsv(durations, {"x": 10.0})
+    dets.write_text(formats.SOFT_HEADER + "\n" + row + "\n")
+    assert run("eval", "psds", "--dets", dets, "--refs", refs, "--durations", durations) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {dets}:2: non-finite time: " in captured.err and shown in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    lambda data, refs, out: ["tune-csebb", "--val-posteriors", data / "posteriors", "--val-refs", refs,
+                             "--out", out],
+    lambda data, refs, out: ["eval", "mpauc", "--posteriors", data / "posteriors", "--refs", refs,
+                             "--out", out],
+], ids=["tune-csebb", "eval-mpauc"])
+def test_refs_for_clips_without_posteriors_are_rejected(tmp_path, capsys, command):
+    data = synth_dir(tmp_path, clips=2)
+    refs, out = tmp_path / "refs.tsv", tmp_path / "out.tsv"
+    formats.write_events_tsv(refs, [Event("clip_0000", 0, 1.0, 2.0), Event("ghost", 1, 1.0, 2.0)], ["car", "dog"])
+    assert run(*command(data, refs, out)) == 2
+    assert f"error: {refs}: references for clips without posteriors: ['ghost']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_rejects_a_repeated_class_name(tmp_path, capsys):
+    classes = tmp_path / "classes.txt"
+    classes.write_text("car\n# cars again below\ncar\ndog\n")
+    assert run("synth", "--seed", 1, "--clips", 2, "--classes", classes, "--out", tmp_path / "data") == 2
+    assert f"error: {classes}:3: class 'car' already listed on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_eval_joint_names_the_report_without_the_row(tmp_path, capsys):
+    formats.write_score_report(tmp_path / "p.tsv", {"hours": 1.0})
+    formats.write_score_report(tmp_path / "m.tsv", {"mpauc": 0.721})
+    assert run("eval", "joint", "--psds", tmp_path / "p.tsv", "--mpauc", tmp_path / "m.tsv") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {tmp_path / 'p.tsv'}: no 'psds' row" in captured.err

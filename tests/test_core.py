@@ -147,6 +147,12 @@ def test_canonicalize_aggregates_all_problems():
     assert "event 0" in str(err.value) and "event 1" in str(err.value)
 
 
+@pytest.mark.parametrize("onset, offset", [(np.nan, 1.0), (0.0, np.inf), (0.0, np.nan), (-np.inf, 1.0)])
+def test_canonicalize_rejects_non_finite_times(onset, offset):
+    with pytest.raises(ValueError, match="event 1: non-finite time"):
+        canonicalize_events([Event("a", 0, 0.0, 1.0), Event("a", 0, onset, offset)])
+
+
 def test_posteriorgram_validation():
     Posteriorgram(np.zeros((3, 2)), 0.02, "x")
     with pytest.raises(ValueError):

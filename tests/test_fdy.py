@@ -8,9 +8,7 @@ from hetsed.fdy import (
     fdy_conv,
     freq_attention,
     glu,
-    load_fdy_params,
     random_fdy_params,
-    save_fdy_params,
 )
 
 
@@ -155,19 +153,6 @@ def test_batchnorm_infer():
     assert np.allclose(near_id, y, atol=1e-4)
     collapsed = batchnorm_infer(y, np.zeros(3), np.ones(3), np.zeros(3), np.full(3, 0.7))
     assert np.allclose(collapsed, 0.7)
-
-
-def test_params_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    params = random_fdy_params(rng, c_in=2, c_out=3)
-    manifest, blob = tmp_path / "fdy.json", tmp_path / "fdy.bin"
-    save_fdy_params(manifest, blob, params)
-    loaded = load_fdy_params(manifest, blob)
-    assert loaded.temperature == pytest.approx(params.temperature)
-    assert loaded.basis_kernels.shape == params.basis_kernels.shape
-    # float32 round trip
-    assert np.allclose(loaded.basis_kernels, params.basis_kernels, atol=1e-6)
-    assert np.allclose(loaded.attn_weight, params.attn_weight, atol=1e-6)
 
 
 def test_params_validation():

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from hetsed.core import Event, Posteriorgram, canonicalize_events
 from hetsed.formats import (
+    read_csebb_grid,
     read_csebb_params,
     read_durations_tsv,
     read_events_tsv,
@@ -145,6 +146,7 @@ def test_features_round_trip(tmp_path):
     (lambda data: data[:9], "truncated header: 9 bytes, need at least 16"),
     (lambda data: data[:-1], "truncated data"),
     (lambda data: data + b"\x00", "1 trailing bytes after the data"),
+    (lambda data: data[:12] + bytes(4) + data[16:], "frame period must be positive, got 0 us"),
 ])
 def test_features_reject_damaged_files(tmp_path, damage, message):
     path = tmp_path / "clip.mel"
@@ -172,6 +174,38 @@ def test_posteriorgram_rejects_a_class_name_that_is_not_utf8(tmp_path):
         read_posteriorgram(path)
 
 
+def test_posteriorgram_rejects_a_repeated_class_name(tmp_path):
+    path = tmp_path / "clip.sedp"
+    write_posteriorgram(path, Posteriorgram(np.zeros((2, 3)), 0.1, "clip"), ["car", "dog", "car"])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: class table repeats a name"):
+        read_posteriorgram(path)
+
+
+def _write_sedp(path, period):
+    write_posteriorgram(path, Posteriorgram(np.zeros((2, 1)), period, "clip"), ["x"])
+
+
+def _write_mel(path, period):
+    write_features(path, np.zeros((2, 3)), period)
+
+
+def test_binaries_round_trip_a_period_a_truncating_encoder_would_shift(tmp_path):
+    # 0.007817 * 1e6 is 7816.999..., which int() would store as 7816 us
+    _write_sedp(tmp_path / "clip.sedp", 0.007817)
+    _write_mel(tmp_path / "clip.mel", 0.007817)
+    assert read_posteriorgram(tmp_path / "clip.sedp")[0].frame_period == 0.007817
+    assert read_features(tmp_path / "clip.mel")[1] == 0.007817
+
+
+@pytest.mark.parametrize("write", [_write_sedp, _write_mel])
+@pytest.mark.parametrize("period", [2e-7, 0.0166666, float("nan"), 5000.0])
+def test_binary_writers_reject_a_period_that_is_not_whole_microseconds(tmp_path, write, period):
+    path = tmp_path / "clip.bin"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: frame period {period!r} s is not a whole"):
+        write(path, period)
+    assert not path.exists()
+
+
 def test_csebb_params_round_trip(tmp_path):
     params = CsebbParams(
         default=ClassSebbParams(window=7, half_width=3, rel_merge=0.2, abs_merge=0.15, min_gap=0.1),
@@ -196,6 +230,16 @@ def test_score_report_round_trip(tmp_path):
     write_summary(tmp_path / "report.txt", "PSDS report", entries)
     text = (tmp_path / "report.txt").read_text()
     assert "psds" in text and "0.5290" in text
+
+
+@pytest.mark.parametrize("read", [
+    read_events_tsv, read_durations_tsv, read_csebb_params, read_csebb_grid, read_score_report,
+])
+def test_text_readers_check_the_header(tmp_path, read):
+    path = tmp_path / "bad.tsv"
+    path.write_text("filename\tstart\nx\t1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: expected header"):
+        read(path)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
@@ -237,7 +281,7 @@ def test_event_tsvs_read_back_identical(events, boxes):
 @given(
     arrays(np.float32, st.tuples(st.integers(1, 30), st.integers(1, 4)), elements=st.floats(0, 1, width=32)),
     st.integers(1, 10**6).map(lambda us: us / 1e6),
-    st.lists(st.text(max_size=6), min_size=4, max_size=4),
+    st.lists(st.text(max_size=6), min_size=4, max_size=4, unique=True),
 )
 def test_posteriorgram_reads_back_identical(scores, period, names):
     names = names[: scores.shape[1]]
