@@ -53,17 +53,19 @@ def mixup_within_dataset(
     batch = np.asarray(batch, dtype=np.float64)
     if batch.shape[0] != len(metas):
         raise ValueError(f"batch size {batch.shape[0]} != metadata count {len(metas)}")
-    out = batch.copy()
+    out = np.empty(batch.shape)  # C order whatever the input layout, as callers reduce over time
     families: dict[str, list[int]] = {}
     for i, meta in enumerate(metas):
         families.setdefault(meta.origin.family.value, []).append(i)
     for indices in families.values():
-        if len(indices) < 2:
-            continue
         idx = np.array(indices)
-        partners = idx[rng.permutation(len(idx))]
-        lam = float(rng.beta(alpha, alpha))
-        out[idx] = lam * batch[idx] + (1.0 - lam) * batch[partners]
+        mixed = batch[idx]
+        if len(idx) > 1:
+            partners = idx[rng.permutation(len(idx))]
+            lam = float(rng.beta(alpha, alpha))
+            mixed *= lam
+            mixed += (1.0 - lam) * batch[partners]
+        out[idx] = mixed
     return out
 
 

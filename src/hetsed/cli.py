@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,6 @@ from .core import (
     Origin,
     Posteriorgram,
     build_vocabulary,
-    canonicalize_events,
     class_mask,
     default_vocabulary,
     frame_span,
@@ -294,8 +292,11 @@ def _psds_config_from(cfg, dtc=None, gtc=None, emax=None, alpha_st=None) -> eval
 
 def _reindex(events: list[Event], names: list[str], class_names: list[str]) -> list[Event]:
     """Move class indices from a file's own sorted names to class_names."""
+    if names == class_names:
+        return events
+    # both name lists are sorted, so the map keeps the canonical event order
     index = [class_names.index(name) for name in names]
-    return canonicalize_events([replace(ev, class_idx=index[ev.class_idx]) for ev in events])
+    return [Event(ev.clip_id, index[ev.class_idx], ev.onset, ev.offset, ev.confidence) for ev in events]
 
 
 def _check_ref_clips(path: Path, refs: list[Event], posts: list[Posteriorgram]) -> None:

@@ -121,22 +121,22 @@ def freq_mixstyle_input_grad(
         return upstream.copy()
 
     t = batch.shape[2]
-    mean = batch.mean(axis=2, keepdims=True)  # [B, F, 1]
-    raw_std = batch.std(axis=2, keepdims=True)
+    xhat = batch - batch.mean(axis=2, keepdims=True)
+    raw_std = np.sqrt(np.einsum("bft,bft->bf", xhat, xhat) / t)  # [B, F]
     sig = np.maximum(raw_std, cfg.epsilon)
-    sig_mix = lam * sig + (1.0 - lam) * sig[perm]
-    xhat = (batch - mean) / sig
+    xhat /= sig[:, :, None]
+    ratio = (lam * sig + (1.0 - lam) * sig[perm]) / sig  # sigma_mix / sigma
 
-    g_sum = upstream.sum(axis=2, keepdims=True)  # sum_t g_t
-    proj = (upstream * xhat).sum(axis=2, keepdims=True)  # sum_t g_t xhat_t
-    ratio = sig_mix / sig
-
-    # d<g, out>/dx = ratio*(g - g_sum/T) + lam*g_sum/T
-    #               + (lam - ratio) * proj * dsig/dx,  dsig/dx = xhat/T
-    grad = ratio * (upstream - g_sum / t) + lam * g_sum / t
-    unclamped = raw_std >= cfg.epsilon
-    grad += np.where(unclamped, (lam - ratio) * proj * xhat / t, 0.0)
-    return grad
+    # d<g, out>/dx = ratio*(g - sum_t g/T) + lam*sum_t g/T
+    #               + (lam - ratio) * proj * dsig/dx,  dsig/dx = xhat/T,
+    # where proj = sum_t g*xhat; the std term vanishes where the clamp holds
+    g_sum = upstream.sum(axis=2)
+    proj = np.einsum("bft,bft->bf", upstream, xhat)
+    coef = np.where(raw_std >= cfg.epsilon, (lam - ratio) * proj / t, 0.0)
+    xhat *= coef[:, :, None]
+    xhat += ratio[:, :, None] * upstream
+    xhat += ((lam - ratio) * g_sum / t)[:, :, None]
+    return xhat
 
 
 def residual_norm(batch: np.ndarray, lambda_rn: float, epsilon: float = EPSILON) -> np.ndarray:

@@ -7,6 +7,7 @@ padding, so frame counts follow 1 + floor((n - window) / hop) exactly.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -121,6 +122,14 @@ def mel_filterbank(
     return fb
 
 
+@functools.lru_cache(maxsize=8)
+def _shared_filterbank(n_mels: int, f_range: tuple[float, float], sample_rate: int, n_fft: int) -> np.ndarray:
+    """``mel_filterbank`` built once per argument set, read-only because it is shared."""
+    fb = mel_filterbank(n_mels, f_range, sample_rate, n_fft)
+    fb.flags.writeable = False
+    return fb
+
+
 def log_mel(spec: np.ndarray, fb: np.ndarray, frame_period: float) -> MelSpectrogram:
     """Natural-log power mel spectrogram, floored at LOG_FLOOR."""
     if spec.shape[1] != fb.shape[1]:
@@ -141,7 +150,7 @@ def extract_log_mel(clip: AudioClip, hop: int, n_mels: int = DEFAULT_MEL_BINS) -
         )
     padded = pad_or_trim(clip)
     spec = stft_magnitude(padded, WINDOW_SIZE, hop)
-    fb = mel_filterbank(n_mels=n_mels)
+    fb = _shared_filterbank(n_mels, MEL_RANGE, SAMPLE_RATE, WINDOW_SIZE)
     return log_mel(spec, fb, frame_period=hop / clip.sample_rate)
 
 

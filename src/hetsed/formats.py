@@ -149,24 +149,33 @@ def write_durations_tsv(path: Path | str, durations: dict[str, float]) -> None:
             fh.write(f"{clip_id}\t{_format_seconds(durations[clip_id])}\n")
 
 
-def read_durations_tsv(path: Path | str) -> dict[str, float]:
-    """Clip durations in seconds; each clip once, each duration finite and >= 0."""
+def _keyed_table(path: Path | str, header: str, what: str, value: Callable[[list[str]], object]) -> dict:
+    """Rows keyed by their first cell, each key once: ``{key: value(rest)}``."""
     first_line: dict[str, int] = {}
 
-    def row(fields: list[str], lineno: int) -> tuple[str, float]:
-        clip_id, text = fields
-        if clip_id in first_line:
-            raise ValueError(f"clip {clip_id!r} already listed on line {first_line[clip_id]}")
-        try:
-            duration = float(text)
-        except ValueError:
-            duration = math.nan
-        if not math.isfinite(duration) or duration < 0:
-            raise ValueError(f"duration must be a finite number >= 0, got {text!r}")
-        first_line[clip_id] = lineno
-        return clip_id, duration
+    def row(fields: list[str], lineno: int) -> tuple[str, object]:
+        key = fields[0]
+        if key in first_line:
+            raise ValueError(f"{what} {key!r} already listed on line {first_line[key]}")
+        first_line[key] = lineno
+        return key, value(fields[1:])
 
-    return dict(_table(path, [DURATIONS_HEADER], row))
+    return dict(_table(path, [header], row))
+
+
+def read_durations_tsv(path: Path | str) -> dict[str, float]:
+    """Clip durations in seconds; each clip once, each duration finite and >= 0."""
+
+    def duration(fields: list[str]) -> float:
+        try:
+            value = float(fields[0])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or value < 0:
+            raise ValueError(f"duration must be a finite number >= 0, got {fields[0]!r}")
+        return value
+
+    return _keyed_table(path, DURATIONS_HEADER, "clip", duration)
 
 
 def _period_us(path: Path | str, period: float) -> int:
@@ -290,7 +299,7 @@ def _sebb_params(fields: list[str]) -> ClassSebbParams:
 
 def read_csebb_params(path: Path | str) -> CsebbParams:
     header = "class\t" + "\t".join(_SEBB_FIELDS)
-    per_class = dict(_table(path, [header], lambda fields, _: (fields[0], _sebb_params(fields[1:]))))
+    per_class = _keyed_table(path, header, "class", _sebb_params)
     return CsebbParams(default=per_class.pop("*", ClassSebbParams()), per_class=per_class)
 
 
@@ -311,7 +320,7 @@ def write_score_report(path: Path | str, entries: dict[str, float]) -> None:
 
 
 def read_score_report(path: Path | str) -> dict[str, float]:
-    return dict(_table(path, ["key\tvalue"], lambda fields, _: (fields[0], _finite(fields[1]))))
+    return _keyed_table(path, "key\tvalue", "key", lambda fields: _finite(fields[0]))
 
 
 def write_summary(path: Path | str, title: str, entries: dict[str, float]) -> None:

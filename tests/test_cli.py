@@ -439,3 +439,51 @@ def test_eval_joint_names_the_report_without_the_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {tmp_path / 'p.tsv'}: no 'psds' row" in captured.err
+
+
+@pytest.mark.parametrize("reader, rows, message", [
+    ("params", ["car\t3\t1\t0.2\t0.15\t0.1", "car\t7\t3\t0.3\t0.15\t0.1"], "class 'car' already listed on line 2"),
+    ("params", ["*\t3\t1\t0.2\t0.15\t0.1", "*\t7\t3\t0.3\t0.15\t0.1"], "class '*' already listed on line 2"),
+    ("report", ["psds\t0.1", "psds\t0.9"], "key 'psds' already listed on line 2"),
+])
+def test_keyed_readers_reject_a_repeated_row(tmp_path, capsys, reader, rows, message):
+    data = synth_dir(tmp_path, clips=2)
+    capsys.readouterr()
+    header = TEXT_READERS[reader][0]
+    bad, out = tmp_path / "bad.tsv", tmp_path / "out.tsv"
+    bad.write_text("\n".join([header, *rows]) + "\n")
+    assert run(*TEXT_READER_COMMANDS[reader](data, bad, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}:3: {message}\n"
+    assert not out.exists()
+
+
+REINDEX_CASES = {
+    # dets have no 'car', the first of the union's names, so every det index moves
+    "dets-lack-a-ref-class": (
+        "x\t1.0\t2.0\tcar\nx\t3.0\t5.0\tdog\ny\t0.5\t2.5\tsiren\ny\t4.0\t6.0\tdog\n",
+        "x\t3.1\t4.9\tdog\t0.8\ny\t0.4\t2.4\tsiren\t0.6\ny\t4.0\t6.0\tdog\t0.3\ny\t7.0\t8.0\tsiren\t0.9\n",
+        "hours\t1.000000000\npsds\t0.193309524\ntpr.car\t0.000000000\ntpr.dog\t1.000000000\n"
+        "tpr.siren\t1.000000000\n",
+    ),
+    # refs have no 'alarm', so every ref index moves
+    "refs-lack-a-det-class": (
+        "x\t3.0\t5.0\tdog\ny\t0.5\t2.5\tsiren\n",
+        "x\t1.0\t2.0\talarm\t0.7\nx\t3.1\t4.9\tdog\t0.8\ny\t0.4\t2.4\tsiren\t0.6\ny\t7.0\t8.0\tdog\t0.9\n",
+        "hours\t1.000000000\npsds\t0.990000000\ntpr.dog\t1.000000000\ntpr.siren\t1.000000000\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REINDEX_CASES))
+@pytest.mark.filterwarnings("ignore:classes without references")
+def test_eval_psds_scores_files_with_different_class_sets(tmp_path, case):
+    refs_rows, dets_rows, report_rows = REINDEX_CASES[case]
+    refs, dets, durations = tmp_path / "refs.tsv", tmp_path / "dets.tsv", tmp_path / "durations.tsv"
+    refs.write_text(formats.EVENTS_HEADER + "\n" + refs_rows)
+    dets.write_text(formats.SOFT_HEADER + "\n" + dets_rows)
+    formats.write_durations_tsv(durations, {"x": 1800.0, "y": 1800.0})
+    report = tmp_path / "psds.tsv"
+    assert run("eval", "psds", "--dets", dets, "--refs", refs, "--durations", durations, "--out", report) == 0
+    assert report.read_text() == "key\tvalue\n" + report_rows

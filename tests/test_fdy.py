@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetsed.fdy import (
     FdyParams,
@@ -111,6 +113,28 @@ def test_fdy_matches_definitional_sum():
         assert np.max(np.abs(fdy_conv(x, params) - expected)) < 1e-6
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    c_in=st.integers(1, 4),
+    c_out=st.integers(1, 3),
+    num_kernels=st.integers(1, 4),
+    kernel_shape=st.sampled_from([(1, 1), (3, 1), (1, 3), (3, 5), (5, 3)]),
+    f=st.integers(1, 9),
+    t=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fdy_equals_attention_weighted_naive_convolutions(c_in, c_out, num_kernels, kernel_shape, f, t, seed):
+    # F and T run below the kernel size too, where same padding covers whole windows
+    rng = np.random.default_rng(seed)
+    params = random_fdy_params(rng, c_in=c_in, c_out=c_out, num_kernels=num_kernels, kernel_shape=kernel_shape)
+    x = rng.normal(size=(c_in, f, t))
+    att = freq_attention(x, params)
+    expected = sum(att[:, k][None, :, None] * conv2d_naive(x, kernel) for k, kernel in enumerate(params.basis_kernels))
+    got = fdy_conv(x, params)
+    assert got.shape == (c_out, f, t)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
 def test_fdy_linear_in_input_for_fixed_attention():
     rng = np.random.default_rng(8)
     params = random_fdy_params(rng, c_in=2, c_out=2)
@@ -131,6 +155,14 @@ def test_glu_cases():
     big = np.full_like(a, 50.0)
     assert np.allclose(glu(np.concatenate([a, big])), a, atol=1e-12)
     assert np.allclose(glu(np.concatenate([zeros, a])), 0.0)
+
+
+def test_glu_saturates_without_floating_point_errors():
+    a = np.random.default_rng(12).normal(size=(2, 3, 4))
+    gate = np.full_like(a, 800.0)
+    with np.errstate(all="raise"):
+        assert np.array_equal(glu(np.concatenate([a, gate])), a)
+        assert np.array_equal(glu(np.concatenate([a, -gate])), np.zeros_like(a))
 
 
 def test_glu_magnitude_bound_and_odd_channels():
