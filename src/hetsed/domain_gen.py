@@ -45,12 +45,18 @@ def _check_batch(batch: np.ndarray) -> np.ndarray:
     return batch
 
 
+def _centred(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch minus its per-frequency mean over time, as a new array, with
+    that mean [B, F] and the unclamped population std [B, F] taken from it."""
+    mean = batch.mean(axis=2)
+    centred = batch - mean[:, :, None]
+    return centred, mean, np.sqrt(np.einsum("bft,bft->bf", centred, centred) / batch.shape[2])
+
+
 def freq_stats(batch: np.ndarray, epsilon: float = EPSILON) -> FreqStats:
     """Per-instance, per-frequency mean and population std over time."""
-    batch = _check_batch(batch)
-    mean = batch.mean(axis=2)
-    std = np.maximum(batch.std(axis=2), epsilon)
-    return FreqStats(mean=mean, std=std)
+    _, mean, std = _centred(_check_batch(batch))
+    return FreqStats(mean=mean, std=np.maximum(std, epsilon))
 
 
 def sample_lambda(cfg: MixStyleConfig, rng: np.random.Generator) -> float:
@@ -90,13 +96,15 @@ def freq_mixstyle(
     if lam == 1.0:
         # exact identity; re-normalizing would not be bit-exact
         return batch.copy()
-    stats = freq_stats(batch, cfg.epsilon)
-    partners = stats if partner_stats is None else partner_stats
-    mu = stats.mean[:, :, None]
-    sig = stats.std[:, :, None]
-    mu_mix = lam * mu + (1.0 - lam) * partners.mean[perm][:, :, None]
-    sig_mix = lam * sig + (1.0 - lam) * partners.std[perm][:, :, None]
-    return sig_mix * (batch - mu) / sig + mu_mix
+    out, mu, sig = _centred(batch)
+    sig = np.maximum(sig, cfg.epsilon)
+    partners = FreqStats(mean=mu, std=sig) if partner_stats is None else partner_stats
+    mu_mix = lam * mu + (1.0 - lam) * partners.mean[perm]
+    sig_mix = lam * sig + (1.0 - lam) * partners.std[perm]
+    out *= sig_mix[:, :, None]
+    out /= sig[:, :, None]
+    out += mu_mix[:, :, None]
+    return out
 
 
 def freq_mixstyle_input_grad(
@@ -121,8 +129,7 @@ def freq_mixstyle_input_grad(
         return upstream.copy()
 
     t = batch.shape[2]
-    xhat = batch - batch.mean(axis=2, keepdims=True)
-    raw_std = np.sqrt(np.einsum("bft,bft->bf", xhat, xhat) / t)  # [B, F]
+    xhat, _, raw_std = _centred(batch)
     sig = np.maximum(raw_std, cfg.epsilon)
     xhat /= sig[:, :, None]
     ratio = (lam * sig + (1.0 - lam) * sig[perm]) / sig  # sigma_mix / sigma
@@ -144,9 +151,11 @@ def residual_norm(batch: np.ndarray, lambda_rn: float, epsilon: float = EPSILON)
     if lambda_rn < 0:
         raise ValueError(f"lambda_rn must be >= 0, got {lambda_rn}")
     batch = _check_batch(batch)
-    stats = freq_stats(batch, epsilon)
-    normed = (batch - stats.mean[:, :, None]) / stats.std[:, :, None]
-    return lambda_rn * batch + normed
+    out, _, std = _centred(batch)
+    out /= np.maximum(std, epsilon)[:, :, None]
+    for normed, instance in zip(out, batch):  # no batch-sized temporary
+        normed += lambda_rn * instance
+    return out
 
 
 def apply_mixstyle(

@@ -21,8 +21,6 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -86,21 +84,61 @@ class OperatingPointCurve:
             raise ValueError("efpr must be >= 0 and tpr within [0, 1]")
 
 
-def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not intervals:
-        return []
-    intervals = sorted(intervals)
-    merged = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+def _keyed(group: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """(group, value) pairs as complex numbers.  numpy orders complex values
+    lexicographically (real part first) in sorts, searches and maximums, so
+    one call on keyed values works within every group at once."""
+    key = np.empty(np.shape(group), dtype=np.complex128)
+    key.real = group
+    key.imag = value
+    return key
 
 
-def _overlap(lo: float, hi: float, merged: list[tuple[float, float]]) -> float:
-    return sum(max(0.0, min(hi, b) - max(lo, a)) for a, b in merged)
+def _expand(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner i, position) for every position of every range [first[i], stop[i])."""
+    counts = np.maximum(stop - first, 0)
+    owner = np.repeat(np.arange(first.size), counts)
+    position = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[owner]
+    return owner, position
+
+
+def _union(group: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Merge overlapping or touching intervals within each group.
+
+    The intervals come sorted by (group, lo); the merged (group, lo, hi) come
+    out sorted the same way.  An interval joins the open merged one when it
+    starts at or before the furthest end so far.
+    """
+    reach = np.maximum.accumulate(_keyed(group, hi)).imag
+    new = np.ones(group.size, dtype=bool)
+    new[1:] = (group[1:] != group[:-1]) | (lo[1:] > reach[:-1])
+    last = np.ones(group.size, dtype=bool)
+    last[:-1] = new[1:]
+    return group[new], lo[new], reach[last]
+
+
+def _spans(events: Sequence[Event], what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Onsets and offsets as arrays; each event must have finite times and a
+    positive length."""
+    lo = np.array([e.onset for e in events], dtype=np.float64)
+    hi = np.array([e.offset for e in events], dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)))
+    if bad.size:
+        raise ValueError(f"{what} needs finite times with offset > onset, got {events[bad[0]]}")
+    return lo, hi
+
+
+def _ordered_sums(owner: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """Per owner 0..n-1, the sum of its terms (``owner`` sorted, terms in
+    order), one plain addition per term from left to right, one term per
+    owner per numpy pass; an owner without terms gets 0.0."""
+    counts = np.bincount(owner, minlength=n)
+    starts = np.cumsum(counts) - counts
+    total = np.zeros(n)
+    for j in range(int(counts.max(initial=0))):
+        live = np.flatnonzero(counts > j)
+        total[live] += terms[starts[live] + j]
+    return total
 
 
 def _ref_counts(refs: Sequence[Event], num_classes: int) -> np.ndarray:
@@ -148,10 +186,18 @@ def roc_from_confidences(
     descending-confidence tie groups and records the thresholds where its
     GTC verdict changes (coverage only grows, so once in practice).
     Per-class TP and FP counts at every threshold are cumulative sums over
-    the sorted thresholds.  Cost: O(N log N) for N detections plus one scan,
-    per reference, of the passing detections of its clip and class
-    (O(overlapping pairs) when those are few, as boxes and frame events
-    are), against O(thresholds x N) for re-matching.
+    the sorted thresholds.
+
+    Both coverage tests run on sorted interval arrays per (clip, class), all
+    groups at once: binary search finds the reference intervals a detection
+    overlaps and the passing detections a reference overlaps, and each
+    coverage is summed left to right over the merged intervals in onset
+    order, as the interval-by-interval definition sums it (the skipped
+    intervals would add 0.0).  Cost: O((N + M) log(N + M)) for N detections
+    and M references, plus numpy passes over the overlapping (detection,
+    reference interval) pairs and, per reference, over its overlapping
+    detections at each of its thresholds, against O(thresholds x N) for
+    re-matching.
     """
     if total_hours <= 0:
         raise ValueError(f"total_hours must be > 0, got {total_hours}")
@@ -172,34 +218,65 @@ def roc_from_confidences(
     levels, level_of = np.unique(-np.asarray(confidences, dtype=np.float64), return_inverse=True)
     tp, fp = (np.zeros((levels.size, num_classes), dtype=np.int64) for _ in range(2))
 
-    ref_spans: dict[str, dict[int, list[tuple[float, float]]]] = {}
-    for ev in refs:
-        ref_spans.setdefault(ev.clip_id, {}).setdefault(ev.class_idx, []).append((ev.onset, ev.offset))
-    merged = {clip: {c: _merge_intervals(v) for c, v in by_class.items()} for clip, by_class in ref_spans.items()}
-    passing: dict[tuple[str, int], list[tuple[int, float, float]]] = {}
-    for d, t in zip(dets, level_of.tolist()):
-        c, lo, hi = d.class_idx, d.onset, d.offset
-        if not 0 <= c < num_classes:
-            continue
-        if _overlap(lo, hi, merged.get(d.clip_id, {}).get(c, [])) / (hi - lo) >= cfg.rho_dtc:
-            passing.setdefault((d.clip_id, c), []).append((t, lo, hi))
-        else:
-            fp[t, c] += 1
+    # references: one group per (clip, class), sorted by (group, onset)
+    clip_index: dict[str, int] = {}
+    r_group = np.array([clip_index.setdefault(e.clip_id, len(clip_index)) * num_classes + e.class_idx
+                        for e in refs], dtype=np.int64)
+    r_lo, r_hi = _spans(refs, "reference")
+    order = np.argsort(_keyed(r_group, r_lo), kind="stable")
+    r_group, r_lo, r_hi = r_group[order], r_lo[order], r_hi[order]
 
-    for clip, by_class in ref_spans.items():
-        for c, spans in by_class.items():
-            candidates = passing.get((clip, c), [])
-            for lo, hi in spans:
-                hits = sorted(x for x in candidates if x[1] < hi and x[2] > lo)
-                # an uncovered reference is found only when rho_gtc is 0
-                found = 0.0 / (hi - lo) >= cfg.rho_gtc
-                tp[0, c] += found
-                covering: list[tuple[float, float]] = []
-                for t, group in groupby(hits, key=itemgetter(0)):
-                    covering.extend((a, b) for _, a, b in group)
-                    now = _overlap(lo, hi, _merge_intervals(covering)) / (hi - lo) >= cfg.rho_gtc
-                    tp[t, c] += int(now) - int(found)
-                    found = now
+    # DTC: the part of each detection that the merged references cover
+    d_class = np.array([d.class_idx for d in dets], dtype=np.int64)
+    d_lo, d_hi = _spans(dets, "detection")
+    scored = np.flatnonzero((d_class >= 0) & (d_class < num_classes))
+    d_clip = np.array([clip_index.get(dets[i].clip_id, -1) for i in scored.tolist()], dtype=np.int64)
+    d_group = np.where(d_clip >= 0, d_clip * num_classes + d_class[scored], -1)
+    d_class, d_level, d_lo, d_hi = d_class[scored], level_of[scored], d_lo[scored], d_hi[scored]
+    m_group, m_lo, m_hi = _union(r_group, r_lo, r_hi)
+    det, iv = _expand(
+        np.searchsorted(_keyed(m_group, m_hi), _keyed(d_group, d_lo), side="right"),
+        np.searchsorted(_keyed(m_group, m_lo), _keyed(d_group, d_hi), side="left"),
+    )
+    overlap = np.minimum(d_hi[det], m_hi[iv]) - np.maximum(d_lo[det], m_lo[iv])
+    covered = _ordered_sums(det, overlap, scored.size)
+    passes = covered / (d_hi - d_lo) >= cfg.rho_dtc
+    np.add.at(fp, (d_level[~passes], d_class[~passes]), 1)
+
+    # GTC: the passing detections overlapping each reference, in onset order
+    order = np.argsort(_keyed(d_group[passes], d_lo[passes]), kind="stable")
+    p_group, p_level, p_lo, p_hi = (a[passes][order] for a in (d_group, d_level, d_lo, d_hi))
+    ref, hit = _expand(
+        # the detections before the first whose group's running max offset
+        # exceeds the reference onset all end at or before that onset
+        np.searchsorted(np.maximum.accumulate(_keyed(p_group, p_hi)), _keyed(r_group, r_lo), side="right"),
+        np.searchsorted(_keyed(p_group, p_lo), _keyed(r_group, r_hi), side="left"),
+    )
+    overlapping = p_hi[hit] > r_lo[ref]
+    ref, hit = ref[overlapping], hit[overlapping]
+    # one step per (reference, level of one of its hits), levels ascending;
+    # a step covers the reference with its hits of that level or lower
+    pair_start = np.searchsorted(ref, np.arange(r_lo.size))
+    pair_stop = np.searchsorted(ref, np.arange(r_lo.size), side="right")
+    steps = np.unique(ref * levels.size + p_level[hit])
+    s_ref, s_level = steps // levels.size, steps % levels.size
+    step, pair = _expand(pair_start[s_ref], pair_stop[s_ref])
+    kept = p_level[hit[pair]] <= s_level[step]
+    step, pair = step[kept], pair[kept]
+    u_step, u_lo, u_hi = _union(step, p_lo[hit[pair]], p_hi[hit[pair]])
+    s_lo, s_hi = r_lo[s_ref], r_hi[s_ref]
+    overlap = np.minimum(s_hi[u_step], u_hi) - np.maximum(s_lo[u_step], u_lo)
+    coverage = _ordered_sums(u_step, overlap, steps.size)
+    found = coverage / (s_hi - s_lo) >= cfg.rho_gtc
+    # an uncovered reference is found only when rho_gtc is 0
+    found_uncovered = 0.0 >= cfg.rho_gtc
+    r_class = r_group % num_classes
+    if found_uncovered:
+        tp[0] += np.bincount(r_class, minlength=num_classes)
+    first_step = np.ones(steps.size, dtype=bool)
+    first_step[1:] = s_ref[1:] != s_ref[:-1]
+    previous = np.where(first_step, found_uncovered, np.roll(found, 1))
+    np.add.at(tp, (s_level, r_class[s_ref]), found.astype(np.int64) - previous)
 
     tpr = np.where(included, np.cumsum(tp, axis=0) / np.maximum(n_refs, 1), 0.0)
     return _curve(np.cumsum(fp, axis=0) / total_hours, tpr, included)

@@ -17,10 +17,20 @@ class track at a time: the filters run along axis 0, and the frame runs and
 the change points of all classes come out of one pass.  Results equal the
 track-by-track computation bit for bit; segment sums stay one ``sum()`` per
 segment, because a cumulative sum would change the last bit.
+
+Box detection over many clips and parameter sets (``tune_csebb``) does each
+piece of work once.  The clips of one frame count are stacked column-wise
+and segmented together, once per smoothing key (window, half_width,
+min_gap), in passes capped so that the moving average's contiguous window
+copy stays near 1 MB.  Each segmented track keeps one greedy merge
+trajectory, shared by every (rel_merge, abs_merge) pair, and the boxes of
+each stopping step are built once.  ``csebb_detect`` is the one-clip call
+into the same path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -46,6 +56,9 @@ class ClassSebbParams:
             raise ValueError(f"window must be odd and >= 1, got {self.window}")
         if self.half_width < 1:
             raise ValueError(f"half_width must be >= 1, got {self.half_width}")
+        for name in ("rel_merge", "abs_merge", "min_gap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -205,22 +218,98 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> list[
     return np.split(mid[keep], np.cumsum(np.bincount(row[keep], minlength=k))[:-1])
 
 
-def _greedy_merge(
-    sums: list[float], lengths: list[int], rel_merge: float, abs_merge: float
-) -> tuple[list[float], list[int]]:
-    """Repeatedly merge the adjacent segment pair with the smallest mean
-    difference while that difference stays under the merge threshold."""
-    sums, lengths = list(sums), list(lengths)
-    while len(sums) > 1:
-        means = [s / n for s, n in zip(sums, lengths)]
-        diffs = [abs(means[i + 1] - means[i]) for i in range(len(means) - 1)]
-        k = min(range(len(diffs)), key=diffs.__getitem__)
-        limit = max(abs_merge, rel_merge * max(means[k], means[k + 1]))
-        if diffs[k] >= limit:
-            break
-        sums[k] += sums.pop(k + 1)
-        lengths[k] += lengths.pop(k + 1)
-    return sums, lengths
+class _Track:
+    """One segmented class track of one clip and its greedy merge trajectory.
+
+    The merge joins the adjacent pair of segments with the smallest mean
+    difference (the first pair on a tie) until that difference reaches
+    max(abs_merge, rel_merge * the larger of the pair's means).  The order of
+    the merges does not depend on the thresholds, only the step where they
+    stop does.  So each step is recorded once as (difference, larger mean,
+    pair index), only as far as the furthest stop asked for so far, and
+    every threshold pair reads its stop off the same steps; the boxes of
+    each stop are built once.
+    """
+
+    __slots__ = ("_segments", "_where", "_state", "_merged", "steps", "_boxes")
+
+    def __init__(self, sums: list[float], lengths: list[int], clip_id: str, class_idx: int,
+                 frame_period: float) -> None:
+        self._segments = (sums, lengths)
+        self._where = (clip_id, class_idx, frame_period)
+        # (sums, lengths, means, mean differences) after ``_merged`` merges,
+        # built on the first step; ``_merged`` trails ``steps`` by at most
+        # the one step last recorded
+        self._state: tuple | None = None
+        self._merged = 0
+        self.steps: list[tuple[float, float, int]] = []
+        self._boxes: dict[int, list[Event]] = {}
+
+    def stop(self, rel_merge: float, abs_merge: float) -> int:
+        """The number of merges made under these thresholds."""
+        j = 0
+        while j < len(self.steps) or self._extend():
+            diff, larger, _ = self.steps[j]
+            if diff >= max(abs_merge, rel_merge * larger):
+                return j
+            j += 1
+        return j
+
+    def _extend(self) -> bool:
+        """Record the next merge step; False once one segment is left."""
+        if self._state is None:
+            sums, lengths = self._segments
+            means = [s / n for s, n in zip(sums, lengths)]
+            self._state = (list(sums), list(lengths), means, [abs(b - a) for a, b in zip(means, means[1:])])
+        sums, lengths, means, diffs = self._state
+        if self._merged < len(self.steps):
+            k = self.steps[-1][2]
+            _merge_pair(sums, lengths, k)
+            self._merged += 1
+            means[k] = sums[k] / lengths[k]
+            del means[k + 1], diffs[k]
+            if k > 0:
+                diffs[k - 1] = abs(means[k] - means[k - 1])
+            if k < len(diffs):
+                diffs[k] = abs(means[k + 1] - means[k])
+        if not diffs:
+            return False
+        diff = min(diffs)
+        k = diffs.index(diff)
+        self.steps.append((diff, max(means[k], means[k + 1]), k))
+        return True
+
+    def state(self, stop: int) -> tuple[list[float], list[int]]:
+        """(segment sums, segment lengths) after ``stop`` merges, for a stop
+        already returned by ``stop()``."""
+        if stop == 0:
+            return self._segments
+        if stop == self._merged:
+            return self._state[0], self._state[1]
+        sums, lengths = list(self._segments[0]), list(self._segments[1])
+        for _, _, k in self.steps[:stop]:
+            _merge_pair(sums, lengths, k)
+        return sums, lengths
+
+    def boxes(self, stop: int) -> list[Event]:
+        """The boxes after ``stop`` merges: every segment whose mean clears
+        the noise floor, with that mean as its confidence."""
+        if stop not in self._boxes:
+            clip_id, c, fp = self._where
+            boxes = []
+            start = 0
+            for s, n in zip(*self.state(stop)):
+                mean = s / n
+                if mean > NOISE_FLOOR:
+                    boxes.append(Event(clip_id, c, start * fp, (start + n) * fp, min(1.0, max(0.0, mean))))
+                start += n
+            self._boxes[stop] = boxes
+        return self._boxes[stop]
+
+
+def _merge_pair(sums: list[float], lengths: list[int], k: int) -> None:
+    sums[k] += sums.pop(k + 1)
+    lengths[k] += lengths.pop(k + 1)
 
 
 def _segments(
@@ -238,32 +327,75 @@ def _segments(
     return out
 
 
-def _detect(
-    post: Posteriorgram,
-    params: CsebbParams,
-    class_names: Sequence[str] | None,
-    segmentations: dict[tuple, list[tuple[list[float], list[int]]]],
-) -> list[Event]:
-    """Merge step of the detector; ``segmentations`` memoizes the segmentation
-    step per (window, half_width, min_gap), for every class at once."""
-    if class_names is not None and len(class_names) != post.num_classes:
-        raise ValueError("class_names length must match the posteriorgram")
-    boxes: list[Event] = []
-    fp = post.frame_period
-    for c in range(post.num_classes):
-        p = params.for_class(class_names[c] if class_names is not None else None)
-        key = (p.window, p.half_width, p.min_gap)
-        if key not in segmentations:
-            segmentations[key] = _segments(post.scores, *key)
-        sums, lengths = _greedy_merge(*segmentations[key][c], p.rel_merge, p.abs_merge)
-        start = 0
-        for s, n in zip(sums, lengths):
-            mean = s / n
-            if mean > NOISE_FLOOR:
-                conf = min(1.0, max(0.0, mean))
-                boxes.append(Event(post.clip_id, c, start * fp, (start + n) * fp, conf))
-            start += n
-    return boxes
+# Cap on the bytes of the contiguous [rows, T, window] copy that the moving
+# average of one stacked segmentation pass makes.
+_STACK_BYTES = 1 << 20
+
+
+def _stacked_passes(posts: Sequence[Posteriorgram], window: int):
+    """Clip indices grouped into segmentation passes: clips of one frame
+    count, as many as keep the pass's window copy within _STACK_BYTES (at
+    least one clip per pass)."""
+    by_frames: dict[int, list[int]] = {}
+    for i, post in enumerate(posts):
+        by_frames.setdefault(post.num_frames, []).append(i)
+    for t, members in by_frames.items():
+        max_rows = _STACK_BYTES // (8 * t * window)
+        group: list[int] = []
+        rows = 0
+        for i in members:
+            if group and rows + posts[i].num_classes > max_rows:
+                yield group
+                group, rows = [], 0
+            group.append(i)
+            rows += posts[i].num_classes
+        yield group
+
+
+class _BoxSearch:
+    """Boxes of a fixed set of clips under any number of parameter sets.
+
+    Segmentation runs once per smoothing key (window, half_width, min_gap),
+    stacked over the clips; each (clip, class, key) keeps one ``_Track``.
+    Every column of a stacked pass is smoothed, cut and summed as it would
+    be alone, so the boxes equal those of one clip at a time bit for bit.
+    """
+
+    def __init__(self, posts: Sequence[Posteriorgram], class_names: Sequence[str] | None) -> None:
+        for post in posts:
+            if class_names is not None and len(class_names) != post.num_classes:
+                raise ValueError("class_names length must match the posteriorgram")
+        self._posts = list(posts)
+        self._names = class_names
+        self._tracks: dict[tuple, list[list[_Track]]] = {}
+
+    def boxes(self, params: CsebbParams) -> list[Event]:
+        if self._names is None:
+            chosen = [params.default] * max((post.num_classes for post in self._posts), default=0)
+        else:
+            chosen = [params.for_class(name) for name in self._names]
+        tracks = [self._tracks_for((p.window, p.half_width, p.min_gap)) for p in chosen]
+        boxes: list[Event] = []
+        for i, post in enumerate(self._posts):
+            for c in range(post.num_classes):
+                track = tracks[c][i][c]
+                boxes.extend(track.boxes(track.stop(chosen[c].rel_merge, chosen[c].abs_merge)))
+        return boxes
+
+    def _tracks_for(self, key: tuple) -> list[list[_Track]]:
+        if key not in self._tracks:
+            per_clip: list = [None] * len(self._posts)
+            for group in _stacked_passes(self._posts, key[0]):
+                scores = [self._posts[i].scores for i in group]
+                columns = iter(_segments(scores[0] if len(group) == 1 else np.hstack(scores), *key))
+                for i in group:
+                    post = self._posts[i]
+                    per_clip[i] = [
+                        _Track(*next(columns), post.clip_id, c, post.frame_period)
+                        for c in range(post.num_classes)
+                    ]
+            self._tracks[key] = per_clip
+        return self._tracks[key]
 
 
 def csebb_detect(
@@ -278,9 +410,10 @@ def csebb_detect(
     similar means, and emit every merged segment whose mean smoothed score
     clears the noise floor as a box with confidence = that mean.  Smoothing
     and change points run once per (window, half_width, min_gap) for all
-    classes together; only the merge step is per class.
+    classes together; only the merge step is per class.  This is the
+    one-clip case of the path ``tune_csebb`` takes.
     """
-    return _detect(post, params, class_names, {})
+    return _BoxSearch([post], class_names).boxes(params)
 
 
 def event_threshold(boxes: Sequence[Event], class_thresholds: Sequence[float]) -> list[Event]:
@@ -340,22 +473,25 @@ def tune_csebb(
     metric: Callable[[list[Event], Sequence[Event]], float],
     class_names: Sequence[str] | None = None,
 ) -> CsebbParams:
-    """Grid-search the detector parameters against a validation metric.
+    """Grid-search the detector parameters against a validation metric
+    (per-class parameters tuned on validation data: Ebbers et al., "Sound
+    event bounding boxes", Interspeech 2024).
+
+    No candidate repeats work another has done.  All clips are segmented
+    together once per smoothing key (window, half_width, min_gap), in
+    stacked passes whose moving-average window copy stays near 1 MB however
+    many clips there are; each (clip, class, key) keeps one merge
+    trajectory, which every (rel_merge, abs_merge) pair stops on, and the
+    boxes of each stop are built once and shared.  Each candidate is scored
+    on exactly the boxes ``csebb_detect`` gives.
 
     Ties break toward the smaller smoothing window, then lexicographically
     over the remaining parameters, so results never depend on grid order.
     """
     if not grid:
         raise ValueError("parameter grid is empty")
-    # the segmentation depends on (window, half_width, min_gap) only, so each
-    # clip keeps it across grid points and only the merge step reruns
-    segmentations: list[dict] = [{} for _ in posts]
-    scored = []
-    for candidate in grid:
-        boxes: list[Event] = []
-        for post, memo in zip(posts, segmentations):
-            boxes.extend(_detect(post, candidate, class_names, memo))
-        scored.append((metric(boxes, refs), candidate))
+    search = _BoxSearch(posts, class_names)
+    scored = [(metric(search.boxes(candidate), refs), candidate) for candidate in grid]
     best_score = max(score for score, _ in scored)
     contenders = [cand for score, cand in scored if score == best_score]
     contenders.sort(key=lambda c: c.sort_key(class_names))

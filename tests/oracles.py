@@ -101,7 +101,12 @@ def _merge_intervals(intervals):
 
 
 def _overlap(lo, hi, merged):
-    return sum(max(0.0, min(hi, b) - max(lo, a)) for a, b in merged)
+    # left to right, one addition per interval (Python 3.12's sum() of
+    # floats compensates, which would move the last bit)
+    total = 0.0
+    for a, b in merged:
+        total += max(0.0, min(hi, b) - max(lo, a))
+    return total
 
 
 def _by_clip(events, class_idx):
@@ -208,6 +213,24 @@ def change_points_loop(track: np.ndarray, half_width: int, min_gap: float) -> li
             candidates.append((i + j + 1) // 2)
         i = j + 1
     return [c for c in candidates if 0 < c < t]
+
+
+def greedy_merge(
+    sums: list[float], lengths: list[int], rel_merge: float, abs_merge: float
+) -> tuple[list[float], list[int]]:
+    """Repeatedly merge the adjacent segment pair with the smallest mean
+    difference while that difference stays under the merge threshold."""
+    sums, lengths = list(sums), list(lengths)
+    while len(sums) > 1:
+        means = [s / n for s, n in zip(sums, lengths)]
+        diffs = [abs(means[i + 1] - means[i]) for i in range(len(means) - 1)]
+        k = min(range(len(diffs)), key=diffs.__getitem__)
+        limit = max(abs_merge, rel_merge * max(means[k], means[k + 1]))
+        if diffs[k] >= limit:
+            break
+        sums[k] += sums.pop(k + 1)
+        lengths[k] += lengths.pop(k + 1)
+    return sums, lengths
 
 
 def mixstyle_numerical_grad(batch, perm, lam, upstream, step=1e-4):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,24 @@ def test_full_chain_byte_stable_across_runs(tmp_path):
                    "--durations", data / "durations.tsv", "--out", report) == 0
         reports.append((dets.read_bytes(), report.read_bytes()))
     assert reports[0] == reports[1]
+
+
+def test_readme_walkthrough_tuned_params_and_boxes_are_pinned(tmp_path):
+    # the README walkthrough's tune-csebb and csebb outputs, byte for byte
+    classes = tmp_path / "classes.txt"
+    classes.write_text("car\ndog\nspeech\n")
+    data = tmp_path / "data"
+    assert run("synth", "--seed", 7, "--clips", 50, "--classes", classes, "--out", data,
+               "--frame-period", 0.1, "--blur", 3, "--noise", 0.05, "--dip-prob", 1.0) == 0
+    tuned, boxes = tmp_path / "tuned.tsv", tmp_path / "boxes.tsv"
+    assert run("tune-csebb", "--val-posteriors", data / "posteriors", "--val-refs", data / "refs.tsv",
+               "--out", tuned) == 0
+    assert run("postprocess", "--method", "csebb", "--params", tuned, "--in", data / "posteriors",
+               "--out", boxes) == 0
+    assert hashlib.sha256(tuned.read_bytes()).hexdigest() == (
+        "436d6c7c9b3d4c55034142cde60d022702043d8384829158ae5310e05fe57cce")
+    assert hashlib.sha256(boxes.read_bytes()).hexdigest() == (
+        "cf988f68592aece8468e1a8a7728f9582d47adf98fb4a0ef4bbe5ea1e1cdad55")
 
 
 def test_postprocess_output_independent_of_jobs(tmp_path):

@@ -123,7 +123,14 @@ def test_curve_validation():
 
 # ------------------------------------------------ PSDS brute-force oracle
 
-from oracles import brute_force_psds, brute_pauc, intersection_match, rematch_curve  # noqa: E402
+from oracles import (  # noqa: E402
+    _merge_intervals,
+    _overlap,
+    brute_force_psds,
+    brute_pauc,
+    intersection_match,
+    rematch_curve,
+)
 
 
 def _random_case(rng):
@@ -239,6 +246,32 @@ def test_curve_keeps_the_envelope_when_coverage_drops_in_the_last_bit():
     cfg = PsdsConfig(rho_gtc=((0.7 - 0.1) + (1.8 - gap)) / (2.3 - 0.1))
     assert intersection_match(dets[:2], refs, cfg.rho_dtc, cfg.rho_gtc, 1)[0].tolist() == [1]
     assert intersection_match(dets, refs, cfg.rho_dtc, cfg.rho_gtc, 1)[0].tolist() == [0]
+    curve = roc_from_confidences(dets, refs, 1.0, cfg, 1)
+    expected = rematch_curve(dets, refs, 1.0, cfg, 1)
+    assert curve.efpr.tolist() == expected.efpr.tolist() == [0.0]
+    assert curve.tpr.tolist() == expected.tpr.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("spans, short", [
+    # three pieces: summed right to left they cover an ulp less
+    pytest.param([(0.1, 1.2), (1.5, 2.6), (3.3, 3.9)], (3.9 - 3.3) + (2.6 - 1.5) + (1.2 - 0.1), id="order"),
+    # two pieces touch at 3.0: left apart they cover an ulp less than merged
+    pytest.param([(0.7, 2.7), (1.6, 3.0), (3.0, 3.9)], (3.0 - 0.7) + (3.9 - 3.0), id="touching"),
+])
+@pytest.mark.parametrize("side", ["gtc", "dtc"])
+def test_coverage_sums_the_merged_spans_left_to_right(spans, short, side):
+    # rho is exactly the coverage of the merged spans summed in onset order,
+    # so a different order or merge rule flips the verdict
+    rho = _overlap(0.0, 4.1, _merge_intervals(spans)) / 4.1
+    assert short / 4.1 < rho
+    if side == "gtc":  # the spans are detections covering one reference
+        dets = [Event("a", 0, a, b, 0.9) for a, b in spans]
+        refs = [Event("a", 0, 0.0, 4.1)]
+        cfg = PsdsConfig(rho_gtc=rho)
+    else:  # the spans are references covering one detection
+        dets = [Event("a", 0, 0.0, 4.1, 0.9)]
+        refs = [Event("a", 0, a, b) for a, b in spans]
+        cfg = PsdsConfig(rho_dtc=rho)
     curve = roc_from_confidences(dets, refs, 1.0, cfg, 1)
     expected = rematch_curve(dets, refs, 1.0, cfg, 1)
     assert curve.efpr.tolist() == expected.efpr.tolist() == [0.0]

@@ -20,7 +20,7 @@ from hetsed.postprocess import (
     moving_average,
     tune_csebb,
 )
-from oracles import change_points_loop
+from oracles import change_points_loop, greedy_merge
 
 
 def post_of(track, fp=0.05, clip_id="p0"):
@@ -421,10 +421,20 @@ def test_change_points_rescan_rows_where_chaining_differs(monkeypatch, steps):
     assert len(rescanned) == 1
 
 
-def _boxes_from_loop(post, p):
-    """csebb_detect's boxes, segmented column by column with the loop."""
+def _boxes_of(sums, lengths, clip_id, c, fp):
     boxes = []
-    fp = post.frame_period
+    start = 0
+    for total, n in zip(sums, lengths):
+        if total / n > NOISE_FLOOR:
+            boxes.append(Event(clip_id, c, start * fp, (start + n) * fp, min(1.0, max(0.0, total / n))))
+        start += n
+    return boxes
+
+
+def _boxes_from_loop(post, p):
+    """csebb_detect's boxes, segmented column by column with the loop and
+    merged by the merge loop."""
+    boxes = []
     for c in range(post.num_classes):
         track = post.scores[:, c]
         if p.window > 1:
@@ -432,11 +442,8 @@ def _boxes_from_loop(post, p):
         edges = [0] + change_points_loop(track, p.half_width, p.min_gap) + [track.size]
         sums = [float(track[a:b].sum()) for a, b in zip(edges[:-1], edges[1:])]
         lengths = [b - a for a, b in zip(edges[:-1], edges[1:])]
-        start = 0
-        for total, n in zip(*postprocess._greedy_merge(sums, lengths, p.rel_merge, p.abs_merge)):
-            if total / n > NOISE_FLOOR:
-                boxes.append(Event(post.clip_id, c, start * fp, (start + n) * fp, min(1.0, max(0.0, total / n))))
-            start += n
+        merged = greedy_merge(sums, lengths, p.rel_merge, p.abs_merge)
+        boxes.extend(_boxes_of(*merged, post.clip_id, c, post.frame_period))
     return boxes
 
 
@@ -457,6 +464,69 @@ def test_csebb_boxes_equal_those_of_the_loop_segmentation(seed, t, window, half_
     assert csebb_detect(post, CsebbParams(default=p)) == _boxes_from_loop(post, p)
 
 
+_THRESHOLDS = st.sampled_from([0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def merge_cases(draw):
+    """Segment sums and lengths, and (rel_merge, abs_merge) pairs in drawn
+    order.  Quarter-step means make equal means and equal differences (ties
+    for the first-minimum rule) common."""
+    n = draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    quarters = draw(st.booleans())
+    level = st.integers(0, 4).map(lambda q: q / 4) if quarters else st.floats(0.0, 1.0)
+    sums = [draw(level) * length for length in lengths]
+    candidates = draw(st.lists(st.tuples(_THRESHOLDS, _THRESHOLDS), min_size=1, max_size=8))
+    return sums, lengths, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_cases())
+def test_merge_trajectory_stops_and_boxes_equal_the_merge_loop(case):
+    sums, lengths, candidates = case
+    track = postprocess._Track(sums, lengths, "clip", 1, 0.1)
+    for i, (rel, abs_) in enumerate(candidates):
+        stop = track.stop(rel, abs_)
+        want = greedy_merge(sums, lengths, rel, abs_)
+        if i == 0:  # a fresh track records one step past its stop, no more
+            assert len(track.steps) == min(stop + 1, len(sums) - 1)
+        assert stop == len(sums) - len(want[0])
+        assert track.state(stop) == want
+        assert track.boxes(stop) == _boxes_of(*want, "clip", 1, 0.1)
+
+
+def _stepped_post(rng, t, clip_id):
+    levels = np.repeat(rng.integers(0, 11, size=(t // 8 + 1, 3)) / 10, 8, axis=0)[:t]
+    scores = np.clip(levels + rng.normal(0.0, 0.05, size=levels.shape).round(2), 0.0, 1.0)
+    return post_of(scores, fp=0.02, clip_id=clip_id)
+
+
+def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_boxes(monkeypatch):
+    rng = np.random.default_rng(11)
+    frames = [400, 150, 400, 400, 37, 400, 400, 150, 400, 400, 400]
+    posts = [_stepped_post(rng, t, f"c{i}") for i, t in enumerate(frames)]
+    names = ["x", "y", "z"]
+    grid = default_grid() + [
+        CsebbParams(default=ClassSebbParams(window=21, half_width=10),
+                    per_class={"y": ClassSebbParams(window=5, half_width=2, rel_merge=0.4, min_gap=0.05)})
+    ]
+    passes = []
+    smooth = postprocess.moving_average
+    monkeypatch.setattr(postprocess, "moving_average",
+                        lambda scores, window: passes.append((scores.shape, window)) or smooth(scores, window))
+    seen = []
+    tune_csebb(posts, [], grid, lambda boxes, refs: seen.append(boxes) or 0.0, names)
+    # every pass stacks clips of one frame count within the cap; the eight
+    # 400-frame clips take more than one pass at window 21
+    assert all(8 * rows * window * t <= postprocess._STACK_BYTES for (t, rows), window in passes if rows > 3)
+    assert sum(1 for (t, _), window in passes if (t, window) == (400, 21)) > 1
+    assert sum(rows for (t, rows), window in passes if window == 3) == 3 * len(posts)
+    monkeypatch.setattr(postprocess, "moving_average", smooth)
+    assert seen == [[b for p in posts for b in csebb_detect(p, cand, names)] for cand in grid]
+    assert len({len(boxes) for boxes in seen}) > 1
+
+
 def test_moving_average_edge_replication():
     out = moving_average(np.array([1.0, 0.0, 0.0]), 3)
     assert np.allclose(out, [2 / 3, 1 / 3, 0.0])
@@ -467,3 +537,7 @@ def test_class_params_validation():
         ClassSebbParams(window=4)
     with pytest.raises(ValueError):
         ClassSebbParams(half_width=0)
+    for name in ("rel_merge", "abs_merge", "min_gap"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                ClassSebbParams(**{name: value})
