@@ -10,6 +10,7 @@ success, 2 on any validation problem.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -209,7 +210,8 @@ def _read_posteriorgrams(paths: list[Path], clip_id: str | None = None) -> list[
 
 
 def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np.ndarray, int]:
-    """Per-class thresholds plus the median window from a config-style file."""
+    """Per-class thresholds plus the median window from a config-style file
+    (keys ``window``, ``threshold.default`` and ``threshold.<class>``)."""
     window = 7
     default_thr = 0.5
     per_class: dict[str, float] = {}
@@ -217,13 +219,25 @@ def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np
         raw = config_mod.parse_config(Path(cfg_file).read_text(encoding="utf-8"), cfg_file)
         for key, value in raw.items():
             if key == "window":
+                if not value.isdecimal() or int(value) % 2 == 0:
+                    raise ValueError(f"{cfg_file}: window must be an odd integer >= 1, got {value!r}")
                 window = int(value)
-            elif key == "threshold.default":
-                default_thr = float(value)
-            elif key.startswith("threshold."):
-                per_class[key.split(".", 1)[1]] = float(value)
-            else:
+                continue
+            if not key.startswith("threshold."):
                 raise ValueError(f"{cfg_file}: unknown key {key!r}")
+            name = key.split(".", 1)[1]
+            if name != "default" and name not in class_names:
+                raise ValueError(f"{cfg_file}: {key}: no class {name!r} in the posteriorgrams' class table")
+            try:
+                thr = float(value)
+            except ValueError:
+                thr = math.nan
+            if not 0.0 <= thr <= 1.0:
+                raise ValueError(f"{cfg_file}: {key} must be a number in [0, 1], got {value!r}")
+            if name == "default":
+                default_thr = thr
+            else:
+                per_class[name] = thr
     thresholds = np.array([per_class.get(name, default_thr) for name in class_names])
     return thresholds, window
 
@@ -240,11 +254,9 @@ def _cmd_postprocess(args, cfg) -> int:
         return EXIT_OK
 
     thresholds, window = _class_thresholds(args.params, class_names)
-    events = []
-    for post, _ in loaded:
-        if args.method == "median":
-            post = Posteriorgram(postprocess.median_filter(post.scores, window), post.frame_period, post.clip_id)
-        events.extend(postprocess.frame_threshold_merge(post, thresholds))
+    if args.method == "frame":
+        window = 1
+    events = [ev for post, _ in loaded for ev in postprocess.frame_threshold_merge(post, thresholds, window)]
     formats.write_events_tsv(args.out, events, class_names)
     print(f"wrote {len(events)} events to {args.out}", file=sys.stderr)
     return EXIT_OK

@@ -333,7 +333,8 @@ def segment_scores(post: Posteriorgram, segment: float = SEGMENT_SECONDS) -> np.
     """Max-pool frame scores into segments: [S, C] with S = ceil(T*fp / segment).
 
     When the segment is an integer number of frames the assignment is exact
-    integer arithmetic; otherwise frames are binned by their center time.
+    integer arithmetic; otherwise frames are binned by their center time.  A
+    segment that no frame's center falls in scores 0.
     """
     t, fp = post.num_frames, post.frame_period
     n_segments = _segment_count(t * fp, segment)
@@ -344,8 +345,11 @@ def segment_scores(post: Posteriorgram, segment: float = SEGMENT_SECONDS) -> np.
     else:
         seg_idx = np.floor((np.arange(t) + 0.5) * fp / segment).astype(np.int64)
     seg_idx = np.minimum(seg_idx, n_segments - 1)
+    # seg_idx never decreases, so each segment's frames form one run; a
+    # segment that no frame falls in keeps its 0
+    runs = np.flatnonzero(np.diff(seg_idx, prepend=-1))
     scores = np.zeros((n_segments, post.num_classes))
-    np.maximum.at(scores, seg_idx, post.scores)
+    scores[seg_idx[runs]] = np.maximum.reduceat(post.scores, runs, axis=0)
     return scores
 
 

@@ -12,17 +12,21 @@ the two by first segmenting each class track at change points and assigning
 every segment a scalar confidence; sensitivity is then controlled purely by
 event-level thresholding, which never moves a surviving box's boundaries.
 
-Each step takes a whole [T, C] posteriorgram per numpy pass rather than one
-class track at a time: the filters run along axis 0, and the frame runs and
-the change points of all classes come out of one pass.  Results equal the
-track-by-track computation bit for bit; segment sums stay one ``sum()`` per
-segment, because a cumulative sum would change the last bit.
+Each step takes a whole [T, C] posteriorgram in a few whole-array passes
+rather than one class track at a time: the filters run along axis 0, and the
+frame runs and the change points of all classes come out of one pass.  No
+step builds the [T, C, window] sliding windows: the moving average adds
+shifted copies of the padded tracks, median-filtered events count the frames
+above threshold in each window, and the change points are picked on the
+dense [C, T] grid.  Results equal the track-by-track computation bit for
+bit; segment sums stay one ``sum()`` per segment, because a cumulative sum
+would change the last bit.
 
 Box detection over many clips and parameter sets (``tune_csebb``) does each
 piece of work once.  The clips of one frame count are stacked column-wise
 and segmented together, once per smoothing key (window, half_width,
-min_gap), in passes capped so that the moving average's contiguous window
-copy stays near 1 MB.  Each segmented track keeps one greedy merge
+min_gap), in passes capped at about 1 MB of window values (rows x frames x
+window).  Each segmented track keeps one greedy merge
 trajectory, shared by every (rel_merge, abs_merge) pair, and the boxes of
 each stopping step are built once.  ``csebb_detect`` is the one-clip call
 into the same path.
@@ -87,64 +91,118 @@ class CsebbParams:
         )
 
 
-def _filter_tracks(scores: np.ndarray, window: int, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Reduce the edge-replicated sliding windows along axis 0 of a [T] or
-    [T, C] array; ``reduce`` maps [C, T, window] windows to [C, T]."""
+def _checked_tracks(scores: np.ndarray, window: int) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim not in (1, 2):
         raise ValueError(f"expected a [T] or [T, C] score array, got shape {scores.shape}")
     if window % 2 == 0:
         raise ValueError(f"window must be odd, got {window}")
-    if window == 1:
-        return scores.copy()
-    tracks = np.pad(np.atleast_2d(scores.T), ((0, 0), (window // 2, window // 2)), mode="edge")
-    filtered = reduce(np.lib.stride_tricks.sliding_window_view(tracks, window, axis=1))
-    return np.ascontiguousarray(filtered[0] if scores.ndim == 1 else filtered.T)
+    return scores
 
 
-def _window_mean(windows: np.ndarray) -> np.ndarray:
-    # Copied contiguous, each window is summed along memory like the windows
-    # of a lone 1-D track; on the strided [C, T, window] view numpy picks
-    # another loop order for some shapes, which changes the last bit.
-    return np.ascontiguousarray(windows).mean(axis=-1)
-
-
-def _window_median(windows: np.ndarray) -> np.ndarray:
-    mid = windows.shape[-1] // 2
-    medians = np.partition(windows, mid, axis=-1)[..., mid]
-    if np.isnan(windows).any():  # as np.median: a window holding NaN gives NaN
-        medians[np.isnan(windows).any(axis=-1)] = np.nan
-    return medians
+def _edge_padded(a: np.ndarray, pad: int, axis: int = 0) -> np.ndarray:
+    """``a`` with its first and last entries along ``axis`` repeated ``pad``
+    more times: np.pad's "edge" mode at a fraction of its cost per call."""
+    if a.shape[axis] == 0:
+        raise ValueError("cannot extend an empty axis")
+    counts = np.ones(a.shape[axis], dtype=np.intp)
+    counts[0] += pad
+    counts[-1] += pad
+    return np.repeat(a, counts, axis=axis)
 
 
 def median_filter(scores: np.ndarray, window: int) -> np.ndarray:
     """Sliding median along axis 0 (every column of a [T, C] array, or one
-    [T] track) with edge replication."""
+    [T] track) with edge replication; a window holding NaN gives NaN, as
+    ``np.median`` does."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim and window % 2 and window > 2 * scores.shape[0] - 1:
         raise ValueError(f"window {window} too large for {scores.shape[0]} frames")
-    return _filter_tracks(scores, window, _window_median)
+    scores = _checked_tracks(scores, window)
+    if window == 1:
+        return scores.copy()
+    windows = np.lib.stride_tricks.sliding_window_view(_edge_padded(scores, window // 2), window, axis=0)
+    medians = np.ascontiguousarray(np.partition(windows, window // 2, axis=-1)[..., window // 2])
+    nan = np.isnan(scores)
+    if nan.any():
+        nan_windows = np.lib.stride_tricks.sliding_window_view(_edge_padded(nan, window // 2), window, axis=0)
+        medians[nan_windows.any(axis=-1)] = np.nan
+    return medians
+
+
+def _shifted_sum(padded: np.ndarray, n: int, t: int) -> np.ndarray:
+    """The sum of the n rows padded[i : i + t] (i < n), added in the order
+    numpy's pairwise sum adds n contiguous values: in sequence below 8; from
+    8 to 128 in eight accumulators, combined pairwise, then the rows left
+    over; above 128 as two halves split at a multiple of 8."""
+    rows = [padded[i : i + t] for i in range(n)]
+    if n < 8:
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
+        return total
+    if n <= 128:
+        acc = [row.copy() for row in rows[:8]]
+        body = n - n % 8
+        for i in range(8, body, 8):
+            for j in range(8):
+                acc[j] += rows[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for row in rows[body:]:
+            total += row
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _shifted_sum(padded, half, t) + _shifted_sum(padded[half:], n - half, t)
 
 
 def moving_average(scores: np.ndarray, window: int) -> np.ndarray:
     """Sliding mean along axis 0 (every column of a [T, C] array, or one [T]
-    track) with edge replication (window odd; 1 = identity)."""
-    return _filter_tracks(scores, window, _window_mean)
+    track) with edge replication (window odd; 1 = identity).
+
+    The ``window`` shifted copies of the padded tracks are added in the
+    order ``np.mean`` adds the values of one window, so every mean equals
+    that of its window alone bit for bit, without building the windows.
+    """
+    scores = _checked_tracks(scores, window)
+    if window == 1:
+        return scores.copy()
+    total = _shifted_sum(_edge_padded(scores, window // 2), window, scores.shape[0])
+    # a reduction starts from the identity 0.0, which turns a -0.0 sum into 0.0
+    total += 0.0
+    total /= window
+    return total
 
 
-def frame_threshold_merge(post: Posteriorgram, thresholds: Sequence[float]) -> list[Event]:
+def frame_threshold_merge(post: Posteriorgram, thresholds: Sequence[float], window: int = 1) -> list[Event]:
     """Threshold each class track and merge consecutive positive frames.
 
     A maximal run of frames with score > threshold becomes one event spanning
     [start * frame_period, (end + 1) * frame_period).  The runs of all
     classes come from one pass over the posteriorgram.
+
+    With ``window`` > 1 the tracks are median filtered first (odd window,
+    edge replication).  The median of w values exceeds a threshold exactly
+    when more than w // 2 of them do (threshold decomposition: Wendt, Coyle
+    & Gallagher, "Stack filters", IEEE TASSP 1986), so a frame is active
+    when more than window // 2 frames of its window clear the threshold;
+    the events equal those of ``median_filter`` followed by thresholding.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if thresholds.shape != (post.num_classes,):
         raise ValueError(f"need one threshold per class, got {thresholds.shape}")
     if thresholds.min(initial=0.0) < 0.0 or thresholds.max(initial=0.0) > 1.0:
         raise ValueError("thresholds must lie in [0, 1]")
-    active = (post.scores > thresholds).T.astype(np.int8)
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be odd and >= 1, got {window}")
+    if window > 2 * post.num_frames - 1:
+        raise ValueError(f"window {window} too large for {post.num_frames} frames")
+    above = post.scores > thresholds
+    if window > 1:
+        # frames above threshold per window, as differences of a running count
+        running = np.zeros((post.num_frames + window, post.num_classes), dtype=np.int64)
+        np.cumsum(_edge_padded(above, window // 2), axis=0, out=running[1:])
+        above = running[window:] - running[:-window] > window // 2
+    active = above.T.astype(np.int8)
     # per class, run starts and stops alternate along the row
     classes, frames = np.nonzero(np.diff(active, axis=1, prepend=0, append=0))
     fp = post.frame_period
@@ -188,34 +246,40 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> list[
     agree unless a chained run drifts past the tolerance from its first
     value, or the value after it is back within the tolerance of that first
     value; only a row where either happens is rescanned with the anchored
-    rule.
+    rule.  The candidate tests run on the dense [K, T] grid: the left side
+    at each plateau's first frame, carried to its last frame, and the right
+    side at the last frame, so only the kept plateaus are listed.
     """
     k, t = tracks.shape
-    idx = np.arange(t)
-    a = np.abs(tracks[:, np.minimum(idx + half_width, t - 1)] - tracks[:, np.maximum(idx - half_width, 0)])
+    padded = _edge_padded(tracks, half_width, axis=1)
+    a = np.abs(padded[:, 2 * half_width :] - padded[:, :t])
     starts = np.ones((k, t), dtype=bool)
     starts[:, 1:] = ~(np.abs(np.diff(a, axis=1)) <= _PLATEAU_TOL)
-    first_value = np.take_along_axis(a, np.maximum.accumulate(np.where(starts, idx, 0), axis=1), axis=1)
+    # flat index of each frame's plateau start; every row opens with a start
+    flat = np.arange(k * t).reshape(k, t)
+    first = np.maximum.accumulate(np.where(starts, flat, 0).ravel()).reshape(k, t)
+    first_value = a.take(first)
     drifts = ~starts & ~(np.abs(a - first_value) <= _PLATEAU_TOL)
     rejoins = starts[:, 1:] & (np.abs(a[:, 1:] - first_value[:, :-1]) <= _PLATEAU_TOL)
     for r in np.flatnonzero(drifts.any(axis=1) | rejoins.any(axis=1)):
         starts[r] = _anchored_starts(a[r])
+        first[r] = np.maximum.accumulate(np.where(starts[r], flat[r], 0))
+        first_value[r] = a.take(first[r])
 
-    # one entry per plateau, rows in order: its row, first and last index
-    ends = np.ones_like(starts)
-    ends[:, :-1] = starts[:, 1:]
-    row, first = np.nonzero(starts)
-    last = np.nonzero(ends)[1]
-    value = a[row, first]
-    mid = (first + last + 1) // 2
-    keep = (
-        (value > min_gap)
-        & ((first == 0) | (value > a[row, first - 1] + _PLATEAU_TOL))
-        & ((last == t - 1) | (value > a[row, np.minimum(last + 1, t - 1)] + _PLATEAU_TOL))
-        & ~((first == 0) & (last == t - 1))
-        & (mid > 0)
-    )
-    return np.split(mid[keep], np.cumsum(np.bincount(row[keep], minlength=k))[:-1])
+    # at a plateau's first frame: above min_gap and above its left neighbour
+    rises = a > min_gap
+    rises[:, 1:] &= a[:, 1:] > a[:, :-1] + _PLATEAU_TOL
+    # at its last frame: the left test carried over, and above the right
+    # neighbour; neither a whole row nor a plateau ending at frame 0 counts
+    keep = rises.take(first)
+    keep[:, :-1] &= starts[:, 1:] & (first_value[:, :-1] > a[:, 1:] + _PLATEAU_TOL)
+    keep[:, -1] &= first[:, -1] > flat[:, 0]
+    keep[:, 0] = False
+    last = np.flatnonzero(keep)
+    # the midpoint rounded up, as a frame of its row
+    mid = (first.ravel()[last] + last + 1) // 2 % t
+    bounds = [*np.searchsorted(last, flat[:, 0]).tolist(), last.size]
+    return [mid[i:j] for i, j in zip(bounds[:-1], bounds[1:])]
 
 
 class _Track:
@@ -327,14 +391,16 @@ def _segments(
     return out
 
 
-# Cap on the bytes of the contiguous [rows, T, window] copy that the moving
-# average of one stacked segmentation pass makes.
+# Cap on one stacked segmentation pass, in bytes of its rows x T x window
+# float64 window values.  Nothing builds those windows: the moving average
+# and the change points work on [rows, T] arrays, each at most
+# _STACK_BYTES / window bytes.
 _STACK_BYTES = 1 << 20
 
 
 def _stacked_passes(posts: Sequence[Posteriorgram], window: int):
     """Clip indices grouped into segmentation passes: clips of one frame
-    count, as many as keep the pass's window copy within _STACK_BYTES (at
+    count, as many as keep the pass's window values within _STACK_BYTES (at
     least one clip per pass)."""
     by_frames: dict[int, list[int]] = {}
     for i, post in enumerate(posts):
@@ -479,10 +545,10 @@ def tune_csebb(
 
     No candidate repeats work another has done.  All clips are segmented
     together once per smoothing key (window, half_width, min_gap), in
-    stacked passes whose moving-average window copy stays near 1 MB however
-    many clips there are; each (clip, class, key) keeps one merge
-    trajectory, which every (rel_merge, abs_merge) pair stops on, and the
-    boxes of each stop are built once and shared.  Each candidate is scored
+    stacked passes capped at about 1 MB of window values however many clips
+    there are; each (clip, class, key) keeps one merge trajectory, which
+    every (rel_merge, abs_merge) pair stops on, and the boxes of each stop
+    are built once and shared.  Each candidate is scored
     on exactly the boxes ``csebb_detect`` gives.
 
     Ties break toward the smaller smoothing window, then lexicographically

@@ -8,7 +8,7 @@ structured implementations are checked against a genuinely separate route.
 import numpy as np
 
 from hetsed.domain_gen import freq_mixstyle, freq_stats
-from hetsed.evaluation import OperatingPointCurve
+from hetsed.evaluation import OperatingPointCurve, _segment_count
 from hetsed.postprocess import _PLATEAU_TOL
 
 
@@ -215,6 +215,61 @@ def change_points_loop(track: np.ndarray, half_width: int, min_gap: float) -> li
     return [c for c in candidates if 0 < c < t]
 
 
+def window_mean_moving_average(scores, window):
+    """Sliding mean along axis 0 with edge replication, as the mean of each
+    window copied out contiguously: ``moving_average``'s result, bit for bit."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if window == 1:
+        return scores.copy()
+    tracks = np.pad(np.atleast_2d(scores.T), ((0, 0), (window // 2, window // 2)), mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(tracks, window, axis=1)
+    means = np.ascontiguousarray(windows).mean(axis=-1)
+    return np.ascontiguousarray(means[0] if scores.ndim == 1 else means.T)
+
+
+def _anchored_starts(a):
+    starts = np.zeros(a.size, dtype=bool)
+    i = 0
+    while i < a.size:
+        starts[i] = True
+        j = i + 1
+        while j < a.size and abs(a[j] - a[i]) <= _PLATEAU_TOL:
+            j += 1
+        i = j
+    return starts
+
+
+def gathered_change_points(tracks, half_width, min_gap):
+    """``_change_points`` with one entry per plateau: |d| from two gathers,
+    the plateau starts chained within the tolerance (rows where chaining and
+    the anchored rule part ways rescanned), then the candidate tests on the
+    gathered first value and neighbours of every plateau."""
+    k, t = tracks.shape
+    idx = np.arange(t)
+    a = np.abs(tracks[:, np.minimum(idx + half_width, t - 1)] - tracks[:, np.maximum(idx - half_width, 0)])
+    starts = np.ones((k, t), dtype=bool)
+    starts[:, 1:] = ~(np.abs(np.diff(a, axis=1)) <= _PLATEAU_TOL)
+    first_value = np.take_along_axis(a, np.maximum.accumulate(np.where(starts, idx, 0), axis=1), axis=1)
+    drifts = ~starts & ~(np.abs(a - first_value) <= _PLATEAU_TOL)
+    rejoins = starts[:, 1:] & (np.abs(a[:, 1:] - first_value[:, :-1]) <= _PLATEAU_TOL)
+    for r in np.flatnonzero(drifts.any(axis=1) | rejoins.any(axis=1)):
+        starts[r] = _anchored_starts(a[r])
+    ends = np.ones_like(starts)
+    ends[:, :-1] = starts[:, 1:]
+    row, first = np.nonzero(starts)
+    last = np.nonzero(ends)[1]
+    value = a[row, first]
+    mid = (first + last + 1) // 2
+    keep = (
+        (value > min_gap)
+        & ((first == 0) | (value > a[row, first - 1] + _PLATEAU_TOL))
+        & ((last == t - 1) | (value > a[row, np.minimum(last + 1, t - 1)] + _PLATEAU_TOL))
+        & ~((first == 0) & (last == t - 1))
+        & (mid > 0)
+    )
+    return np.split(mid[keep], np.cumsum(np.bincount(row[keep], minlength=k))[:-1])
+
+
 def greedy_merge(
     sums: list[float], lengths: list[int], rel_merge: float, abs_merge: float
 ) -> tuple[list[float], list[int]]:
@@ -231,6 +286,21 @@ def greedy_merge(
         sums[k] += sums.pop(k + 1)
         lengths[k] += lengths.pop(k + 1)
     return sums, lengths
+
+
+def segment_scores_at(post, segment):
+    """``segment_scores`` by one unbuffered max per frame into a zeroed
+    [S, C] buffer, frames binned as the library bins them."""
+    t, fp = post.num_frames, post.frame_period
+    n_segments = _segment_count(t * fp, segment)
+    ratio = segment / fp
+    if abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1:
+        seg_idx = np.arange(t) // int(round(ratio))
+    else:
+        seg_idx = np.floor((np.arange(t) + 0.5) * fp / segment).astype(np.int64)
+    scores = np.zeros((n_segments, post.num_classes))
+    np.maximum.at(scores, np.minimum(seg_idx, n_segments - 1), post.scores)
+    return scores
 
 
 def mixstyle_numerical_grad(batch, perm, lam, upstream, step=1e-4):

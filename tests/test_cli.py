@@ -323,6 +323,54 @@ def test_postprocess_params_line_error_names_the_file(tmp_path, capsys):
     assert f"error: {params}:2: expected 'key = value', got 'window 7'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("window = -1\n", "window must be an odd integer >= 1, got '-1'"),
+    ("window = abc\n", "window must be an odd integer >= 1, got 'abc'"),
+    ("window = 0\n", "window must be an odd integer >= 1, got '0'"),
+    ("window = 4\n", "window must be an odd integer >= 1, got '4'"),
+    ("window = 2.5\n", "window must be an odd integer >= 1, got '2.5'"),
+    ("threshold.Bogus = 0.3\n", "threshold.Bogus: no class 'Bogus' in the posteriorgrams' class table"),
+    ("threshold.car = abc\n", "threshold.car must be a number in [0, 1], got 'abc'"),
+    ("threshold.default = 1.5\n", "threshold.default must be a number in [0, 1], got '1.5'"),
+    ("threshold.dog = nan\n", "threshold.dog must be a number in [0, 1], got 'nan'"),
+    ("mode = median\n", "unknown key 'mode'"),
+])
+@pytest.mark.parametrize("method", ["median", "frame"])
+def test_postprocess_rejects_bad_params_naming_the_file_and_key(tmp_path, capsys, method, text, message):
+    params = tmp_path / "median.cfg"
+    params.write_text(text)
+    data = synth_dir(tmp_path, clips=2)
+    dets = tmp_path / "dets.tsv"
+    assert run("postprocess", "--method", method, "--params", params, "--in", data / "posteriors", "--out", dets) == 2
+    assert f"error: {params}: {message}" in capsys.readouterr().err
+    assert not dets.exists()
+
+
+def test_median_frame_and_mpauc_outputs_are_pinned(tmp_path):
+    # postprocess median (default window and window 5 with class thresholds),
+    # postprocess frame and the eval mpauc report, byte for byte
+    classes = tmp_path / "classes.txt"
+    classes.write_text("car\ndog\nspeech\n")
+    data = tmp_path / "data"
+    assert run("synth", "--seed", 7, "--clips", 20, "--classes", classes, "--out", data,
+               "--frame-period", 0.02, "--blur", 3, "--noise", 0.3, "--dip-prob", 1.0) == 0
+    params = tmp_path / "median.cfg"
+    params.write_text("window = 5\nthreshold.default = 0.4\nthreshold.dog = 0.6\n")
+    outs = {name: tmp_path / f"{name}.tsv" for name in ("median", "median5", "frame", "mpauc")}
+    for name, flags in (("median", ["--method", "median"]),
+                        ("median5", ["--method", "median", "--params", params]),
+                        ("frame", ["--method", "frame"])):
+        assert run("postprocess", *flags, "--in", data / "posteriors", "--out", outs[name]) == 0
+    assert run("eval", "mpauc", "--posteriors", data / "posteriors", "--refs", data / "refs.tsv",
+               "--out", outs["mpauc"]) == 0
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in outs.items()} == {
+        "median": "6ca8b6594f1d087aec74d7827f08a60b37bb7203f13a097e25ff49df5d8ebfa3",
+        "median5": "609d3f41f29b94e2de29a8a4012f5c7c989d48e0e767b6e614c9cbfa07131c4a",
+        "frame": "dc389bc3df4add875caf0da274eb0f4815e10f9a85b69dd3f9321dcfd131b28b",
+        "mpauc": "002c49f69196c74d7625582059718dd2b51c2cbe5529ddafc7b3b8e87be39311",
+    }
+
+
 @pytest.mark.parametrize("value, message", [
     (np.nan, "scores contain non-finite values"),
     (2.0, "scores outside [0, 1]"),

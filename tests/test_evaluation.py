@@ -130,6 +130,7 @@ from oracles import (  # noqa: E402
     brute_pauc,
     intersection_match,
     rematch_curve,
+    segment_scores_at,
 )
 
 
@@ -329,6 +330,30 @@ def test_segment_scores_constant_and_spike():
     scores2 = segment_scores(post2)
     assert scores2[4, 0] == pytest.approx(0.9)
     assert scores2.sum() == pytest.approx(0.9)
+
+
+@st.composite
+def segment_cases(draw):
+    """Frame periods a whole number of frames per segment, a fraction of one
+    (segments shorter than a frame leave some empty) or neither; scores with
+    signed zeros and ties."""
+    t = draw(st.integers(1, 60))
+    c = draw(st.integers(1, 3))
+    fp = draw(st.sampled_from([0.02, 0.1, 0.25, 0.5, 1.0, 0.03, 0.07, 0.3, 0.6, 1.5, 2.5]))
+    segment = draw(st.sampled_from([1.0, 0.5, 0.01, 0.75]))
+    value = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    cells = draw(st.lists(value, min_size=t * c, max_size=t * c))
+    return Posteriorgram(np.array(cells).reshape(t, c), fp, "a"), segment
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_cases())
+def test_segment_scores_equal_the_unbuffered_frame_max(case):
+    post, segment = case
+    got = segment_scores(post, segment)
+    want = segment_scores_at(post, segment)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_segment_scores_count_formula():

@@ -20,7 +20,7 @@ from hetsed.postprocess import (
     moving_average,
     tune_csebb,
 )
-from oracles import change_points_loop, greedy_merge
+from oracles import change_points_loop, gathered_change_points, greedy_merge, window_mean_moving_average
 
 
 def post_of(track, fp=0.05, clip_id="p0"):
@@ -70,6 +70,14 @@ def test_frame_threshold_merge_empty_and_full():
     full = frame_threshold_merge(post, [0.0])
     assert len(full) == 1
     assert full[0].onset == 0.0 and full[0].offset == pytest.approx(3 * 0.05)
+
+
+def test_frame_threshold_merge_rejects_bad_windows():
+    post = post_of([0.2, 0.8, 0.9])
+    for window, message in ((0, "odd and >= 1"), (-1, "odd and >= 1"), (4, "odd and >= 1"),
+                            (7, "window 7 too large for 3 frames")):
+        with pytest.raises(ValueError, match=message):
+            frame_threshold_merge(post, [0.5], window)
 
 
 def test_frame_threshold_merge_multiclass_runs():
@@ -357,6 +365,59 @@ def test_filters_on_a_posteriorgram_equal_the_per_track_filters(case):
             assert np.array_equal(medians[:, c], plain)
 
 
+_MAGNITUDES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 0.5, 1.0, 7.25, 1e10, -1e-5, -3.0])
+
+
+@st.composite
+def moving_average_cases(draw):
+    """A [T] or [T, C] array of mixed magnitudes and signed zeros, and an
+    odd window from 1 to 301 (sequential below 8 values, eight accumulators
+    up to 128, split halves above)."""
+    shape = draw(st.sampled_from([(draw(st.integers(1, 40)),), (draw(st.integers(1, 40)), draw(st.integers(1, 4)))]))
+    cells = draw(st.lists(_MAGNITUDES | st.floats(-1e12, 1e12), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    window = draw(st.integers(0, 150).map(lambda k: 2 * k + 1))
+    return np.array(cells).reshape(shape), window
+
+
+@settings(max_examples=300, deadline=None)
+@given(moving_average_cases())
+def test_moving_average_equals_the_window_means_bit_for_bit(case):
+    scores, window = case
+    got = moving_average(scores, window)
+    want = window_mean_moving_average(scores, window)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("window", [3, 7, 9, 129, 131, 301])
+def test_moving_average_of_negative_zeros_is_positive_zero(window):
+    got = moving_average(np.full((5, 2), -0.0), window)
+    assert got.tobytes() == window_mean_moving_average(np.full((5, 2), -0.0), window).tobytes()
+    assert not np.signbit(got).any()
+
+
+@st.composite
+def median_event_cases(draw):
+    """Scores on a grid of 10**-d steps and thresholds on the same grid, so
+    that score == threshold ties are common; an odd window up to 2T - 1."""
+    t = draw(st.integers(1, 30))
+    c = draw(st.integers(1, 3))
+    steps = 10 ** draw(st.integers(0, 2))
+    cells = draw(st.lists(st.integers(0, steps), min_size=t * c, max_size=t * c))
+    thresholds = draw(st.lists(st.integers(0, steps), min_size=c, max_size=c))
+    window = draw(st.integers(0, t - 1).map(lambda k: 2 * k + 1))
+    return np.array(cells, dtype=np.float64).reshape(t, c) / steps, np.array(thresholds) / steps, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(median_event_cases())
+def test_median_window_events_equal_median_filter_then_threshold(case):
+    scores, thresholds, window = case
+    post = post_of(scores, fp=0.02)
+    filtered = Posteriorgram(median_filter(scores, window), post.frame_period, post.clip_id)
+    assert frame_threshold_merge(post, thresholds, window) == frame_threshold_merge(filtered, thresholds)
+
+
 def test_median_filter_keeps_nan_windows_nan():
     track = np.array([0.1, np.nan, 0.3, 0.4, 0.5, 0.6])
     plain = np.median(_SWV(np.pad(track, 1, mode="edge"), 3), axis=1)
@@ -401,6 +462,9 @@ def test_vectorised_change_points_equal_the_loop(case):
     tracks, half_width, min_gap = case
     got = postprocess._change_points(tracks, half_width, min_gap)
     assert [cuts.tolist() for cuts in got] == [change_points_loop(row, half_width, min_gap) for row in tracks]
+    gathered = gathered_change_points(tracks, half_width, min_gap)
+    assert [cuts.tolist() for cuts in got] == [cuts.tolist() for cuts in gathered]
+    assert all(cuts.dtype == np.int64 for cuts in got)
 
 
 @pytest.mark.parametrize("steps", [
