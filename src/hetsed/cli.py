@@ -274,9 +274,9 @@ def _cmd_tune_csebb(args, cfg) -> int:
         hours = sum(p.duration for p in posts) / 3600.0
     psds_cfg = _psds_config_from(cfg)
 
-    def metric(boxes, refs_):
-        curve = evaluation.roc_from_confidences(boxes, refs_, hours, psds_cfg, len(class_names))
-        return evaluation.psds(curve, psds_cfg)
+    def metric(box_sets, refs_):
+        curves = evaluation.roc_curves(box_sets, refs_, hours, psds_cfg, len(class_names))
+        return [evaluation.psds(curve, psds_cfg) for curve in curves]
 
     grid = formats.read_csebb_grid(args.grid) if args.grid is not None else postprocess.default_grid()
     best = postprocess.tune_csebb(posts, refs, grid, metric, class_names)

@@ -1,10 +1,11 @@
 """Flat key-value configuration files.
 
 Syntax: one ``key = value`` per line, ``#`` comments, keys dotted by module.
-The keys are exactly those of DEFAULTS; any other key is an error naming the
-file and line.  ``psds.*`` and ``eval.*`` are the twins of the ``eval psds``
-and ``eval mpauc`` flags (``tune-csebb`` scores with ``psds.*`` too),
-``train.loss_mode`` is the twin of ``loss --mode``, and flags win.
+The keys are exactly those of DEFAULTS, each set at most once; any other key,
+or a key set twice, is an error naming the file and line.  ``psds.*`` and
+``eval.*`` are the twins of the ``eval psds`` and ``eval mpauc`` flags
+(``tune-csebb`` scores with ``psds.*`` too), ``train.loss_mode`` is the twin
+of ``loss --mode``, and flags win.
 """
 
 from __future__ import annotations
@@ -25,17 +26,22 @@ DEFAULTS: dict[str, str] = {
 
 
 def _entries(text: str, source: Path | str | None = None) -> Iterator[tuple[int, str, str]]:
-    """(line number, key, value) for every non-blank, non-comment line;
-    errors name ``source`` (the file the text came from) when given."""
+    """(line number, key, value) for every non-blank, non-comment line, each
+    key once; errors name ``source`` (the file the text came from) when
+    given."""
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
+        where = f"{source}:{lineno}" if source is not None else f"line {lineno}"
         if "=" not in stripped:
-            where = f"{source}:{lineno}" if source is not None else f"line {lineno}"
             raise ValueError(f"{where}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        yield lineno, key.strip(), value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"{where}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
+        yield lineno, key, value
 
 
 def parse_config(text: str, source: Path | str | None = None) -> dict[str, str]:

@@ -8,7 +8,10 @@ obtained by sweeping the detection confidences.  The sweep makes one pass
 (Ebbers, Haeb-Umbach & Serizel, ICASSP 2022): each detection is classified
 against the references once and each reference records the threshold at
 which it is found, so the whole curve costs about O(N log N + overlapping
-pairs) for N detections rather than one re-match per threshold.
+pairs) for N detections rather than one re-match per threshold.  One sweep
+also scores many detection sets against the same references (the grid of
+a ``tune-csebb`` search): their thresholds are keyed by set, so the cost is
+that of one sweep over all their detections, not one per set.
 
 mPAUC scores one-second segments per class by the partial area under the
 ROC up to a maximum false positive rate, McClish-standardized so chance
@@ -21,6 +24,8 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -117,15 +122,15 @@ def _union(group: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     return group[new], lo[new], reach[last]
 
 
-def _spans(events: Sequence[Event], what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Onsets and offsets as arrays; each event must have finite times and a
-    positive length."""
-    lo = np.array([e.onset for e in events], dtype=np.float64)
-    hi = np.array([e.offset for e in events], dtype=np.float64)
+def _attribute(events: Sequence[Event], name: str, dtype: type = np.float64) -> np.ndarray:
+    return np.fromiter(map(attrgetter(name), events), dtype=dtype, count=len(events))
+
+
+def _check_spans(events: Sequence[Event], lo: np.ndarray, hi: np.ndarray, what: str) -> None:
+    """Each event must have finite times and a positive length."""
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)))
     if bad.size:
         raise ValueError(f"{what} needs finite times with offset > onset, got {events[bad[0]]}")
-    return lo, hi
 
 
 def _ordered_sums(owner: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
@@ -150,19 +155,85 @@ def _ref_counts(refs: Sequence[Event], num_classes: int) -> np.ndarray:
     return counts
 
 
-def _curve(efpr: np.ndarray, tpr: np.ndarray, included: np.ndarray) -> OperatingPointCurve:
-    """The step-function curve from per-class rates [levels, C] cumulated
-    down the thresholds: a (0, 0) level on top, TPR replaced by its running
-    max (the upper envelope; eFPR never decreases down the levels), and each
-    class's value read off at every point of the union grid of rates."""
-    top = np.zeros((1, tpr.shape[1]))
-    efpr = np.vstack([top, efpr])
-    tpr = np.maximum.accumulate(np.vstack([top, tpr]), axis=0)
-    grid = np.unique(efpr)
-    level = np.empty((grid.size, tpr.shape[1]), dtype=np.intp)
-    for c in range(tpr.shape[1]):
-        level[:, c] = np.searchsorted(efpr[:, c], grid, side="right") - 1
-    return OperatingPointCurve(efpr=grid, tpr=np.take_along_axis(tpr, level, axis=0), included=included)
+def _curves(
+    counts: np.ndarray, rows: np.ndarray, n_refs: np.ndarray, total_hours: float
+) -> list[OperatingPointCurve]:
+    """Per set, the step-function curve from its FP and TP counts
+    ``counts`` [2, R, C] (FP, then TP) at each of its thresholds.  The rows
+    are grouped by set, ``rows[s]`` for set s, and each group opens with a
+    (0, 0) top.  Each set's counts are cumulated down its rows, TP is
+    replaced by its running max (the upper envelope; FP never decreases down
+    a set's rows), and each class's value is read off at every point of the
+    set's union grid of rates.
+
+    All of it runs on the integer counts of all sets at once.  Dividing by a
+    positive constant keeps their order, so the rates come out as the
+    per-set float computation has them, bit for bit; a grid point is kept
+    per distinct rate, as the largest FP count that gives that rate.
+    """
+    n_sets, num_classes = rows.size, counts.shape[2]
+    tops = np.cumsum(rows) - rows
+    row_set = np.repeat(np.arange(n_sets), rows)
+    np.cumsum(counts, axis=1, out=counts)
+    counts -= np.repeat(counts[:, tops], rows, axis=1)
+    fp, tp = counts
+    # running max of TP within a set: lift each set's counts above the last set's
+    lift = row_set[:, None] * (n_refs.max(initial=0) + 1)
+    tp += lift
+    np.maximum.accumulate(tp, axis=0, out=tp)
+    tp -= lift
+    # each set's FP counts keyed above those of the sets before it, in place
+    width = fp[tops + rows - 1].max(axis=1, initial=0) + 1
+    offset = np.cumsum(width) - width
+    key = fp
+    key += offset[row_set][:, None]
+    present = np.zeros(int(width.sum()), dtype=bool)
+    present[key] = True
+    grid = np.flatnonzero(present)
+    grid_set = np.searchsorted(offset, grid, side="right") - 1
+    efpr = (grid - offset[grid_set]) / total_hours
+    last = np.ones(grid.size, dtype=bool)
+    last[:-1] = (grid_set[1:] != grid_set[:-1]) | (efpr[1:] != efpr[:-1])
+    grid, grid_set, efpr = grid[last], grid_set[last], efpr[last]
+    level = np.empty((grid.size, num_classes), dtype=np.intp)
+    for c in range(num_classes):
+        level[:, c] = np.searchsorted(key[:, c], grid, side="right") - 1
+    tpr = np.where(n_refs > 0, np.take_along_axis(tp, level, axis=0) / np.maximum(n_refs, 1), 0.0)
+    bounds = np.searchsorted(grid_set, np.arange(n_sets + 1)).tolist()
+    return [OperatingPointCurve(efpr=efpr[a:b], tpr=tpr[a:b], included=n_refs > 0)
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _runs(order: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """For each element, the index of its run of equal values, given the
+    sort ``order`` and the sorted positions ``new`` that open a run."""
+    run = np.empty(order.size, dtype=np.intp)
+    run[order] = np.cumsum(new) - 1
+    return run
+
+
+def _distinct(events: list[Event]) -> tuple[list[Event], np.ndarray]:
+    """The distinct objects among ``events``, and for each event the index
+    of its object among them."""
+    ids = np.fromiter(map(id, events), dtype=np.intp, count=len(events))
+    order = np.argsort(ids)
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = ids[order[1:]] != ids[order[:-1]]
+    return list(map(events.__getitem__, order[new].tolist())), _runs(order, new)
+
+
+def _levels(negated: np.ndarray, owner: np.ndarray, n_sets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Thresholds keyed by (set, -confidence): for each detection the index
+    of its level, and for each level its set.  Levels run in key order, so
+    each set owns a contiguous range of them, its highest threshold first;
+    NaNs come last in their set and share one level, as np.unique has them."""
+    order = np.argsort(negated)
+    # stable on the narrowest integer type, which numpy radix-sorts
+    order = order[np.argsort(owner[order].astype(np.min_scalar_type(n_sets)), kind="stable")]
+    value, nan, owner = negated[order], np.isnan(negated[order]), owner[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | ((value[1:] != value[:-1]) & ~(nan[1:] & nan[:-1]))
+    return _runs(order, new), owner[new]
 
 
 def roc_from_confidences(
@@ -197,55 +268,172 @@ def roc_from_confidences(
     and M references, plus numpy passes over the overlapping (detection,
     reference interval) pairs and, per reference, over its overlapping
     detections at each of its thresholds, against O(thresholds x N) for
-    re-matching.
+    re-matching.  This is the one-set case of ``roc_curves``, which scores
+    many sets in one such pass.
     """
-    if total_hours <= 0:
-        raise ValueError(f"total_hours must be > 0, got {total_hours}")
     if num_classes is None:
         num_classes = 1 + max(
             [e.class_idx for e in refs] + [d.class_idx for d in dets], default=-1
         )
-    n_refs = _ref_counts(refs, num_classes)
-    included = n_refs > 0
-    excluded = np.flatnonzero(~included)
-    if excluded.size:
-        warnings.warn(f"classes without references excluded from PSDS: {excluded.tolist()}", stacklevel=2)
+    return _sweep([dets], refs, total_hours, cfg, num_classes)[0]
 
+
+def roc_curves(
+    det_sets: Sequence[Sequence[Event]],
+    refs: Sequence[Event],
+    total_hours: float,
+    cfg: PsdsConfig,
+    num_classes: int,
+) -> list[OperatingPointCurve]:
+    """The ``roc_from_confidences`` curve of every detection set against the
+    same references, in one sweep; each curve equals that of its set alone,
+    bit for bit.
+
+    The references are grouped, sorted and merged once.  The thresholds are
+    keyed by (set, confidence), so each set owns a contiguous range of
+    levels.  A detection object that several sets share is read and
+    DTC-classified once.  On the GTC side each reference's hits are
+    regrouped by set, so a step unions only its own set's hits, and each
+    set's counts are cumulated over its own levels into its curve.  Cost:
+    that of ``roc_from_confidences`` on all the sets' detections together,
+    so scoring the k candidates of a ``tune_csebb`` grid pays the fixed
+    numpy-call overhead of a sweep once, not k times.  Memory grows with
+    the detections swept together, so runs of whole sets are swept in
+    passes of at most ``_SWEEP_DETECTIONS`` detections (or one set).
+    """
+    return _sweep(det_sets, refs, total_hours, cfg, num_classes)
+
+
+def _sweep(
+    det_sets: Sequence[Sequence[Event]],
+    refs: Sequence[Event],
+    total_hours: float,
+    cfg: PsdsConfig,
+    num_classes: int,
+) -> list[OperatingPointCurve]:
+    if total_hours <= 0:
+        raise ValueError(f"total_hours must be > 0, got {total_hours}")
+    n_refs = _ref_counts(refs, num_classes)
+    excluded = np.flatnonzero(n_refs == 0)
+    if excluded.size:
+        # the caller of the public function that called this one
+        warnings.warn(f"classes without references excluded from PSDS: {excluded.tolist()}", stacklevel=3)
+    curves: list[OperatingPointCurve] = []
+    for group in _sweep_groups(det_sets):
+        # the counting pass's arrays are freed before the curves are built
+        curves += _curves(*_counts(group, refs, cfg, num_classes), n_refs, total_hours)
+    return curves
+
+
+# Cap on the detections of one counting pass: its arrays grow with the
+# detections of every set it sweeps, so a larger grid takes several passes.
+_SWEEP_DETECTIONS = 1 << 15
+
+
+def _sweep_groups(det_sets: Sequence[Sequence[Event]]):
+    """Consecutive runs of the sets, each within _SWEEP_DETECTIONS
+    detections (at least one set per run)."""
+    group: list[Sequence[Event]] = []
+    size = 0
+    for dets in det_sets:
+        if group and size + len(dets) > _SWEEP_DETECTIONS:
+            yield group
+            group, size = [], 0
+        group.append(dets)
+        size += len(dets)
+    yield group
+
+
+def _counts(
+    det_sets: Sequence[Sequence[Event]], refs: Sequence[Event], cfg: PsdsConfig, num_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """FP and TP counts [2, R, C] per row and class, and the number of rows
+    of each set: each set's (0, 0) top, then one row per level."""
+    n_sets = len(det_sets)
+    dets = [d for dets in det_sets for d in dets]
     if not dets:
-        return _curve(np.zeros((0, num_classes)), np.zeros((0, num_classes)), included)
-    confidences = [1.0 if d.confidence is None else d.confidence for d in dets]
-    # level t holds the detections kept from the t-th highest threshold on
-    levels, level_of = np.unique(-np.asarray(confidences, dtype=np.float64), return_inverse=True)
-    tp, fp = (np.zeros((levels.size, num_classes), dtype=np.int64) for _ in range(2))
+        return np.zeros((2, n_sets, num_classes), dtype=np.int64), np.ones(n_sets, dtype=np.intp)
+    # sets may share detection objects (the candidates of tune_csebb share
+    # most of their boxes), so each distinct object is read and classified
+    # once: the u_ arrays run over the distinct objects, and ``which`` maps
+    # every detection to its object; a lone set is taken as it is
+    distinct, which = _distinct(dets) if n_sets > 1 else (dets, np.arange(len(dets)))
+    confidences = [1.0 if d.confidence is None else d.confidence for d in distinct]
+    # level t holds the detections of its set kept from the set's t-th
+    # highest threshold on
+    level_of, level_set = _levels(-np.asarray(confidences, dtype=np.float64)[which],
+                                  np.repeat(np.arange(n_sets), [len(dets) for dets in det_sets]), n_sets)
 
     # references: one group per (clip, class), sorted by (group, onset)
     clip_index: dict[str, int] = {}
     r_group = np.array([clip_index.setdefault(e.clip_id, len(clip_index)) * num_classes + e.class_idx
                         for e in refs], dtype=np.int64)
-    r_lo, r_hi = _spans(refs, "reference")
+    r_lo, r_hi = _attribute(refs, "onset"), _attribute(refs, "offset")
+    _check_spans(refs, r_lo, r_hi, "reference")
     order = np.argsort(_keyed(r_group, r_lo), kind="stable")
     r_group, r_lo, r_hi = r_group[order], r_lo[order], r_hi[order]
 
-    # DTC: the part of each detection that the merged references cover
-    d_class = np.array([d.class_idx for d in dets], dtype=np.int64)
-    d_lo, d_hi = _spans(dets, "detection")
-    scored = np.flatnonzero((d_class >= 0) & (d_class < num_classes))
-    d_clip = np.array([clip_index.get(dets[i].clip_id, -1) for i in scored.tolist()], dtype=np.int64)
-    d_group = np.where(d_clip >= 0, d_clip * num_classes + d_class[scored], -1)
-    d_class, d_level, d_lo, d_hi = d_class[scored], level_of[scored], d_lo[scored], d_hi[scored]
-    m_group, m_lo, m_hi = _union(r_group, r_lo, r_hi)
-    det, iv = _expand(
-        np.searchsorted(_keyed(m_group, m_hi), _keyed(d_group, d_lo), side="right"),
-        np.searchsorted(_keyed(m_group, m_lo), _keyed(d_group, d_hi), side="left"),
-    )
-    overlap = np.minimum(d_hi[det], m_hi[iv]) - np.maximum(d_lo[det], m_lo[iv])
-    covered = _ordered_sums(det, overlap, scored.size)
-    passes = covered / (d_hi - d_lo) >= cfg.rho_dtc
-    np.add.at(fp, (d_level[~passes], d_class[~passes]), 1)
+    # DTC: the part of each distinct detection that the merged references
+    # cover; a detection of a class out of range is not scored
+    u_lo, u_hi = _attribute(distinct, "onset"), _attribute(distinct, "offset")
+    _check_spans(dets, u_lo[which], u_hi[which], "detection")
+    u_class = _attribute(distinct, "class_idx", np.int64)
+    u_clip = np.fromiter(map(clip_index.get, map(attrgetter("clip_id"), distinct), repeat(-1)),
+                         dtype=np.int64, count=len(distinct))
+    u_scored = (u_class >= 0) & (u_class < num_classes)
+    u_group = np.where(u_scored & (u_clip >= 0), u_clip * num_classes + u_class, -1)
+    u_passes = _dtc_coverage(u_group, u_lo, u_hi, *_union(r_group, r_lo, r_hi)) / (u_hi - u_lo) >= cfg.rho_dtc
+    scored = np.flatnonzero(u_scored[which])
+    d_distinct, d_level = which[scored], level_of[scored]
+    passes = u_passes[d_distinct]
+    fp_level, fp_class = d_level[~passes], u_class[d_distinct[~passes]]
 
-    # GTC: the passing detections overlapping each reference, in onset order
-    order = np.argsort(_keyed(d_group[passes], d_lo[passes]), kind="stable")
-    p_group, p_level, p_lo, p_hi = (a[passes][order] for a in (d_group, d_level, d_lo, d_hi))
+    # GTC: the passing detections in onset order
+    p_distinct, p_level = d_distinct[passes], d_level[passes]
+    order = np.argsort(_keyed(u_group[p_distinct], u_lo[p_distinct]), kind="stable")
+    p_distinct, p_level = p_distinct[order], p_level[order]
+    s_ref, s_level, found, first_step = _gtc_steps(
+        u_group[p_distinct], p_level, u_lo[p_distinct], u_hi[p_distinct], r_group, r_lo, r_hi, level_set,
+        cfg.rho_gtc,
+    )
+
+    # one row per level below its set's (0, 0) top
+    row_of = np.arange(level_set.size) + level_set + 1
+    counts = np.zeros((2, level_set.size + n_sets, num_classes), dtype=np.int64)
+    cells = row_of[fp_level] * num_classes + fp_class
+    counts[0] = np.bincount(cells, minlength=counts[0].size).reshape(counts[0].shape)
+    # an uncovered reference is found only when rho_gtc is 0
+    found_uncovered = 0.0 >= cfg.rho_gtc
+    r_class = r_group % num_classes
+    if found_uncovered:
+        first_levels = np.flatnonzero(np.diff(level_set, prepend=-1))
+        counts[1, row_of[first_levels]] += np.bincount(r_class, minlength=num_classes)
+    previous = np.where(first_step, found_uncovered, np.roll(found, 1))
+    np.add.at(counts[1], (row_of[s_level], r_class[s_ref]), found.astype(np.int64) - previous)
+    return counts, np.bincount(level_set, minlength=n_sets) + 1
+
+
+def _dtc_coverage(group: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  m_group: np.ndarray, m_lo: np.ndarray, m_hi: np.ndarray) -> np.ndarray:
+    """The part of each interval (group, lo, hi) that the merged intervals
+    of its group cover, summed left to right."""
+    det, iv = _expand(
+        np.searchsorted(_keyed(m_group, m_hi), _keyed(group, lo), side="right"),
+        np.searchsorted(_keyed(m_group, m_lo), _keyed(group, hi), side="left"),
+    )
+    overlap = np.minimum(hi[det], m_hi[iv]) - np.maximum(lo[det], m_lo[iv])
+    return _ordered_sums(det, overlap, group.size)
+
+
+def _gtc_steps(p_group: np.ndarray, p_level: np.ndarray, p_lo: np.ndarray, p_hi: np.ndarray,
+               r_group: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray, level_set: np.ndarray,
+               rho_gtc: float) -> tuple[np.ndarray, ...]:
+    """The GTC verdict of each reference at each level where its own set's
+    passing detections (sorted by group, then onset) add a hit: (reference,
+    level, found, first step of its (reference, set)) per step, steps sorted
+    by (reference, level)."""
+    # sets past the last one with levels have no hits
+    n_sets, n_levels = int(level_set.max(initial=0)) + 1, level_set.size
     ref, hit = _expand(
         # the detections before the first whose group's running max offset
         # exceeds the reference onset all end at or before that onset
@@ -254,32 +442,28 @@ def roc_from_confidences(
     )
     overlapping = p_hi[hit] > r_lo[ref]
     ref, hit = ref[overlapping], hit[overlapping]
-    # one step per (reference, level of one of its hits), levels ascending;
-    # a step covers the reference with its hits of that level or lower
-    pair_start = np.searchsorted(ref, np.arange(r_lo.size))
-    pair_stop = np.searchsorted(ref, np.arange(r_lo.size), side="right")
-    steps = np.unique(ref * levels.size + p_level[hit])
-    s_ref, s_level = steps // levels.size, steps % levels.size
-    step, pair = _expand(pair_start[s_ref], pair_stop[s_ref])
-    kept = p_level[hit[pair]] <= s_level[step]
-    step, pair = step[kept], pair[kept]
-    u_step, u_lo, u_hi = _union(step, p_lo[hit[pair]], p_hi[hit[pair]])
+    # each reference's hits regrouped by set, onset order kept within a set
+    pair = ref * n_sets + level_set[p_level[hit]]
+    order = np.argsort(pair, kind="stable")
+    pair, hit = pair[order], hit[order]
+    # one step per (reference, level of one of its hits), levels ascending
+    # (so sets ascending too); a step covers the reference with its set's
+    # hits of that level or lower
+    steps = np.sort(pair // n_sets * n_levels + p_level[hit])
+    new = np.ones(steps.size, dtype=bool)
+    new[1:] = steps[1:] != steps[:-1]
+    s_ref, s_level = np.divmod(steps[new], n_levels)
+    s_pair = s_ref * n_sets + level_set[s_level]
+    step, member = _expand(np.searchsorted(pair, s_pair), np.searchsorted(pair, s_pair, side="right"))
+    kept = p_level[hit[member]] <= s_level[step]
+    step, member = step[kept], member[kept]
+    c_step, c_lo, c_hi = _union(step, p_lo[hit[member]], p_hi[hit[member]])
     s_lo, s_hi = r_lo[s_ref], r_hi[s_ref]
-    overlap = np.minimum(s_hi[u_step], u_hi) - np.maximum(s_lo[u_step], u_lo)
-    coverage = _ordered_sums(u_step, overlap, steps.size)
-    found = coverage / (s_hi - s_lo) >= cfg.rho_gtc
-    # an uncovered reference is found only when rho_gtc is 0
-    found_uncovered = 0.0 >= cfg.rho_gtc
-    r_class = r_group % num_classes
-    if found_uncovered:
-        tp[0] += np.bincount(r_class, minlength=num_classes)
-    first_step = np.ones(steps.size, dtype=bool)
-    first_step[1:] = s_ref[1:] != s_ref[:-1]
-    previous = np.where(first_step, found_uncovered, np.roll(found, 1))
-    np.add.at(tp, (s_level, r_class[s_ref]), found.astype(np.int64) - previous)
-
-    tpr = np.where(included, np.cumsum(tp, axis=0) / np.maximum(n_refs, 1), 0.0)
-    return _curve(np.cumsum(fp, axis=0) / total_hours, tpr, included)
+    overlap = np.minimum(s_hi[c_step], c_hi) - np.maximum(s_lo[c_step], c_lo)
+    found = _ordered_sums(c_step, overlap, s_ref.size) / (s_hi - s_lo) >= rho_gtc
+    first = np.ones(s_ref.size, dtype=bool)
+    first[1:] = s_pair[1:] != s_pair[:-1]
+    return s_ref, s_level, found, first
 
 
 def psds(curve: OperatingPointCurve, cfg: PsdsConfig = PsdsConfig()) -> float:
@@ -293,17 +477,14 @@ def psds(curve: OperatingPointCurve, cfg: PsdsConfig = PsdsConfig()) -> float:
         return 0.0
     tpr = curve.tpr[:, curve.included]
     etpr = np.maximum(0.0, tpr.mean(axis=1) - cfg.alpha_st * tpr.std(axis=1))
-    area = 0.0
-    for i in range(curve.efpr.size):
-        e = curve.efpr[i]
-        if e >= cfg.e_max:
-            break
-        e_next = curve.efpr[i + 1] if i + 1 < curve.efpr.size else cfg.e_max
-        # duplicate eFPR values: only the last (envelope max) step counts
-        if e_next == e:
-            continue
-        area += (min(e_next, cfg.e_max) - e) * etpr[i]
-    return float(area / cfg.e_max)
+    e = curve.efpr
+    e_next = np.append(e[1:], cfg.e_max)
+    # points at or past e_max add nothing; of duplicate eFPR values only
+    # the last (envelope max) step counts
+    step = (e < cfg.e_max) & (e_next != e)
+    terms = (np.minimum(e_next[step], cfg.e_max) - e[step]) * etpr[step]
+    # added one term at a time, left to right, onto 0.0
+    return float(np.add.accumulate(np.concatenate([[0.0], terms]))[-1] / cfg.e_max)
 
 
 def segmentize(

@@ -190,7 +190,7 @@ def frame_threshold_merge(post: Posteriorgram, thresholds: Sequence[float], wind
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if thresholds.shape != (post.num_classes,):
         raise ValueError(f"need one threshold per class, got {thresholds.shape}")
-    if thresholds.min(initial=0.0) < 0.0 or thresholds.max(initial=0.0) > 1.0:
+    if not np.all((thresholds >= 0.0) & (thresholds <= 1.0)):
         raise ValueError("thresholds must lie in [0, 1]")
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
@@ -488,7 +488,7 @@ def event_threshold(boxes: Sequence[Event], class_thresholds: Sequence[float]) -
     Onsets and offsets pass through untouched; only membership changes.
     """
     thresholds = np.asarray(class_thresholds, dtype=np.float64)
-    if thresholds.size and (thresholds.min() < 0.0 or thresholds.max() > 1.0):
+    if not np.all((thresholds >= 0.0) & (thresholds <= 1.0)):
         raise ValueError("thresholds must lie in [0, 1]")
     return canonicalize_events([b for b in boxes if b.confidence > thresholds[b.class_idx]])
 
@@ -536,7 +536,7 @@ def tune_csebb(
     posts: Sequence[Posteriorgram],
     refs: Sequence[Event],
     grid: Sequence[CsebbParams],
-    metric: Callable[[list[Event], Sequence[Event]], float],
+    metric: Callable[[list[list[Event]], Sequence[Event]], Sequence[float]],
     class_names: Sequence[str] | None = None,
 ) -> CsebbParams:
     """Grid-search the detector parameters against a validation metric
@@ -548,8 +548,11 @@ def tune_csebb(
     stacked passes capped at about 1 MB of window values however many clips
     there are; each (clip, class, key) keeps one merge trajectory, which
     every (rel_merge, abs_merge) pair stops on, and the boxes of each stop
-    are built once and shared.  Each candidate is scored
-    on exactly the boxes ``csebb_detect`` gives.
+    are built once and shared.  Each candidate is scored on exactly the
+    boxes ``csebb_detect`` gives, and all candidates in one call:
+    ``metric(box_sets, refs)`` takes the boxes of every candidate in grid
+    order and returns one score per candidate, so a PSDS metric can run one
+    ``evaluation.roc_curves`` sweep over the whole grid.
 
     Ties break toward the smaller smoothing window, then lexicographically
     over the remaining parameters, so results never depend on grid order.
@@ -557,9 +560,11 @@ def tune_csebb(
     if not grid:
         raise ValueError("parameter grid is empty")
     search = _BoxSearch(posts, class_names)
-    scored = [(metric(search.boxes(candidate), refs), candidate) for candidate in grid]
-    best_score = max(score for score, _ in scored)
-    contenders = [cand for score, cand in scored if score == best_score]
+    scores = list(metric([search.boxes(candidate) for candidate in grid], refs))
+    if len(scores) != len(grid):
+        raise ValueError(f"metric gave {len(scores)} scores for {len(grid)} candidates")
+    best_score = max(scores)
+    contenders = [cand for score, cand in zip(scores, grid) if score == best_score]
     contenders.sort(key=lambda c: c.sort_key(class_names))
     return contenders[0]
 

@@ -28,6 +28,7 @@ from hetsed.evaluation import (
     joint_score,
     mpauc,
     psds,
+    roc_curves,
     roc_from_confidences,
     segment_scores,
     segmentize,
@@ -114,9 +115,9 @@ def test_criterion_03_csebb_beats_best_single_threshold():
             for rel in (0.4, 0.5, 0.6)
         ]
 
-        def metric(sebbs, refs):
+        def metric(box_sets, refs):
             return _quiet(
-                lambda: psds(roc_from_confidences(sebbs, refs, val_hours, cfg, num_classes), cfg)
+                lambda: [psds(c, cfg) for c in roc_curves(box_sets, refs, val_hours, cfg, num_classes)]
             )
 
         tuned = tune_csebb(val_posts, val_refs, grid, metric)

@@ -207,6 +207,27 @@ def test_readme_walkthrough_tuned_params_and_boxes_are_pinned(tmp_path):
         "cf988f68592aece8468e1a8a7728f9582d47adf98fb4a0ef4bbe5ea1e1cdad55")
 
 
+def test_tune_csebb_with_grid_and_durations_is_pinned(tmp_path):
+    # three candidates scored apart, the winner (window 3) not the first row
+    classes = tmp_path / "classes.txt"
+    classes.write_text("car\ndog\nspeech\n")
+    data = tmp_path / "data"
+    assert run("synth", "--seed", 11, "--clips", 30, "--classes", classes, "--out", data,
+               "--frame-period", 0.05, "--blur", 3, "--noise", 0.1, "--dip-prob", 1.0) == 0
+    grid = tmp_path / "grid.tsv"
+    grid.write_text(
+        "window\thalf_width\trel_merge\tabs_merge\tmin_gap\n"
+        "9\t4\t0.3\t0.05\t0.1\n"
+        "3\t1\t0.1\t0.15\t0.1\n"
+        "5\t2\t0.2\t0.1\t0.05\n"
+    )
+    tuned = tmp_path / "tuned.tsv"
+    assert run("tune-csebb", "--val-posteriors", data / "posteriors", "--val-refs", data / "refs.tsv",
+               "--grid", grid, "--durations", data / "durations.tsv", "--out", tuned) == 0
+    assert hashlib.sha256(tuned.read_bytes()).hexdigest() == (
+        "ab00bf1f6b1c7aff2991fe62658a3a23a405a3e6b52ec0a17b590d5d9e23bf83")
+
+
 def test_postprocess_output_independent_of_jobs(tmp_path):
     data = synth_dir(tmp_path, extra=["--blur", "3", "--noise", "0.05", "--dip-prob", "1.0"])
     outs = []
@@ -321,6 +342,21 @@ def test_postprocess_params_line_error_names_the_file(tmp_path, capsys):
     assert run("postprocess", "--method", "median", "--params", params, "--in", data / "posteriors",
                "--out", tmp_path / "dets.tsv") == 2
     assert f"error: {params}:2: expected 'key = value', got 'window 7'" in capsys.readouterr().err
+
+
+def test_config_and_params_reject_a_repeated_key(tmp_path, capsys):
+    data = synth_dir(tmp_path, clips=2)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("psds.dtc = 0.5\npsds.dtc = 0.9\n")
+    assert run("--config", cfg, "eval", "mpauc", "--posteriors", data / "posteriors", "--refs", data / "refs.tsv") == 2
+    assert f"error: {cfg}:2: key 'psds.dtc' already set on line 1" in capsys.readouterr().err
+    params = tmp_path / "median.cfg"
+    params.write_text("window = 3\nthreshold.car = 0.4\nwindow = 9\n")
+    dets = tmp_path / "dets.tsv"
+    assert run("postprocess", "--method", "median", "--params", params, "--in", data / "posteriors",
+               "--out", dets) == 2
+    assert f"error: {params}:3: key 'window' already set on line 1" in capsys.readouterr().err
+    assert not dets.exists()
 
 
 @pytest.mark.parametrize("text, message", [

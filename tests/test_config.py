@@ -47,3 +47,17 @@ def test_loss_mode_validated(tmp_path):
     path.write_text("train.loss_mode = sideways\n")
     with pytest.raises(ValueError, match="loss_mode"):
         load_config(path)
+
+
+def test_parse_rejects_a_repeated_key():
+    with pytest.raises(ValueError, match=r"^line 3: key 'window' already set on line 1$"):
+        parse_config("window = 3\n# again\nwindow = 9\n")
+    with pytest.raises(ValueError, match=r"^params\.cfg:2: key 'window' already set on line 1$"):
+        parse_config("window = 3\n window=9\n", "params.cfg")
+
+
+def test_load_config_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("psds.dtc = 0.5\npsds.gtc = 0.5\n\npsds.dtc = 0.1\n")
+    with pytest.raises(ValueError, match=r"twice\.cfg:4: key 'psds\.dtc' already set on line 1"):
+        load_config(path)

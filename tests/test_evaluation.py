@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetsed import evaluation
 from hetsed.core import Event, Posteriorgram
 from hetsed.evaluation import (
     OperatingPointCurve,
@@ -16,6 +17,7 @@ from hetsed.evaluation import (
     mpauc_per_class,
     partial_auc_standardized,
     psds,
+    roc_curves,
     roc_from_confidences,
     segment_scores,
     segmentize,
@@ -129,6 +131,8 @@ from oracles import (  # noqa: E402
     brute_force_psds,
     brute_pauc,
     intersection_match,
+    per_set_roc_from_confidences,
+    psds_loop,
     rematch_curve,
     segment_scores_at,
 )
@@ -295,6 +299,110 @@ def test_psds_invariant_under_clip_renaming(case, names):
     assert np.array_equal(renamed.efpr, curve.efpr)
     assert np.array_equal(renamed.tpr, curve.tpr)
     assert psds(renamed, cfg) == psds(curve, cfg)
+
+
+
+# ------------------------------------------ every set in one batched sweep
+
+@st.composite
+def batched_cases(draw):
+    """1-6 detection sets over shared clips, with confidences tied across
+    sets (NaN among them), empty sets, a clip no reference is on and
+    classes out of range; sets share some detection objects and repeat some
+    within a set."""
+    num_classes = draw(st.integers(1, 3))
+    refs = [Event(clip, c, lo, hi) for clip, c, (lo, hi) in
+            draw(st.lists(st.tuples(_clips, st.integers(0, num_classes - 1), _spans), max_size=6))]
+    detection = st.builds(
+        lambda clip, c, span, conf: Event(clip, c, *span, conf),
+        st.sampled_from(["a", "b", "c", "z"]),
+        st.integers(-1, num_classes),
+        _spans,
+        st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0, None, float("nan")]),
+    )
+    shared = draw(st.lists(detection, max_size=8))
+    own = st.sampled_from(shared) | detection if shared else detection
+    det_sets = draw(st.lists(st.lists(own, max_size=10), min_size=1, max_size=6))
+    cfg = PsdsConfig(
+        rho_dtc=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        rho_gtc=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        alpha_st=draw(st.sampled_from([0.0, 1.0])),
+    )
+    return det_sets, refs, draw(st.sampled_from([0.05, 1.0])), cfg, num_classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(batched_cases())
+def test_batched_sweep_equals_the_per_set_sweep_and_the_rematch_oracle(case):
+    det_sets, refs, hours, cfg, num_classes = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curves = roc_curves(det_sets, refs, hours, cfg, num_classes)
+        alone = [per_set_roc_from_confidences(dets, refs, hours, cfg, num_classes) for dets in det_sets]
+    assert len(curves) == len(det_sets)
+    for dets, curve, expected in zip(det_sets, curves, alone):
+        others = [expected]
+        # the re-match oracle has no order for NaN thresholds
+        if not any(d.confidence != d.confidence for d in dets):
+            others.append(rematch_curve(dets, refs, hours, cfg, num_classes))
+        for other in others:
+            assert np.array_equal(curve.efpr, other.efpr)
+            assert np.array_equal(curve.tpr, other.tpr)
+            assert np.array_equal(curve.included, other.included)
+        assert psds(curve, cfg) == psds_loop(expected, cfg)
+
+
+def test_batched_sweep_in_capped_passes_equals_the_per_set_sweep(monkeypatch):
+    # a pass takes whole sets up to the cap, and at least one set
+    monkeypatch.setattr(evaluation, "_SWEEP_DETECTIONS", 5)
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        _, refs, hours, num_classes = _random_case(rng)
+        det_sets = [_random_case(rng)[0] for _ in range(int(rng.integers(1, 7)))]
+        det_sets.append(det_sets[0] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            curves = roc_curves(det_sets, refs, hours, CFG, num_classes)
+            alone = [per_set_roc_from_confidences(dets, refs, hours, CFG, num_classes) for dets in det_sets]
+        assert len(curves) == len(det_sets)
+        for curve, expected in zip(curves, alone):
+            assert np.array_equal(curve.efpr, expected.efpr)
+            assert np.array_equal(curve.tpr, expected.tpr)
+
+
+def test_batched_sweep_warns_at_the_caller_and_names_the_first_bad_detection():
+    refs = [Event("a", 0, 0.0, 1.0)]
+    with pytest.warns(UserWarning, match=r"excluded from PSDS: \[1\]") as caught:
+        roc_curves([[]], refs, 1.0, CFG, 2)
+        roc_from_confidences([], refs, 1.0, CFG, 2)
+    assert [w.filename for w in caught] == [__file__, __file__]
+    bad = Event("a", 0, 2.0, 2.0, 0.5)
+    with pytest.raises(ValueError, match="detection needs finite times") as err:
+        roc_curves([[Event("a", 0, 0.0, 1.0, 0.5)], [Event("a", 0, 1.0, 3.0, 0.5), bad]], refs, 1.0, CFG, 1)
+    assert str(bad) in str(err.value)
+    with pytest.raises(ValueError, match="total_hours"):
+        roc_curves([[]], refs, 0.0, CFG, 1)
+
+
+@st.composite
+def curves(draw):
+    num_classes = draw(st.integers(1, 3))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 7.25, 40.0, 99.5, 100.0, 250.0]), max_size=12))
+    efpr = np.cumsum(steps)
+    rates = st.floats(0.0, 1.0, allow_subnormal=False)
+    tpr = np.array(draw(st.lists(st.lists(rates, min_size=num_classes, max_size=num_classes),
+                                 min_size=efpr.size, max_size=efpr.size))).reshape(efpr.size, num_classes)
+    included = np.array(draw(st.lists(st.booleans(), min_size=num_classes, max_size=num_classes)))
+    cfg = PsdsConfig(alpha_st=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                     e_max=draw(st.sampled_from([0.5, 40.0, 100.0, 1000.0])))
+    return OperatingPointCurve(efpr=efpr, tpr=tpr, included=included), cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(curves())
+def test_psds_area_equals_the_loop_over_curve_points(case):
+    curve, cfg = case
+    assert psds(curve, cfg) == psds_loop(curve, cfg)
 
 
 # ----------------------------------------------------------------- segments

@@ -80,6 +80,13 @@ def test_frame_threshold_merge_rejects_bad_windows():
             frame_threshold_merge(post, [0.5], window)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+def test_frame_threshold_merge_rejects_thresholds_outside_the_unit_interval(bad):
+    post = post_of(np.full((4, 2), 0.9))
+    with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
+        frame_threshold_merge(post, [0.5, bad])
+
+
 def test_frame_threshold_merge_multiclass_runs():
     scores = np.zeros((6, 2))
     scores[1:3, 0] = 0.9
@@ -179,6 +186,12 @@ def test_event_threshold_pass_and_reject():
     assert event_threshold(boxes_fixture(), [1.0, 1.0]) == []
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+def test_event_threshold_rejects_thresholds_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
+        event_threshold(boxes_fixture(), [bad, 0.5])
+
+
 def test_event_threshold_keeps_boundaries_bit_identical():
     kept = event_threshold(boxes_fixture(), [0.5, 0.5])
     assert len(kept) == 1
@@ -271,8 +284,9 @@ def _dip_fixture():
     return posts
 
 
-def box_count_metric(sebbs, refs):
-    return -abs(len(sebbs) - 3)  # plant: exactly one box per clip is optimal
+def box_count_metric(box_sets, refs):
+    # plant: exactly one box per clip is optimal
+    return [-abs(len(boxes) - 3) for boxes in box_sets]
 
 
 def test_tune_csebb_singleton_grid():
@@ -297,7 +311,7 @@ def test_tune_csebb_selects_planted_optimum():
 def test_tune_csebb_tie_breaks_toward_smaller_window():
     small = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
     large = CsebbParams(default=ClassSebbParams(window=11, half_width=5))
-    best = tune_csebb(_dip_fixture(), [], [large, small], lambda s, r: 0.0)
+    best = tune_csebb(_dip_fixture(), [], [large, small], lambda sets, r: [0.0] * len(sets))
     assert best is small
 
 
@@ -313,9 +327,15 @@ def test_tune_csebb_scores_the_boxes_csebb_detect_gives():
                     per_class={"y": ClassSebbParams(window=7, half_width=2, min_gap=0.05)})
     ]
     seen = []
-    tune_csebb(posts, [], grid, lambda sebbs, refs: seen.append(sebbs) or 0.0, names)
+    tune_csebb(posts, [], grid, lambda box_sets, refs: seen.extend(box_sets) or [0.0] * len(box_sets), names)
     assert seen == [[b for p in posts for b in csebb_detect(p, cand, names)] for cand in grid]
     assert len({len(boxes) for boxes in seen}) > 1
+
+
+def test_tune_csebb_needs_one_score_per_candidate():
+    grid = default_grid()[:3]
+    with pytest.raises(ValueError, match="metric gave 2 scores for 3 candidates"):
+        tune_csebb(_dip_fixture(), [], grid, lambda box_sets, refs: [0.0, 0.0])
 
 
 def test_tune_csebb_empty_grid():
@@ -580,7 +600,7 @@ def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_bo
     monkeypatch.setattr(postprocess, "moving_average",
                         lambda scores, window: passes.append((scores.shape, window)) or smooth(scores, window))
     seen = []
-    tune_csebb(posts, [], grid, lambda boxes, refs: seen.append(boxes) or 0.0, names)
+    tune_csebb(posts, [], grid, lambda box_sets, refs: seen.extend(box_sets) or [0.0] * len(box_sets), names)
     # every pass stacks clips of one frame count within the cap; the eight
     # 400-frame clips take more than one pass at window 21
     assert all(8 * rows * window * t <= postprocess._STACK_BYTES for (t, rows), window in passes if rows > 3)
