@@ -248,7 +248,7 @@ def _cmd_postprocess(args, cfg) -> int:
 
     if args.method == "csebb":
         params = formats.read_csebb_params(args.params) if args.params else postprocess.CsebbParams()
-        boxes = [b for post, _ in loaded for b in postprocess.csebb_detect(post, params, class_names)]
+        boxes = postprocess.csebb_detect([post for post, _ in loaded], params, class_names)
         formats.write_soft_events_tsv(args.out, boxes, class_names)
         print(f"wrote {len(boxes)} boxes to {args.out}", file=sys.stderr)
         return EXIT_OK

@@ -21,6 +21,7 @@ PSDS + mPAUC.
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -49,14 +50,14 @@ class PsdsConfig:
     e_max: float = 100.0  # FP-per-hour integration limit
 
     def __post_init__(self) -> None:
-        if self.e_max <= 0:
-            raise ValueError(f"e_max must be > 0, got {self.e_max}")
+        if not 0.0 < self.e_max < math.inf:
+            raise ValueError(f"e_max must be finite and > 0, got {self.e_max}")
         for name in ("rho_dtc", "rho_gtc"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.alpha_st < 0:
-            raise ValueError("alpha_st must be >= 0")
+        if not 0.0 <= self.alpha_st < math.inf:
+            raise ValueError(f"alpha_st must be finite and >= 0, got {self.alpha_st}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +84,11 @@ class OperatingPointCurve:
             raise ValueError(f"inconsistent curve shapes: {efpr.shape}, {tpr.shape}")
         if included.shape != (tpr.shape[1],):
             raise ValueError("included mask must have one entry per class")
-        if np.any(np.diff(efpr) < 0):
-            raise ValueError("efpr must be non-decreasing")
-        if efpr.size and (efpr[0] < 0 or tpr.min(initial=0) < 0 or tpr.max(initial=0) > 1):
+        # each test holds for real numbers only, so NaN fails it
+        if not (np.all(efpr >= 0) and np.all((tpr >= 0) & (tpr <= 1))):
             raise ValueError("efpr must be >= 0 and tpr within [0, 1]")
+        if not np.all(np.diff(efpr) >= 0):
+            raise ValueError("efpr must be non-decreasing")
 
 
 def _keyed(group: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -225,14 +227,13 @@ def _distinct(events: list[Event]) -> tuple[list[Event], np.ndarray]:
 def _levels(negated: np.ndarray, owner: np.ndarray, n_sets: int) -> tuple[np.ndarray, np.ndarray]:
     """Thresholds keyed by (set, -confidence): for each detection the index
     of its level, and for each level its set.  Levels run in key order, so
-    each set owns a contiguous range of them, its highest threshold first;
-    NaNs come last in their set and share one level, as np.unique has them."""
+    each set owns a contiguous range of them, its highest threshold first."""
     order = np.argsort(negated)
     # stable on the narrowest integer type, which numpy radix-sorts
     order = order[np.argsort(owner[order].astype(np.min_scalar_type(n_sets)), kind="stable")]
-    value, nan, owner = negated[order], np.isnan(negated[order]), owner[order]
+    value, owner = negated[order], owner[order]
     new = np.ones(order.size, dtype=bool)
-    new[1:] = (owner[1:] != owner[:-1]) | ((value[1:] != value[:-1]) & ~(nan[1:] & nan[:-1]))
+    new[1:] = (owner[1:] != owner[:-1]) | (value[1:] != value[:-1])
     return _runs(order, new), owner[new]
 
 
@@ -358,10 +359,13 @@ def _counts(
     # once: the u_ arrays run over the distinct objects, and ``which`` maps
     # every detection to its object; a lone set is taken as it is
     distinct, which = _distinct(dets) if n_sets > 1 else (dets, np.arange(len(dets)))
-    confidences = [1.0 if d.confidence is None else d.confidence for d in distinct]
+    confidences = np.array([1.0 if d.confidence is None else d.confidence for d in distinct], dtype=np.float64)
+    bad = np.flatnonzero(~((confidences >= 0.0) & (confidences <= 1.0)))
+    if bad.size:
+        raise ValueError(f"detection confidence must be in [0, 1], got {distinct[bad[0]]}")
     # level t holds the detections of its set kept from the set's t-th
     # highest threshold on
-    level_of, level_set = _levels(-np.asarray(confidences, dtype=np.float64)[which],
+    level_of, level_set = _levels(-confidences[which],
                                   np.repeat(np.arange(n_sets), [len(dets) for dets in det_sets]), n_sets)
 
     # references: one group per (clip, class), sorted by (group, onset)

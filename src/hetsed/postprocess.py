@@ -13,23 +13,15 @@ every segment a scalar confidence; sensitivity is then controlled purely by
 event-level thresholding, which never moves a surviving box's boundaries.
 
 Each step takes a whole [T, C] posteriorgram in a few whole-array passes
-rather than one class track at a time: the filters run along axis 0, and the
-frame runs and the change points of all classes come out of one pass.  No
-step builds the [T, C, window] sliding windows: the moving average adds
-shifted copies of the padded tracks, median-filtered events count the frames
-above threshold in each window, and the change points are picked on the
-dense [C, T] grid.  Results equal the track-by-track computation bit for
-bit; segment sums stay one ``sum()`` per segment, because a cumulative sum
-would change the last bit.
+rather than one class track at a time, and none builds the [T, C, window]
+sliding windows; results equal the track-by-track computation bit for bit.
 
-Box detection over many clips and parameter sets (``tune_csebb``) does each
-piece of work once.  The clips of one frame count are stacked column-wise
-and segmented together, once per smoothing key (window, half_width,
-min_gap), in passes capped at about 1 MB of window values (rows x frames x
-window).  Each segmented track keeps one greedy merge
-trajectory, shared by every (rel_merge, abs_merge) pair, and the boxes of
-each stopping step are built once.  ``csebb_detect`` is the one-clip call
-into the same path.
+Box detection (``csebb_detect`` for one parameter set, ``tune_csebb`` for a
+grid) treats all clips and candidates as one problem.  The clips of one
+frame count are smoothed and cut together, once per smoothing key (window,
+half_width, min_gap), into flat per-segment arrays.  One greedy merge then
+runs in lock step over every track of every key, and each (rel_merge,
+abs_merge) candidate reads its boxes off the step where it stops.
 """
 
 from __future__ import annotations
@@ -230,9 +222,10 @@ def _anchored_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> list[np.ndarray]:
-    """Per row of ``tracks`` [K, T]: the plateau-midpoint local maxima of the
-    two-sided step response |d|.
+def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> np.ndarray:
+    """The plateau-midpoint local maxima of the two-sided step response |d|
+    of every row of ``tracks`` [K, T], as ascending flat indices row * T +
+    frame.
 
     d[t] = y[t+s] - y[t-s] with edge replication.  A plateau is a run of |d|
     values within a tolerance of the run's first value (the same mean
@@ -276,141 +269,28 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> list[
     keep[:, -1] &= first[:, -1] > flat[:, 0]
     keep[:, 0] = False
     last = np.flatnonzero(keep)
-    # the midpoint rounded up, as a frame of its row
-    mid = (first.ravel()[last] + last + 1) // 2 % t
-    bounds = [*np.searchsorted(last, flat[:, 0]).tolist(), last.size]
-    return [mid[i:j] for i, j in zip(bounds[:-1], bounds[1:])]
+    # the midpoint rounded up, in the plateau's row
+    return (first.ravel()[last] + last + 1) // 2
 
 
-class _Track:
-    """One segmented class track of one clip and its greedy merge trajectory.
-
-    The merge joins the adjacent pair of segments with the smallest mean
-    difference (the first pair on a tie) until that difference reaches
-    max(abs_merge, rel_merge * the larger of the pair's means).  The order of
-    the merges does not depend on the thresholds, only the step where they
-    stop does.  So each step is recorded once as (difference, larger mean,
-    pair index), only as far as the furthest stop asked for so far, and
-    every threshold pair reads its stop off the same steps; the boxes of
-    each stop are built once.
-    """
-
-    __slots__ = ("_segments", "_where", "_state", "_merged", "steps", "_boxes")
-
-    def __init__(self, sums: list[float], lengths: list[int], clip_id: str, class_idx: int,
-                 frame_period: float) -> None:
-        self._segments = (sums, lengths)
-        self._where = (clip_id, class_idx, frame_period)
-        # (sums, lengths, means, mean differences) after ``_merged`` merges,
-        # built on the first step; ``_merged`` trails ``steps`` by at most
-        # the one step last recorded
-        self._state: tuple | None = None
-        self._merged = 0
-        self.steps: list[tuple[float, float, int]] = []
-        self._boxes: dict[int, list[Event]] = {}
-
-    def stop(self, rel_merge: float, abs_merge: float) -> int:
-        """The number of merges made under these thresholds."""
-        j = 0
-        while j < len(self.steps) or self._extend():
-            diff, larger, _ = self.steps[j]
-            if diff >= max(abs_merge, rel_merge * larger):
-                return j
-            j += 1
-        return j
-
-    def _extend(self) -> bool:
-        """Record the next merge step; False once one segment is left."""
-        if self._state is None:
-            sums, lengths = self._segments
-            means = [s / n for s, n in zip(sums, lengths)]
-            self._state = (list(sums), list(lengths), means, [abs(b - a) for a, b in zip(means, means[1:])])
-        sums, lengths, means, diffs = self._state
-        if self._merged < len(self.steps):
-            k = self.steps[-1][2]
-            _merge_pair(sums, lengths, k)
-            self._merged += 1
-            means[k] = sums[k] / lengths[k]
-            del means[k + 1], diffs[k]
-            if k > 0:
-                diffs[k - 1] = abs(means[k] - means[k - 1])
-            if k < len(diffs):
-                diffs[k] = abs(means[k + 1] - means[k])
-        if not diffs:
-            return False
-        diff = min(diffs)
-        k = diffs.index(diff)
-        self.steps.append((diff, max(means[k], means[k + 1]), k))
-        return True
-
-    def state(self, stop: int) -> tuple[list[float], list[int]]:
-        """(segment sums, segment lengths) after ``stop`` merges, for a stop
-        already returned by ``stop()``."""
-        if stop == 0:
-            return self._segments
-        if stop == self._merged:
-            return self._state[0], self._state[1]
-        sums, lengths = list(self._segments[0]), list(self._segments[1])
-        for _, _, k in self.steps[:stop]:
-            _merge_pair(sums, lengths, k)
-        return sums, lengths
-
-    def boxes(self, stop: int) -> list[Event]:
-        """The boxes after ``stop`` merges: every segment whose mean clears
-        the noise floor, with that mean as its confidence."""
-        if stop not in self._boxes:
-            clip_id, c, fp = self._where
-            boxes = []
-            start = 0
-            for s, n in zip(*self.state(stop)):
-                mean = s / n
-                if mean > NOISE_FLOOR:
-                    boxes.append(Event(clip_id, c, start * fp, (start + n) * fp, min(1.0, max(0.0, mean))))
-                start += n
-            self._boxes[stop] = boxes
-        return self._boxes[stop]
+# Cap on one stacked segmentation pass, in [rows, T] cells.  A pass holds
+# about a dozen [rows, T] arrays at once (the change-point search's index
+# arrays), about 1.1 MB here; 32-row passes of 500 frames ran fastest.
+_STACK_CELLS = 1 << 14
 
 
-def _merge_pair(sums: list[float], lengths: list[int], k: int) -> None:
-    sums[k] += sums.pop(k + 1)
-    lengths[k] += lengths.pop(k + 1)
-
-
-def _segments(
-    scores: np.ndarray, window: int, half_width: int, min_gap: float
-) -> list[tuple[list[float], list[int]]]:
-    """Smooth every column of ``scores`` [T, C] and cut it at its change
-    points: per column, (segment sums of the smoothed track, segment lengths)."""
-    tracks = np.ascontiguousarray(moving_average(scores, window).T)
-    t = tracks.shape[1]
-    out = []
-    for track, cuts in zip(tracks, _change_points(tracks, half_width, min_gap)):
-        edges = [0, *cuts.tolist(), t]
-        sums = [float(track[a:b].sum()) for a, b in zip(edges[:-1], edges[1:])]
-        out.append((sums, [b - a for a, b in zip(edges[:-1], edges[1:])]))
-    return out
-
-
-# Cap on one stacked segmentation pass, in bytes of its rows x T x window
-# float64 window values.  Nothing builds those windows: the moving average
-# and the change points work on [rows, T] arrays, each at most
-# _STACK_BYTES / window bytes.
-_STACK_BYTES = 1 << 20
-
-
-def _stacked_passes(posts: Sequence[Posteriorgram], window: int):
+def _stacked_passes(posts: Sequence[Posteriorgram]):
     """Clip indices grouped into segmentation passes: clips of one frame
-    count, as many as keep the pass's window values within _STACK_BYTES (at
-    least one clip per pass)."""
+    count, as many as keep the pass within _STACK_CELLS cells (at least one
+    clip per pass)."""
     by_frames: dict[int, list[int]] = {}
     for i, post in enumerate(posts):
         by_frames.setdefault(post.num_frames, []).append(i)
     for t, members in by_frames.items():
-        max_rows = _STACK_BYTES // (8 * t * window)
         group: list[int] = []
         rows = 0
         for i in members:
-            if group and rows + posts[i].num_classes > max_rows:
+            if group and (rows + posts[i].num_classes) * t > _STACK_CELLS:
                 yield group
                 group, rows = [], 0
             group.append(i)
@@ -418,68 +298,176 @@ def _stacked_passes(posts: Sequence[Posteriorgram], window: int):
         yield group
 
 
-class _BoxSearch:
-    """Boxes of a fixed set of clips under any number of parameter sets.
+def _segment_arrays(posts: Sequence[Posteriorgram], first_track: np.ndarray, key: tuple) -> tuple:
+    """Every class track of every clip smoothed and cut at its change points
+    under one smoothing key (window, half_width, min_gap), as flat
+    per-segment arrays (track, start frame, length, sum of the smoothed
+    scores); track ``first_track[i] + c`` is class c of clip i."""
+    window, half_width, min_gap = key
+    parts = []
+    for group in _stacked_passes(posts):
+        scores = [posts[i].scores for i in group]
+        tracks = np.ascontiguousarray(moving_average(scores[0] if len(group) == 1 else np.hstack(scores), window).T)
+        rows, t = tracks.shape
+        # segments open at each row's first frame and at its change points,
+        # as flat indices into the [rows, t] tracks
+        opens = np.sort(np.concatenate([np.arange(rows) * t, _change_points(tracks, half_width, min_gap)]))
+        length = np.diff(opens, append=rows * t)
+        row, start = np.divmod(opens, t)
+        # one contiguous [m, n] gather per segment length, summed along its
+        # rows: the bits of summing each segment of its track alone
+        flat = tracks.ravel()
+        total = np.empty(opens.size)
+        order = np.argsort(length, kind="stable")
+        bounds = np.flatnonzero(np.diff(length[order], prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            same = order[lo:hi]
+            total[same] = flat[opens[same, None] + np.arange(length[same[0]])].sum(axis=1)
+        track = np.concatenate([first_track[i] + np.arange(posts[i].num_classes) for i in group])
+        parts.append((track[row], start, length, total))
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
 
-    Segmentation runs once per smoothing key (window, half_width, min_gap),
-    stacked over the clips; each (clip, class, key) keeps one ``_Track``.
-    Every column of a stacked pass is smoothed, cut and summed as it would
-    be alone, so the boxes equal those of one clip at a time bit for bit.
+
+def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.ndarray,
+                        cand_abs: np.ndarray) -> tuple:
+    """The greedy merge of many segmented tracks in lock step, stopped for
+    any number of (rel_merge, abs_merge) candidates per track.
+
+    ``segments`` is (track, start, length, sum), each track's segments
+    together and in time order; candidate j stops on track cand_track[j].
+    Each step merges, on every track, the adjacent pair with the smallest
+    mean difference (the first pair on a tie).  A candidate stops before the
+    step whose difference reaches max(abs_merge, rel_merge * the larger of
+    the pair's means), or once one segment is left.  A track is merged only
+    until its last candidate stops, and the boxes of a track's state are
+    taken once, however many candidates stop there.
+
+    Returns the boxes as (track, start, length, mean) arrays and, per
+    candidate, the [begin, end) range of its boxes in them.
     """
+    track, start, length, total = segments
+    order = np.argsort(track, kind="stable")
+    track, start, length, total = (a[order] for a in (track, start, length, total))
+    cand = np.arange(cand_track.size)
+    begin = np.empty(cand.size, dtype=np.intp)
+    end = np.empty(cand.size, dtype=np.intp)
+    boxes = [(track[:0], start[:0], length[:0], total[:0])]
+    emitted = 0
+    while cand.size:
+        first = np.flatnonzero(np.diff(track, prepend=-1))
+        counts = np.diff(first, append=track.size)
+        means = total / length
+        diffs = np.append(np.abs(np.diff(means)), np.inf)
+        diffs[first[1:] - 1] = np.inf  # no pair across two tracks
+        smallest = np.minimum.reduceat(diffs, first)
+        # the first pair of each track at its smallest difference
+        ties = np.flatnonzero(diffs == np.repeat(smallest, counts))
+        pair = ties[np.diff(track[ties], prepend=-1) != 0]
+        # (a one-segment track has no pair; its inf difference stops all)
+        larger = np.maximum(means[pair], means[np.minimum(pair + 1, track.size - 1)])
+        at = np.searchsorted(track[first], cand_track[cand])
+        stops = smallest[at] >= np.maximum(cand_abs[cand], cand_rel[cand] * larger[at])
+        # the boxes of every track where a candidate stops
+        shown = np.zeros(first.size, dtype=bool)
+        shown[at[stops]] = True
+        shown = np.repeat(shown, counts) & (means > NOISE_FLOOR)
+        per_track = np.add.reduceat(shown, first)
+        opens = emitted + np.cumsum(per_track) - per_track
+        begin[cand[stops]] = opens[at[stops]]
+        end[cand[stops]] = opens[at[stops]] + per_track[at[stops]]
+        boxes.append((track[shown], start[shown], length[shown], means[shown]))
+        emitted += boxes[-1][0].size
+        cand, at = cand[~stops], at[~stops]
+        # merge on the tracks with a candidate left; drop the others
+        live = np.zeros(first.size, dtype=bool)
+        live[at] = True
+        into = pair[live]
+        total[into] += total[into + 1]
+        length[into] += length[into + 1]
+        keep = np.repeat(live, counts)
+        keep[into + 1] = False
+        track, start, length, total = (a[keep] for a in (track, start, length, total))
+    return tuple(np.concatenate(columns) for columns in zip(*boxes)), begin, end
 
-    def __init__(self, posts: Sequence[Posteriorgram], class_names: Sequence[str] | None) -> None:
-        for post in posts:
-            if class_names is not None and len(class_names) != post.num_classes:
-                raise ValueError("class_names length must match the posteriorgram")
-        self._posts = list(posts)
-        self._names = class_names
-        self._tracks: dict[tuple, list[list[_Track]]] = {}
 
-    def boxes(self, params: CsebbParams) -> list[Event]:
-        if self._names is None:
-            chosen = [params.default] * max((post.num_classes for post in self._posts), default=0)
-        else:
-            chosen = [params.for_class(name) for name in self._names]
-        tracks = [self._tracks_for((p.window, p.half_width, p.min_gap)) for p in chosen]
-        boxes: list[Event] = []
-        for i, post in enumerate(self._posts):
-            for c in range(post.num_classes):
-                track = tracks[c][i][c]
-                boxes.extend(track.boxes(track.stop(chosen[c].rel_merge, chosen[c].abs_merge)))
-        return boxes
+def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
+              class_names: Sequence[str] | None) -> list[list[Event]]:
+    """The boxes of all clips under each parameter set of ``grid``, each
+    list in (clip, class, time) order.
 
-    def _tracks_for(self, key: tuple) -> list[list[_Track]]:
-        if key not in self._tracks:
-            per_clip: list = [None] * len(self._posts)
-            for group in _stacked_passes(self._posts, key[0]):
-                scores = [self._posts[i].scores for i in group]
-                columns = iter(_segments(scores[0] if len(group) == 1 else np.hstack(scores), *key))
-                for i in group:
-                    post = self._posts[i]
-                    per_clip[i] = [
-                        _Track(*next(columns), post.clip_id, c, post.frame_period)
-                        for c in range(post.num_classes)
-                    ]
-            self._tracks[key] = per_clip
-        return self._tracks[key]
+    Tracks are numbered clip-major, class-minor.  A candidate entry is one
+    (smoothing key, class, rel_merge, abs_merge) that some parameter set
+    asks of every track of that class.  Each smoothing key segments all
+    tracks once, one lock-step merge serves every entry, and parameter sets
+    that reach the same merge state share its ``Event`` objects.
+    """
+    if class_names is not None and any(len(class_names) != post.num_classes for post in posts):
+        raise ValueError("class_names length must match the posteriorgram")
+    widths = [post.num_classes for post in posts]
+    first_track = np.cumsum([0] + widths)
+    n_tracks = int(first_track[-1])
+    if n_tracks == 0:
+        return [[] for _ in grid]
+    class_of = np.arange(n_tracks) - np.repeat(first_track[:-1], widths)
+    n_classes = max(widths) if class_names is None else len(class_names)
+    rows_of = [np.flatnonzero(class_of == c) for c in range(n_classes)]
+    keys: dict[tuple, int] = {}
+    entries: dict[tuple, int] = {}
+    picks = []  # per parameter set, the entry of each class
+    for params in grid:
+        chosen = [params.default] * n_classes if class_names is None else map(params.for_class, class_names)
+        picks.append([
+            entries.setdefault((keys.setdefault((p.window, p.half_width, p.min_gap), len(keys)),
+                                c, p.rel_merge, p.abs_merge), len(entries))
+            for c, p in enumerate(chosen)
+        ])
+    sizes = [rows_of[c].size for _, c, _, _ in entries]
+    first_cand = np.cumsum(sizes) - sizes
+    segments = [_segment_arrays(posts, first_track + k * n_tracks, key) for key, k in keys.items()]
+    (track, start, length, mean), begin, end = _greedy_merge_stops(
+        tuple(np.concatenate(columns) for columns in zip(*segments)),
+        np.concatenate([k * n_tracks + rows_of[c] for k, c, _, _ in entries]),
+        np.repeat([rel for _, _, rel, _ in entries], sizes),
+        np.repeat([abs_ for _, _, _, abs_ in entries], sizes),
+    )
+    track %= n_tracks
+    clip = np.repeat(np.arange(len(posts)), widths)[track]
+    period = np.array([post.frame_period for post in posts])[clip]
+    clip_ids = [post.clip_id for post in posts]
+    events = [
+        Event(clip_ids[i], c, onset, offset, confidence)
+        for i, c, onset, offset, confidence in zip(
+            clip.tolist(), class_of[track].tolist(), (start * period).tolist(),
+            ((start + length) * period).tolist(), np.minimum(mean, 1.0).tolist(),
+        )
+    ]
+    out = []
+    for pick in picks:
+        cand = np.empty(n_tracks, dtype=np.intp)
+        for rows, e in zip(rows_of, pick):
+            cand[rows] = first_cand[e] + np.arange(rows.size)
+        lo, n = begin[cand], end[cand] - begin[cand]
+        index = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        out.append([events[i] for i in index.tolist()])
+    return out
 
 
 def csebb_detect(
-    post: Posteriorgram,
+    posts: Sequence[Posteriorgram],
     params: CsebbParams = CsebbParams(),
     class_names: Sequence[str] | None = None,
 ) -> list[Event]:
-    """Change-point sound event bounding box detector.
+    """Change-point sound event bounding box detector, over many clips.
 
-    Per class: smooth the track, locate change points with a two-sided step
+    Per class track: smooth it, locate change points with a two-sided step
     filter, partition the clip at those points, greedily merge segments with
     similar means, and emit every merged segment whose mean smoothed score
-    clears the noise floor as a box with confidence = that mean.  Smoothing
-    and change points run once per (window, half_width, min_gap) for all
-    classes together; only the merge step is per class.  This is the
-    one-clip case of the path ``tune_csebb`` takes.
+    clears the noise floor as a box with confidence = that mean.  The boxes
+    of all ``posts`` come back in (clip, class, time) order, equal to those
+    of one clip at a time; this is the one-candidate case of
+    ``tune_csebb``'s search.
     """
-    return _BoxSearch([post], class_names).boxes(params)
+    return _box_sets(posts, [params], class_names)[0]
 
 
 def event_threshold(boxes: Sequence[Event], class_thresholds: Sequence[float]) -> list[Event]:
@@ -543,15 +531,12 @@ def tune_csebb(
     (per-class parameters tuned on validation data: Ebbers et al., "Sound
     event bounding boxes", Interspeech 2024).
 
-    No candidate repeats work another has done.  All clips are segmented
-    together once per smoothing key (window, half_width, min_gap), in
-    stacked passes capped at about 1 MB of window values however many clips
-    there are; each (clip, class, key) keeps one merge trajectory, which
-    every (rel_merge, abs_merge) pair stops on, and the boxes of each stop
-    are built once and shared.  Each candidate is scored on exactly the
-    boxes ``csebb_detect`` gives, and all candidates in one call:
-    ``metric(box_sets, refs)`` takes the boxes of every candidate in grid
-    order and returns one score per candidate, so a PSDS metric can run one
+    Each candidate is scored on exactly the boxes ``csebb_detect`` gives,
+    all found in one search: each smoothing key segments the clips once,
+    one merge serves every (rel_merge, abs_merge) pair, and candidates
+    reaching the same merge state share its boxes.  ``metric(box_sets,
+    refs)`` takes the boxes of every candidate in grid order and returns one
+    score per candidate, so a PSDS metric can run one
     ``evaluation.roc_curves`` sweep over the whole grid.
 
     Ties break toward the smaller smoothing window, then lexicographically
@@ -559,8 +544,7 @@ def tune_csebb(
     """
     if not grid:
         raise ValueError("parameter grid is empty")
-    search = _BoxSearch(posts, class_names)
-    scores = list(metric([search.boxes(candidate) for candidate in grid], refs))
+    scores = list(metric(_box_sets(posts, grid, class_names), refs))
     if len(scores) != len(grid):
         raise ValueError(f"metric gave {len(scores)} scores for {len(grid)} candidates")
     best_score = max(scores)

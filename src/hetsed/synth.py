@@ -42,8 +42,11 @@ def gen_ground_truth(
     """
     if num_classes < 1:
         raise ValueError(f"need at least one class, got {num_classes}")
-    if mean_events_per_clip < 0:
-        raise ValueError("mean_events_per_clip must be >= 0")
+    # each range test holds for real numbers only, so NaN fails it
+    if not 0.0 <= mean_events_per_clip < math.inf:
+        raise ValueError(f"mean_events_per_clip must be finite and >= 0, got {mean_events_per_clip}")
+    if snap is not None and not 0.0 < snap < math.inf:
+        raise ValueError(f"snap must be finite and > 0, got {snap}")
     events: list[Event] = []
     metas: list[ClipMetadata] = []
     lo, hi = DURATION_RANGE
@@ -89,6 +92,14 @@ def render_posteriors(
     every event of 2 s or more carries a dip at dip_prob = 1); each slot
     notches 2 to 4 frames down to 0.3x with probability dip_prob.
     """
+    if not 0.0 < frame_period < math.inf:
+        raise ValueError(f"frame_period must be finite and > 0, got {frame_period}")
+    if not blur >= 0:
+        raise ValueError(f"blur must be >= 0, got {blur}")
+    if not 0.0 <= noise_sd < math.inf:
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
+    if not 0.0 <= dip_prob <= 1.0:
+        raise ValueError(f"dip_prob must be in [0, 1], got {dip_prob}")
     if (noise_sd > 0 or dip_prob > 0) and rng is None:
         raise ValueError("rng is required for noise or dips")
     by_clip: dict[str, list[Event]] = {}

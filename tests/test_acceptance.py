@@ -121,9 +121,7 @@ def test_criterion_03_csebb_beats_best_single_threshold():
             )
 
         tuned = tune_csebb(val_posts, val_refs, grid, metric)
-        boxes = []
-        for post in test_posts:
-            boxes.extend(csebb_detect(post, tuned))
+        boxes = csebb_detect(test_posts, tuned)
         csebb_value = _quiet(
             lambda: psds(roc_from_confidences(boxes, test_refs, test_hours, cfg, num_classes), cfg)
         )

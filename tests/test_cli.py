@@ -591,3 +591,47 @@ def test_eval_psds_scores_files_with_different_class_sets(tmp_path, case):
     report = tmp_path / "psds.tsv"
     assert run("eval", "psds", "--dets", dets, "--refs", refs, "--durations", durations, "--out", report) == 0
     assert report.read_text() == "key\tvalue\n" + report_rows
+
+
+@pytest.mark.parametrize("flag, value, shown", [
+    ("--emax", "nan", "e_max"), ("--emax", "inf", "e_max"),
+    ("--alpha-st", "nan", "alpha_st"), ("--alpha-st", "inf", "alpha_st"),
+])
+def test_eval_psds_rejects_a_non_finite_emax_or_alpha_st(tmp_path, capsys, flag, value, shown):
+    data = synth_dir(tmp_path, clips=2)
+    assert run("eval", "psds", "--dets", data / "refs.tsv", "--refs", data / "refs.tsv",
+               "--durations", data / "durations.tsv", flag, value) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {shown} must be finite" in captured.err
+
+
+@pytest.mark.parametrize("line", ["psds.emax = nan", "psds.emax = -inf", "psds.alpha_st = inf"])
+def test_tune_csebb_rejects_a_non_finite_psds_config_twin(tmp_path, capsys, line):
+    data = synth_dir(tmp_path, clips=2)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run("--config", cfg, "tune-csebb", "--val-posteriors", data / "posteriors",
+               "--val-refs", data / "refs.tsv", "--out", tmp_path / "tuned.tsv") == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "tuned.tsv").exists()
+
+
+@pytest.mark.parametrize("flags, shown", [
+    (["--noise", "nan"], "noise_sd must be finite and >= 0, got nan"),
+    (["--noise", "-1"], "noise_sd must be finite and >= 0, got -1.0"),
+    (["--dip-prob", "nan"], "dip_prob must be in [0, 1], got nan"),
+    (["--dip-prob", "2"], "dip_prob must be in [0, 1], got 2.0"),
+    (["--blur", "-3"], "blur must be >= 0, got -3"),
+    (["--mean-events", "nan"], "mean_events_per_clip must be finite and >= 0, got nan"),
+    (["--frame-period", "nan"], "snap must be finite and > 0, got nan"),
+    (["--frame-period", "nan", "--no-snap"], "frame_period must be finite and > 0, got nan"),
+    (["--frame-period=inf", "--no-snap"], "frame_period must be finite and > 0, got inf"),
+])
+def test_synth_rejects_bad_numbers_naming_the_parameter(tmp_path, capsys, flags, shown):
+    classes = tmp_path / "classes.txt"
+    classes.write_text("car\n")
+    out = tmp_path / "data"
+    assert run("synth", "--seed", 1, "--clips", 2, "--classes", classes, "--out", out, *flags) == 2
+    assert f"error: {shown}" in capsys.readouterr().err
+    assert not out.exists()

@@ -104,7 +104,7 @@ def test_csebb_ideal_step_single_box():
     track = np.zeros(200)
     track[80:120] = 1.0
     params = CsebbParams(default=ClassSebbParams(window=5, half_width=2))
-    boxes = csebb_detect(post_of(track), params)
+    boxes = csebb_detect([post_of(track)], params)
     assert len(boxes) == 1
     box = boxes[0]
     s_seconds = 2 * 0.05
@@ -114,7 +114,7 @@ def test_csebb_ideal_step_single_box():
 
 
 def test_csebb_constant_zero_no_boxes():
-    assert csebb_detect(post_of(np.zeros(50))) == []
+    assert csebb_detect([post_of(np.zeros(50))]) == []
 
 
 def test_csebb_dip_merged_against_bruteforce_segmentation():
@@ -125,7 +125,7 @@ def test_csebb_dip_merged_against_bruteforce_segmentation():
     params = CsebbParams(
         default=ClassSebbParams(window=1, half_width=1, rel_merge=0.4, abs_merge=0.15, min_gap=0.1)
     )
-    boxes = csebb_detect(post_of(track, fp=0.1), params)
+    boxes = csebb_detect([post_of(track, fp=0.1)], params)
     assert len(boxes) == 1
     box = boxes[0]
 
@@ -146,7 +146,7 @@ def test_csebb_dip_merged_against_bruteforce_segmentation():
 def test_csebb_boxes_disjoint_and_ordered_per_class():
     rng = np.random.default_rng(1)
     scores = np.clip(rng.uniform(size=(120, 3)) ** 2 + 0.1 * rng.normal(size=(120, 3)), 0, 1)
-    boxes = csebb_detect(post_of(scores), CsebbParams(default=ClassSebbParams(window=3, half_width=1)))
+    boxes = csebb_detect([post_of(scores)], CsebbParams(default=ClassSebbParams(window=3, half_width=1)))
     for c in range(3):
         spans = [(b.onset, b.offset) for b in boxes if b.class_idx == c]
         assert spans == sorted(spans)
@@ -162,7 +162,7 @@ def test_csebb_matches_frame_threshold_on_noiseless_rectangles():
     scores[100:160, 2] = 1.0
     post = post_of(scores)
     params = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
-    boxes = csebb_detect(post, params)
+    boxes = csebb_detect([post], params)
     events = frame_threshold_merge(post, [0.5, 0.5, 0.5])
     assert len(boxes) == len(events) == 3
     tolerance = 1 * post.frame_period  # half_width frames
@@ -220,7 +220,7 @@ def test_frame_thresholding_shrinks_events_where_boxes_do_not():
     assert len(low) == len(high) == 1
     assert high[0].onset > low[0].onset and high[0].offset < low[0].offset
 
-    boxes = csebb_detect(post, CsebbParams(default=ClassSebbParams(window=3, half_width=2)))
+    boxes = csebb_detect([post], CsebbParams(default=ClassSebbParams(window=3, half_width=2)))
     event_boxes = [b for b in boxes if b.confidence > 0.5]
     assert len(event_boxes) == 1
     for thr in (0.1, 0.3, event_boxes[0].confidence - 1e-6):
@@ -328,7 +328,7 @@ def test_tune_csebb_scores_the_boxes_csebb_detect_gives():
     ]
     seen = []
     tune_csebb(posts, [], grid, lambda box_sets, refs: seen.extend(box_sets) or [0.0] * len(box_sets), names)
-    assert seen == [[b for p in posts for b in csebb_detect(p, cand, names)] for cand in grid]
+    assert seen == [[b for p in posts for b in csebb_detect([p], cand, names)] for cand in grid]
     assert len({len(boxes) for boxes in seen}) > 1
 
 
@@ -476,15 +476,21 @@ def change_point_cases(draw):
     return np.array(rows), half_width, draw(st.sampled_from([0.0, 0.05, 0.3]))
 
 
+def _per_row(flat, tracks):
+    """Flat change-point indices as per-row frame lists."""
+    k, t = tracks.shape
+    return [(flat[flat // t == r] % t).tolist() for r in range(k)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(change_point_cases())
 def test_vectorised_change_points_equal_the_loop(case):
     tracks, half_width, min_gap = case
-    got = postprocess._change_points(tracks, half_width, min_gap)
-    assert [cuts.tolist() for cuts in got] == [change_points_loop(row, half_width, min_gap) for row in tracks]
-    gathered = gathered_change_points(tracks, half_width, min_gap)
-    assert [cuts.tolist() for cuts in got] == [cuts.tolist() for cuts in gathered]
-    assert all(cuts.dtype == np.int64 for cuts in got)
+    flat = postprocess._change_points(tracks, half_width, min_gap)
+    assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
+    got = _per_row(flat, tracks)
+    assert got == [change_points_loop(row, half_width, min_gap) for row in tracks]
+    assert got == [cuts.tolist() for cuts in gathered_change_points(tracks, half_width, min_gap)]
 
 
 @pytest.mark.parametrize("steps", [
@@ -500,8 +506,8 @@ def test_change_points_rescan_rows_where_chaining_differs(monkeypatch, steps):
     anchored = postprocess._anchored_starts
     monkeypatch.setattr(postprocess, "_anchored_starts", lambda a: rescanned.append(a) or anchored(a))
     tracks = np.array([_track_with_steps(steps, 1), np.linspace(0.0, 1.0, len(steps) + 2)])
-    got = postprocess._change_points(tracks, 1, 0.1)
-    assert [cuts.tolist() for cuts in got] == [change_points_loop(row, 1, 0.1) for row in tracks]
+    got = _per_row(postprocess._change_points(tracks, 1, 0.1), tracks)
+    assert got == [change_points_loop(row, 1, 0.1) for row in tracks]
     assert len(rescanned) == 1
 
 
@@ -545,7 +551,7 @@ def test_csebb_boxes_equal_those_of_the_loop_segmentation(seed, t, window, half_
     scores = np.clip(levels + rng.normal(0.0, 0.05, size=levels.shape).round(2), 0.0, 1.0)
     post = post_of(scores.astype(np.float32).astype(np.float64))
     p = ClassSebbParams(window=window, half_width=half_width, min_gap=min_gap)
-    assert csebb_detect(post, CsebbParams(default=p)) == _boxes_from_loop(post, p)
+    assert csebb_detect([post], CsebbParams(default=p)) == _boxes_from_loop(post, p)
 
 
 _THRESHOLDS = st.sampled_from([0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -553,31 +559,39 @@ _THRESHOLDS = st.sampled_from([0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0]) | st.f
 
 @st.composite
 def merge_cases(draw):
-    """Segment sums and lengths, and (rel_merge, abs_merge) pairs in drawn
-    order.  Quarter-step means make equal means and equal differences (ties
-    for the first-minimum rule) common."""
+    """Segment sums and lengths of one track, and (rel_merge, abs_merge)
+    pairs in drawn order.  Quarter-step means make equal means and equal
+    differences (ties for the first-minimum rule) common."""
     n = draw(st.integers(1, 12))
     lengths = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     quarters = draw(st.booleans())
     level = st.integers(0, 4).map(lambda q: q / 4) if quarters else st.floats(0.0, 1.0)
     sums = [draw(level) * length for length in lengths]
-    candidates = draw(st.lists(st.tuples(_THRESHOLDS, _THRESHOLDS), min_size=1, max_size=8))
+    candidates = draw(st.lists(st.tuples(_THRESHOLDS, _THRESHOLDS), min_size=0, max_size=8))
     return sums, lengths, candidates
 
 
 @settings(max_examples=300, deadline=None)
-@given(merge_cases())
-def test_merge_trajectory_stops_and_boxes_equal_the_merge_loop(case):
-    sums, lengths, candidates = case
-    track = postprocess._Track(sums, lengths, "clip", 1, 0.1)
-    for i, (rel, abs_) in enumerate(candidates):
-        stop = track.stop(rel, abs_)
-        want = greedy_merge(sums, lengths, rel, abs_)
-        if i == 0:  # a fresh track records one step past its stop, no more
-            assert len(track.steps) == min(stop + 1, len(sums) - 1)
-        assert stop == len(sums) - len(want[0])
-        assert track.state(stop) == want
-        assert track.boxes(stop) == _boxes_of(*want, "clip", 1, 0.1)
+@given(st.lists(merge_cases(), min_size=1, max_size=6))
+def test_lock_step_merge_stops_and_boxes_equal_the_merge_loop(cases):
+    # all tracks merge in one call, listed in descending track order, each
+    # with its own segment count and candidates (none, or repeated pairs)
+    ids = range(len(cases) - 1, -1, -1)
+    segments = tuple(np.array(column) for column in zip(*[
+        (i, start, n, total)
+        for i, (sums, lengths, _) in zip(ids, cases)
+        for start, n, total in zip(np.cumsum([0] + lengths[:-1]).tolist(), lengths, sums)
+    ]))
+    candidates = [(i, rel, abs_) for i, (_, _, pairs) in zip(ids, cases) for rel, abs_ in pairs]
+    (track, start, length, mean), begin, end = postprocess._greedy_merge_stops(
+        segments, *(np.array([c[k] for c in candidates], dtype=dtype)
+                    for k, dtype in enumerate((np.intp, float, float))))
+    boxes = [Event("clip", 1, s * 0.1, (s + n) * 0.1, min(1.0, m))
+             for s, n, m in zip(start.tolist(), length.tolist(), mean.tolist())]
+    for j, (i, r, a) in enumerate(candidates):
+        sums, lengths, _ = cases[len(cases) - 1 - i]
+        assert set(track[begin[j]:end[j]].tolist()) <= {i}
+        assert boxes[begin[j]:end[j]] == _boxes_of(*greedy_merge(sums, lengths, r, a), "clip", 1, 0.1)
 
 
 def _stepped_post(rng, t, clip_id):
@@ -595,6 +609,8 @@ def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_bo
         CsebbParams(default=ClassSebbParams(window=21, half_width=10),
                     per_class={"y": ClassSebbParams(window=5, half_width=2, rel_merge=0.4, min_gap=0.05)})
     ]
+    # a cap of ten 400-frame rows: three clips per pass
+    monkeypatch.setattr(postprocess, "_STACK_CELLS", 4000)
     passes = []
     smooth = postprocess.moving_average
     monkeypatch.setattr(postprocess, "moving_average",
@@ -602,12 +618,14 @@ def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_bo
     seen = []
     tune_csebb(posts, [], grid, lambda box_sets, refs: seen.extend(box_sets) or [0.0] * len(box_sets), names)
     # every pass stacks clips of one frame count within the cap; the eight
-    # 400-frame clips take more than one pass at window 21
-    assert all(8 * rows * window * t <= postprocess._STACK_BYTES for (t, rows), window in passes if rows > 3)
-    assert sum(1 for (t, _), window in passes if (t, window) == (400, 21)) > 1
+    # 400-frame clips take three passes per smoothing key
+    assert all(rows * t <= postprocess._STACK_CELLS for (t, rows), _ in passes if rows > 3)
+    assert sum(1 for (t, _), window in passes if (t, window) == (400, 21)) == 3
     assert sum(rows for (t, rows), window in passes if window == 3) == 3 * len(posts)
     monkeypatch.setattr(postprocess, "moving_average", smooth)
-    assert seen == [[b for p in posts for b in csebb_detect(p, cand, names)] for cand in grid]
+    assert seen == [[b for p in posts for b in csebb_detect([p], cand, names)] for cand in grid]
+    assert seen == [csebb_detect(posts, cand, names) for cand in grid]
+    assert csebb_detect(posts, grid[-1]) == [b for p in posts for b in csebb_detect([p], grid[-1])]
     assert len({len(boxes) for boxes in seen}) > 1
 
 
