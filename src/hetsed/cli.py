@@ -135,6 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_features(args, cfg) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     wavs = sorted(args.input.glob("*.wav"))
     if not wavs:
         raise ValueError(f"no .wav files under {args.input}")
@@ -145,7 +147,7 @@ def _cmd_features(args, cfg) -> int:
         mel = features.extract_log_mel(clip, hop=args.hop, n_mels=args.n_mels)
         return clip.clip_id, mel
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = sorted(pool.map(extract, wavs))
     for clip_id, mel in results:
         formats.write_features(args.out / f"{clip_id}.mel", mel.values, mel.frame_period)

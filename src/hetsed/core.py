@@ -160,8 +160,8 @@ class ClipMetadata:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not (self.duration > 0) or not math.isfinite(self.duration):
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
 
 
 def class_mask(meta: ClipMetadata, vocab: ClassVocabulary, mode: MaskMode) -> np.ndarray:
@@ -270,8 +270,8 @@ class Posteriorgram:
         object.__setattr__(self, "scores", scores)
         if scores.ndim != 2 or scores.shape[0] < 1:
             raise ValueError(f"scores must be [T>=1, C], got shape {scores.shape}")
-        if self.frame_period <= 0:
-            raise ValueError(f"frame_period must be positive, got {self.frame_period}")
+        if not (self.frame_period > 0) or not math.isfinite(self.frame_period):
+            raise ValueError(f"frame_period must be positive and finite, got {self.frame_period}")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores contain non-finite values")
         if scores.min(initial=0.0) < 0.0 or scores.max(initial=0.0) > 1.0:

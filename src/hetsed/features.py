@@ -3,11 +3,19 @@
 Inputs are 16 kHz mono clips.  Frames are left-aligned (frame t covers samples
 [t*hop, t*hop + window)) with a periodic Hann window and no reflection
 padding, so frame counts follow 1 + floor((n - window) / hop) exactly.
+
+A clip is transformed in blocks of at most _BLOCK_FRAMES frames, so no
+whole-clip spectrum is ever held: each block's windowed frames go into one
+buffer reused across the clip's blocks, and its power spectrum meets the mel
+filterbank as a band-limited product, a CSR copy of the triangles (at 128
+bands none covers more than 43 of the 1025 bins).  The mel scale is
+2595 log10(1 + f/700), the HTK form.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +29,9 @@ DEFAULT_MEL_BINS = 128
 MEL_RANGE = (0.0, 8000.0)
 CLIP_SECONDS = 10.0
 
+# Frames per block: the [128, 2048] float64 frame buffer is 2 MB.
+_BLOCK_FRAMES = 128
+
 
 @dataclass(frozen=True, eq=False)
 class AudioClip:
@@ -33,8 +44,8 @@ class AudioClip:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1:
             raise ValueError(f"samples must be mono 1-D, got shape {samples.shape}")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not (self.sample_rate > 0) or not math.isfinite(self.sample_rate):
+            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples contain non-finite values")
 
@@ -49,6 +60,8 @@ class MelSpectrogram:
         object.__setattr__(self, "values", values)
         if values.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
+        if not (self.frame_period > 0) or not math.isfinite(self.frame_period):
+            raise ValueError(f"frame_period must be positive and finite, got {self.frame_period}")
         if not np.all(np.isfinite(values)):
             raise ValueError("mel values contain non-finite entries")
 
@@ -77,14 +90,34 @@ def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def _frames(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
+    """Left-aligned frames [T x window] as a strided view of samples (no copy)."""
+    if hop not in STANDARD_HOPS:
+        warnings.warn(f"hop {hop} differs from the standard hops {STANDARD_HOPS}", stacklevel=3)
+    t = num_frames(samples.size, window, hop)
+    return np.lib.stride_tricks.sliding_window_view(samples, window)[::hop][:t]
+
+
+def _windowed_blocks(frames: np.ndarray):
+    """Yield (first frame, Hann-windowed frames) for consecutive blocks of at
+    most _BLOCK_FRAMES frames, all written into one buffer allocated per call,
+    so concurrent calls share nothing."""
+    hann = _hann_periodic(frames.shape[1])
+    buf = np.empty((min(_BLOCK_FRAMES, frames.shape[0]), frames.shape[1]))
+    for start in range(0, frames.shape[0], _BLOCK_FRAMES):
+        block = buf[: min(_BLOCK_FRAMES, frames.shape[0] - start)]
+        np.copyto(block, frames[start : start + block.shape[0]])
+        block *= hann  # in place: quicker than multiplying out of the strided view
+        yield start, block
+
+
 def stft_magnitude(clip: AudioClip, window: int = WINDOW_SIZE, hop: int = 256) -> np.ndarray:
     """Magnitude spectrogram [T x window/2+1], Hann window, no centering."""
-    if hop not in STANDARD_HOPS:
-        warnings.warn(f"hop {hop} differs from the standard hops {STANDARD_HOPS}", stacklevel=2)
-    t = num_frames(clip.samples.size, window, hop)
-    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, window)[:: hop][:t]
-    spec = np.fft.rfft(frames * _hann_periodic(window), axis=1)
-    return np.abs(spec)
+    frames = _frames(clip.samples, window, hop)
+    spec = np.empty((frames.shape[0], window // 2 + 1))
+    for start, windowed in _windowed_blocks(frames):
+        np.abs(np.fft.rfft(windowed, axis=1), out=spec[start : start + windowed.shape[0]])
+    return spec
 
 
 def _hz_to_mel(f: np.ndarray | float) -> np.ndarray | float:
@@ -109,7 +142,7 @@ def mel_filterbank(
     if n_mels < 2:
         raise ValueError(f"n_mels must be >= 2, got {n_mels}")
     lo, hi = f_range
-    if lo < 0 or hi > sample_rate / 2 or lo >= hi:
+    if not (0 <= lo < hi <= sample_rate / 2):
         raise ValueError(f"f_range {f_range} outside [0, {sample_rate / 2}]")
     edges = _mel_to_hz(np.linspace(_hz_to_mel(lo), _hz_to_mel(hi), n_mels + 2))
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
@@ -123,23 +156,29 @@ def mel_filterbank(
 
 
 @functools.lru_cache(maxsize=8)
-def _shared_filterbank(n_mels: int, f_range: tuple[float, float], sample_rate: int, n_fft: int) -> np.ndarray:
-    """``mel_filterbank`` built once per argument set, read-only because it is shared."""
-    fb = mel_filterbank(n_mels, f_range, sample_rate, n_fft)
-    fb.flags.writeable = False
+def _band_filterbank(n_mels: int, f_range: tuple[float, float], sample_rate: int, n_fft: int):
+    """``mel_filterbank`` as a CSR matrix, built once per argument set and
+    read-only because it is shared."""
+    from scipy import sparse
+
+    fb = sparse.csr_array(mel_filterbank(n_mels, f_range, sample_rate, n_fft))
+    for part in (fb.data, fb.indices, fb.indptr):
+        part.flags.writeable = False
     return fb
+
+
+def _floored_log(mel_power: np.ndarray) -> np.ndarray:
+    """Natural log of mel_power floored at LOG_FLOOR, in place."""
+    np.maximum(mel_power, LOG_FLOOR, out=mel_power)
+    return np.log(mel_power, out=mel_power)
 
 
 def log_mel(spec: np.ndarray, fb: np.ndarray, frame_period: float) -> MelSpectrogram:
     """Natural-log power mel spectrogram, floored at LOG_FLOOR."""
     if spec.shape[1] != fb.shape[1]:
         raise ValueError(f"spectrogram bins {spec.shape[1]} != filterbank bins {fb.shape[1]}")
-    power = spec.astype(np.float64) ** 2
-    mel_power = power @ fb.T
-    return MelSpectrogram(
-        values=np.log(np.maximum(mel_power, LOG_FLOOR)),
-        frame_period=frame_period,
-    )
+    power = np.square(spec, dtype=np.float64)
+    return MelSpectrogram(values=_floored_log(power @ fb.T), frame_period=frame_period)
 
 
 def extract_log_mel(clip: AudioClip, hop: int, n_mels: int = DEFAULT_MEL_BINS) -> MelSpectrogram:
@@ -148,10 +187,18 @@ def extract_log_mel(clip: AudioClip, hop: int, n_mels: int = DEFAULT_MEL_BINS) -
         raise ValueError(
             f"clip {clip.clip_id!r}: expected {SAMPLE_RATE} Hz input, got {clip.sample_rate}"
         )
-    padded = pad_or_trim(clip)
-    spec = stft_magnitude(padded, WINDOW_SIZE, hop)
-    fb = _shared_filterbank(n_mels, MEL_RANGE, SAMPLE_RATE, WINDOW_SIZE)
-    return log_mel(spec, fb, frame_period=hop / clip.sample_rate)
+    frames = _frames(pad_or_trim(clip).samples, WINDOW_SIZE, hop)
+    fb = _band_filterbank(n_mels, MEL_RANGE, SAMPLE_RATE, WINDOW_SIZE)
+    mel_power = np.empty((frames.shape[0], n_mels))
+    rows = min(_BLOCK_FRAMES, frames.shape[0])
+    spec = np.empty((rows, WINDOW_SIZE // 2 + 1), dtype=np.complex128)
+    power = np.empty((rows, WINDOW_SIZE // 2 + 1))
+    for start, windowed in _windowed_blocks(frames):
+        n = windowed.shape[0]
+        block = np.abs(np.fft.rfft(windowed, axis=1, out=spec[:n]), out=power[:n])
+        np.square(block, out=block)
+        mel_power[start : start + n] = (fb @ block.T).T  # quicker than block @ fb.T with fb CSR
+    return MelSpectrogram(values=_floored_log(mel_power), frame_period=hop / clip.sample_rate)
 
 
 def load_wav(path, clip_id: str | None = None) -> AudioClip:

@@ -5,6 +5,8 @@ sweeps, explicit threshold enumeration, central differences) so the library's
 structured implementations are checked against a genuinely separate route.
 """
 
+import functools
+import math
 import warnings
 from typing import Sequence
 
@@ -517,3 +519,40 @@ def brute_rasterize(cells, n, num_classes):
             if a < 4 * k + 4 and b > 4 * k:
                 grid[k, cls] = max(grid[k, cls], value)
     return grid
+
+
+@functools.lru_cache(maxsize=4)
+def htk_mel_triangles(n_mels: int) -> np.ndarray:
+    """[1025 x n_mels] triangles for a 2048-point FFT at 16 kHz: band m rises
+    linearly from edge m to edge m+1 and falls to edge m+2, the n_mels + 2
+    edges equally spaced on mel = 2595 log10(1 + f/700) between 0 and 8 kHz."""
+    top = 2595.0 * math.log10(1.0 + 8000.0 / 700.0)
+    edges = [700.0 * (10.0 ** (top * i / (n_mels + 1) / 2595.0) - 1.0) for i in range(n_mels + 2)]
+    weights = np.zeros((1025, n_mels))
+    for k in range(1025):
+        f = k * 16000.0 / 2048.0
+        for m in range(n_mels):
+            left, center, right = edges[m : m + 3]
+            if left < f <= center:
+                weights[k, m] = (f - left) / (center - left)
+            elif center < f < right:
+                weights[k, m] = (right - f) / (right - center)
+    return weights
+
+
+def reference_mel_power(samples: np.ndarray, hop: int, n_mels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mel power [T x n_mels] of a 16 kHz clip zero-padded or cut to 10 s,
+    and each frame's largest bin power [T], from ``scipy.signal.stft`` with a
+    periodic 2048-point Hann window, no centring and no padding."""
+    from scipy import signal
+
+    x = np.zeros(160000)
+    kept = min(x.size, samples.size)
+    x[:kept] = samples[:kept]
+    window = signal.get_window("hann", 2048)  # periodic: fftbins=True
+    _, _, z = signal.stft(
+        x, window=window, nperseg=2048, noverlap=2048 - hop, nfft=2048, detrend=False,
+        return_onesided=True, boundary=None, padded=False, scaling="spectrum",
+    )
+    power = np.abs(z.T * window.sum()) ** 2  # undo the 1/sum(window) spectrum scaling
+    return power @ htk_mel_triangles(n_mels), power.max(axis=1)

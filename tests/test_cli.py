@@ -140,6 +140,31 @@ def test_features_command_and_determinism(tmp_path):
         assert fp == pytest.approx(256 / 16000)
 
 
+def test_features_bytes_do_not_depend_on_jobs(tmp_path):
+    from scipy.io import wavfile
+
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    rng = np.random.default_rng(2)
+    names = [f"clip{i}" for i in range(4)]
+    for i, name in enumerate(names):
+        audio = np.clip(rng.normal(scale=0.1, size=(8 + 2 * i) * 16000), -1, 1)
+        wavfile.write(wav_dir / f"{name}.wav", 16000, (audio * 32767).astype(np.int16))
+    for jobs in (1, 2):
+        assert run("features", "--input", wav_dir, "--hop", "160", "--out", tmp_path / f"j{jobs}", "--jobs", jobs) == 0
+    for name in names:
+        assert (tmp_path / "j1" / f"{name}.mel").read_bytes() == (tmp_path / "j2" / f"{name}.mel").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_features_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    assert run("features", "--input", wav_dir, "--out", tmp_path / "f", "--jobs", jobs) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
 def test_loss_command_masks_desed_columns(tmp_path, capsys):
     vocab = default_vocabulary()
     rng = np.random.default_rng(2)

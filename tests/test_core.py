@@ -168,6 +168,18 @@ def test_clip_metadata_validation():
         ClipMetadata("x", Origin.MAESTRO, 0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_posteriorgram_rejects_a_non_finite_frame_period(bad):
+    with pytest.raises(ValueError, match="frame_period"):
+        Posteriorgram(np.full((3, 1), 0.5), bad, "x")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_clip_metadata_rejects_a_non_finite_duration(bad):
+    with pytest.raises(ValueError, match="duration"):
+        ClipMetadata("x", Origin.MAESTRO, bad)
+
+
 def test_rasterize_frames():
     events = [Event("x", 0, 0.0, 0.2, None), Event("x", 1, 0.35, 0.5, 0.6)]
     target = rasterize(events, n=5, period=0.1, num_classes=2)

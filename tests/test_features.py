@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetsed.features import (
     AudioClip,
     LOG_FLOOR,
+    MelSpectrogram,
     extract_log_mel,
     load_wav,
     log_mel,
@@ -12,6 +15,7 @@ from hetsed.features import (
     pad_or_trim,
     stft_magnitude,
 )
+from oracles import reference_mel_power
 
 SR = 16000
 
@@ -141,6 +145,73 @@ def test_extract_log_mel_rejects_wrong_rate():
     clip = AudioClip(np.zeros(44100), 44100, "bad")
     with pytest.raises(ValueError, match="16000"):
         extract_log_mel(clip, hop=256)
+
+
+def _audio(kind: str, n: int, gain: float, rng: np.random.Generator) -> np.ndarray:
+    if kind == "silent":
+        return np.zeros(n)
+    if kind == "sine":
+        return gain * np.sin(2 * np.pi * rng.uniform(50.0, 7950.0) * np.arange(n) / SR)
+    if kind == "clipped":
+        return np.clip(10.0 * gain * rng.normal(size=n), -1.0, 1.0)
+    if kind == "bursts":  # clicks and 10 ms noise bursts in silence
+        x = np.zeros(n)
+        for at, width in zip(rng.integers(0, n + 1, size=4), rng.choice([1, 160], size=4)):
+            burst = x[at : at + width]
+            burst += gain * rng.normal(size=burst.size)
+        return x
+    return gain * rng.normal(size=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 13 * SR),
+    hop=st.sampled_from([160, 256]),
+    n_mels=st.sampled_from([2, 40, 128]),
+    kind=st.sampled_from(["noise", "sine", "bursts", "clipped", "silent"]),
+    gain=st.floats(1e-4, 10.0),
+    seed=st.integers(0, 2**16),
+)
+def test_extract_log_mel_matches_the_scipy_oracle(n, hop, n_mels, kind, gain, seed):
+    """Mel power within 1e-12 x the larger of the frame's largest bin power
+    and the oracle's own value, and the floor exactly where the oracle sits
+    clearly under it.  The relative term is for wide bands (two bands span
+    about 500 bins each), whose sums of that many terms round by up to about
+    500 x 1.1e-16 relative; it also covers the round trip through log and
+    exp.  The two compute the triangle edges with different roundings, which
+    moves a band's weights by at most 5.8e-13 in sum."""
+    samples = _audio(kind, n, gain, np.random.default_rng(seed))
+    mel = extract_log_mel(clip_of(samples), hop=hop, n_mels=n_mels)
+    ref, frame_max = reference_mel_power(samples, hop, n_mels)
+    assert mel.values.shape == ref.shape == (num_frames(10 * SR, 2048, hop), n_mels)
+    assert mel.frame_period == hop / SR
+    tol = 1e-12 * np.maximum(frame_max[:, None], ref)
+    floor = np.log(LOG_FLOOR)
+    at_floor = mel.values == floor
+    assert np.all(mel.values >= floor)
+    assert np.all(~at_floor | (ref <= LOG_FLOOR + tol))
+    assert np.all(at_floor | (ref >= LOG_FLOOR - tol))
+    above = ~at_floor & (ref > LOG_FLOOR)
+    assert np.all(~above | (np.abs(np.exp(mel.values) - ref) <= tol))
+
+
+def test_audio_clip_rejects_a_non_finite_sample_rate():
+    with pytest.raises(ValueError, match="sample_rate"):
+        AudioClip(np.zeros(10), float("nan"), "x")
+    with pytest.raises(ValueError, match="sample_rate"):
+        AudioClip(np.zeros(10), float("inf"), "x")
+
+
+@pytest.mark.parametrize("period", [float("nan"), -0.01, 0.0, float("inf")])
+def test_mel_spectrogram_rejects_a_bad_frame_period(period):
+    with pytest.raises(ValueError, match="frame_period"):
+        MelSpectrogram(np.zeros((3, 2)), period)
+
+
+@pytest.mark.parametrize("f_range", [(float("nan"), 8000.0), (0.0, float("nan")), (100.0, 100.0)])
+def test_mel_filterbank_rejects_a_bad_range(f_range):
+    with pytest.raises(ValueError, match="f_range"):
+        mel_filterbank(f_range=f_range)
 
 
 def test_load_wav_pcm16_and_float32(tmp_path):
