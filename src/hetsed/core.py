@@ -208,6 +208,21 @@ def frame_span(onset: float, offset: float, period: float, n: int) -> tuple[int,
     return first, min(n, max(first + 1, math.ceil(offset / period - 1e-9)))
 
 
+def frame_time(k, period: float):
+    """Time in seconds of frame boundary ``k`` (an int or an int array) on a
+    grid of ``period`` seconds.
+
+    For a period that is a whole number of microseconds, as both binary
+    formats store it, the time is ``(k * period_us) / 1e6``: the integer
+    product is exact below 2**53 and IEEE division rounds correctly, so the
+    time is the double nearest the exact decimal, which the TSV writer
+    stores and its reader returns unchanged.  Any other period falls back
+    to ``k * period``.
+    """
+    us = round(period * 1e6)
+    return k * us / 1e6 if us / 1e6 == period else k * period
+
+
 def rasterize(events: Iterable[Event], n: int, period: float, num_classes: int) -> np.ndarray:
     """Per-frame max of event values, [n, num_classes], frames as in frame_span.
 

@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, canonicalize_events
+from .core import Event, Posteriorgram, canonicalize_events, frame_time
 
 NOISE_FLOOR = 0.01
 
@@ -169,8 +169,8 @@ def frame_threshold_merge(post: Posteriorgram, thresholds: Sequence[float], wind
     """Threshold each class track and merge consecutive positive frames.
 
     A maximal run of frames with score > threshold becomes one event spanning
-    [start * frame_period, (end + 1) * frame_period).  The runs of all
-    classes come from one pass over the posteriorgram.
+    the frame boundaries start and end + 1 (times as in ``frame_time``).  The
+    runs of all classes come from one pass over the posteriorgram.
 
     With ``window`` > 1 the tracks are median filtered first (odd window,
     edge replication).  The median of w values exceeds a threshold exactly
@@ -197,10 +197,10 @@ def frame_threshold_merge(post: Posteriorgram, thresholds: Sequence[float], wind
     active = above.T.astype(np.int8)
     # per class, run starts and stops alternate along the row
     classes, frames = np.nonzero(np.diff(active, axis=1, prepend=0, append=0))
-    fp = post.frame_period
+    times = frame_time(frames, post.frame_period).tolist()
     events = [
-        Event(post.clip_id, c, start * fp, stop * fp)
-        for c, start, stop in zip(classes[::2].tolist(), frames[::2].tolist(), frames[1::2].tolist())
+        Event(post.clip_id, c, onset, offset)
+        for c, onset, offset in zip(classes[::2].tolist(), times[::2], times[1::2])
     ]
     return canonicalize_events(events)
 
@@ -433,12 +433,17 @@ def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
     track %= n_tracks
     clip = np.repeat(np.arange(len(posts)), widths)[track]
     period = np.array([post.frame_period for post in posts])[clip]
+    onset, offset = np.empty(track.size), np.empty(track.size)
+    for fp in np.unique(period).tolist():
+        at = period == fp
+        onset[at] = frame_time(start[at], fp)
+        offset[at] = frame_time(start[at] + length[at], fp)
     clip_ids = [post.clip_id for post in posts]
     events = [
-        Event(clip_ids[i], c, onset, offset, confidence)
-        for i, c, onset, offset, confidence in zip(
-            clip.tolist(), class_of[track].tolist(), (start * period).tolist(),
-            ((start + length) * period).tolist(), np.minimum(mean, 1.0).tolist(),
+        Event(clip_ids[i], c, on, off, confidence)
+        for i, c, on, off, confidence in zip(
+            clip.tolist(), class_of[track].tolist(), onset.tolist(), offset.tolist(),
+            np.minimum(mean, 1.0).tolist(),
         )
     ]
     out = []

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,38 @@ def test_postprocess_output_independent_of_jobs(tmp_path):
                    "--out", out, "--jobs", jobs) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_main_gives_fresh_results_when_called_repeatedly_in_one_process(tmp_path, capsys):
+    data = synth_dir(tmp_path, extra=["--blur", "3", "--noise", "0.05", "--dip-prob", "1.0"])
+    assert run("postprocess", "--method", "frame", "--in", data / "posteriors", "--out", tmp_path / "dets.tsv") == 0
+
+    def psds_argv(out, *flags):
+        return ["eval", "psds", "--dets", tmp_path / "dets.tsv", "--refs", data / "refs.tsv",
+                "--durations", data / "durations.tsv", "--out", out, *flags]
+
+    assert run(*psds_argv(tmp_path / "first.tsv", "--dtc", "0.1", "--gtc", "0.1", "--alpha-st", "0")) == 0
+    with pytest.raises(SystemExit) as err:
+        run(*psds_argv(tmp_path / "bad.tsv", "--dtc", "half"))
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert run(*psds_argv(tmp_path / "second.tsv")) == 0
+    stdout = capsys.readouterr().out
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    fresh = subprocess.run([sys.executable, "-m", "hetsed.cli", *map(str, psds_argv(tmp_path / "fresh.tsv"))],
+                           capture_output=True, text=True, env=env, check=True)
+    assert stdout == fresh.stdout
+    for suffix in (".tsv", ".txt"):
+        second = (tmp_path / "second").with_suffix(suffix).read_bytes()
+        assert second == (tmp_path / "fresh").with_suffix(suffix).read_bytes()
+    # the first call's flags did not stick
+    assert (tmp_path / "second.tsv").read_bytes() != (tmp_path / "first.tsv").read_bytes()
+
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--help"])
+    assert err.value.code == 0
+    assert "{features,synth,postprocess,tune-csebb,ensemble,eval,loss}" in capsys.readouterr().out
 
 
 def test_unknown_flag_exits_two():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hetsed.core import (
     class_mask,
     default_vocabulary,
     frame_span,
+    frame_time,
     rasterize,
 )
 from oracles import brute_rasterize
@@ -197,6 +200,22 @@ def test_frame_span_edges():
     assert frame_span(0.3, 0.3 + 1e-12, 0.1, 10) == (3, 4)  # at least one frame
     with pytest.raises(ValueError, match="class index 2"):
         rasterize([Event("x", 2, 0.0, 1.0)], 5, 0.1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**7), st.integers(1, 10**6))
+def test_frame_time_is_the_double_nearest_the_exact_decimal(k, us):
+    period = us / 1e6
+    exact = float(Fraction(k * us, 10**6))
+    assert frame_time(k, period) == exact
+    assert frame_time(np.array([k]), period).tolist() == [exact]
+    # the value a TSV holds reads back unchanged
+    assert float(f"{exact:.6f}") == exact
+
+
+def test_frame_time_of_a_period_off_the_microsecond_grid_is_the_product():
+    assert frame_time(3, 1 / 3) == 3 * (1 / 3)
+    assert frame_time(82, 0.1) == 8.2 != 82 * 0.1
 
 
 @settings(max_examples=300, deadline=None)

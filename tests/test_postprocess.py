@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsed import postprocess
-from hetsed.core import Event, Posteriorgram
+from hetsed.core import Event, Posteriorgram, frame_time
 from hetsed.postprocess import (
     NOISE_FLOOR,
     ClassSebbParams,
@@ -516,7 +516,8 @@ def _boxes_of(sums, lengths, clip_id, c, fp):
     start = 0
     for total, n in zip(sums, lengths):
         if total / n > NOISE_FLOOR:
-            boxes.append(Event(clip_id, c, start * fp, (start + n) * fp, min(1.0, max(0.0, total / n))))
+            boxes.append(Event(clip_id, c, frame_time(start, fp), frame_time(start + n, fp),
+                               min(1.0, max(0.0, total / n))))
         start += n
     return boxes
 
@@ -586,7 +587,7 @@ def test_lock_step_merge_stops_and_boxes_equal_the_merge_loop(cases):
     (track, start, length, mean), begin, end = postprocess._greedy_merge_stops(
         segments, *(np.array([c[k] for c in candidates], dtype=dtype)
                     for k, dtype in enumerate((np.intp, float, float))))
-    boxes = [Event("clip", 1, s * 0.1, (s + n) * 0.1, min(1.0, m))
+    boxes = [Event("clip", 1, frame_time(s, 0.1), frame_time(s + n, 0.1), min(1.0, m))
              for s, n, m in zip(start.tolist(), length.tolist(), mean.tolist())]
     for j, (i, r, a) in enumerate(candidates):
         sums, lengths, _ = cases[len(cases) - 1 - i]
