@@ -13,7 +13,8 @@ import argparse
 import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -151,10 +152,20 @@ def _cmd_features(args, cfg) -> int:
         mel = features.extract_log_mel(clip, hop=args.hop, n_mels=args.n_mels)
         return clip.clip_id, mel
 
-    # each clip is written as soon as it and every clip before it are done
+    def write(done: Future) -> None:
+        clip_id, mel = done.result()
+        formats.write_features(args.out / f"{clip_id}.mel", mel.values, mel.frame_period)
+
+    # clips are written in path order, and at most --jobs of them are
+    # extracted and not yet written at any time
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for clip_id, mel in pool.map(extract, wavs):
-            formats.write_features(args.out / f"{clip_id}.mel", mel.values, mel.frame_period)
+        pending: deque[Future] = deque()
+        for path in wavs:
+            if len(pending) == args.jobs:
+                write(pending.popleft())
+            pending.append(pool.submit(extract, path))
+        for done in pending:
+            write(done)
     print(f"wrote {len(wavs)} feature files to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -200,17 +211,19 @@ def _cmd_synth(args, cfg) -> int:
 
 
 def _load_posteriors(path: Path) -> list[tuple[Posteriorgram, list[str]]]:
-    # within one directory, str keys sort as the paths do, without Path.__lt__
-    paths = [path] if path.is_file() else sorted(path.glob("*.sedp"), key=str)
+    paths = [path] if path.is_file() else sorted(path.glob("*.sedp"))
     if not paths:
         raise ValueError(f"no posteriorgram files under {path}")
     return _read_posteriorgrams(paths)
 
 
-# Bound at import rather than looked up on the module: bench/tracing.py sizes
-# the file of a traced ``formats.read_*`` call by its first argument, which
-# here is a list of paths.
-_read_posteriorgrams = formats.read_posteriorgrams
+def _read_posteriorgrams(paths: list[Path], clip_id: str | None = None) -> list[tuple[Posteriorgram, list[str]]]:
+    """Posteriorgram files that must share one class table."""
+    loaded = [formats.read_posteriorgram(p, clip_id) for p in paths]
+    for (_, names), p in zip(loaded, paths):
+        if names != loaded[0][1]:
+            raise ValueError(f"{p}: class table differs from {paths[0]}")
+    return loaded
 
 
 def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np.ndarray, int]:

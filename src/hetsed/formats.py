@@ -196,17 +196,11 @@ def write_posteriorgram(path: Path | str, post: Posteriorgram, class_names: Sequ
     )
     with atomic_write(path, "wb") as fh:
         fh.write(header)
-        fh.write(_class_table(class_names))
+        for name in class_names:
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
         fh.write(np.ascontiguousarray(post.scores, dtype="<f4").tobytes())
-
-
-def _class_table(class_names: Sequence[str]) -> bytes:
-    """A posteriorgram's class-name table: per name a u16 length and its UTF-8."""
-    parts = []
-    for name in class_names:
-        encoded = name.encode("utf-8")
-        parts += (struct.pack("<H", len(encoded)), encoded)
-    return b"".join(parts)
 
 
 def _check_length(path: Path | str, data: bytes, end: int, part: str) -> None:
@@ -256,53 +250,13 @@ def read_posteriorgram(path: Path | str, clip_id: str | None = None) -> tuple[Po
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: class table repeats a name: {names}")
     scores = _float32_payload(path, data, offset, t * c).reshape(t, c)
-    return _posteriorgram(path, scores, period, clip_id), names
-
-
-def _posteriorgram(path: Path | str, scores: np.ndarray, period: float, clip_id: str | None) -> Posteriorgram:
-    """The file's float32 scores as a checked Posteriorgram; the clip id
-    defaults to the file name's stem."""
     if clip_id is None:
-        clip_id = (path if isinstance(path, Path) else Path(path)).stem
+        clip_id = Path(path).stem
     try:
-        return Posteriorgram(scores=scores.astype(np.float64), frame_period=period, clip_id=clip_id)
+        post = Posteriorgram(scores=scores.astype(np.float64), frame_period=period, clip_id=clip_id)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def read_posteriorgrams(
-    paths: Sequence[Path | str], clip_id: str | None = None
-) -> list[tuple[Posteriorgram, list[str]]]:
-    """Posteriorgram files that must share one class table, as
-    ``[read_posteriorgram(p, clip_id) for p in paths]`` would read them.
-
-    The first file gets every check of ``read_posteriorgram``.  A later file
-    whose header and class table match the first one's byte for byte, and
-    whose length is exact, skips decoding the table; any other file goes
-    through ``read_posteriorgram``, so a bad file raises the error that names
-    it.  Every file is read before the tables are compared.
-    """
-    if not paths:
-        return []
-    first, names = read_posteriorgram(paths[0], clip_id)
-    table = _class_table(names)
-    start = _POSTERIOR_HEADER.size + len(table)
-    loaded = [(first, names)]
-    for path in paths[1:]:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if data[:4] == POSTERIOR_MAGIC and len(data) >= start:
-            _, version, t, c, period_us = _POSTERIOR_HEADER.unpack_from(data)
-            if (version == POSTERIOR_VERSION and c == len(names) and period_us
-                    and data.startswith(table, _POSTERIOR_HEADER.size) and len(data) == start + 4 * t * c):
-                scores = np.frombuffer(data, dtype="<f4", count=t * c, offset=start).reshape(t, c)
-                loaded.append((_posteriorgram(path, scores, period_us / 1e6, clip_id), list(names)))
-                continue
-        loaded.append(read_posteriorgram(path, clip_id))
-    for (_, other), path in zip(loaded, paths):
-        if other != names:
-            raise ValueError(f"{path}: class table differs from {paths[0]}")
-    return loaded
+    return post, names
 
 
 def write_features(path: Path | str, values: np.ndarray, frame_period: float) -> None:

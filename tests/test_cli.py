@@ -2,6 +2,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +160,38 @@ def test_features_bytes_do_not_depend_on_jobs(tmp_path):
         assert run("features", "--input", wav_dir, "--hop", "160", "--out", tmp_path / f"j{jobs}", "--jobs", jobs) == 0
     for name in names:
         assert (tmp_path / "j1" / f"{name}.mel").read_bytes() == (tmp_path / "j2" / f"{name}.mel").read_bytes()
+
+
+def test_features_holds_at_most_jobs_clips_not_yet_written(tmp_path, monkeypatch):
+    from scipy.io import wavfile
+
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    for i in range(6):
+        wavfile.write(wav_dir / f"clip{i}.wav", 16000, np.zeros(16000, dtype=np.int16))
+    lock, held, most = threading.Lock(), [0], [0]
+    extract, write = cli.features.extract_log_mel, cli.formats.write_features
+
+    def slow_first_extract(clip, **kwargs):
+        if clip.clip_id == "clip0":
+            time.sleep(0.3)  # the other clips finish first
+        mel = extract(clip, **kwargs)
+        with lock:
+            held[0] += 1
+            most[0] = max(most[0], held[0])
+        return mel
+
+    def counted_write(*args):
+        write(*args)
+        with lock:
+            held[0] -= 1
+
+    monkeypatch.setattr(cli.features, "extract_log_mel", slow_first_extract)
+    monkeypatch.setattr(cli.formats, "write_features", counted_write)
+    assert run("features", "--input", wav_dir, "--hop", "160", "--out", tmp_path / "f", "--jobs", 2) == 0
+    assert held[0] == 0
+    assert most[0] <= 2
+    assert sorted(p.name for p in (tmp_path / "f").iterdir()) == [f"clip{i}.mel" for i in range(6)]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

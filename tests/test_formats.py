@@ -1,6 +1,5 @@
 import math
 import re
-import struct
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hetsed import formats, synth
+from hetsed import synth
 from hetsed.core import Event, Posteriorgram, canonicalize_events
 from hetsed.evaluation import psds, roc_from_confidences
 from hetsed.formats import (
@@ -21,7 +20,6 @@ from hetsed.formats import (
     read_events_tsv,
     read_features,
     read_posteriorgram,
-    read_posteriorgrams,
     read_score_report,
     write_csebb_params,
     write_durations_tsv,
@@ -302,114 +300,6 @@ def test_posteriorgram_reads_back_identical(scores, period, names):
     assert back.clip_id == "clip_7"
     assert back.frame_period == period
     assert np.array_equal(back.scores, scores.astype(np.float64))
-
-
-# Damage to one file of a directory, from its bytes and its T and C.  The
-# header is magic (4 bytes), version (2), T (4), C (4) and period (4).
-_DAMAGE = {
-    "none": lambda data, t, c: data,
-    "bad magic": lambda data, t, c: b"SEDQ" + data[4:],
-    "version 2": lambda data, t, c: data[:4] + struct.pack("<H", 2) + data[6:],
-    "header C + 1": lambda data, t, c: data[:10] + struct.pack("<I", c + 1) + data[14:],
-    "header C - 1": lambda data, t, c: data[:10] + struct.pack("<I", c - 1) + data[14:],
-    "header T and C swapped": lambda data, t, c: data[:6] + struct.pack("<II", c, t) + data[14:],
-    "zero period": lambda data, t, c: data[:14] + bytes(4) + data[18:],
-    "no frames": lambda data, t, c: data[:6] + struct.pack("<I", 0) + data[10 : len(data) - 4 * t * c],
-    "truncated header": lambda data, t, c: data[:10],
-    "truncated data": lambda data, t, c: data[:-4],
-    "trailing bytes": lambda data, t, c: data + bytes(4),
-    "nan score": lambda data, t, c: data[:-4] + np.float32(np.nan).astype("<f4").tobytes(),
-    "score 2": lambda data, t, c: data[:-4] + np.float32(2.0).astype("<f4").tobytes(),
-}
-
-
-@st.composite
-def posteriorgram_dirs(draw):
-    """Files of one directory: (class names, scores, period, damage) each.
-    Most share the first file's table and are whole; some carry another
-    table or are damaged."""
-    c = draw(st.integers(1, 3))
-    names = draw(st.lists(st.text(max_size=4), min_size=c, max_size=c, unique=True))
-    files = []
-    for _ in range(draw(st.integers(1, 5))):
-        table = draw(st.sampled_from([names] * 4 + [names[::-1], [f"{name}_" for name in names]]))
-        t = draw(st.integers(1, 6))
-        scores = draw(arrays(np.float32, (t, c), elements=st.floats(0, 1, width=32)))
-        period = draw(st.sampled_from([0.02, 0.1, 0.007817]))
-        damage = draw(st.sampled_from(sorted(_DAMAGE))) if draw(st.integers(0, 3)) == 0 else "none"
-        files.append((table, scores, period, damage))
-    return files
-
-
-def _file_by_file(paths, clip_id):
-    """The reader ``read_posteriorgrams`` stands in for."""
-    loaded = [read_posteriorgram(p, clip_id) for p in paths]
-    for (_, names), p in zip(loaded, paths):
-        if names != loaded[0][1]:
-            raise ValueError(f"{p}: class table differs from {paths[0]}")
-    return loaded
-
-
-def _outcome(read):
-    try:
-        return read()
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
-def _assert_reads_as_file_by_file(files, clip_id=None, as_str=False):
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for i, (names, scores, period, damage) in enumerate(files):
-            path = Path(tmp) / f"clip_{i}.sedp"
-            write_posteriorgram(path, Posteriorgram(scores, period, "x"), names)
-            path.write_bytes(_DAMAGE[damage](path.read_bytes(), *scores.shape))
-            paths.append(str(path) if as_str else path)
-        expected = _outcome(lambda: _file_by_file(paths, clip_id))
-        got = _outcome(lambda: read_posteriorgrams(paths, clip_id))
-    if isinstance(expected, str):
-        assert got == expected  # the same error, naming the same file
-        return
-    assert len(got) == len(expected)
-    for (post, names), (want, want_names) in zip(got, expected):
-        assert names == want_names
-        assert (post.clip_id, post.frame_period) == (want.clip_id, want.frame_period)
-        assert post.scores.dtype == want.scores.dtype
-        assert np.array_equal(post.scores, want.scores)
-
-
-@settings(max_examples=300, deadline=None)
-@given(posteriorgram_dirs(), st.sampled_from([None, "merged"]), st.booleans())
-def test_read_posteriorgrams_equals_reading_file_by_file(files, clip_id, as_str):
-    _assert_reads_as_file_by_file(files, clip_id, as_str)
-
-
-@pytest.mark.parametrize("table", [["car", "dog"], ["dog", "car"], ["car", "cat"]])
-@pytest.mark.parametrize("damage", sorted(_DAMAGE))
-def test_read_posteriorgrams_equals_reading_file_by_file_for_each_damage(table, damage):
-    # each damage under the first file's table or another of the same byte
-    # length, and after a file with that table
-    whole = (["car", "dog"], np.full((3, 2), 0.5, dtype=np.float32), 0.1, "none")
-    _assert_reads_as_file_by_file([whole, (table, whole[1], 0.1, damage), whole])
-    _assert_reads_as_file_by_file([whole, (table, whole[1], 0.1, "none"), whole[:3] + (damage,)])
-
-
-def test_read_posteriorgrams_decodes_one_table_per_directory(tmp_path, monkeypatch):
-    paths = [tmp_path / f"clip_{i}.sedp" for i in range(4)]
-    for path in paths:
-        write_posteriorgram(path, Posteriorgram(np.full((3, 2), 0.5), 0.1, "x"), ["car", "dog"])
-    calls = []
-    read_one = formats.read_posteriorgram
-    monkeypatch.setattr(formats, "read_posteriorgram", lambda *a: calls.append(a) or read_one(*a))
-    loaded = read_posteriorgrams(paths)
-    assert calls == [(paths[0], None)]
-    assert [post.clip_id for post, _ in loaded] == ["clip_0", "clip_1", "clip_2", "clip_3"]
-    assert all(names == ["car", "dog"] for _, names in loaded)
-    # a file the fast path does not take goes through read_posteriorgram
-    paths[2].write_bytes(paths[2].read_bytes() + bytes(4))
-    with pytest.raises(ValueError, match=re.escape(f"{paths[2]}: 4 trailing bytes after the data")):
-        read_posteriorgrams(paths)
-    assert calls[-1] == (paths[2], None)
 
 
 @pytest.mark.filterwarnings("ignore:classes without references")
