@@ -291,8 +291,8 @@ def _cmd_tune_csebb(args, cfg) -> int:
         hours = sum(p.duration for p in posts) / 3600.0
     psds_cfg = _psds_config_from(cfg)
 
-    def metric(box_sets, refs_):
-        curves = evaluation.roc_curves(box_sets, refs_, hours, psds_cfg, len(class_names))
+    def metric(boxes, sets, refs_):
+        curves = evaluation.roc_from_confidences(boxes, sets, refs_, hours, psds_cfg, len(class_names))
         return [evaluation.psds(curve, psds_cfg) for curve in curves]
 
     grid = formats.read_csebb_grid(args.grid) if args.grid is not None else postprocess.default_grid()
@@ -351,7 +351,8 @@ def _cmd_eval_psds(args, cfg) -> int:
     class_names = sorted(set(ref_names) | set(det_names))
     refs, dets = _reindex(refs, ref_names, class_names), _reindex(dets, det_names, class_names)
     hours = _read_hours(args.durations, [ev.clip_id for ev in refs + dets])
-    curve = evaluation.roc_from_confidences(dets, refs, hours, psds_cfg, len(class_names))
+    (curve,) = evaluation.roc_from_confidences(dets, [np.arange(len(dets))], refs, hours, psds_cfg,
+                                               len(class_names))
     value = evaluation.psds(curve, psds_cfg)
 
     entries = {"psds": value, "hours": hours}

@@ -287,9 +287,10 @@ class Posteriorgram:
             raise ValueError(f"scores must be [T>=1, C], got shape {scores.shape}")
         if not (self.frame_period > 0) or not math.isfinite(self.frame_period):
             raise ValueError(f"frame_period must be positive and finite, got {self.frame_period}")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("scores contain non-finite values")
-        if scores.min(initial=0.0) < 0.0 or scores.max(initial=0.0) > 1.0:
+        # NaN carries through min and max, so it fails the range test too
+        if not (scores.min(initial=0.0) >= 0.0 and scores.max(initial=0.0) <= 1.0):
+            if not np.all(np.isfinite(scores)):
+                raise ValueError("scores contain non-finite values")
             raise ValueError("scores outside [0, 1]")
 
     @property

@@ -10,8 +10,10 @@ against the references once and each reference records the threshold at
 which it is found, so the whole curve costs about O(N log N + overlapping
 pairs) for N detections rather than one re-match per threshold.  One sweep
 also scores many detection sets against the same references (the grid of
-a ``tune-csebb`` search): their thresholds are keyed by set, so the cost is
-that of one sweep over all their detections, not one per set.
+a ``tune-csebb`` search).  The sets index one pool of detections, so a
+detection that several sets share by index is read and classified once,
+and their thresholds are keyed by set, so the cost is that of one sweep
+over all their detections, not one per set.
 
 mPAUC scores one-second segments per class by the partial area under the
 ROC up to a maximum false positive rate, McClish-standardized so chance
@@ -206,24 +208,6 @@ def _curves(
             for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _runs(order: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """For each element, the index of its run of equal values, given the
-    sort ``order`` and the sorted positions ``new`` that open a run."""
-    run = np.empty(order.size, dtype=np.intp)
-    run[order] = np.cumsum(new) - 1
-    return run
-
-
-def _distinct(events: list[Event]) -> tuple[list[Event], np.ndarray]:
-    """The distinct objects among ``events``, and for each event the index
-    of its object among them."""
-    ids = np.fromiter(map(id, events), dtype=np.intp, count=len(events))
-    order = np.argsort(ids)
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = ids[order[1:]] != ids[order[:-1]]
-    return list(map(events.__getitem__, order[new].tolist())), _runs(order, new)
-
-
 def _levels(negated: np.ndarray, owner: np.ndarray, n_sets: int) -> tuple[np.ndarray, np.ndarray]:
     """Thresholds keyed by (set, -confidence): for each detection the index
     of its level, and for each level its set.  Levels run in key order, so
@@ -234,139 +218,66 @@ def _levels(negated: np.ndarray, owner: np.ndarray, n_sets: int) -> tuple[np.nda
     value, owner = negated[order], owner[order]
     new = np.ones(order.size, dtype=bool)
     new[1:] = (owner[1:] != owner[:-1]) | (value[1:] != value[:-1])
-    return _runs(order, new), owner[new]
+    level_of = np.empty(order.size, dtype=np.intp)
+    level_of[order] = np.cumsum(new) - 1
+    return level_of, owner[new]
 
 
 def roc_from_confidences(
     dets: Sequence[Event],
+    sets: Sequence[np.ndarray],
     refs: Sequence[Event],
     total_hours: float,
-    cfg: PsdsConfig = PsdsConfig(),
-    num_classes: int | None = None,
-) -> OperatingPointCurve:
-    """Operating point curve from a one-pass sweep over the detection confidences.
+    cfg: PsdsConfig,
+    num_classes: int,
+) -> list[OperatingPointCurve]:
+    """Per detection set, the operating point curve from a one-pass sweep
+    over its confidences.  ``dets`` is a pool of detections and ``sets[s]``
+    an integer index array into it, so sets share detections by index (the
+    candidates of a ``tune_csebb`` grid share most of their boxes); one set
+    of every detection is ``[np.arange(len(dets))]``.
 
-    Every distinct confidence is a threshold keeping the detections with
-    confidence >= that value.  A missing confidence (None) counts as 1.0, so
-    hard detections give a single operating point.  Classes without
+    Every distinct confidence of a set is a threshold keeping its detections
+    with confidence >= that value.  A missing confidence (None) counts as
+    1.0, so hard detections give a single operating point.  Classes without
     references are excluded with a warning.
 
-    The curve equals re-matching the kept detections at every threshold, bit
-    for bit, without doing so.  A detection's DTC verdict depends on the
-    references only, so each detection is classified once.  Each reference
-    then takes the DTC-passing detections that overlap it in
+    Each curve equals re-matching the set's kept detections at every
+    threshold, bit for bit, without doing so.  A detection's DTC verdict
+    depends on the references only, so every detection of the pool is read,
+    checked and classified once, however many sets use it.  Each reference
+    then takes the DTC-passing detections of a set that overlap it in
     descending-confidence tie groups and records the thresholds where its
     GTC verdict changes (coverage only grows, so once in practice).
     Per-class TP and FP counts at every threshold are cumulative sums over
-    the sorted thresholds.
+    the set's sorted thresholds.
 
     Both coverage tests run on sorted interval arrays per (clip, class), all
     groups at once: binary search finds the reference intervals a detection
     overlaps and the passing detections a reference overlaps, and each
     coverage is summed left to right over the merged intervals in onset
     order, as the interval-by-interval definition sums it (the skipped
-    intervals would add 0.0).  Cost: O((N + M) log(N + M)) for N detections
-    and M references, plus numpy passes over the overlapping (detection,
+    intervals would add 0.0).  The thresholds are keyed by (set,
+    confidence), so each set owns a contiguous range of levels, and each
+    reference's hits are regrouped by set, so a step unions only its own
+    set's hits.  Cost: O((N + M) log(N + M)) for N indices over all sets and
+    M references, plus numpy passes over the overlapping (detection,
     reference interval) pairs and, per reference, over its overlapping
     detections at each of its thresholds, against O(thresholds x N) for
-    re-matching.  This is the one-set case of ``roc_curves``, which scores
-    many sets in one such pass.
+    re-matching.  Memory grows with the indices swept together, so runs of
+    whole sets are swept in passes of at most ``_SWEEP_DETECTIONS`` indices
+    (or one set).
     """
-    if num_classes is None:
-        num_classes = 1 + max(
-            [e.class_idx for e in refs] + [d.class_idx for d in dets], default=-1
-        )
-    return _sweep([dets], refs, total_hours, cfg, num_classes)[0]
-
-
-def roc_curves(
-    det_sets: Sequence[Sequence[Event]],
-    refs: Sequence[Event],
-    total_hours: float,
-    cfg: PsdsConfig,
-    num_classes: int,
-) -> list[OperatingPointCurve]:
-    """The ``roc_from_confidences`` curve of every detection set against the
-    same references, in one sweep; each curve equals that of its set alone,
-    bit for bit.
-
-    The references are grouped, sorted and merged once.  The thresholds are
-    keyed by (set, confidence), so each set owns a contiguous range of
-    levels.  A detection object that several sets share is read and
-    DTC-classified once.  On the GTC side each reference's hits are
-    regrouped by set, so a step unions only its own set's hits, and each
-    set's counts are cumulated over its own levels into its curve.  Cost:
-    that of ``roc_from_confidences`` on all the sets' detections together,
-    so scoring the k candidates of a ``tune_csebb`` grid pays the fixed
-    numpy-call overhead of a sweep once, not k times.  Memory grows with
-    the detections swept together, so runs of whole sets are swept in
-    passes of at most ``_SWEEP_DETECTIONS`` detections (or one set).
-    """
-    return _sweep(det_sets, refs, total_hours, cfg, num_classes)
-
-
-def _sweep(
-    det_sets: Sequence[Sequence[Event]],
-    refs: Sequence[Event],
-    total_hours: float,
-    cfg: PsdsConfig,
-    num_classes: int,
-) -> list[OperatingPointCurve]:
     if total_hours <= 0:
         raise ValueError(f"total_hours must be > 0, got {total_hours}")
     n_refs = _ref_counts(refs, num_classes)
     excluded = np.flatnonzero(n_refs == 0)
     if excluded.size:
-        # the caller of the public function that called this one
-        warnings.warn(f"classes without references excluded from PSDS: {excluded.tolist()}", stacklevel=3)
-    curves: list[OperatingPointCurve] = []
-    for group in _sweep_groups(det_sets):
-        # the counting pass's arrays are freed before the curves are built
-        curves += _curves(*_counts(group, refs, cfg, num_classes), n_refs, total_hours)
-    return curves
-
-
-# Cap on the detections of one counting pass: its arrays grow with the
-# detections of every set it sweeps, so a larger grid takes several passes.
-_SWEEP_DETECTIONS = 1 << 15
-
-
-def _sweep_groups(det_sets: Sequence[Sequence[Event]]):
-    """Consecutive runs of the sets, each within _SWEEP_DETECTIONS
-    detections (at least one set per run)."""
-    group: list[Sequence[Event]] = []
-    size = 0
-    for dets in det_sets:
-        if group and size + len(dets) > _SWEEP_DETECTIONS:
-            yield group
-            group, size = [], 0
-        group.append(dets)
-        size += len(dets)
-    yield group
-
-
-def _counts(
-    det_sets: Sequence[Sequence[Event]], refs: Sequence[Event], cfg: PsdsConfig, num_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """FP and TP counts [2, R, C] per row and class, and the number of rows
-    of each set: each set's (0, 0) top, then one row per level."""
-    n_sets = len(det_sets)
-    dets = [d for dets in det_sets for d in dets]
-    if not dets:
-        return np.zeros((2, n_sets, num_classes), dtype=np.int64), np.ones(n_sets, dtype=np.intp)
-    # sets may share detection objects (the candidates of tune_csebb share
-    # most of their boxes), so each distinct object is read and classified
-    # once: the u_ arrays run over the distinct objects, and ``which`` maps
-    # every detection to its object; a lone set is taken as it is
-    distinct, which = _distinct(dets) if n_sets > 1 else (dets, np.arange(len(dets)))
-    confidences = np.array([1.0 if d.confidence is None else d.confidence for d in distinct], dtype=np.float64)
+        warnings.warn(f"classes without references excluded from PSDS: {excluded.tolist()}", stacklevel=2)
+    confidences = np.array([1.0 if d.confidence is None else d.confidence for d in dets], dtype=np.float64)
     bad = np.flatnonzero(~((confidences >= 0.0) & (confidences <= 1.0)))
     if bad.size:
-        raise ValueError(f"detection confidence must be in [0, 1], got {distinct[bad[0]]}")
-    # level t holds the detections of its set kept from the set's t-th
-    # highest threshold on
-    level_of, level_set = _levels(-confidences[which],
-                                  np.repeat(np.arange(n_sets), [len(dets) for dets in det_sets]), n_sets)
+        raise ValueError(f"detection confidence must be in [0, 1], got {dets[bad[0]]}")
 
     # references: one group per (clip, class), sorted by (group, onset)
     clip_index: dict[str, int] = {}
@@ -377,28 +288,69 @@ def _counts(
     order = np.argsort(_keyed(r_group, r_lo), kind="stable")
     r_group, r_lo, r_hi = r_group[order], r_lo[order], r_hi[order]
 
-    # DTC: the part of each distinct detection that the merged references
-    # cover; a detection of a class out of range is not scored
-    u_lo, u_hi = _attribute(distinct, "onset"), _attribute(distinct, "offset")
-    _check_spans(dets, u_lo[which], u_hi[which], "detection")
-    u_class = _attribute(distinct, "class_idx", np.int64)
-    u_clip = np.fromiter(map(clip_index.get, map(attrgetter("clip_id"), distinct), repeat(-1)),
-                         dtype=np.int64, count=len(distinct))
-    u_scored = (u_class >= 0) & (u_class < num_classes)
-    u_group = np.where(u_scored & (u_clip >= 0), u_clip * num_classes + u_class, -1)
-    u_passes = _dtc_coverage(u_group, u_lo, u_hi, *_union(r_group, r_lo, r_hi)) / (u_hi - u_lo) >= cfg.rho_dtc
-    scored = np.flatnonzero(u_scored[which])
-    d_distinct, d_level = which[scored], level_of[scored]
-    passes = u_passes[d_distinct]
-    fp_level, fp_class = d_level[~passes], u_class[d_distinct[~passes]]
+    # DTC: the part of each detection that the merged references cover; a
+    # detection of a class out of range is not scored
+    d_lo, d_hi = _attribute(dets, "onset"), _attribute(dets, "offset")
+    _check_spans(dets, d_lo, d_hi, "detection")
+    d_class = _attribute(dets, "class_idx", np.int64)
+    d_clip = np.fromiter(map(clip_index.get, map(attrgetter("clip_id"), dets), repeat(-1)),
+                         dtype=np.int64, count=len(dets))
+    scored = (d_class >= 0) & (d_class < num_classes)
+    d_group = np.where(scored & (d_clip >= 0), d_clip * num_classes + d_class, -1)
+    passes = _dtc_coverage(d_group, d_lo, d_hi, *_union(r_group, r_lo, r_hi)) / (d_hi - d_lo) >= cfg.rho_dtc
+    pool = (confidences, scored, passes, d_class, d_group, d_lo, d_hi)
+
+    curves: list[OperatingPointCurve] = []
+    for group in _sweep_groups(sets):
+        # the counting pass's arrays are freed before the curves are built
+        counts = _counts(group, pool, r_group, r_lo, r_hi, cfg.rho_gtc, num_classes)
+        curves += _curves(*counts, n_refs, total_hours)
+    return curves
+
+
+# Cap on the indices of one counting pass: its arrays grow with the
+# detections of every set it sweeps, so a larger grid takes several passes.
+_SWEEP_DETECTIONS = 1 << 15
+
+
+def _sweep_groups(sets: Sequence[np.ndarray]):
+    """Consecutive runs of the sets, each within _SWEEP_DETECTIONS indices
+    (at least one set per run)."""
+    group: list[np.ndarray] = []
+    size = 0
+    for index in sets:
+        if group and size + len(index) > _SWEEP_DETECTIONS:
+            yield group
+            group, size = [], 0
+        group.append(index)
+        size += len(index)
+    if group:
+        yield group
+
+
+def _counts(sets: Sequence[np.ndarray], pool: tuple, r_group: np.ndarray, r_lo: np.ndarray,
+            r_hi: np.ndarray, rho_gtc: float, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """FP and TP counts [2, R, C] per row and class, and the number of rows
+    of each set: each set's (0, 0) top, then one row per level.  ``pool``
+    holds the per-detection arrays (confidence, scored, DTC verdict,
+    class, group, onset, offset) that ``sets`` index."""
+    confidences, scored, passes, d_class, d_group, d_lo, d_hi = pool
+    n_sets = len(sets)
+    which = np.concatenate(sets)
+    # level t holds the detections of its set kept from the set's t-th
+    # highest threshold on
+    level_of, level_set = _levels(-confidences[which], np.repeat(np.arange(n_sets), list(map(len, sets))), n_sets)
+    kept = scored[which]
+    d_which, d_level = which[kept], level_of[kept]
+    ok = passes[d_which]
+    fp_level, fp_class = d_level[~ok], d_class[d_which[~ok]]
 
     # GTC: the passing detections in onset order
-    p_distinct, p_level = d_distinct[passes], d_level[passes]
-    order = np.argsort(_keyed(u_group[p_distinct], u_lo[p_distinct]), kind="stable")
-    p_distinct, p_level = p_distinct[order], p_level[order]
+    p_which, p_level = d_which[ok], d_level[ok]
+    order = np.argsort(_keyed(d_group[p_which], d_lo[p_which]), kind="stable")
+    p_which, p_level = p_which[order], p_level[order]
     s_ref, s_level, found, first_step = _gtc_steps(
-        u_group[p_distinct], p_level, u_lo[p_distinct], u_hi[p_distinct], r_group, r_lo, r_hi, level_set,
-        cfg.rho_gtc,
+        d_group[p_which], p_level, d_lo[p_which], d_hi[p_which], r_group, r_lo, r_hi, level_set, rho_gtc,
     )
 
     # one row per level below its set's (0, 0) top
@@ -407,7 +359,7 @@ def _counts(
     cells = row_of[fp_level] * num_classes + fp_class
     counts[0] = np.bincount(cells, minlength=counts[0].size).reshape(counts[0].shape)
     # an uncovered reference is found only when rho_gtc is 0
-    found_uncovered = 0.0 >= cfg.rho_gtc
+    found_uncovered = 0.0 >= rho_gtc
     r_class = r_group % num_classes
     if found_uncovered:
         first_levels = np.flatnonzero(np.diff(level_set, prepend=-1))

@@ -173,14 +173,6 @@ def _floored_log(mel_power: np.ndarray) -> np.ndarray:
     return np.log(mel_power, out=mel_power)
 
 
-def log_mel(spec: np.ndarray, fb: np.ndarray, frame_period: float) -> MelSpectrogram:
-    """Natural-log power mel spectrogram, floored at LOG_FLOOR."""
-    if spec.shape[1] != fb.shape[1]:
-        raise ValueError(f"spectrogram bins {spec.shape[1]} != filterbank bins {fb.shape[1]}")
-    power = np.square(spec, dtype=np.float64)
-    return MelSpectrogram(values=_floored_log(power @ fb.T), frame_period=frame_period)
-
-
 def extract_log_mel(clip: AudioClip, hop: int, n_mels: int = DEFAULT_MEL_BINS) -> MelSpectrogram:
     """Full front-end for one clip: pad/trim to 10 s, STFT, mel, log."""
     if clip.sample_rate != SAMPLE_RATE:

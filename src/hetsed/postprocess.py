@@ -21,7 +21,9 @@ grid) treats all clips and candidates as one problem.  The clips of one
 frame count are smoothed and cut together, once per smoothing key (window,
 half_width, min_gap), into flat per-segment arrays.  One greedy merge then
 runs in lock step over every track of every key, and each (rel_merge,
-abs_merge) candidate reads its boxes off the step where it stops.
+abs_merge) candidate reads its boxes off the step where it stops.  The boxes
+are built once, and each candidate holds the index array of its boxes among
+them, so candidates that reach the same merge state share boxes by index.
 """
 
 from __future__ import annotations
@@ -391,15 +393,16 @@ def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.nd
 
 
 def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
-              class_names: Sequence[str] | None) -> list[list[Event]]:
-    """The boxes of all clips under each parameter set of ``grid``, each
-    list in (clip, class, time) order.
+              class_names: Sequence[str] | None) -> tuple[list[Event], list[np.ndarray]]:
+    """The boxes of all clips under every parameter set of ``grid``, as one
+    list of distinct boxes and, per parameter set, the index array of its
+    boxes in that list in (clip, class, time) order.
 
     Tracks are numbered clip-major, class-minor.  A candidate entry is one
     (smoothing key, class, rel_merge, abs_merge) that some parameter set
     asks of every track of that class.  Each smoothing key segments all
     tracks once, one lock-step merge serves every entry, and parameter sets
-    that reach the same merge state share its ``Event`` objects.
+    that reach the same merge state share its boxes by index.
     """
     if class_names is not None and any(len(class_names) != post.num_classes for post in posts):
         raise ValueError("class_names length must match the posteriorgram")
@@ -407,7 +410,7 @@ def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
     first_track = np.cumsum([0] + widths)
     n_tracks = int(first_track[-1])
     if n_tracks == 0:
-        return [[] for _ in grid]
+        return [], [np.zeros(0, dtype=np.intp) for _ in grid]
     class_of = np.arange(n_tracks) - np.repeat(first_track[:-1], widths)
     n_classes = max(widths) if class_names is None else len(class_names)
     rows_of = [np.flatnonzero(class_of == c) for c in range(n_classes)]
@@ -439,22 +442,21 @@ def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
         onset[at] = frame_time(start[at], fp)
         offset[at] = frame_time(start[at] + length[at], fp)
     clip_ids = [post.clip_id for post in posts]
-    events = [
+    boxes = [
         Event(clip_ids[i], c, on, off, confidence)
         for i, c, on, off, confidence in zip(
             clip.tolist(), class_of[track].tolist(), onset.tolist(), offset.tolist(),
             np.minimum(mean, 1.0).tolist(),
         )
     ]
-    out = []
+    sets = []
     for pick in picks:
         cand = np.empty(n_tracks, dtype=np.intp)
         for rows, e in zip(rows_of, pick):
             cand[rows] = first_cand[e] + np.arange(rows.size)
         lo, n = begin[cand], end[cand] - begin[cand]
-        index = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        out.append([events[i] for i in index.tolist()])
-    return out
+        sets.append(np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum()))
+    return boxes, sets
 
 
 def csebb_detect(
@@ -472,7 +474,8 @@ def csebb_detect(
     of one clip at a time; this is the one-candidate case of
     ``tune_csebb``'s search.
     """
-    return _box_sets(posts, [params], class_names)[0]
+    boxes, (index,) = _box_sets(posts, [params], class_names)
+    return [boxes[i] for i in index.tolist()]
 
 
 def event_threshold(boxes: Sequence[Event], class_thresholds: Sequence[float]) -> list[Event]:
@@ -529,7 +532,7 @@ def tune_csebb(
     posts: Sequence[Posteriorgram],
     refs: Sequence[Event],
     grid: Sequence[CsebbParams],
-    metric: Callable[[list[list[Event]], Sequence[Event]], Sequence[float]],
+    metric: Callable[[list[Event], list[np.ndarray], Sequence[Event]], Sequence[float]],
     class_names: Sequence[str] | None = None,
 ) -> CsebbParams:
     """Grid-search the detector parameters against a validation metric
@@ -539,17 +542,18 @@ def tune_csebb(
     Each candidate is scored on exactly the boxes ``csebb_detect`` gives,
     all found in one search: each smoothing key segments the clips once,
     one merge serves every (rel_merge, abs_merge) pair, and candidates
-    reaching the same merge state share its boxes.  ``metric(box_sets,
-    refs)`` takes the boxes of every candidate in grid order and returns one
-    score per candidate, so a PSDS metric can run one
-    ``evaluation.roc_curves`` sweep over the whole grid.
+    reaching the same merge state share its boxes by index.  ``metric(boxes,
+    sets, refs)`` takes the distinct boxes and, per candidate in grid order,
+    the index array of its boxes among them, and returns one score per
+    candidate, so a PSDS metric can run one
+    ``evaluation.roc_from_confidences`` sweep over the whole grid.
 
     Ties break toward the smaller smoothing window, then lexicographically
     over the remaining parameters, so results never depend on grid order.
     """
     if not grid:
         raise ValueError("parameter grid is empty")
-    scores = list(metric(_box_sets(posts, grid, class_names), refs))
+    scores = list(metric(*_box_sets(posts, grid, class_names), refs))
     if len(scores) != len(grid):
         raise ValueError(f"metric gave {len(scores)} scores for {len(grid)} candidates")
     best_score = max(scores)

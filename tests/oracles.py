@@ -7,23 +7,11 @@ structured implementations are checked against a genuinely separate route.
 
 import functools
 import math
-import warnings
-from typing import Sequence
 
 import numpy as np
 
-from hetsed.core import Event
 from hetsed.domain_gen import freq_mixstyle, freq_stats
-from hetsed.evaluation import (
-    OperatingPointCurve,
-    PsdsConfig,
-    _expand,
-    _keyed,
-    _ordered_sums,
-    _ref_counts,
-    _segment_count,
-    _union,
-)
+from hetsed.evaluation import OperatingPointCurve, PsdsConfig, _segment_count
 from hetsed.postprocess import _PLATEAU_TOL
 
 
@@ -198,152 +186,8 @@ def rematch_curve(dets, refs, hours, cfg, num_classes):
     return _curve_from_point_lists(per_class, included)
 
 
-# The one-set sweep as it was before every detection set went through one
-# evaluation.roc_curves pass, and the PSDS area as a loop over the curve
-# points: the batched sweep and the array area must equal them bit for bit.
-
-def _spans(events: Sequence[Event], what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Onsets and offsets as arrays; each event must have finite times and a
-    positive length."""
-    lo = np.array([e.onset for e in events], dtype=np.float64)
-    hi = np.array([e.offset for e in events], dtype=np.float64)
-    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)))
-    if bad.size:
-        raise ValueError(f"{what} needs finite times with offset > onset, got {events[bad[0]]}")
-    return lo, hi
-
-
-def _curve(efpr: np.ndarray, tpr: np.ndarray, included: np.ndarray) -> OperatingPointCurve:
-    """The step-function curve from per-class rates [levels, C] cumulated
-    down the thresholds: a (0, 0) level on top, TPR replaced by its running
-    max (the upper envelope; eFPR never decreases down the levels), and each
-    class's value read off at every point of the union grid of rates."""
-    top = np.zeros((1, tpr.shape[1]))
-    efpr = np.vstack([top, efpr])
-    tpr = np.maximum.accumulate(np.vstack([top, tpr]), axis=0)
-    grid = np.unique(efpr)
-    level = np.empty((grid.size, tpr.shape[1]), dtype=np.intp)
-    for c in range(tpr.shape[1]):
-        level[:, c] = np.searchsorted(efpr[:, c], grid, side="right") - 1
-    return OperatingPointCurve(efpr=grid, tpr=np.take_along_axis(tpr, level, axis=0), included=included)
-
-
-def per_set_roc_from_confidences(
-    dets: Sequence[Event],
-    refs: Sequence[Event],
-    total_hours: float,
-    cfg: PsdsConfig = PsdsConfig(),
-    num_classes: int | None = None,
-) -> OperatingPointCurve:
-    """Operating point curve from a one-pass sweep over the detection confidences.
-
-    Every distinct confidence is a threshold keeping the detections with
-    confidence >= that value.  A missing confidence (None) counts as 1.0, so
-    hard detections give a single operating point.  Classes without
-    references are excluded with a warning.
-
-    The curve equals re-matching the kept detections at every threshold, bit
-    for bit, without doing so.  A detection's DTC verdict depends on the
-    references only, so each detection is classified once.  Each reference
-    then takes the DTC-passing detections that overlap it in
-    descending-confidence tie groups and records the thresholds where its
-    GTC verdict changes (coverage only grows, so once in practice).
-    Per-class TP and FP counts at every threshold are cumulative sums over
-    the sorted thresholds.
-
-    Both coverage tests run on sorted interval arrays per (clip, class), all
-    groups at once: binary search finds the reference intervals a detection
-    overlaps and the passing detections a reference overlaps, and each
-    coverage is summed left to right over the merged intervals in onset
-    order, as the interval-by-interval definition sums it (the skipped
-    intervals would add 0.0).  Cost: O((N + M) log(N + M)) for N detections
-    and M references, plus numpy passes over the overlapping (detection,
-    reference interval) pairs and, per reference, over its overlapping
-    detections at each of its thresholds, against O(thresholds x N) for
-    re-matching.
-    """
-    if total_hours <= 0:
-        raise ValueError(f"total_hours must be > 0, got {total_hours}")
-    if num_classes is None:
-        num_classes = 1 + max(
-            [e.class_idx for e in refs] + [d.class_idx for d in dets], default=-1
-        )
-    n_refs = _ref_counts(refs, num_classes)
-    included = n_refs > 0
-    excluded = np.flatnonzero(~included)
-    if excluded.size:
-        warnings.warn(f"classes without references excluded from PSDS: {excluded.tolist()}", stacklevel=2)
-
-    if not dets:
-        return _curve(np.zeros((0, num_classes)), np.zeros((0, num_classes)), included)
-    confidences = [1.0 if d.confidence is None else d.confidence for d in dets]
-    # level t holds the detections kept from the t-th highest threshold on
-    levels, level_of = np.unique(-np.asarray(confidences, dtype=np.float64), return_inverse=True)
-    tp, fp = (np.zeros((levels.size, num_classes), dtype=np.int64) for _ in range(2))
-
-    # references: one group per (clip, class), sorted by (group, onset)
-    clip_index: dict[str, int] = {}
-    r_group = np.array([clip_index.setdefault(e.clip_id, len(clip_index)) * num_classes + e.class_idx
-                        for e in refs], dtype=np.int64)
-    r_lo, r_hi = _spans(refs, "reference")
-    order = np.argsort(_keyed(r_group, r_lo), kind="stable")
-    r_group, r_lo, r_hi = r_group[order], r_lo[order], r_hi[order]
-
-    # DTC: the part of each detection that the merged references cover
-    d_class = np.array([d.class_idx for d in dets], dtype=np.int64)
-    d_lo, d_hi = _spans(dets, "detection")
-    scored = np.flatnonzero((d_class >= 0) & (d_class < num_classes))
-    d_clip = np.array([clip_index.get(dets[i].clip_id, -1) for i in scored.tolist()], dtype=np.int64)
-    d_group = np.where(d_clip >= 0, d_clip * num_classes + d_class[scored], -1)
-    d_class, d_level, d_lo, d_hi = d_class[scored], level_of[scored], d_lo[scored], d_hi[scored]
-    m_group, m_lo, m_hi = _union(r_group, r_lo, r_hi)
-    det, iv = _expand(
-        np.searchsorted(_keyed(m_group, m_hi), _keyed(d_group, d_lo), side="right"),
-        np.searchsorted(_keyed(m_group, m_lo), _keyed(d_group, d_hi), side="left"),
-    )
-    overlap = np.minimum(d_hi[det], m_hi[iv]) - np.maximum(d_lo[det], m_lo[iv])
-    covered = _ordered_sums(det, overlap, scored.size)
-    passes = covered / (d_hi - d_lo) >= cfg.rho_dtc
-    np.add.at(fp, (d_level[~passes], d_class[~passes]), 1)
-
-    # GTC: the passing detections overlapping each reference, in onset order
-    order = np.argsort(_keyed(d_group[passes], d_lo[passes]), kind="stable")
-    p_group, p_level, p_lo, p_hi = (a[passes][order] for a in (d_group, d_level, d_lo, d_hi))
-    ref, hit = _expand(
-        # the detections before the first whose group's running max offset
-        # exceeds the reference onset all end at or before that onset
-        np.searchsorted(np.maximum.accumulate(_keyed(p_group, p_hi)), _keyed(r_group, r_lo), side="right"),
-        np.searchsorted(_keyed(p_group, p_lo), _keyed(r_group, r_hi), side="left"),
-    )
-    overlapping = p_hi[hit] > r_lo[ref]
-    ref, hit = ref[overlapping], hit[overlapping]
-    # one step per (reference, level of one of its hits), levels ascending;
-    # a step covers the reference with its hits of that level or lower
-    pair_start = np.searchsorted(ref, np.arange(r_lo.size))
-    pair_stop = np.searchsorted(ref, np.arange(r_lo.size), side="right")
-    steps = np.unique(ref * levels.size + p_level[hit])
-    s_ref, s_level = steps // levels.size, steps % levels.size
-    step, pair = _expand(pair_start[s_ref], pair_stop[s_ref])
-    kept = p_level[hit[pair]] <= s_level[step]
-    step, pair = step[kept], pair[kept]
-    u_step, u_lo, u_hi = _union(step, p_lo[hit[pair]], p_hi[hit[pair]])
-    s_lo, s_hi = r_lo[s_ref], r_hi[s_ref]
-    overlap = np.minimum(s_hi[u_step], u_hi) - np.maximum(s_lo[u_step], u_lo)
-    coverage = _ordered_sums(u_step, overlap, steps.size)
-    found = coverage / (s_hi - s_lo) >= cfg.rho_gtc
-    # an uncovered reference is found only when rho_gtc is 0
-    found_uncovered = 0.0 >= cfg.rho_gtc
-    r_class = r_group % num_classes
-    if found_uncovered:
-        tp[0] += np.bincount(r_class, minlength=num_classes)
-    first_step = np.ones(steps.size, dtype=bool)
-    first_step[1:] = s_ref[1:] != s_ref[:-1]
-    previous = np.where(first_step, found_uncovered, np.roll(found, 1))
-    np.add.at(tp, (s_level, r_class[s_ref]), found.astype(np.int64) - previous)
-
-    tpr = np.where(included, np.cumsum(tp, axis=0) / np.maximum(n_refs, 1), 0.0)
-    return _curve(np.cumsum(fp, axis=0) / total_hours, tpr, included)
-
+# The PSDS area as a loop over the curve points: the array area must equal
+# it bit for bit.
 
 def psds_loop(curve: OperatingPointCurve, cfg: PsdsConfig = PsdsConfig()) -> float:
     """Normalized area under the effective TPR as a step function of eFPR.
@@ -411,49 +255,6 @@ def window_mean_moving_average(scores, window):
     windows = np.lib.stride_tricks.sliding_window_view(tracks, window, axis=1)
     means = np.ascontiguousarray(windows).mean(axis=-1)
     return np.ascontiguousarray(means[0] if scores.ndim == 1 else means.T)
-
-
-def _anchored_starts(a):
-    starts = np.zeros(a.size, dtype=bool)
-    i = 0
-    while i < a.size:
-        starts[i] = True
-        j = i + 1
-        while j < a.size and abs(a[j] - a[i]) <= _PLATEAU_TOL:
-            j += 1
-        i = j
-    return starts
-
-
-def gathered_change_points(tracks, half_width, min_gap):
-    """``_change_points`` with one entry per plateau: |d| from two gathers,
-    the plateau starts chained within the tolerance (rows where chaining and
-    the anchored rule part ways rescanned), then the candidate tests on the
-    gathered first value and neighbours of every plateau."""
-    k, t = tracks.shape
-    idx = np.arange(t)
-    a = np.abs(tracks[:, np.minimum(idx + half_width, t - 1)] - tracks[:, np.maximum(idx - half_width, 0)])
-    starts = np.ones((k, t), dtype=bool)
-    starts[:, 1:] = ~(np.abs(np.diff(a, axis=1)) <= _PLATEAU_TOL)
-    first_value = np.take_along_axis(a, np.maximum.accumulate(np.where(starts, idx, 0), axis=1), axis=1)
-    drifts = ~starts & ~(np.abs(a - first_value) <= _PLATEAU_TOL)
-    rejoins = starts[:, 1:] & (np.abs(a[:, 1:] - first_value[:, :-1]) <= _PLATEAU_TOL)
-    for r in np.flatnonzero(drifts.any(axis=1) | rejoins.any(axis=1)):
-        starts[r] = _anchored_starts(a[r])
-    ends = np.ones_like(starts)
-    ends[:, :-1] = starts[:, 1:]
-    row, first = np.nonzero(starts)
-    last = np.nonzero(ends)[1]
-    value = a[row, first]
-    mid = (first + last + 1) // 2
-    keep = (
-        (value > min_gap)
-        & ((first == 0) | (value > a[row, first - 1] + _PLATEAU_TOL))
-        & ((last == t - 1) | (value > a[row, np.minimum(last + 1, t - 1)] + _PLATEAU_TOL))
-        & ~((first == 0) & (last == t - 1))
-        & (mid > 0)
-    )
-    return np.split(mid[keep], np.cumsum(np.bincount(row[keep], minlength=k))[:-1])
 
 
 def greedy_merge(

@@ -28,7 +28,6 @@ from hetsed.evaluation import (
     joint_score,
     mpauc,
     psds,
-    roc_curves,
     roc_from_confidences,
     segment_scores,
     segmentize,
@@ -62,6 +61,12 @@ def _quiet(func, *args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return func(*args, **kwargs)
+
+
+def _psds(dets, refs, hours, cfg, num_classes):
+    """PSDS of the one set that holds every detection."""
+    (curve,) = roc_from_confidences(dets, [np.arange(len(dets))], refs, hours, cfg, num_classes)
+    return psds(curve, cfg)
 
 
 def test_criterion_01_joint_score_arithmetic():
@@ -104,7 +109,7 @@ def test_criterion_03_csebb_beats_best_single_threshold():
             for post in test_posts:
                 dets.extend(frame_threshold_merge(post, [thr] * num_classes))
             value = _quiet(
-                lambda: psds(roc_from_confidences(dets, test_refs, test_hours, cfg, num_classes), cfg)
+                lambda: _psds(dets, test_refs, test_hours, cfg, num_classes)
             )
             frame_best = max(frame_best, value)
 
@@ -115,15 +120,15 @@ def test_criterion_03_csebb_beats_best_single_threshold():
             for rel in (0.4, 0.5, 0.6)
         ]
 
-        def metric(box_sets, refs):
+        def metric(boxes, sets, refs):
             return _quiet(
-                lambda: [psds(c, cfg) for c in roc_curves(box_sets, refs, val_hours, cfg, num_classes)]
+                lambda: [psds(c, cfg) for c in roc_from_confidences(boxes, sets, refs, val_hours, cfg, num_classes)]
             )
 
         tuned = tune_csebb(val_posts, val_refs, grid, metric)
         boxes = csebb_detect(test_posts, tuned)
         csebb_value = _quiet(
-            lambda: psds(roc_from_confidences(boxes, test_refs, test_hours, cfg, num_classes), cfg)
+            lambda: _psds(boxes, test_refs, test_hours, cfg, num_classes)
         )
 
         elapsed = time.monotonic() - start
@@ -145,7 +150,7 @@ def test_criterion_04_noiseless_end_to_end_perfection():
         for post in posts:
             dets.extend(frame_threshold_merge(post, [0.5] * num_classes))
         cfg = PsdsConfig()
-        psds_value = psds(roc_from_confidences(dets, refs, hours, cfg, num_classes), cfg)
+        psds_value = _psds(dets, refs, hours, cfg, num_classes)
         assert abs(psds_value - 1.0) <= 1e-9
 
         by_clip = {}
@@ -183,7 +188,7 @@ def test_criterion_05_psds_bruteforce_equivalence():
                 for _ in range(int(rng.integers(0, 5)))
             ]
             value = _quiet(
-                lambda: psds(roc_from_confidences(dets, refs, hours, cfg, num_classes), cfg)
+                lambda: _psds(dets, refs, hours, cfg, num_classes)
             )
             expected = brute_force_psds(dets, refs, hours, cfg, num_classes)
             assert abs(value - expected) <= 1e-9

@@ -504,6 +504,8 @@ def test_median_frame_and_mpauc_outputs_are_pinned(tmp_path):
 
 @pytest.mark.parametrize("value, message", [
     (np.nan, "scores contain non-finite values"),
+    (np.inf, "scores contain non-finite values"),
+    (-np.inf, "scores contain non-finite values"),
     (2.0, "scores outside [0, 1]"),
 ])
 def test_postprocess_names_the_file_for_bad_scores(tmp_path, capsys, value, message):

@@ -17,7 +17,6 @@ from hetsed.evaluation import (
     mpauc_per_class,
     partial_auc_standardized,
     psds,
-    roc_curves,
     roc_from_confidences,
     segment_scores,
     segmentize,
@@ -26,12 +25,18 @@ from hetsed.evaluation import (
 CFG = PsdsConfig()
 
 
+def one_set(dets, refs, hours, cfg, num_classes):
+    """The curve of the one set that holds every detection."""
+    (curve,) = roc_from_confidences(dets, [np.arange(len(dets))], refs, hours, cfg, num_classes)
+    return curve
+
+
 # ----------------------------------------------------- intersection matching
 
 def one_threshold_counts(dets, refs, rho_dtc, rho_gtc):
     """(TP, FP) of one class read off the one-threshold curve (one hour)."""
     cfg = PsdsConfig(rho_dtc=rho_dtc, rho_gtc=rho_gtc)
-    curve = roc_from_confidences(dets, refs, 1.0, cfg, 1)
+    curve = one_set(dets, refs, 1.0, cfg, 1)
     return curve.tpr[-1, 0] * len(refs), curve.efpr[-1]
 
 
@@ -85,7 +90,7 @@ def sebb(clip, cls, on, off, conf):
 def test_curve_perfect_detections_single_point():
     refs = [Event("a", 0, 1.0, 3.0), Event("a", 1, 4.0, 6.0)]
     dets = [sebb("a", 0, 1.0, 3.0, 0.9), sebb("a", 1, 4.0, 6.0, 0.4)]
-    curve = roc_from_confidences(dets, refs, total_hours=1.0, cfg=CFG, num_classes=2)
+    curve = one_set(dets, refs, 1.0, CFG, 2)
     assert curve.efpr[0] == 0.0
     assert np.allclose(curve.tpr[-1], 1.0)
     assert psds(curve, CFG) == pytest.approx(1.0)
@@ -93,7 +98,7 @@ def test_curve_perfect_detections_single_point():
 
 def test_curve_no_detections():
     refs = [Event("a", 0, 1.0, 3.0)]
-    curve = roc_from_confidences([], refs, 1.0, CFG, 1)
+    curve = one_set([], refs, 1.0, CFG, 1)
     assert curve.efpr.tolist() == [0.0]
     assert np.allclose(curve.tpr, 0.0)
     assert psds(curve, CFG) == 0.0
@@ -103,7 +108,7 @@ def test_curve_excludes_classes_without_refs():
     refs = [Event("a", 0, 1.0, 3.0)]
     dets = [sebb("a", 1, 1.0, 3.0, 0.5)]
     with pytest.warns(UserWarning, match="without references"):
-        curve = roc_from_confidences(dets, refs, 1.0, CFG, 2)
+        curve = one_set(dets, refs, 1.0, CFG, 2)
     assert curve.included.tolist() == [True, False]
 
 
@@ -139,9 +144,10 @@ def test_sweep_rejects_a_nan_confidence():
     refs = [Event("a", 0, 1.0, 2.0)]
     dets = [Event("a", 0, 1.0, 2.0, 0.9), Event("a", 0, 3.0, 4.0, float("nan"))]
     with pytest.raises(ValueError, match="confidence"):
-        roc_from_confidences(dets, refs, 1.0, CFG, 1)
+        one_set(dets, refs, 1.0, CFG, 1)
+    # every detection of the pool is checked, also one that no set uses
     with pytest.raises(ValueError, match="confidence"):
-        roc_curves([dets[:1], dets], refs, 1.0, CFG, 1)
+        roc_from_confidences(dets, [np.array([0])], refs, 1.0, CFG, 1)
 
 
 # ------------------------------------------------ PSDS brute-force oracle
@@ -152,7 +158,6 @@ from oracles import (  # noqa: E402
     brute_force_psds,
     brute_pauc,
     intersection_match,
-    per_set_roc_from_confidences,
     psds_loop,
     rematch_curve,
     segment_scores_at,
@@ -188,7 +193,7 @@ def test_psds_matches_bruteforce_enumeration():
 
             with _w.catch_warnings():
                 _w.simplefilter("ignore")
-                curve = roc_from_confidences(dets, refs, hours, CFG, num_classes)
+                curve = one_set(dets, refs, hours, CFG, num_classes)
                 value = psds(curve, CFG)
         expected = brute_force_psds(dets, refs, hours, CFG, num_classes)
         assert value == pytest.approx(expected, abs=1e-9), (dets, refs, hours)
@@ -199,9 +204,9 @@ def test_psds_matches_bruteforce_enumeration():
 def test_psds_monotone_under_tp_and_fp_additions():
     refs = [Event("a", 0, 1.0, 3.0), Event("a", 0, 5.0, 7.0)]
     partial = [Event("a", 0, 1.0, 3.0)]
-    base = psds(roc_from_confidences(partial, refs, 0.2, CFG, 1), CFG)
-    with_tp = psds(roc_from_confidences(partial + [Event("a", 0, 5.0, 7.0)], refs, 0.2, CFG, 1), CFG)
-    with_fp = psds(roc_from_confidences(partial + [Event("a", 0, 8.5, 9.5)], refs, 0.2, CFG, 1), CFG)
+    base = psds(one_set(partial, refs, 0.2, CFG, 1), CFG)
+    with_tp = psds(one_set(partial + [Event("a", 0, 5.0, 7.0)], refs, 0.2, CFG, 1), CFG)
+    with_fp = psds(one_set(partial + [Event("a", 0, 8.5, 9.5)], refs, 0.2, CFG, 1), CFG)
     assert with_tp >= base
     assert with_fp <= base
 
@@ -215,9 +220,9 @@ def test_psds_invariant_under_monotone_confidence_transform():
 
     with _w.catch_warnings():
         _w.simplefilter("ignore")
-        a = psds(roc_from_confidences(dets, refs, hours, CFG, num_classes), CFG)
+        a = psds(one_set(dets, refs, hours, CFG, num_classes), CFG)
         cubed = [sebb(d.clip_id, d.class_idx, d.onset, d.offset, d.confidence**3) for d in dets]
-        b = psds(roc_from_confidences(cubed, refs, hours, CFG, num_classes), CFG)
+        b = psds(one_set(cubed, refs, hours, CFG, num_classes), CFG)
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -253,8 +258,8 @@ def test_one_pass_sweep_equals_rematch_oracle(case):
     dets, refs, hours, cfg, num_classes, order = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        curve = roc_from_confidences(dets, refs, hours, cfg, num_classes)
-        shuffled = roc_from_confidences([dets[i] for i in order], refs, hours, cfg, num_classes)
+        curve = one_set(dets, refs, hours, cfg, num_classes)
+        shuffled = one_set([dets[i] for i in order], refs, hours, cfg, num_classes)
     expected = rematch_curve(dets, refs, hours, cfg, num_classes)
     assert np.array_equal(curve.efpr, expected.efpr)
     assert np.array_equal(curve.tpr, expected.tpr)
@@ -272,7 +277,7 @@ def test_curve_keeps_the_envelope_when_coverage_drops_in_the_last_bit():
     cfg = PsdsConfig(rho_gtc=((0.7 - 0.1) + (1.8 - gap)) / (2.3 - 0.1))
     assert intersection_match(dets[:2], refs, cfg.rho_dtc, cfg.rho_gtc, 1)[0].tolist() == [1]
     assert intersection_match(dets, refs, cfg.rho_dtc, cfg.rho_gtc, 1)[0].tolist() == [0]
-    curve = roc_from_confidences(dets, refs, 1.0, cfg, 1)
+    curve = one_set(dets, refs, 1.0, cfg, 1)
     expected = rematch_curve(dets, refs, 1.0, cfg, 1)
     assert curve.efpr.tolist() == expected.efpr.tolist() == [0.0]
     assert curve.tpr.tolist() == expected.tpr.tolist() == [[1.0]]
@@ -298,7 +303,7 @@ def test_coverage_sums_the_merged_spans_left_to_right(spans, short, side):
         dets = [Event("a", 0, 0.0, 4.1, 0.9)]
         refs = [Event("a", 0, a, b) for a, b in spans]
         cfg = PsdsConfig(rho_dtc=rho)
-    curve = roc_from_confidences(dets, refs, 1.0, cfg, 1)
+    curve = one_set(dets, refs, 1.0, cfg, 1)
     expected = rematch_curve(dets, refs, 1.0, cfg, 1)
     assert curve.efpr.tolist() == expected.efpr.tolist() == [0.0]
     assert curve.tpr.tolist() == expected.tpr.tolist() == [[1.0]]
@@ -311,8 +316,8 @@ def test_psds_invariant_under_clip_renaming(case, names):
     rename = dict(zip(["a", "b", "c"], names))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        curve = roc_from_confidences(dets, refs, hours, cfg, num_classes)
-        renamed = roc_from_confidences(
+        curve = one_set(dets, refs, hours, cfg, num_classes)
+        renamed = one_set(
             [replace(d, clip_id=rename[d.clip_id]) for d in dets],
             [replace(r, clip_id=rename[r.clip_id]) for r in refs],
             hours, cfg, num_classes,
@@ -322,15 +327,13 @@ def test_psds_invariant_under_clip_renaming(case, names):
     assert psds(renamed, cfg) == psds(curve, cfg)
 
 
-
 # ------------------------------------------ every set in one batched sweep
 
 @st.composite
 def batched_cases(draw):
-    """1-6 detection sets over shared clips, with confidences tied across
-    sets, empty sets, a clip no reference is on and
-    classes out of range; sets share some detection objects and repeat some
-    within a set."""
+    """A pool of detections and 1-6 index sets into it: sets that repeat an
+    index, empty sets, pool entries that no set uses, confidences tied across
+    sets, a clip that no reference is on and classes out of range."""
     num_classes = draw(st.integers(1, 3))
     refs = [Event(clip, c, lo, hi) for clip, c, (lo, hi) in
             draw(st.lists(st.tuples(_clips, st.integers(0, num_classes - 1), _spans), max_size=6))]
@@ -341,31 +344,36 @@ def batched_cases(draw):
         _spans,
         st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0, None]),
     )
-    shared = draw(st.lists(detection, max_size=8))
-    own = st.sampled_from(shared) | detection if shared else detection
-    det_sets = draw(st.lists(st.lists(own, max_size=10), min_size=1, max_size=6))
+    dets = draw(st.lists(detection, max_size=12))
+    index = st.lists(st.integers(0, len(dets) - 1), max_size=10) if dets else st.just([])
+    sets = [np.array(s, dtype=np.intp) for s in draw(st.lists(index, min_size=1, max_size=6))]
     cfg = PsdsConfig(
         rho_dtc=draw(st.sampled_from([0.0, 0.5, 1.0])),
         rho_gtc=draw(st.sampled_from([0.0, 0.5, 1.0])),
         alpha_st=draw(st.sampled_from([0.0, 1.0])),
     )
-    return det_sets, refs, draw(st.sampled_from([0.05, 1.0])), cfg, num_classes
+    return dets, sets, refs, draw(st.sampled_from([0.05, 1.0])), cfg, num_classes
+
+
+def _equal_curves(curve, other):
+    assert np.array_equal(curve.efpr, other.efpr)
+    assert np.array_equal(curve.tpr, other.tpr)
+    assert np.array_equal(curve.included, other.included)
 
 
 @settings(max_examples=300, deadline=None)
 @given(batched_cases())
 def test_batched_sweep_equals_the_per_set_sweep_and_the_rematch_oracle(case):
-    det_sets, refs, hours, cfg, num_classes = case
+    dets, sets, refs, hours, cfg, num_classes = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        curves = roc_curves(det_sets, refs, hours, cfg, num_classes)
-        alone = [per_set_roc_from_confidences(dets, refs, hours, cfg, num_classes) for dets in det_sets]
-    assert len(curves) == len(det_sets)
-    for dets, curve, expected in zip(det_sets, curves, alone):
-        for other in (expected, rematch_curve(dets, refs, hours, cfg, num_classes)):
-            assert np.array_equal(curve.efpr, other.efpr)
-            assert np.array_equal(curve.tpr, other.tpr)
-            assert np.array_equal(curve.included, other.included)
+        curves = roc_from_confidences(dets, sets, refs, hours, cfg, num_classes)
+        alone = [one_set([dets[i] for i in s], refs, hours, cfg, num_classes) for s in sets]
+    assert len(curves) == len(sets)
+    for s, curve, single in zip(sets, curves, alone):
+        expected = rematch_curve([dets[i] for i in s], refs, hours, cfg, num_classes)
+        _equal_curves(curve, expected)
+        _equal_curves(single, expected)
         assert psds(curve, cfg) == psds_loop(expected, cfg)
 
 
@@ -376,29 +384,36 @@ def test_batched_sweep_in_capped_passes_equals_the_per_set_sweep(monkeypatch):
     for _ in range(30):
         _, refs, hours, num_classes = _random_case(rng)
         det_sets = [_random_case(rng)[0] for _ in range(int(rng.integers(1, 7)))]
-        det_sets.append(det_sets[0] * 2)
+        dets = [d for own in det_sets for d in own]
+        sets = np.split(np.arange(len(dets)), np.cumsum([len(own) for own in det_sets])[:-1])
+        sets.append(np.tile(sets[0], 2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            curves = roc_curves(det_sets, refs, hours, CFG, num_classes)
-            alone = [per_set_roc_from_confidences(dets, refs, hours, CFG, num_classes) for dets in det_sets]
-        assert len(curves) == len(det_sets)
-        for curve, expected in zip(curves, alone):
-            assert np.array_equal(curve.efpr, expected.efpr)
-            assert np.array_equal(curve.tpr, expected.tpr)
+            curves = roc_from_confidences(dets, sets, refs, hours, CFG, num_classes)
+        assert len(curves) == len(sets)
+        for s, curve in zip(sets, curves):
+            expected = rematch_curve([dets[i] for i in s], refs, hours, CFG, num_classes)
+            _equal_curves(curve, expected)
+            assert psds(curve, CFG) == psds_loop(expected, CFG)
 
 
 def test_batched_sweep_warns_at_the_caller_and_names_the_first_bad_detection():
     refs = [Event("a", 0, 0.0, 1.0)]
+    no_dets = [np.zeros(0, dtype=np.intp)]
     with pytest.warns(UserWarning, match=r"excluded from PSDS: \[1\]") as caught:
-        roc_curves([[]], refs, 1.0, CFG, 2)
-        roc_from_confidences([], refs, 1.0, CFG, 2)
-    assert [w.filename for w in caught] == [__file__, __file__]
+        roc_from_confidences([], no_dets, refs, 1.0, CFG, 2)
+    assert [w.filename for w in caught] == [__file__]
     bad = Event("a", 0, 2.0, 2.0, 0.5)
+    dets = [Event("a", 0, 0.0, 1.0, 0.5), Event("a", 0, 1.0, 3.0, 0.5), bad, replace(bad, offset=1.0)]
     with pytest.raises(ValueError, match="detection needs finite times") as err:
-        roc_curves([[Event("a", 0, 0.0, 1.0, 0.5)], [Event("a", 0, 1.0, 3.0, 0.5), bad]], refs, 1.0, CFG, 1)
+        roc_from_confidences(dets, [np.array([0]), np.array([1, 2, 3])], refs, 1.0, CFG, 1)
+    assert str(bad) in str(err.value)
+    # every detection of the pool is checked, also one that no set uses
+    with pytest.raises(ValueError, match="detection needs finite times") as err:
+        roc_from_confidences(dets, [np.array([0, 1])], refs, 1.0, CFG, 1)
     assert str(bad) in str(err.value)
     with pytest.raises(ValueError, match="total_hours"):
-        roc_curves([[]], refs, 0.0, CFG, 1)
+        roc_from_confidences([], no_dets, refs, 0.0, CFG, 1)
 
 
 @st.composite

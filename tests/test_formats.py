@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from hetsed import synth
 from hetsed.core import Event, Posteriorgram, canonicalize_events
-from hetsed.evaluation import psds, roc_from_confidences
+from hetsed.evaluation import PsdsConfig, psds, roc_from_confidences
 from hetsed.formats import (
     read_csebb_grid,
     read_csebb_params,
@@ -326,6 +326,6 @@ def test_psds_in_memory_equals_psds_after_the_tsv_round_trip(seed, n_clips, peri
     assert events_back == canonicalize_events(events)
     assert boxes_back == canonicalize_events(printed)
     for in_memory, read_back in ((events, events_back), (printed, boxes_back)):
-        values = [psds(roc_from_confidences(dets, refs, hours, num_classes=len(CLASSES)))
+        values = [psds(roc_from_confidences(dets, [np.arange(len(dets))], refs, hours, PsdsConfig(), len(CLASSES))[0])
                   for dets in (in_memory, read_back)]
         assert values[0] == values[1] or math.isnan(values[0]) and math.isnan(values[1])

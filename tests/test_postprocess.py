@@ -20,7 +20,7 @@ from hetsed.postprocess import (
     moving_average,
     tune_csebb,
 )
-from oracles import change_points_loop, gathered_change_points, greedy_merge, window_mean_moving_average
+from oracles import change_points_loop, greedy_merge, window_mean_moving_average
 
 
 def post_of(track, fp=0.05, clip_id="p0"):
@@ -284,9 +284,19 @@ def _dip_fixture():
     return posts
 
 
-def box_count_metric(box_sets, refs):
+def box_count_metric(boxes, sets, refs):
     # plant: exactly one box per clip is optimal
-    return [-abs(len(boxes) - 3) for boxes in box_sets]
+    return [-abs(len(index) - 3) for index in sets]
+
+
+def recording_metric(seen):
+    """A metric that records the boxes of every candidate and scores all 0."""
+    def metric(boxes, sets, refs):
+        # every box belongs to some candidate
+        assert np.array_equal(np.unique(np.concatenate(sets)), np.arange(len(boxes)))
+        seen.extend([boxes[i] for i in index.tolist()] for index in sets)
+        return [0.0] * len(sets)
+    return metric
 
 
 def test_tune_csebb_singleton_grid():
@@ -311,7 +321,7 @@ def test_tune_csebb_selects_planted_optimum():
 def test_tune_csebb_tie_breaks_toward_smaller_window():
     small = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
     large = CsebbParams(default=ClassSebbParams(window=11, half_width=5))
-    best = tune_csebb(_dip_fixture(), [], [large, small], lambda sets, r: [0.0] * len(sets))
+    best = tune_csebb(_dip_fixture(), [], [large, small], lambda boxes, sets, r: [0.0] * len(sets))
     assert best is small
 
 
@@ -327,7 +337,7 @@ def test_tune_csebb_scores_the_boxes_csebb_detect_gives():
                     per_class={"y": ClassSebbParams(window=7, half_width=2, min_gap=0.05)})
     ]
     seen = []
-    tune_csebb(posts, [], grid, lambda box_sets, refs: seen.extend(box_sets) or [0.0] * len(box_sets), names)
+    tune_csebb(posts, [], grid, recording_metric(seen), names)
     assert seen == [[b for p in posts for b in csebb_detect([p], cand, names)] for cand in grid]
     assert len({len(boxes) for boxes in seen}) > 1
 
@@ -335,7 +345,7 @@ def test_tune_csebb_scores_the_boxes_csebb_detect_gives():
 def test_tune_csebb_needs_one_score_per_candidate():
     grid = default_grid()[:3]
     with pytest.raises(ValueError, match="metric gave 2 scores for 3 candidates"):
-        tune_csebb(_dip_fixture(), [], grid, lambda box_sets, refs: [0.0, 0.0])
+        tune_csebb(_dip_fixture(), [], grid, lambda boxes, sets, refs: [0.0, 0.0])
 
 
 def test_tune_csebb_empty_grid():
@@ -490,7 +500,6 @@ def test_vectorised_change_points_equal_the_loop(case):
     assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
     got = _per_row(flat, tracks)
     assert got == [change_points_loop(row, half_width, min_gap) for row in tracks]
-    assert got == [cuts.tolist() for cuts in gathered_change_points(tracks, half_width, min_gap)]
 
 
 @pytest.mark.parametrize("steps", [
@@ -617,7 +626,7 @@ def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_bo
     monkeypatch.setattr(postprocess, "moving_average",
                         lambda scores, window: passes.append((scores.shape, window)) or smooth(scores, window))
     seen = []
-    tune_csebb(posts, [], grid, lambda box_sets, refs: seen.extend(box_sets) or [0.0] * len(box_sets), names)
+    tune_csebb(posts, [], grid, recording_metric(seen), names)
     # every pass stacks clips of one frame count within the cap; the eight
     # 400-frame clips take three passes per smoothing key
     assert all(rows * t <= postprocess._STACK_CELLS for (t, rows), _ in passes if rows > 3)

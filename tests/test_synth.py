@@ -101,5 +101,6 @@ def test_zero_corruption_recovers_ground_truth_exactly():
     assert len(recovered) <= len(events)  # touching events merge into one run
     cfg = PsdsConfig()
     hours = sum(m.duration for m in metas) / 3600.0
-    value = psds(roc_from_confidences(recovered, events, hours, cfg, 3), cfg)
+    (curve,) = roc_from_confidences(recovered, [np.arange(len(recovered))], events, hours, cfg, 3)
+    value = psds(curve, cfg)
     assert value == pytest.approx(1.0, abs=1e-9)
