@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -211,13 +212,25 @@ def _cmd_synth(args, cfg) -> int:
 
 
 def _load_posteriors(path: Path) -> list[tuple[Posteriorgram, list[str]]]:
-    paths = [path] if path.is_file() else sorted(path.glob("*.sedp"))
+    """One posteriorgram file, or every ``*.sedp`` in a directory (dot-files
+    too) in name order: the files ``sorted(path.glob("*.sedp"))`` gives, from
+    one listing and with the same path strings."""
+    if path.is_file():
+        paths = [str(path)]
+    else:
+        try:
+            names = sorted(name for name in os.listdir(path) if name.endswith(".sedp"))
+        except OSError:  # glob finds nothing in a missing or unreadable directory
+            names = []
+        # the strings of path / name, which glob gives ("x.sedp" in ".")
+        prefix = "" if str(path) == "." else os.path.join(path, "")
+        paths = [prefix + name for name in names]
     if not paths:
         raise ValueError(f"no posteriorgram files under {path}")
     return _read_posteriorgrams(paths)
 
 
-def _read_posteriorgrams(paths: list[Path], clip_id: str | None = None) -> list[tuple[Posteriorgram, list[str]]]:
+def _read_posteriorgrams(paths: list[Path | str], clip_id: str | None = None) -> list[tuple[Posteriorgram, list[str]]]:
     """Posteriorgram files that must share one class table."""
     loaded = [formats.read_posteriorgram(p, clip_id) for p in paths]
     for (_, names), p in zip(loaded, paths):

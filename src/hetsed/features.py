@@ -111,15 +111,6 @@ def _windowed_blocks(frames: np.ndarray):
         yield start, block
 
 
-def stft_magnitude(clip: AudioClip, window: int = WINDOW_SIZE, hop: int = 256) -> np.ndarray:
-    """Magnitude spectrogram [T x window/2+1], Hann window, no centering."""
-    frames = _frames(clip.samples, window, hop)
-    spec = np.empty((frames.shape[0], window // 2 + 1))
-    for start, windowed in _windowed_blocks(frames):
-        np.abs(np.fft.rfft(windowed, axis=1), out=spec[start : start + windowed.shape[0]])
-    return spec
-
-
 def _hz_to_mel(f: np.ndarray | float) -> np.ndarray | float:
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 

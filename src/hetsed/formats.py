@@ -5,6 +5,11 @@ All text is UTF-8 with LF line endings and tab separators (the DESED /
 MAESTRO annotation convention); binaries are little-endian.  Writers go
 through an atomic temp-file + rename so partially written artifacts never
 appear, even under parallel tuning runs.
+
+Every reader takes one file path as its first argument and opens that path
+as given.  A posteriorgram reader remembers the last class table it decoded,
+so the files of one directory, which share a table, each compare its bytes
+instead of decoding it again.
 """
 
 from __future__ import annotations
@@ -89,7 +94,8 @@ def _table(path: Path | str, headers: Sequence[str], row: Callable[[list[str], i
     every other line must have as many fields as the header.  A ValueError
     raised for a line is raised again with ``path:line:`` in front.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     if not lines or lines[0] not in headers:
         raise ValueError(f"{path}:1: expected header {' or '.join(map(repr, headers))}, got {lines[:1]}")
     width = lines[0].count("\t") + 1
@@ -212,7 +218,8 @@ def _check_length(path: Path | str, data: bytes, end: int, part: str) -> None:
 def _read_header(path: Path | str, magic: bytes, header: struct.Struct) -> tuple[bytes, tuple]:
     """The bytes of a binary file and its header fields after the magic; the
     last field, the frame period, must be positive and is returned in seconds."""
-    data = Path(path).read_bytes()
+    with open(path, "rb", buffering=0) as fh:  # read whole, so a buffer object is only overhead
+        data = fh.read()
     if data[:4] != magic:
         raise ValueError(f"{path}: bad magic {data[:4]!r}")
     _check_length(path, data, header.size, "header")
@@ -231,13 +238,24 @@ def _float32_payload(path: Path | str, data: bytes, offset: int, count: int) -> 
     return np.frombuffer(data, dtype="<f4", count=count, offset=offset)
 
 
-def read_posteriorgram(path: Path | str, clip_id: str | None = None) -> tuple[Posteriorgram, list[str]]:
-    data, (version, t, c, period) = _read_header(path, POSTERIOR_MAGIC, _POSTERIOR_HEADER)
-    if version != POSTERIOR_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    offset = _POSTERIOR_HEADER.size
-    names = []
-    for _ in range(c):
+# The class table last decoded, as (its bytes, its names): the files of one
+# directory nearly always share their table, so each later file only compares
+# bytes.  It decides only whether a decode runs, never what a read returns;
+# one tuple, replaced whole, so concurrent readers see a matching pair.
+_last_table: tuple[bytes, tuple[str, ...]] = (b"", ())
+
+
+def _class_table(path: Path | str, data: bytes, offset: int, count: int) -> tuple[list[str], int]:
+    """The ``count`` length-prefixed UTF-8 names at ``offset``, and the offset
+    after them."""
+    global _last_table
+    table, last_names = _last_table
+    # A table is self-delimiting, so a file whose bytes at the offset start
+    # with a valid table of ``count`` names holds exactly that table.
+    if len(last_names) == count and data.startswith(table, offset):
+        return list(last_names), offset + len(table)
+    start, names = offset, []
+    for _ in range(count):
         _check_length(path, data, offset + 2, "class table")
         (length,) = struct.unpack_from("<H", data, offset)
         offset += 2
@@ -249,9 +267,22 @@ def read_posteriorgram(path: Path | str, clip_id: str | None = None) -> tuple[Po
         offset += length
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: class table repeats a name: {names}")
+    _last_table = (data[start:offset], tuple(names))
+    return names, offset
+
+
+def read_posteriorgram(path: Path | str, clip_id: str | None = None) -> tuple[Posteriorgram, list[str]]:
+    """One ``.sedp`` file as a posteriorgram and its class names.  The clip id
+    defaults to the file name without its suffix, as ``Path(path).stem``."""
+    data, (version, t, c, period) = _read_header(path, POSTERIOR_MAGIC, _POSTERIOR_HEADER)
+    if version != POSTERIOR_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    names, offset = _class_table(path, data, _POSTERIOR_HEADER.size, c)
     scores = _float32_payload(path, data, offset, t * c).reshape(t, c)
     if clip_id is None:
-        clip_id = Path(path).stem
+        name = os.path.basename(path)
+        dot = name.rfind(".")  # as PurePath.stem: a dot that starts or ends the name begins no suffix
+        clip_id = name[:dot] if 0 < dot < len(name) - 1 else name
     try:
         post = Posteriorgram(scores=scores.astype(np.float64), frame_period=period, clip_id=clip_id)
     except ValueError as exc:

@@ -1,13 +1,18 @@
 import hashlib
 import os
+import re
+import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetsed import cli, formats
 from hetsed.core import Event, Posteriorgram, default_vocabulary
@@ -404,6 +409,144 @@ def test_postprocess_rejects_a_damaged_posteriorgram(tmp_path, capsys, damage, m
     assert run("postprocess", "--method", "frame", "--in", data / "posteriors", "--out", tmp_path / "dets.tsv") == 2
     assert f"error: {path}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "dets.tsv").exists()
+
+
+def _set(data, at, new):
+    return data[:at] + new + data[at + len(new):]
+
+
+# Damage to a synth posteriorgram (classes "car", "dog": the table is bytes
+# 18-27, "dog" starts at byte 25) and the message that names it.
+_DAMAGE = {
+    "truncated table": (lambda data: data[:21], "truncated class table: 21 bytes, need at least 23"),
+    "non-UTF-8 name": (lambda data: _set(data, 25, b"\xff"), "class name 1 is not UTF-8"),
+    "repeated name": (lambda data: _set(data, 25, b"car"), "class table repeats a name: ['car', 'car']"),
+    "truncated data": (lambda data: data[:-1], "truncated data: {n} bytes, need at least {n_plus_1}"),
+    "trailing bytes": (lambda data: data + b"\x00", "1 trailing bytes after the data"),
+    "zero period": (lambda data: _set(data, 14, bytes(4)), "frame period must be positive, got 0 us"),
+    "bad version": (lambda data: _set(data, 4, struct.pack("<H", 2)), "unsupported version 2"),
+}
+
+
+@pytest.mark.parametrize("position", [1, 2])
+@pytest.mark.parametrize("damage", sorted(_DAMAGE))
+def test_a_damaged_later_file_of_a_directory_is_named(tmp_path, capsys, damage, position):
+    # the files before it share its class table, so its table is not decoded
+    # afresh unless its bytes differ
+    data = synth_dir(tmp_path, clips=3)
+    path = data / "posteriors" / f"clip_{position:04d}.sedp"
+    damaged, message = _DAMAGE[damage]
+    raw = path.read_bytes()
+    path.write_bytes(damaged(raw))
+    message = message.format(n=len(raw) - 1, n_plus_1=len(raw))
+    assert run("postprocess", "--method", "frame", "--in", data / "posteriors", "--out", tmp_path / "dets.tsv") == 2
+    assert f"error: {path}: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "dets.tsv").exists()
+
+
+@pytest.mark.parametrize("spelling, shown", [
+    (".", "clip_0001.sedp"),
+    ("./posteriors/", "posteriors/clip_0001.sedp"),
+    ("posteriors//", "posteriors/clip_0001.sedp"),
+])
+def test_a_damaged_file_is_named_as_the_directory_glob_names_it(tmp_path, capsys, monkeypatch, spelling, shown):
+    data = synth_dir(tmp_path, clips=2)
+    path = data / "posteriors" / "clip_0001.sedp"
+    path.write_bytes(path.read_bytes() + b"\x00")
+    monkeypatch.chdir(data if spelling != "." else data / "posteriors")
+    assert run("postprocess", "--method", "frame", "--in", spelling, "--out", tmp_path / "dets.tsv") == 2
+    assert f"error: {shown}: 1 trailing bytes after the data\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [lambda d: d.mkdir(), lambda d: None], ids=["empty", "missing"])
+def test_postprocess_needs_a_posteriorgram_file(tmp_path, capsys, make):
+    empty = tmp_path / "posteriors"
+    make(empty)
+    (tmp_path / "clip.SEDP").write_bytes(b"")  # neither in the directory nor matching the suffix
+    assert run("postprocess", "--method", "frame", "--in", empty, "--out", tmp_path / "dets.tsv") == 2
+    assert f"error: no posteriorgram files under {empty}\n" in capsys.readouterr().err
+
+
+def test_a_directory_must_share_one_class_table(tmp_path, capsys):
+    data = synth_dir(tmp_path, clips=3)
+    first, later = data / "posteriors" / "clip_0000.sedp", data / "posteriors" / "clip_0002.sedp"
+    post, _ = formats.read_posteriorgram(later)
+    formats.write_posteriorgram(later, post, ["car", "cat"])
+    assert run("eval", "mpauc", "--posteriors", data / "posteriors", "--refs", data / "refs.tsv",
+               "--out", tmp_path / "mpauc.tsv") == 2
+    assert f"error: {later}: class table differs from {first}\n" in capsys.readouterr().err
+
+
+def _fresh_read(path):
+    """``read_posteriorgram`` with no class table remembered from another file."""
+    formats._last_table = (b"", ())
+    return formats.read_posteriorgram(path)
+
+
+@st.composite
+def sedp_directories(draw):
+    """Files named ``*.sedp`` (dot-files and several dots included), some
+    other files, and one class table per posteriorgram: the first's, the
+    first's with one name changed, or the first's followed by more names."""
+    names = draw(st.lists(st.text("ab.", max_size=4), min_size=1, max_size=5, unique=True))
+    classes = draw(st.lists(st.sampled_from(["car", "dog", "cat", "bird", "é"]), min_size=1, max_size=3, unique=True))
+    files = []
+    for i, stem in enumerate(names):
+        table = draw(st.sampled_from(["same", "renamed", "extended"])) if i else "same"
+        if table == "renamed":
+            spot = draw(st.integers(0, len(classes) - 1))
+            table = classes[:spot] + [classes[spot] + "x"] + classes[spot + 1:]
+        elif table == "extended":
+            table = classes + ["more", "most"][: draw(st.integers(1, 2))]
+        else:
+            table = classes
+        frames = draw(st.integers(1, 4))
+        scores = draw(st.lists(st.floats(0, 1, width=32), min_size=frames * len(table), max_size=frames * len(table)))
+        period = draw(st.integers(1, 10**5)) / 1e6
+        files.append((stem + ".sedp", np.array(scores, dtype=np.float32).reshape(frames, len(table)), period, table))
+    others = draw(st.lists(st.sampled_from(["x.SEDP", "x.sedp.bak", "sedp", "x.txt"]), unique=True))
+    remembered = draw(st.sampled_from([None, classes, classes + ["more"]]))
+    return files, others, remembered
+
+
+@settings(max_examples=150, deadline=None)
+@given(sedp_directories())
+def test_a_directory_load_equals_reading_each_file_in_glob_order(directory):
+    files, others, remembered = directory
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, scores, period, table in files:
+            formats.write_posteriorgram(tmp / name, Posteriorgram(scores, period, "c"), table)
+        for name in others:
+            (tmp / name).write_bytes(b"not a posteriorgram")
+        paths = sorted(tmp.glob("*.sedp"))
+        expected = [_fresh_read(p) for p in paths]
+
+        def remember():  # leave a table from another file, or none, as the last one decoded
+            formats._last_table = (b"", ())
+            if remembered is not None:
+                formats.write_posteriorgram(tmp / "elsewhere", Posteriorgram(np.zeros((1, len(remembered))), 0.1, "c"),
+                                            remembered)
+                formats.read_posteriorgram(tmp / "elsewhere")
+
+        remember()
+        in_order = [formats.read_posteriorgram(p) for p in paths]
+        remember()
+        differs = [p for p, (_, names) in zip(paths, expected) if names != expected[0][1]]
+        if differs:
+            message = f"{differs[0]}: class table differs from {paths[0]}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cli._load_posteriors(tmp)
+            loaded = in_order
+        else:
+            loaded = cli._load_posteriors(tmp)
+    assert [post.clip_id for post, _ in loaded] == [p.stem for p in paths]
+    assert len({id(names) for _, names in loaded}) == len(loaded)  # each file its own list
+    for (post, names), (want, want_names) in zip(loaded, expected, strict=True):
+        assert names == want_names
+        assert post.clip_id == want.clip_id
+        assert post.frame_period == want.frame_period
+        assert post.scores.dtype == want.scores.dtype and np.array_equal(post.scores, want.scores)
 
 
 @pytest.mark.parametrize("rows, message", [

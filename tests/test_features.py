@@ -12,7 +12,6 @@ from hetsed.features import (
     mel_filterbank,
     num_frames,
     pad_or_trim,
-    stft_magnitude,
 )
 from oracles import reference_mel_power
 
@@ -47,31 +46,33 @@ def test_pad_or_trim():
     assert long.samples[-1] == 10 * SR - 1
 
 
-def test_stft_zero_clip_is_zero():
-    spec = stft_magnitude(clip_of(np.zeros(3 * SR)), hop=256)
-    assert spec.shape == (num_frames(3 * SR, 2048, 256), 1025)
-    assert np.all(spec == 0.0)
+def test_log_mel_of_silence_is_the_floor():
+    mel = extract_log_mel(clip_of(np.zeros(3 * SR)), hop=256)
+    assert mel.values.shape == (num_frames(160000, 2048, 256), 128)
+    assert np.all(mel.values == np.log(LOG_FLOOR))
 
 
-def test_stft_sine_peaks_at_bin_center():
+def test_log_mel_of_a_sine_peaks_in_the_band_weighting_its_bin_most():
+    fb = mel_filterbank()
+    inside = num_frames(2 * SR, 2048, 256)  # frames that lie within the sine
     for k in (32, 100, 500):
         freq = k * SR / 2048
         t = np.arange(2 * SR) / SR
-        spec = stft_magnitude(clip_of(np.sin(2 * np.pi * freq * t)), hop=256)
-        interior = spec[2:-2]
-        assert np.all(np.argmax(interior, axis=1) == k), f"bin {k} not the peak"
+        mel = extract_log_mel(clip_of(np.sin(2 * np.pi * freq * t)), hop=256)
+        interior = mel.values[2 : inside - 2]
+        assert np.all(np.argmax(interior, axis=1) == np.argmax(fb[:, k])), f"bin {k} not in the peak band"
 
 
-def test_stft_frame_count_matches_num_frames():
+def test_log_mel_frame_count_is_that_of_a_padded_clip():
     for hop in (160, 256):
-        n = 37 * 1024
-        spec = stft_magnitude(clip_of(np.random.default_rng(0).normal(size=n)), hop=hop)
-        assert spec.shape[0] == num_frames(n, 2048, hop)
+        for n in (37 * 1024, 12 * SR):
+            mel = extract_log_mel(clip_of(np.random.default_rng(0).normal(size=n)), hop=hop)
+            assert mel.values.shape[0] == num_frames(160000, 2048, hop)
 
 
-def test_stft_warns_on_nonstandard_hop():
+def test_log_mel_warns_on_nonstandard_hop():
     with pytest.warns(UserWarning, match="hop"):
-        stft_magnitude(clip_of(np.zeros(SR)), hop=128)
+        extract_log_mel(clip_of(np.zeros(SR)), hop=128)
 
 
 def test_mel_filterbank_shape_and_support():
