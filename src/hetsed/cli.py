@@ -275,18 +275,19 @@ def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np
 def _cmd_postprocess(args, cfg) -> int:
     loaded = _load_posteriors(args.input)
     class_names = loaded[0][1]
+    posts = [post for post, _ in loaded]
 
     if args.method == "csebb":
         params = formats.read_csebb_params(args.params) if args.params else postprocess.CsebbParams()
-        boxes = postprocess.csebb_detect([post for post, _ in loaded], params, class_names)
-        formats.write_soft_events_tsv(args.out, boxes, class_names)
-        print(f"wrote {len(boxes)} boxes to {args.out}", file=sys.stderr)
+        boxes, (index,) = postprocess._box_sets(posts, [params], class_names)
+        formats.write_soft_events_tsv(args.out, boxes.take(index), class_names)
+        print(f"wrote {len(index)} boxes to {args.out}", file=sys.stderr)
         return EXIT_OK
 
     thresholds, window = _class_thresholds(args.params, class_names)
     if args.method == "frame":
         window = 1
-    events = [ev for post, _ in loaded for ev in postprocess.frame_threshold_merge(post, thresholds, window)]
+    events = postprocess._threshold_runs(posts, thresholds, window)
     formats.write_events_tsv(args.out, events, class_names)
     print(f"wrote {len(events)} events to {args.out}", file=sys.stderr)
     return EXIT_OK

@@ -262,14 +262,83 @@ def canonicalize_events(events: Sequence[Event]) -> list[Event]:
     are aggregated into a single error so callers see every bad row at once.
     Idempotent on valid input.
     """
+    _check_events(events, range(len(events)))
+    return sorted(events, key=lambda e: (e.clip_id, e.class_idx, e.onset, e.offset))
+
+
+def _check_events(events: Sequence[Event], indices: Iterable[int]) -> None:
+    """One error naming every problem of the events at ``indices``."""
     problems = [
         f"event {i}: {problem}"
-        for i, ev in enumerate(events)
-        for problem in _event_problems(ev.onset, ev.offset, ev.confidence, ev.class_idx)
+        for i in indices
+        for problem in _event_problems(events[i].onset, events[i].offset, events[i].confidence, events[i].class_idx)
     ]
     if problems:
         raise ValueError("invalid events:\n" + "\n".join(problems))
-    return sorted(events, key=lambda e: (e.clip_id, e.class_idx, e.onset, e.offset))
+
+
+@dataclass(frozen=True, eq=False)
+class _EventColumns:
+    """Events as parallel arrays: row i is clip ``clip_ids[clip[i]]``, class
+    ``class_idx[i]``, ``onset[i]`` to ``offset[i]``, and confidence
+    ``confidence[i]`` where ``has_confidence[i]`` (absent otherwise, as None
+    is for an Event).  It reads as a sequence of events: ``len`` counts the
+    rows and indexing builds the Event of one row."""
+
+    clip_ids: Sequence[str]
+    clip: np.ndarray
+    class_idx: np.ndarray
+    onset: np.ndarray
+    offset: np.ndarray
+    confidence: np.ndarray
+    has_confidence: np.ndarray
+
+    def __len__(self) -> int:
+        return self.clip.size
+
+    def __getitem__(self, i: int) -> Event:
+        return self.take([i]).events()[0]
+
+    def take(self, index) -> _EventColumns:
+        return _EventColumns(self.clip_ids, *(column[index] for column in (
+            self.clip, self.class_idx, self.onset, self.offset, self.confidence, self.has_confidence)))
+
+    def events(self) -> list[Event]:
+        ids = self.clip_ids
+        return [Event(ids[i], c, on, off, conf) for i, c, on, off, conf in zip(
+            self.clip.tolist(), self.class_idx.tolist(), self.onset.tolist(), self.offset.tolist(),
+            np.where(self.has_confidence, self.confidence, None).tolist())]
+
+
+def _event_columns(events: Sequence[Event]) -> _EventColumns:
+    """``events`` as columns: a column set as it is, Events converted once."""
+    if isinstance(events, _EventColumns):
+        return events
+    clips: dict[str, int] = {}
+    n = len(events)
+    clip = np.fromiter((clips.setdefault(ev.clip_id, len(clips)) for ev in events), dtype=np.intp, count=n)
+    columns = [np.fromiter((getattr(ev, name) for ev in events), dtype=dtype, count=n)
+               for name, dtype in (("class_idx", np.int64), ("onset", np.float64), ("offset", np.float64))]
+    has = np.fromiter((ev.confidence is not None for ev in events), dtype=bool, count=n)
+    confidence = np.fromiter((0.0 if ev.confidence is None else ev.confidence for ev in events),
+                             dtype=np.float64, count=n)
+    return _EventColumns(list(clips), clip, *columns, confidence, has)
+
+
+def _canonical_rows(events: Sequence[Event]) -> tuple[_EventColumns, np.ndarray]:
+    """The columns of ``events`` and the row order that sorts them as
+    ``canonicalize_events`` does, after its checks (one vectorised pass,
+    the same error).  Equal clip ids share a rank, so the sort is stable on
+    (clip id, class, onset, offset)."""
+    events = events if isinstance(events, _EventColumns) else list(events)
+    rows = _event_columns(events)
+    conf = rows.confidence
+    valid = (np.isfinite(rows.onset) & np.isfinite(rows.offset) & (rows.offset > rows.onset) & (rows.onset >= 0)
+             & (rows.class_idx >= 0) & (~rows.has_confidence | ((conf >= 0.0) & (conf <= 1.0))))
+    _check_events(events, np.flatnonzero(~valid).tolist())
+    rank_of = {clip_id: r for r, clip_id in enumerate(sorted(set(rows.clip_ids)))}
+    rank = np.array([rank_of[clip_id] for clip_id in rows.clip_ids], dtype=np.intp)
+    return rows, np.lexsort((rows.offset, rows.onset, rows.class_idx, rank[rows.clip]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,8 +356,9 @@ class Posteriorgram:
             raise ValueError(f"scores must be [T>=1, C], got shape {scores.shape}")
         if not (self.frame_period > 0) or not math.isfinite(self.frame_period):
             raise ValueError(f"frame_period must be positive and finite, got {self.frame_period}")
-        # NaN carries through min and max, so it fails the range test too
-        if not (scores.min(initial=0.0) >= 0.0 and scores.max(initial=0.0) <= 1.0):
+        # NaN carries through min and max, so it fails the range test too; a
+        # [T, 0] array has no scores to test
+        if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
             if not np.all(np.isfinite(scores)):
                 raise ValueError("scores contain non-finite values")
             raise ValueError("scores outside [0, 1]")

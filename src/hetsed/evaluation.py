@@ -27,13 +27,11 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, frame_span, rasterize
+from .core import Event, Posteriorgram, _event_columns, frame_span, rasterize
 
 SECONDS_PER_HOUR = 3600.0
 SEGMENT_SECONDS = 1.0
@@ -126,10 +124,6 @@ def _union(group: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     return group[new], lo[new], reach[last]
 
 
-def _attribute(events: Sequence[Event], name: str, dtype: type = np.float64) -> np.ndarray:
-    return np.fromiter(map(attrgetter(name), events), dtype=dtype, count=len(events))
-
-
 def _check_spans(events: Sequence[Event], lo: np.ndarray, hi: np.ndarray, what: str) -> None:
     """Each event must have finite times and a positive length."""
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)))
@@ -148,15 +142,6 @@ def _ordered_sums(owner: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
         live = np.flatnonzero(counts > j)
         total[live] += terms[starts[live] + j]
     return total
-
-
-def _ref_counts(refs: Sequence[Event], num_classes: int) -> np.ndarray:
-    counts = np.zeros(num_classes, dtype=np.int64)
-    for ev in refs:
-        if not 0 <= ev.class_idx < num_classes:
-            raise ValueError(f"reference class index {ev.class_idx} out of range")
-        counts[ev.class_idx] += 1
-    return counts
 
 
 def _curves(
@@ -235,7 +220,8 @@ def roc_from_confidences(
     over its confidences.  ``dets`` is a pool of detections and ``sets[s]``
     an integer index array into it, so sets share detections by index (the
     candidates of a ``tune_csebb`` grid share most of their boxes); one set
-    of every detection is ``[np.arange(len(dets))]``.
+    of every detection is ``[np.arange(len(dets))]``.  The pool and the
+    references may be Events or event columns; either is read as columns.
 
     Every distinct confidence of a set is a threshold keeping its detections
     with confidence >= that value.  A missing confidence (None) counts as
@@ -270,31 +256,34 @@ def roc_from_confidences(
     """
     if total_hours <= 0:
         raise ValueError(f"total_hours must be > 0, got {total_hours}")
-    n_refs = _ref_counts(refs, num_classes)
+    r, d = _event_columns(refs), _event_columns(dets)
+    out_of_range = np.flatnonzero((r.class_idx < 0) | (r.class_idx >= num_classes))
+    if out_of_range.size:
+        raise ValueError(f"reference class index {refs[out_of_range[0]].class_idx} out of range")
+    n_refs = np.bincount(r.class_idx, minlength=num_classes)
     excluded = np.flatnonzero(n_refs == 0)
     if excluded.size:
         warnings.warn(f"classes without references excluded from PSDS: {excluded.tolist()}", stacklevel=2)
-    confidences = np.array([1.0 if d.confidence is None else d.confidence for d in dets], dtype=np.float64)
+    confidences = np.where(d.has_confidence, d.confidence, 1.0)
     bad = np.flatnonzero(~((confidences >= 0.0) & (confidences <= 1.0)))
     if bad.size:
         raise ValueError(f"detection confidence must be in [0, 1], got {dets[bad[0]]}")
 
     # references: one group per (clip, class), sorted by (group, onset)
     clip_index: dict[str, int] = {}
-    r_group = np.array([clip_index.setdefault(e.clip_id, len(clip_index)) * num_classes + e.class_idx
-                        for e in refs], dtype=np.int64)
-    r_lo, r_hi = _attribute(refs, "onset"), _attribute(refs, "offset")
+    r_clip = np.array([clip_index.setdefault(clip_id, len(clip_index)) for clip_id in r.clip_ids], dtype=np.int64)
+    r_group = r_clip[r.clip] * num_classes + r.class_idx
+    r_lo, r_hi = r.onset, r.offset
     _check_spans(refs, r_lo, r_hi, "reference")
     order = np.argsort(_keyed(r_group, r_lo), kind="stable")
     r_group, r_lo, r_hi = r_group[order], r_lo[order], r_hi[order]
 
     # DTC: the part of each detection that the merged references cover; a
-    # detection of a class out of range is not scored
-    d_lo, d_hi = _attribute(dets, "onset"), _attribute(dets, "offset")
+    # detection of a class out of range or of a clip without references is
+    # not scored
+    d_lo, d_hi, d_class = d.onset, d.offset, d.class_idx
     _check_spans(dets, d_lo, d_hi, "detection")
-    d_class = _attribute(dets, "class_idx", np.int64)
-    d_clip = np.fromiter(map(clip_index.get, map(attrgetter("clip_id"), dets), repeat(-1)),
-                         dtype=np.int64, count=len(dets))
+    d_clip = np.array([clip_index.get(clip_id, -1) for clip_id in d.clip_ids], dtype=np.int64)[d.clip]
     scored = (d_class >= 0) & (d_class < num_classes)
     d_group = np.where(scored & (d_clip >= 0), d_clip * num_classes + d_class, -1)
     passes = _dtc_coverage(d_group, d_lo, d_hi, *_union(r_group, r_lo, r_hi)) / (d_hi - d_lo) >= cfg.rho_dtc

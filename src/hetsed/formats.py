@@ -6,6 +6,11 @@ MAESTRO annotation convention); binaries are little-endian.  Writers go
 through an atomic temp-file + rename so partially written artifacts never
 appear, even under parallel tuning runs.
 
+The event TSV writers take Events or event columns (``core._EventColumns``,
+as post-processing makes them), check them in one vectorised pass with the
+errors of ``canonicalize_events``, order the rows with one stable sort and
+format each distinct time once.
+
 Every reader takes one file path as its first argument and opens that path
 as given.  A posteriorgram reader remembers the last class table it decoded,
 so the files of one directory, which share a table, each compare its bytes
@@ -24,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, _event_problems, canonicalize_events
+from .core import Event, Posteriorgram, _canonical_rows, _event_problems, canonicalize_events
 from .postprocess import ClassSebbParams, CsebbParams
 
 POSTERIOR_MAGIC = b"SEDP"
@@ -62,29 +67,41 @@ def _format_seconds(value: float) -> str:
     return text if float(text) == round(value, 9) else f"{value:.6f}"
 
 
-def write_events_tsv(path: Path | str, events: Sequence[Event], class_names: Sequence[str]) -> None:
-    """Four-column ground-truth/detection TSV (no confidence)."""
-    rows = canonicalize_events(list(events))
+def _formatted(values: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
+    """``fmt`` of each value, called once per distinct value; values are
+    told apart by their bits, so 0.0 and -0.0 keep their own texts."""
+    texts: dict[int, str] = {}
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    return [texts.get(bits) or texts.setdefault(bits, fmt(value))
+            for bits, value in zip(values.view(np.int64).tolist(), values.tolist())]
+
+
+def _write_events(path: Path | str, header: str, events: Sequence[Event], class_names: Sequence[str],
+                  soft: bool) -> None:
+    """An event TSV: the header, then one row per event in canonical order,
+    checked as ``canonicalize_events`` checks them."""
+    rows, order = _canonical_rows(events)
+    rows = rows.take(order)
+    times = _formatted(np.concatenate([rows.onset, rows.offset]), _format_seconds)
+    columns = [[rows.clip_ids[i] for i in rows.clip.tolist()], times[: len(rows)], times[len(rows) :],
+               [class_names[c] for c in rows.class_idx.tolist()]]
+    if soft:  # an absent confidence stays empty
+        confidences = _formatted(rows.confidence, "{:.6f}".format)
+        columns.append([text if has else "" for text, has in zip(confidences, rows.has_confidence.tolist())])
+    text = "\n".join([header, *map("\t".join, zip(*columns))]) + "\n"
     with atomic_write(path) as fh:
-        fh.write(EVENTS_HEADER + "\n")
-        for ev in rows:
-            fh.write(
-                f"{ev.clip_id}\t{_format_seconds(ev.onset)}\t{_format_seconds(ev.offset)}"
-                f"\t{class_names[ev.class_idx]}\n"
-            )
+        fh.write(text)
+
+
+def write_events_tsv(path: Path | str, events: Sequence[Event], class_names: Sequence[str]) -> None:
+    """Four-column ground-truth/detection TSV (no confidence).  ``events``
+    may be Events or event columns; each distinct time is formatted once."""
+    _write_events(path, EVENTS_HEADER, events, class_names, soft=False)
 
 
 def write_soft_events_tsv(path: Path | str, events: Sequence[Event], class_names: Sequence[str]) -> None:
     """Five-column TSV with a confidence column; absent confidence stays empty."""
-    rows = canonicalize_events(list(events))
-    with atomic_write(path) as fh:
-        fh.write(SOFT_HEADER + "\n")
-        for ev in rows:
-            conf = "" if ev.confidence is None else f"{ev.confidence:.6f}"
-            fh.write(
-                f"{ev.clip_id}\t{_format_seconds(ev.onset)}\t{_format_seconds(ev.offset)}"
-                f"\t{class_names[ev.class_idx]}\t{conf}\n"
-            )
+    _write_events(path, SOFT_HEADER, events, class_names, soft=True)
 
 
 def _table(path: Path | str, headers: Sequence[str], row: Callable[[list[str], int], object]) -> list:

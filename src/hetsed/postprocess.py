@@ -2,9 +2,13 @@
 change-point sound event bounding boxes (SEBBs), event-level thresholding,
 and ensemble averaging.
 
-A box is a ``core.Event`` whose confidence is always set (the mean smoothed
-score of its segment), so boxes go wherever events go: the TSV writers, the
-PSDS sweep and event-level thresholding.
+A box is an event whose confidence is always set (the mean smoothed score
+of its segment), so boxes go wherever events go: the TSV writers, the PSDS
+sweep and event-level thresholding.  Over many clips, events and boxes are
+columns (``core._EventColumns``): the whole-directory threshold pass and the
+box search make them, and the TSV writers and the PSDS sweep read them
+without building a ``core.Event``.  Events are built only where a public
+function returns a list.
 
 Frame-level thresholding couples an event's extent to the detection
 threshold: raising the threshold shrinks or fragments events.  SEBBs decouple
@@ -34,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, canonicalize_events, frame_time
+from .core import Event, Posteriorgram, _EventColumns, canonicalize_events, frame_time
 
 NOISE_FLOOR = 0.01
 
@@ -171,8 +175,8 @@ def frame_threshold_merge(post: Posteriorgram, thresholds: Sequence[float], wind
     """Threshold each class track and merge consecutive positive frames.
 
     A maximal run of frames with score > threshold becomes one event spanning
-    the frame boundaries start and end + 1 (times as in ``frame_time``).  The
-    runs of all classes come from one pass over the posteriorgram.
+    the frame boundaries start and end + 1 (times as in ``frame_time``), in
+    (class, onset) order.  This is the one-clip case of ``_threshold_runs``.
 
     With ``window`` > 1 the tracks are median filtered first (odd window,
     edge replication).  The median of w values exceeds a threshold exactly
@@ -181,30 +185,82 @@ def frame_threshold_merge(post: Posteriorgram, thresholds: Sequence[float], wind
     when more than window // 2 frames of its window clear the threshold;
     the events equal those of ``median_filter`` followed by thresholding.
     """
+    return _threshold_runs([post], thresholds, window).events()
+
+
+def _threshold_runs(posts: Sequence[Posteriorgram], thresholds: Sequence[float], window: int) -> _EventColumns:
+    """The events of ``frame_threshold_merge`` for every clip, as columns in
+    (clip, class, onset) order within each stacked pass.
+
+    Each clip is checked in turn, so an error is the one the first failing
+    clip would raise on its own.  The clips of one frame count are then
+    thresholded together, in the passes of ``_stacked_passes``, as one bool
+    block of their class tracks whose runs come from one comparison of
+    neighbouring frames and one nonzero.
+    """
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    if thresholds.shape != (post.num_classes,):
-        raise ValueError(f"need one threshold per class, got {thresholds.shape}")
-    if not np.all((thresholds >= 0.0) & (thresholds <= 1.0)):
-        raise ValueError("thresholds must lie in [0, 1]")
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 1, got {window}")
-    if window > 2 * post.num_frames - 1:
-        raise ValueError(f"window {window} too large for {post.num_frames} frames")
-    above = post.scores > thresholds
-    if window > 1:
-        # frames above threshold per window, as differences of a running count
-        running = np.zeros((post.num_frames + window, post.num_classes), dtype=np.int64)
-        np.cumsum(_edge_padded(above, window // 2), axis=0, out=running[1:])
-        above = running[window:] - running[:-window] > window // 2
-    active = above.T.astype(np.int8)
-    # per class, run starts and stops alternate along the row
-    classes, frames = np.nonzero(np.diff(active, axis=1, prepend=0, append=0))
-    times = frame_time(frames, post.frame_period).tolist()
-    events = [
-        Event(post.clip_id, c, onset, offset)
-        for c, onset, offset in zip(classes[::2].tolist(), times[::2], times[1::2])
-    ]
-    return canonicalize_events(events)
+    for i, post in enumerate(posts):
+        if thresholds.shape != (post.num_classes,):
+            raise ValueError(f"need one threshold per class, got {thresholds.shape}")
+        if i == 0 and not np.all((thresholds >= 0.0) & (thresholds <= 1.0)):
+            raise ValueError("thresholds must lie in [0, 1]")
+        if i == 0 and (window < 1 or window % 2 == 0):
+            raise ValueError(f"window must be odd and >= 1, got {window}")
+        if window > 2 * post.num_frames - 1:
+            raise ValueError(f"window {window} too large for {post.num_frames} frames")
+    c = thresholds.size
+    parts = [(np.zeros(0, dtype=np.intp),) * 4]  # (clip, class, start, stop) per pass
+    for group in _stacked_passes(posts):
+        # the [clips * C, T] class tracks above threshold, between two
+        # inactive frames
+        t = posts[group[0]].num_frames
+        active = np.zeros((len(group) * c, t + 2), dtype=bool)
+        for k, i in enumerate(group):
+            np.greater(posts[i].scores.T, thresholds[:, None], out=active[k * c : (k + 1) * c, 1:-1])
+        if window > 1:
+            active[:, 1:-1] = _window_counts(active[:, 1:-1], window) > window // 2
+        # per track, run starts and stops alternate along the frames
+        row, frame = np.divmod(np.flatnonzero(active[:, 1:] != active[:, :-1]), t + 1)
+        clip, cls = np.divmod(row[::2], c)
+        parts.append((np.asarray(group)[clip], cls, frame[::2], frame[1::2]))
+    return _frame_columns(posts, *(np.concatenate(column) for column in zip(*parts)))
+
+
+def _window_counts(x: np.ndarray, window: int) -> np.ndarray:
+    """Per row of the bool [rows, T] ``x``, how many frames of each frame's
+    window (odd, edge replication) are true, in O(log window) array adds:
+    ``span[:, j]`` counts the ``size`` padded frames from j, and the binary
+    digits of ``window`` pick the spans that tile each window."""
+    t, pad = x.shape[1], window // 2
+    span = np.empty((x.shape[0], t + 2 * pad), dtype=np.min_scalar_type(window))
+    span[:, pad : pad + t] = x
+    span[:, :pad] = x[:, :1]
+    span[:, pad + t :] = x[:, -1:]
+    counts = np.zeros(x.shape, dtype=span.dtype)
+    start, size = 0, 1
+    while True:
+        if window & size:
+            counts += span[:, start : start + t]
+            start += size
+        if 2 * size > window:
+            return counts
+        span = span[:, :-size] + span[:, size:]
+        size *= 2
+
+
+def _frame_columns(posts: Sequence[Posteriorgram], clip: np.ndarray, class_idx: np.ndarray, start: np.ndarray,
+                   stop: np.ndarray, confidence: np.ndarray | None = None) -> _EventColumns:
+    """Events of clips ``posts[clip]`` over frames [start, stop), times as
+    in ``frame_time`` on each clip's own grid; no confidence when None."""
+    period = np.array([post.frame_period for post in posts])[clip]
+    onset, offset = np.empty(clip.size), np.empty(clip.size)
+    for fp in np.unique(period).tolist():
+        at = period == fp
+        onset[at] = frame_time(start[at], fp)
+        offset[at] = frame_time(stop[at], fp)
+    has = np.full(clip.size, confidence is not None)
+    return _EventColumns([post.clip_id for post in posts], clip, class_idx, onset, offset,
+                         np.zeros(clip.size) if confidence is None else confidence, has)
 
 
 _PLATEAU_TOL = 1e-9
@@ -275,16 +331,19 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> np.nd
     return (first.ravel()[last] + last + 1) // 2
 
 
-# Cap on one stacked segmentation pass, in [rows, T] cells.  A pass holds
-# about a dozen [rows, T] arrays at once (the change-point search's index
-# arrays), about 1.1 MB here; 32-row passes of 500 frames ran fastest.
+# Cap on one stacked pass, in [rows, T] cells (a row is a class track), for
+# both pass kinds: a box search's segmentation pass and a threshold pass.  A
+# segmentation pass holds about a dozen [rows, T] arrays at once (the
+# change-point search's index arrays), about 1.1 MB here; 32-row passes of
+# 500 frames ran fastest.  A threshold pass holds a few bool and integer
+# blocks of that size.
 _STACK_CELLS = 1 << 14
 
 
 def _stacked_passes(posts: Sequence[Posteriorgram]):
-    """Clip indices grouped into segmentation passes: clips of one frame
-    count, as many as keep the pass within _STACK_CELLS cells (at least one
-    clip per pass)."""
+    """Clip indices grouped into stacked passes: clips of one frame count,
+    as many as keep the pass within _STACK_CELLS cells (at least one clip
+    per pass)."""
     by_frames: dict[int, list[int]] = {}
     for i, post in enumerate(posts):
         by_frames.setdefault(post.num_frames, []).append(i)
@@ -393,10 +452,10 @@ def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.nd
 
 
 def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
-              class_names: Sequence[str] | None) -> tuple[list[Event], list[np.ndarray]]:
-    """The boxes of all clips under every parameter set of ``grid``, as one
-    list of distinct boxes and, per parameter set, the index array of its
-    boxes in that list in (clip, class, time) order.
+              class_names: Sequence[str] | None) -> tuple[_EventColumns, list[np.ndarray]]:
+    """The boxes of all clips under every parameter set of ``grid``, as the
+    columns of the distinct boxes and, per parameter set, the index array of
+    its boxes among them in (clip, class, time) order.
 
     Tracks are numbered clip-major, class-minor.  A candidate entry is one
     (smoothing key, class, rel_merge, abs_merge) that some parameter set
@@ -410,7 +469,8 @@ def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
     first_track = np.cumsum([0] + widths)
     n_tracks = int(first_track[-1])
     if n_tracks == 0:
-        return [], [np.zeros(0, dtype=np.intp) for _ in grid]
+        none = np.zeros(0, dtype=np.intp)
+        return _frame_columns(posts, none, none, none, none, np.zeros(0)), [none for _ in grid]
     class_of = np.arange(n_tracks) - np.repeat(first_track[:-1], widths)
     n_classes = max(widths) if class_names is None else len(class_names)
     rows_of = [np.flatnonzero(class_of == c) for c in range(n_classes)]
@@ -435,20 +495,7 @@ def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
     )
     track %= n_tracks
     clip = np.repeat(np.arange(len(posts)), widths)[track]
-    period = np.array([post.frame_period for post in posts])[clip]
-    onset, offset = np.empty(track.size), np.empty(track.size)
-    for fp in np.unique(period).tolist():
-        at = period == fp
-        onset[at] = frame_time(start[at], fp)
-        offset[at] = frame_time(start[at] + length[at], fp)
-    clip_ids = [post.clip_id for post in posts]
-    boxes = [
-        Event(clip_ids[i], c, on, off, confidence)
-        for i, c, on, off, confidence in zip(
-            clip.tolist(), class_of[track].tolist(), onset.tolist(), offset.tolist(),
-            np.minimum(mean, 1.0).tolist(),
-        )
-    ]
+    boxes = _frame_columns(posts, clip, class_of[track], start, start + length, np.minimum(mean, 1.0))
     sets = []
     for pick in picks:
         cand = np.empty(n_tracks, dtype=np.intp)
@@ -475,7 +522,7 @@ def csebb_detect(
     ``tune_csebb``'s search.
     """
     boxes, (index,) = _box_sets(posts, [params], class_names)
-    return [boxes[i] for i in index.tolist()]
+    return boxes.take(index).events()
 
 
 def event_threshold(boxes: Sequence[Event], class_thresholds: Sequence[float]) -> list[Event]:
@@ -532,7 +579,7 @@ def tune_csebb(
     posts: Sequence[Posteriorgram],
     refs: Sequence[Event],
     grid: Sequence[CsebbParams],
-    metric: Callable[[list[Event], list[np.ndarray], Sequence[Event]], Sequence[float]],
+    metric: Callable[[Sequence[Event], list[np.ndarray], Sequence[Event]], Sequence[float]],
     class_names: Sequence[str] | None = None,
 ) -> CsebbParams:
     """Grid-search the detector parameters against a validation metric
@@ -543,10 +590,10 @@ def tune_csebb(
     all found in one search: each smoothing key segments the clips once,
     one merge serves every (rel_merge, abs_merge) pair, and candidates
     reaching the same merge state share its boxes by index.  ``metric(boxes,
-    sets, refs)`` takes the distinct boxes and, per candidate in grid order,
-    the index array of its boxes among them, and returns one score per
-    candidate, so a PSDS metric can run one
-    ``evaluation.roc_from_confidences`` sweep over the whole grid.
+    sets, refs)`` takes the distinct boxes (a sequence of events held as
+    columns) and, per candidate in grid order, the index array of its boxes
+    among them, and returns one score per candidate, so a PSDS metric can
+    run one ``evaluation.roc_from_confidences`` sweep over the whole grid.
 
     Ties break toward the smaller smoothing window, then lexicographically
     over the remaining parameters, so results never depend on grid order.

@@ -9,6 +9,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.ndimage import median_filter
 
 from hetsed.domain_gen import freq_mixstyle, freq_stats
 from hetsed.evaluation import OperatingPointCurve, PsdsConfig, _segment_count
@@ -273,6 +274,42 @@ def greedy_merge(
         sums[k] += sums.pop(k + 1)
         lengths[k] += lengths.pop(k + 1)
     return sums, lengths
+
+
+def median_threshold_runs(post, thresholds, window):
+    """(clip, class, onset, offset) of every run of frames above its class
+    threshold after ``scipy.ndimage.median_filter`` (edge replication), one
+    class track at a time; boundary k lies at k * period_us / 1e6 s."""
+    period_us = round(post.frame_period * 1e6)
+    runs = []
+    for c in range(post.num_classes):
+        track = median_filter(post.scores[:, c], size=window, mode="nearest")
+        start = None
+        for k, value in enumerate([*track, -math.inf]):
+            if value > thresholds[c] and start is None:
+                start = k
+            elif not value > thresholds[c] and start is not None:
+                runs.append((post.clip_id, c, start * period_us / 1e6, k * period_us / 1e6))
+                start = None
+    return runs
+
+
+def event_tsv_text(events, class_names, soft):
+    """An event TSV, one row at a time: the rows sorted by (clip, class,
+    onset, offset), a time with three decimals unless it reads back
+    different from the time rounded to nine (then six), a confidence with
+    six and an absent one empty."""
+    def seconds(value):
+        text = f"{value:.3f}"
+        return text if float(text) == round(value, 9) else f"{value:.6f}"
+
+    lines = ["filename\tonset\toffset\tevent_label" + ("\tconfidence" if soft else "")]
+    for ev in sorted(events, key=lambda e: (e.clip_id, e.class_idx, e.onset, e.offset)):
+        row = [ev.clip_id, seconds(ev.onset), seconds(ev.offset), class_names[ev.class_idx]]
+        if soft:
+            row.append("" if ev.confidence is None else f"{ev.confidence:.6f}")
+        lines.append("\t".join(row))
+    return "\n".join(lines) + "\n"
 
 
 def segment_scores_at(post, segment):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hetsed import cli, formats
 from hetsed.core import Event, Posteriorgram, default_vocabulary
 from hetsed.postprocess import ClassSebbParams, CsebbParams
+from oracles import event_tsv_text, median_threshold_runs
 
 
 def run(*argv):
@@ -643,6 +644,41 @@ def test_median_frame_and_mpauc_outputs_are_pinned(tmp_path):
         "frame": "dc389bc3df4add875caf0da274eb0f4815e10f9a85b69dd3f9321dcfd131b28b",
         "mpauc": "002c49f69196c74d7625582059718dd2b51c2cbe5529ddafc7b3b8e87be39311",
     }
+
+
+BULK_CLASSES = ["Alarm_bell_ringing", "Blender", "Cat", "Dishes", "Dog", "Electric_shaver_toothbrush",
+                "Frying", "Running_water", "Speech", "Vacuum_cleaner"]
+
+
+def test_default_csebb_and_median_outputs_on_a_bulk_shaped_fixture_are_pinned(tmp_path):
+    # 10 classes at 0.02 s frames with the walkthrough corruption, default
+    # parameters: many boxes and events per clip, byte for byte
+    classes = tmp_path / "classes.txt"
+    classes.write_text("\n".join(BULK_CLASSES) + "\n")
+    data = tmp_path / "data"
+    assert run("synth", "--seed", 5, "--clips", 30, "--classes", classes, "--out", data,
+               "--frame-period", 0.02, "--blur", 3, "--noise", 0.05, "--dip-prob", 1.0) == 0
+    outs = {method: tmp_path / f"{method}.tsv" for method in ("csebb", "median")}
+    for method, out in outs.items():
+        assert run("postprocess", "--method", method, "--in", data / "posteriors", "--out", out) == 0
+    assert {method: hashlib.sha256(path.read_bytes()).hexdigest() for method, path in outs.items()} == {
+        "csebb": "59d46d6b0bfb3e3c5a42d7fb9d1a79e2c522edc5d42a39af49f40368d77af048",
+        "median": "3d020206e947e75646dc6f7d54ef84b826793b62997aa5d4fa8cf18f9fe59d92",
+    }
+
+
+def test_postprocess_median_rows_follow_clip_ids_not_file_names(tmp_path):
+    # "a-b.sedp" lists before "a.sedp", but clip "a" sorts before "a-b"
+    rng = np.random.default_rng(4)
+    posts = [Posteriorgram(rng.uniform(size=(t, 2)).round(1), period, clip_id)
+             for clip_id, t, period in (("a-b", 40, 0.02), ("a", 25, 0.05), ("b", 40, 0.064))]
+    for post in posts:
+        formats.write_posteriorgram(tmp_path / "posts" / f"{post.clip_id}.sedp", post, ["car", "dog"])
+    out = tmp_path / "median.tsv"
+    assert run("postprocess", "--method", "median", "--in", tmp_path / "posts", "--out", out) == 0
+    runs = [Event(*run) for post in posts for run in median_threshold_runs(post, [0.5, 0.5], 7)]
+    assert out.read_text(encoding="utf-8") == event_tsv_text(runs, ["car", "dog"], soft=False)
+    assert [line.split("\t")[0] for line in out.read_text().splitlines()[1:3]] == ["a", "a"]
 
 
 @pytest.mark.parametrize("value, message", [

@@ -166,6 +166,25 @@ def test_posteriorgram_validation():
         Posteriorgram(np.zeros((0, 2)), 0.02, "x")
 
 
+def test_posteriorgram_accepts_zero_classes():
+    post = Posteriorgram(np.zeros((4, 0)), 0.02, "x")
+    assert (post.num_frames, post.num_classes) == (4, 0)
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "scores contain non-finite values"),
+    (-np.inf, "scores contain non-finite values"),
+    (1.5, "scores outside [0, 1]"),
+    (-0.5, "scores outside [0, 1]"),
+])
+def test_posteriorgram_range_messages(value, message):
+    scores = np.full((3, 2), 0.5)
+    scores[1, 1] = value
+    with pytest.raises(ValueError) as err:
+        Posteriorgram(scores, 0.02, "x")
+    assert str(err.value) == message
+
+
 def test_clip_metadata_validation():
     with pytest.raises(ValueError):
         ClipMetadata("x", Origin.MAESTRO, 0.0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hetsed import formats, synth
-from hetsed.core import Event, Posteriorgram, canonicalize_events
+from hetsed.core import Event, Posteriorgram, _event_columns, canonicalize_events
 from hetsed.evaluation import PsdsConfig, psds, roc_from_confidences
 from hetsed.formats import (
     read_csebb_grid,
@@ -32,6 +32,7 @@ from hetsed.formats import (
     write_summary,
 )
 from hetsed.postprocess import ClassSebbParams, CsebbParams, csebb_detect, frame_threshold_merge
+from oracles import event_tsv_text
 
 CLASSES = ["car", "dog", "speech"]
 
@@ -294,6 +295,59 @@ def test_event_tsvs_read_back_identical(events, boxes):
         write_soft_events_tsv(Path(tmp) / "boxes.tsv", boxes, CLASSES)
         assert read_events_tsv(Path(tmp) / "events.tsv", CLASSES) == (canonicalize_events(events), CLASSES)
         assert read_events_tsv(Path(tmp) / "boxes.tsv", CLASSES) == (canonicalize_events(boxes), CLASSES)
+
+
+_TIMES = (st.integers(0, 600_000).map(lambda ms: ms / 1000)  # on a 1 ms grid
+          | st.floats(0.0, 600.0)  # off the grid: six decimals
+          | st.sampled_from([0.0, -0.0, 1 / 3, 0.0005, 0.0004999, 2.0000005, 599.9999996]))
+_CONFIDENCES = st.none() | st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-7, 0.9999995]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def writer_events(draw):
+    """Events on few (clip, class) keys, so equal keys with other confidences
+    are common; clip ids with non-ASCII letters and separators that sort
+    apart from their file names."""
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(["a", "a-b", "a.b", "é", "日本", "clip_1", "Z"]),
+        st.integers(0, len(CLASSES) - 1),
+        _TIMES,
+        st.sampled_from([0.001, 0.02, 0.5]) | st.floats(1e-6, 30.0),
+        _CONFIDENCES,
+    ), max_size=20))
+    events = [Event(clip, c, on, on + length, conf) for clip, c, on, length, conf in rows if on + length > on]
+    duplicates = draw(st.lists(st.tuples(st.integers(0, 10**6), _CONFIDENCES), max_size=4))
+    return events + [replace(events[i % len(events)], confidence=conf) for i, conf in duplicates if events]
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_events())
+def test_event_writers_give_the_bytes_of_the_row_by_row_formatter(events):
+    with tempfile.TemporaryDirectory() as tmp:
+        for write, soft in ((write_events_tsv, False), (write_soft_events_tsv, True)):
+            want = event_tsv_text(events, CLASSES, soft).encode("utf-8")
+            for given_as in (events, _event_columns(events)):
+                write(Path(tmp) / "out.tsv", given_as, CLASSES)
+                assert (Path(tmp) / "out.tsv").read_bytes() == want
+
+
+@pytest.mark.parametrize("bad", [
+    Event("b", 0, 1.0, 2.0, float("nan")),
+    Event("b", 0, 1.0, 2.0, 1.5),
+    Event("b", 0, 2.0, 1.0),
+    Event("b", 0, -1.0, float("inf"), -0.5),
+    Event("b", -1, 0.0, 1.0),
+])
+def test_event_writers_reject_invalid_events_as_canonicalize_events_does(tmp_path, bad):
+    events = [Event("a", 0, 0.0, 1.0, 0.25), bad, Event("a", 1, 0.0, 1.0, None), bad]
+    with pytest.raises(ValueError, match="^invalid events:\n") as expected:
+        canonicalize_events(events)
+    for write in (write_events_tsv, write_soft_events_tsv):
+        for given_as in (events, _event_columns(events)):
+            with pytest.raises(ValueError) as err:
+                write(tmp_path / "out.tsv", given_as, CLASSES)
+            assert str(err.value) == str(expected.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=200, deadline=None)

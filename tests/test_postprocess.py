@@ -1,4 +1,5 @@
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsed import postprocess
-from hetsed.core import Event, Posteriorgram, frame_time
+from hetsed.core import Event, Posteriorgram, canonicalize_events, frame_time
 from hetsed.postprocess import (
     NOISE_FLOOR,
     ClassSebbParams,
@@ -20,7 +21,7 @@ from hetsed.postprocess import (
     moving_average,
     tune_csebb,
 )
-from oracles import change_points_loop, greedy_merge, window_mean_moving_average
+from oracles import change_points_loop, greedy_merge, median_threshold_runs, window_mean_moving_average
 
 
 def post_of(track, fp=0.05, clip_id="p0"):
@@ -446,6 +447,64 @@ def test_median_window_events_equal_median_filter_then_threshold(case):
     post = post_of(scores, fp=0.02)
     filtered = Posteriorgram(median_filter(scores, window), post.frame_period, post.clip_id)
     assert frame_threshold_merge(post, thresholds, window) == frame_threshold_merge(filtered, thresholds)
+
+
+@st.composite
+def threshold_directories(draw):
+    """Clips of mixed frame counts and periods in file order, which differs
+    from clip-id order ("a-b" sorts before "a" as a file, "a-b.sedp", and
+    after it as a clip id); scores and thresholds on one grid of 10**-d
+    steps, so ties are common; an odd window up to 2T - 1 of the shortest
+    clip; and a stacking cap from one clip per pass to all of them."""
+    c = draw(st.integers(1, 3))
+    steps = 10 ** draw(st.integers(0, 2))
+    level = st.integers(0, steps).map(lambda k: k / steps)
+    names = sorted(draw(st.lists(st.sampled_from(["a", "a-b", "a_b", "b", "é", "clip_10", "clip_9"]),
+                                 min_size=1, max_size=6, unique=True)), key=lambda name: name + ".sedp")
+    posts = []
+    for name in names:
+        t = draw(st.sampled_from([1, 2, 3, 8, 25]))
+        cells = draw(st.lists(level, min_size=t * c, max_size=t * c))
+        period = draw(st.sampled_from([0.02, 0.05, 0.064]))
+        posts.append(Posteriorgram(np.array(cells).reshape(t, c), period, name))
+    thresholds = draw(st.lists(level, min_size=c, max_size=c))
+    shortest = min(post.num_frames for post in posts)
+    window = draw(st.integers(0, shortest - 1).map(lambda k: 2 * k + 1))
+    return posts, thresholds, window, draw(st.sampled_from([1, 30, 100, postprocess._STACK_CELLS]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold_directories())
+def test_stacked_threshold_runs_equal_runs_after_median_filter_clip_by_clip(case):
+    posts, thresholds, window, cap = case
+    with patch.object(postprocess, "_STACK_CELLS", cap):
+        got = postprocess._threshold_runs(posts, thresholds, window)
+    want = [run for post in posts for run in median_threshold_runs(post, thresholds, window)]
+    rows = [(ev.clip_id, ev.class_idx, ev.onset, ev.offset) for ev in got.events()]
+    assert sorted(rows) == sorted(want)
+    assert canonicalize_events(got.events()) == canonicalize_events([Event(*run) for run in want])
+    for post in posts:
+        assert frame_threshold_merge(post, thresholds, window) == [
+            Event(*run) for run in median_threshold_runs(post, thresholds, window)]
+
+
+@pytest.mark.parametrize("frames, classes, thresholds, window, message", [
+    ((5, 2, 1), (1, 1, 1), [0.5], 5, "window 5 too large for 2 frames"),
+    ((5, 2, 1), (1, 1, 1), [0.5], 3, "window 3 too large for 1 frames"),
+    ((5, 5, 1), (1, 2, 1), [0.5], 9, r"need one threshold per class, got \(1,\)"),
+    ((5, 1), (2, 2), [0.5, 1.5], 3, r"thresholds must lie in \[0, 1\]"),
+    ((5, 1), (1, 1), [float("nan")], 1, r"thresholds must lie in \[0, 1\]"),
+    ((5, 1), (1, 1), [0.5], 4, "window must be odd and >= 1, got 4"),
+    ((5, 1), (1, 1), [0.5], -1, "window must be odd and >= 1, got -1"),
+])
+def test_threshold_runs_raise_the_error_of_the_first_failing_clip_in_file_order(
+        frames, classes, thresholds, window, message):
+    posts = [post_of(np.full((t, c), 0.7), clip_id=f"c{i}") for i, (t, c) in enumerate(zip(frames, classes))]
+    with pytest.raises(ValueError, match=message) as stacked:
+        postprocess._threshold_runs(posts, thresholds, window)
+    with pytest.raises(ValueError) as clip_by_clip:
+        [frame_threshold_merge(post, thresholds, window) for post in posts]
+    assert str(stacked.value) == str(clip_by_clip.value)
 
 
 def test_median_filter_keeps_nan_windows_nan():
