@@ -178,6 +178,8 @@ def _read_class_list(path: Path) -> list[str]:
         name = line.strip()
         if not name or name.startswith("#"):
             continue
+        if "\t" in name:  # it would split the label column of every event file
+            raise ValueError(f"{path}:{lineno}: class {name!r} holds a tab")
         if name in first_line:
             raise ValueError(f"{path}:{lineno}: class {name!r} already listed on line {first_line[name]}")
         first_line[name] = lineno
@@ -211,7 +213,7 @@ def _cmd_synth(args, cfg) -> int:
     return EXIT_OK
 
 
-def _load_posteriors(path: Path) -> list[tuple[Posteriorgram, list[str]]]:
+def _load_posteriors(path: Path) -> tuple[list[Posteriorgram], list[str]]:
     """One posteriorgram file, or every ``*.sedp`` in a directory (dot-files
     too) in name order: the files ``sorted(path.glob("*.sedp"))`` gives, from
     one listing and with the same path strings."""
@@ -230,13 +232,13 @@ def _load_posteriors(path: Path) -> list[tuple[Posteriorgram, list[str]]]:
     return _read_posteriorgrams(paths)
 
 
-def _read_posteriorgrams(paths: list[Path | str], clip_id: str | None = None) -> list[tuple[Posteriorgram, list[str]]]:
-    """Posteriorgram files that must share one class table."""
-    loaded = [formats.read_posteriorgram(p, clip_id) for p in paths]
-    for (_, names), p in zip(loaded, paths):
-        if names != loaded[0][1]:
+def _read_posteriorgrams(paths: list[Path | str], clip_id: str | None = None) -> tuple[list[Posteriorgram], list[str]]:
+    """The posteriorgrams of files that must share one class table, and that table."""
+    posts, tables = zip(*[formats.read_posteriorgram(p, clip_id) for p in paths])
+    for names, p in zip(tables, paths):
+        if names != tables[0]:
             raise ValueError(f"{p}: class table differs from {paths[0]}")
-    return loaded
+    return list(posts), tables[0]
 
 
 def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np.ndarray, int]:
@@ -273,10 +275,7 @@ def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np
 
 
 def _cmd_postprocess(args, cfg) -> int:
-    loaded = _load_posteriors(args.input)
-    class_names = loaded[0][1]
-    posts = [post for post, _ in loaded]
-
+    posts, class_names = _load_posteriors(args.input)
     if args.method == "csebb":
         params = formats.read_csebb_params(args.params) if args.params else postprocess.CsebbParams()
         boxes, (index,) = postprocess._box_sets(posts, [params], class_names)
@@ -294,11 +293,8 @@ def _cmd_postprocess(args, cfg) -> int:
 
 
 def _cmd_tune_csebb(args, cfg) -> int:
-    loaded = _load_posteriors(args.val_posteriors)
-    class_names = loaded[0][1]
-    posts = [post for post, _ in loaded]
-    refs, _ = formats.read_events_tsv(args.val_refs, class_names)
-    _check_ref_clips(args.val_refs, refs, posts)
+    posts, class_names = _load_posteriors(args.val_posteriors)
+    refs = _read_refs(args.val_refs, class_names, posts)
     if args.durations is not None:
         hours = _read_hours(args.durations, [p.clip_id for p in posts])
     else:
@@ -317,20 +313,24 @@ def _cmd_tune_csebb(args, cfg) -> int:
 
 
 def _cmd_ensemble(args, cfg) -> int:
-    loaded = _read_posteriorgrams(args.inputs, clip_id=args.out.stem)
-    merged = postprocess.ensemble_average([post for post, _ in loaded])
-    formats.write_posteriorgram(args.out, merged, loaded[0][1])
-    print(f"averaged {len(loaded)} posteriorgrams into {args.out}", file=sys.stderr)
+    posts, class_names = _read_posteriorgrams(args.inputs, clip_id=args.out.stem)
+    formats.write_posteriorgram(args.out, postprocess.ensemble_average(posts), class_names)
+    print(f"averaged {len(posts)} posteriorgrams into {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
 def _psds_config_from(cfg, dtc=None, gtc=None, emax=None, alpha_st=None) -> evaluation.PsdsConfig:
     return evaluation.PsdsConfig(
-        rho_dtc=dtc if dtc is not None else config_mod.get_float(cfg, "psds.dtc"),
-        rho_gtc=gtc if gtc is not None else config_mod.get_float(cfg, "psds.gtc"),
-        e_max=emax if emax is not None else config_mod.get_float(cfg, "psds.emax"),
-        alpha_st=alpha_st if alpha_st is not None else config_mod.get_float(cfg, "psds.alpha_st"),
+        rho_dtc=_setting(dtc, cfg, "psds.dtc"),
+        rho_gtc=_setting(gtc, cfg, "psds.gtc"),
+        e_max=_setting(emax, cfg, "psds.emax"),
+        alpha_st=_setting(alpha_st, cfg, "psds.alpha_st"),
     )
+
+
+def _setting(flag: float | None, cfg, key: str) -> float:
+    """A flag's value, or its config twin's when the flag is not given."""
+    return flag if flag is not None else config_mod.get_float(cfg, key)
 
 
 def _reindex(events: list[Event], names: list[str], class_names: list[str]) -> list[Event]:
@@ -342,11 +342,13 @@ def _reindex(events: list[Event], names: list[str], class_names: list[str]) -> l
     return [Event(ev.clip_id, index[ev.class_idx], ev.onset, ev.offset, ev.confidence) for ev in events]
 
 
-def _check_ref_clips(path: Path, refs: list[Event], posts: list[Posteriorgram]) -> None:
-    """Every clip of the reference file must have a posteriorgram."""
+def _read_refs(path: Path, class_names: list[str], posts: list[Posteriorgram]) -> list[Event]:
+    """The events of a reference file, every clip of which must have a posteriorgram."""
+    refs, _ = formats.read_events_tsv(path, class_names)
     missing = sorted({ev.clip_id for ev in refs} - {post.clip_id for post in posts})
     if missing:
         raise ValueError(f"{path}: references for clips without posteriors: {missing[:5]}")
+    return refs
 
 
 def _read_hours(path: Path, clip_ids) -> float:
@@ -381,29 +383,19 @@ def _cmd_eval_psds(args, cfg) -> int:
 
 
 def _cmd_eval_mpauc(args, cfg) -> int:
-    segment = args.segment if args.segment is not None else config_mod.get_float(cfg, "eval.segment")
-    max_fpr = args.max_fpr if args.max_fpr is not None else config_mod.get_float(cfg, "eval.max_fpr")
-    hard_thr = (
-        args.hard_threshold
-        if args.hard_threshold is not None
-        else config_mod.get_float(cfg, "eval.hard_threshold")
-    )
-    loaded = _load_posteriors(args.posteriors)
-    class_names = loaded[0][1]
-    refs, _ = formats.read_events_tsv(args.refs, class_names)
-    _check_ref_clips(args.refs, refs, [post for post, _ in loaded])
+    segment = _setting(args.segment, cfg, "eval.segment")
+    max_fpr = _setting(args.max_fpr, cfg, "eval.max_fpr")
+    hard_thr = _setting(args.hard_threshold, cfg, "eval.hard_threshold")
+    posts, class_names = _load_posteriors(args.posteriors)
+    refs = _read_refs(args.refs, class_names, posts)
     by_clip: dict[str, list[Event]] = {}
     for ev in refs:
         by_clip.setdefault(ev.clip_id, []).append(ev)
 
-    score_rows, label_rows = [], []
-    for post, _ in loaded:
-        score_rows.append(evaluation.segment_scores(post, segment))
-        label_rows.append(
-            evaluation.segmentize(by_clip.get(post.clip_id, []), post.duration, post.num_classes, segment)
-        )
-    scores = np.concatenate(score_rows)
-    hard = np.concatenate(label_rows) >= hard_thr
+    scores = np.concatenate([evaluation.segment_scores(post, segment) for post in posts])
+    labels = [evaluation.segmentize(by_clip.get(post.clip_id, []), post.duration, post.num_classes, segment)
+              for post in posts]
+    hard = np.concatenate(labels) >= hard_thr
     per_class = evaluation.mpauc_per_class(scores, hard, max_fpr)
     if np.all(np.isnan(per_class)):
         raise ValueError(f"no class has both positive and negative segments at hard threshold {hard_thr:g}")

@@ -262,19 +262,8 @@ def canonicalize_events(events: Sequence[Event]) -> list[Event]:
     are aggregated into a single error so callers see every bad row at once.
     Idempotent on valid input.
     """
-    _check_events(events, range(len(events)))
-    return sorted(events, key=lambda e: (e.clip_id, e.class_idx, e.onset, e.offset))
-
-
-def _check_events(events: Sequence[Event], indices: Iterable[int]) -> None:
-    """One error naming every problem of the events at ``indices``."""
-    problems = [
-        f"event {i}: {problem}"
-        for i in indices
-        for problem in _event_problems(events[i].onset, events[i].offset, events[i].confidence, events[i].class_idx)
-    ]
-    if problems:
-        raise ValueError("invalid events:\n" + "\n".join(problems))
+    _, order = _canonical_rows(events)
+    return [events[i] for i in order.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,16 +315,20 @@ def _event_columns(events: Sequence[Event]) -> _EventColumns:
 
 
 def _canonical_rows(events: Sequence[Event]) -> tuple[_EventColumns, np.ndarray]:
-    """The columns of ``events`` and the row order that sorts them as
-    ``canonicalize_events`` does, after its checks (one vectorised pass,
-    the same error).  Equal clip ids share a rank, so the sort is stable on
-    (clip id, class, onset, offset)."""
+    """The columns of ``events`` and their canonical row order, after one
+    vectorised check that raises a single error naming every problem of
+    every invalid event, in index order.  Equal clip ids share a rank, so
+    the sort is stable on (clip id, class, onset, offset)."""
     events = events if isinstance(events, _EventColumns) else list(events)
     rows = _event_columns(events)
     conf = rows.confidence
     valid = (np.isfinite(rows.onset) & np.isfinite(rows.offset) & (rows.offset > rows.onset) & (rows.onset >= 0)
              & (rows.class_idx >= 0) & (~rows.has_confidence | ((conf >= 0.0) & (conf <= 1.0))))
-    _check_events(events, np.flatnonzero(~valid).tolist())
+    problems = [f"event {i}: {problem}" for i in np.flatnonzero(~valid).tolist()
+                for problem in _event_problems(events[i].onset, events[i].offset, events[i].confidence,
+                                               events[i].class_idx)]
+    if problems:
+        raise ValueError("invalid events:\n" + "\n".join(problems))
     rank_of = {clip_id: r for r, clip_id in enumerate(sorted(set(rows.clip_ids)))}
     rank = np.array([rank_of[clip_id] for clip_id in rows.clip_ids], dtype=np.intp)
     return rows, np.lexsort((rows.offset, rows.onset, rows.class_idx, rank[rows.clip]))

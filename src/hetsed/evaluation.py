@@ -279,8 +279,8 @@ def roc_from_confidences(
     r_group, r_lo, r_hi = r_group[order], r_lo[order], r_hi[order]
 
     # DTC: the part of each detection that the merged references cover; a
-    # detection of a class out of range or of a clip without references is
-    # not scored
+    # detection of a class out of range is not scored, and one on a clip
+    # without references covers nothing, so it is a false positive
     d_lo, d_hi, d_class = d.onset, d.offset, d.class_idx
     _check_spans(dets, d_lo, d_hi, "detection")
     d_clip = np.array([clip_index.get(clip_id, -1) for clip_id in d.clip_ids], dtype=np.int64)[d.clip]

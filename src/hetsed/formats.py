@@ -11,6 +11,12 @@ as post-processing makes them), check them in one vectorised pass with the
 errors of ``canonicalize_events``, order the rows with one stable sort and
 format each distinct time once.
 
+A text writer refuses, before it writes anything, a clip id, class name or
+key that holds a tab or a character at which ``str.splitlines`` ends a
+line, since its reader could not split that field back out.  It checks each
+distinct string once, so the check grows with the clips, not the rows, and
+every clip id, class name and key that it writes reads back as it was.
+
 Every reader takes one file path as its first argument and opens that path
 as given.  A posteriorgram reader remembers the last class table it decoded,
 so the files of one directory, which share a table, each compare its bytes
@@ -21,11 +27,12 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +47,8 @@ _FEATURE_HEADER = struct.Struct("<4sIII")  # magic, T, M, period in us
 EVENTS_HEADER = "filename\tonset\toffset\tevent_label"
 SOFT_HEADER = "filename\tonset\toffset\tevent_label\tconfidence"
 DURATIONS_HEADER = "filename\tduration"
+# a tab, or a character at which str.splitlines ends a line
+_UNSPLITTABLE = re.compile("[\t\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @contextmanager
@@ -59,6 +68,13 @@ def atomic_write(path: Path | str, mode: str = "w") -> Iterator:
         except OSError:
             pass
         raise
+
+
+def _check_fields(path: Path | str, what: str, values: Iterable[str]) -> None:
+    """Each value must read back as one field of one line of a text file."""
+    for value in values:
+        if _UNSPLITTABLE.search(value):
+            raise ValueError(f"{path}: {what} {value!r} holds a tab or a line break")
 
 
 def _format_seconds(value: float) -> str:
@@ -81,6 +97,8 @@ def _write_events(path: Path | str, header: str, events: Sequence[Event], class_
     """An event TSV: the header, then one row per event in canonical order,
     checked as ``canonicalize_events`` checks them."""
     rows, order = _canonical_rows(events)
+    _check_fields(path, "clip id", rows.clip_ids)
+    _check_fields(path, "class name", class_names)
     rows = rows.take(order)
     times = _formatted(np.concatenate([rows.onset, rows.offset]), _format_seconds)
     columns = [[rows.clip_ids[i] for i in rows.clip.tolist()], times[: len(rows)], times[len(rows) :],
@@ -166,6 +184,7 @@ def read_events_tsv(
 
 
 def write_durations_tsv(path: Path | str, durations: dict[str, float]) -> None:
+    _check_fields(path, "clip id", durations)
     with atomic_write(path) as fh:
         fh.write(DURATIONS_HEADER + "\n")
         for clip_id in sorted(durations):
@@ -330,6 +349,9 @@ _SEBB_FIELDS = ("window", "half_width", "rel_merge", "abs_merge", "min_gap")
 
 def write_csebb_params(path: Path | str, params: CsebbParams) -> None:
     """Tuned box-detector parameters, one row per class name; '*' = default."""
+    _check_fields(path, "class name", params.per_class)
+    if "*" in params.per_class:
+        raise ValueError(f"{path}: class name '*' would read back as the default row")
     with atomic_write(path) as fh:
         fh.write("class\t" + "\t".join(_SEBB_FIELDS) + "\n")
         rows = [("*", params.default)] + sorted(params.per_class.items())
@@ -361,6 +383,7 @@ def read_csebb_grid(path: Path | str) -> list[CsebbParams]:
 
 def write_score_report(path: Path | str, entries: dict[str, float]) -> None:
     """Machine-readable report: key<TAB>value rows, keys sorted."""
+    _check_fields(path, "key", entries)
     with atomic_write(path) as fh:
         fh.write("key\tvalue\n")
         for key in sorted(entries):

@@ -11,9 +11,21 @@ import math
 import numpy as np
 from scipy.ndimage import median_filter
 
+from hetsed.core import _event_problems
 from hetsed.domain_gen import freq_mixstyle, freq_stats
 from hetsed.evaluation import OperatingPointCurve, PsdsConfig, _segment_count
 from hetsed.postprocess import _PLATEAU_TOL
+
+
+def canonical_order(events):
+    """``events`` checked one by one, then sorted by the key (clip id, class,
+    onset, offset); the checks raise one ValueError naming every problem of
+    every event, in index order."""
+    problems = [f"event {i}: {problem}" for i, ev in enumerate(events)
+                for problem in _event_problems(ev.onset, ev.offset, ev.confidence, ev.class_idx)]
+    if problems:
+        raise ValueError("invalid events:\n" + "\n".join(problems))
+    return sorted(events, key=lambda e: (e.clip_id, e.class_idx, e.onset, e.offset))
 
 
 def union_measure(lo, hi, spans):

@@ -538,12 +538,13 @@ def test_a_directory_load_equals_reading_each_file_in_glob_order(directory):
             message = f"{differs[0]}: class table differs from {paths[0]}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 cli._load_posteriors(tmp)
-            loaded = in_order
+            posts, tables = [post for post, _ in in_order], [names for _, names in in_order]
         else:
-            loaded = cli._load_posteriors(tmp)
-    assert [post.clip_id for post, _ in loaded] == [p.stem for p in paths]
-    assert len({id(names) for _, names in loaded}) == len(loaded)  # each file its own list
-    for (post, names), (want, want_names) in zip(loaded, expected, strict=True):
+            posts, class_names = cli._load_posteriors(tmp)
+            tables = [class_names] * len(posts)
+    assert [post.clip_id for post in posts] == [p.stem for p in paths]
+    assert len({id(names) for _, names in in_order}) == len(in_order)  # each read its own list
+    for post, names, (want, want_names) in zip(posts, tables, expected, strict=True):
         assert names == want_names
         assert post.clip_id == want.clip_id
         assert post.frame_period == want.frame_period
@@ -809,6 +810,15 @@ def test_synth_rejects_a_repeated_class_name(tmp_path, capsys):
     classes.write_text("car\n# cars again below\ncar\ndog\n")
     assert run("synth", "--seed", 1, "--clips", 2, "--classes", classes, "--out", tmp_path / "data") == 2
     assert f"error: {classes}:3: class 'car' already listed on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_synth_rejects_a_class_name_with_a_tab(tmp_path, capsys):
+    # the tab would split the label column of refs.tsv, which no reader takes back
+    classes = tmp_path / "classes.txt"
+    classes.write_text("car\tdog\nspeech\n")
+    assert run("synth", "--seed", 1, "--clips", 2, "--classes", classes, "--out", tmp_path / "data") == 2
+    assert f"error: {classes}:1: class 'car\\tdog' holds a tab" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
 
 

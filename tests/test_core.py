@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from hetsed.core import (
     frame_time,
     rasterize,
 )
-from oracles import brute_rasterize
+from oracles import brute_rasterize, canonical_order
 
 DESED10 = [
     "alarm_bell_ringing", "blender", "cat", "dishes", "dog",
@@ -154,6 +155,48 @@ def test_canonicalize_aggregates_all_problems():
 def test_canonicalize_rejects_non_finite_times(onset, offset):
     with pytest.raises(ValueError, match="event 1: non-finite time"):
         canonicalize_events([Event("a", 0, 0.0, 1.0), Event("a", 0, onset, offset)])
+
+
+# a field that makes an event invalid, and a value for it
+_BAD_FIELDS = [("onset", math.nan), ("onset", -1.0), ("offset", math.inf), ("offset", 0.0),
+               ("confidence", 1.5), ("confidence", math.nan), ("class_idx", -1), ("class_idx", np.int64(-2))]
+
+
+@st.composite
+def events_to_order(draw):
+    """Events with many equal sort keys (0.0 and -0.0 onsets, numpy and
+    Python class indices, confidences that the key ignores), non-ASCII clip
+    ids, and in half the lists some invalid fields."""
+    bad = draw(st.booleans())
+    events = []
+    for _ in range(draw(st.integers(0, 12))):
+        onset = draw(st.sampled_from([0.0, -0.0, 0.5, np.float64(0.5), 2.5]))
+        fields = dict(
+            clip_id=draw(st.sampled_from(["a", "b", "Z", "", "é", "e\u0301", "日本", "\U0001f50a"])),
+            class_idx=draw(st.sampled_from([0, 1, 2, np.int64(1), np.int32(2), np.intp(0)])),
+            onset=onset,
+            offset=onset + draw(st.sampled_from([0.5, 1.0, 3.0])),
+            confidence=draw(st.sampled_from([None, 0.0, 0.25, 1.0])),
+        )
+        if bad and draw(st.booleans()):
+            field, value = draw(st.sampled_from(_BAD_FIELDS))
+            fields[field] = value
+        events.append(Event(**fields))
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(events_to_order())
+def test_canonicalize_events_keeps_the_key_sort_and_its_errors(events):
+    try:
+        want = canonical_order(events)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            canonicalize_events(events)
+        assert str(err.value) == str(exc)
+        return
+    got = canonicalize_events(events)
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
 def test_posteriorgram_validation():

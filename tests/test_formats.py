@@ -297,6 +297,63 @@ def test_event_tsvs_read_back_identical(events, boxes):
         assert read_events_tsv(Path(tmp) / "boxes.tsv", CLASSES) == (canonicalize_events(boxes), CLASSES)
 
 
+# a tab and every character at which str.splitlines ends a line
+_BREAKS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_names = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(_BREAKS)), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_names, _names)
+def test_a_clip_id_or_class_name_reads_back_or_is_refused(clip_id, class_name):
+    names = [class_name]
+    events = [Event(clip_id, 0, 0.5, 1.25, 0.75), Event("x", 0, 0.0, 1.0)]
+    cases = [
+        (lambda p: write_events_tsv(p, events, names), lambda p: read_events_tsv(p, names),
+         ([replace(ev, confidence=None) for ev in canonicalize_events(events)], names)),
+        (lambda p: write_soft_events_tsv(p, events, names), lambda p: read_events_tsv(p, names),
+         (canonicalize_events(events), names)),
+        (lambda p: write_durations_tsv(p, {clip_id: 10.0, "x": 2.5}), read_durations_tsv,
+         {clip_id: 10.0, "x": 2.5}),
+        (lambda p: write_score_report(p, {class_name: 0.5}), read_score_report, {class_name: 0.5}),
+        (lambda p: write_csebb_params(p, CsebbParams(per_class={class_name: ClassSebbParams(window=3)})),
+         lambda p: read_csebb_params(p).per_class, {class_name: ClassSebbParams(window=3)}),
+    ]
+    for write, read, want in cases:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.tsv"
+            try:
+                write(path)
+            except ValueError:
+                assert list(Path(tmp).iterdir()) == []
+                continue
+            assert read(path) == want
+
+
+def test_text_writers_name_the_field_that_would_not_read_back(tmp_path):
+    path = tmp_path / "out.tsv"
+    writes = [
+        (lambda: write_events_tsv(path, [Event("a\u2028b", 0, 0.0, 1.0)], CLASSES), "clip id 'a\\u2028b'"),
+        (lambda: write_soft_events_tsv(path, [Event("a", 0, 0.0, 1.0)], ["car\tdog"]), "class name 'car\\tdog'"),
+        (lambda: write_durations_tsv(path, {"a\rb": 1.0}), "clip id 'a\\rb'"),
+        (lambda: write_score_report(path, {"psds\x85": 1.0}), "key 'psds\\x85'"),
+        (lambda: write_csebb_params(path, CsebbParams(per_class={"dog\x0b": ClassSebbParams()})),
+         "class name 'dog\\x0b'"),
+    ]
+    for write, named in writes:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {named} holds a tab or a line break')}$"):
+            write()
+    with pytest.raises(ValueError, match=re.escape("class name '*' would read back as the default row")):
+        write_csebb_params(path, CsebbParams(per_class={"*": ClassSebbParams()}))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_refused_characters_are_those_that_split_a_field_or_a_line():
+    splitting = {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1}
+    assert splitting | {"\t"} == set(_BREAKS)
+    assert {c for c in _BREAKS if formats._UNSPLITTABLE.search(c)} == set(_BREAKS)
+    assert not formats._UNSPLITTABLE.search("".join(c for c in map(chr, range(0x110000)) if c not in _BREAKS))
+
+
 _TIMES = (st.integers(0, 600_000).map(lambda ms: ms / 1000)  # on a 1 ms grid
           | st.floats(0.0, 600.0)  # off the grid: six decimals
           | st.sampled_from([0.0, -0.0, 1 / 3, 0.0005, 0.0004999, 2.0000005, 599.9999996]))
