@@ -16,6 +16,10 @@ key that holds a tab or a character at which ``str.splitlines`` ends a
 line, since its reader could not split that field back out.  It checks each
 distinct string once, so the check grows with the clips, not the rows, and
 every clip id, class name and key that it writes reads back as it was.
+For the same reason an event writer refuses a class name listed twice, and
+the score report writer a value that is not finite.  A merge field of the
+tuned parameters is written as its ``:g`` text only when that text reads
+back to the same float.
 
 Every reader takes one file path as its first argument and opens that path
 as given.  A posteriorgram reader remembers the last class table it decoded,
@@ -95,10 +99,12 @@ def _formatted(values: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
 def _write_events(path: Path | str, header: str, events: Sequence[Event], class_names: Sequence[str],
                   soft: bool) -> None:
     """An event TSV: the header, then one row per event in canonical order,
-    checked as ``canonicalize_events`` checks them."""
+    checked as ``canonicalize_events`` checks them; each class name once."""
     rows, order = _canonical_rows(events)
     _check_fields(path, "clip id", rows.clip_ids)
     _check_fields(path, "class name", class_names)
+    if len(set(class_names)) != len(class_names):
+        raise ValueError(f"{path}: class names repeat a name: {list(class_names)}")
     rows = rows.take(order)
     times = _formatted(np.concatenate([rows.onset, rows.offset]), _format_seconds)
     columns = [[rows.clip_ids[i] for i in rows.clip.tolist()], times[: len(rows)], times[len(rows) :],
@@ -347,6 +353,13 @@ def read_features(path: Path | str) -> tuple[np.ndarray, float]:
 _SEBB_FIELDS = ("window", "half_width", "rel_merge", "abs_merge", "min_gap")
 
 
+def _merge_text(value: float) -> str:
+    """A merge field as its ``:g`` text when that reads back to the same
+    float, else as the shortest text that does."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def write_csebb_params(path: Path | str, params: CsebbParams) -> None:
     """Tuned box-detector parameters, one row per class name; '*' = default."""
     _check_fields(path, "class name", params.per_class)
@@ -356,9 +369,8 @@ def write_csebb_params(path: Path | str, params: CsebbParams) -> None:
         fh.write("class\t" + "\t".join(_SEBB_FIELDS) + "\n")
         rows = [("*", params.default)] + sorted(params.per_class.items())
         for name, p in rows:
-            fh.write(
-                f"{name}\t{p.window}\t{p.half_width}\t{p.rel_merge:g}\t{p.abs_merge:g}\t{p.min_gap:g}\n"
-            )
+            merges = "\t".join(map(_merge_text, (p.rel_merge, p.abs_merge, p.min_gap)))
+            fh.write(f"{name}\t{p.window}\t{p.half_width}\t{merges}\n")
 
 
 def _sebb_params(fields: list[str]) -> ClassSebbParams:
@@ -382,8 +394,12 @@ def read_csebb_grid(path: Path | str) -> list[CsebbParams]:
 
 
 def write_score_report(path: Path | str, entries: dict[str, float]) -> None:
-    """Machine-readable report: key<TAB>value rows, keys sorted."""
+    """Machine-readable report: key<TAB>value rows, keys sorted; every value
+    finite, as ``read_score_report`` requires."""
     _check_fields(path, "key", entries)
+    for key, value in entries.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: key {key!r} has the non-finite value {value!r}")
     with atomic_write(path) as fh:
         fh.write("key\tvalue\n")
         for key in sorted(entries):

@@ -23,7 +23,10 @@ sliding windows; results equal the track-by-track computation bit for bit.
 Box detection (``csebb_detect`` for one parameter set, ``tune_csebb`` for a
 grid) treats all clips and candidates as one problem.  The clips of one
 frame count are smoothed and cut together, once per smoothing key (window,
-half_width, min_gap), into flat per-segment arrays.  One greedy merge then
+half_width, min_gap), into flat per-segment arrays.  Only the tracks whose
+step response exceeds min_gap somewhere can be cut, so only those go
+through the change-point search, and a track left uncut is one segment
+summed as a whole row.  One greedy merge then
 runs in lock step over every track of every key, and each (rel_merge,
 abs_merge) candidate reads its boxes off the step where it stops.  The boxes
 are built once, and each candidate holds the index array of its boxes among
@@ -292,18 +295,23 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> np.nd
     array end) and exceeds min_gap; the candidate index is the midpoint
     rounded up, which straddles symmetric ramps onto the true edge.
 
-    The plateaus of all rows come from one vectorised pass that chains
-    consecutive values within the tolerance.  Chaining and the anchored rule
-    agree unless a chained run drifts past the tolerance from its first
-    value, or the value after it is back within the tolerance of that first
-    value; only a row where either happens is rescanned with the anchored
-    rule.  The candidate tests run on the dense [K, T] grid: the left side
-    at each plateau's first frame, carried to its last frame, and the right
-    side at the last frame, so only the kept plateaus are listed.
+    A kept plateau opens at a value above min_gap, so only the live rows,
+    those with |d| above min_gap somewhere, are searched.  Their plateaus
+    come from one vectorised pass that chains consecutive values within the
+    tolerance.  Chaining and the anchored rule agree unless a chained run
+    drifts past the tolerance from its first value, or the value after it is
+    back within the tolerance of that first value; only a row where either
+    happens is rescanned with the anchored rule.  The candidate tests run on
+    the dense [live rows, T] grid: the left side at each plateau's first
+    frame, carried to its last frame, and the right side at the last frame,
+    so only the kept plateaus are listed.
     """
-    k, t = tracks.shape
+    t = tracks.shape[1]
     padded = _edge_padded(tracks, half_width, axis=1)
     a = np.abs(padded[:, 2 * half_width :] - padded[:, :t])
+    live = np.flatnonzero((a > min_gap).any(axis=1))
+    a = a[live]
+    k = live.size
     starts = np.ones((k, t), dtype=bool)
     starts[:, 1:] = ~(np.abs(np.diff(a, axis=1)) <= _PLATEAU_TOL)
     # flat index of each frame's plateau start; every row opens with a start
@@ -327,17 +335,20 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> np.nd
     keep[:, -1] &= first[:, -1] > flat[:, 0]
     keep[:, 0] = False
     last = np.flatnonzero(keep)
-    # the midpoint rounded up, in the plateau's row
-    return (first.ravel()[last] + last + 1) // 2
+    # the midpoint rounded up, in the plateau's row, then in the live row's track
+    row, frame = np.divmod((first.ravel()[last] + last + 1) // 2, t)
+    return live[row] * t + frame
 
 
 # Cap on one stacked pass, in [rows, T] cells (a row is a class track), for
 # both pass kinds: a box search's segmentation pass and a threshold pass.  A
-# segmentation pass holds about a dozen [rows, T] arrays at once (the
-# change-point search's index arrays), about 1.1 MB here; 32-row passes of
-# 500 frames ran fastest.  A threshold pass holds a few bool and integer
-# blocks of that size.
-_STACK_CELLS = 1 << 14
+# segmentation pass holds its smoothed tracks and their step response, and
+# the dozen arrays of the change-point search over its live rows only.  On
+# 500-frame clips of 10 classes (the bulk benchmark, 2-core Xeon), 2**15
+# beat the earlier code by more than the run-to-run spread and 2**14 did
+# not; 2**16 was no faster and held about 1.5 MB more memory at peak.  A
+# threshold pass holds a few bool and integer blocks of that size.
+_STACK_CELLS = 1 << 15
 
 
 def _stacked_passes(posts: Sequence[Posteriorgram]):
@@ -365,7 +376,8 @@ def _segment_arrays(posts: Sequence[Posteriorgram], first_track: np.ndarray, key
     per-segment arrays (track, start frame, length, sum of the smoothed
     scores); track ``first_track[i] + c`` is class c of clip i."""
     window, half_width, min_gap = key
-    parts = []
+    parts, kept, cut_at = [], [], []
+    done = kept_cells = 0
     for group in _stacked_passes(posts):
         scores = [posts[i].scores for i in group]
         tracks = np.ascontiguousarray(moving_average(scores[0] if len(group) == 1 else np.hstack(scores), window).T)
@@ -375,18 +387,32 @@ def _segment_arrays(posts: Sequence[Posteriorgram], first_track: np.ndarray, key
         opens = np.sort(np.concatenate([np.arange(rows) * t, _change_points(tracks, half_width, min_gap)]))
         length = np.diff(opens, append=rows * t)
         row, start = np.divmod(opens, t)
-        # one contiguous [m, n] gather per segment length, summed along its
-        # rows: the bits of summing each segment of its track alone
-        flat = tracks.ravel()
+        # an uncut track is one segment, summed as its row; a cut track is
+        # kept, with where each of its segments opens among the kept tracks
         total = np.empty(opens.size)
-        order = np.argsort(length, kind="stable")
-        bounds = np.flatnonzero(np.diff(length[order], prepend=-1, append=-1)).tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            same = order[lo:hi]
-            total[same] = flat[opens[same, None] + np.arange(length[same[0]])].sum(axis=1)
+        whole = length == t
+        total[whole] = tracks[row[whole]].sum(axis=1)
+        cut = np.flatnonzero(~whole)
+        cut_rows, slot = np.unique(row[cut], return_inverse=True)
+        kept.append(tracks[cut_rows].ravel())
+        cut_at.append((done + cut, kept_cells + slot * t + start[cut]))
+        done += opens.size
+        kept_cells += cut_rows.size * t
         track = np.concatenate([first_track[i] + np.arange(posts[i].num_classes) for i in group])
         parts.append((track[row], start, length, total))
-    return tuple(np.concatenate(columns) for columns in zip(*parts))
+    track, start, length, total = (np.concatenate(columns) for columns in zip(*parts))
+    # the segments of all cut tracks in one contiguous [m, n] gather per
+    # length, summed along its rows: the bits of summing each segment of its
+    # track alone.  Within one pass most lengths occur once; over all passes
+    # the gathers are fewer and larger
+    flat = np.concatenate(kept)
+    at, kept_open = (np.concatenate(columns) for columns in zip(*cut_at))
+    order = np.argsort(length[at], kind="stable")
+    bounds = np.flatnonzero(np.diff(length[at][order], prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        same = order[lo:hi]
+        total[at[same]] = flat[kept_open[same, None] + np.arange(length[at[same[0]]])].sum(axis=1)
+    return track, start, length, total
 
 
 def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.ndarray,

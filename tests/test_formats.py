@@ -241,6 +241,52 @@ def test_csebb_params_round_trip(tmp_path):
     assert back.for_class("car").window == 7
 
 
+# 0.1234567 is a grid value that :g would round to 0.123457
+_merge_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0.1, 0.15, 0.2, 1e-7, 0.1234567, 2.5e-300, 1 / 3]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_merge_values, _merge_values, _merge_values)
+def test_csebb_params_merge_fields_read_back_as_the_same_floats(rel, abs_, gap):
+    params = CsebbParams(default=ClassSebbParams(rel_merge=rel, abs_merge=abs_, min_gap=gap),
+                         per_class={"dog": ClassSebbParams(window=3, rel_merge=gap, abs_merge=rel, min_gap=abs_)})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.tsv"
+        write_csebb_params(path, params)
+        back = read_csebb_params(path)
+        cells = [line.split("\t")[3:] for line in path.read_text().splitlines()[1:]]
+    assert back.default == params.default
+    assert back.per_class == dict(params.per_class)
+    # a value whose :g text reads back keeps that text
+    for row, p in zip(cells, (params.default, params.per_class["dog"])):
+        for cell, value in zip(row, (p.rel_merge, p.abs_merge, p.min_gap)):
+            if float(f"{value:g}") == value:
+                assert cell == f"{value:g}"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_score_report_refuses_a_non_finite_value_and_names_its_key(tmp_path, bad):
+    path = tmp_path / "report.tsv"
+    message = f"{path}: key 'tpr.dog' has the non-finite value {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_score_report(path, {"psds": 0.5, "tpr.dog": bad})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("names", [["car", "car"], ["car", "dog", "car"], ("a", "b", "b")])
+def test_event_writers_refuse_a_repeated_class_name_and_leave_no_file(tmp_path, names):
+    events = [Event("x", 0, 0.0, 1.0, 0.5)]
+    message = f"{tmp_path / 'out.tsv'}: class names repeat a name: {list(names)}"
+    for write in (write_events_tsv, write_soft_events_tsv):
+        for given_as in (events, _event_columns(events)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                write(tmp_path / "out.tsv", given_as, names)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_score_report_round_trip(tmp_path):
     entries = {"psds": 0.529, "mpauc": 0.721, "tpr.dog": 0.875}
     path = tmp_path / "report.tsv"

@@ -579,6 +579,87 @@ def test_change_points_rescan_rows_where_chaining_differs(monkeypatch, steps):
     assert len(rescanned) == 1
 
 
+@st.composite
+def sparse_change_point_cases(draw):
+    """Rows of one length T, most of them flat or staying below min_gap; a
+    step from 0 of exactly min_gap, so that only the strict test keeps the
+    row out, or of just above it; and live rows of rounded levels.  A
+    negative min_gap makes every row live."""
+    half_width = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 40))
+    min_gap = draw(st.sampled_from([-0.1, 0.0, 0.05, 0.1, 0.25]))
+    gap = max(min_gap, 0.0)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["flat", "flat", "below", "at", "at", "live"]))
+        if kind == "flat":
+            rows.append(np.full(t, draw(st.sampled_from([0.0, 0.3, 1.0]))))
+        elif kind == "below":
+            # |d| is at most the spread of the row, under min_gap
+            noise = draw(st.lists(st.floats(0.0, 0.49), min_size=t, max_size=t))
+            rows.append(0.5 + gap * np.array(noise))
+        elif kind == "at":
+            height = draw(st.sampled_from([gap, np.nextafter(gap, 1.0), gap + 0.005]))
+            k = draw(st.integers(0, t))
+            step = np.where(np.arange(t) < k, 0.0, height)
+            rows.append(step[::-1].copy() if draw(st.booleans()) else step)
+        else:
+            levels = draw(st.lists(st.integers(0, 10), min_size=t, max_size=t))
+            rows.append(np.array(levels) / 10)
+    return np.array(rows), half_width, min_gap
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_change_point_cases())
+def test_change_points_of_mostly_dead_rows_equal_the_loop(case):
+    tracks, half_width, min_gap = case
+    flat = postprocess._change_points(tracks, half_width, min_gap)
+    assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
+    assert _per_row(flat, tracks) == [change_points_loop(row, half_width, min_gap) for row in tracks]
+
+
+@st.composite
+def segment_directories(draw):
+    """Clips of mixed frame counts and class counts whose class tracks are
+    flat, or stepped with rounded noise, under one smoothing key, with a
+    stacking cap from one cell per pass to ``_STACK_CELLS``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    posts = []
+    for i in range(draw(st.integers(1, 6))):
+        t = draw(st.sampled_from([1, 2, 5, 12, 40]))
+        columns = []
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                columns.append(np.full(t, draw(st.sampled_from([0.0, 0.005, 0.4]))))
+                continue
+            levels = np.repeat(rng.integers(0, 11, size=t // 4 + 1) / 10, 4)[:t]
+            columns.append(np.clip(levels + rng.normal(0.0, 0.05, size=t).round(2), 0.0, 1.0))
+        posts.append(Posteriorgram(np.stack(columns, axis=1), 0.02, f"c{i}"))
+    key = (draw(st.sampled_from([1, 3, 5, 7])), draw(st.integers(1, 4)),
+           draw(st.sampled_from([-0.1, 0.0, 0.05, 0.1, 0.3])))
+    cap = draw(st.sampled_from([1, 7, 40, 100, postprocess._STACK_CELLS]))
+    return posts, key, cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_directories())
+def test_segment_arrays_equal_the_slice_sums_of_each_track_bit_for_bit(case):
+    posts, (window, half_width, min_gap), cap = case
+    first_track = 5 + np.cumsum([0] + [post.num_classes for post in posts])
+    want = []
+    for i, post in enumerate(posts):
+        smoothed = window_mean_moving_average(post.scores, window)
+        for c in range(post.num_classes):
+            track = np.ascontiguousarray(smoothed[:, c])
+            edges = [0] + change_points_loop(track, half_width, min_gap) + [track.size]
+            want.extend((first_track[i] + c, a, b - a, track[a:b].sum()) for a, b in zip(edges[:-1], edges[1:]))
+    with patch.object(postprocess, "_STACK_CELLS", cap):
+        track, start, length, total = postprocess._segment_arrays(posts, first_track, (window, half_width, min_gap))
+    order = np.lexsort((start, track))
+    assert [(tr, a, n) for tr, a, n, _ in want] == list(zip(*(x[order].tolist() for x in (track, start, length))))
+    assert np.array_equal(total[order].view(np.int64), np.array([sum_ for *_, sum_ in want]).view(np.int64))
+
+
 def _boxes_of(sums, lengths, clip_id, c, fp):
     boxes = []
     start = 0
