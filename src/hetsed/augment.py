@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClipMetadata
+from .core import ClipMetadata, float_array
 
 MIXUP_ALPHA = 0.5
 DROPSTEP_RATIO = 0.25
@@ -49,11 +49,12 @@ def mixup_within_dataset(
 
     One convex weight is drawn per family.  Families with a single member are
     returned unchanged; no output row ever depends on a cross-family input.
+    A float32 or float64 batch keeps its dtype; any other becomes float64.
     """
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = float_array(batch)
     if batch.shape[0] != len(metas):
         raise ValueError(f"batch size {batch.shape[0]} != metadata count {len(metas)}")
-    out = np.empty(batch.shape)  # C order whatever the input layout, as callers reduce over time
+    out = np.empty(batch.shape, batch.dtype)  # C order whatever the input layout, as callers reduce over time
     families: dict[str, list[int]] = {}
     for i, meta in enumerate(metas):
         families.setdefault(meta.origin.family.value, []).append(i)
@@ -78,11 +79,12 @@ def time_mask(
     """Zero out n_masks contiguous time spans of a [F, T] feature map.
 
     Each span width is drawn uniformly from {0, ..., floor(max_ratio * T)};
-    unmasked columns are returned bit-identical.
+    unmasked columns are returned bit-identical.  A float32 or float64 map
+    keeps its dtype; any other becomes float64.
     """
     if not 0.0 <= max_ratio <= 1.0:
         raise ValueError(f"max_ratio must be in [0, 1], got {max_ratio}")
-    features = np.asarray(features, dtype=np.float64)
+    features = float_array(features)
     if features.ndim != 2:
         raise ValueError(f"expected [F, T] features, got shape {features.shape}")
     out = features.copy()

@@ -223,6 +223,16 @@ def frame_time(k, period: float):
     return k * us / 1e6 if us / 1e6 == period else k * period
 
 
+def float_array(values) -> np.ndarray:
+    """``values`` as an array of the training-side transforms' dtype: a
+    native float32 or float64 array is returned as it is, any other input
+    (ints, bools, float16, lists) as float64."""
+    values = np.asarray(values)
+    if values.dtype == np.float32 or values.dtype == np.float64:
+        return values
+    return values.astype(np.float64)
+
+
 def rasterize(events: Iterable[Event], n: int, period: float, num_classes: int) -> np.ndarray:
     """Per-frame max of event values, [n, num_classes], frames as in frame_span.
 

@@ -6,6 +6,12 @@ standard deviation taken over the time axis.  MixStyle re-styles instance i
 with a convex blend of its own stats and a batch partner's; residual
 normalization adds a scaled identity path around plain per-frequency
 standardization.  Both are train-time only.
+
+Every transform here keeps a float32 or float64 batch's dtype and takes any
+other input as float64.  The per-(instance, bin) means, variances and
+gradient sums over time are accumulated in float64 whatever the batch dtype
+and cast to it only where they broadcast over time, so a float32 batch
+moves half the bytes of a float64 one without summing in float32.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import float_array
 
 EPSILON = 1e-5
 
@@ -37,7 +45,7 @@ class FreqStats:
 
 
 def _check_batch(batch: np.ndarray) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = float_array(batch)
     if batch.ndim != 3:
         raise ValueError(f"expected [B, F, T] tensor, got shape {batch.shape}")
     if batch.shape[2] < 2:
@@ -46,15 +54,23 @@ def _check_batch(batch: np.ndarray) -> np.ndarray:
 
 
 def _centred(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The batch minus its per-frequency mean over time, as a new array, with
-    that mean [B, F] and the unclamped population std [B, F] taken from it."""
-    mean = batch.mean(axis=2)
-    centred = batch - mean[:, :, None]
-    return centred, mean, np.sqrt(np.einsum("bft,bft->bf", centred, centred) / batch.shape[2])
+    """The batch minus its per-frequency mean over time, as a new array of
+    the batch dtype, with that mean [B, F] and the unclamped population std
+    [B, F] taken from it, both accumulated in float64."""
+    mean = batch.mean(axis=2, dtype=np.float64)
+    centred = batch - _over_time(mean, batch)
+    var = np.einsum("bft,bft->bf", centred, centred, dtype=np.float64) / batch.shape[2]
+    return centred, mean, np.sqrt(var)
+
+
+def _over_time(stat: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """A [B, F] statistic in the batch dtype, shaped to broadcast over time."""
+    return stat.astype(batch.dtype, copy=False)[:, :, None]
 
 
 def freq_stats(batch: np.ndarray, epsilon: float = EPSILON) -> FreqStats:
-    """Per-instance, per-frequency mean and population std over time."""
+    """Per-instance, per-frequency mean and population std over time, in
+    float64 whatever the batch dtype."""
     _, mean, std = _centred(_check_batch(batch))
     return FreqStats(mean=mean, std=np.maximum(std, epsilon))
 
@@ -101,9 +117,9 @@ def freq_mixstyle(
     partners = FreqStats(mean=mu, std=sig) if partner_stats is None else partner_stats
     mu_mix = lam * mu + (1.0 - lam) * partners.mean[perm]
     sig_mix = lam * sig + (1.0 - lam) * partners.std[perm]
-    out *= sig_mix[:, :, None]
-    out /= sig[:, :, None]
-    out += mu_mix[:, :, None]
+    out *= _over_time(sig_mix, out)
+    out /= _over_time(sig, out)
+    out += _over_time(mu_mix, out)
     return out
 
 
@@ -119,10 +135,11 @@ def freq_mixstyle_input_grad(
     Partner statistics (mu_j, sigma_j) are treated as stop-gradient constants,
     the standard MixStyle convention.  Where the raw std sits below the clamp
     the std contribution vanishes (the clamp is locally constant).
+    ``upstream`` is taken in the batch dtype, which the gradient keeps.
     """
     batch = _check_batch(batch)
     perm = _check_perm(perm, batch.shape[0])
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=batch.dtype)
     if upstream.shape != batch.shape:
         raise ValueError(f"upstream shape {upstream.shape} != batch shape {batch.shape}")
     if lam == 1.0:
@@ -131,18 +148,18 @@ def freq_mixstyle_input_grad(
     t = batch.shape[2]
     xhat, _, raw_std = _centred(batch)
     sig = np.maximum(raw_std, cfg.epsilon)
-    xhat /= sig[:, :, None]
+    xhat /= _over_time(sig, xhat)
     ratio = (lam * sig + (1.0 - lam) * sig[perm]) / sig  # sigma_mix / sigma
 
     # d<g, out>/dx = ratio*(g - sum_t g/T) + lam*sum_t g/T
     #               + (lam - ratio) * proj * dsig/dx,  dsig/dx = xhat/T,
     # where proj = sum_t g*xhat; the std term vanishes where the clamp holds
-    g_sum = upstream.sum(axis=2)
-    proj = np.einsum("bft,bft->bf", upstream, xhat)
+    g_sum = upstream.sum(axis=2, dtype=np.float64)
+    proj = np.einsum("bft,bft->bf", upstream, xhat, dtype=np.float64)
     coef = np.where(raw_std >= cfg.epsilon, (lam - ratio) * proj / t, 0.0)
-    xhat *= coef[:, :, None]
-    xhat += ratio[:, :, None] * upstream
-    xhat += ((lam - ratio) * g_sum / t)[:, :, None]
+    xhat *= _over_time(coef, xhat)
+    xhat += _over_time(ratio, xhat) * upstream
+    xhat += _over_time((lam - ratio) * g_sum / t, xhat)
     return xhat
 
 
@@ -152,7 +169,7 @@ def residual_norm(batch: np.ndarray, lambda_rn: float, epsilon: float = EPSILON)
         raise ValueError(f"lambda_rn must be >= 0, got {lambda_rn}")
     batch = _check_batch(batch)
     out, _, std = _centred(batch)
-    out /= np.maximum(std, epsilon)[:, :, None]
+    out /= _over_time(np.maximum(std, epsilon), out)
     for normed, instance in zip(out, batch):  # no batch-sized temporary
         normed += lambda_rn * instance
     return out

@@ -345,9 +345,16 @@ def write_features(path: Path | str, values: np.ndarray, frame_period: float) ->
 
 
 def read_features(path: Path | str) -> tuple[np.ndarray, float]:
+    """A ``write_features`` file as its [T, M] values and frame period in
+    seconds.
+
+    The values come back as the stored float32, in a new writable
+    native-endian array: the training-side transforms keep that precision,
+    and the FDY layers and losses upcast on entry.
+    """
     data, (t, m, period) = _read_header(path, FEATURE_MAGIC, _FEATURE_HEADER)
     values = _float32_payload(path, data, _FEATURE_HEADER.size, t * m).reshape(t, m)
-    return values.astype(np.float64), period
+    return values.astype(np.float32), period
 
 
 _SEBB_FIELDS = ("window", "half_width", "rel_merge", "abs_merge", "min_gap")

@@ -153,7 +153,8 @@ def test_features_round_trip(tmp_path):
     write_features(path, values, 0.016)
     back, fp = read_features(path)
     assert fp == pytest.approx(0.016)
-    assert np.array_equal(back, values.astype(np.float64))
+    assert back.dtype == np.float32 and back.dtype.isnative and back.flags.writeable
+    assert np.array_equal(back, values)
     assert path.read_bytes()[:4] == b"SEDF"
     assert len(path.read_bytes()) == 16 + 618 * 128 * 4
 
