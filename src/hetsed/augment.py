@@ -5,6 +5,10 @@ MAESTRO with MAESTRO) because targets from different families live on
 disjoint class subsets.  Dropstep zeroes contiguous time spans; it is meant
 to be applied with independent seeds to CNN features and to external
 embedding features.
+
+``mixup_within_dataset`` allocates its output and one row-sized buffer:
+each mixed row is written straight into the output, so no batch-sized
+temporary is made, and every bit is that of ``x*lam + (1-lam)*x_partner``.
 """
 
 from __future__ import annotations
@@ -27,15 +31,19 @@ def mixup(
     y2: np.ndarray,
     lam: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Convex combination of two feature maps and their targets."""
-    x1, x2 = np.asarray(x1, dtype=np.float64), np.asarray(x2, dtype=np.float64)
+    """Convex combination of two feature maps and their targets.
+
+    A float32 or float64 pair keeps its dtype (a float32 with a float64
+    gives float64); any other features become float64.  Targets are float64.
+    """
+    x1, x2 = float_array(x1), float_array(x2)
     y1, y2 = np.asarray(y1, dtype=np.float64), np.asarray(y2, dtype=np.float64)
     if x1.shape != x2.shape:
         raise ValueError(f"feature shapes differ: {x1.shape} vs {x2.shape}")
     if y1.shape != y2.shape:
         raise ValueError(f"target shapes differ: {y1.shape} vs {y2.shape}")
     if lam == 1.0:
-        return x1.copy(), y1.copy()
+        return x1.astype(np.result_type(x1, x2)), y1.copy()
     return lam * x1 + (1.0 - lam) * x2, lam * y1 + (1.0 - lam) * y2
 
 
@@ -55,18 +63,19 @@ def mixup_within_dataset(
     if batch.shape[0] != len(metas):
         raise ValueError(f"batch size {batch.shape[0]} != metadata count {len(metas)}")
     out = np.empty(batch.shape, batch.dtype)  # C order whatever the input layout, as callers reduce over time
+    row = np.empty(batch.shape[1:], batch.dtype)  # the one row-sized buffer
     families: dict[str, list[int]] = {}
     for i, meta in enumerate(metas):
         families.setdefault(meta.origin.family.value, []).append(i)
     for indices in families.values():
-        idx = np.array(indices)
-        mixed = batch[idx]
-        if len(idx) > 1:
-            partners = idx[rng.permutation(len(idx))]
-            lam = float(rng.beta(alpha, alpha))
-            mixed *= lam
-            mixed += (1.0 - lam) * batch[partners]
-        out[idx] = mixed
+        if len(indices) == 1:
+            out[indices[0]] = batch[indices[0]]
+            continue
+        partners = np.array(indices)[rng.permutation(len(indices))]
+        lam = float(rng.beta(alpha, alpha))
+        for i, p in zip(indices, partners.tolist()):
+            np.multiply(batch[i], lam, out=out[i])
+            out[i] += np.multiply(batch[p], 1.0 - lam, out=row)
     return out
 
 

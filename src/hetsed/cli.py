@@ -10,6 +10,7 @@ success, 2 on any validation problem.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -29,6 +30,7 @@ from .core import (
     MaskMode,
     Origin,
     Posteriorgram,
+    _EventColumns,
     build_vocabulary,
     class_mask,
     default_vocabulary,
@@ -333,13 +335,13 @@ def _setting(flag: float | None, cfg, key: str) -> float:
     return flag if flag is not None else config_mod.get_float(cfg, key)
 
 
-def _reindex(events: list[Event], names: list[str], class_names: list[str]) -> list[Event]:
+def _reindex(events: _EventColumns, names: list[str], class_names: list[str]) -> _EventColumns:
     """Move class indices from a file's own sorted names to class_names."""
     if names == class_names:
         return events
     # both name lists are sorted, so the map keeps the canonical event order
-    index = [class_names.index(name) for name in names]
-    return [Event(ev.clip_id, index[ev.class_idx], ev.onset, ev.offset, ev.confidence) for ev in events]
+    index = np.array([class_names.index(name) for name in names], dtype=np.int64)
+    return dataclasses.replace(events, class_idx=index[events.class_idx])
 
 
 def _read_refs(path: Path, class_names: list[str], posts: list[Posteriorgram]) -> list[Event]:
@@ -362,11 +364,11 @@ def _read_hours(path: Path, clip_ids) -> float:
 
 def _cmd_eval_psds(args, cfg) -> int:
     psds_cfg = _psds_config_from(cfg, args.dtc, args.gtc, args.emax, args.alpha_st)
-    refs, ref_names = formats.read_events_tsv(args.refs)
-    dets, det_names = formats.read_events_tsv(args.dets)
+    refs, ref_names = formats.read_event_columns(args.refs)
+    dets, det_names = formats.read_event_columns(args.dets)
     class_names = sorted(set(ref_names) | set(det_names))
     refs, dets = _reindex(refs, ref_names, class_names), _reindex(dets, det_names, class_names)
-    hours = _read_hours(args.durations, [ev.clip_id for ev in refs + dets])
+    hours = _read_hours(args.durations, [*refs.clip_ids, *dets.clip_ids])
     (curve,) = evaluation.roc_from_confidences(dets, [np.arange(len(dets))], refs, hours, psds_cfg,
                                                len(class_names))
     value = evaluation.psds(curve, psds_cfg)

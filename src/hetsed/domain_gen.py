@@ -12,6 +12,11 @@ other input as float64.  The per-(instance, bin) means, variances and
 gradient sums over time are accumulated in float64 whatever the batch dtype
 and cast to it only where they broadcast over time, so a float32 batch
 moves half the bytes of a float64 one without summing in float32.
+
+Given a float32 or float64 batch, ``freq_mixstyle_input_grad`` and
+``residual_norm`` allocate, besides such [B, F] statistics, their output
+and at most one row-sized temporary: each adds its product with the batch
+one instance at a time, so no batch-sized temporary is made.
 """
 
 from __future__ import annotations
@@ -158,7 +163,9 @@ def freq_mixstyle_input_grad(
     proj = np.einsum("bft,bft->bf", upstream, xhat, dtype=np.float64)
     coef = np.where(raw_std >= cfg.epsilon, (lam - ratio) * proj / t, 0.0)
     xhat *= _over_time(coef, xhat)
-    xhat += _over_time(ratio, xhat) * upstream
+    row = np.empty(xhat.shape[1:], xhat.dtype)
+    for grad, r, g in zip(xhat, _over_time(ratio, xhat), upstream):
+        grad += np.multiply(r, g, out=row)
     xhat += _over_time((lam - ratio) * g_sum / t, xhat)
     return xhat
 

@@ -9,7 +9,9 @@ appear, even under parallel tuning runs.
 The event TSV writers take Events or event columns (``core._EventColumns``,
 as post-processing makes them), check them in one vectorised pass with the
 errors of ``canonicalize_events``, order the rows with one stable sort and
-format each distinct time once.
+format each distinct time once.  The event TSV reader checks each row as
+it parses it and returns the rows as event columns in canonical order
+(``read_event_columns``; ``read_events_tsv`` makes Events of them).
 
 A text writer refuses, before it writes anything, a clip id, class name or
 key that holds a tab or a character at which ``str.splitlines`` ends a
@@ -40,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, _canonical_rows, _event_problems, canonicalize_events
+from .core import Event, Posteriorgram, _EventColumns, _canonical_rows, _event_problems
 from .postprocess import ClassSebbParams, CsebbParams
 
 POSTERIOR_MAGIC = b"SEDP"
@@ -161,14 +163,27 @@ def _finite(text: str) -> float:
     return value
 
 
+def read_event_columns(
+    path: Path | str, class_names: Sequence[str] | None = None
+) -> tuple[_EventColumns, list[str]]:
+    """Read a 4- or 5-column event TSV as event columns in canonical order.
+
+    Returns the columns plus the class-name list used for indices; when
+    class_names is None, names are collected from the file and sorted.
+    """
+    return _read_events(path, class_names)
+
+
 def read_events_tsv(
     path: Path | str, class_names: Sequence[str] | None = None
 ) -> tuple[list[Event], list[str]]:
-    """Read a 4- or 5-column event TSV.
+    """``read_event_columns`` as a list of Events."""
+    # through the shared body, so that wrapping the public readers sees one read
+    columns, names = _read_events(path, class_names)
+    return columns.events(), names
 
-    Returns the events plus the class-name list used for indices; when
-    class_names is None, names are collected from the file and sorted.
-    """
+
+def _read_events(path: Path | str, class_names: Sequence[str] | None) -> tuple[_EventColumns, list[str]]:
     index = None if class_names is None else {name: i for i, name in enumerate(class_names)}
 
     def row(fields: list[str], lineno: int) -> tuple[str, str, float, float, float | None]:
@@ -182,11 +197,20 @@ def read_events_tsv(
         return fields[0], fields[3], onset, offset, conf
 
     rows = _table(path, (EVENTS_HEADER, SOFT_HEADER), row)
+    clip_ids, labels, onsets, offsets, confidences = zip(*rows) if rows else [()] * 5
     if index is None:
-        class_names = sorted({label for _, label, _, _, _ in rows})
+        class_names = sorted(set(labels))
         index = {name: i for i, name in enumerate(class_names)}
-    events = [Event(clip_id, index[label], onset, offset, conf) for clip_id, label, onset, offset, conf in rows]
-    return canonicalize_events(events), list(class_names)
+    clips: dict[str, int] = {}
+    n = len(rows)
+    clip = np.fromiter((clips.setdefault(clip_id, len(clips)) for clip_id in clip_ids), dtype=np.intp, count=n)
+    columns = _EventColumns(
+        list(clips), clip, np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=n),
+        np.array(onsets, dtype=np.float64), np.array(offsets, dtype=np.float64),
+        np.fromiter((0.0 if conf is None else conf for conf in confidences), dtype=np.float64, count=n),
+        np.fromiter((conf is not None for conf in confidences), dtype=bool, count=n))
+    _, order = _canonical_rows(columns)
+    return columns.take(order), list(class_names)
 
 
 def write_durations_tsv(path: Path | str, durations: dict[str, float]) -> None:

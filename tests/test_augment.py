@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hetsed.augment import mixup, mixup_within_dataset, time_mask
-from hetsed.core import ClipMetadata, Origin
+from hetsed.augment import MIXUP_ALPHA, mixup, mixup_within_dataset, time_mask
+from hetsed.core import ClipMetadata, Origin, float_array
 
 
 def metas_for(origins):
@@ -103,6 +103,84 @@ def test_within_dataset_family_sets_preserved_under_reordering():
             span = inputs[rows]
             assert np.all(out[rows] >= span.min(axis=0) - 1e-12)
             assert np.all(out[rows] <= span.max(axis=0) + 1e-12)
+
+
+def fancy_index_mixup(batch, metas, rng, alpha=MIXUP_ALPHA):
+    """mixup_within_dataset as it was before it mixed row by row into its
+    output: whole-family fancy-index copies, kept as the bit-exact reference."""
+    batch = float_array(batch)
+    out = np.empty(batch.shape, batch.dtype)
+    families = {}
+    for i, meta in enumerate(metas):
+        families.setdefault(meta.origin.family.value, []).append(i)
+    for indices in families.values():
+        idx = np.array(indices)
+        mixed = batch[idx]
+        if len(idx) > 1:
+            partners = idx[rng.permutation(len(idx))]
+            lam = float(rng.beta(alpha, alpha))
+            mixed *= lam
+            mixed += (1.0 - lam) * batch[partners]
+        out[idx] = mixed
+    return out
+
+
+def assert_same_as_fancy_index(batch, metas, seed, alpha=MIXUP_ALPHA):
+    """Same bytes, dtype and C order as the reference, and the same draws."""
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = mixup_within_dataset(batch, metas, rng_new, alpha)
+    ref = fancy_index_mixup(batch, metas, rng_ref, alpha)
+    assert out.dtype == ref.dtype and out.flags.c_contiguous
+    assert out.tobytes() == ref.tobytes()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(5))
+def test_within_dataset_matches_the_fancy_index_reference(dtype, seed):
+    rng = np.random.default_rng(100 + seed)
+    origins = list(rng.choice(list(Origin), size=9))
+    batch = rng.normal(-4.0, 2.5, size=(9, 6, 20)).astype(dtype)
+    assert_same_as_fancy_index(batch, metas_for(origins), seed, alpha=float(rng.uniform(0.1, 2.0)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_within_dataset_transposed_batch_gives_a_c_ordered_output(dtype):
+    rng = np.random.default_rng(11)
+    batch = rng.normal(size=(20, 6, 7)).astype(dtype).transpose(2, 1, 0)  # [7, 6, 20], not C-contiguous
+    assert not batch.flags.c_contiguous
+    origins = [Origin.DESED_WEAK, Origin.MAESTRO, Origin.DESED_SYNTH, Origin.MAESTRO, Origin.DESED_STRONG,
+               Origin.DESED_WEAK, Origin.MAESTRO]
+    out = assert_same_as_fancy_index(batch, metas_for(origins), 12)
+    assert out.tobytes() == fancy_index_mixup(np.ascontiguousarray(batch), metas_for(origins),
+                                              np.random.default_rng(12)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_within_dataset_singleton_family_row_is_unchanged(dtype):
+    rng = np.random.default_rng(13)
+    batch = rng.normal(size=(5, 3, 8)).astype(dtype)
+    origins = [Origin.DESED_WEAK, Origin.DESED_SYNTH, Origin.MAESTRO, Origin.DESED_STRONG, Origin.DESED_WEAK]
+    out = assert_same_as_fancy_index(batch, metas_for(origins), 14)
+    assert out[2].tobytes() == batch[2].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_within_dataset_permutation_fixed_point_matches_the_old_formula(dtype):
+    n = 6
+    # one family, so the first draw is the partner permutation
+    seed = next(s for s in range(1000) if np.any(np.random.default_rng(s).permutation(n) == np.arange(n)))
+    rng = np.random.default_rng(15)
+    batch = rng.normal(-4.0, 2.5, size=(n, 4, 9)).astype(dtype)
+    out = assert_same_as_fancy_index(batch, metas_for([Origin.DESED_WEAK] * n), seed)
+    draws = np.random.default_rng(seed)
+    perm = draws.permutation(n)
+    lam = float(draws.beta(MIXUP_ALPHA, MIXUP_ALPHA))
+    i = int(np.flatnonzero(perm == np.arange(n))[0])
+    mixed = batch[i] * lam
+    mixed += (1.0 - lam) * batch[i]
+    assert out[i].tobytes() == mixed.tobytes()
 
 
 def test_time_mask_zero_ratio_identity():

@@ -106,6 +106,36 @@ def test_events_tsv_rejects_unknown_label(tmp_path):
         read_events_tsv(path, CLASSES)
 
 
+def test_event_columns_are_the_canonical_events(tmp_path):
+    path = tmp_path / "soft.tsv"
+    path.write_text("\n".join([formats.SOFT_HEADER, "b\t0.5\t2.0\tdog\t0.25", "a\t1.0\t3.0\tspeech\t", "",
+                               "a\t0.0\t1.0\tspeech\t1.0", "b\t0.5\t1.5\tcar\t0.0"]) + "\n")
+    columns, names = formats.read_event_columns(path)
+    assert names == CLASSES
+    assert columns.events() == [Event("a", 2, 0.0, 1.0, 1.0), Event("a", 2, 1.0, 3.0, None),
+                                Event("b", 0, 0.5, 1.5, 0.0), Event("b", 1, 0.5, 2.0, 0.25)]
+    assert (columns.events(), names) == read_events_tsv(path)
+    assert sorted(columns.clip_ids) == ["a", "b"]
+    assert formats.read_event_columns(path, ["car", "dog", "speech", "x"])[0].class_idx.tolist() == [2, 2, 0, 1]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("c\t0.0\t1.0\tcar", "expected 5 columns, got 4"),
+    ("c\t0.0\tsoon\tcar\t", "could not convert string to float: 'soon'"),
+    ("c\t2.0\t1.0\tcar\t", "offset 1.0 <= onset 2.0"),
+    ("c\t-1.0\tinf\tcar\t", "non-finite time: onset -1.0, offset inf; negative onset -1.0"),
+    ("c\t0.0\t1.0\tcar\t1.5", "confidence 1.5 outside [0, 1]"),
+    ("c\t0.0\t1.0\tcat\t0.5", "unknown class label 'cat'"),
+])
+def test_event_readers_name_the_first_bad_row(tmp_path, row, message):
+    path = tmp_path / "soft.tsv"
+    path.write_text("\n".join([formats.SOFT_HEADER, "c\t0.0\t1.0\tdog\t", "", row, "c\t0.0\tx\tdog\t"]) + "\n")
+    for read in (formats.read_event_columns, read_events_tsv):
+        with pytest.raises(ValueError) as error:
+            read(path, CLASSES)
+        assert str(error.value) == f"{path}:4: {message}"
+
+
 def test_durations_round_trip(tmp_path):
     path = tmp_path / "durations.tsv"
     durations = {"b": 10.0, "a": 182.5}

@@ -1,0 +1,52 @@
+"""Peak memory of the training-side transforms.
+
+Each transform allocates its output and at most one row-sized buffer
+besides per-(instance, bin) statistics, so its traced peak stays within the
+output's bytes plus two rows plus a small multiple of the [B, F] float64
+statistics.  Batch-sized temporaries, as in whole-family fancy-index
+copies or a batch-sized product, would each add a whole output's bytes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hetsed import augment, domain_gen
+from hetsed.core import ClipMetadata, Origin
+
+B, F, T = 24, 64, 300
+# float64 [B, F] arrays allowed for the statistics and the buffers of the
+# float64 reductions over a float32 batch
+STAT_ARRAYS = 16
+ORIGINS = [Origin.MAESTRO if i == 5 else (Origin.DESED_WEAK, Origin.DESED_SYNTH)[i % 2] for i in range(B)]
+
+
+def _inputs(dtype):
+    rng = np.random.default_rng(21)
+    batch = (rng.normal(scale=2.5, size=(B, F, T)) + rng.normal(-4.0, 3.0, size=(B, F, 1))).astype(dtype)
+    return batch, rng.permutation(B), rng.normal(size=(B, F, T)).astype(dtype)
+
+
+TRANSFORMS = {
+    "mixup_within_dataset": lambda x, perm, up: augment.mixup_within_dataset(
+        x, [ClipMetadata(f"c{i}", o, 10.0) for i, o in enumerate(ORIGINS)], np.random.default_rng(3)),
+    "freq_mixstyle_input_grad": lambda x, perm, up: domain_gen.freq_mixstyle_input_grad(x, perm, 0.37, up),
+    "residual_norm": lambda x, perm, up: domain_gen.residual_norm(x, 0.5),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+def test_peak_is_the_output_plus_two_rows_and_statistics(name, dtype):
+    args = _inputs(dtype)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = TRANSFORMS[name](*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (B, F, T) and out.dtype == dtype
+    bound = out.nbytes + 2 * out[0].nbytes + STAT_ARRAYS * B * F * 8
+    assert peak <= bound, f"{name}: peak {peak} B > bound {bound} B"
