@@ -26,7 +26,6 @@ from . import evaluation, features, formats, postprocess, synth, training
 from .core import (
     ClassOrigin,
     ClipMetadata,
-    Event,
     MaskMode,
     Origin,
     Posteriorgram,
@@ -176,7 +175,7 @@ def _cmd_features(args, cfg) -> int:
 def _read_class_list(path: Path) -> list[str]:
     """One class name per line; blank lines and '#' comments are skipped."""
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(formats._read_text(path).splitlines(), start=1):
         name = line.strip()
         if not name or name.startswith("#"):
             continue
@@ -250,7 +249,7 @@ def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np
     default_thr = 0.5
     per_class: dict[str, float] = {}
     if cfg_file is not None:
-        raw = config_mod.parse_config(Path(cfg_file).read_text(encoding="utf-8"), cfg_file)
+        raw = config_mod.parse_config(formats._read_text(cfg_file), cfg_file)
         for key, value in raw.items():
             if key == "window":
                 if not value.isdecimal() or int(value) % 2 == 0:
@@ -344,10 +343,10 @@ def _reindex(events: _EventColumns, names: list[str], class_names: list[str]) ->
     return dataclasses.replace(events, class_idx=index[events.class_idx])
 
 
-def _read_refs(path: Path, class_names: list[str], posts: list[Posteriorgram]) -> list[Event]:
+def _read_refs(path: Path, class_names: list[str], posts: list[Posteriorgram]) -> _EventColumns:
     """The events of a reference file, every clip of which must have a posteriorgram."""
-    refs, _ = formats.read_events_tsv(path, class_names)
-    missing = sorted({ev.clip_id for ev in refs} - {post.clip_id for post in posts})
+    refs, _ = formats.read_event_columns(path, class_names)
+    missing = sorted(set(refs.clip_ids) - {post.clip_id for post in posts})
     if missing:
         raise ValueError(f"{path}: references for clips without posteriors: {missing[:5]}")
     return refs
@@ -390,14 +389,8 @@ def _cmd_eval_mpauc(args, cfg) -> int:
     hard_thr = _setting(args.hard_threshold, cfg, "eval.hard_threshold")
     posts, class_names = _load_posteriors(args.posteriors)
     refs = _read_refs(args.refs, class_names, posts)
-    by_clip: dict[str, list[Event]] = {}
-    for ev in refs:
-        by_clip.setdefault(ev.clip_id, []).append(ev)
-
-    scores = np.concatenate([evaluation.segment_scores(post, segment) for post in posts])
-    labels = [evaluation.segmentize(by_clip.get(post.clip_id, []), post.duration, post.num_classes, segment)
-              for post in posts]
-    hard = np.concatenate(labels) >= hard_thr
+    scores, labels = evaluation._segment_table(posts, refs, segment)
+    hard = labels >= hard_thr
     per_class = evaluation.mpauc_per_class(scores, hard, max_fpr)
     if np.all(np.isnan(per_class)):
         raise ValueError(f"no class has both positive and negative segments at hard threshold {hard_thr:g}")

@@ -13,6 +13,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
+from .formats import _read_text
+
 DEFAULTS: dict[str, str] = {
     "train.loss_mode": "independent",
     "eval.segment": "1.0",
@@ -52,7 +54,7 @@ def load_config(path: Path | str | None) -> dict[str, str]:
     """Defaults overlaid with the file (if any), then validated."""
     cfg = dict(DEFAULTS)
     if path is not None:
-        for lineno, key, value in _entries(Path(path).read_text(encoding="utf-8"), path):
+        for lineno, key, value in _entries(_read_text(path), path):
             if key not in DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             cfg[key] = value

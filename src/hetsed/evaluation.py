@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, _event_columns, frame_span, rasterize
+from .core import Event, Posteriorgram, _event_columns, _EventColumns, frame_span, rasterize
 
 SECONDS_PER_HOUR = 3600.0
 SEGMENT_SECONDS = 1.0
@@ -441,7 +441,8 @@ def segmentize(
     """Soft segment labels [S, C]: max event value overlapping each segment.
 
     The value of a hard event (confidence None) is 1.0.  Harden against a
-    threshold downstream for mPAUC.
+    threshold downstream for mPAUC.  This is the one-clip case of ``eval
+    mpauc``, which labels a whole directory at once (``_segment_table``).
     """
     if duration < segment:
         raise ValueError(f"duration {duration} shorter than one segment {segment}")
@@ -455,15 +456,10 @@ def _segment_count(duration: float, segment: float) -> int:
     return frame_span(0.0, duration, segment, sys.maxsize)[1]
 
 
-def segment_scores(post: Posteriorgram, segment: float = SEGMENT_SECONDS) -> np.ndarray:
-    """Max-pool frame scores into segments: [S, C] with S = ceil(T*fp / segment).
-
-    When the segment is an integer number of frames the assignment is exact
-    integer arithmetic; otherwise frames are binned by their center time.  A
-    segment that no frame's center falls in scores 0.
-    """
-    t, fp = post.num_frames, post.frame_period
-    n_segments = _segment_count(t * fp, segment)
+def _segment_runs(t: int, fp: float, segment: float, n_segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """The segments that t frames of fp seconds fall in by the rule of
+    ``segment_scores``, as runs: the segment of each run and the frame that
+    opens it.  A frame past the last segment joins it."""
     ratio = segment / fp
     if abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1:
         per = int(round(ratio))
@@ -471,12 +467,79 @@ def segment_scores(post: Posteriorgram, segment: float = SEGMENT_SECONDS) -> np.
     else:
         seg_idx = np.floor((np.arange(t) + 0.5) * fp / segment).astype(np.int64)
     seg_idx = np.minimum(seg_idx, n_segments - 1)
-    # seg_idx never decreases, so each segment's frames form one run; a
-    # segment that no frame falls in keeps its 0
+    # seg_idx never decreases, so each segment's frames form one run
     runs = np.flatnonzero(np.diff(seg_idx, prepend=-1))
+    return seg_idx[runs], runs
+
+
+def segment_scores(post: Posteriorgram, segment: float = SEGMENT_SECONDS) -> np.ndarray:
+    """Max-pool frame scores into segments: [S, C] with S = ceil(T*fp / segment).
+
+    When the segment is an integer number of frames the assignment is exact
+    integer arithmetic; otherwise frames are binned by their center time.  A
+    segment that no frame's center falls in scores 0.  This is the one-clip
+    case of ``eval mpauc``, which pools a whole directory at once
+    (``_segment_table``).
+    """
+    n_segments = _segment_count(post.duration, segment)
+    seg, runs = _segment_runs(post.num_frames, post.frame_period, segment, n_segments)
     scores = np.zeros((n_segments, post.num_classes))
-    scores[seg_idx[runs]] = np.maximum.reduceat(post.scores, runs, axis=0)
+    scores[seg] = np.maximum.reduceat(post.scores, runs, axis=0)
     return scores
+
+
+def _segment_table(posts: Sequence[Posteriorgram], refs: _EventColumns,
+                   segment: float) -> tuple[np.ndarray, np.ndarray]:
+    """Segment scores and soft labels [S, C] of many clips, stacked in clip
+    order: each clip's rows are its ``segment_scores`` and the
+    ``segmentize`` of its references (rows of ``refs`` with its clip id),
+    bit for bit, and the errors are theirs in the order a clip-by-clip loop
+    meets them (every clip's segment count, then the first clip shorter
+    than a segment).
+
+    The frame runs of a clip shape are found once and each clip is pooled
+    by one reduceat into its rows.  Labels take every reference's segment
+    span by the ``frame_span`` rule, in double arithmetic as ``math.floor``
+    and ``math.ceil`` see it, and write the spans' cells by one unbuffered
+    max.  Every clip of ``refs`` must be among ``posts``.
+    """
+    # per clip shape (frames, period): its segment count and frame runs
+    shapes: dict[tuple[int, float], tuple[int, np.ndarray, np.ndarray]] = {}
+    pools = []
+    for post in posts:
+        shape = (post.num_frames, post.frame_period)
+        if shape not in shapes:
+            count = _segment_count(post.duration, segment)
+            shapes[shape] = (count, *_segment_runs(*shape, segment, count))
+        pools.append(shapes[shape])
+    for post in posts:
+        if post.duration < segment:
+            raise ValueError(f"duration {post.duration} shorter than one segment {segment}")
+    n = np.array([count for count, _, _ in pools], dtype=np.int64)
+    top = np.cumsum(n) - n
+    scores = np.zeros((int(n.sum()), posts[0].num_classes))
+    for post, (count, seg, runs), row in zip(posts, pools, top.tolist()):
+        if seg.size == count:  # every segment holds a frame: pool straight into its rows
+            np.maximum.reduceat(post.scores, runs, axis=0, out=scores[row : row + count])
+        else:
+            scores[row + seg] = np.maximum.reduceat(post.scores, runs, axis=0)
+
+    # one (reference, clip) pair per clip of the reference's id
+    of_id: dict[str, list[int]] = {}
+    for i, post in enumerate(posts):
+        of_id.setdefault(post.clip_id, []).append(i)
+    clips = [of_id[clip_id] for clip_id in refs.clip_ids]
+    bounds = np.cumsum([0] + [len(c) for c in clips])
+    ref, at = _expand(bounds[:-1][refs.clip], bounds[1:][refs.clip])
+    clip = np.array([i for c in clips for i in c], dtype=np.int64)[at]
+    last = n[clip]
+    first = np.minimum(last, np.maximum(0, np.floor(refs.onset[ref] / segment + 1e-9)))
+    stop = np.minimum(last, np.maximum(first + 1, np.ceil(refs.offset[ref] / segment - 1e-9)))
+    owner, cell = _expand(top[clip] + first.astype(np.int64), top[clip] + stop.astype(np.int64))
+    value = np.where(refs.has_confidence, refs.confidence, 1.0)[ref]
+    labels = np.zeros_like(scores)
+    np.maximum.at(labels, (cell, refs.class_idx[ref][owner]), value[owner])
+    return scores, labels
 
 
 def binary_roc(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -130,6 +130,19 @@ def write_soft_events_tsv(path: Path | str, events: Sequence[Event], class_names
     _write_events(path, SOFT_HEADER, events, class_names, soft=True)
 
 
+def _read_text(path: Path | str) -> str:
+    """The text of a UTF-8 file.  Bytes that are not UTF-8 raise a
+    ValueError naming the file and the line, counted in LF bytes, that
+    holds them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not valid UTF-8") from None
+
+
 def _table(path: Path | str, headers: Sequence[str], row: Callable[[list[str], int], object]) -> list:
     """``row(fields, lineno)`` of every line of a tab-separated file.
 
@@ -137,8 +150,7 @@ def _table(path: Path | str, headers: Sequence[str], row: Callable[[list[str], i
     every other line must have as many fields as the header.  A ValueError
     raised for a line is raised again with ``path:line:`` in front.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] not in headers:
         raise ValueError(f"{path}:1: expected header {' or '.join(map(repr, headers))}, got {lines[:1]}")
     width = lines[0].count("\t") + 1

@@ -1,14 +1,13 @@
 """Posteriorgram-to-event pipelines: median filtering, frame thresholding,
-change-point sound event bounding boxes (SEBBs), event-level thresholding,
-and ensemble averaging.
+change-point sound event bounding boxes (SEBBs) and ensemble averaging.
 
 A box is an event whose confidence is always set (the mean smoothed score
-of its segment), so boxes go wherever events go: the TSV writers, the PSDS
-sweep and event-level thresholding.  Over many clips, events and boxes are
-columns (``core._EventColumns``): the whole-directory threshold pass and the
-box search make them, and the TSV writers and the PSDS sweep read them
-without building a ``core.Event``.  Events are built only where a public
-function returns a list.
+of its segment), so boxes go wherever events go: the TSV writers and the
+PSDS sweep, whose confidence thresholds keep or drop whole boxes.  Over
+many clips, events and boxes are columns (``core._EventColumns``): the
+whole-directory threshold pass and the box search make them, and the TSV
+writers and the PSDS sweep read them without building a ``core.Event``.
+Events are built only where a public function returns a list.
 
 Frame-level thresholding couples an event's extent to the detection
 threshold: raising the threshold shrinks or fragments events.  SEBBs decouple
@@ -41,7 +40,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, _EventColumns, canonicalize_events, frame_time
+from .core import Event, Posteriorgram, _EventColumns, frame_time
 
 NOISE_FLOOR = 0.01
 
@@ -296,7 +295,10 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> np.nd
     rounded up, which straddles symmetric ramps onto the true edge.
 
     A kept plateau opens at a value above min_gap, so only the live rows,
-    those with |d| above min_gap somewhere, are searched.  Their plateaus
+    those with |d| above min_gap somewhere, are searched.  Each |d| is a
+    rounded difference of two values of its row, and rounding is monotonic,
+    so it cannot exceed the row's rounded range: |d| is taken only on rows
+    whose range exceeds min_gap, the others being flat.  Live plateaus
     come from one vectorised pass that chains consecutive values within the
     tolerance.  Chaining and the anchored rule agree unless a chained run
     drifts past the tolerance from its first value, or the value after it is
@@ -307,10 +309,12 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> np.nd
     so only the kept plateaus are listed.
     """
     t = tracks.shape[1]
-    padded = _edge_padded(tracks, half_width, axis=1)
+    rows = np.flatnonzero(tracks.max(axis=1) - tracks.min(axis=1) > min_gap)
+    padded = _edge_padded(tracks[rows], half_width, axis=1)
     a = np.abs(padded[:, 2 * half_width :] - padded[:, :t])
     live = np.flatnonzero((a > min_gap).any(axis=1))
     a = a[live]
+    live = rows[live]
     k = live.size
     starts = np.ones((k, t), dtype=bool)
     starts[:, 1:] = ~(np.abs(np.diff(a, axis=1)) <= _PLATEAU_TOL)
@@ -549,17 +553,6 @@ def csebb_detect(
     """
     boxes, (index,) = _box_sets(posts, [params], class_names)
     return boxes.take(index).events()
-
-
-def event_threshold(boxes: Sequence[Event], class_thresholds: Sequence[float]) -> list[Event]:
-    """Keep boxes whose confidence exceeds their class threshold.
-
-    Onsets and offsets pass through untouched; only membership changes.
-    """
-    thresholds = np.asarray(class_thresholds, dtype=np.float64)
-    if not np.all((thresholds >= 0.0) & (thresholds <= 1.0)):
-        raise ValueError("thresholds must lie in [0, 1]")
-    return canonicalize_events([b for b in boxes if b.confidence > thresholds[b.class_idx]])
 
 
 def ensemble_average(posts: Sequence[Posteriorgram]) -> Posteriorgram:

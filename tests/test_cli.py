@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import math
 import os
 import re
 import struct
@@ -7,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetsed import cli, formats
+from hetsed import cli, evaluation, formats
 from hetsed.core import Event, Posteriorgram, default_vocabulary
 from hetsed.postprocess import ClassSebbParams, CsebbParams
-from oracles import event_tsv_text, median_threshold_runs
+from oracles import event_tsv_text, median_threshold_runs, segment_scores_at
 
 
 def run(*argv):
@@ -700,6 +704,8 @@ def test_postprocess_names_the_file_for_bad_scores(tmp_path, capsys, value, mess
 @pytest.mark.parametrize("flag, config, shown", [
     (["--segment", "0"], "", "got 0.0"),
     (["--segment", "-1"], "", "got -1.0"),
+    (["--segment", "nan"], "", "got nan"),
+    (["--segment", "inf"], "", "got inf"),
     ([], "eval.segment = 0\n", "got 0.0"),
 ])
 def test_eval_mpauc_rejects_a_bad_segment(tmp_path, capsys, flag, config, shown):
@@ -920,4 +926,158 @@ def test_synth_rejects_bad_numbers_naming_the_parameter(tmp_path, capsys, flags,
     out = tmp_path / "data"
     assert run("synth", "--seed", 1, "--clips", 2, "--classes", classes, "--out", out, *flags) == 2
     assert f"error: {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ------------------------------------------------- eval mpauc on columns
+
+def mpauc_directory(root, frames, refs_rows=(), names=("car", "dog")):
+    """Posteriorgrams clip_0, clip_1, ... of (frame count, period) each, and a
+    reference file of (clip id, class name, onset, offset) rows."""
+    rng = np.random.default_rng(3)
+    for i, (t, period) in enumerate(frames):
+        scores = np.round(rng.uniform(size=(t, len(names))), 2)
+        post = Posteriorgram(scores=scores, frame_period=period, clip_id=f"clip_{i}")
+        formats.write_posteriorgram(root / "posteriors" / f"clip_{i}.sedp", post, list(names))
+    text = "".join(f"{clip}\t{onset}\t{offset}\t{name}\n" for clip, name, onset, offset in refs_rows)
+    (root / "refs.tsv").write_text(formats.EVENTS_HEADER + "\n" + text)
+    return root
+
+
+GHOST = ("ghost", "car", 1.0, 2.0)
+NO_POSTERIORS = "references for clips without posteriors: ['ghost']\n"
+# (frames, refs, flags, stderr): exact texts and precedence of eval mpauc's
+# errors when several apply at once
+MPAUC_ERRORS = {
+    "bad segment before a short clip": (
+        [(40, 0.05), (4, 0.05)], [], ["--segment", "0"], "error: segment must be a finite length > 0 s, got 0.0\n"),
+    "first short clip in directory order": (
+        [(40, 0.05), (10, 0.05), (4, 0.1)], [], [], "error: duration 0.5 shorter than one segment 1.0\n"),
+    "short clip with refs that end past it": (
+        [(30, 0.1), (7, 0.1)], [("clip_1", "dog", 0.2, 9.0)], [],
+        "error: duration 0.7000000000000001 shorter than one segment 1.0\n"),
+    "missing posteriors before a bad segment": (
+        [(40, 0.05)], [GHOST], ["--segment", "-1"], "error: {refs}: " + NO_POSTERIORS),
+    "missing posteriors before a short clip": (
+        [(40, 0.05), (4, 0.05)], [GHOST], [], "error: {refs}: " + NO_POSTERIORS),
+    "short clip before one-polarity labels": (
+        [(40, 0.05), (4, 0.05)], [], ["--hard-threshold", "5"], "error: duration 0.2 shorter than one segment 1.0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MPAUC_ERRORS))
+def test_eval_mpauc_errors_keep_their_text_and_precedence(tmp_path, capsys, case):
+    frames, rows, flags, message = MPAUC_ERRORS[case]
+    data = mpauc_directory(tmp_path, frames, rows)
+    out = tmp_path / "mpauc.tsv"
+    assert run("eval", "mpauc", "--posteriors", data / "posteriors", "--refs", data / "refs.tsv",
+               "--out", out, *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.format(refs=data / "refs.tsv")
+    assert not out.exists()
+
+
+@st.composite
+def mpauc_cases(draw):
+    """A directory of clips with mixed frame counts and frame periods, a
+    segment that need not be a whole number of frames, clips with and
+    without references, references that end past their clip, and hard or
+    confidence-carrying (5-column) references."""
+    segment = draw(st.sampled_from([1.0, 0.5, 0.3, 0.25, 0.7, 1.3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    clips = []
+    for _ in range(draw(st.integers(1, 5))):
+        period = draw(st.sampled_from([0.02, 0.05, 0.064, 0.1, 0.03, 0.25]))
+        least = math.ceil(segment / period - 1e-9)  # no clip shorter than a segment
+        clips.append((draw(st.integers(least, least + 40)), period))
+    rows = []
+    soft = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 12))):
+        clip = draw(st.integers(0, len(clips) - 1))
+        duration = clips[clip][0] * clips[clip][1]
+        # edges on a segment boundary as k * segment rounds it, or anywhere
+        onset = round(draw(st.integers(0, 12).map(lambda k: k * segment) | st.floats(0.0, duration + 1.0)), 3)
+        offset = round(draw(st.integers(1, 6).map(lambda k: (math.floor(onset / segment) + k) * segment)
+                            | st.floats(0.001, 3.0).map(lambda length: onset + length)), 3)
+        offset = max(offset, round(onset + 0.001, 3))  # a boundary that rounds onto the onset
+        confidence = draw(st.none() | st.sampled_from([0.0, 0.2, 0.5, 0.75, 1.0])) if soft else None
+        rows.append(Event(f"clip_{clip}", draw(st.integers(0, 2)), onset, offset, confidence))
+    hard_threshold = draw(st.sampled_from([0.5, 0.2, 0.75, 1.0]))
+    return segment, seed, clips, rows, soft, hard_threshold
+
+
+@settings(max_examples=120, deadline=None)
+@given(mpauc_cases())
+def test_eval_mpauc_equals_the_per_clip_segments(case):
+    segment, seed, clips, rows, soft, hard_threshold = case
+    names = ["car", "cat", "dog"]
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for i, (t, period) in enumerate(clips):
+            # a tie-heavy grid of scores, so pooled maxima repeat
+            post = Posteriorgram(np.round(rng.uniform(size=(t, 3)) * 8) / 8, period, f"clip_{i}")
+            formats.write_posteriorgram(root / "posteriors" / f"clip_{i}.sedp", post, names)
+        refs = root / "refs.tsv"
+        (formats.write_soft_events_tsv if soft else formats.write_events_tsv)(refs, rows, names)
+        posts, class_names = cli._load_posteriors(root / "posteriors")
+        columns = cli._read_refs(refs, class_names, posts)
+        scores, labels = evaluation._segment_table(posts, columns, segment)
+
+        events = columns.events()
+        want_scores = np.concatenate([evaluation.segment_scores(post, segment) for post in posts])
+        want_labels = np.concatenate([
+            evaluation.segmentize([ev for ev in events if ev.clip_id == post.clip_id], post.duration, 3, segment)
+            for post in posts])
+        assert scores.dtype == labels.dtype == np.float64
+        assert np.array_equal(scores, want_scores) and np.array_equal(labels, want_labels)
+        assert np.array_equal(scores, np.concatenate([segment_scores_at(post, segment) for post in posts]))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            per_class = evaluation.mpauc_per_class(want_scores, want_labels >= hard_threshold)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run("eval", "mpauc", "--posteriors", root / "posteriors", "--refs", refs,
+                           "--segment", segment, "--hard-threshold", hard_threshold)
+        if np.all(np.isnan(per_class)):
+            assert code == 2 and err.getvalue().startswith("error: no class has both")
+        else:
+            assert code == 0 and out.getvalue() == f"mpauc\t{np.nanmean(per_class):.6f}\n"
+
+
+# --------------------------------------------------- text that is not UTF-8
+
+def _line_three_not_utf8(path, good_lines):
+    """Two good lines, then a line holding a 0xff byte."""
+    path.write_bytes("".join(f"{line}\n" for line in good_lines).encode() + b"x\xffy\tz\n")
+    return path
+
+
+# per input kind: the two good lines of the file and the command reading it
+UTF8_INPUTS = {
+    **{kind: ((header, good), command) for kind, (header, good, _), command in
+       ((kind, TEXT_READERS[kind], TEXT_READER_COMMANDS[kind]) for kind in TEXT_READERS)},
+    "config": (("eval.segment = 1.0", "# a comment"),
+               lambda data, bad, out: ["--config", bad, "eval", "mpauc", "--posteriors", data / "posteriors",
+                                       "--refs", data / "refs.tsv"]),
+    "classes": (("car", "dog"),
+                lambda data, bad, out: ["synth", "--seed", 1, "--clips", 2, "--classes", bad, "--out", out]),
+    "thresholds": (("window = 3", "threshold.default = 0.5"),
+                   lambda data, bad, out: ["postprocess", "--method", "median", "--params", bad,
+                                           "--in", data / "posteriors", "--out", out]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UTF8_INPUTS))
+def test_text_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys, kind):
+    data = synth_dir(tmp_path, clips=2)
+    capsys.readouterr()
+    good_lines, command = UTF8_INPUTS[kind]
+    bad, out = _line_three_not_utf8(tmp_path / "bad.txt", good_lines), tmp_path / "out"
+    assert run(*command(data, bad, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}:3: not valid UTF-8\n"
     assert not out.exists()

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsed import evaluation
-from hetsed.core import Event, Posteriorgram
+from hetsed.core import Event, Posteriorgram, _event_columns
 from hetsed.evaluation import (
     OperatingPointCurve,
     PsdsConfig,
@@ -500,6 +501,51 @@ def test_segment_scores_count_formula():
     for t, fp in ((618, 0.016), (988, 0.01), (100, 0.064)):
         post = Posteriorgram(np.zeros((t, 1)), fp, "x")
         assert segment_scores(post).shape[0] == int(np.ceil(t * fp / 1.0 - 1e-9))
+
+
+@st.composite
+def segment_directories(draw):
+    """Clips of mixed frame counts and periods (some sharing a clip id), a
+    segment that need not be a whole number of frames, and references with
+    and without confidences: edges a hair either side of a segment boundary,
+    spans shorter than the boundary tolerance, and ends past the clip."""
+    segment = draw(st.sampled_from([1.0, 0.5, 0.3, 0.75, 1.3, 0.07]))
+    value = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    posts = []
+    for _ in range(draw(st.integers(1, 5))):
+        fp = draw(st.sampled_from([0.02, 0.05, 0.1, 0.25, 0.03, 0.07, 0.3, 0.6, 1.5]))
+        least = math.ceil(segment / fp - 1e-9)
+        t = draw(st.integers(least, least + 30))
+        cells = draw(st.lists(value, min_size=2 * t, max_size=2 * t))
+        posts.append(Posteriorgram(np.array(cells).reshape(t, 2), fp, draw(st.sampled_from("abcd"))))
+    time = (st.integers(0, 40).map(lambda k: k * segment)
+            | st.builds(lambda k, e: max(0.0, k * segment + e), st.integers(0, 40), st.sampled_from([-1e-10, 1e-10]))
+            | st.floats(0.0, 40.0))
+    refs = []
+    for _ in range(draw(st.integers(0, 10))):
+        onset = draw(time)
+        boundary = st.builds(lambda k, e: (math.floor(onset / segment) + k) * segment + e,
+                             st.integers(1, 5), st.sampled_from([0.0, -1e-10, 1e-10]))
+        offset = max(np.nextafter(onset, np.inf), draw(
+            boundary | st.sampled_from([1e-10, 1e-6, 0.5, 1e300]).map(lambda length: onset + length)
+            | st.floats(1e-3, 50.0).map(lambda length: onset + length)))
+        confidence = draw(st.none() | value)
+        refs.append(Event(draw(st.sampled_from(sorted({p.clip_id for p in posts}))), draw(st.integers(0, 1)),
+                          onset, offset, confidence))
+    return posts, refs, segment
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_directories())
+def test_segment_table_stacks_the_per_clip_segments(case):
+    posts, refs, segment = case
+    scores, labels = evaluation._segment_table(posts, _event_columns(refs), segment)
+    want_scores = np.concatenate([segment_scores(post, segment) for post in posts])
+    want_labels = np.concatenate([
+        segmentize([ev for ev in refs if ev.clip_id == post.clip_id], post.duration, 2, segment) for post in posts])
+    assert scores.shape == want_scores.shape and labels.shape == want_labels.shape
+    assert scores.tobytes() == want_scores.tobytes()
+    assert labels.tobytes() == want_labels.tobytes()
 
 
 # -------------------------------------------------------------------- mPAUC

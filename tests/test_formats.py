@@ -169,6 +169,27 @@ def test_every_reader_takes_one_file_path_first():
         assert first.annotation == "Path | str", fn.__name__
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"a\r\nb\rc\n\xffd\n", 3),  # a lone CR ends no counted line
+    (b"\xff", 1),
+    (b"ok\n\n\xc3", 3),  # a multi-byte character cut short
+    (b"caf\xc3\xa9\n\xe9t\xc3\xa9\n", 2),
+])
+def test_text_that_is_not_utf8_is_named_by_file_and_line(tmp_path, data, line):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        formats._read_text(path)
+    assert str(info.value) == f"{path}:{line}: not valid UTF-8"
+
+
+def test_text_splits_into_the_lines_of_a_text_mode_read(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes("a\r\nb\rc\n\x0bd\u2028é\r\r\n\n\ufefff\r".encode())
+    with open(path, encoding="utf-8") as fh:
+        assert formats._read_text(path).splitlines() == fh.read().splitlines()
+
+
 def test_posteriorgram_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.sedp"
     path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -15,7 +15,6 @@ from hetsed.postprocess import (
     csebb_detect,
     default_grid,
     ensemble_average,
-    event_threshold,
     frame_threshold_merge,
     median_filter,
     moving_average,
@@ -175,41 +174,6 @@ def test_csebb_matches_frame_threshold_on_noiseless_rectangles():
 
 # ------------------------------------------------------ event thresholding
 
-def boxes_fixture():
-    return [
-        Event("a", 0, 1.0, 2.0, 0.3),
-        Event("a", 1, 3.0, 4.5, 0.7),
-    ]
-
-
-def test_event_threshold_pass_and_reject():
-    assert len(event_threshold(boxes_fixture(), [0.0, 0.0])) == 2
-    assert event_threshold(boxes_fixture(), [1.0, 1.0]) == []
-
-
-@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
-def test_event_threshold_rejects_thresholds_outside_the_unit_interval(bad):
-    with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
-        event_threshold(boxes_fixture(), [bad, 0.5])
-
-
-def test_event_threshold_keeps_boundaries_bit_identical():
-    kept = event_threshold(boxes_fixture(), [0.5, 0.5])
-    assert len(kept) == 1
-    assert kept[0].class_idx == 1
-    assert kept[0].onset == 3.0 and kept[0].offset == 4.5
-    assert kept[0].confidence == 0.7
-
-
-def test_event_threshold_boundaries_invariant_across_thresholds():
-    # the box-based pipeline's point: sweeping sensitivity never moves edges
-    boxes = boxes_fixture()
-    for thr in (0.1, 0.2, 0.4, 0.65):
-        for ev in event_threshold(boxes, [thr, thr]):
-            src = next(b for b in boxes if (b.clip_id, b.class_idx) == (ev.clip_id, ev.class_idx))
-            assert (ev.onset, ev.offset) == (src.onset, src.offset)
-
-
 def test_frame_thresholding_shrinks_events_where_boxes_do_not():
     # a ramped event: raising the frame threshold moves its edges inward,
     # while tightening the box threshold only changes which boxes survive
@@ -225,7 +189,7 @@ def test_frame_thresholding_shrinks_events_where_boxes_do_not():
     event_boxes = [b for b in boxes if b.confidence > 0.5]
     assert len(event_boxes) == 1
     for thr in (0.1, 0.3, event_boxes[0].confidence - 1e-6):
-        kept = event_threshold(event_boxes, [thr])
+        kept = [b for b in event_boxes if b.confidence > thr]
         assert [(e.onset, e.offset) for e in kept] == [
             (event_boxes[0].onset, event_boxes[0].offset)
         ]
@@ -614,6 +578,46 @@ def sparse_change_point_cases(draw):
 def test_change_points_of_mostly_dead_rows_equal_the_loop(case):
     tracks, half_width, min_gap = case
     flat = postprocess._change_points(tracks, half_width, min_gap)
+    assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
+    assert _per_row(flat, tracks) == [change_points_loop(row, half_width, min_gap) for row in tracks]
+
+
+@st.composite
+def ranged_change_point_cases(draw):
+    """Rows whose range (max - min) is below, at, or just above min_gap, with
+    values anywhere in between, next to flat rows and live rows."""
+    half_width = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 40))
+    min_gap = draw(st.sampled_from([0.0, 0.05, 0.1, 0.3]))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["flat", "ranged", "ranged", "ranged", "live"]))
+        low = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]) | st.floats(0.0, 0.6))
+        if kind == "flat":
+            rows.append(np.full(t, low))
+            continue
+        if kind == "live":
+            spread = draw(st.floats(min_gap, 0.4))
+        else:
+            spread = draw(st.sampled_from([min_gap, np.nextafter(min_gap, 0.0), np.nextafter(min_gap, 1.0)]))
+        fraction = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+        row = low + spread * np.array(draw(st.lists(fraction, min_size=t, max_size=t)))
+        # both ends of the range present, where the row is long enough
+        row[: min(t, 2)] = [low, low + spread][: min(t, 2)]
+        rows.append(row[np.array(draw(st.permutations(range(t))))])
+    return np.array(rows), half_width, min_gap
+
+
+@settings(max_examples=400, deadline=None)
+@given(ranged_change_point_cases())
+def test_change_points_take_the_step_response_of_ranged_rows_only(case):
+    tracks, half_width, min_gap = case
+    padded_rows = []
+    edge_padded = postprocess._edge_padded
+    with patch.object(postprocess, "_edge_padded",
+                      lambda a, pad, axis=0: padded_rows.append(a.shape[0]) or edge_padded(a, pad, axis)):
+        flat = postprocess._change_points(tracks, half_width, min_gap)
+    assert padded_rows == [int(np.sum(tracks.max(axis=1) - tracks.min(axis=1) > min_gap))]
     assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
     assert _per_row(flat, tracks) == [change_points_loop(row, half_width, min_gap) for row in tracks]
 
