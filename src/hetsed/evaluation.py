@@ -519,10 +519,7 @@ def _segment_table(posts: Sequence[Posteriorgram], refs: _EventColumns,
     top = np.cumsum(n) - n
     scores = np.zeros((int(n.sum()), posts[0].num_classes))
     for post, (count, seg, runs), row in zip(posts, pools, top.tolist()):
-        if seg.size == count:  # every segment holds a frame: pool straight into its rows
-            np.maximum.reduceat(post.scores, runs, axis=0, out=scores[row : row + count])
-        else:
-            scores[row + seg] = np.maximum.reduceat(post.scores, runs, axis=0)
+        scores[row + seg] = np.maximum.reduceat(post.scores, runs, axis=0)
 
     # one (reference, clip) pair per clip of the reference's id
     of_id: dict[str, list[int]] = {}

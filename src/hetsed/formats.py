@@ -132,14 +132,15 @@ def write_soft_events_tsv(path: Path | str, events: Sequence[Event], class_names
 
 def _read_text(path: Path | str) -> str:
     """The text of a UTF-8 file.  Bytes that are not UTF-8 raise a
-    ValueError naming the file and the line, counted in LF bytes, that
-    holds them."""
+    ValueError naming the file and the line that holds them, numbered as
+    ``str.splitlines`` numbers the lines of the text."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # the bytes before the bad one decode; "x" stands for the bad line
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ValueError(f"{path}:{line}: not valid UTF-8") from None
 
 

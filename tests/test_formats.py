@@ -170,7 +170,8 @@ def test_every_reader_takes_one_file_path_first():
 
 
 @pytest.mark.parametrize("data, line", [
-    (b"a\r\nb\rc\n\xffd\n", 3),  # a lone CR ends no counted line
+    (b"a\r\nb\rc\n\xffd\n", 4),  # a lone CR ends a line, as in splitlines
+    ("a\x0cb\u2028c\x85d\n".encode() + b"\xff", 5),
     (b"\xff", 1),
     (b"ok\n\n\xc3", 3),  # a multi-byte character cut short
     (b"caf\xc3\xa9\n\xe9t\xc3\xa9\n", 2),
@@ -181,6 +182,8 @@ def test_text_that_is_not_utf8_is_named_by_file_and_line(tmp_path, data, line):
     with pytest.raises(ValueError) as info:
         formats._read_text(path)
     assert str(info.value) == f"{path}:{line}: not valid UTF-8"
+    # the line a row error in the same file would name
+    assert "\ufffd" in data.decode("utf-8", "replace").splitlines()[line - 1]
 
 
 def test_text_splits_into_the_lines_of_a_text_mode_read(tmp_path):
