@@ -279,15 +279,15 @@ def _cmd_postprocess(args, cfg) -> int:
     posts, class_names = _load_posteriors(args.input)
     if args.method == "csebb":
         params = formats.read_csebb_params(args.params) if args.params else postprocess.CsebbParams()
-        boxes, (index,) = postprocess._box_sets(posts, [params], class_names)
-        formats.write_soft_events_tsv(args.out, boxes.take(index), class_names)
-        print(f"wrote {len(index)} boxes to {args.out}", file=sys.stderr)
+        boxes = postprocess.csebb_detect(posts, params, class_names)
+        formats.write_soft_events_tsv(args.out, boxes, class_names)
+        print(f"wrote {len(boxes)} boxes to {args.out}", file=sys.stderr)
         return EXIT_OK
 
     thresholds, window = _class_thresholds(args.params, class_names)
     if args.method == "frame":
         window = 1
-    events = postprocess._threshold_runs(posts, thresholds, window)
+    events = postprocess.frame_threshold_merge(posts, thresholds, window)
     formats.write_events_tsv(args.out, events, class_names)
     print(f"wrote {len(events)} events to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -389,8 +389,8 @@ def _cmd_eval_mpauc(args, cfg) -> int:
     hard_thr = _setting(args.hard_threshold, cfg, "eval.hard_threshold")
     posts, class_names = _load_posteriors(args.posteriors)
     refs = _read_refs(args.refs, class_names, posts)
-    scores, labels = evaluation._segment_table(posts, refs, segment)
-    hard = labels >= hard_thr
+    scores = evaluation.segment_scores(posts, segment)
+    hard = evaluation.segmentize(refs, posts, segment) >= hard_thr
     per_class = evaluation.mpauc_per_class(scores, hard, max_fpr)
     if np.all(np.isnan(per_class)):
         raise ValueError(f"no class has both positive and negative segments at hard threshold {hard_thr:g}")

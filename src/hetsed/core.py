@@ -76,9 +76,6 @@ class ClassVocabulary:
     def origin_of(self, name: str) -> ClassOrigin:
         return self.origins[self.index(name)]
 
-    def indices_of(self, origin: ClassOrigin) -> list[int]:
-        return [i for i, o in enumerate(self.origins) if o is origin]
-
 
 def build_vocabulary(
     desed_classes: Sequence[str],
@@ -204,8 +201,9 @@ def frame_span(onset: float, offset: float, period: float, n: int) -> tuple[int,
     the grid gets at least one frame; one that starts at or after n*period
     gets none (first == stop == n).
     """
-    first = min(n, max(0, math.floor(onset / period + 1e-9)))
-    return first, min(n, max(first + 1, math.ceil(offset / period - 1e-9)))
+    # clamped before rounding, so an edge far past the grid cannot overflow
+    first = math.floor(min(max(onset / period + 1e-9, 0), n))
+    return first, math.ceil(min(max(offset / period - 1e-9, first + 1), n))
 
 
 def frame_time(k, period: float):

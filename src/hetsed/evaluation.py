@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, _event_columns, _EventColumns, frame_span, rasterize
+from .core import Event, Posteriorgram, _event_columns, frame_span
 
 SECONDS_PER_HOUR = 3600.0
 SEGMENT_SECONDS = 1.0
@@ -432,23 +432,6 @@ def psds(curve: OperatingPointCurve, cfg: PsdsConfig = PsdsConfig()) -> float:
     return float(np.add.accumulate(np.concatenate([[0.0], terms]))[-1] / cfg.e_max)
 
 
-def segmentize(
-    refs: Sequence[Event],
-    duration: float,
-    num_classes: int,
-    segment: float = SEGMENT_SECONDS,
-) -> np.ndarray:
-    """Soft segment labels [S, C]: max event value overlapping each segment.
-
-    The value of a hard event (confidence None) is 1.0.  Harden against a
-    threshold downstream for mPAUC.  This is the one-clip case of ``eval
-    mpauc``, which labels a whole directory at once (``_segment_table``).
-    """
-    if duration < segment:
-        raise ValueError(f"duration {duration} shorter than one segment {segment}")
-    return rasterize(refs, _segment_count(duration, segment), segment, num_classes)
-
-
 def _segment_count(duration: float, segment: float) -> int:
     # the segments [0, duration) meets on an unbounded grid
     if not 0.0 < segment < float("inf"):
@@ -472,38 +455,13 @@ def _segment_runs(t: int, fp: float, segment: float, n_segments: int) -> tuple[n
     return seg_idx[runs], runs
 
 
-def segment_scores(post: Posteriorgram, segment: float = SEGMENT_SECONDS) -> np.ndarray:
-    """Max-pool frame scores into segments: [S, C] with S = ceil(T*fp / segment).
-
-    When the segment is an integer number of frames the assignment is exact
-    integer arithmetic; otherwise frames are binned by their center time.  A
-    segment that no frame's center falls in scores 0.  This is the one-clip
-    case of ``eval mpauc``, which pools a whole directory at once
-    (``_segment_table``).
-    """
-    n_segments = _segment_count(post.duration, segment)
-    seg, runs = _segment_runs(post.num_frames, post.frame_period, segment, n_segments)
-    scores = np.zeros((n_segments, post.num_classes))
-    scores[seg] = np.maximum.reduceat(post.scores, runs, axis=0)
-    return scores
-
-
-def _segment_table(posts: Sequence[Posteriorgram], refs: _EventColumns,
-                   segment: float) -> tuple[np.ndarray, np.ndarray]:
-    """Segment scores and soft labels [S, C] of many clips, stacked in clip
-    order: each clip's rows are its ``segment_scores`` and the
-    ``segmentize`` of its references (rows of ``refs`` with its clip id),
-    bit for bit, and the errors are theirs in the order a clip-by-clip loop
-    meets them (every clip's segment count, then the first clip shorter
-    than a segment).
-
-    The frame runs of a clip shape are found once and each clip is pooled
-    by one reduceat into its rows.  Labels take every reference's segment
-    span by the ``frame_span`` rule, in double arithmetic as ``math.floor``
-    and ``math.ceil`` see it, and write the spans' cells by one unbuffered
-    max.  Every clip of ``refs`` must be among ``posts``.
-    """
-    # per clip shape (frames, period): its segment count and frame runs
+def _segment_grid(posts: Sequence[Posteriorgram], segment: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """The segment rows of many clips stacked in clip order: per clip, its
+    segment count, the row its segments open at, and its (count, segment of
+    each frame run, frame that opens it), found once per clip shape.  A bad
+    segment raises before anything else."""
+    if not posts:
+        raise ValueError("need at least one posteriorgram")
     shapes: dict[tuple[int, float], tuple[int, np.ndarray, np.ndarray]] = {}
     pools = []
     for post in posts:
@@ -512,20 +470,58 @@ def _segment_table(posts: Sequence[Posteriorgram], refs: _EventColumns,
             count = _segment_count(post.duration, segment)
             shapes[shape] = (count, *_segment_runs(*shape, segment, count))
         pools.append(shapes[shape])
+    n = np.array([count for count, _, _ in pools], dtype=np.int64)
+    return n, np.cumsum(n) - n, pools
+
+
+def segment_scores(posts: Sequence[Posteriorgram], segment: float = SEGMENT_SECONDS) -> np.ndarray:
+    """Max-pool frame scores into segments: [S, C], each clip's
+    ceil(T*fp / segment) rows stacked in clip order.
+
+    When the segment is an integer number of frames the assignment is exact
+    integer arithmetic; otherwise frames are binned by their center time.  A
+    segment that no frame's center falls in scores 0.  The frame runs of a
+    clip shape are found once, and each clip is pooled by one reduceat into
+    its rows.
+    """
+    n, top, pools = _segment_grid(posts, segment)
+    scores = np.zeros((int(n.sum()), posts[0].num_classes))
+    for post, (_, seg, runs), row in zip(posts, pools, top.tolist()):
+        scores[row + seg] = np.maximum.reduceat(post.scores, runs, axis=0)
+    return scores
+
+
+def segmentize(refs: Sequence[Event], posts: Sequence[Posteriorgram],
+               segment: float = SEGMENT_SECONDS) -> np.ndarray:
+    """Soft segment labels on the rows of ``segment_scores(posts, segment)``:
+    the max value of the references of a clip's id overlapping each of its
+    segments, by the ``frame_span`` rule.
+
+    The value of a hard event (confidence None) is 1.0.  Harden against a
+    threshold downstream for mPAUC.  Every reference's span is taken in
+    double arithmetic as ``math.floor`` and ``math.ceil`` see it, and the
+    spans' cells are written by one unbuffered max.  A clip id held by
+    several posteriorgrams labels each of them.  After a bad segment, the
+    first clip shorter than one segment is refused, as are references of a
+    class or clip id that no posteriorgram has.
+    """
+    n, top, _ = _segment_grid(posts, segment)
     for post in posts:
         if post.duration < segment:
             raise ValueError(f"duration {post.duration} shorter than one segment {segment}")
-    n = np.array([count for count, _, _ in pools], dtype=np.int64)
-    top = np.cumsum(n) - n
-    scores = np.zeros((int(n.sum()), posts[0].num_classes))
-    for post, (count, seg, runs), row in zip(posts, pools, top.tolist()):
-        scores[row + seg] = np.maximum.reduceat(post.scores, runs, axis=0)
-
+    refs = _event_columns(refs)
+    num_classes = posts[0].num_classes
+    bad = (refs.class_idx < 0) | (refs.class_idx >= num_classes)
+    if bad.any():
+        raise ValueError(f"class index {refs.class_idx[bad][0]} out of range")
     # one (reference, clip) pair per clip of the reference's id
     of_id: dict[str, list[int]] = {}
     for i, post in enumerate(posts):
         of_id.setdefault(post.clip_id, []).append(i)
-    clips = [of_id[clip_id] for clip_id in refs.clip_ids]
+    missing = sorted({refs.clip_ids[i] for i in np.unique(refs.clip).tolist()} - of_id.keys())
+    if missing:
+        raise ValueError(f"references for clips without posteriors: {missing[:5]}")
+    clips = [of_id.get(clip_id, []) for clip_id in refs.clip_ids]
     bounds = np.cumsum([0] + [len(c) for c in clips])
     ref, at = _expand(bounds[:-1][refs.clip], bounds[1:][refs.clip])
     clip = np.array([i for c in clips for i in c], dtype=np.int64)[at]
@@ -534,9 +530,9 @@ def _segment_table(posts: Sequence[Posteriorgram], refs: _EventColumns,
     stop = np.minimum(last, np.maximum(first + 1, np.ceil(refs.offset[ref] / segment - 1e-9)))
     owner, cell = _expand(top[clip] + first.astype(np.int64), top[clip] + stop.astype(np.int64))
     value = np.where(refs.has_confidence, refs.confidence, 1.0)[ref]
-    labels = np.zeros_like(scores)
+    labels = np.zeros((int(n.sum()), num_classes))
     np.maximum.at(labels, (cell, refs.class_idx[ref][owner]), value[owner])
-    return scores, labels
+    return labels
 
 
 def binary_roc(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

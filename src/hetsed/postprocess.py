@@ -3,11 +3,11 @@ change-point sound event bounding boxes (SEBBs) and ensemble averaging.
 
 A box is an event whose confidence is always set (the mean smoothed score
 of its segment), so boxes go wherever events go: the TSV writers and the
-PSDS sweep, whose confidence thresholds keep or drop whole boxes.  Over
-many clips, events and boxes are columns (``core._EventColumns``): the
-whole-directory threshold pass and the box search make them, and the TSV
-writers and the PSDS sweep read them without building a ``core.Event``.
-Events are built only where a public function returns a list.
+PSDS sweep, whose confidence thresholds keep or drop whole boxes.  Events
+and boxes are columns (``core._EventColumns``): ``frame_threshold_merge``
+and ``csebb_detect`` take a whole directory's clips and return them, and
+the TSV writers and the PSDS sweep read them without building a
+``core.Event``.
 
 Frame-level thresholding couples an event's extent to the detection
 threshold: raising the threshold shrinks or fragments events.  SEBBs decouple
@@ -173,12 +173,14 @@ def moving_average(scores: np.ndarray, window: int) -> np.ndarray:
     return total
 
 
-def frame_threshold_merge(post: Posteriorgram, thresholds: Sequence[float], window: int = 1) -> list[Event]:
-    """Threshold each class track and merge consecutive positive frames.
+def frame_threshold_merge(posts: Sequence[Posteriorgram], thresholds: Sequence[float],
+                          window: int = 1) -> _EventColumns:
+    """Threshold each class track of every clip and merge consecutive
+    positive frames, as event columns in (clip, class, onset) order within
+    each stacked pass.
 
     A maximal run of frames with score > threshold becomes one event spanning
-    the frame boundaries start and end + 1 (times as in ``frame_time``), in
-    (class, onset) order.  This is the one-clip case of ``_threshold_runs``.
+    the frame boundaries start and end + 1 (times as in ``frame_time``).
 
     With ``window`` > 1 the tracks are median filtered first (odd window,
     edge replication).  The median of w values exceeds a threshold exactly
@@ -186,13 +188,6 @@ def frame_threshold_merge(post: Posteriorgram, thresholds: Sequence[float], wind
     & Gallagher, "Stack filters", IEEE TASSP 1986), so a frame is active
     when more than window // 2 frames of its window clear the threshold;
     the events equal those of ``median_filter`` followed by thresholding.
-    """
-    return _threshold_runs([post], thresholds, window).events()
-
-
-def _threshold_runs(posts: Sequence[Posteriorgram], thresholds: Sequence[float], window: int) -> _EventColumns:
-    """The events of ``frame_threshold_merge`` for every clip, as columns in
-    (clip, class, onset) order within each stacked pass.
 
     Each clip is checked in turn, so an error is the one the first failing
     clip would raise on its own.  The clips of one frame count are then
@@ -540,19 +535,19 @@ def csebb_detect(
     posts: Sequence[Posteriorgram],
     params: CsebbParams = CsebbParams(),
     class_names: Sequence[str] | None = None,
-) -> list[Event]:
+) -> _EventColumns:
     """Change-point sound event bounding box detector, over many clips.
 
     Per class track: smooth it, locate change points with a two-sided step
     filter, partition the clip at those points, greedily merge segments with
     similar means, and emit every merged segment whose mean smoothed score
     clears the noise floor as a box with confidence = that mean.  The boxes
-    of all ``posts`` come back in (clip, class, time) order, equal to those
-    of one clip at a time; this is the one-candidate case of
+    of all ``posts`` come back as columns in (clip, class, time) order, equal
+    to those of one clip at a time; this is the one-candidate case of
     ``tune_csebb``'s search.
     """
     boxes, (index,) = _box_sets(posts, [params], class_names)
-    return boxes.take(index).events()
+    return boxes.take(index)
 
 
 def ensemble_average(posts: Sequence[Posteriorgram]) -> Posteriorgram:

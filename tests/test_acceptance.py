@@ -107,7 +107,7 @@ def test_criterion_03_csebb_beats_best_single_threshold():
         for thr in np.arange(0.05, 1.0, 0.05):
             dets = []
             for post in test_posts:
-                dets.extend(frame_threshold_merge(post, [thr] * num_classes))
+                dets.extend(frame_threshold_merge([post], [thr] * num_classes).events())
             value = _quiet(
                 lambda: _psds(dets, test_refs, test_hours, cfg, num_classes)
             )
@@ -148,20 +148,13 @@ def test_criterion_04_noiseless_end_to_end_perfection():
 
         dets = []
         for post in posts:
-            dets.extend(frame_threshold_merge(post, [0.5] * num_classes))
+            dets.extend(frame_threshold_merge([post], [0.5] * num_classes).events())
         cfg = PsdsConfig()
         psds_value = _psds(dets, refs, hours, cfg, num_classes)
         assert abs(psds_value - 1.0) <= 1e-9
 
-        by_clip = {}
-        for ev in refs:
-            by_clip.setdefault(ev.clip_id, []).append(ev)
-        score_rows, label_rows = [], []
-        for post in posts:
-            score_rows.append(segment_scores(post))
-            label_rows.append(segmentize(by_clip.get(post.clip_id, []), post.duration, num_classes))
-        scores = np.concatenate(score_rows)
-        labels = np.concatenate(label_rows) >= 0.5
+        scores = segment_scores(posts)
+        labels = segmentize(refs, posts) >= 0.5
         # fixture sanity: every class carries both polarities
         assert np.all(labels.sum(axis=0) > 0) and np.all((~labels).sum(axis=0) > 0)
         assert abs(mpauc(scores, labels) - 1.0) <= 1e-9
@@ -258,7 +251,7 @@ def test_criterion_08_fdy_equivalence():
 def test_criterion_09_independent_loss_invariance():
     with criterion(9, "masked loss is bit-invariant to out-of-dataset predictions"):
         vocab = default_vocabulary()
-        desed_cols = vocab.indices_of(ClassOrigin.DESED)
+        desed_cols = [i for i, origin in enumerate(vocab.origins) if origin is ClassOrigin.DESED]
         speech_col = vocab.index("speech")
         rng = np.random.default_rng(314)
         meta = ClipMetadata("m", Origin.MAESTRO, 10.0)

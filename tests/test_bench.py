@@ -18,6 +18,10 @@ def test_traced_bench_run_is_correct(workload):
     assert done.returncode == 0, done.stderr[-2000:]
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True, done.stderr[-2000:]
+    # the CLI's post-processing and mPAUC run through the public functions
+    # the tracer wraps, so their counts are live
+    for count in ("postprocess.events", "postprocess.boxes", "evaluation.segments"):
+        assert result["metrics"][count]["value"] > 0, count
 
 
 # The fixture digest and the outputs (stdout text and SHA-256 of each file

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsed import cli, evaluation, formats
-from hetsed.core import Event, Posteriorgram, default_vocabulary
+from hetsed.core import Event, Posteriorgram, default_vocabulary, rasterize
 from hetsed.postprocess import ClassSebbParams, CsebbParams
 from oracles import event_tsv_text, median_threshold_runs, segment_scores_at
 
@@ -400,6 +400,25 @@ def test_loss_rejects_target_past_the_prediction(tmp_path, capsys):
     assert run("loss", "--pred", pred_path, "--target", target_path, "--origin", "maestro") == 2
     err = capsys.readouterr().err
     assert str(target_path) in err and "start at or after the end" in err
+
+
+def test_loss_takes_target_edges_whose_frame_index_overflows(tmp_path, capsys):
+    # 1.7e308 / 0.05 s is inf: the row covers the clip to its end, and a row
+    # that starts there covers nothing
+    vocab = default_vocabulary()
+    pred_path = tmp_path / "m1.sedp"
+    scores = np.linspace(0.1, 0.9, 40 * len(vocab)).reshape(40, len(vocab)).astype(np.float32)
+    formats.write_posteriorgram(pred_path, Posteriorgram(scores, 0.05, "m1"), list(vocab.classes))
+    target_path = tmp_path / "target.tsv"
+    outputs = []
+    for onset, offset in (("0", "2.0"), ("0", "1.7e308"), ("1e308", "1.7e308")):
+        target_path.write_text(f"filename\tonset\toffset\tevent_label\nm1\t{onset}\t{offset}\tcar\n")
+        code = run("loss", "--pred", pred_path, "--target", target_path, "--origin", "desed")
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0][0] == outputs[1][0] == 0 and outputs[1][1] == outputs[0][1]
+    code, out, err = outputs[2]
+    assert code == 2 and out == ""
+    assert str(target_path) in err and "start at or after the end of the 2 s prediction" in err
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -1023,16 +1042,18 @@ def test_eval_mpauc_equals_the_per_clip_segments(case):
         (formats.write_soft_events_tsv if soft else formats.write_events_tsv)(refs, rows, names)
         posts, class_names = cli._load_posteriors(root / "posteriors")
         columns = cli._read_refs(refs, class_names, posts)
-        scores, labels = evaluation._segment_table(posts, columns, segment)
+        scores = evaluation.segment_scores(posts, segment)
+        labels = evaluation.segmentize(columns, posts, segment)
 
+        # per clip: the unbuffered frame max, and the scalar rasterize loop
         events = columns.events()
-        want_scores = np.concatenate([evaluation.segment_scores(post, segment) for post in posts])
+        want_scores = np.concatenate([segment_scores_at(post, segment) for post in posts])
         want_labels = np.concatenate([
-            evaluation.segmentize([ev for ev in events if ev.clip_id == post.clip_id], post.duration, 3, segment)
+            rasterize([ev for ev in events if ev.clip_id == post.clip_id], len(segment_scores_at(post, segment)),
+                      segment, 3)
             for post in posts])
         assert scores.dtype == labels.dtype == np.float64
         assert np.array_equal(scores, want_scores) and np.array_equal(labels, want_labels)
-        assert np.array_equal(scores, np.concatenate([segment_scores_at(post, segment) for post in posts]))
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -260,6 +260,8 @@ def test_frame_span_edges():
     assert frame_span(0.8, 2.0, 0.1, 10) == (8, 10)  # runs past the clip
     assert frame_span(1.0, 2.0, 0.1, 10) == (10, 10)  # starts at the end: no frame
     assert frame_span(0.3, 0.3 + 1e-12, 0.1, 10) == (3, 4)  # at least one frame
+    assert frame_span(0.0, 1.7e308, 0.05, 40) == (0, 40)  # offset / period overflows to inf
+    assert frame_span(1e308, 1.7e308, 1e-3, 40) == (40, 40)  # so do both edges
     with pytest.raises(ValueError, match="class index 2"):
         rasterize([Event("x", 2, 0.0, 1.0)], 5, 0.1, 2)
 

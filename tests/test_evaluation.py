@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsed import evaluation
-from hetsed.core import Event, Posteriorgram, _event_columns
+from hetsed.core import Event, Posteriorgram, rasterize
 from hetsed.evaluation import (
     OperatingPointCurve,
     PsdsConfig,
@@ -440,35 +440,40 @@ def test_psds_area_equals_the_loop_over_curve_points(case):
 
 # ----------------------------------------------------------------- segments
 
+def ten_seconds(num_classes=1, clip_id="a"):
+    """A silent 10 s posteriorgram of one-second frames."""
+    return Posteriorgram(np.zeros((10, num_classes)), 1.0, clip_id)
+
+
 def test_segmentize_aligned_event():
-    labels = segmentize([Event("a", 0, 3.0, 4.0)], duration=10.0, num_classes=1)
+    labels = segmentize([Event("a", 0, 3.0, 4.0)], [ten_seconds()])
     assert labels.shape == (10, 1)
     assert labels[3, 0] == 1.0
     assert labels.sum() == 1.0
 
 
 def test_segmentize_soft_value_kept():
-    labels = segmentize([Event("a", 0, 0.0, 10.0, 0.4)], duration=10.0, num_classes=1)
+    labels = segmentize([Event("a", 0, 0.0, 10.0, 0.4)], [ten_seconds()])
     assert np.allclose(labels, 0.4)
     assert not np.any(labels >= 0.5)  # hard labels at 0.5 are all zero
 
 
 def test_segmentize_counts_and_overlap_rule():
-    labels = segmentize([Event("a", 0, 2.5, 3.5)], duration=10.0, num_classes=1)
+    labels = segmentize([Event("a", 0, 2.5, 3.5)], [ten_seconds()])
     assert labels.shape[0] == 10
     assert labels[:, 0].tolist() == [0, 0, 1, 1, 0, 0, 0, 0, 0, 0]
 
 
 def test_segment_scores_constant_and_spike():
     post = Posteriorgram(np.full((40, 2), 0.3), 0.25, "a")
-    scores = segment_scores(post)
+    scores = segment_scores([post])
     assert scores.shape == (10, 2)
     assert np.allclose(scores, 0.3)
 
     spiky = np.zeros((40, 1))
     spiky[17, 0] = 0.9  # frame 17 at 0.25 s/frame -> segment 4
     post2 = Posteriorgram(spiky, 0.25, "b")
-    scores2 = segment_scores(post2)
+    scores2 = segment_scores([post2])
     assert scores2[4, 0] == pytest.approx(0.9)
     assert scores2.sum() == pytest.approx(0.9)
 
@@ -491,7 +496,7 @@ def segment_cases(draw):
 @given(segment_cases())
 def test_segment_scores_equal_the_unbuffered_frame_max(case):
     post, segment = case
-    got = segment_scores(post, segment)
+    got = segment_scores([post], segment)
     want = segment_scores_at(post, segment)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -500,7 +505,7 @@ def test_segment_scores_equal_the_unbuffered_frame_max(case):
 def test_segment_scores_count_formula():
     for t, fp in ((618, 0.016), (988, 0.01), (100, 0.064)):
         post = Posteriorgram(np.zeros((t, 1)), fp, "x")
-        assert segment_scores(post).shape[0] == int(np.ceil(t * fp / 1.0 - 1e-9))
+        assert segment_scores([post]).shape[0] == int(np.ceil(t * fp / 1.0 - 1e-9))
 
 
 @st.composite
@@ -539,13 +544,30 @@ def segment_directories(draw):
 @given(segment_directories())
 def test_segment_table_stacks_the_per_clip_segments(case):
     posts, refs, segment = case
-    scores, labels = evaluation._segment_table(posts, _event_columns(refs), segment)
-    want_scores = np.concatenate([segment_scores(post, segment) for post in posts])
+    scores, labels = segment_scores(posts, segment), segmentize(refs, posts, segment)
+    want_scores = np.concatenate([segment_scores_at(post, segment) for post in posts])
     want_labels = np.concatenate([
-        segmentize([ev for ev in refs if ev.clip_id == post.clip_id], post.duration, 2, segment) for post in posts])
+        rasterize([ev for ev in refs if ev.clip_id == post.clip_id], len(segment_scores_at(post, segment)), segment, 2)
+        for post in posts])
     assert scores.shape == want_scores.shape and labels.shape == want_labels.shape
     assert scores.tobytes() == want_scores.tobytes()
     assert labels.tobytes() == want_labels.tobytes()
+
+
+def test_segmentize_refuses_references_without_a_segment_row():
+    posts = [ten_seconds(2, "a"), Posteriorgram(np.zeros((3, 2)), 0.25, "b")]
+    # a bad segment comes first, then the first clip shorter than one
+    with pytest.raises(ValueError, match="segment must be a finite length > 0 s, got 0.0"):
+        segmentize([], posts, 0.0)
+    with pytest.raises(ValueError, match="duration 0.75 shorter than one segment 1.0"):
+        segmentize([], posts)
+    assert segment_scores(posts).shape == (11, 2)
+    with pytest.raises(ValueError, match="class index 2 out of range"):
+        segmentize([Event("a", 2, 0.0, 1.0)], posts[:1])
+    with pytest.raises(ValueError, match=r"references for clips without posteriors: \['b'\]"):
+        segmentize([Event("a", 0, 0.0, 1.0), Event("b", 0, 0.0, 1.0)], posts[:1])
+    with pytest.raises(ValueError, match="need at least one posteriorgram"):
+        segment_scores([])
 
 
 # -------------------------------------------------------------------- mPAUC

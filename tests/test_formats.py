@@ -537,7 +537,7 @@ def test_psds_in_memory_equals_psds_after_the_tsv_round_trip(seed, n_clips, peri
     posts = synth.render_posteriors(truth, metas, len(CLASSES), period, blur=3, noise_sd=0.05,
                                     dip_prob=1.0, rng=rng)
     hours = sum(meta.duration for meta in metas) / 3600
-    events = [ev for post in posts for ev in frame_threshold_merge(post, [0.5] * len(CLASSES))]
+    events = [ev for post in posts for ev in frame_threshold_merge([post], [0.5] * len(CLASSES)).events()]
     boxes = csebb_detect(posts, CsebbParams(), CLASSES)
     printed = [replace(box, confidence=float(f"{box.confidence:.6f}")) for box in boxes]
     with tempfile.TemporaryDirectory() as tmp:

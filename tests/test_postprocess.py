@@ -58,7 +58,7 @@ def test_median_rejects_bad_windows():
 
 def test_frame_threshold_merge_run_arithmetic():
     post = post_of([0.2, 0.8, 0.9, 0.1], fp=0.016)
-    events = frame_threshold_merge(post, [0.5])
+    events = frame_threshold_merge([post], [0.5])
     assert len(events) == 1
     assert events[0].onset == pytest.approx(0.016)
     assert events[0].offset == pytest.approx(0.048)
@@ -66,8 +66,8 @@ def test_frame_threshold_merge_run_arithmetic():
 
 def test_frame_threshold_merge_empty_and_full():
     post = post_of([0.1, 0.2, 0.3])
-    assert frame_threshold_merge(post, [0.5]) == []
-    full = frame_threshold_merge(post, [0.0])
+    assert frame_threshold_merge([post], [0.5]).events() == []
+    full = frame_threshold_merge([post], [0.0])
     assert len(full) == 1
     assert full[0].onset == 0.0 and full[0].offset == pytest.approx(3 * 0.05)
 
@@ -77,21 +77,21 @@ def test_frame_threshold_merge_rejects_bad_windows():
     for window, message in ((0, "odd and >= 1"), (-1, "odd and >= 1"), (4, "odd and >= 1"),
                             (7, "window 7 too large for 3 frames")):
         with pytest.raises(ValueError, match=message):
-            frame_threshold_merge(post, [0.5], window)
+            frame_threshold_merge([post], [0.5], window)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
 def test_frame_threshold_merge_rejects_thresholds_outside_the_unit_interval(bad):
     post = post_of(np.full((4, 2), 0.9))
     with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
-        frame_threshold_merge(post, [0.5, bad])
+        frame_threshold_merge([post], [0.5, bad])
 
 
 def test_frame_threshold_merge_multiclass_runs():
     scores = np.zeros((6, 2))
     scores[1:3, 0] = 0.9
     scores[4:6, 1] = 0.7
-    events = frame_threshold_merge(post_of(scores), [0.5, 0.5])
+    events = frame_threshold_merge([post_of(scores)], [0.5, 0.5])
     assert [(e.class_idx, e.onset, e.offset) for e in events] == [
         (0, pytest.approx(0.05), pytest.approx(0.15)),
         (1, pytest.approx(0.20), pytest.approx(0.30)),
@@ -114,7 +114,7 @@ def test_csebb_ideal_step_single_box():
 
 
 def test_csebb_constant_zero_no_boxes():
-    assert csebb_detect([post_of(np.zeros(50))]) == []
+    assert csebb_detect([post_of(np.zeros(50))]).events() == []
 
 
 def test_csebb_dip_merged_against_bruteforce_segmentation():
@@ -163,7 +163,7 @@ def test_csebb_matches_frame_threshold_on_noiseless_rectangles():
     post = post_of(scores)
     params = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
     boxes = csebb_detect([post], params)
-    events = frame_threshold_merge(post, [0.5, 0.5, 0.5])
+    events = frame_threshold_merge([post], [0.5, 0.5, 0.5])
     assert len(boxes) == len(events) == 3
     tolerance = 1 * post.frame_period  # half_width frames
     for box, event in zip(boxes, sorted(events, key=lambda e: e.class_idx)):
@@ -180,8 +180,8 @@ def test_frame_thresholding_shrinks_events_where_boxes_do_not():
     track = np.concatenate([np.zeros(20), np.linspace(0.0, 1.0, 10),
                             np.ones(20), np.linspace(1.0, 0.0, 10), np.zeros(20)])
     post = post_of(track)
-    low = frame_threshold_merge(post, [0.3])
-    high = frame_threshold_merge(post, [0.8])
+    low = frame_threshold_merge([post], [0.3])
+    high = frame_threshold_merge([post], [0.8])
     assert len(low) == len(high) == 1
     assert high[0].onset > low[0].onset and high[0].offset < low[0].offset
 
@@ -410,7 +410,8 @@ def test_median_window_events_equal_median_filter_then_threshold(case):
     scores, thresholds, window = case
     post = post_of(scores, fp=0.02)
     filtered = Posteriorgram(median_filter(scores, window), post.frame_period, post.clip_id)
-    assert frame_threshold_merge(post, thresholds, window) == frame_threshold_merge(filtered, thresholds)
+    assert (frame_threshold_merge([post], thresholds, window).events()
+            == frame_threshold_merge([filtered], thresholds).events())
 
 
 @st.composite
@@ -442,13 +443,13 @@ def threshold_directories(draw):
 def test_stacked_threshold_runs_equal_runs_after_median_filter_clip_by_clip(case):
     posts, thresholds, window, cap = case
     with patch.object(postprocess, "_STACK_CELLS", cap):
-        got = postprocess._threshold_runs(posts, thresholds, window)
+        got = frame_threshold_merge(posts, thresholds, window)
     want = [run for post in posts for run in median_threshold_runs(post, thresholds, window)]
     rows = [(ev.clip_id, ev.class_idx, ev.onset, ev.offset) for ev in got.events()]
     assert sorted(rows) == sorted(want)
     assert canonicalize_events(got.events()) == canonicalize_events([Event(*run) for run in want])
     for post in posts:
-        assert frame_threshold_merge(post, thresholds, window) == [
+        assert frame_threshold_merge([post], thresholds, window).events() == [
             Event(*run) for run in median_threshold_runs(post, thresholds, window)]
 
 
@@ -465,9 +466,9 @@ def test_threshold_runs_raise_the_error_of_the_first_failing_clip_in_file_order(
         frames, classes, thresholds, window, message):
     posts = [post_of(np.full((t, c), 0.7), clip_id=f"c{i}") for i, (t, c) in enumerate(zip(frames, classes))]
     with pytest.raises(ValueError, match=message) as stacked:
-        postprocess._threshold_runs(posts, thresholds, window)
+        frame_threshold_merge(posts, thresholds, window)
     with pytest.raises(ValueError) as clip_by_clip:
-        [frame_threshold_merge(post, thresholds, window) for post in posts]
+        [frame_threshold_merge([post], thresholds, window) for post in posts]
     assert str(stacked.value) == str(clip_by_clip.value)
 
 
@@ -705,7 +706,7 @@ def test_csebb_boxes_equal_those_of_the_loop_segmentation(seed, t, window, half_
     scores = np.clip(levels + rng.normal(0.0, 0.05, size=levels.shape).round(2), 0.0, 1.0)
     post = post_of(scores.astype(np.float32).astype(np.float64))
     p = ClassSebbParams(window=window, half_width=half_width, min_gap=min_gap)
-    assert csebb_detect([post], CsebbParams(default=p)) == _boxes_from_loop(post, p)
+    assert csebb_detect([post], CsebbParams(default=p)).events() == _boxes_from_loop(post, p)
 
 
 _THRESHOLDS = st.sampled_from([0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -778,8 +779,8 @@ def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_bo
     assert sum(rows for (t, rows), window in passes if window == 3) == 3 * len(posts)
     monkeypatch.setattr(postprocess, "moving_average", smooth)
     assert seen == [[b for p in posts for b in csebb_detect([p], cand, names)] for cand in grid]
-    assert seen == [csebb_detect(posts, cand, names) for cand in grid]
-    assert csebb_detect(posts, grid[-1]) == [b for p in posts for b in csebb_detect([p], grid[-1])]
+    assert seen == [csebb_detect(posts, cand, names).events() for cand in grid]
+    assert csebb_detect(posts, grid[-1]).events() == [b for p in posts for b in csebb_detect([p], grid[-1])]
     assert len({len(boxes) for boxes in seen}) > 1
 
 

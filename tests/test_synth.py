@@ -97,7 +97,7 @@ def test_zero_corruption_recovers_ground_truth_exactly():
     posts = render_posteriors(events, metas, 3, fp)
     recovered = []
     for p in posts:
-        recovered.extend(frame_threshold_merge(p, [0.5, 0.5, 0.5]))
+        recovered.extend(frame_threshold_merge([p], [0.5, 0.5, 0.5]).events())
     assert len(recovered) <= len(events)  # touching events merge into one run
     cfg = PsdsConfig()
     hours = sum(m.duration for m in metas) / 3600.0
