@@ -24,29 +24,6 @@ DROPSTEP_RATIO = 0.25
 DROPSTEP_COUNT = 1
 
 
-def mixup(
-    x1: np.ndarray,
-    x2: np.ndarray,
-    y1: np.ndarray,
-    y2: np.ndarray,
-    lam: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convex combination of two feature maps and their targets.
-
-    A float32 or float64 pair keeps its dtype (a float32 with a float64
-    gives float64); any other features become float64.  Targets are float64.
-    """
-    x1, x2 = float_array(x1), float_array(x2)
-    y1, y2 = np.asarray(y1, dtype=np.float64), np.asarray(y2, dtype=np.float64)
-    if x1.shape != x2.shape:
-        raise ValueError(f"feature shapes differ: {x1.shape} vs {x2.shape}")
-    if y1.shape != y2.shape:
-        raise ValueError(f"target shapes differ: {y1.shape} vs {y2.shape}")
-    if lam == 1.0:
-        return x1.astype(np.result_type(x1, x2)), y1.copy()
-    return lam * x1 + (1.0 - lam) * x2, lam * y1 + (1.0 - lam) * y2
-
-
 def mixup_within_dataset(
     batch: np.ndarray,
     metas: Sequence[ClipMetadata],

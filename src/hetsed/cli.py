@@ -299,7 +299,7 @@ def _cmd_tune_csebb(args, cfg) -> int:
     if args.durations is not None:
         hours = _read_hours(args.durations, [p.clip_id for p in posts])
     else:
-        hours = sum(p.duration for p in posts) / 3600.0
+        hours = sum(p.duration for p in posts) / evaluation.SECONDS_PER_HOUR
     psds_cfg = _psds_config_from(cfg)
 
     def metric(boxes, sets, refs_):
@@ -358,7 +358,7 @@ def _read_hours(path: Path, clip_ids) -> float:
     missing = sorted(set(clip_ids) - durations.keys())
     if missing:
         raise ValueError(f"{path}: no duration for {len(missing)} clip(s), e.g. {missing[:5]}")
-    return sum(durations.values()) / 3600.0
+    return sum(durations.values()) / evaluation.SECONDS_PER_HOUR
 
 
 def _cmd_eval_psds(args, cfg) -> int:
@@ -443,14 +443,13 @@ def _cmd_loss(args, cfg) -> int:
     # reorder prediction columns into vocabulary order
     order = [class_names.index(name) for name in vocab.classes]
     pred = post.scores[:, order]
-    refs, _ = formats.read_events_tsv(args.target, list(vocab.classes))
-    matching = [ev for ev in refs if ev.clip_id == post.clip_id]
-    if not matching:
-        clip_ids = {ev.clip_id for ev in refs}
-        if len(clip_ids) == 1:
-            matching = refs  # single-clip target file; filename need not match
-        else:
-            raise ValueError(f"target file has no rows for clip {post.clip_id!r}")
+    refs, _ = formats.read_event_columns(args.target, list(vocab.classes))
+    if post.clip_id in refs.clip_ids:
+        matching = refs.take(refs.clip == refs.clip_ids.index(post.clip_id))
+    elif len(refs.clip_ids) == 1:
+        matching = refs  # single-clip target file; filename need not match
+    else:
+        raise ValueError(f"target file has no rows for clip {post.clip_id!r}")
     n, fp = post.num_frames, post.frame_period
     late = [ev.onset for ev in matching if frame_span(ev.onset, ev.offset, fp, n)[0] == n]
     if late:

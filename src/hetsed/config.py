@@ -13,17 +13,20 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
+from .core import MaskMode
+from .evaluation import HARD_LABEL_THRESHOLD, MAX_FPR, SEGMENT_SECONDS, PsdsConfig
 from .formats import _read_text
 
+# the library's own defaults, as text that get_float reads back to them
 DEFAULTS: dict[str, str] = {
-    "train.loss_mode": "independent",
-    "eval.segment": "1.0",
-    "eval.max_fpr": "0.1",
-    "eval.hard_threshold": "0.5",
-    "psds.dtc": "0.7",
-    "psds.gtc": "0.7",
-    "psds.emax": "100",
-    "psds.alpha_st": "1",
+    "train.loss_mode": MaskMode.INDEPENDENT.value,
+    "eval.segment": repr(SEGMENT_SECONDS),
+    "eval.max_fpr": repr(MAX_FPR),
+    "eval.hard_threshold": repr(HARD_LABEL_THRESHOLD),
+    "psds.dtc": repr(PsdsConfig.rho_dtc),
+    "psds.gtc": repr(PsdsConfig.rho_gtc),
+    "psds.emax": repr(PsdsConfig.e_max),
+    "psds.alpha_st": repr(PsdsConfig.alpha_st),
 }
 
 

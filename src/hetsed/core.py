@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -280,7 +280,8 @@ class _EventColumns:
     ``class_idx[i]``, ``onset[i]`` to ``offset[i]``, and confidence
     ``confidence[i]`` where ``has_confidence[i]`` (absent otherwise, as None
     is for an Event).  It reads as a sequence of events: ``len`` counts the
-    rows and indexing builds the Event of one row."""
+    rows, indexing builds the Event of one row and iterating builds them all;
+    it equals a column set, list or tuple of the same Events (so no hash)."""
 
     clip_ids: Sequence[str]
     clip: np.ndarray
@@ -295,6 +296,14 @@ class _EventColumns:
 
     def __getitem__(self, i: int) -> Event:
         return self.take([i]).events()[0]
+
+    def __iter__(self) -> Iterator[Event]:
+        return iter(self.events())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_EventColumns, list, tuple)) and all(isinstance(ev, Event) for ev in other):
+            return self.events() == list(other)
+        return NotImplemented
 
     def take(self, index) -> _EventColumns:
         return _EventColumns(self.clip_ids, *(column[index] for column in (

@@ -11,7 +11,7 @@ as post-processing makes them), check them in one vectorised pass with the
 errors of ``canonicalize_events``, order the rows with one stable sort and
 format each distinct time once.  The event TSV reader checks each row as
 it parses it and returns the rows as event columns in canonical order
-(``read_event_columns``; ``read_events_tsv`` makes Events of them).
+(``read_event_columns``), which iterate as Events.
 
 A text writer refuses, before it writes anything, a clip id, class name or
 key that holds a tab or a character at which ``str.splitlines`` ends a
@@ -184,19 +184,6 @@ def read_event_columns(
     Returns the columns plus the class-name list used for indices; when
     class_names is None, names are collected from the file and sorted.
     """
-    return _read_events(path, class_names)
-
-
-def read_events_tsv(
-    path: Path | str, class_names: Sequence[str] | None = None
-) -> tuple[list[Event], list[str]]:
-    """``read_event_columns`` as a list of Events."""
-    # through the shared body, so that wrapping the public readers sees one read
-    columns, names = _read_events(path, class_names)
-    return columns.events(), names
-
-
-def _read_events(path: Path | str, class_names: Sequence[str] | None) -> tuple[_EventColumns, list[str]]:
     index = None if class_names is None else {name: i for i, name in enumerate(class_names)}
 
     def row(fields: list[str], lineno: int) -> tuple[str, str, float, float, float | None]:

@@ -91,15 +91,6 @@ class CsebbParams:
         )
 
 
-def _checked_tracks(scores: np.ndarray, window: int) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim not in (1, 2):
-        raise ValueError(f"expected a [T] or [T, C] score array, got shape {scores.shape}")
-    if window % 2 == 0:
-        raise ValueError(f"window must be odd, got {window}")
-    return scores
-
-
 def _edge_padded(a: np.ndarray, pad: int, axis: int = 0) -> np.ndarray:
     """``a`` with its first and last entries along ``axis`` repeated ``pad``
     more times: np.pad's "edge" mode at a fraction of its cost per call."""
@@ -109,25 +100,6 @@ def _edge_padded(a: np.ndarray, pad: int, axis: int = 0) -> np.ndarray:
     counts[0] += pad
     counts[-1] += pad
     return np.repeat(a, counts, axis=axis)
-
-
-def median_filter(scores: np.ndarray, window: int) -> np.ndarray:
-    """Sliding median along axis 0 (every column of a [T, C] array, or one
-    [T] track) with edge replication; a window holding NaN gives NaN, as
-    ``np.median`` does."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim and window % 2 and window > 2 * scores.shape[0] - 1:
-        raise ValueError(f"window {window} too large for {scores.shape[0]} frames")
-    scores = _checked_tracks(scores, window)
-    if window == 1:
-        return scores.copy()
-    windows = np.lib.stride_tricks.sliding_window_view(_edge_padded(scores, window // 2), window, axis=0)
-    medians = np.ascontiguousarray(np.partition(windows, window // 2, axis=-1)[..., window // 2])
-    nan = np.isnan(scores)
-    if nan.any():
-        nan_windows = np.lib.stride_tricks.sliding_window_view(_edge_padded(nan, window // 2), window, axis=0)
-        medians[nan_windows.any(axis=-1)] = np.nan
-    return medians
 
 
 def _shifted_sum(padded: np.ndarray, n: int, t: int) -> np.ndarray:
@@ -163,7 +135,11 @@ def moving_average(scores: np.ndarray, window: int) -> np.ndarray:
     order ``np.mean`` adds the values of one window, so every mean equals
     that of its window alone bit for bit, without building the windows.
     """
-    scores = _checked_tracks(scores, window)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim not in (1, 2):
+        raise ValueError(f"expected a [T] or [T, C] score array, got shape {scores.shape}")
+    if window % 2 == 0:
+        raise ValueError(f"window must be odd, got {window}")
     if window == 1:
         return scores.copy()
     total = _shifted_sum(_edge_padded(scores, window // 2), window, scores.shape[0])
@@ -187,7 +163,8 @@ def frame_threshold_merge(posts: Sequence[Posteriorgram], thresholds: Sequence[f
     when more than w // 2 of them do (threshold decomposition: Wendt, Coyle
     & Gallagher, "Stack filters", IEEE TASSP 1986), so a frame is active
     when more than window // 2 frames of its window clear the threshold;
-    the events equal those of ``median_filter`` followed by thresholding.
+    the events equal those of scipy's edge-replicated median filter
+    (``mode="nearest"``) followed by thresholding.
 
     Each clip is checked in turn, so an error is the one the first failing
     clip would raise on its own.  The clips of one frame count are then

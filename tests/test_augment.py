@@ -1,52 +1,12 @@
 import numpy as np
 import pytest
 
-from hetsed.augment import MIXUP_ALPHA, mixup, mixup_within_dataset, time_mask
-from hetsed.core import ClipMetadata, Origin, float_array
+from hetsed.augment import MIXUP_ALPHA, mixup_within_dataset, time_mask
+from hetsed.core import ClassOrigin, ClipMetadata, Origin, float_array
 
 
 def metas_for(origins):
     return [ClipMetadata(f"c{i}", o, 10.0) for i, o in enumerate(origins)]
-
-
-def test_mixup_lambda_one_identity():
-    rng = np.random.default_rng(0)
-    x1, x2 = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
-    y1, y2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    x, y = mixup(x1, x2, y1, y2, 1.0)
-    assert np.array_equal(x, x1) and np.array_equal(y, y1)
-
-
-def test_mixup_midpoint_targets():
-    x1 = np.zeros((2, 2))
-    x2 = np.ones((2, 2))
-    _, y = mixup(x1, x2, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
-    assert np.allclose(y, [0.5, 0.5])
-
-
-def test_mixup_self_is_fixed_point():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(3, 5))
-    y = rng.uniform(size=4)
-    for lam in (0.0, 0.25, 0.9):
-        xm, ym = mixup(x, x, y, y, lam)
-        assert np.allclose(xm, x) and np.allclose(ym, y)
-
-
-def test_mixup_stays_in_cellwise_range():
-    rng = np.random.default_rng(2)
-    x1, x2 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-    y1, y2 = rng.uniform(size=3), rng.uniform(size=3)
-    for lam in rng.uniform(0, 1, size=10):
-        x, y = mixup(x1, x2, y1, y2, float(lam))
-        assert np.all(x >= np.minimum(x1, x2) - 1e-12)
-        assert np.all(x <= np.maximum(x1, x2) + 1e-12)
-        assert np.all((y >= 0) & (y <= 1))
-
-
-def test_mixup_shape_mismatch():
-    with pytest.raises(ValueError):
-        mixup(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros(1), np.zeros(1), 0.5)
 
 
 def test_within_dataset_singletons_unchanged():
@@ -65,6 +25,36 @@ def test_within_dataset_single_family_mixes_everything():
     lo = batch.min(axis=0) - 1e-12
     hi = batch.max(axis=0) + 1e-12
     assert np.all(out >= lo) and np.all(out <= hi)
+
+
+MIXED_ORIGINS = [Origin.DESED_WEAK, Origin.MAESTRO, Origin.DESED_STRONG, Origin.MAESTRO, Origin.DESED_SYNTH,
+                 Origin.DESED_UNLABELED, Origin.MAESTRO]
+
+
+def test_within_dataset_families_of_one_repeated_clip_are_fixed_points():
+    clips = np.random.default_rng(1).normal(size=(2, 3, 5))
+    batch = np.stack([clips[int(o.family is ClassOrigin.MAESTRO)] for o in MIXED_ORIGINS])
+    for seed in range(5):
+        for alpha in (0.2, MIXUP_ALPHA, 2.0):
+            out = mixup_within_dataset(batch, metas_for(MIXED_ORIGINS), np.random.default_rng(seed), alpha)
+            assert np.allclose(out, batch)
+
+
+def test_within_dataset_rows_stay_between_each_row_and_its_partner():
+    batch = np.random.default_rng(2).normal(size=(len(MIXED_ORIGINS), 4, 4))
+    families = {}
+    for i, origin in enumerate(MIXED_ORIGINS):
+        families.setdefault(origin.family, []).append(i)
+    for seed in range(10):
+        out = mixup_within_dataset(batch, metas_for(MIXED_ORIGINS), np.random.default_rng(seed))
+        # replay the draws: per family in order of appearance, the partners, then the weight
+        draws = np.random.default_rng(seed)
+        for rows in families.values():
+            partners = np.array(rows)[draws.permutation(len(rows))]
+            draws.beta(MIXUP_ALPHA, MIXUP_ALPHA)
+            for i, p in zip(rows, partners.tolist()):
+                assert np.all(out[i] >= np.minimum(batch[i], batch[p]) - 1e-12)
+                assert np.all(out[i] <= np.maximum(batch[i], batch[p]) + 1e-12)
 
 
 def test_within_dataset_no_cross_family_dependence():

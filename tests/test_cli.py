@@ -86,7 +86,7 @@ def test_median_pipeline_runs(tmp_path):
     dets = tmp_path / "dets.tsv"
     assert run("postprocess", "--method", "median", "--params", params,
                "--in", data / "posteriors", "--out", dets) == 0
-    events, _ = formats.read_events_tsv(dets)
+    events, _ = formats.read_event_columns(dets)
     assert events
 
 
@@ -419,6 +419,42 @@ def test_loss_takes_target_edges_whose_frame_index_overflows(tmp_path, capsys):
     code, out, err = outputs[2]
     assert code == 2 and out == ""
     assert str(target_path) in err and "start at or after the end of the 2 s prediction" in err
+
+
+def _loss_run(tmp_path, capsys, rows):
+    """``loss`` of a 40-frame "m1" prediction against a target file of
+    (clip, onset, offset) rows of the DESED class dog: exit code, stdout,
+    stderr."""
+    vocab = default_vocabulary()
+    pred_path = tmp_path / "m1.sedp"
+    scores = np.linspace(0.1, 0.9, 40 * len(vocab)).reshape(40, len(vocab)).astype(np.float32)
+    formats.write_posteriorgram(pred_path, Posteriorgram(scores, 0.05, "m1"), list(vocab.classes))
+    target_path = tmp_path / "target.tsv"
+    formats.write_events_tsv(target_path, [Event(clip, vocab.index("dog"), on, off) for clip, on, off in rows],
+                             list(vocab.classes))
+    code = run("loss", "--pred", pred_path, "--target", target_path, "--origin", "desed")
+    return (code, *capsys.readouterr())
+
+
+def test_loss_takes_a_single_clip_target_under_another_clip_id(tmp_path, capsys):
+    named = _loss_run(tmp_path, capsys, [("m1", 0.5, 1.0), ("m1", 1.5, 1.75)])
+    assert named[0] == 0 and "bce\t" in named[1]
+    assert _loss_run(tmp_path, capsys, [("other", 0.5, 1.0), ("other", 1.5, 1.75)]) == named
+    assert _loss_run(tmp_path, capsys, [("other", 0.5, 1.0)]) != named
+
+
+def test_loss_rejects_a_multi_clip_target_without_the_prediction_clip(tmp_path, capsys):
+    code, out, err = _loss_run(tmp_path, capsys, [("a", 0.5, 1.0), ("b", 1.5, 1.75)])
+    assert code == 2 and out == ""
+    assert "target file has no rows for clip 'm1'" in err
+
+
+def test_loss_reads_only_the_prediction_clip_rows_of_a_multi_clip_target(tmp_path, capsys):
+    alone = _loss_run(tmp_path, capsys, [("m1", 0.5, 1.0)])
+    # rows of other clips, before and after m1 in clip order, reach no target frame
+    mixed = _loss_run(tmp_path, capsys, [("a", 0.0, 2.0), ("m1", 0.5, 1.0), ("z", 1.0, 2.0), ("z", 5.0, 9.0)])
+    assert alone[0] == 0 and mixed == alone
+    assert _loss_run(tmp_path, capsys, [("m1", 0.0, 2.0)]) != alone
 
 
 @pytest.mark.parametrize("damage, message", [

@@ -1,6 +1,8 @@
 import pytest
 
 from hetsed.config import DEFAULTS, get_float, load_config, parse_config
+from hetsed.core import MaskMode
+from hetsed.evaluation import HARD_LABEL_THRESHOLD, MAX_FPR, SEGMENT_SECONDS, PsdsConfig
 
 
 def test_parse_basic_syntax():
@@ -25,6 +27,17 @@ def test_defaults_cover_documented_keys():
         "psds.alpha_st",
     }
     assert get_float(DEFAULTS, "psds.emax") == 100.0
+
+
+def test_each_default_is_the_library_default():
+    psds = PsdsConfig()
+    library = {
+        "eval.segment": SEGMENT_SECONDS, "eval.max_fpr": MAX_FPR, "eval.hard_threshold": HARD_LABEL_THRESHOLD,
+        "psds.dtc": psds.rho_dtc, "psds.gtc": psds.rho_gtc, "psds.emax": psds.e_max, "psds.alpha_st": psds.alpha_st,
+    }
+    assert {key: get_float(DEFAULTS, key) for key in library} == library
+    assert MaskMode(DEFAULTS["train.loss_mode"]) is MaskMode.INDEPENDENT
+    assert set(DEFAULTS) == {*library, "train.loss_mode"}
 
 
 def test_load_config_file_overrides_defaults(tmp_path):

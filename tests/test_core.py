@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hetsed.core import (
     MaskMode,
     Origin,
     Posteriorgram,
+    _event_columns,
+    _EventColumns,
     build_vocabulary,
     canonicalize_events,
     class_mask,
@@ -311,3 +314,31 @@ def test_rasterize_equals_frame_meets_event_oracle(period, n, num_classes, data)
         [(cls, a, a + k, 1.0 if conf is None else conf) for cls, a, k, conf in cells], n, num_classes
     )
     assert np.array_equal(rasterize(events, n, period, num_classes), expected)
+
+
+def _columns_and_events():
+    events = [Event("b", 1, 0.5, 1.0, 0.25), Event("a", 0, 0.0, 2.0), Event("b", 0, 1.0, 1.5, 0.0)]
+    return _event_columns(events), events
+
+
+def test_event_columns_iterate_as_their_events_without_a_take_per_row():
+    columns, events = _columns_and_events()
+    with patch.object(_EventColumns, "take", autospec=True, side_effect=_EventColumns.take) as take:
+        assert list(columns) == events
+        assert [ev for ev in columns.take([])] == []
+    assert take.call_count == 1  # the empty take above; iterating took none
+    assert [ev.confidence for ev in columns] == [0.25, None, 0.0]
+
+
+def test_event_columns_equal_the_events_they_hold():
+    columns, events = _columns_and_events()
+    assert columns == events and events == columns and columns == tuple(events)
+    assert columns.take([]) == [] and [] == columns.take([]) and columns.take([]) == ()
+    assert columns == _event_columns(list(events)) and columns.take([0, 1, 2]) == columns
+    assert columns != events[::-1] and columns != events[:2] and columns != columns.take([1, 0, 2])
+    assert columns != [Event("b", 1, 0.5, 1.0), *events[1:]]  # an absent confidence is not 0.25
+    assert columns != [Event("b", 1, 0.5, 1.0, 0.0), *events[1:]]
+    assert columns.take([2]) != [Event("b", 0, 1.0, 1.5)]  # nor is it 0.0
+    for other in (3, "events", [1, 2, 3], [*events[:2], ("b", 0, 1.0, 1.5, 0.0)]):
+        assert columns.__eq__(other) is NotImplemented
+        assert columns != other

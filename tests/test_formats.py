@@ -18,7 +18,7 @@ from hetsed.formats import (
     read_csebb_grid,
     read_csebb_params,
     read_durations_tsv,
-    read_events_tsv,
+    read_event_columns,
     read_features,
     read_posteriorgram,
     read_score_report,
@@ -50,7 +50,7 @@ def test_events_tsv_round_trip_and_header(tmp_path):
     write_events_tsv(path, events_fixture(), CLASSES)
     text = path.read_text()
     assert text.startswith("filename\tonset\toffset\tevent_label\n")
-    events, names = read_events_tsv(path, CLASSES)
+    events, names = read_event_columns(path, CLASSES)
     assert names == CLASSES
     assert {(e.clip_id, e.class_idx, e.onset, e.offset) for e in events} == {
         ("clip_b", 1, 0.5, 2.0),
@@ -66,7 +66,7 @@ def test_events_tsv_round_trip_and_header(tmp_path):
 def test_events_tsv_infers_sorted_class_names(tmp_path):
     path = tmp_path / "events.tsv"
     write_events_tsv(path, events_fixture(), CLASSES)
-    _, names = read_events_tsv(path)
+    _, names = read_event_columns(path)
     assert names == sorted(CLASSES)
 
 
@@ -85,7 +85,7 @@ def test_soft_tsv_preserves_missing_confidence(tmp_path):
     assert lines[0].endswith("\tconfidence")
     assert lines[1].endswith("\t0.350000")
     assert lines[2].endswith("\t")  # absent, not 0
-    back, _ = read_events_tsv(path, ["x"])
+    back, _ = read_event_columns(path, ["x"])
     assert back[0].confidence == pytest.approx(0.35)
     assert back[1].confidence is None
 
@@ -95,7 +95,7 @@ def test_sebbs_tsv_round_trip(tmp_path):
     path = tmp_path / "sebbs.tsv"
     boxes = [Event("c", 0, 1.0, 2.0, 0.75)]
     write_soft_events_tsv(path, boxes, ["x"])
-    back, _ = read_events_tsv(path, ["x"])
+    back, _ = read_event_columns(path, ["x"])
     assert back[0].confidence == pytest.approx(0.75)
 
 
@@ -103,20 +103,20 @@ def test_events_tsv_rejects_unknown_label(tmp_path):
     path = tmp_path / "events.tsv"
     write_events_tsv(path, [Event("c", 0, 0.0, 1.0)], ["mystery"])
     with pytest.raises(ValueError, match="unknown class"):
-        read_events_tsv(path, CLASSES)
+        read_event_columns(path, CLASSES)
 
 
 def test_event_columns_are_the_canonical_events(tmp_path):
     path = tmp_path / "soft.tsv"
     path.write_text("\n".join([formats.SOFT_HEADER, "b\t0.5\t2.0\tdog\t0.25", "a\t1.0\t3.0\tspeech\t", "",
                                "a\t0.0\t1.0\tspeech\t1.0", "b\t0.5\t1.5\tcar\t0.0"]) + "\n")
-    columns, names = formats.read_event_columns(path)
+    columns, names = read_event_columns(path)
     assert names == CLASSES
     assert columns.events() == [Event("a", 2, 0.0, 1.0, 1.0), Event("a", 2, 1.0, 3.0, None),
                                 Event("b", 0, 0.5, 1.5, 0.0), Event("b", 1, 0.5, 2.0, 0.25)]
-    assert (columns.events(), names) == read_events_tsv(path)
+    assert read_event_columns(path) == (columns, names)
     assert sorted(columns.clip_ids) == ["a", "b"]
-    assert formats.read_event_columns(path, ["car", "dog", "speech", "x"])[0].class_idx.tolist() == [2, 2, 0, 1]
+    assert read_event_columns(path, ["car", "dog", "speech", "x"])[0].class_idx.tolist() == [2, 2, 0, 1]
 
 
 @pytest.mark.parametrize("row, message", [
@@ -130,10 +130,9 @@ def test_event_columns_are_the_canonical_events(tmp_path):
 def test_event_readers_name_the_first_bad_row(tmp_path, row, message):
     path = tmp_path / "soft.tsv"
     path.write_text("\n".join([formats.SOFT_HEADER, "c\t0.0\t1.0\tdog\t", "", row, "c\t0.0\tx\tdog\t"]) + "\n")
-    for read in (formats.read_event_columns, read_events_tsv):
-        with pytest.raises(ValueError) as error:
-            read(path, CLASSES)
-        assert str(error.value) == f"{path}:4: {message}"
+    with pytest.raises(ValueError) as error:
+        read_event_columns(path, CLASSES)
+    assert str(error.value) == f"{path}:4: {message}"
 
 
 def test_durations_round_trip(tmp_path):
@@ -354,7 +353,7 @@ def test_score_report_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("read", [
-    read_events_tsv, read_durations_tsv, read_csebb_params, read_csebb_grid, read_score_report,
+    read_event_columns, read_durations_tsv, read_csebb_params, read_csebb_grid, read_score_report,
 ])
 def test_text_readers_check_the_header(tmp_path, read):
     path = tmp_path / "bad.tsv"
@@ -394,8 +393,8 @@ def test_event_tsvs_read_back_identical(events, boxes):
     with tempfile.TemporaryDirectory() as tmp:
         write_events_tsv(Path(tmp) / "events.tsv", events, CLASSES)
         write_soft_events_tsv(Path(tmp) / "boxes.tsv", boxes, CLASSES)
-        assert read_events_tsv(Path(tmp) / "events.tsv", CLASSES) == (canonicalize_events(events), CLASSES)
-        assert read_events_tsv(Path(tmp) / "boxes.tsv", CLASSES) == (canonicalize_events(boxes), CLASSES)
+        assert read_event_columns(Path(tmp) / "events.tsv", CLASSES) == (canonicalize_events(events), CLASSES)
+        assert read_event_columns(Path(tmp) / "boxes.tsv", CLASSES) == (canonicalize_events(boxes), CLASSES)
 
 
 # a tab and every character at which str.splitlines ends a line
@@ -409,9 +408,9 @@ def test_a_clip_id_or_class_name_reads_back_or_is_refused(clip_id, class_name):
     names = [class_name]
     events = [Event(clip_id, 0, 0.5, 1.25, 0.75), Event("x", 0, 0.0, 1.0)]
     cases = [
-        (lambda p: write_events_tsv(p, events, names), lambda p: read_events_tsv(p, names),
+        (lambda p: write_events_tsv(p, events, names), lambda p: read_event_columns(p, names),
          ([replace(ev, confidence=None) for ev in canonicalize_events(events)], names)),
-        (lambda p: write_soft_events_tsv(p, events, names), lambda p: read_events_tsv(p, names),
+        (lambda p: write_soft_events_tsv(p, events, names), lambda p: read_event_columns(p, names),
          (canonicalize_events(events), names)),
         (lambda p: write_durations_tsv(p, {clip_id: 10.0, "x": 2.5}), read_durations_tsv,
          {clip_id: 10.0, "x": 2.5}),
@@ -545,7 +544,7 @@ def test_psds_in_memory_equals_psds_after_the_tsv_round_trip(seed, n_clips, peri
         write_events_tsv(Path(tmp) / "events.tsv", events, CLASSES)
         write_soft_events_tsv(Path(tmp) / "boxes.tsv", boxes, CLASSES)
         refs, events_back, boxes_back = (
-            read_events_tsv(Path(tmp) / name, CLASSES)[0] for name in ("refs.tsv", "events.tsv", "boxes.tsv")
+            read_event_columns(Path(tmp) / name, CLASSES)[0] for name in ("refs.tsv", "events.tsv", "boxes.tsv")
         )
     assert events_back == canonicalize_events(events)
     assert boxes_back == canonicalize_events(printed)

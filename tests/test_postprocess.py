@@ -16,7 +16,6 @@ from hetsed.postprocess import (
     default_grid,
     ensemble_average,
     frame_threshold_merge,
-    median_filter,
     moving_average,
     tune_csebb,
 )
@@ -31,27 +30,22 @@ def post_of(track, fp=0.05, clip_id="p0"):
 
 # ---------------------------------------------------------------- median
 
-def test_median_constant_unchanged():
-    out = median_filter(np.full(9, 0.4), 5)
-    assert np.allclose(out, 0.4)
+def test_median_window_keeps_a_constant_track_whole():
+    post = post_of(np.full((9, 2), 0.4))
+    assert frame_threshold_merge([post], [0.3, 0.4], 5) == [Event("p0", 0, 0.0, frame_time(9, 0.05))]
+    assert frame_threshold_merge([post], [0.4, 0.4], 9) == []
 
 
-def test_median_hand_case_with_edge_replication():
-    # windows: [0,0,1] [0,1,0] [1,0,0] -> all medians 0
-    assert np.allclose(median_filter(np.array([0.0, 1.0, 0.0]), 3), 0.0)
+def test_median_window_three_removes_a_one_frame_spike():
+    # edge-replicated windows [0,0,1] [0,1,0] [1,0,0]: every median is 0
+    for threshold in (0.0, 0.5, 0.99):
+        assert frame_threshold_merge([post_of([0.0, 1.0, 0.0])], [threshold], 3) == []
 
 
-def test_median_window_one_identity():
-    rng = np.random.default_rng(0)
-    x = rng.uniform(size=12)
-    assert np.array_equal(median_filter(x, 1), x)
-
-
-def test_median_rejects_bad_windows():
-    with pytest.raises(ValueError):
-        median_filter(np.zeros(5), 4)
-    with pytest.raises(ValueError):
-        median_filter(np.zeros(3), 7)
+def test_median_window_one_keeps_a_one_frame_spike():
+    post = post_of([0.0, 1.0, 0.0, 0.6, 0.2])
+    assert frame_threshold_merge([post], [0.5], 1) == [Event("p0", 0, 0.05, 0.1), Event("p0", 0, 0.15, 0.2)]
+    assert frame_threshold_merge([post], [0.5], 1) == frame_threshold_merge([post], [0.5])
 
 
 # ------------------------------------------------------- frame thresholding
@@ -351,13 +345,6 @@ def test_filters_on_a_posteriorgram_equal_the_per_track_filters(case):
         assert np.array_equal(averaged[:, c], moving_average(track, window))
         plain = _SWV(np.pad(track, pad, mode="edge"), window).mean(axis=1) if window > 1 else track
         assert np.array_equal(averaged[:, c], plain)
-    if window <= 2 * scores.shape[0] - 1:
-        medians = median_filter(scores, window)
-        for c in range(scores.shape[1]):
-            track = scores[:, c]
-            assert np.array_equal(medians[:, c], median_filter(track, window))
-            plain = np.median(_SWV(np.pad(track, pad, mode="edge"), window), axis=1)
-            assert np.array_equal(medians[:, c], plain)
 
 
 _MAGNITUDES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 0.5, 1.0, 7.25, 1e10, -1e-5, -3.0])
@@ -409,9 +396,8 @@ def median_event_cases(draw):
 def test_median_window_events_equal_median_filter_then_threshold(case):
     scores, thresholds, window = case
     post = post_of(scores, fp=0.02)
-    filtered = Posteriorgram(median_filter(scores, window), post.frame_period, post.clip_id)
     assert (frame_threshold_merge([post], thresholds, window).events()
-            == frame_threshold_merge([filtered], thresholds).events())
+            == [Event(*run) for run in median_threshold_runs(post, thresholds, window)])
 
 
 @st.composite
@@ -461,6 +447,9 @@ def test_stacked_threshold_runs_equal_runs_after_median_filter_clip_by_clip(case
     ((5, 1), (1, 1), [float("nan")], 1, r"thresholds must lie in \[0, 1\]"),
     ((5, 1), (1, 1), [0.5], 4, "window must be odd and >= 1, got 4"),
     ((5, 1), (1, 1), [0.5], -1, "window must be odd and >= 1, got -1"),
+    ((5,), (1,), [0.5], 0, "window must be odd and >= 1, got 0"),
+    ((3,), (1,), [0.5], 6, "window must be odd and >= 1, got 6"),
+    ((3,), (1,), [0.5], 7, "window 7 too large for 3 frames"),
 ])
 def test_threshold_runs_raise_the_error_of_the_first_failing_clip_in_file_order(
         frames, classes, thresholds, window, message):
@@ -470,12 +459,6 @@ def test_threshold_runs_raise_the_error_of_the_first_failing_clip_in_file_order(
     with pytest.raises(ValueError) as clip_by_clip:
         [frame_threshold_merge([post], thresholds, window) for post in posts]
     assert str(stacked.value) == str(clip_by_clip.value)
-
-
-def test_median_filter_keeps_nan_windows_nan():
-    track = np.array([0.1, np.nan, 0.3, 0.4, 0.5, 0.6])
-    plain = np.median(_SWV(np.pad(track, 1, mode="edge"), 3), axis=1)
-    assert np.array_equal(median_filter(track, 3), plain, equal_nan=True)
 
 
 def _track_with_steps(steps, half_width):
