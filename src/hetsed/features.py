@@ -10,6 +10,11 @@ buffer reused across the clip's blocks, and its power spectrum meets the mel
 filterbank as a band-limited product, a CSR copy of the triangles (at 128
 bands none covers more than 43 of the 1025 bins).  The mel scale is
 2595 log10(1 + f/700), the HTK form.
+
+The window, the FFT and the power spectrum run at the samples' dtype, as
+``core.float_array`` gives it: float32 samples (PCM16 and float32 WAVs, as
+``load_wav`` reads them) take a float32 STFT, any other input a float64 one.
+The mel product, the log and the returned values are float64 either way.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import float_array
+
 SAMPLE_RATE = 16000
 WINDOW_SIZE = 2048
 STANDARD_HOPS = (160, 256)
@@ -29,18 +36,19 @@ DEFAULT_MEL_BINS = 128
 MEL_RANGE = (0.0, 8000.0)
 CLIP_SECONDS = 10.0
 
-# Frames per block: the [128, 2048] float64 frame buffer is 2 MB.
+# Frames per block: the [128, 2048] frame buffer is 1 MB at float32 and 2 MB
+# at float64.
 _BLOCK_FRAMES = 128
 
 
 @dataclass(frozen=True, eq=False)
 class AudioClip:
-    samples: np.ndarray  # mono, float
+    samples: np.ndarray  # mono, float32 or float64 as core.float_array gives it
     sample_rate: int
     clip_id: str
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = float_array(self.samples)
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1:
             raise ValueError(f"samples must be mono 1-D, got shape {samples.shape}")
@@ -80,14 +88,15 @@ def pad_or_trim(clip: AudioClip, target_seconds: float = CLIP_SECONDS) -> AudioC
     n_target = int(round(target_seconds * clip.sample_rate))
     samples = clip.samples
     if samples.size < n_target:
-        samples = np.concatenate([samples, np.zeros(n_target - samples.size)])
+        samples = np.concatenate([samples, np.zeros(n_target - samples.size, samples.dtype)])
     elif samples.size > n_target:
         samples = samples[:n_target]
     return AudioClip(samples=samples, sample_rate=clip.sample_rate, clip_id=clip.clip_id)
 
 
-def _hann_periodic(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+def _hann_periodic(n: int, dtype) -> np.ndarray:
+    """Periodic Hann window, computed at float64 and rounded to dtype."""
+    return (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)).astype(dtype, copy=False)
 
 
 def _frames(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
@@ -100,10 +109,10 @@ def _frames(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
 
 def _windowed_blocks(frames: np.ndarray):
     """Yield (first frame, Hann-windowed frames) for consecutive blocks of at
-    most _BLOCK_FRAMES frames, all written into one buffer allocated per call,
-    so concurrent calls share nothing."""
-    hann = _hann_periodic(frames.shape[1])
-    buf = np.empty((min(_BLOCK_FRAMES, frames.shape[0]), frames.shape[1]))
+    most _BLOCK_FRAMES frames, all written into one buffer of the frames' dtype
+    allocated per call, so concurrent calls share nothing."""
+    hann = _hann_periodic(frames.shape[1], frames.dtype)
+    buf = np.empty((min(_BLOCK_FRAMES, frames.shape[0]), frames.shape[1]), frames.dtype)
     for start in range(0, frames.shape[0], _BLOCK_FRAMES):
         block = buf[: min(_BLOCK_FRAMES, frames.shape[0] - start)]
         np.copyto(block, frames[start : start + block.shape[0]])
@@ -165,7 +174,10 @@ def _floored_log(mel_power: np.ndarray) -> np.ndarray:
 
 
 def extract_log_mel(clip: AudioClip, hop: int, n_mels: int = DEFAULT_MEL_BINS) -> MelSpectrogram:
-    """Full front-end for one clip: pad/trim to 10 s, STFT, mel, log."""
+    """Full front-end for one clip: pad/trim to 10 s, STFT at the samples'
+    dtype, mel, log."""
+    from scipy import fft
+
     if clip.sample_rate != SAMPLE_RATE:
         raise ValueError(
             f"clip {clip.clip_id!r}: expected {SAMPLE_RATE} Hz input, got {clip.sample_rate}"
@@ -173,19 +185,23 @@ def extract_log_mel(clip: AudioClip, hop: int, n_mels: int = DEFAULT_MEL_BINS) -
     frames = _frames(pad_or_trim(clip).samples, WINDOW_SIZE, hop)
     fb = _band_filterbank(n_mels, MEL_RANGE, SAMPLE_RATE, WINDOW_SIZE)
     mel_power = np.empty((frames.shape[0], n_mels))
-    rows = min(_BLOCK_FRAMES, frames.shape[0])
-    spec = np.empty((rows, WINDOW_SIZE // 2 + 1), dtype=np.complex128)
-    power = np.empty((rows, WINDOW_SIZE // 2 + 1))
+    power = np.empty((min(_BLOCK_FRAMES, frames.shape[0]), WINDOW_SIZE // 2 + 1), frames.dtype)
     for start, windowed in _windowed_blocks(frames):
         n = windowed.shape[0]
-        block = np.abs(np.fft.rfft(windowed, axis=1, out=spec[:n]), out=power[:n])
+        # scipy's rfft has a float32 kernel (numpy's upcasts) and, at float64,
+        # gives numpy's bits; it has no out=, so each block allocates its spectrum
+        block = np.abs(fft.rfft(windowed, axis=1, overwrite_x=True), out=power[:n])
         np.square(block, out=block)
         mel_power[start : start + n] = (fb @ block.T).T  # quicker than block @ fb.T with fb CSR
     return MelSpectrogram(values=_floored_log(mel_power), frame_period=hop / clip.sample_rate)
 
 
 def load_wav(path, clip_id: str | None = None) -> AudioClip:
-    """Read a mono 16 kHz WAV (PCM16, PCM32, or float32) as an AudioClip."""
+    """Read a mono 16 kHz WAV (PCM16, PCM32, or float32) as an AudioClip.
+
+    PCM16 and float32 samples come back as float32 (int16 / 32768 is exact
+    there), PCM32 and float64 ones as float64: a 31-bit integer does not fit
+    float32's mantissa."""
     from scipy.io import wavfile
 
     rate, data = wavfile.read(path)
@@ -194,11 +210,11 @@ def load_wav(path, clip_id: str | None = None) -> AudioClip:
     if rate != SAMPLE_RATE:
         raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} (resample upstream)")
     if data.dtype == np.int16:
-        samples = data / 32768.0
+        samples = data.astype(np.float32) * np.float32(2.0**-15)
     elif data.dtype == np.int32:
         samples = data / 2147483648.0
     elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
+        samples = data
     else:
         raise ValueError(f"{path}: unsupported WAV sample format {data.dtype}")
     if clip_id is None:

@@ -406,3 +406,15 @@ def reference_mel_power(samples: np.ndarray, hop: int, n_mels: int) -> tuple[np.
     )
     power = np.abs(z.T * window.sum()) ** 2  # undo the 1/sum(window) spectrum scaling
     return power @ htk_mel_triangles(n_mels), power.max(axis=1)
+
+
+# Largest |difference| between the float32 front-end's mel power and
+# reference_mel_power on the same values, relative to the larger of the
+# frame's largest bin power and the oracle's value: 5.5e-7 over 4 runs of
+# 1,000 and one of 200 draws of 0-13 s noise, sine, burst, clipped and
+# silent clips (gain 1e-4 to 10, hop 160 and 256, 2, 40 and 128 bands); the
+# float64 front-end is within 1e-12 of the oracle, so the float32-vs-float64
+# differences measured the same.  5.5e-7 is about nine float32 ulps (6e-8),
+# the rounding a 2048-point float32 FFT leaves in each bin relative to the
+# frame's largest; the bound is 3.6 times the measured maximum.
+FLOAT32_MEL_TOLERANCE = 2e-6

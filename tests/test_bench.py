@@ -70,37 +70,38 @@ SETUP_PINS = {
         "d80d41d4ae97539c8b7d9344636b0ab6eeb0c5135176d9655b18467efe41b8cc",
         {
             "features:stdout": "",
-            "train-step-0:styled": "f4ef42825bc281bd8054fd5662223d7a9423e4808e2947d62fd582e9598f3868",
-            "train-step-0:grad": "47e3eb3aa649e5347064aad6c801e85198380ac4af72bc47c1738fbaedc3459b",
-            "train-step-0:normed": "24aaf00e6bebc9655db0ccfca5213b20b0267d65a43c333448f2ba92ae307d57",
-            "train-step-0:losses": "3d4b207db3c1785f7f071a7ce879d7b76649b059bc4fb48fad57fbb0c2528fc4",
+            "train-step-0:styled": "4472b4a8854a1d1268a96eba893f28aef9272c391e2303a628fa44e00526fdd1",
+            "train-step-0:grad": "3ad57a88a680e95e4225f4cb46db9feada3ed1f2bf83555a7676162d3b50fb89",
+            "train-step-0:normed": "0577d54ba1ea0606cdd6bc045dc2ff043d89dd5bba76515c54809a372cd782b5",
+            "train-step-0:losses": "fd4118449615a10bd61c64f8ce3e805e4ecee5bb71851f5ee2fe05192703fdb7",
             "train-step-0:teacher": "798c9628ad4147045ab3a4d6912ea4184f853f9dd0419fe4c89a78a1de7461f4",
-            "features:clip_00.mel": "0c25932d76d5ee4491ad412a7ba55bfb092d595fd1de79f807f85f6d40800b31",
-            "features:clip_01.mel": "78751611c5badedf89afe42723aef0c77dcdb90e68fe48170978f1e853e3d7b0",
-            "features:clip_02.mel": "42272b7803987aea4da419d3635896987df98bd67756e4162c718969d42518df",
-            "features:clip_03.mel": "0f14d00bdf7e1149d9c8428c7726e0e5eeea4b6d560ebbf30fa72df0a3576641",
-            "features:clip_04.mel": "9d2289ea0dc6bc6e2e1050b44e37a80b9ad1c2f2ad0fe0499b8aea5fac4d2649",
-            "features:clip_05.mel": "139faabf54afa24cdf41f95e8b8c66cd5fcf2e9d3ab9a2ae74a1bcb64c50158f",
-            "features:clip_06.mel": "97971d067eaf7df52e25018b9dd92b05d752813f1c4a4c98be3f569ef10bee79",
-            "features:clip_07.mel": "10d8cd6fde2d632a624428af486cadc5c019c653028a7772c7f4f779d7e38e24",
-            "features:clip_08.mel": "b2ed7dc3e9c3dc2f8c5e8f27ce1438572d19244201d0abc45a52e45cfe986021",
-            "features:clip_09.mel": "1238918321b0c349b637a37c633fa9b53bf61116fe30a58f05f00dfa8fde1b1c",
-            "features:clip_10.mel": "ad6e87246b42755fe681fd00e688254a78a11ea5c043a6f88bf3cfa5e5eccf95",
-            "features:clip_11.mel": "0b18754339fb6013972b8fada5d1fe54eb699b49a27bbbf79a08d420a7214361",
-            "features:clip_12.mel": "5efec7ee6694114b7483fe275cbd63602ac73553c5efb6529c3289b3ca7e451c",
-            "features:clip_13.mel": "335f3cb5af0ab0af7a72b3580b989ddc184ec8d21984f78ba196e18b7ca828f4",
-            "features:clip_14.mel": "e1aeac0ab10e8c1b7f115285a061b57d4a74f83126ad8702c4c3ddcb39d0f31c",
-            "features:clip_15.mel": "766497ec44a917b1307fe72b37640af8973ed8123e5cf34b55ff7185e2f16b44",
+            "features:clip_00.mel": "5657cc126d27ce6154a633b8bde1e88254672b7e11146b4ea75c29adbb373822",
+            "features:clip_01.mel": "80f97dca6a7eb0de247e98952304a467dc828a47c002efb4b092c75322104525",
+            "features:clip_02.mel": "34d529dcfcaa3d0f26601a984899f836e77f09a716945647c4edaa2093fd52e1",
+            "features:clip_03.mel": "aefee929ee760673e2d1324386388ba33f5e291d59951421113aee36e3ee73ab",
+            "features:clip_04.mel": "4da0018eb13001ea94761ec96854c4efa4be4edc771f72384e0c424e2e8a1cd9",
+            "features:clip_05.mel": "417435cd310be7c65f7a45090e771e053ed168d7775d64cb83f75da387923e2e",
+            "features:clip_06.mel": "fcb1ed7e99bd662fc66e31713bc0fddf64399ce5ee7f667051ded48cfe1e3b71",
+            "features:clip_07.mel": "84310803e5f572ebe057898afd685c4c622e5843893b9039f57b5275d0271d01",
+            "features:clip_08.mel": "3fdbfd7d0567d58d8f7678e37600a0d1dab456eff78de09f4263302acd5d94c4",
+            "features:clip_09.mel": "0b239c12c7fdc0747330bc268a75c36a56680165cc8f5d14f4b3c15957d1df46",
+            "features:clip_10.mel": "7e3d738967febe65fbd5367219039c14cc391a1ee67d29ff2b729dabe5bdafc7",
+            "features:clip_11.mel": "cb43f92ba5652118a678390de1acdd4f5f9c6352255c10b7cdbbae8314fc7449",
+            "features:clip_12.mel": "bc6ed39c58b79807608de16039ef2f3bb7a375af9b6cb88ce035345bb90f2531",
+            "features:clip_13.mel": "6a3d9b1ef6145d8b0aa1e16f82ab62547564954c6ab23e1cba50d48fc27de48c",
+            "features:clip_14.mel": "8f30d225a9a618cc0281096b6e5dcd82889093f511eabf15d4f11aaba63ff291",
+            "features:clip_15.mel": "052f0972d006d0ab60d6f0423b940c3cfa60491a21284067ce896e797620b5a3",
         },
     ),
 }
 # Outputs left out of the comparison: the FDY stem and block go through
 # BLAS contractions, whose last bits depend on the BLAS build and the CPU.
-# The frontend pins were taken with numpy 2.4 on an x86-64 CPU with
-# AVX-512: the mels' float64 log and the losses' log, log1p, exp and tanh
-# run in the SIMD kernels numpy picks for the CPU at run time, so on a CPU
-# with other SIMD extensions the mel and train-step digests may change
-# while the code is correct.
+# The frontend pins were taken with numpy 2.4 and scipy 1.17 on an x86-64
+# CPU with AVX-512: the bench's PCM16 WAVs go through scipy's float32
+# pocketfft kernels, the mels' float64 log and the losses' log, log1p, exp
+# and tanh through the SIMD kernels numpy picks for the CPU at run time, so
+# on a CPU with other SIMD extensions (or another pocketfft build) the mel
+# and train-step digests may change while the code is correct.
 UNPINNED_PREFIXES = ("stem-", "block-")
 
 

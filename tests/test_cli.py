@@ -404,7 +404,8 @@ def test_loss_rejects_target_past_the_prediction(tmp_path, capsys):
 
 def test_loss_takes_target_edges_whose_frame_index_overflows(tmp_path, capsys):
     # 1.7e308 / 0.05 s is inf: the row covers the clip to its end, and a row
-    # that starts there covers nothing
+    # that starts there covers nothing; the rows are of the DESED class dog,
+    # which the desed mask keeps, so the frames they cover reach the bce
     vocab = default_vocabulary()
     pred_path = tmp_path / "m1.sedp"
     scores = np.linspace(0.1, 0.9, 40 * len(vocab)).reshape(40, len(vocab)).astype(np.float32)
@@ -412,7 +413,7 @@ def test_loss_takes_target_edges_whose_frame_index_overflows(tmp_path, capsys):
     target_path = tmp_path / "target.tsv"
     outputs = []
     for onset, offset in (("0", "2.0"), ("0", "1.7e308"), ("1e308", "1.7e308")):
-        target_path.write_text(f"filename\tonset\toffset\tevent_label\nm1\t{onset}\t{offset}\tcar\n")
+        target_path.write_text(f"filename\tonset\toffset\tevent_label\nm1\t{onset}\t{offset}\tdog\n")
         code = run("loss", "--pred", pred_path, "--target", target_path, "--origin", "desed")
         outputs.append((code, *capsys.readouterr()))
     assert outputs[0][0] == outputs[1][0] == 0 and outputs[1][1] == outputs[0][1]

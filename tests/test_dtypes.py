@@ -1,9 +1,11 @@
-"""The training-side transforms at float32 and float64.
+"""The log-mel front-end and the training-side transforms at float32 and
+float64.
 
 A float64 input must give the same bits as the float64-only implementation
-the digests below were taken from; a float32 input must stay float32 and
-agree with the float64 path on the same values to a pinned relative bound;
-the losses upcast on entry, so a float32 slice changes no loss arithmetic.
+the digests below were taken from; a float32 input must stay float32 (the
+front-end: take a float32 STFT) and agree with the float64 path on the same
+values to a pinned relative bound; the losses upcast on entry, so a float32
+slice changes no loss arithmetic.
 """
 
 import hashlib
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetsed import augment, domain_gen, training
+from hetsed import augment, domain_gen, features, training
 from hetsed.core import ClipMetadata, Origin
+from oracles import FLOAT32_MEL_TOLERANCE, reference_mel_power
 
 CFG = domain_gen.MixStyleConfig()
 SHAPES = {
@@ -144,6 +147,57 @@ def test_domain_gen_float64_is_bit_identical(name):
 
 def test_augment_float64_is_bit_identical():
     assert _augment_digests() == PINNED["augment"]
+
+
+# Taken from the float64-only front-end (numpy.fft.rfft on float64 frames)
+# on x86-64 with numpy 2.4, keyed by (hop, mel bands).
+MEL_PINNED = {
+    (160, 40): "53671d3f89c9f706",
+    (160, 128): "6944bc21cb2502f8",
+    (256, 40): "d55f43603b23a699",
+    (256, 128): "d876a0586d07bcce",
+}
+
+
+def _noise_then_silence(gain: float = 0.1) -> np.ndarray:
+    """9 s of float64 samples: 7 s of seeded noise, then 2 s of zeros, to
+    which the front-end's padding adds a third second."""
+    rng = np.random.default_rng(25)
+    return np.concatenate([rng.normal(scale=gain, size=7 * 16000), np.zeros(2 * 16000)])
+
+
+def _log_mel(samples: np.ndarray, hop: int, n_mels: int) -> np.ndarray:
+    return features.extract_log_mel(features.AudioClip(samples, 16000, "n"), hop=hop, n_mels=n_mels).values
+
+
+@pytest.mark.parametrize("hop, n_mels", sorted(MEL_PINNED))
+def test_extract_log_mel_float64_is_bit_identical(hop, n_mels):
+    assert _digest(_log_mel(_noise_then_silence(), hop, n_mels)) == MEL_PINNED[(hop, n_mels)]
+
+
+@pytest.mark.parametrize("gain", [1e-4, 0.1, 10.0])
+@pytest.mark.parametrize("hop, n_mels", sorted(MEL_PINNED))
+def test_float32_log_mel_takes_a_float32_stft_and_tracks_the_float64_path(hop, n_mels, gain, monkeypatch):
+    """The float32 clip's mel power within FLOAT32_MEL_TOLERANCE (derived in
+    tests/oracles.py) x the larger of the frame's largest bin power and the
+    float64 path's value on the same samples."""
+    from scipy import fft
+
+    rfft, seen = fft.rfft, []
+
+    def recording_rfft(x, *args, **kwargs):
+        seen.append(x.dtype)
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(fft, "rfft", recording_rfft)
+    x32 = _noise_then_silence(gain).astype(np.float32)
+    low = _log_mel(x32, hop, n_mels)
+    assert seen and set(seen) == {np.dtype(np.float32)}
+    high = _log_mel(x32.astype(np.float64), hop, n_mels)
+    assert low.dtype == high.dtype == np.float64
+    _, frame_max = reference_mel_power(x32.astype(np.float64), hop, n_mels)
+    low, high = np.exp(low), np.exp(high)
+    assert np.all(np.abs(low - high) <= FLOAT32_MEL_TOLERANCE * np.maximum(frame_max[:, None], high))
 
 
 TRANSFORMS = {

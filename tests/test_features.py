@@ -13,13 +13,13 @@ from hetsed.features import (
     num_frames,
     pad_or_trim,
 )
-from oracles import reference_mel_power
+from oracles import FLOAT32_MEL_TOLERANCE, reference_mel_power
 
 SR = 16000
 
 
 def clip_of(samples, clip_id="t"):
-    return AudioClip(samples=np.asarray(samples, dtype=np.float64), sample_rate=SR, clip_id=clip_id)
+    return AudioClip(samples=samples, sample_rate=SR, clip_id=clip_id)
 
 
 def test_num_frames_paper_parameters():
@@ -152,29 +152,16 @@ def _audio(kind: str, n: int, gain: float, rng: np.random.Generator) -> np.ndarr
     return gain * rng.normal(size=n)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(0, 13 * SR),
-    hop=st.sampled_from([160, 256]),
-    n_mels=st.sampled_from([2, 40, 128]),
-    kind=st.sampled_from(["noise", "sine", "bursts", "clipped", "silent"]),
-    gain=st.floats(1e-4, 10.0),
-    seed=st.integers(0, 2**16),
-)
-def test_extract_log_mel_matches_the_scipy_oracle(n, hop, n_mels, kind, gain, seed):
-    """Mel power within 1e-12 x the larger of the frame's largest bin power
-    and the oracle's own value, and the floor exactly where the oracle sits
-    clearly under it.  The relative term is for wide bands (two bands span
-    about 500 bins each), whose sums of that many terms round by up to about
-    500 x 1.1e-16 relative; it also covers the round trip through log and
-    exp.  The two compute the triangle edges with different roundings, which
-    moves a band's weights by at most 5.8e-13 in sum."""
-    samples = _audio(kind, n, gain, np.random.default_rng(seed))
+def _assert_tracks_the_oracle(samples: np.ndarray, hop: int, n_mels: int, rel: float) -> None:
+    """The log-mel of samples against reference_mel_power on the same values:
+    mel power within rel x the larger of the frame's largest bin power and
+    the oracle's own value, and the floor exactly where the oracle sits
+    clearly under it."""
     mel = extract_log_mel(clip_of(samples), hop=hop, n_mels=n_mels)
     ref, frame_max = reference_mel_power(samples, hop, n_mels)
     assert mel.values.shape == ref.shape == (num_frames(10 * SR, 2048, hop), n_mels)
     assert mel.frame_period == hop / SR
-    tol = 1e-12 * np.maximum(frame_max[:, None], ref)
+    tol = rel * np.maximum(frame_max[:, None], ref)
     floor = np.log(LOG_FLOOR)
     at_floor = mel.values == floor
     assert np.all(mel.values >= floor)
@@ -182,6 +169,38 @@ def test_extract_log_mel_matches_the_scipy_oracle(n, hop, n_mels, kind, gain, se
     assert np.all(at_floor | (ref >= LOG_FLOOR - tol))
     above = ~at_floor & (ref > LOG_FLOOR)
     assert np.all(~above | (np.abs(np.exp(mel.values) - ref) <= tol))
+
+
+CLIPS = dict(
+    n=st.integers(0, 13 * SR),
+    hop=st.sampled_from([160, 256]),
+    n_mels=st.sampled_from([2, 40, 128]),
+    kind=st.sampled_from(["noise", "sine", "bursts", "clipped", "silent"]),
+    gain=st.floats(1e-4, 10.0),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CLIPS)
+def test_extract_log_mel_matches_the_scipy_oracle(n, hop, n_mels, kind, gain, seed):
+    """Float64 samples within 1e-12.  The relative term is for wide bands
+    (two bands span about 500 bins each), whose sums of that many terms
+    round by up to about 500 x 1.1e-16 relative; it also covers the round
+    trip through log and exp.  The two compute the triangle edges with
+    different roundings, which moves a band's weights by at most 5.8e-13 in
+    sum."""
+    _assert_tracks_the_oracle(_audio(kind, n, gain, np.random.default_rng(seed)), hop, n_mels, 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CLIPS)
+def test_extract_log_mel_of_float32_matches_the_scipy_oracle(n, hop, n_mels, kind, gain, seed):
+    """Float32 samples, whose STFT runs at float32, within the bound
+    tests/oracles.py derives for it; the oracle takes the same values at
+    float64."""
+    samples = _audio(kind, n, gain, np.random.default_rng(seed)).astype(np.float32)
+    _assert_tracks_the_oracle(samples, hop, n_mels, FLOAT32_MEL_TOLERANCE)
 
 
 def test_audio_clip_rejects_a_non_finite_sample_rate():
@@ -219,6 +238,30 @@ def test_load_wav_pcm16_and_float32(tmp_path):
     wavfile.write(p32, SR, audio.astype(np.float32))
     c32 = load_wav(p32)
     assert np.max(np.abs(c32.samples - audio)) < 1e-6
+
+
+@pytest.mark.parametrize("kind, scale, dtype", [
+    ("int16", 2.0**-15, np.float32),  # 16-bit integers fit float32's mantissa: int16 / 32768 is exact
+    ("int32", 2.0**-31, np.float64),  # 31-bit integers do not
+    ("float32", 1.0, np.float32),
+])
+def test_load_wav_samples_are_the_scaled_wav_at_the_narrowest_exact_dtype(tmp_path, kind, scale, dtype):
+    from scipy.io import wavfile
+
+    audio = np.clip(np.random.default_rng(8).normal(scale=0.3, size=SR), -1, 1)
+    if kind == "float32":
+        data = audio.astype(np.float32)
+    else:
+        info = np.iinfo(kind)
+        data = np.concatenate([np.round(audio * info.max), [info.min, info.max, -1, 0, 1]]).astype(kind)
+    path = tmp_path / "w.wav"
+    wavfile.write(path, SR, data)
+    samples = load_wav(path).samples
+    assert samples.dtype == dtype
+    _, read = wavfile.read(path)
+    assert np.array_equal(samples, read.astype(np.float64) * scale)
+    if kind == "int16":
+        assert np.array_equal(samples, data / 32768)
 
 
 def test_load_wav_rejects_wrong_rate(tmp_path):

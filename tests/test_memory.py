@@ -1,4 +1,10 @@
-"""Peak memory of the training-side transforms.
+"""Peak memory of the log-mel front-end and the training-side transforms.
+
+The front-end transforms a clip in blocks of frames, so no whole-clip
+spectrum is ever held: its traced peak stays within the [T, n_mels] output
+plus one block's frame buffer, power spectrum and complex spectrum at the
+samples' dtype and one float64 block for the mel product.  At hop 160 a
+whole-clip power spectrum alone would be 7.7 float64 blocks.
 
 Each transform allocates its output and at most one row-sized buffer
 besides per-(instance, bin) statistics, so its traced peak stays within the
@@ -12,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hetsed import augment, domain_gen
+from hetsed import augment, domain_gen, features
 from hetsed.core import ClipMetadata, Origin
 
 B, F, T = 24, 64, 300
@@ -50,3 +56,23 @@ def test_peak_is_the_output_plus_two_rows_and_statistics(name, dtype):
     assert out.shape == (B, F, T) and out.dtype == dtype
     bound = out.nbytes + 2 * out[0].nbytes + STAT_ARRAYS * B * F * 8
     assert peak <= bound, f"{name}: peak {peak} B > bound {bound} B"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_log_mel_peak_is_the_output_plus_a_few_blocks(dtype):
+    clip = features.AudioClip(np.random.default_rng(22).normal(scale=0.1, size=160000).astype(dtype), 16000, "c")
+    features.extract_log_mel(clip, hop=160)  # builds the cached filterbank
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = features.extract_log_mel(clip, hop=160)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.values.shape == (988, 128)
+    rows, bins, item = 128, features.WINDOW_SIZE // 2 + 1, np.dtype(dtype).itemsize
+    # frame buffer, power, complex spectrum (scipy's rfft has no out=), the
+    # float64 operand of the mel product, and the window
+    blocks = rows * features.WINDOW_SIZE * item + rows * bins * 3 * item + rows * bins * 8
+    bound = out.values.nbytes + blocks + 2 * features.WINDOW_SIZE * 8
+    assert peak <= bound, f"{np.dtype(dtype).name}: peak {peak} B > bound {bound} B"
