@@ -12,6 +12,7 @@ from .core import (
     ClassVocabulary,
     ClipMetadata,
     Event,
+    EventTable,
     MaskMode,
     Origin,
     Posteriorgram,
@@ -28,6 +29,7 @@ __all__ = [
     "ClassVocabulary",
     "ClipMetadata",
     "Event",
+    "EventTable",
     "MaskMode",
     "Origin",
     "Posteriorgram",

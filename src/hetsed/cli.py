@@ -26,14 +26,14 @@ from . import evaluation, features, formats, postprocess, synth, training
 from .core import (
     ClassOrigin,
     ClipMetadata,
+    EventTable,
     MaskMode,
     Origin,
     Posteriorgram,
-    _EventColumns,
     build_vocabulary,
     class_mask,
     default_vocabulary,
-    frame_span,
+    frame_spans,
     rasterize,
 )
 
@@ -334,7 +334,7 @@ def _setting(flag: float | None, cfg, key: str) -> float:
     return flag if flag is not None else config_mod.get_float(cfg, key)
 
 
-def _reindex(events: _EventColumns, names: list[str], class_names: list[str]) -> _EventColumns:
+def _reindex(events: EventTable, names: list[str], class_names: list[str]) -> EventTable:
     """Move class indices from a file's own sorted names to class_names."""
     if names == class_names:
         return events
@@ -343,9 +343,9 @@ def _reindex(events: _EventColumns, names: list[str], class_names: list[str]) ->
     return dataclasses.replace(events, class_idx=index[events.class_idx])
 
 
-def _read_refs(path: Path, class_names: list[str], posts: list[Posteriorgram]) -> _EventColumns:
+def _read_refs(path: Path, class_names: list[str], posts: list[Posteriorgram]) -> EventTable:
     """The events of a reference file, every clip of which must have a posteriorgram."""
-    refs, _ = formats.read_event_columns(path, class_names)
+    refs, _ = formats.read_events_tsv(path, class_names)
     missing = sorted(set(refs.clip_ids) - {post.clip_id for post in posts})
     if missing:
         raise ValueError(f"{path}: references for clips without posteriors: {missing[:5]}")
@@ -363,8 +363,8 @@ def _read_hours(path: Path, clip_ids) -> float:
 
 def _cmd_eval_psds(args, cfg) -> int:
     psds_cfg = _psds_config_from(cfg, args.dtc, args.gtc, args.emax, args.alpha_st)
-    refs, ref_names = formats.read_event_columns(args.refs)
-    dets, det_names = formats.read_event_columns(args.dets)
+    refs, ref_names = formats.read_events_tsv(args.refs)
+    dets, det_names = formats.read_events_tsv(args.dets)
     class_names = sorted(set(ref_names) | set(det_names))
     refs, dets = _reindex(refs, ref_names, class_names), _reindex(dets, det_names, class_names)
     hours = _read_hours(args.durations, [*refs.clip_ids, *dets.clip_ids])
@@ -443,7 +443,7 @@ def _cmd_loss(args, cfg) -> int:
     # reorder prediction columns into vocabulary order
     order = [class_names.index(name) for name in vocab.classes]
     pred = post.scores[:, order]
-    refs, _ = formats.read_event_columns(args.target, list(vocab.classes))
+    refs, _ = formats.read_events_tsv(args.target, list(vocab.classes))
     if post.clip_id in refs.clip_ids:
         matching = refs.take(refs.clip == refs.clip_ids.index(post.clip_id))
     elif len(refs.clip_ids) == 1:
@@ -451,10 +451,10 @@ def _cmd_loss(args, cfg) -> int:
     else:
         raise ValueError(f"target file has no rows for clip {post.clip_id!r}")
     n, fp = post.num_frames, post.frame_period
-    late = [ev.onset for ev in matching if frame_span(ev.onset, ev.offset, fp, n)[0] == n]
-    if late:
+    late = matching.onset[frame_spans(matching.onset, matching.offset, fp, n)[0] == n]
+    if late.size:
         raise ValueError(
-            f"{args.target}: {len(late)} target row(s) start at or after the end of the"
+            f"{args.target}: {late.size} target row(s) start at or after the end of the"
             f" {post.duration:g} s prediction, e.g. at {late[0]:g} s"
         )
     target = rasterize(matching, n, fp, len(vocab))

@@ -180,9 +180,10 @@ def class_mask(meta: ClipMetadata, vocab: ClassVocabulary, mode: MaskMode) -> np
 class Event:
     """One detected or annotated sound event.
 
+    The row a caller writes by hand, for ``EventTable.from_events``.
     ``confidence`` is optional: absent (None) is not the same as 0.0, and the
     TSV writers keep the distinction (empty field).  A sound event bounding
-    box is an Event whose confidence is always set.
+    box is an event whose confidence is always set.
     """
 
     clip_id: str
@@ -192,18 +193,23 @@ class Event:
     confidence: Optional[float] = None
 
 
-def frame_span(onset: float, offset: float, period: float, n: int) -> tuple[int, int]:
-    """Half-open range [first, stop) of the frames k in [0, n) whose span
-    [k*period, (k+1)*period) meets [onset, offset).
+def frame_spans(onset, offset, period: float, n) -> tuple[np.ndarray, np.ndarray]:
+    """Half-open ranges [first, stop) of the frames k in [0, n) whose span
+    [k*period, (k+1)*period) meets [onset, offset), as int64 arrays; ``n``
+    is one frame count or one per row.
 
     Both edges carry a 1e-9 frame tolerance, so an edge on a frame boundary
     does not reach into the neighbouring frame.  An event that starts inside
     the grid gets at least one frame; one that starts at or after n*period
-    gets none (first == stop == n).
+    gets none (first == stop == n).  A NaN edge is refused.
     """
-    # clamped before rounding, so an edge far past the grid cannot overflow
-    first = math.floor(min(max(onset / period + 1e-9, 0), n))
-    return first, math.ceil(min(max(offset / period - 1e-9, first + 1), n))
+    # an edge far past the grid divides to inf, which the clamp takes to n
+    with np.errstate(over="ignore"):
+        first = np.minimum(np.maximum(np.floor(np.divide(onset, period) + 1e-9), 0), n)
+        stop = np.minimum(np.maximum(np.ceil(np.divide(offset, period) - 1e-9), first + 1), n)
+    if np.isnan(stop).any():  # a NaN onset carries through first into stop
+        raise ValueError("an event edge is NaN")
+    return first.astype(np.int64), stop.astype(np.int64)
 
 
 def frame_time(k, period: float):
@@ -231,22 +237,6 @@ def float_array(values) -> np.ndarray:
     return values.astype(np.float64)
 
 
-def rasterize(events: Iterable[Event], n: int, period: float, num_classes: int) -> np.ndarray:
-    """Per-frame max of event values, [n, num_classes], frames as in frame_span.
-
-    The value of a hard event (confidence None) is 1.0; frames no event
-    meets stay 0.
-    """
-    grid = np.zeros((n, num_classes))
-    for ev in events:
-        if not 0 <= ev.class_idx < num_classes:
-            raise ValueError(f"class index {ev.class_idx} out of range")
-        first, stop = frame_span(ev.onset, ev.offset, period, n)
-        cells = grid[first:stop, ev.class_idx]
-        np.maximum(cells, 1.0 if ev.confidence is None else ev.confidence, out=cells)
-    return grid
-
-
 def _event_problems(onset: float, offset: float, confidence: float | None, class_idx: int = 0) -> list[str]:
     """What is wrong with an event of these fields, as messages; empty when valid."""
     problems = []
@@ -263,25 +253,15 @@ def _event_problems(onset: float, offset: float, confidence: float | None, class
     return problems
 
 
-def canonicalize_events(events: Sequence[Event]) -> list[Event]:
-    """Validate and sort events into the canonical order.
-
-    Sort key is (clip_id, class_idx, onset, offset).  All validation problems
-    are aggregated into a single error so callers see every bad row at once.
-    Idempotent on valid input.
-    """
-    _, order = _canonical_rows(events)
-    return [events[i] for i in order.tolist()]
-
-
 @dataclass(frozen=True, eq=False)
-class _EventColumns:
-    """Events as parallel arrays: row i is clip ``clip_ids[clip[i]]``, class
+class EventTable:
+    """Events as parallel arrays, the event type every library function
+    takes and returns: row i is clip ``clip_ids[clip[i]]``, class
     ``class_idx[i]``, ``onset[i]`` to ``offset[i]``, and confidence
     ``confidence[i]`` where ``has_confidence[i]`` (absent otherwise, as None
     is for an Event).  It reads as a sequence of events: ``len`` counts the
-    rows, indexing builds the Event of one row and iterating builds them all;
-    it equals a column set, list or tuple of the same Events (so no hash)."""
+    rows, indexing builds the Event of one row and iterating builds them
+    all; it equals a table, list or tuple of the same Events (so no hash)."""
 
     clip_ids: Sequence[str]
     clip: np.ndarray
@@ -291,64 +271,98 @@ class _EventColumns:
     confidence: np.ndarray
     has_confidence: np.ndarray
 
+    @classmethod
+    def from_events(cls, events: Iterable[Event]) -> EventTable:
+        """The table of Events written by hand, rows in the given order."""
+        fields = [(ev.clip_id, ev.class_idx, ev.onset, ev.offset, ev.confidence) for ev in events]
+        return _table_of(*zip(*fields)) if fields else _table_of((), (), (), (), ())
+
     def __len__(self) -> int:
         return self.clip.size
 
     def __getitem__(self, i: int) -> Event:
-        return self.take([i]).events()[0]
+        return next(iter(self.take([i])))
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self.events())
+        ids = self.clip_ids
+        return (Event(ids[i], c, on, off, conf) for i, c, on, off, conf in zip(
+            self.clip.tolist(), self.class_idx.tolist(), self.onset.tolist(), self.offset.tolist(),
+            np.where(self.has_confidence, self.confidence, None).tolist()))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (_EventColumns, list, tuple)) and all(isinstance(ev, Event) for ev in other):
-            return self.events() == list(other)
+        if isinstance(other, (EventTable, list, tuple)) and all(isinstance(ev, Event) for ev in other):
+            return list(self) == list(other)
         return NotImplemented
 
-    def take(self, index) -> _EventColumns:
-        return _EventColumns(self.clip_ids, *(column[index] for column in (
+    @property
+    def value(self) -> np.ndarray:
+        """Each row's value: its confidence, or 1.0 where it has none."""
+        return np.where(self.has_confidence, self.confidence, 1.0)
+
+    def take(self, index) -> EventTable:
+        return EventTable(self.clip_ids, *(column[index] for column in (
             self.clip, self.class_idx, self.onset, self.offset, self.confidence, self.has_confidence)))
 
-    def events(self) -> list[Event]:
-        ids = self.clip_ids
-        return [Event(ids[i], c, on, off, conf) for i, c, on, off, conf in zip(
-            self.clip.tolist(), self.class_idx.tolist(), self.onset.tolist(), self.offset.tolist(),
-            np.where(self.has_confidence, self.confidence, None).tolist())]
+    def canonical(self) -> EventTable:
+        """The rows in canonical order, (clip id, class, onset, offset), after
+        one vectorised check that raises a single error naming every problem
+        of every invalid row, in row order.  Equal clip ids share a rank, so
+        the sort is stable on that key."""
+        conf = self.confidence
+        valid = (np.isfinite(self.onset) & np.isfinite(self.offset) & (self.offset > self.onset)
+                 & (self.onset >= 0) & (self.class_idx >= 0)
+                 & (~self.has_confidence | ((conf >= 0.0) & (conf <= 1.0))))
+        problems = [f"event {i}: {problem}" for i, ev in zip(np.flatnonzero(~valid).tolist(), self.take(~valid))
+                    for problem in _event_problems(ev.onset, ev.offset, ev.confidence, ev.class_idx)]
+        if problems:
+            raise ValueError("invalid events:\n" + "\n".join(problems))
+        rank_of = {clip_id: r for r, clip_id in enumerate(sorted(set(self.clip_ids)))}
+        rank = np.array([rank_of[clip_id] for clip_id in self.clip_ids], dtype=np.intp)
+        return self.take(np.lexsort((self.offset, self.onset, self.class_idx, rank[self.clip])))
 
 
-def _event_columns(events: Sequence[Event]) -> _EventColumns:
-    """``events`` as columns: a column set as it is, Events converted once."""
-    if isinstance(events, _EventColumns):
-        return events
+def _table_of(clip_ids: Sequence[str], class_idx: Sequence[int], onset: Sequence[float],
+              offset: Sequence[float], confidence: Sequence[float | None]) -> EventTable:
+    """The table whose row i holds entry i of each field; None is no confidence."""
     clips: dict[str, int] = {}
-    n = len(events)
-    clip = np.fromiter((clips.setdefault(ev.clip_id, len(clips)) for ev in events), dtype=np.intp, count=n)
-    columns = [np.fromiter((getattr(ev, name) for ev in events), dtype=dtype, count=n)
-               for name, dtype in (("class_idx", np.int64), ("onset", np.float64), ("offset", np.float64))]
-    has = np.fromiter((ev.confidence is not None for ev in events), dtype=bool, count=n)
-    confidence = np.fromiter((0.0 if ev.confidence is None else ev.confidence for ev in events),
-                             dtype=np.float64, count=n)
-    return _EventColumns(list(clips), clip, *columns, confidence, has)
+    n = len(clip_ids)
+    clip = np.fromiter((clips.setdefault(c, len(clips)) for c in clip_ids), dtype=np.intp, count=n)
+    return EventTable(
+        list(clips), clip, np.array(class_idx, dtype=np.int64),
+        np.array(onset, dtype=np.float64), np.array(offset, dtype=np.float64),
+        np.fromiter((0.0 if c is None else c for c in confidence), dtype=np.float64, count=n),
+        np.fromiter((c is not None for c in confidence), dtype=bool, count=n))
 
 
-def _canonical_rows(events: Sequence[Event]) -> tuple[_EventColumns, np.ndarray]:
-    """The columns of ``events`` and their canonical row order, after one
-    vectorised check that raises a single error naming every problem of
-    every invalid event, in index order.  Equal clip ids share a rank, so
-    the sort is stable on (clip id, class, onset, offset)."""
-    events = events if isinstance(events, _EventColumns) else list(events)
-    rows = _event_columns(events)
-    conf = rows.confidence
-    valid = (np.isfinite(rows.onset) & np.isfinite(rows.offset) & (rows.offset > rows.onset) & (rows.onset >= 0)
-             & (rows.class_idx >= 0) & (~rows.has_confidence | ((conf >= 0.0) & (conf <= 1.0))))
-    problems = [f"event {i}: {problem}" for i in np.flatnonzero(~valid).tolist()
-                for problem in _event_problems(events[i].onset, events[i].offset, events[i].confidence,
-                                               events[i].class_idx)]
-    if problems:
-        raise ValueError("invalid events:\n" + "\n".join(problems))
-    rank_of = {clip_id: r for r, clip_id in enumerate(sorted(set(rows.clip_ids)))}
-    rank = np.array([rank_of[clip_id] for clip_id in rows.clip_ids], dtype=np.intp)
-    return rows, np.lexsort((rows.offset, rows.onset, rows.class_idx, rank[rows.clip]))
+def canonicalize_events(events: Iterable[Event]) -> EventTable:
+    """Events checked and sorted as ``EventTable.canonical`` does it, as a
+    table; one error names every problem of every bad row.  Idempotent on
+    valid input."""
+    return EventTable.from_events(events).canonical()
+
+
+def _expand(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner i, position) for every position of every range [first[i], stop[i])."""
+    counts = np.maximum(stop - first, 0)
+    owner = np.repeat(np.arange(first.size), counts)
+    position = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[owner]
+    return owner, position
+
+
+def rasterize(events: EventTable, n: int, period: float, num_classes: int) -> np.ndarray:
+    """Per-frame max of event values, [n, num_classes], frames as in
+    ``frame_spans``.
+
+    The value of a hard event (confidence None) is 1.0; frames no event
+    meets stay 0.
+    """
+    bad = (events.class_idx < 0) | (events.class_idx >= num_classes)
+    if bad.any():
+        raise ValueError(f"class index {events.class_idx[bad][0]} out of range")
+    row, frame = _expand(*frame_spans(events.onset, events.offset, period, n))
+    grid = np.zeros((n, num_classes))
+    np.maximum.at(grid, (frame, events.class_idx[row]), events.value[row])
+    return grid
 
 
 @dataclass(frozen=True, eq=False)

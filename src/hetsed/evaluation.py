@@ -24,14 +24,13 @@ PSDS + mPAUC.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, _event_columns, frame_span
+from .core import EventTable, Posteriorgram, _expand, frame_spans
 
 SECONDS_PER_HOUR = 3600.0
 SEGMENT_SECONDS = 1.0
@@ -101,14 +100,6 @@ def _keyed(group: np.ndarray, value: np.ndarray) -> np.ndarray:
     return key
 
 
-def _expand(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner i, position) for every position of every range [first[i], stop[i])."""
-    counts = np.maximum(stop - first, 0)
-    owner = np.repeat(np.arange(first.size), counts)
-    position = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[owner]
-    return owner, position
-
-
 def _union(group: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Merge overlapping or touching intervals within each group.
 
@@ -124,11 +115,12 @@ def _union(group: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     return group[new], lo[new], reach[last]
 
 
-def _check_spans(events: Sequence[Event], lo: np.ndarray, hi: np.ndarray, what: str) -> None:
+def _check_spans(events: EventTable, what: str) -> None:
     """Each event must have finite times and a positive length."""
+    lo, hi = events.onset, events.offset
     bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)))
     if bad.size:
-        raise ValueError(f"{what} needs finite times with offset > onset, got {events[bad[0]]}")
+        raise ValueError(f"{what} needs finite times with offset > onset, got {events[int(bad[0])]}")
 
 
 def _ordered_sums(owner: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
@@ -209,9 +201,9 @@ def _levels(negated: np.ndarray, owner: np.ndarray, n_sets: int) -> tuple[np.nda
 
 
 def roc_from_confidences(
-    dets: Sequence[Event],
+    dets: EventTable,
     sets: Sequence[np.ndarray],
-    refs: Sequence[Event],
+    refs: EventTable,
     total_hours: float,
     cfg: PsdsConfig,
     num_classes: int,
@@ -220,8 +212,7 @@ def roc_from_confidences(
     over its confidences.  ``dets`` is a pool of detections and ``sets[s]``
     an integer index array into it, so sets share detections by index (the
     candidates of a ``tune_csebb`` grid share most of their boxes); one set
-    of every detection is ``[np.arange(len(dets))]``.  The pool and the
-    references may be Events or event columns; either is read as columns.
+    of every detection is ``[np.arange(len(dets))]``.
 
     Every distinct confidence of a set is a threshold keeping its detections
     with confidence >= that value.  A missing confidence (None) counts as
@@ -256,34 +247,33 @@ def roc_from_confidences(
     """
     if total_hours <= 0:
         raise ValueError(f"total_hours must be > 0, got {total_hours}")
-    r, d = _event_columns(refs), _event_columns(dets)
-    out_of_range = np.flatnonzero((r.class_idx < 0) | (r.class_idx >= num_classes))
+    out_of_range = np.flatnonzero((refs.class_idx < 0) | (refs.class_idx >= num_classes))
     if out_of_range.size:
-        raise ValueError(f"reference class index {refs[out_of_range[0]].class_idx} out of range")
-    n_refs = np.bincount(r.class_idx, minlength=num_classes)
+        raise ValueError(f"reference class index {refs.class_idx[out_of_range[0]]} out of range")
+    n_refs = np.bincount(refs.class_idx, minlength=num_classes)
     excluded = np.flatnonzero(n_refs == 0)
     if excluded.size:
         warnings.warn(f"classes without references excluded from PSDS: {excluded.tolist()}", stacklevel=2)
-    confidences = np.where(d.has_confidence, d.confidence, 1.0)
+    confidences = dets.value
     bad = np.flatnonzero(~((confidences >= 0.0) & (confidences <= 1.0)))
     if bad.size:
-        raise ValueError(f"detection confidence must be in [0, 1], got {dets[bad[0]]}")
+        raise ValueError(f"detection confidence must be in [0, 1], got {dets[int(bad[0])]}")
 
     # references: one group per (clip, class), sorted by (group, onset)
     clip_index: dict[str, int] = {}
-    r_clip = np.array([clip_index.setdefault(clip_id, len(clip_index)) for clip_id in r.clip_ids], dtype=np.int64)
-    r_group = r_clip[r.clip] * num_classes + r.class_idx
-    r_lo, r_hi = r.onset, r.offset
-    _check_spans(refs, r_lo, r_hi, "reference")
+    r_clip = np.array([clip_index.setdefault(clip_id, len(clip_index)) for clip_id in refs.clip_ids], dtype=np.int64)
+    r_group = r_clip[refs.clip] * num_classes + refs.class_idx
+    r_lo, r_hi = refs.onset, refs.offset
+    _check_spans(refs, "reference")
     order = np.argsort(_keyed(r_group, r_lo), kind="stable")
     r_group, r_lo, r_hi = r_group[order], r_lo[order], r_hi[order]
 
     # DTC: the part of each detection that the merged references cover; a
     # detection of a class out of range is not scored, and one on a clip
     # without references covers nothing, so it is a false positive
-    d_lo, d_hi, d_class = d.onset, d.offset, d.class_idx
-    _check_spans(dets, d_lo, d_hi, "detection")
-    d_clip = np.array([clip_index.get(clip_id, -1) for clip_id in d.clip_ids], dtype=np.int64)[d.clip]
+    d_lo, d_hi, d_class = dets.onset, dets.offset, dets.class_idx
+    _check_spans(dets, "detection")
+    d_clip = np.array([clip_index.get(clip_id, -1) for clip_id in dets.clip_ids], dtype=np.int64)[dets.clip]
     scored = (d_class >= 0) & (d_class < num_classes)
     d_group = np.where(scored & (d_clip >= 0), d_clip * num_classes + d_class, -1)
     passes = _dtc_coverage(d_group, d_lo, d_hi, *_union(r_group, r_lo, r_hi)) / (d_hi - d_lo) >= cfg.rho_dtc
@@ -433,10 +423,11 @@ def psds(curve: OperatingPointCurve, cfg: PsdsConfig = PsdsConfig()) -> float:
 
 
 def _segment_count(duration: float, segment: float) -> int:
-    # the segments [0, duration) meets on an unbounded grid
+    # the segments [0, duration) meets on a grid without an end (2**62
+    # segments, a count a float64 holds exactly)
     if not 0.0 < segment < float("inf"):
         raise ValueError(f"segment must be a finite length > 0 s, got {segment}")
-    return frame_span(0.0, duration, segment, sys.maxsize)[1]
+    return int(frame_spans(0.0, duration, segment, 2**62)[1])
 
 
 def _segment_runs(t: int, fp: float, segment: float, n_segments: int) -> tuple[np.ndarray, np.ndarray]:
@@ -491,25 +482,23 @@ def segment_scores(posts: Sequence[Posteriorgram], segment: float = SEGMENT_SECO
     return scores
 
 
-def segmentize(refs: Sequence[Event], posts: Sequence[Posteriorgram],
+def segmentize(refs: EventTable, posts: Sequence[Posteriorgram],
                segment: float = SEGMENT_SECONDS) -> np.ndarray:
     """Soft segment labels on the rows of ``segment_scores(posts, segment)``:
     the max value of the references of a clip's id overlapping each of its
-    segments, by the ``frame_span`` rule.
+    segments, by the ``frame_spans`` rule.
 
     The value of a hard event (confidence None) is 1.0.  Harden against a
-    threshold downstream for mPAUC.  Every reference's span is taken in
-    double arithmetic as ``math.floor`` and ``math.ceil`` see it, and the
-    spans' cells are written by one unbuffered max.  A clip id held by
-    several posteriorgrams labels each of them.  After a bad segment, the
-    first clip shorter than one segment is refused, as are references of a
-    class or clip id that no posteriorgram has.
+    threshold downstream for mPAUC.  The spans of all references come from
+    one ``frame_spans`` call, and their cells are written by one unbuffered
+    max.  A clip id held by several posteriorgrams labels each of them.
+    After a bad segment, the first clip shorter than one segment is refused,
+    as are references of a class or clip id that no posteriorgram has.
     """
     n, top, _ = _segment_grid(posts, segment)
     for post in posts:
         if post.duration < segment:
             raise ValueError(f"duration {post.duration} shorter than one segment {segment}")
-    refs = _event_columns(refs)
     num_classes = posts[0].num_classes
     bad = (refs.class_idx < 0) | (refs.class_idx >= num_classes)
     if bad.any():
@@ -525,11 +514,9 @@ def segmentize(refs: Sequence[Event], posts: Sequence[Posteriorgram],
     bounds = np.cumsum([0] + [len(c) for c in clips])
     ref, at = _expand(bounds[:-1][refs.clip], bounds[1:][refs.clip])
     clip = np.array([i for c in clips for i in c], dtype=np.int64)[at]
-    last = n[clip]
-    first = np.minimum(last, np.maximum(0, np.floor(refs.onset[ref] / segment + 1e-9)))
-    stop = np.minimum(last, np.maximum(first + 1, np.ceil(refs.offset[ref] / segment - 1e-9)))
-    owner, cell = _expand(top[clip] + first.astype(np.int64), top[clip] + stop.astype(np.int64))
-    value = np.where(refs.has_confidence, refs.confidence, 1.0)[ref]
+    first, stop = frame_spans(refs.onset[ref], refs.offset[ref], segment, n[clip])
+    owner, cell = _expand(top[clip] + first, top[clip] + stop)
+    value = refs.value[ref]
     labels = np.zeros((int(n.sum()), num_classes))
     np.maximum.at(labels, (cell, refs.class_idx[ref][owner]), value[owner])
     return labels

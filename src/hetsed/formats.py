@@ -4,14 +4,14 @@ binaries, tuned-parameter files, and score reports.
 All text is UTF-8 with LF line endings and tab separators (the DESED /
 MAESTRO annotation convention); binaries are little-endian.  Writers go
 through an atomic temp-file + rename so partially written artifacts never
-appear, even under parallel tuning runs.
+appear, even under parallel tuning runs; a written file gets the mode a
+plain ``open`` would give it.
 
-The event TSV writers take Events or event columns (``core._EventColumns``,
-as post-processing makes them), check them in one vectorised pass with the
-errors of ``canonicalize_events``, order the rows with one stable sort and
-format each distinct time once.  The event TSV reader checks each row as
-it parses it and returns the rows as event columns in canonical order
-(``read_event_columns``), which iterate as Events.
+The event TSV writers take a ``core.EventTable``, check it in one
+vectorised pass with the errors of ``canonicalize_events``, order the rows
+with one stable sort and format each distinct time once.  The event TSV
+reader checks each row as it parses it and returns the rows as a table in
+canonical order.
 
 A text writer refuses, before it writes anything, a clip id, class name or
 key that holds a tab or a character at which ``str.splitlines`` ends a
@@ -35,14 +35,13 @@ import math
 import os
 import re
 import struct
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, _EventColumns, _canonical_rows, _event_problems
+from .core import EventTable, Posteriorgram, _event_problems, _table_of
 from .postprocess import ClassSebbParams, CsebbParams
 
 POSTERIOR_MAGIC = b"SEDP"
@@ -59,10 +58,12 @@ _UNSPLITTABLE = re.compile("[\t\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029]")
 
 @contextmanager
 def atomic_write(path: Path | str, mode: str = "w") -> Iterator:
-    """Write to a temp file in the target directory, then rename into place."""
+    """Write to a new temp file in the target directory, then rename into
+    place.  The temp file's mode is 0o666 less the umask, as with ``open``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         kwargs = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
         with os.fdopen(fd, mode, **kwargs) as fh:
@@ -98,16 +99,15 @@ def _formatted(values: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
             for bits, value in zip(values.view(np.int64).tolist(), values.tolist())]
 
 
-def _write_events(path: Path | str, header: str, events: Sequence[Event], class_names: Sequence[str],
+def _write_events(path: Path | str, header: str, events: EventTable, class_names: Sequence[str],
                   soft: bool) -> None:
     """An event TSV: the header, then one row per event in canonical order,
     checked as ``canonicalize_events`` checks them; each class name once."""
-    rows, order = _canonical_rows(events)
+    rows = events.canonical()
     _check_fields(path, "clip id", rows.clip_ids)
     _check_fields(path, "class name", class_names)
     if len(set(class_names)) != len(class_names):
         raise ValueError(f"{path}: class names repeat a name: {list(class_names)}")
-    rows = rows.take(order)
     times = _formatted(np.concatenate([rows.onset, rows.offset]), _format_seconds)
     columns = [[rows.clip_ids[i] for i in rows.clip.tolist()], times[: len(rows)], times[len(rows) :],
                [class_names[c] for c in rows.class_idx.tolist()]]
@@ -119,13 +119,13 @@ def _write_events(path: Path | str, header: str, events: Sequence[Event], class_
         fh.write(text)
 
 
-def write_events_tsv(path: Path | str, events: Sequence[Event], class_names: Sequence[str]) -> None:
-    """Four-column ground-truth/detection TSV (no confidence).  ``events``
-    may be Events or event columns; each distinct time is formatted once."""
+def write_events_tsv(path: Path | str, events: EventTable, class_names: Sequence[str]) -> None:
+    """Four-column ground-truth/detection TSV (no confidence); each distinct
+    time is formatted once."""
     _write_events(path, EVENTS_HEADER, events, class_names, soft=False)
 
 
-def write_soft_events_tsv(path: Path | str, events: Sequence[Event], class_names: Sequence[str]) -> None:
+def write_soft_events_tsv(path: Path | str, events: EventTable, class_names: Sequence[str]) -> None:
     """Five-column TSV with a confidence column; absent confidence stays empty."""
     _write_events(path, SOFT_HEADER, events, class_names, soft=True)
 
@@ -176,12 +176,12 @@ def _finite(text: str) -> float:
     return value
 
 
-def read_event_columns(
+def read_events_tsv(
     path: Path | str, class_names: Sequence[str] | None = None
-) -> tuple[_EventColumns, list[str]]:
-    """Read a 4- or 5-column event TSV as event columns in canonical order.
+) -> tuple[EventTable, list[str]]:
+    """Read a 4- or 5-column event TSV as an event table in canonical order.
 
-    Returns the columns plus the class-name list used for indices; when
+    Returns the table plus the class-name list used for indices; when
     class_names is None, names are collected from the file and sorted.
     """
     index = None if class_names is None else {name: i for i, name in enumerate(class_names)}
@@ -201,16 +201,8 @@ def read_event_columns(
     if index is None:
         class_names = sorted(set(labels))
         index = {name: i for i, name in enumerate(class_names)}
-    clips: dict[str, int] = {}
-    n = len(rows)
-    clip = np.fromiter((clips.setdefault(clip_id, len(clips)) for clip_id in clip_ids), dtype=np.intp, count=n)
-    columns = _EventColumns(
-        list(clips), clip, np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=n),
-        np.array(onsets, dtype=np.float64), np.array(offsets, dtype=np.float64),
-        np.fromiter((0.0 if conf is None else conf for conf in confidences), dtype=np.float64, count=n),
-        np.fromiter((conf is not None for conf in confidences), dtype=bool, count=n))
-    _, order = _canonical_rows(columns)
-    return columns.take(order), list(class_names)
+    table = _table_of(clip_ids, [index[label] for label in labels], onsets, offsets, confidences)
+    return table.canonical(), list(class_names)
 
 
 def write_durations_tsv(path: Path | str, durations: dict[str, float]) -> None:

@@ -3,11 +3,10 @@ change-point sound event bounding boxes (SEBBs) and ensemble averaging.
 
 A box is an event whose confidence is always set (the mean smoothed score
 of its segment), so boxes go wherever events go: the TSV writers and the
-PSDS sweep, whose confidence thresholds keep or drop whole boxes.  Events
-and boxes are columns (``core._EventColumns``): ``frame_threshold_merge``
-and ``csebb_detect`` take a whole directory's clips and return them, and
-the TSV writers and the PSDS sweep read them without building a
-``core.Event``.
+PSDS sweep, whose confidence thresholds keep or drop whole boxes.
+``frame_threshold_merge`` and ``csebb_detect`` take a whole directory's
+clips and return its events or boxes as one ``core.EventTable``, which the
+TSV writers and the PSDS sweep read as it is.
 
 Frame-level thresholding couples an event's extent to the detection
 threshold: raising the threshold shrinks or fragments events.  SEBBs decouple
@@ -40,7 +39,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Event, Posteriorgram, _EventColumns, frame_time
+from .core import EventTable, Posteriorgram, frame_time
 
 NOISE_FLOOR = 0.01
 
@@ -150,9 +149,9 @@ def moving_average(scores: np.ndarray, window: int) -> np.ndarray:
 
 
 def frame_threshold_merge(posts: Sequence[Posteriorgram], thresholds: Sequence[float],
-                          window: int = 1) -> _EventColumns:
+                          window: int = 1) -> EventTable:
     """Threshold each class track of every clip and merge consecutive
-    positive frames, as event columns in (clip, class, onset) order within
+    positive frames, as an event table in (clip, class, onset) order within
     each stacked pass.
 
     A maximal run of frames with score > threshold becomes one event spanning
@@ -197,7 +196,7 @@ def frame_threshold_merge(posts: Sequence[Posteriorgram], thresholds: Sequence[f
         row, frame = np.divmod(np.flatnonzero(active[:, 1:] != active[:, :-1]), t + 1)
         clip, cls = np.divmod(row[::2], c)
         parts.append((np.asarray(group)[clip], cls, frame[::2], frame[1::2]))
-    return _frame_columns(posts, *(np.concatenate(column) for column in zip(*parts)))
+    return _frame_events(posts, *(np.concatenate(column) for column in zip(*parts)))
 
 
 def _window_counts(x: np.ndarray, window: int) -> np.ndarray:
@@ -222,8 +221,8 @@ def _window_counts(x: np.ndarray, window: int) -> np.ndarray:
         size *= 2
 
 
-def _frame_columns(posts: Sequence[Posteriorgram], clip: np.ndarray, class_idx: np.ndarray, start: np.ndarray,
-                   stop: np.ndarray, confidence: np.ndarray | None = None) -> _EventColumns:
+def _frame_events(posts: Sequence[Posteriorgram], clip: np.ndarray, class_idx: np.ndarray, start: np.ndarray,
+                  stop: np.ndarray, confidence: np.ndarray | None = None) -> EventTable:
     """Events of clips ``posts[clip]`` over frames [start, stop), times as
     in ``frame_time`` on each clip's own grid; no confidence when None."""
     period = np.array([post.frame_period for post in posts])[clip]
@@ -233,8 +232,8 @@ def _frame_columns(posts: Sequence[Posteriorgram], clip: np.ndarray, class_idx: 
         onset[at] = frame_time(start[at], fp)
         offset[at] = frame_time(stop[at], fp)
     has = np.full(clip.size, confidence is not None)
-    return _EventColumns([post.clip_id for post in posts], clip, class_idx, onset, offset,
-                         np.zeros(clip.size) if confidence is None else confidence, has)
+    return EventTable([post.clip_id for post in posts], clip, class_idx, onset, offset,
+                      np.zeros(clip.size) if confidence is None else confidence, has)
 
 
 _PLATEAU_TOL = 1e-9
@@ -454,9 +453,9 @@ def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.nd
 
 
 def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
-              class_names: Sequence[str] | None) -> tuple[_EventColumns, list[np.ndarray]]:
+              class_names: Sequence[str] | None) -> tuple[EventTable, list[np.ndarray]]:
     """The boxes of all clips under every parameter set of ``grid``, as the
-    columns of the distinct boxes and, per parameter set, the index array of
+    table of the distinct boxes and, per parameter set, the index array of
     its boxes among them in (clip, class, time) order.
 
     Tracks are numbered clip-major, class-minor.  A candidate entry is one
@@ -472,7 +471,7 @@ def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
     n_tracks = int(first_track[-1])
     if n_tracks == 0:
         none = np.zeros(0, dtype=np.intp)
-        return _frame_columns(posts, none, none, none, none, np.zeros(0)), [none for _ in grid]
+        return _frame_events(posts, none, none, none, none, np.zeros(0)), [none for _ in grid]
     class_of = np.arange(n_tracks) - np.repeat(first_track[:-1], widths)
     n_classes = max(widths) if class_names is None else len(class_names)
     rows_of = [np.flatnonzero(class_of == c) for c in range(n_classes)]
@@ -497,7 +496,7 @@ def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
     )
     track %= n_tracks
     clip = np.repeat(np.arange(len(posts)), widths)[track]
-    boxes = _frame_columns(posts, clip, class_of[track], start, start + length, np.minimum(mean, 1.0))
+    boxes = _frame_events(posts, clip, class_of[track], start, start + length, np.minimum(mean, 1.0))
     sets = []
     for pick in picks:
         cand = np.empty(n_tracks, dtype=np.intp)
@@ -512,14 +511,14 @@ def csebb_detect(
     posts: Sequence[Posteriorgram],
     params: CsebbParams = CsebbParams(),
     class_names: Sequence[str] | None = None,
-) -> _EventColumns:
+) -> EventTable:
     """Change-point sound event bounding box detector, over many clips.
 
     Per class track: smooth it, locate change points with a two-sided step
     filter, partition the clip at those points, greedily merge segments with
     similar means, and emit every merged segment whose mean smoothed score
     clears the noise floor as a box with confidence = that mean.  The boxes
-    of all ``posts`` come back as columns in (clip, class, time) order, equal
+    of all ``posts`` come back as one table in (clip, class, time) order, equal
     to those of one clip at a time; this is the one-candidate case of
     ``tune_csebb``'s search.
     """
@@ -568,9 +567,9 @@ def default_grid() -> list[CsebbParams]:
 
 def tune_csebb(
     posts: Sequence[Posteriorgram],
-    refs: Sequence[Event],
+    refs: EventTable,
     grid: Sequence[CsebbParams],
-    metric: Callable[[Sequence[Event], list[np.ndarray], Sequence[Event]], Sequence[float]],
+    metric: Callable[[EventTable, list[np.ndarray], EventTable], Sequence[float]],
     class_names: Sequence[str] | None = None,
 ) -> CsebbParams:
     """Grid-search the detector parameters against a validation metric
@@ -581,10 +580,10 @@ def tune_csebb(
     all found in one search: each smoothing key segments the clips once,
     one merge serves every (rel_merge, abs_merge) pair, and candidates
     reaching the same merge state share its boxes by index.  ``metric(boxes,
-    sets, refs)`` takes the distinct boxes (a sequence of events held as
-    columns) and, per candidate in grid order, the index array of its boxes
-    among them, and returns one score per candidate, so a PSDS metric can
-    run one ``evaluation.roc_from_confidences`` sweep over the whole grid.
+    sets, refs)`` takes the table of the distinct boxes and, per candidate
+    in grid order, the index array of its boxes among them, and returns one
+    score per candidate, so a PSDS metric can run one
+    ``evaluation.roc_from_confidences`` sweep over the whole grid.
 
     Ties break toward the smaller smoothing window, then lexicographically
     over the remaining parameters, so results never depend on grid order.

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import ClipMetadata, Event, Origin, Posteriorgram, canonicalize_events, frame_span, rasterize
+from .core import ClipMetadata, Event, EventTable, Origin, Posteriorgram, canonicalize_events, frame_spans, rasterize
 from .postprocess import moving_average
 
 DURATION_RANGE = (0.25, 5.0)  # log-uniform event durations, seconds
@@ -31,9 +31,9 @@ def gen_ground_truth(
     clip_len: float = 10.0,
     origin: Origin = Origin.DESED_SYNTH,
     snap: float | None = None,
-) -> tuple[list[Event], list[ClipMetadata]]:
+) -> tuple[EventTable, list[ClipMetadata]]:
     """Random ground truth: Poisson event counts, uniform onsets, log-uniform
-    durations clipped to the clip.
+    durations clipped to the clip, as a table in canonical order.
 
     With ``snap`` set, onsets and offsets are rounded to that frame grid
     (events keep at least one frame); frame-aligned fixtures are exactly
@@ -47,7 +47,7 @@ def gen_ground_truth(
         raise ValueError(f"mean_events_per_clip must be finite and >= 0, got {mean_events_per_clip}")
     if snap is not None and not 0.0 < snap < math.inf:
         raise ValueError(f"snap must be finite and > 0, got {snap}")
-    events: list[Event] = []
+    events = []
     metas: list[ClipMetadata] = []
     lo, hi = DURATION_RANGE
     for i in range(n_clips):
@@ -70,7 +70,7 @@ def gen_ground_truth(
 
 
 def render_posteriors(
-    refs: list[Event],
+    refs: EventTable,
     metas: list[ClipMetadata],
     num_classes: int,
     frame_period: float,
@@ -81,7 +81,7 @@ def render_posteriors(
 ) -> list[Posteriorgram]:
     """Render events as corrupted confidence tracks, one posteriorgram per clip.
 
-    Each event raises the frames it meets (``core.frame_span``) to 1.0, or
+    Each event raises the frames it meets (``core.frame_spans``) to 1.0, or
     to its confidence when it has one.  Corruption order:
     blur (moving average over ``blur`` frames), multiplicative dips, additive
     Gaussian noise, then a clip to [0, 1].  Dips are drawn after blurring so
@@ -102,19 +102,19 @@ def render_posteriors(
         raise ValueError(f"dip_prob must be in [0, 1], got {dip_prob}")
     if (noise_sd > 0 or dip_prob > 0) and rng is None:
         raise ValueError("rng is required for noise or dips")
-    by_clip: dict[str, list[Event]] = {}
-    for ev in refs:
-        by_clip.setdefault(ev.clip_id, []).append(ev)
+    rows_of: dict[str, list[int]] = {}  # each clip's rows, in table order
+    for row, clip in enumerate(refs.clip.tolist()):
+        rows_of.setdefault(refs.clip_ids[clip], []).append(row)
     posts = []
     for meta in metas:
         t = int(round(meta.duration / frame_period))
-        clip_events = by_clip.get(meta.clip_id, [])
-        scores = rasterize(clip_events, t, frame_period, num_classes)
+        events = refs.take(np.array(rows_of.get(meta.clip_id, []), dtype=np.intp))
+        scores = rasterize(events, t, frame_period, num_classes)
         if blur > 1:
             scores = moving_average(scores, blur if blur % 2 == 1 else blur + 1)
         if dip_prob > 0:
-            for ev in clip_events:
-                first, stop = frame_span(ev.onset, ev.offset, frame_period, t)
+            spans = frame_spans(events.onset, events.offset, frame_period, t)
+            for first, stop, class_idx in zip(*(a.tolist() for a in spans), events.class_idx.tolist()):
                 interior_lo, interior_hi = first + 1, stop - 2  # notches stay mid-event
                 if interior_hi - interior_lo + 1 < DIP_FRAMES[0] + 2:
                     continue
@@ -130,7 +130,7 @@ def render_posteriors(
                     if hi < lo:
                         continue
                     start = int(rng.integers(lo, hi + 1))
-                    scores[start : start + width, ev.class_idx] *= DIP_DEPTH
+                    scores[start : start + width, class_idx] *= DIP_DEPTH
         if noise_sd > 0:
             scores = scores + rng.normal(0.0, noise_sd, size=scores.shape)
         posts.append(

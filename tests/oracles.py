@@ -418,3 +418,33 @@ def reference_mel_power(samples: np.ndarray, hop: int, n_mels: int) -> tuple[np.
 # the rounding a 2048-point float32 FFT leaves in each bin relative to the
 # frame's largest; the bound is 3.6 times the measured maximum.
 FLOAT32_MEL_TOLERANCE = 2e-6
+
+
+def frozen_float64_log_mel(samples: np.ndarray, hop: int, n_mels: int) -> np.ndarray:
+    """Log-mel [T x n_mels] of a float64 16 kHz clip by the float64-only
+    front-end as it stood before float32 clips took a float32 STFT, frozen
+    here step for step so that its bits are the reference: zero-pad or cut
+    to 10 s, left-aligned 2048-sample frames under a periodic Hann window,
+    ``numpy.fft.rfft`` in blocks of 128 frames, squared magnitudes times the
+    HTK mel triangles (0 to 8 kHz) as a CSR product, natural log floored at
+    1e-10.  It runs in the caller's process, so both sides take numpy's
+    ``log`` kernel for this CPU."""
+    from scipy import sparse
+
+    x = np.zeros(160000)
+    kept = min(x.size, samples.size)
+    x[:kept] = samples[:kept]
+    frames = np.lib.stride_tricks.sliding_window_view(x, 2048)[::hop][: 1 + (x.size - 2048) // hop]
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(2048) / 2048)
+    edges = 700.0 * (10.0 ** (np.linspace(0.0, 2595.0 * np.log10(1.0 + 8000.0 / 700.0), n_mels + 2) / 2595.0) - 1.0)
+    bins = np.arange(1025) * (16000 / 2048)
+    fb = np.zeros((n_mels, bins.size))
+    for m in range(n_mels):
+        left, center, right = edges[m : m + 3]
+        fb[m] = np.maximum(0.0, np.minimum((bins - left) / (center - left), (right - bins) / (right - center)))
+    fb = sparse.csr_array(fb)
+    mel_power = np.empty((frames.shape[0], n_mels))
+    for start in range(0, frames.shape[0], 128):
+        power = np.square(np.abs(np.fft.rfft(frames[start : start + 128] * hann, axis=1)))
+        mel_power[start : start + power.shape[0]] = (fb @ power.T).T
+    return np.log(np.maximum(mel_power, 1e-10))

@@ -18,6 +18,7 @@ from hetsed.core import (
     ClassOrigin,
     ClipMetadata,
     Event,
+    EventTable,
     MaskMode,
     Origin,
     default_vocabulary,
@@ -64,7 +65,7 @@ def _quiet(func, *args, **kwargs):
 
 
 def _psds(dets, refs, hours, cfg, num_classes):
-    """PSDS of the one set that holds every detection."""
+    """PSDS of the one set that holds every detection (event tables)."""
     (curve,) = roc_from_confidences(dets, [np.arange(len(dets))], refs, hours, cfg, num_classes)
     return psds(curve, cfg)
 
@@ -105,9 +106,8 @@ def test_criterion_03_csebb_beats_best_single_threshold():
 
         frame_best = 0.0
         for thr in np.arange(0.05, 1.0, 0.05):
-            dets = []
-            for post in test_posts:
-                dets.extend(frame_threshold_merge([post], [thr] * num_classes).events())
+            dets = EventTable.from_events(
+                ev for post in test_posts for ev in frame_threshold_merge([post], [thr] * num_classes))
             value = _quiet(
                 lambda: _psds(dets, test_refs, test_hours, cfg, num_classes)
             )
@@ -146,9 +146,8 @@ def test_criterion_04_noiseless_end_to_end_perfection():
         posts = render_posteriors(refs, metas, num_classes, frame_period)
         hours = sum(m.duration for m in metas) / 3600.0
 
-        dets = []
-        for post in posts:
-            dets.extend(frame_threshold_merge([post], [0.5] * num_classes).events())
+        dets = EventTable.from_events(
+            ev for post in posts for ev in frame_threshold_merge([post], [0.5] * num_classes))
         cfg = PsdsConfig()
         psds_value = _psds(dets, refs, hours, cfg, num_classes)
         assert abs(psds_value - 1.0) <= 1e-9
@@ -181,7 +180,7 @@ def test_criterion_05_psds_bruteforce_equivalence():
                 for _ in range(int(rng.integers(0, 5)))
             ]
             value = _quiet(
-                lambda: _psds(dets, refs, hours, cfg, num_classes)
+                lambda: _psds(EventTable.from_events(dets), EventTable.from_events(refs), hours, cfg, num_classes)
             )
             expected = brute_force_psds(dets, refs, hours, cfg, num_classes)
             assert abs(value - expected) <= 1e-9

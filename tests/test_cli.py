@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsed import cli, evaluation, formats
-from hetsed.core import Event, Posteriorgram, default_vocabulary, rasterize
+from hetsed.core import Event, EventTable, Posteriorgram, default_vocabulary, rasterize
 from hetsed.postprocess import ClassSebbParams, CsebbParams
 from oracles import event_tsv_text, median_threshold_runs, segment_scores_at
+
+table = EventTable.from_events
 
 
 def run(*argv):
@@ -86,7 +88,7 @@ def test_median_pipeline_runs(tmp_path):
     dets = tmp_path / "dets.tsv"
     assert run("postprocess", "--method", "median", "--params", params,
                "--in", data / "posteriors", "--out", dets) == 0
-    events, _ = formats.read_event_columns(dets)
+    events, _ = formats.read_events_tsv(dets)
     assert events
 
 
@@ -221,10 +223,10 @@ def test_loss_command_masks_desed_columns(tmp_path, capsys):
     formats.write_posteriorgram(pred_path, Posteriorgram(scores, 0.25, "m1"), list(vocab.classes))
 
     target_path = tmp_path / "target.tsv"
-    events = [
+    events = table([
         Event("m1", vocab.index("people_talking"), 0.0, 5.0, 0.8),
         Event("m1", vocab.index("car"), 2.0, 9.0, 0.6),
-    ]
+    ])
     formats.write_soft_events_tsv(target_path, events, list(vocab.classes))
 
     assert run("loss", "--pred", pred_path, "--target", target_path,
@@ -369,8 +371,8 @@ def test_config_twin_flags_win(tmp_path, capsys):
 def test_eval_psds_rejects_clips_missing_from_durations(tmp_path, capsys):
     names = ["car"]
     refs, dets, durations = tmp_path / "refs.tsv", tmp_path / "dets.tsv", tmp_path / "durations.tsv"
-    formats.write_events_tsv(refs, [Event("x", 0, 1.0, 2.0), Event("y", 0, 1.0, 2.0)], names)
-    formats.write_soft_events_tsv(dets, [Event("z", 0, 1.0, 2.0, 0.95)], names)
+    formats.write_events_tsv(refs, table([Event("x", 0, 1.0, 2.0), Event("y", 0, 1.0, 2.0)]), names)
+    formats.write_soft_events_tsv(dets, table([Event("z", 0, 1.0, 2.0, 0.95)]), names)
     formats.write_durations_tsv(durations, {"x": 10.0})
     assert run("eval", "psds", "--dets", dets, "--refs", refs, "--durations", durations) == 2
     captured = capsys.readouterr()
@@ -396,7 +398,7 @@ def test_loss_rejects_target_past_the_prediction(tmp_path, capsys):
     scores = np.full((4, len(vocab)), 0.5, dtype=np.float32)
     formats.write_posteriorgram(pred_path, Posteriorgram(scores, 0.25, "m1"), list(vocab.classes))
     target_path = tmp_path / "target.tsv"
-    formats.write_events_tsv(target_path, [Event("m1", vocab.index("car"), 2.0, 3.0)], list(vocab.classes))
+    formats.write_events_tsv(target_path, table([Event("m1", vocab.index("car"), 2.0, 3.0)]), list(vocab.classes))
     assert run("loss", "--pred", pred_path, "--target", target_path, "--origin", "maestro") == 2
     err = capsys.readouterr().err
     assert str(target_path) in err and "start at or after the end" in err
@@ -414,12 +416,16 @@ def test_loss_takes_target_edges_whose_frame_index_overflows(tmp_path, capsys):
     outputs = []
     for onset, offset in (("0", "2.0"), ("0", "1.7e308"), ("1e308", "1.7e308")):
         target_path.write_text(f"filename\tonset\toffset\tevent_label\nm1\t{onset}\t{offset}\tdog\n")
-        code = run("loss", "--pred", pred_path, "--target", target_path, "--origin", "desed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow to inf warns nothing
+            code = run("loss", "--pred", pred_path, "--target", target_path, "--origin", "desed")
         outputs.append((code, *capsys.readouterr()))
     assert outputs[0][0] == outputs[1][0] == 0 and outputs[1][1] == outputs[0][1]
+    assert outputs[0][2] == outputs[1][2] == ""
     code, out, err = outputs[2]
     assert code == 2 and out == ""
-    assert str(target_path) in err and "start at or after the end of the 2 s prediction" in err
+    assert err == (f"error: {target_path}: 1 target row(s) start at or after the end of the 2 s prediction,"
+                   " e.g. at 1e+308 s\n")
 
 
 def _loss_run(tmp_path, capsys, rows):
@@ -431,7 +437,7 @@ def _loss_run(tmp_path, capsys, rows):
     scores = np.linspace(0.1, 0.9, 40 * len(vocab)).reshape(40, len(vocab)).astype(np.float32)
     formats.write_posteriorgram(pred_path, Posteriorgram(scores, 0.05, "m1"), list(vocab.classes))
     target_path = tmp_path / "target.tsv"
-    formats.write_events_tsv(target_path, [Event(clip, vocab.index("dog"), on, off) for clip, on, off in rows],
+    formats.write_events_tsv(target_path, table(Event(clip, vocab.index("dog"), on, off) for clip, on, off in rows),
                              list(vocab.classes))
     code = run("loss", "--pred", pred_path, "--target", target_path, "--origin", "desed")
     return (code, *capsys.readouterr())
@@ -618,8 +624,8 @@ def test_a_directory_load_equals_reading_each_file_in_glob_order(directory):
 ])
 def test_eval_psds_rejects_a_bad_durations_file(tmp_path, capsys, rows, message):
     refs, dets, durations = tmp_path / "refs.tsv", tmp_path / "dets.tsv", tmp_path / "durations.tsv"
-    formats.write_events_tsv(refs, [Event("x", 0, 1.0, 2.0)], ["car"])
-    formats.write_soft_events_tsv(dets, [Event("x", 0, 1.0, 2.0, 0.9)], ["car"])
+    formats.write_events_tsv(refs, table([Event("x", 0, 1.0, 2.0)]), ["car"])
+    formats.write_soft_events_tsv(dets, table([Event("x", 0, 1.0, 2.0, 0.9)]), ["car"])
     durations.write_text("filename\tduration\n" + rows)
     assert run("eval", "psds", "--dets", dets, "--refs", refs, "--durations", durations) == 2
     captured = capsys.readouterr()
@@ -843,7 +849,7 @@ def test_text_readers_name_the_file_and_line(tmp_path, capsys, reader, case):
 ])
 def test_eval_psds_rejects_non_finite_detection_times(tmp_path, capsys, row, shown):
     refs, dets, durations = tmp_path / "refs.tsv", tmp_path / "dets.tsv", tmp_path / "durations.tsv"
-    formats.write_events_tsv(refs, [Event("x", 0, 1.0, 2.0)], ["car"])
+    formats.write_events_tsv(refs, table([Event("x", 0, 1.0, 2.0)]), ["car"])
     formats.write_durations_tsv(durations, {"x": 10.0})
     dets.write_text(formats.SOFT_HEADER + "\n" + row + "\n")
     assert run("eval", "psds", "--dets", dets, "--refs", refs, "--durations", durations) == 2
@@ -861,7 +867,8 @@ def test_eval_psds_rejects_non_finite_detection_times(tmp_path, capsys, row, sho
 def test_refs_for_clips_without_posteriors_are_rejected(tmp_path, capsys, command):
     data = synth_dir(tmp_path, clips=2)
     refs, out = tmp_path / "refs.tsv", tmp_path / "out.tsv"
-    formats.write_events_tsv(refs, [Event("clip_0000", 0, 1.0, 2.0), Event("ghost", 1, 1.0, 2.0)], ["car", "dog"])
+    formats.write_events_tsv(refs, table([Event("clip_0000", 0, 1.0, 2.0), Event("ghost", 1, 1.0, 2.0)]),
+                             ["car", "dog"])
     assert run(*command(data, refs, out)) == 2
     assert f"error: {refs}: references for clips without posteriors: ['ghost']" in capsys.readouterr().err
     assert not out.exists()
@@ -1076,18 +1083,17 @@ def test_eval_mpauc_equals_the_per_clip_segments(case):
             post = Posteriorgram(np.round(rng.uniform(size=(t, 3)) * 8) / 8, period, f"clip_{i}")
             formats.write_posteriorgram(root / "posteriors" / f"clip_{i}.sedp", post, names)
         refs = root / "refs.tsv"
-        (formats.write_soft_events_tsv if soft else formats.write_events_tsv)(refs, rows, names)
+        (formats.write_soft_events_tsv if soft else formats.write_events_tsv)(refs, table(rows), names)
         posts, class_names = cli._load_posteriors(root / "posteriors")
         columns = cli._read_refs(refs, class_names, posts)
         scores = evaluation.segment_scores(posts, segment)
         labels = evaluation.segmentize(columns, posts, segment)
 
-        # per clip: the unbuffered frame max, and the scalar rasterize loop
-        events = columns.events()
+        # per clip: the unbuffered frame max, and the clip's own rasterize
         want_scores = np.concatenate([segment_scores_at(post, segment) for post in posts])
         want_labels = np.concatenate([
-            rasterize([ev for ev in events if ev.clip_id == post.clip_id], len(segment_scores_at(post, segment)),
-                      segment, 3)
+            rasterize(table(ev for ev in columns if ev.clip_id == post.clip_id),
+                      len(segment_scores_at(post, segment)), segment, 3)
             for post in posts])
         assert scores.dtype == labels.dtype == np.float64
         assert np.array_equal(scores, want_scores) and np.array_equal(labels, want_labels)

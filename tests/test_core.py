@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -11,16 +12,15 @@ from hetsed.core import (
     ClassOrigin,
     ClipMetadata,
     Event,
+    EventTable,
     MaskMode,
     Origin,
     Posteriorgram,
-    _event_columns,
-    _EventColumns,
     build_vocabulary,
     canonicalize_events,
     class_mask,
     default_vocabulary,
-    frame_span,
+    frame_spans,
     frame_time,
     rasterize,
 )
@@ -199,7 +199,15 @@ def test_canonicalize_events_keeps_the_key_sort_and_its_errors(events):
         assert str(err.value) == str(exc)
         return
     got = canonicalize_events(events)
-    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+    assert isinstance(got, EventTable)
+    # every field to the bit (0.0 and -0.0 onsets apart), so the order of
+    # rows with equal sort keys is checked too
+    assert list(map(_bits, got)) == list(map(_bits, want))
+
+
+def _bits(ev):
+    return ev.clip_id, int(ev.class_idx), float(ev.onset).hex(), float(ev.offset).hex(), (
+        None if ev.confidence is None else float(ev.confidence).hex())
 
 
 def test_posteriorgram_validation():
@@ -249,24 +257,39 @@ def test_clip_metadata_rejects_a_non_finite_duration(bad):
 
 
 def test_rasterize_frames():
-    events = [Event("x", 0, 0.0, 0.2, None), Event("x", 1, 0.35, 0.5, 0.6)]
+    events = EventTable.from_events([Event("x", 0, 0.0, 0.2, None), Event("x", 1, 0.35, 0.5, 0.6)])
     target = rasterize(events, n=5, period=0.1, num_classes=2)
     assert np.allclose(target[:, 0], [1, 1, 0, 0, 0])
     assert np.allclose(target[:, 1], [0, 0, 0, 0.6, 0.6])
 
 
-def test_frame_span_edges():
-    assert frame_span(0.3, 0.5, 0.1, 10) == (3, 5)  # edges on frame boundaries
-    assert frame_span(0.35, 0.5, 0.05, 20) == (7, 10)  # 0.35 / 0.05 = 6.999999999999999
-    assert frame_span(0.14, 0.28, 0.02, 20) == (7, 14)  # 0.28 / 0.02 = 14.000000000000002
-    assert frame_span(0.35, 0.36, 0.1, 10) == (3, 4)  # inside one frame
-    assert frame_span(0.8, 2.0, 0.1, 10) == (8, 10)  # runs past the clip
-    assert frame_span(1.0, 2.0, 0.1, 10) == (10, 10)  # starts at the end: no frame
-    assert frame_span(0.3, 0.3 + 1e-12, 0.1, 10) == (3, 4)  # at least one frame
-    assert frame_span(0.0, 1.7e308, 0.05, 40) == (0, 40)  # offset / period overflows to inf
-    assert frame_span(1e308, 1.7e308, 1e-3, 40) == (40, 40)  # so do both edges
+_SPAN_CASES = [  # (onset, offset, period, n), expected (first, stop)
+    ((0.3, 0.5, 0.1, 10), (3, 5)),  # edges on frame boundaries
+    ((0.35, 0.5, 0.05, 20), (7, 10)),  # 0.35 / 0.05 = 6.999999999999999
+    ((0.14, 0.28, 0.02, 20), (7, 14)),  # 0.28 / 0.02 = 14.000000000000002
+    ((0.35, 0.36, 0.1, 10), (3, 4)),  # inside one frame
+    ((0.8, 2.0, 0.1, 10), (8, 10)),  # runs past the clip
+    ((1.0, 2.0, 0.1, 10), (10, 10)),  # starts at the end: no frame
+    ((0.3, 0.3 + 1e-12, 0.1, 10), (3, 4)),  # at least one frame
+    ((0.0, 1.7e308, 0.05, 40), (0, 40)),  # offset / period overflows to inf
+    ((1e308, 1.7e308, 1e-3, 40), (40, 40)),  # so do both edges
+]
+
+
+def test_frame_spans_edges():
+    onset, offset, period, n = map(np.array, zip(*(case for case, _ in _SPAN_CASES)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflowing cases raise no warning
+        first, stop = frame_spans(onset, offset, period, n)
+    assert list(zip(first.tolist(), stop.tolist())) == [want for _, want in _SPAN_CASES]
+    assert first.dtype == stop.dtype == np.int64
+    # one period and one frame count per row, as segmentize passes them
+    first, stop = frame_spans(np.array([0.5, 0.5, 2.5]), np.array([1.5, 9.0, 9.0]), 1.0, np.array([10, 3, 2]))
+    assert first.tolist() == [0, 0, 2] and stop.tolist() == [2, 3, 2]
+    with pytest.raises(ValueError, match="NaN"):
+        frame_spans(np.array([0.0, np.nan]), np.array([1.0, 2.0]), 0.1, 10)
     with pytest.raises(ValueError, match="class index 2"):
-        rasterize([Event("x", 2, 0.0, 1.0)], 5, 0.1, 2)
+        rasterize(EventTable.from_events([Event("x", 2, 0.0, 1.0)]), 5, 0.1, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -300,41 +323,46 @@ def test_rasterize_equals_frame_meets_event_oracle(period, n, num_classes, data)
             st.tuples(
                 st.integers(0, num_classes - 1),
                 st.integers(0, 4 * n + 8),
-                st.integers(1, 4 * n),
+                st.one_of(st.integers(1, 4 * n), st.none()),
                 st.one_of(st.none(), st.floats(0.0, 1.0)),
             ),
             max_size=8,
         )
     )
-    events = [
-        Event("c", cls, round(a * period / 4, 6), round((a + k) * period / 4, 6), conf)
+    # a length of None ends the event at 1.7e308 s, whose frame index
+    # overflows to inf
+    events = EventTable.from_events(
+        Event("c", cls, round(a * period / 4, 6), 1.7e308 if k is None else round((a + k) * period / 4, 6), conf)
         for cls, a, k, conf in cells
-    ]
-    expected = brute_rasterize(
-        [(cls, a, a + k, 1.0 if conf is None else conf) for cls, a, k, conf in cells], n, num_classes
     )
-    assert np.array_equal(rasterize(events, n, period, num_classes), expected)
+    expected = brute_rasterize(
+        [(cls, a, 4 * n + 9 if k is None else a + k, 1.0 if conf is None else conf) for cls, a, k, conf in cells],
+        n, num_classes,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(rasterize(events, n, period, num_classes), expected)
 
 
 def _columns_and_events():
     events = [Event("b", 1, 0.5, 1.0, 0.25), Event("a", 0, 0.0, 2.0), Event("b", 0, 1.0, 1.5, 0.0)]
-    return _event_columns(events), events
+    return EventTable.from_events(events), events
 
 
-def test_event_columns_iterate_as_their_events_without_a_take_per_row():
+def test_event_table_iterates_as_its_events_without_a_take_per_row():
     columns, events = _columns_and_events()
-    with patch.object(_EventColumns, "take", autospec=True, side_effect=_EventColumns.take) as take:
+    with patch.object(EventTable, "take", autospec=True, side_effect=EventTable.take) as take:
         assert list(columns) == events
         assert [ev for ev in columns.take([])] == []
     assert take.call_count == 1  # the empty take above; iterating took none
     assert [ev.confidence for ev in columns] == [0.25, None, 0.0]
 
 
-def test_event_columns_equal_the_events_they_hold():
+def test_event_table_equals_the_events_it_holds():
     columns, events = _columns_and_events()
     assert columns == events and events == columns and columns == tuple(events)
     assert columns.take([]) == [] and [] == columns.take([]) and columns.take([]) == ()
-    assert columns == _event_columns(list(events)) and columns.take([0, 1, 2]) == columns
+    assert columns == EventTable.from_events(events) and columns.take([0, 1, 2]) == columns
     assert columns != events[::-1] and columns != events[:2] and columns != columns.take([1, 0, 2])
     assert columns != [Event("b", 1, 0.5, 1.0), *events[1:]]  # an absent confidence is not 0.25
     assert columns != [Event("b", 1, 0.5, 1.0, 0.0), *events[1:]]

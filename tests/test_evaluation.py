@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsed import evaluation
-from hetsed.core import Event, Posteriorgram, rasterize
+from hetsed.core import Event, EventTable, Posteriorgram, rasterize
 from hetsed.evaluation import (
     OperatingPointCurve,
     PsdsConfig,
@@ -26,9 +26,12 @@ from hetsed.evaluation import (
 CFG = PsdsConfig()
 
 
+table = EventTable.from_events
+
+
 def one_set(dets, refs, hours, cfg, num_classes):
-    """The curve of the one set that holds every detection."""
-    (curve,) = roc_from_confidences(dets, [np.arange(len(dets))], refs, hours, cfg, num_classes)
+    """The curve of the one set that holds every detection (lists of Events)."""
+    (curve,) = roc_from_confidences(table(dets), [np.arange(len(dets))], table(refs), hours, cfg, num_classes)
     return curve
 
 
@@ -148,7 +151,7 @@ def test_sweep_rejects_a_nan_confidence():
         one_set(dets, refs, 1.0, CFG, 1)
     # every detection of the pool is checked, also one that no set uses
     with pytest.raises(ValueError, match="confidence"):
-        roc_from_confidences(dets, [np.array([0])], refs, 1.0, CFG, 1)
+        roc_from_confidences(table(dets), [np.array([0])], table(refs), 1.0, CFG, 1)
 
 
 # ------------------------------------------------ PSDS brute-force oracle
@@ -368,7 +371,7 @@ def test_batched_sweep_equals_the_per_set_sweep_and_the_rematch_oracle(case):
     dets, sets, refs, hours, cfg, num_classes = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        curves = roc_from_confidences(dets, sets, refs, hours, cfg, num_classes)
+        curves = roc_from_confidences(table(dets), sets, table(refs), hours, cfg, num_classes)
         alone = [one_set([dets[i] for i in s], refs, hours, cfg, num_classes) for s in sets]
     assert len(curves) == len(sets)
     for s, curve, single in zip(sets, curves, alone):
@@ -390,7 +393,7 @@ def test_batched_sweep_in_capped_passes_equals_the_per_set_sweep(monkeypatch):
         sets.append(np.tile(sets[0], 2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            curves = roc_from_confidences(dets, sets, refs, hours, CFG, num_classes)
+            curves = roc_from_confidences(table(dets), sets, table(refs), hours, CFG, num_classes)
         assert len(curves) == len(sets)
         for s, curve in zip(sets, curves):
             expected = rematch_curve([dets[i] for i in s], refs, hours, CFG, num_classes)
@@ -399,13 +402,13 @@ def test_batched_sweep_in_capped_passes_equals_the_per_set_sweep(monkeypatch):
 
 
 def test_batched_sweep_warns_at_the_caller_and_names_the_first_bad_detection():
-    refs = [Event("a", 0, 0.0, 1.0)]
+    refs = table([Event("a", 0, 0.0, 1.0)])
     no_dets = [np.zeros(0, dtype=np.intp)]
     with pytest.warns(UserWarning, match=r"excluded from PSDS: \[1\]") as caught:
-        roc_from_confidences([], no_dets, refs, 1.0, CFG, 2)
+        roc_from_confidences(table([]), no_dets, refs, 1.0, CFG, 2)
     assert [w.filename for w in caught] == [__file__]
     bad = Event("a", 0, 2.0, 2.0, 0.5)
-    dets = [Event("a", 0, 0.0, 1.0, 0.5), Event("a", 0, 1.0, 3.0, 0.5), bad, replace(bad, offset=1.0)]
+    dets = table([Event("a", 0, 0.0, 1.0, 0.5), Event("a", 0, 1.0, 3.0, 0.5), bad, replace(bad, offset=1.0)])
     with pytest.raises(ValueError, match="detection needs finite times") as err:
         roc_from_confidences(dets, [np.array([0]), np.array([1, 2, 3])], refs, 1.0, CFG, 1)
     assert str(bad) in str(err.value)
@@ -414,7 +417,7 @@ def test_batched_sweep_warns_at_the_caller_and_names_the_first_bad_detection():
         roc_from_confidences(dets, [np.array([0, 1])], refs, 1.0, CFG, 1)
     assert str(bad) in str(err.value)
     with pytest.raises(ValueError, match="total_hours"):
-        roc_from_confidences([], no_dets, refs, 0.0, CFG, 1)
+        roc_from_confidences(table([]), no_dets, refs, 0.0, CFG, 1)
 
 
 @st.composite
@@ -446,20 +449,20 @@ def ten_seconds(num_classes=1, clip_id="a"):
 
 
 def test_segmentize_aligned_event():
-    labels = segmentize([Event("a", 0, 3.0, 4.0)], [ten_seconds()])
+    labels = segmentize(table([Event("a", 0, 3.0, 4.0)]), [ten_seconds()])
     assert labels.shape == (10, 1)
     assert labels[3, 0] == 1.0
     assert labels.sum() == 1.0
 
 
 def test_segmentize_soft_value_kept():
-    labels = segmentize([Event("a", 0, 0.0, 10.0, 0.4)], [ten_seconds()])
+    labels = segmentize(table([Event("a", 0, 0.0, 10.0, 0.4)]), [ten_seconds()])
     assert np.allclose(labels, 0.4)
     assert not np.any(labels >= 0.5)  # hard labels at 0.5 are all zero
 
 
 def test_segmentize_counts_and_overlap_rule():
-    labels = segmentize([Event("a", 0, 2.5, 3.5)], [ten_seconds()])
+    labels = segmentize(table([Event("a", 0, 2.5, 3.5)]), [ten_seconds()])
     assert labels.shape[0] == 10
     assert labels[:, 0].tolist() == [0, 0, 1, 1, 0, 0, 0, 0, 0, 0]
 
@@ -544,10 +547,11 @@ def segment_directories(draw):
 @given(segment_directories())
 def test_segment_table_stacks_the_per_clip_segments(case):
     posts, refs, segment = case
-    scores, labels = segment_scores(posts, segment), segmentize(refs, posts, segment)
+    scores, labels = segment_scores(posts, segment), segmentize(table(refs), posts, segment)
     want_scores = np.concatenate([segment_scores_at(post, segment) for post in posts])
     want_labels = np.concatenate([
-        rasterize([ev for ev in refs if ev.clip_id == post.clip_id], len(segment_scores_at(post, segment)), segment, 2)
+        rasterize(table(ev for ev in refs if ev.clip_id == post.clip_id), len(segment_scores_at(post, segment)),
+                  segment, 2)
         for post in posts])
     assert scores.shape == want_scores.shape and labels.shape == want_labels.shape
     assert scores.tobytes() == want_scores.tobytes()
@@ -558,14 +562,14 @@ def test_segmentize_refuses_references_without_a_segment_row():
     posts = [ten_seconds(2, "a"), Posteriorgram(np.zeros((3, 2)), 0.25, "b")]
     # a bad segment comes first, then the first clip shorter than one
     with pytest.raises(ValueError, match="segment must be a finite length > 0 s, got 0.0"):
-        segmentize([], posts, 0.0)
+        segmentize(table([]), posts, 0.0)
     with pytest.raises(ValueError, match="duration 0.75 shorter than one segment 1.0"):
-        segmentize([], posts)
+        segmentize(table([]), posts)
     assert segment_scores(posts).shape == (11, 2)
     with pytest.raises(ValueError, match="class index 2 out of range"):
-        segmentize([Event("a", 2, 0.0, 1.0)], posts[:1])
+        segmentize(table([Event("a", 2, 0.0, 1.0)]), posts[:1])
     with pytest.raises(ValueError, match=r"references for clips without posteriors: \['b'\]"):
-        segmentize([Event("a", 0, 0.0, 1.0), Event("b", 0, 0.0, 1.0)], posts[:1])
+        segmentize(table([Event("a", 0, 0.0, 1.0), Event("b", 0, 0.0, 1.0)]), posts[:1])
     with pytest.raises(ValueError, match="need at least one posteriorgram"):
         segment_scores([])
 

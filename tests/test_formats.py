@@ -1,5 +1,6 @@
 import inspect
 import math
+import os
 import re
 import tempfile
 from dataclasses import replace
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hetsed import formats, synth
-from hetsed.core import Event, Posteriorgram, _event_columns, canonicalize_events
+from hetsed.core import Event, EventTable, Posteriorgram, canonicalize_events
 from hetsed.evaluation import PsdsConfig, psds, roc_from_confidences
 from hetsed.formats import (
     read_csebb_grid,
     read_csebb_params,
     read_durations_tsv,
-    read_event_columns,
+    read_events_tsv,
     read_features,
     read_posteriorgram,
     read_score_report,
@@ -35,14 +36,15 @@ from hetsed.postprocess import ClassSebbParams, CsebbParams, csebb_detect, frame
 from oracles import event_tsv_text
 
 CLASSES = ["car", "dog", "speech"]
+table = EventTable.from_events
 
 
 def events_fixture():
-    return [
+    return table([
         Event("clip_b", 1, 0.5, 2.0),
         Event("clip_a", 0, 1.25, 3.0),
         Event("clip_a", 2, 0.064, 4.128),
-    ]
+    ])
 
 
 def test_events_tsv_round_trip_and_header(tmp_path):
@@ -50,7 +52,7 @@ def test_events_tsv_round_trip_and_header(tmp_path):
     write_events_tsv(path, events_fixture(), CLASSES)
     text = path.read_text()
     assert text.startswith("filename\tonset\toffset\tevent_label\n")
-    events, names = read_event_columns(path, CLASSES)
+    events, names = read_events_tsv(path, CLASSES)
     assert names == CLASSES
     assert {(e.clip_id, e.class_idx, e.onset, e.offset) for e in events} == {
         ("clip_b", 1, 0.5, 2.0),
@@ -66,26 +68,26 @@ def test_events_tsv_round_trip_and_header(tmp_path):
 def test_events_tsv_infers_sorted_class_names(tmp_path):
     path = tmp_path / "events.tsv"
     write_events_tsv(path, events_fixture(), CLASSES)
-    _, names = read_event_columns(path)
+    _, names = read_events_tsv(path)
     assert names == sorted(CLASSES)
 
 
 def test_events_tsv_seconds_have_three_decimals(tmp_path):
     path = tmp_path / "events.tsv"
-    write_events_tsv(path, [Event("c", 0, 0.5, 2.0)], ["x"])
+    write_events_tsv(path, table([Event("c", 0, 0.5, 2.0)]), ["x"])
     line = path.read_text().splitlines()[1]
     assert line == "c\t0.500\t2.000\tx"
 
 
 def test_soft_tsv_preserves_missing_confidence(tmp_path):
     path = tmp_path / "soft.tsv"
-    events = [Event("c", 0, 0.0, 1.0, 0.35), Event("c", 0, 2.0, 3.0, None)]
+    events = table([Event("c", 0, 0.0, 1.0, 0.35), Event("c", 0, 2.0, 3.0, None)])
     write_soft_events_tsv(path, events, ["x"])
     lines = path.read_text().splitlines()
     assert lines[0].endswith("\tconfidence")
     assert lines[1].endswith("\t0.350000")
     assert lines[2].endswith("\t")  # absent, not 0
-    back, _ = read_event_columns(path, ["x"])
+    back, _ = read_events_tsv(path, ["x"])
     assert back[0].confidence == pytest.approx(0.35)
     assert back[1].confidence is None
 
@@ -93,30 +95,30 @@ def test_soft_tsv_preserves_missing_confidence(tmp_path):
 def test_sebbs_tsv_round_trip(tmp_path):
     # a box is an Event whose confidence is set
     path = tmp_path / "sebbs.tsv"
-    boxes = [Event("c", 0, 1.0, 2.0, 0.75)]
+    boxes = table([Event("c", 0, 1.0, 2.0, 0.75)])
     write_soft_events_tsv(path, boxes, ["x"])
-    back, _ = read_event_columns(path, ["x"])
+    back, _ = read_events_tsv(path, ["x"])
     assert back[0].confidence == pytest.approx(0.75)
 
 
 def test_events_tsv_rejects_unknown_label(tmp_path):
     path = tmp_path / "events.tsv"
-    write_events_tsv(path, [Event("c", 0, 0.0, 1.0)], ["mystery"])
+    write_events_tsv(path, table([Event("c", 0, 0.0, 1.0)]), ["mystery"])
     with pytest.raises(ValueError, match="unknown class"):
-        read_event_columns(path, CLASSES)
+        read_events_tsv(path, CLASSES)
 
 
-def test_event_columns_are_the_canonical_events(tmp_path):
+def test_read_events_tsv_gives_the_canonical_events(tmp_path):
     path = tmp_path / "soft.tsv"
     path.write_text("\n".join([formats.SOFT_HEADER, "b\t0.5\t2.0\tdog\t0.25", "a\t1.0\t3.0\tspeech\t", "",
                                "a\t0.0\t1.0\tspeech\t1.0", "b\t0.5\t1.5\tcar\t0.0"]) + "\n")
-    columns, names = read_event_columns(path)
+    columns, names = read_events_tsv(path)
     assert names == CLASSES
-    assert columns.events() == [Event("a", 2, 0.0, 1.0, 1.0), Event("a", 2, 1.0, 3.0, None),
+    assert list(columns) == [Event("a", 2, 0.0, 1.0, 1.0), Event("a", 2, 1.0, 3.0, None),
                                 Event("b", 0, 0.5, 1.5, 0.0), Event("b", 1, 0.5, 2.0, 0.25)]
-    assert read_event_columns(path) == (columns, names)
+    assert read_events_tsv(path) == (columns, names)
     assert sorted(columns.clip_ids) == ["a", "b"]
-    assert read_event_columns(path, ["car", "dog", "speech", "x"])[0].class_idx.tolist() == [2, 2, 0, 1]
+    assert read_events_tsv(path, ["car", "dog", "speech", "x"])[0].class_idx.tolist() == [2, 2, 0, 1]
 
 
 @pytest.mark.parametrize("row, message", [
@@ -131,7 +133,7 @@ def test_event_readers_name_the_first_bad_row(tmp_path, row, message):
     path = tmp_path / "soft.tsv"
     path.write_text("\n".join([formats.SOFT_HEADER, "c\t0.0\t1.0\tdog\t", "", row, "c\t0.0\tx\tdog\t"]) + "\n")
     with pytest.raises(ValueError) as error:
-        read_event_columns(path, CLASSES)
+        read_events_tsv(path, CLASSES)
     assert str(error.value) == f"{path}:4: {message}"
 
 
@@ -332,12 +334,11 @@ def test_score_report_refuses_a_non_finite_value_and_names_its_key(tmp_path, bad
 
 @pytest.mark.parametrize("names", [["car", "car"], ["car", "dog", "car"], ("a", "b", "b")])
 def test_event_writers_refuse_a_repeated_class_name_and_leave_no_file(tmp_path, names):
-    events = [Event("x", 0, 0.0, 1.0, 0.5)]
+    events = table([Event("x", 0, 0.0, 1.0, 0.5)])
     message = f"{tmp_path / 'out.tsv'}: class names repeat a name: {list(names)}"
     for write in (write_events_tsv, write_soft_events_tsv):
-        for given_as in (events, _event_columns(events)):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                write(tmp_path / "out.tsv", given_as, names)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write(tmp_path / "out.tsv", events, names)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -353,7 +354,7 @@ def test_score_report_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("read", [
-    read_event_columns, read_durations_tsv, read_csebb_params, read_csebb_grid, read_score_report,
+    read_events_tsv, read_durations_tsv, read_csebb_params, read_csebb_grid, read_score_report,
 ])
 def test_text_readers_check_the_header(tmp_path, read):
     path = tmp_path / "bad.tsv"
@@ -367,6 +368,28 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     write_durations_tsv(path, {"a": 1.0})
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.tsv"]
     assert leftovers == []
+
+
+def test_every_writer_gives_its_file_the_mode_of_a_plain_open(tmp_path):
+    # a file made by open() has mode 0o666 less the umask
+    with open(tmp_path / "plain", "w"):
+        pass
+    want = os.stat(tmp_path / "plain").st_mode & 0o777
+    post = Posteriorgram(np.full((3, 1), 0.5), 0.02, "x")
+    writes = {
+        "events.tsv": lambda p: write_events_tsv(p, events_fixture(), CLASSES),
+        "boxes.tsv": lambda p: write_soft_events_tsv(p, table([Event("c", 0, 1.0, 2.0, 0.75)]), ["x"]),
+        "durations.tsv": lambda p: write_durations_tsv(p, {"a": 1.0}),
+        "x.sedp": lambda p: write_posteriorgram(p, post, ["x"]),
+        "x.mel": lambda p: write_features(p, np.zeros((2, 3)), 0.01),
+        "params.tsv": lambda p: write_csebb_params(p, CsebbParams()),
+        "report.tsv": lambda p: write_score_report(p, {"psds": 0.5}),
+        "report.txt": lambda p: write_summary(p, "PSDS report", {"psds": 0.5}),
+    }
+    for name, write in writes.items():
+        write(tmp_path / name)
+        assert (name, os.stat(tmp_path / name).st_mode & 0o777) == (name, want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*writes, "plain"])
 
 
 # ------------------------------------------------- write then read, exactly
@@ -391,10 +414,10 @@ _six_decimals = st.integers(0, 10**6).map(lambda m: m / 10**6)
 @given(tsv_events(st.none()), tsv_events(st.one_of(st.none(), _six_decimals)))
 def test_event_tsvs_read_back_identical(events, boxes):
     with tempfile.TemporaryDirectory() as tmp:
-        write_events_tsv(Path(tmp) / "events.tsv", events, CLASSES)
-        write_soft_events_tsv(Path(tmp) / "boxes.tsv", boxes, CLASSES)
-        assert read_event_columns(Path(tmp) / "events.tsv", CLASSES) == (canonicalize_events(events), CLASSES)
-        assert read_event_columns(Path(tmp) / "boxes.tsv", CLASSES) == (canonicalize_events(boxes), CLASSES)
+        write_events_tsv(Path(tmp) / "events.tsv", table(events), CLASSES)
+        write_soft_events_tsv(Path(tmp) / "boxes.tsv", table(boxes), CLASSES)
+        assert read_events_tsv(Path(tmp) / "events.tsv", CLASSES) == (canonicalize_events(events), CLASSES)
+        assert read_events_tsv(Path(tmp) / "boxes.tsv", CLASSES) == (canonicalize_events(boxes), CLASSES)
 
 
 # a tab and every character at which str.splitlines ends a line
@@ -406,11 +429,11 @@ _names = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from
 @given(_names, _names)
 def test_a_clip_id_or_class_name_reads_back_or_is_refused(clip_id, class_name):
     names = [class_name]
-    events = [Event(clip_id, 0, 0.5, 1.25, 0.75), Event("x", 0, 0.0, 1.0)]
+    events = table([Event(clip_id, 0, 0.5, 1.25, 0.75), Event("x", 0, 0.0, 1.0)])
     cases = [
-        (lambda p: write_events_tsv(p, events, names), lambda p: read_event_columns(p, names),
+        (lambda p: write_events_tsv(p, events, names), lambda p: read_events_tsv(p, names),
          ([replace(ev, confidence=None) for ev in canonicalize_events(events)], names)),
-        (lambda p: write_soft_events_tsv(p, events, names), lambda p: read_event_columns(p, names),
+        (lambda p: write_soft_events_tsv(p, events, names), lambda p: read_events_tsv(p, names),
          (canonicalize_events(events), names)),
         (lambda p: write_durations_tsv(p, {clip_id: 10.0, "x": 2.5}), read_durations_tsv,
          {clip_id: 10.0, "x": 2.5}),
@@ -432,8 +455,9 @@ def test_a_clip_id_or_class_name_reads_back_or_is_refused(clip_id, class_name):
 def test_text_writers_name_the_field_that_would_not_read_back(tmp_path):
     path = tmp_path / "out.tsv"
     writes = [
-        (lambda: write_events_tsv(path, [Event("a\u2028b", 0, 0.0, 1.0)], CLASSES), "clip id 'a\\u2028b'"),
-        (lambda: write_soft_events_tsv(path, [Event("a", 0, 0.0, 1.0)], ["car\tdog"]), "class name 'car\\tdog'"),
+        (lambda: write_events_tsv(path, table([Event("a\u2028b", 0, 0.0, 1.0)]), CLASSES), "clip id 'a\\u2028b'"),
+        (lambda: write_soft_events_tsv(path, table([Event("a", 0, 0.0, 1.0)]), ["car\tdog"]),
+         "class name 'car\\tdog'"),
         (lambda: write_durations_tsv(path, {"a\rb": 1.0}), "clip id 'a\\rb'"),
         (lambda: write_score_report(path, {"psds\x85": 1.0}), "key 'psds\\x85'"),
         (lambda: write_csebb_params(path, CsebbParams(per_class={"dog\x0b": ClassSebbParams()})),
@@ -483,9 +507,8 @@ def test_event_writers_give_the_bytes_of_the_row_by_row_formatter(events):
     with tempfile.TemporaryDirectory() as tmp:
         for write, soft in ((write_events_tsv, False), (write_soft_events_tsv, True)):
             want = event_tsv_text(events, CLASSES, soft).encode("utf-8")
-            for given_as in (events, _event_columns(events)):
-                write(Path(tmp) / "out.tsv", given_as, CLASSES)
-                assert (Path(tmp) / "out.tsv").read_bytes() == want
+            write(Path(tmp) / "out.tsv", table(events), CLASSES)
+            assert (Path(tmp) / "out.tsv").read_bytes() == want
 
 
 @pytest.mark.parametrize("bad", [
@@ -500,10 +523,9 @@ def test_event_writers_reject_invalid_events_as_canonicalize_events_does(tmp_pat
     with pytest.raises(ValueError, match="^invalid events:\n") as expected:
         canonicalize_events(events)
     for write in (write_events_tsv, write_soft_events_tsv):
-        for given_as in (events, _event_columns(events)):
-            with pytest.raises(ValueError) as err:
-                write(tmp_path / "out.tsv", given_as, CLASSES)
-            assert str(err.value) == str(expected.value)
+        with pytest.raises(ValueError) as err:
+            write(tmp_path / "out.tsv", table(events), CLASSES)
+        assert str(err.value) == str(expected.value)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -536,15 +558,15 @@ def test_psds_in_memory_equals_psds_after_the_tsv_round_trip(seed, n_clips, peri
     posts = synth.render_posteriors(truth, metas, len(CLASSES), period, blur=3, noise_sd=0.05,
                                     dip_prob=1.0, rng=rng)
     hours = sum(meta.duration for meta in metas) / 3600
-    events = [ev for post in posts for ev in frame_threshold_merge([post], [0.5] * len(CLASSES)).events()]
+    events = table(ev for post in posts for ev in frame_threshold_merge([post], [0.5] * len(CLASSES)))
     boxes = csebb_detect(posts, CsebbParams(), CLASSES)
-    printed = [replace(box, confidence=float(f"{box.confidence:.6f}")) for box in boxes]
+    printed = table(replace(box, confidence=float(f"{box.confidence:.6f}")) for box in boxes)
     with tempfile.TemporaryDirectory() as tmp:
         write_events_tsv(Path(tmp) / "refs.tsv", truth, CLASSES)
         write_events_tsv(Path(tmp) / "events.tsv", events, CLASSES)
         write_soft_events_tsv(Path(tmp) / "boxes.tsv", boxes, CLASSES)
         refs, events_back, boxes_back = (
-            read_event_columns(Path(tmp) / name, CLASSES)[0] for name in ("refs.tsv", "events.tsv", "boxes.tsv")
+            read_events_tsv(Path(tmp) / name, CLASSES)[0] for name in ("refs.tsv", "events.tsv", "boxes.tsv")
         )
     assert events_back == canonicalize_events(events)
     assert boxes_back == canonicalize_events(printed)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsed import postprocess
-from hetsed.core import Event, Posteriorgram, canonicalize_events, frame_time
+from hetsed.core import Event, EventTable, Posteriorgram, canonicalize_events, frame_time
 from hetsed.postprocess import (
     NOISE_FLOOR,
     ClassSebbParams,
@@ -20,6 +20,9 @@ from hetsed.postprocess import (
     tune_csebb,
 )
 from oracles import change_points_loop, greedy_merge, median_threshold_runs, window_mean_moving_average
+
+
+NO_REFS = EventTable.from_events([])
 
 
 def post_of(track, fp=0.05, clip_id="p0"):
@@ -60,7 +63,7 @@ def test_frame_threshold_merge_run_arithmetic():
 
 def test_frame_threshold_merge_empty_and_full():
     post = post_of([0.1, 0.2, 0.3])
-    assert frame_threshold_merge([post], [0.5]).events() == []
+    assert list(frame_threshold_merge([post], [0.5])) == []
     full = frame_threshold_merge([post], [0.0])
     assert len(full) == 1
     assert full[0].onset == 0.0 and full[0].offset == pytest.approx(3 * 0.05)
@@ -108,7 +111,7 @@ def test_csebb_ideal_step_single_box():
 
 
 def test_csebb_constant_zero_no_boxes():
-    assert csebb_detect([post_of(np.zeros(50))]).events() == []
+    assert list(csebb_detect([post_of(np.zeros(50))])) == []
 
 
 def test_csebb_dip_merged_against_bruteforce_segmentation():
@@ -260,7 +263,7 @@ def recording_metric(seen):
 
 def test_tune_csebb_singleton_grid():
     only = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
-    assert tune_csebb(_dip_fixture(), [], [only], box_count_metric) is only
+    assert tune_csebb(_dip_fixture(), NO_REFS, [only], box_count_metric) is only
 
 
 def test_tune_csebb_selects_planted_optimum():
@@ -270,17 +273,17 @@ def test_tune_csebb_selects_planted_optimum():
     fragmenting = CsebbParams(
         default=ClassSebbParams(window=3, half_width=1, rel_merge=0.0, abs_merge=0.0)
     )
-    best = tune_csebb(_dip_fixture(), [], [fragmenting, merging], box_count_metric)
+    best = tune_csebb(_dip_fixture(), NO_REFS, [fragmenting, merging], box_count_metric)
     assert best is merging
     # deterministic across runs and grid orderings
-    again = tune_csebb(_dip_fixture(), [], [merging, fragmenting], box_count_metric)
+    again = tune_csebb(_dip_fixture(), NO_REFS, [merging, fragmenting], box_count_metric)
     assert again is merging
 
 
 def test_tune_csebb_tie_breaks_toward_smaller_window():
     small = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
     large = CsebbParams(default=ClassSebbParams(window=11, half_width=5))
-    best = tune_csebb(_dip_fixture(), [], [large, small], lambda boxes, sets, r: [0.0] * len(sets))
+    best = tune_csebb(_dip_fixture(), NO_REFS, [large, small], lambda boxes, sets, r: [0.0] * len(sets))
     assert best is small
 
 
@@ -296,7 +299,7 @@ def test_tune_csebb_scores_the_boxes_csebb_detect_gives():
                     per_class={"y": ClassSebbParams(window=7, half_width=2, min_gap=0.05)})
     ]
     seen = []
-    tune_csebb(posts, [], grid, recording_metric(seen), names)
+    tune_csebb(posts, NO_REFS, grid, recording_metric(seen), names)
     assert seen == [[b for p in posts for b in csebb_detect([p], cand, names)] for cand in grid]
     assert len({len(boxes) for boxes in seen}) > 1
 
@@ -304,12 +307,12 @@ def test_tune_csebb_scores_the_boxes_csebb_detect_gives():
 def test_tune_csebb_needs_one_score_per_candidate():
     grid = default_grid()[:3]
     with pytest.raises(ValueError, match="metric gave 2 scores for 3 candidates"):
-        tune_csebb(_dip_fixture(), [], grid, lambda boxes, sets, refs: [0.0, 0.0])
+        tune_csebb(_dip_fixture(), NO_REFS, grid, lambda boxes, sets, refs: [0.0, 0.0])
 
 
 def test_tune_csebb_empty_grid():
     with pytest.raises(ValueError):
-        tune_csebb([], [], [], box_count_metric)
+        tune_csebb([], NO_REFS, [], box_count_metric)
 
 
 def test_default_grid_shape():
@@ -396,7 +399,7 @@ def median_event_cases(draw):
 def test_median_window_events_equal_median_filter_then_threshold(case):
     scores, thresholds, window = case
     post = post_of(scores, fp=0.02)
-    assert (frame_threshold_merge([post], thresholds, window).events()
+    assert (list(frame_threshold_merge([post], thresholds, window))
             == [Event(*run) for run in median_threshold_runs(post, thresholds, window)])
 
 
@@ -431,11 +434,11 @@ def test_stacked_threshold_runs_equal_runs_after_median_filter_clip_by_clip(case
     with patch.object(postprocess, "_STACK_CELLS", cap):
         got = frame_threshold_merge(posts, thresholds, window)
     want = [run for post in posts for run in median_threshold_runs(post, thresholds, window)]
-    rows = [(ev.clip_id, ev.class_idx, ev.onset, ev.offset) for ev in got.events()]
+    rows = [(ev.clip_id, ev.class_idx, ev.onset, ev.offset) for ev in got]
     assert sorted(rows) == sorted(want)
-    assert canonicalize_events(got.events()) == canonicalize_events([Event(*run) for run in want])
+    assert canonicalize_events(got) == canonicalize_events([Event(*run) for run in want])
     for post in posts:
-        assert frame_threshold_merge([post], thresholds, window).events() == [
+        assert list(frame_threshold_merge([post], thresholds, window)) == [
             Event(*run) for run in median_threshold_runs(post, thresholds, window)]
 
 
@@ -689,7 +692,7 @@ def test_csebb_boxes_equal_those_of_the_loop_segmentation(seed, t, window, half_
     scores = np.clip(levels + rng.normal(0.0, 0.05, size=levels.shape).round(2), 0.0, 1.0)
     post = post_of(scores.astype(np.float32).astype(np.float64))
     p = ClassSebbParams(window=window, half_width=half_width, min_gap=min_gap)
-    assert csebb_detect([post], CsebbParams(default=p)).events() == _boxes_from_loop(post, p)
+    assert list(csebb_detect([post], CsebbParams(default=p))) == _boxes_from_loop(post, p)
 
 
 _THRESHOLDS = st.sampled_from([0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -754,7 +757,7 @@ def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_bo
     monkeypatch.setattr(postprocess, "moving_average",
                         lambda scores, window: passes.append((scores.shape, window)) or smooth(scores, window))
     seen = []
-    tune_csebb(posts, [], grid, recording_metric(seen), names)
+    tune_csebb(posts, NO_REFS, grid, recording_metric(seen), names)
     # every pass stacks clips of one frame count within the cap; the eight
     # 400-frame clips take three passes per smoothing key
     assert all(rows * t <= postprocess._STACK_CELLS for (t, rows), _ in passes if rows > 3)
@@ -762,8 +765,8 @@ def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_bo
     assert sum(rows for (t, rows), window in passes if window == 3) == 3 * len(posts)
     monkeypatch.setattr(postprocess, "moving_average", smooth)
     assert seen == [[b for p in posts for b in csebb_detect([p], cand, names)] for cand in grid]
-    assert seen == [csebb_detect(posts, cand, names).events() for cand in grid]
-    assert csebb_detect(posts, grid[-1]).events() == [b for p in posts for b in csebb_detect([p], grid[-1])]
+    assert seen == [list(csebb_detect(posts, cand, names)) for cand in grid]
+    assert list(csebb_detect(posts, grid[-1])) == [b for p in posts for b in csebb_detect([p], grid[-1])]
     assert len({len(boxes) for boxes in seen}) > 1
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hetsed.core import Origin
+from hetsed.core import EventTable, Origin
 from hetsed.evaluation import PsdsConfig, psds, roc_from_confidences
 from hetsed.postprocess import frame_threshold_merge
 from hetsed.synth import gen_ground_truth, render_posteriors
@@ -66,11 +66,12 @@ def test_render_dips_are_subthreshold_notches():
                               rng=np.random.default_rng(8))
     by_clip = {p.clip_id: p for p in posts}
     checked = 0
-    for ev in events:
+    rows = list(events)  # the Events of the table's rows, built once, so "is" tells rows apart
+    for ev in rows:
         if ev.offset - ev.onset < 2.0:
             continue
         # skip events that overlap another event of the same class in the clip
-        others = [e for e in events
+        others = [e for e in rows
                   if e.clip_id == ev.clip_id and e is not ev
                   and e.onset < ev.offset and e.offset > ev.onset]
         if others:
@@ -95,9 +96,7 @@ def test_zero_corruption_recovers_ground_truth_exactly():
     fp = 0.05
     events, metas = gen_ground_truth(np.random.default_rng(10), 30, 3, 2.0, snap=fp)
     posts = render_posteriors(events, metas, 3, fp)
-    recovered = []
-    for p in posts:
-        recovered.extend(frame_threshold_merge([p], [0.5, 0.5, 0.5]).events())
+    recovered = EventTable.from_events(ev for p in posts for ev in frame_threshold_merge([p], [0.5, 0.5, 0.5]))
     assert len(recovered) <= len(events)  # touching events merge into one run
     cfg = PsdsConfig()
     hours = sum(m.duration for m in metas) / 3600.0
