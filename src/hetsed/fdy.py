@@ -5,11 +5,15 @@ attention weights, so the effective 2D kernel varies along the frequency
 axis.  ``conv2d_naive`` is the plain cross-correlation reference the dynamic
 path is tested against; ``fdy_conv`` mixes one kernel per frequency bin and
 correlates each bin with it in one batched matmul.  GLU and inference-time
-batch norm round out the block.
+batch norm round out the block; each allocates its output once and runs its
+elementwise chain one channel at a time, while the channel is still in L2,
+with every element taking the same operations, and so the same bits, as the
+whole-array chain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,16 +146,19 @@ def glu(x: np.ndarray) -> np.ndarray:
     """Gated linear unit over the channel axis: a * sigmoid(b).
 
     sigmoid(b) is taken as 0.5 * (1 + tanh(b / 2)), which cannot overflow.
+    The chain runs one output channel at a time, while it is in L2.
     """
     x = _check_input(x)
     if x.shape[0] % 2 != 0:
         raise ValueError(f"GLU needs an even channel count, got {x.shape[0]}")
     half = x.shape[0] // 2
-    out = np.multiply(x[half:], 0.5)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    out *= x[:half]
+    out = np.empty((half,) + x.shape[1:])
+    for c, o in enumerate(out):
+        np.multiply(x[half + c], 0.5, out=o)
+        np.tanh(o, out=o)
+        o += 1.0
+        o *= 0.5
+        o *= x[c]
     return out
 
 
@@ -163,7 +170,12 @@ def batchnorm_infer(
     beta: np.ndarray,
     eps: float = 1e-5,
 ) -> np.ndarray:
-    """Inference-time batch normalization with per-channel statistics."""
+    """Inference-time batch normalization with per-channel statistics.
+
+    Each channel is scaled and shifted in place in the output, one channel
+    at a time.  Every statistic and ``eps`` must be finite, and ``var + eps``
+    must be > 0 in every channel.
+    """
     x = _check_input(x)
     mean, var = np.asarray(mean, dtype=np.float64), np.asarray(var, dtype=np.float64)
     gamma, beta = np.asarray(gamma, dtype=np.float64), np.asarray(beta, dtype=np.float64)
@@ -171,9 +183,20 @@ def batchnorm_infer(
     for name, arr in (("mean", mean), ("var", var), ("gamma", gamma), ("beta", beta)):
         if arr.shape != (c,):
             raise ValueError(f"{name} must have shape ({c},), got {arr.shape}")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {arr[bad[0]]} in channel {bad[0]}")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+    bad = np.flatnonzero(~(var + eps > 0.0))
+    if bad.size:
+        raise ValueError(f"var + eps must be > 0, got {var[bad[0]] + eps} in channel {bad[0]}")
     scale = gamma / np.sqrt(var + eps)
-    out = x * scale[:, None, None]
-    out += (beta - scale * mean)[:, None, None]
+    shift = beta - scale * mean
+    out = np.empty(x.shape)
+    for o, channel, a, b in zip(out, x, scale.tolist(), shift.tolist()):
+        np.multiply(channel, a, out=o)
+        o += b
     return out
 
 

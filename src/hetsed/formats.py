@@ -264,7 +264,7 @@ def write_posteriorgram(path: Path | str, post: Posteriorgram, class_names: Sequ
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
-        fh.write(np.ascontiguousarray(post.scores, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(post.scores, dtype="<f4").data)  # the buffer itself, not a bytes copy
 
 
 def _check_length(path: Path | str, data: bytes, end: int, part: str) -> None:
@@ -357,7 +357,7 @@ def write_features(path: Path | str, values: np.ndarray, frame_period: float) ->
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, values.shape[0], values.shape[1], _period_us(path, frame_period))
     with atomic_write(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<f4").data)  # the buffer itself, not a bytes copy
 
 
 def read_features(path: Path | str) -> tuple[np.ndarray, float]:

@@ -448,3 +448,30 @@ def frozen_float64_log_mel(samples: np.ndarray, hop: int, n_mels: int) -> np.nda
         power = np.square(np.abs(np.fft.rfft(frames[start : start + 128] * hann, axis=1)))
         mel_power[start : start + power.shape[0]] = (fb @ power.T).T
     return np.log(np.maximum(mel_power, 1e-10))
+
+
+def frozen_glu(x: np.ndarray) -> np.ndarray:
+    """``fdy.glu`` as it stood before it ran one channel at a time, frozen
+    here as the bit-exact reference: the whole-array chain multiply by 0.5,
+    tanh, +1, times 0.5, times the first half, on the float64 input."""
+    x = np.asarray(x, dtype=np.float64)
+    half = x.shape[0] // 2
+    out = np.multiply(x[half:], 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    out *= x[:half]
+    return out
+
+
+def frozen_batchnorm_infer(x, mean, var, gamma, beta, eps=1e-5) -> np.ndarray:
+    """``fdy.batchnorm_infer`` as it stood before it ran one channel at a time,
+    frozen here as the bit-exact reference: x times gamma / sqrt(var + eps),
+    plus beta - scale * mean, broadcast over the whole float64 array."""
+    x = np.asarray(x, dtype=np.float64)
+    mean, var = np.asarray(mean, dtype=np.float64), np.asarray(var, dtype=np.float64)
+    gamma, beta = np.asarray(gamma, dtype=np.float64), np.asarray(beta, dtype=np.float64)
+    scale = gamma / np.sqrt(var + eps)
+    out = x * scale[:, None, None]
+    out += (beta - scale * mean)[:, None, None]
+    return out

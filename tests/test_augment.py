@@ -135,6 +135,48 @@ def test_within_dataset_matches_the_fancy_index_reference(dtype, seed):
     assert_same_as_fancy_index(batch, metas_for(origins), seed, alpha=float(rng.uniform(0.1, 2.0)))
 
 
+def _c_order(rng, dtype, t):
+    return rng.normal(-4.0, 2.5, size=(9, 6, t)).astype(dtype)
+
+
+def _stacked_transposed(rng, dtype, t):
+    # clips read as [T, M] and stacked as [M, T], as callers of read_features do
+    return np.stack([rng.normal(-4.0, 2.5, size=(t, 6)).astype(dtype).T for _ in range(9)])
+
+
+def _strided_slice(rng, dtype, t):
+    return rng.normal(-4.0, 2.5, size=(9, 12, 3 * t)).astype(dtype)[:, ::2, ::3]
+
+
+LAYOUTS = {"c_order": _c_order, "stacked_transposed": _stacked_transposed, "strided_slice": _strided_slice}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("t", [1, 63, 64, 130, 200])
+def test_within_dataset_matches_the_fancy_index_reference_on_every_layout(layout, t, dtype):
+    # T runs below, at and across the copy's tile of frames, and off its multiples
+    rng = np.random.default_rng(t)
+    batch = LAYOUTS[layout](rng, dtype, t)
+    assert batch.shape == (9, 6, t)
+    assert batch.flags.c_contiguous == (layout == "c_order") or t == 1
+    origins = list(rng.choice(list(Origin), size=9))
+    for seed in range(3):
+        assert_same_as_fancy_index(batch, metas_for(origins), seed)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -0.5])
+def test_within_dataset_refuses_an_alpha_that_is_not_finite_and_positive(alpha):
+    batch = np.random.default_rng(16).normal(size=(4, 2, 3))
+    # singletons only, where no weight is drawn, and a family of three
+    for origins in ([Origin.DESED_WEAK, Origin.MAESTRO] * 2, [Origin.DESED_WEAK] * 3 + [Origin.MAESTRO]):
+        rng = np.random.default_rng(17)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="alpha"):
+            mixup_within_dataset(batch[: len(origins)], metas_for(origins), rng, alpha)
+        assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_within_dataset_transposed_batch_gives_a_c_ordered_output(dtype):
     rng = np.random.default_rng(11)

@@ -8,7 +8,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["walkthrough", "bulk"])
+# counts that read non-zero only when the traced layers run: the CLI's
+# post-processing and mPAUC go through the public functions the tracer
+# wraps; the front-end's features, FDY and MixStyle layers through theirs
+LIVE_COUNTS = {
+    "walkthrough": ("postprocess.events", "postprocess.boxes", "evaluation.segments"),
+    "bulk": ("postprocess.events", "postprocess.boxes", "evaluation.segments"),
+    "frontend": ("features.frames", "fdy.macs", "domain_gen.bytes"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(LIVE_COUNTS))
 def test_traced_bench_run_is_correct(workload):
     # a short traced run: the tracer's hooks (such as len() of the PSDS
     # sweep's detections) and the CLI calls the bench makes must still work
@@ -18,9 +28,7 @@ def test_traced_bench_run_is_correct(workload):
     assert done.returncode == 0, done.stderr[-2000:]
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True, done.stderr[-2000:]
-    # the CLI's post-processing and mPAUC run through the public functions
-    # the tracer wraps, so their counts are live
-    for count in ("postprocess.events", "postprocess.boxes", "evaluation.segments"):
+    for count in LIVE_COUNTS[workload]:
         assert result["metrics"][count]["value"] > 0, count
 
 

@@ -13,6 +13,8 @@ from hetsed.fdy import (
     random_fdy_params,
 )
 
+from oracles import frozen_batchnorm_infer, frozen_glu
+
 
 def test_conv_naive_delta_kernel_is_identity():
     rng = np.random.default_rng(0)
@@ -185,6 +187,71 @@ def test_batchnorm_infer():
     assert np.allclose(near_id, y, atol=1e-4)
     collapsed = batchnorm_infer(y, np.zeros(3), np.ones(3), np.zeros(3), np.full(3, 0.7))
     assert np.allclose(collapsed, 0.7)
+
+
+def _channel_inputs(layout, dtype):
+    # a bench-sized channel (128 x 988), a T off every SIMD width, and a
+    # transposed and a strided input; values up to |x| = 60 saturate tanh
+    rng = np.random.default_rng(13)
+    shape = {"bench": (4, 128, 988), "odd": (6, 5, 37), "transposed": (4, 9, 31), "strided": (4, 9, 62)}[layout]
+    x = rng.normal(scale=rng.choice([0.1, 3.0, 60.0], size=shape[:1])[:, None, None], size=shape).astype(dtype)
+    if layout == "transposed":
+        x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    elif layout == "strided":
+        x = x[:, :, ::2]
+    assert x.flags.c_contiguous == (layout in ("bench", "odd"))
+    return x
+
+
+LAYOUTS = ["bench", "odd", "transposed", "strided"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_glu_gives_the_bytes_of_the_whole_array_chain(layout, dtype):
+    x = _channel_inputs(layout, dtype)
+    out = glu(x)
+    ref = frozen_glu(x)
+    assert out.dtype == np.float64 and out.shape == ref.shape and out.flags.c_contiguous
+    assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_batchnorm_infer_gives_the_bytes_of_the_whole_array_product(layout, dtype):
+    x = _channel_inputs(layout, dtype)
+    rng = np.random.default_rng(14)
+    c = x.shape[0]
+    stats = (rng.standard_normal(c), rng.uniform(0.5, 2.0, c), rng.uniform(0.5, 1.5, c), rng.standard_normal(c))
+    for eps in (1e-5, 0.0):
+        out = batchnorm_infer(x, *stats, eps=eps)
+        ref = frozen_batchnorm_infer(x, *stats, eps=eps)
+        assert out.dtype == np.float64 and out.shape == ref.shape and out.flags.c_contiguous
+        assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value, eps, name",
+    [
+        ("var", -1.0, 1e-5, "var"),
+        ("var", 0.0, 0.0, "var"),
+        ("var", -1e-5, 1e-5, "var"),
+        ("var", np.nan, 1e-5, "var"),
+        ("var", np.inf, 1e-5, "var"),
+        ("mean", np.nan, 1e-5, "mean"),
+        ("mean", -np.inf, 1e-5, "mean"),
+        ("gamma", np.nan, 1e-5, "gamma"),
+        ("beta", np.inf, 1e-5, "beta"),
+        ("var", 1.0, np.nan, "eps"),
+        ("var", 1.0, np.inf, "eps"),
+    ],
+)
+def test_batchnorm_infer_refuses_statistics_it_cannot_normalize_by(field, value, eps, name):
+    x = np.random.default_rng(15).normal(size=(3, 4, 5))
+    stats = {"mean": np.zeros(3), "var": np.ones(3), "gamma": np.ones(3), "beta": np.zeros(3)}
+    stats[field][1] = value
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=name):
+        batchnorm_infer(x, **stats, eps=eps)
 
 
 def test_params_validation():

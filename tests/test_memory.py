@@ -6,10 +6,10 @@ plus one block's frame buffer, power spectrum and complex spectrum at the
 samples' dtype and one float64 block for the mel product.  At hop 160 a
 whole-clip power spectrum alone would be 7.7 float64 blocks.
 
-Each transform allocates its output and at most one row-sized buffer
+Each transform allocates its output and at most two row-sized buffers
 besides per-(instance, bin) statistics, so its traced peak stays within the
 output's bytes plus two rows plus a small multiple of the [B, F] float64
-statistics.  Batch-sized temporaries, as in whole-family fancy-index
+statistics, for mixup on a transposed batch too.  Batch-sized temporaries, as in whole-family fancy-index
 copies or a batch-sized product, would each add a whole output's bytes.
 """
 
@@ -28,9 +28,11 @@ STAT_ARRAYS = 16
 ORIGINS = [Origin.MAESTRO if i == 5 else (Origin.DESED_WEAK, Origin.DESED_SYNTH)[i % 2] for i in range(B)]
 
 
-def _inputs(dtype):
+def _inputs(dtype, layout):
     rng = np.random.default_rng(21)
     batch = (rng.normal(scale=2.5, size=(B, F, T)) + rng.normal(-4.0, 3.0, size=(B, F, 1))).astype(dtype)
+    if layout == "stacked_transposed":  # [T, F] clips stacked as [F, T], as callers of read_features make
+        batch = np.ascontiguousarray(batch.transpose(0, 2, 1)).transpose(0, 2, 1)
     return batch, rng.permutation(B), rng.normal(size=(B, F, T)).astype(dtype)
 
 
@@ -42,10 +44,13 @@ TRANSFORMS = {
 }
 
 
+CASES = [(name, "c_order") for name in sorted(TRANSFORMS)] + [("mixup_within_dataset", "stacked_transposed")]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("name", sorted(TRANSFORMS))
-def test_peak_is_the_output_plus_two_rows_and_statistics(name, dtype):
-    args = _inputs(dtype)
+@pytest.mark.parametrize("name, layout", CASES)
+def test_peak_is_the_output_plus_two_rows_and_statistics(name, layout, dtype):
+    args = _inputs(dtype, layout)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
