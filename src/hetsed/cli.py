@@ -249,24 +249,24 @@ def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np
     default_thr = 0.5
     per_class: dict[str, float] = {}
     if cfg_file is not None:
-        raw = config_mod.parse_config(formats._read_text(cfg_file), cfg_file)
-        for key, value in raw.items():
+        for lineno, key, value in config_mod._entries(formats._read_text(cfg_file), cfg_file):
+            where = f"{cfg_file}:{lineno}"
             if key == "window":
                 if not value.isdecimal() or int(value) % 2 == 0:
-                    raise ValueError(f"{cfg_file}: window must be an odd integer >= 1, got {value!r}")
+                    raise ValueError(f"{where}: window must be an odd integer >= 1, got {value!r}")
                 window = int(value)
                 continue
             if not key.startswith("threshold."):
-                raise ValueError(f"{cfg_file}: unknown key {key!r}")
+                raise ValueError(f"{where}: unknown key {key!r}")
             name = key.split(".", 1)[1]
             if name != "default" and name not in class_names:
-                raise ValueError(f"{cfg_file}: {key}: no class {name!r} in the posteriorgrams' class table")
+                raise ValueError(f"{where}: {key}: no class {name!r} in the posteriorgrams' class table")
             try:
                 thr = float(value)
             except ValueError:
                 thr = math.nan
             if not 0.0 <= thr <= 1.0:
-                raise ValueError(f"{cfg_file}: {key} must be a number in [0, 1], got {value!r}")
+                raise ValueError(f"{where}: {key} must be a number in [0, 1], got {value!r}")
             if name == "default":
                 default_thr = thr
             else:
@@ -331,7 +331,7 @@ def _psds_config_from(cfg, dtc=None, gtc=None, emax=None, alpha_st=None) -> eval
 
 def _setting(flag: float | None, cfg, key: str) -> float:
     """A flag's value, or its config twin's when the flag is not given."""
-    return flag if flag is not None else config_mod.get_float(cfg, key)
+    return flag if flag is not None else cfg[key]
 
 
 def _reindex(events: EventTable, names: list[str], class_names: list[str]) -> EventTable:

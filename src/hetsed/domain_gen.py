@@ -33,20 +33,11 @@ EPSILON = 1e-5
 @dataclass(frozen=True)
 class MixStyleConfig:
     alpha: float = 0.3  # Beta(alpha, alpha) shape for the convex weight
-    apply_prob: float = 0.5
     epsilon: float = EPSILON
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not 0.0 <= self.apply_prob <= 1.0:
-            raise ValueError(f"apply_prob must be in [0, 1], got {self.apply_prob}")
-
-
-@dataclass(frozen=True, eq=False)
-class FreqStats:
-    mean: np.ndarray  # [B, F]
-    std: np.ndarray  # [B, F], clamped to >= epsilon
 
 
 def _check_batch(batch: np.ndarray) -> np.ndarray:
@@ -73,13 +64,6 @@ def _over_time(stat: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return stat.astype(batch.dtype, copy=False)[:, :, None]
 
 
-def freq_stats(batch: np.ndarray, epsilon: float = EPSILON) -> FreqStats:
-    """Per-instance, per-frequency mean and population std over time, in
-    float64 whatever the batch dtype."""
-    _, mean, std = _centred(_check_batch(batch))
-    return FreqStats(mean=mean, std=np.maximum(std, epsilon))
-
-
 def sample_lambda(cfg: MixStyleConfig, rng: np.random.Generator) -> float:
     """Draw the convex mixing weight from Beta(alpha, alpha)."""
     return float(rng.beta(cfg.alpha, cfg.alpha))
@@ -97,18 +81,13 @@ def freq_mixstyle(
     perm: np.ndarray,
     lam: float,
     cfg: MixStyleConfig = MixStyleConfig(),
-    partner_stats: FreqStats | None = None,
 ) -> np.ndarray:
     """Mix per-frequency statistics of each instance with its partner's.
 
     Instance i is standardized per frequency bin over time, then re-scaled and
     re-centered with sigma_mix = lam*sigma_i + (1-lam)*sigma_j and
-    mu_mix = lam*mu_i + (1-lam)*mu_j where j = perm[i].
-
-    ``partner_stats`` optionally supplies the statistics the partners are
-    looked up in (still indexed by perm); by default they come from ``batch``
-    itself.  Passing frozen statistics realizes the stop-gradient convention
-    of the gradient op exactly, which the finite-difference checks rely on.
+    mu_mix = lam*mu_i + (1-lam)*mu_j where j = perm[i]; the stds are the
+    population stds over time, clamped to >= cfg.epsilon.
     """
     batch = _check_batch(batch)
     perm = _check_perm(perm, batch.shape[0])
@@ -119,9 +98,8 @@ def freq_mixstyle(
         return batch.copy()
     out, mu, sig = _centred(batch)
     sig = np.maximum(sig, cfg.epsilon)
-    partners = FreqStats(mean=mu, std=sig) if partner_stats is None else partner_stats
-    mu_mix = lam * mu + (1.0 - lam) * partners.mean[perm]
-    sig_mix = lam * sig + (1.0 - lam) * partners.std[perm]
+    mu_mix = lam * mu + (1.0 - lam) * mu[perm]
+    sig_mix = lam * sig + (1.0 - lam) * sig[perm]
     out *= _over_time(sig_mix, out)
     out /= _over_time(sig, out)
     out += _over_time(mu_mix, out)
@@ -180,18 +158,3 @@ def residual_norm(batch: np.ndarray, lambda_rn: float, epsilon: float = EPSILON)
     for normed, instance in zip(out, batch):  # no batch-sized temporary
         normed += lambda_rn * instance
     return out
-
-
-def apply_mixstyle(
-    batch: np.ndarray,
-    cfg: MixStyleConfig,
-    rng: np.random.Generator,
-    training: bool = True,
-) -> np.ndarray:
-    """Batch-level MixStyle step: identity at eval time, else applied with
-    probability cfg.apply_prob using a random partner permutation."""
-    batch = _check_batch(batch)
-    if not training or rng.random() > cfg.apply_prob:
-        return batch.copy()
-    perm = rng.permutation(batch.shape[0])
-    return freq_mixstyle(batch, perm, sample_lambda(cfg, rng), cfg)

@@ -40,6 +40,8 @@ def gen_ground_truth(
     recoverable by frame-indexed post-processing, which the noiseless
     end-to-end checks rely on.
     """
+    if n_clips < 1:
+        raise ValueError(f"n_clips must be >= 1, got {n_clips}")
     if num_classes < 1:
         raise ValueError(f"need at least one class, got {num_classes}")
     # each range test holds for real numbers only, so NaN fails it

@@ -28,7 +28,7 @@ WARMUP_EPOCHS = 50
 SSL_MAX_WEIGHT = 2.0
 BATCH_SIZE = 60
 
-# batch-size fractions per origin pool, in field order of BatchPlan
+# batch-size fractions per origin pool, in the order batch plans list them
 _BATCH_FRACTIONS = (
     ("maestro", 0.2),
     ("synth", 0.1),
@@ -36,24 +36,6 @@ _BATCH_FRACTIONS = (
     ("weak", 0.2),
     ("unlabeled", 0.4),
 )
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """Per-origin clip counts for one batch; counts sum to the batch size."""
-
-    maestro: int
-    synth: int
-    synth_strong: int
-    weak: int
-    unlabeled: int
-
-    @property
-    def total(self) -> int:
-        return self.maestro + self.synth + self.synth_strong + self.weak + self.unlabeled
-
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name, _ in _BATCH_FRACTIONS}
 
 
 @dataclass(frozen=True)
@@ -218,8 +200,9 @@ def soft_clip_loss(
     return masked_bce(pred, target, mask)
 
 
-def plan_batch(batch_size: int = BATCH_SIZE) -> BatchPlan:
-    """Split a batch across origin pools by the fixed fractions.
+def plan_batch(batch_size: int = BATCH_SIZE) -> dict[str, int]:
+    """Split a batch across origin pools by the fixed fractions, as
+    ``{pool: clip count}`` in the order of _BATCH_FRACTIONS.
 
     Non-divisible sizes are corrected by largest remainder so counts always
     sum to batch_size.
@@ -232,7 +215,7 @@ def plan_batch(batch_size: int = BATCH_SIZE) -> BatchPlan:
     by_fraction = sorted(range(len(ideal)), key=lambda i: ideal[i] - counts[i], reverse=True)
     for i in by_fraction[:remainder]:
         counts[i] += 1
-    return BatchPlan(**{name: c for (name, _), c in zip(_BATCH_FRACTIONS, counts)})
+    return {name: c for (name, _), c in zip(_BATCH_FRACTIONS, counts)}
 
 
 class BatchComposer:
@@ -267,15 +250,15 @@ class BatchComposer:
             drawn.append(queue.pop(0))
         return drawn
 
-    def next_batch(self) -> tuple[BatchPlan, dict[str, list[str]]]:
-        ids = {name: self._draw(name, count) for name, count in self.plan.as_dict().items()}
-        return self.plan, ids
+    def next_batch(self) -> tuple[dict[str, int], dict[str, list[str]]]:
+        ids = {name: self._draw(name, count) for name, count in self.plan.items()}
+        return dict(self.plan), ids
 
 
 def compose_batch(
     pools: Mapping[str, Sequence[str]],
     batch_size: int = BATCH_SIZE,
     rng: np.random.Generator | None = None,
-) -> tuple[BatchPlan, dict[str, list[str]]]:
+) -> tuple[dict[str, int], dict[str, list[str]]]:
     """One batch from fresh shuffles; see BatchComposer for epoch semantics."""
     return BatchComposer(pools, batch_size, rng).next_batch()

@@ -12,7 +12,6 @@ import numpy as np
 from scipy.ndimage import median_filter
 
 from hetsed.core import _event_problems
-from hetsed.domain_gen import freq_mixstyle, freq_stats
 from hetsed.evaluation import OperatingPointCurve, PsdsConfig, _segment_count
 from hetsed.postprocess import _PLATEAU_TOL
 
@@ -339,13 +338,38 @@ def segment_scores_at(post, segment):
     return scores
 
 
+MIXSTYLE_EPSILON = 1e-5  # the std clamp of domain_gen.MixStyleConfig()
+
+
+def freq_mean_std(batch):
+    """Per-(instance, bin) mean and population std over time, [B, F] each,
+    by their definitions in float64."""
+    batch = np.asarray(batch, dtype=np.float64)
+    mean = batch.mean(axis=2)
+    return mean, np.sqrt(((batch - mean[:, :, None]) ** 2).mean(axis=2))
+
+
+def mixstyle_forward(batch, perm, lam, partner_mean, partner_std):
+    """Frequency-wise MixStyle by its definition, in float64: each instance
+    standardised per bin with its own mean and std (clamped to
+    MIXSTYLE_EPSILON), then given lam-blends of those and of its partner's
+    entries perm[i] in the [B, F] partner_mean and partner_std."""
+    batch = np.asarray(batch, dtype=np.float64)
+    mean, std = freq_mean_std(batch)
+    std = np.maximum(std, MIXSTYLE_EPSILON)
+    mu_mix = lam * mean + (1.0 - lam) * partner_mean[perm]
+    sig_mix = lam * std + (1.0 - lam) * partner_std[perm]
+    return (batch - mean[:, :, None]) / std[:, :, None] * sig_mix[:, :, None] + mu_mix[:, :, None]
+
+
 def mixstyle_numerical_grad(batch, perm, lam, upstream, step=1e-4):
     """Central differences of <upstream, mixstyle(batch)> with partner
     statistics frozen at the unperturbed batch (stop-gradient convention)."""
-    frozen = freq_stats(batch)
+    mean, std = freq_mean_std(batch)
+    std = np.maximum(std, MIXSTYLE_EPSILON)
 
     def objective(b):
-        return np.sum(upstream * freq_mixstyle(b, perm, lam, partner_stats=frozen))
+        return np.sum(upstream * mixstyle_forward(b, perm, lam, mean, std))
 
     grad = np.zeros_like(batch)
     flat = batch.ravel()

@@ -291,7 +291,7 @@ def test_criterion_10_mean_teacher_constants():
         assert ssl_weight(0) == pytest.approx(2 * math.exp(-5), abs=1e-12)
 
         plan = plan_batch(60)
-        assert (plan.maestro, plan.synth, plan.synth_strong, plan.weak, plan.unlabeled) == (
+        assert (plan["maestro"], plan["synth"], plan["synth_strong"], plan["weak"], plan["unlabeled"]) == (
             12, 6, 6, 12, 24)
 
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsed import cli, evaluation, formats
+from hetsed.config import DEFAULTS
 from hetsed.core import Event, EventTable, Posteriorgram, default_vocabulary, rasterize
 from hetsed.postprocess import ClassSebbParams, CsebbParams
 from oracles import event_tsv_text, median_threshold_runs, segment_scores_at
@@ -684,7 +685,7 @@ def test_postprocess_rejects_bad_params_naming_the_file_and_key(tmp_path, capsys
     data = synth_dir(tmp_path, clips=2)
     dets = tmp_path / "dets.tsv"
     assert run("postprocess", "--method", method, "--params", params, "--in", data / "posteriors", "--out", dets) == 2
-    assert f"error: {params}: {message}" in capsys.readouterr().err
+    assert f"error: {params}:1: {message}" in capsys.readouterr().err
     assert not dets.exists()
 
 
@@ -970,6 +971,31 @@ def test_tune_csebb_rejects_a_non_finite_psds_config_twin(tmp_path, capsys, line
                "--val-refs", data / "refs.tsv", "--out", tmp_path / "tuned.tsv") == 2
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "tuned.tsv").exists()
+
+
+@pytest.mark.parametrize("key", sorted(key for key, value in DEFAULTS.items() if type(value) is float))
+@pytest.mark.parametrize("value, problem", [("abc", "must be a number"), ("nan", "must be finite"),
+                                            ("inf", "must be finite")])
+def test_a_config_value_that_is_not_a_finite_number_stops_any_command(tmp_path, capsys, key, value, problem):
+    # synth reads no config key, so only the load-time check can refuse it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# tuned\n{key} = {value}\n")
+    classes = tmp_path / "classes.txt"
+    classes.write_text("car\n")
+    out = tmp_path / "data"
+    assert run("--config", cfg, "synth", "--seed", 1, "--clips", 2, "--classes", classes, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: {key} {problem}, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("clips", [0, -1])
+def test_synth_refuses_fewer_than_one_clip(tmp_path, capsys, clips):
+    classes = tmp_path / "classes.txt"
+    classes.write_text("car\n")
+    out = tmp_path / "data"
+    assert run("synth", "--seed", 1, "--clips", clips, "--classes", classes, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: n_clips must be >= 1, got {clips}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, shown", [

@@ -3,42 +3,54 @@ import pytest
 
 from hetsed.domain_gen import (
     MixStyleConfig,
-    apply_mixstyle,
     freq_mixstyle,
     freq_mixstyle_input_grad,
-    freq_stats,
     residual_norm,
     sample_lambda,
 )
+# the gradient oracle freezes the partner statistics at the unperturbed
+# batch: the analytic gradient stop-gradients them, so the finite
+# differences must differentiate the same function
+from oracles import freq_mean_std, mixstyle_forward
+from oracles import mixstyle_numerical_grad as _numerical_grad
 
 CFG = MixStyleConfig()
 
 
-def test_freq_stats_hand_case():
-    batch = np.array([[[0.0, 2.0]]])  # B=1, F=1, T=2
-    stats = freq_stats(batch)
-    assert stats.mean[0, 0] == 1.0
-    assert stats.std[0, 0] == 1.0  # population convention
+def test_residual_norm_standardises_with_the_population_std():
+    batch = np.array([[[0.0, 2.0]]])  # B=1, F=1, T=2: mean 1, population std 1
+    assert residual_norm(batch, 0.0).tolist() == [[[-1.0, 1.0]]]
 
 
-def test_freq_stats_constant_instance_clamps_std():
-    batch = np.full((2, 3, 8), 4.2)
-    stats = freq_stats(batch)
-    assert np.all(stats.mean == 4.2)
-    assert np.all(stats.std == 1e-5)
+def test_transforms_clamp_the_std():
+    # bin 0 is constant, bin 1 has std 1e-6, under the 1e-5 clamp
+    batch = np.array([[[4.2, 4.2], [0.0, 2e-6]], [[0.0, 2.0], [0.0, 2.0]]])
+    normed = residual_norm(batch, 0.0)
+    assert normed[0, 0].tolist() == [0.0, 0.0]
+    assert np.allclose(normed[0, 1], [-0.1, 0.1], rtol=1e-12, atol=0.0)
+    styled = freq_mixstyle(batch, np.array([1, 0]), 0.5)
+    sig_mix = 0.5 * 1e-5 + 0.5 * 1.0  # the partner's std blended with the clamp
+    assert np.allclose(styled[0, 0], [0.5 * (4.2 + 1.0)] * 2, rtol=1e-12, atol=0.0)
+    assert np.allclose(styled[0, 1], 0.5 * (1e-6 + 1.0) + np.array([-1e-6, 1e-6]) * sig_mix / 1e-5,
+                       rtol=1e-9, atol=0.0)
+    assert np.allclose(styled[1, 0], 0.5 * (1.0 + 4.2) + np.array([-1.0, 1.0]) * sig_mix, rtol=1e-12, atol=0.0)
 
 
-def test_freq_stats_time_permutation_invariant():
+def test_transforms_commute_with_a_time_permutation():
     rng = np.random.default_rng(0)
     batch = rng.normal(size=(2, 4, 16))
-    shuffled = batch[:, :, rng.permutation(16)]
-    a, b = freq_stats(batch), freq_stats(shuffled)
-    assert np.allclose(a.mean, b.mean) and np.allclose(a.std, b.std)
+    order = rng.permutation(16)
+    perm = np.array([1, 0])
+    assert np.allclose(freq_mixstyle(batch[:, :, order], perm, 0.3), freq_mixstyle(batch, perm, 0.3)[:, :, order])
+    assert np.allclose(residual_norm(batch[:, :, order], 0.4), residual_norm(batch, 0.4)[:, :, order])
 
 
-def test_freq_stats_requires_two_steps():
-    with pytest.raises(ValueError):
-        freq_stats(np.zeros((1, 2, 1)))
+def test_transforms_require_two_time_steps():
+    batch = np.zeros((1, 2, 1))
+    for transform in (lambda b: freq_mixstyle(b, [0], 0.5), lambda b: freq_mixstyle_input_grad(b, [0], 0.5, b),
+                      lambda b: residual_norm(b, 0.5)):
+        with pytest.raises(ValueError, match=r"need T >= 2 time steps, got 1"):
+            transform(batch)
 
 
 def test_sample_lambda_deterministic_given_seed():
@@ -92,12 +104,12 @@ def test_freq_mixstyle_output_statistics_match_mixture():
     perm = rng.permutation(6)
     lam = 0.37
     out = freq_mixstyle(batch, perm, lam)
-    stats = freq_stats(batch)
-    mu_mix = lam * stats.mean + (1 - lam) * stats.mean[perm]
-    sig_mix = lam * stats.std + (1 - lam) * stats.std[perm]
-    out_stats = freq_stats(out)
-    assert np.all(np.abs(out_stats.mean - mu_mix) <= 1e-5 * (1 + np.abs(mu_mix)))
-    assert np.all(np.abs(out_stats.std - sig_mix) <= 1e-5 * (1 + np.abs(sig_mix)))
+    mean, std = freq_mean_std(batch)
+    mu_mix = lam * mean + (1 - lam) * mean[perm]
+    sig_mix = lam * std + (1 - lam) * std[perm]
+    out_mean, out_std = freq_mean_std(out)
+    assert np.all(np.abs(out_mean - mu_mix) <= 1e-5 * (1 + np.abs(mu_mix)))
+    assert np.all(np.abs(out_std - sig_mix) <= 1e-5 * (1 + np.abs(sig_mix)))
 
 
 def test_freq_mixstyle_lambda_zero_carries_partner_statistics():
@@ -105,10 +117,10 @@ def test_freq_mixstyle_lambda_zero_carries_partner_statistics():
     batch = rng.normal(size=(4, 3, 20))
     perm = np.array([1, 0, 3, 2])
     out = freq_mixstyle(batch, perm, 0.0)
-    stats = freq_stats(batch)
-    out_stats = freq_stats(out)
-    assert np.allclose(out_stats.mean, stats.mean[perm], atol=1e-9)
-    assert np.allclose(out_stats.std, stats.std[perm], atol=1e-9)
+    mean, std = freq_mean_std(batch)
+    out_mean, out_std = freq_mean_std(out)
+    assert np.allclose(out_mean, mean[perm], atol=1e-9)
+    assert np.allclose(out_std, std[perm], atol=1e-9)
 
 
 def test_freq_mixstyle_continuous_in_lambda():
@@ -126,20 +138,20 @@ def test_freq_mixstyle_rejects_bad_perm():
         freq_mixstyle(np.zeros((2, 2, 4)), np.array([0, 0]), 0.5)
 
 
-# partner statistics are frozen at the unperturbed batch inside the oracle:
-# the analytic gradient stop-gradients them, so the finite differences must
-# differentiate the same function
-from oracles import mixstyle_numerical_grad as _numerical_grad  # noqa: E402
-
-
-def test_frozen_partner_stats_is_noop_at_base_point():
+def test_oracle_forward_equals_freq_mixstyle_at_the_base_point():
+    # the gradient oracle differentiates its own forward; at the unperturbed
+    # batch, whose statistics it freezes, that forward is freq_mixstyle's
     rng = np.random.default_rng(20)
-    batch = rng.normal(size=(3, 4, 6))
-    perm = rng.permutation(3)
-    frozen = freq_stats(batch)
-    a = freq_mixstyle(batch, perm, 0.3)
-    b = freq_mixstyle(batch, perm, 0.3, partner_stats=frozen)
-    assert np.array_equal(a, b)
+    for shape in ((3, 4, 6), (2, 3, 5), (5, 2, 40)):
+        batch = rng.normal(size=shape) * rng.uniform(0.1, 5.0, size=shape[:2] + (1,))
+        batch[0, 1] = 4.2  # a constant bin, whose std sits on the clamp
+        perm = rng.permutation(shape[0])
+        mean, std = freq_mean_std(batch)
+        std = np.maximum(std, CFG.epsilon)
+        for lam in (0.0, 0.3, 0.95):
+            want = freq_mixstyle(batch, perm, lam)
+            got = mixstyle_forward(batch, perm, lam, mean, std)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_gradient_lambda_one_is_upstream_bitwise():
@@ -176,9 +188,9 @@ def test_residual_norm_pure_normalization():
     rng = np.random.default_rng(11)
     batch = rng.normal(loc=5.0, scale=2.0, size=(3, 4, 64))
     out = residual_norm(batch, 0.0)
-    stats = freq_stats(out)
-    assert np.all(np.abs(stats.mean) < 1e-9)
-    assert np.all(np.abs(stats.std - 1.0) < 1e-5)
+    mean, std = freq_mean_std(out)
+    assert np.all(np.abs(mean) < 1e-9)
+    assert np.all(np.abs(std - 1.0) < 1e-5)
 
 
 def test_residual_norm_standardized_fixed_point():
@@ -195,22 +207,6 @@ def test_residual_norm_hand_case():
     assert np.allclose(out[0, 0], [-1.0, 1.2])
 
 
-def test_apply_mixstyle_eval_mode_is_identity():
-    rng = np.random.default_rng(13)
-    batch = rng.normal(size=(4, 3, 8))
-    out = apply_mixstyle(batch, MixStyleConfig(apply_prob=1.0), np.random.default_rng(0), training=False)
-    assert out.tobytes() == batch.tobytes()
-
-
-def test_apply_mixstyle_respects_apply_prob_zero():
-    rng = np.random.default_rng(14)
-    batch = rng.normal(size=(4, 3, 8))
-    out = apply_mixstyle(batch, MixStyleConfig(apply_prob=0.0), np.random.default_rng(0))
-    assert out.tobytes() == batch.tobytes()
-
-
 def test_mixstyle_config_validation():
     with pytest.raises(ValueError):
         MixStyleConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        MixStyleConfig(apply_prob=1.5)

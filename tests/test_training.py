@@ -185,15 +185,15 @@ def test_total_loss_breakdown_invariant():
 
 
 def test_plan_batch_paper_composition():
-    plan = plan_batch(60)
-    assert (plan.maestro, plan.synth, plan.synth_strong, plan.weak, plan.unlabeled) == (12, 6, 6, 12, 24)
-    small = plan_batch(10)
-    assert (small.maestro, small.synth, small.synth_strong, small.weak, small.unlabeled) == (2, 1, 1, 2, 4)
+    assert list(plan_batch(60).items()) == [
+        ("maestro", 12), ("synth", 6), ("synth_strong", 6), ("weak", 12), ("unlabeled", 24)]
+    assert list(plan_batch(10).items()) == [
+        ("maestro", 2), ("synth", 1), ("synth_strong", 1), ("weak", 2), ("unlabeled", 4)]
 
 
 def test_plan_batch_counts_always_sum():
     for size in range(1, 121):
-        assert plan_batch(size).total == size
+        assert sum(plan_batch(size).values()) == size
 
 
 def test_compose_batch_draws_requested_counts():
@@ -205,7 +205,8 @@ def test_compose_batch_draws_requested_counts():
         "unlabeled": [f"u{i}" for i in range(60)],
     }
     plan, ids = compose_batch(pools, 60, np.random.default_rng(0))
-    for name, count in plan.as_dict().items():
+    assert plan == plan_batch(60)
+    for name, count in plan.items():
         assert len(ids[name]) == count
         assert len(set(ids[name])) == count
 
@@ -239,7 +240,7 @@ def test_composer_reshuffles_on_exhaustion():
     composer = BatchComposer(pools, 10, np.random.default_rng(2))
     for _ in range(10):
         plan, ids = composer.next_batch()
-        assert plan.total == 10
+        assert sum(plan.values()) == 10
         assert len(ids["maestro"]) == 2
 
 
