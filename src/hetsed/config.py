@@ -1,6 +1,8 @@
 """Flat key-value configuration files.
 
-Syntax: one ``key = value`` per line, ``#`` comments, keys dotted by module.
+Syntax: one ``key = value`` per line, keys dotted by module.  A line whose
+first non-blank character is ``#`` is a comment; elsewhere ``#`` starts a
+comment only after the ``=``, so a key may hold ``#`` (``threshold.a#b``).
 The keys are exactly those of DEFAULTS, each set at most once; any other key,
 a key set twice, or a value that is not a finite number (``train.loss_mode``:
 not a MaskMode value) is an error naming the file and line.  ``psds.*`` and
@@ -34,17 +36,18 @@ DEFAULTS: dict[str, float | str] = {
 
 def _entries(text: str, source: Path | str) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) for every non-blank, non-comment line, each
-    key once; errors name ``source``, the file the text came from, and the
-    line."""
+    key once, with the value cut at its first ``#``; errors name ``source``,
+    the file the text came from, and the line."""
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         where = f"{source}:{lineno}"
         if "=" not in stripped:
             raise ValueError(f"{where}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
+        key, value = stripped.split("=", 1)
+        key, value = key.strip(), value.split("#", 1)[0].strip()
         if key in first_line:
             raise ValueError(f"{where}: key {key!r} already set on line {first_line[key]}")
         first_line[key] = lineno

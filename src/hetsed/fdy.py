@@ -4,11 +4,14 @@ A bank of K basis kernels is combined per frequency bin by input-conditioned
 attention weights, so the effective 2D kernel varies along the frequency
 axis.  ``conv2d_naive`` is the plain cross-correlation reference the dynamic
 path is tested against; ``fdy_conv`` mixes one kernel per frequency bin and
-correlates each bin with it in one batched matmul.  GLU and inference-time
-batch norm round out the block; each allocates its output once and runs its
-elementwise chain one channel at a time, while the channel is still in L2,
-with every element taking the same operations, and so the same bits, as the
-whole-array chain.
+correlates each bin with it by one matmul per block of bins.  A block's
+window columns are copied into one buffer of about ``WINDOW_BLOCK_BYTES``,
+reused for every block, so the scratch memory of a call is that buffer plus
+the padded input, not a copy of every window column of the layer.  GLU and
+inference-time batch norm round out the block; each allocates its output
+once and runs its elementwise chain one channel at a time, while the channel
+is still in L2, with every element taking the same operations, and so the
+same bits, as the whole-array chain.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ import numpy as np
 
 DEFAULT_NUM_KERNELS = 4
 DEFAULT_TEMPERATURE = 31.0
+# bytes of the window-column buffer of one fdy_conv call, sized to stay in L2;
+# a block holds at least one bin, so a bin with more columns gets a larger one
+WINDOW_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +58,13 @@ class FdyParams:
             raise ValueError("attention kernel width must be odd")
         if self.attn_bias.shape != (k,):
             raise ValueError(f"attn_bias must be [K={k}], got {self.attn_bias.shape}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        for name in ("basis_kernels", "attn_weight", "attn_bias"):
+            arr = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {arr.flat[bad[0]]}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
     @property
     def num_kernels(self) -> int:
@@ -103,6 +114,8 @@ def freq_attention(x: np.ndarray, params: FdyParams) -> np.ndarray:
     and softmaxed over K after temperature scaling.
     """
     x = _check_input(x)
+    if 0 in x.shape:  # the per-bin mean over channels and frames needs one of each
+        raise ValueError(f"expected [C_in, F, T] input with C_in, F, T >= 1, got shape {x.shape}")
     descriptor = x.mean(axis=(0, 2))  # [F]
     w = params.attn_weight.shape[1]
     padded = np.pad(descriptor, w // 2)
@@ -119,10 +132,17 @@ def fdy_conv(x: np.ndarray, params: FdyParams) -> np.ndarray:
 
     Equals sum_k attention[f, k] * conv2d_naive(x, basis_k) restricted to
     frequency f.  The attention depends on frequency only, so each bin's
-    kernel is mixed once, [F, C_out, C_in*k_f*k_t], and correlated with that
-    bin's same-padded window columns, [F, C_in*k_f*k_t, T], in one batched
-    matmul: K times fewer multiply-adds than correlating with every basis
-    kernel and mixing afterwards.
+    kernel is mixed once, [F, C_out, J] with J = C_in*k_f*k_t, and
+    correlated with that bin's same-padded window columns, [J, T]: K times
+    fewer multiply-adds than correlating with every basis kernel and mixing
+    afterwards.  The bins go in blocks: a block's window columns are copied
+    into one reused buffer of about ``WINDOW_BLOCK_BYTES`` (at least one
+    bin) and multiplied into the output by one batched matmul.  Each bin
+    meets the same gemm on the same C-ordered operands whatever the block,
+    so the output does not depend on the buffer size.  Besides the output,
+    a call holds the float64 input, the padded input, the mixed kernels and
+    that buffer.  An input without channels, bins or frames is refused by
+    ``freq_attention``, before any of them is allocated.
     """
     x = _check_input(x)
     kernels = params.basis_kernels
@@ -135,10 +155,17 @@ def fdy_conv(x: np.ndarray, params: FdyParams) -> np.ndarray:
     padded = np.zeros((c_in, f + 2 * pf, t + 2 * pt))
     padded[:, pf : pf + f, pt : pt + t] = x
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k_f, k_t), axis=(1, 2))
-    cols = windows.transpose(1, 0, 3, 4, 2).reshape(f, c_in * k_f * k_t, t)  # [F, J, T], J = C_in*k_f*k_t
+    columns = windows.transpose(1, 0, 3, 4, 2)  # [F, C_in, k_f, k_t, T], a view
     mixed = np.einsum("fk,koj->foj", att, kernels.reshape(n_k, c_out, -1))  # [F, C_out, J]
     out = np.empty((c_out, f, t))
-    np.matmul(mixed, cols, out=out.transpose(1, 0, 2))
+    by_bin = out.transpose(1, 0, 2)  # [F, C_out, T], a view
+    bins = min(f, max(1, WINDOW_BLOCK_BYTES // (c_in * k_f * k_t * t * 8)))
+    block = np.empty((bins, c_in, k_f, k_t, t))
+    for lo in range(0, f, bins):
+        hi = min(lo + bins, f)
+        cols = block[: hi - lo]
+        cols[...] = columns[lo:hi]
+        np.matmul(mixed[lo:hi], cols.reshape(hi - lo, -1, t), out=by_bin[lo:hi])
     return out
 
 

@@ -13,6 +13,7 @@ from scipy.ndimage import median_filter
 
 from hetsed.core import _event_problems
 from hetsed.evaluation import OperatingPointCurve, PsdsConfig, _segment_count
+from hetsed.fdy import freq_attention
 from hetsed.postprocess import _PLATEAU_TOL
 
 
@@ -498,4 +499,26 @@ def frozen_batchnorm_infer(x, mean, var, gamma, beta, eps=1e-5) -> np.ndarray:
     scale = gamma / np.sqrt(var + eps)
     out = x * scale[:, None, None]
     out += (beta - scale * mean)[:, None, None]
+    return out
+
+
+def frozen_fdy_conv(x: np.ndarray, params) -> np.ndarray:
+    """``fdy.fdy_conv`` as it stood before it went through the bins in
+    blocks, frozen here as the bit-exact reference: every window column of
+    the layer copied into one [F, C_in*k_f*k_t, T] float64 array, multiplied
+    by the per-bin mixed kernels in one batched matmul.  The attention is
+    ``fdy.freq_attention``, which the blocks left as it was."""
+    x = np.asarray(x, dtype=np.float64)
+    kernels = params.basis_kernels
+    n_k, c_out, c_in, k_f, k_t = kernels.shape
+    att = freq_attention(x, params)
+    _, f, t = x.shape
+    pf, pt = k_f // 2, k_t // 2
+    padded = np.zeros((c_in, f + 2 * pf, t + 2 * pt))
+    padded[:, pf : pf + f, pt : pt + t] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k_f, k_t), axis=(1, 2))
+    cols = windows.transpose(1, 0, 3, 4, 2).reshape(f, c_in * k_f * k_t, t)
+    mixed = np.einsum("fk,koj->foj", att, kernels.reshape(n_k, c_out, -1))
+    out = np.empty((c_out, f, t))
+    np.matmul(mixed, cols, out=out.transpose(1, 0, 2))
     return out

@@ -666,6 +666,27 @@ def test_config_and_params_reject_a_repeated_key(tmp_path, capsys):
     assert not dets.exists()
 
 
+def test_postprocess_gives_a_class_named_with_a_hash_its_own_threshold(tmp_path):
+    classes = tmp_path / "classes.txt"
+    classes.write_text("# two classes\na#b\nc\n")
+    data = tmp_path / "data"
+    assert run("synth", "--seed", 7, "--clips", 20, "--classes", classes, "--out", data,
+               "--frame-period", 0.02, "--blur", 3, "--noise", 0.3) == 0
+    outputs = {}
+    for name, text in {
+        "hash key": "# per-class thresholds\nthreshold.default = 0.5  # every other class\nthreshold.a#b = 0.3\n",
+        "default key": "threshold.default = 0.3\nthreshold.c = 0.5\n",
+        "no class key": "threshold.default = 0.5\n",
+    }.items():
+        params = tmp_path / "frame.cfg"
+        params.write_text(text)
+        dets = tmp_path / f"{name}.tsv"
+        assert run("postprocess", "--method", "frame", "--params", params, "--in", data / "posteriors",
+                   "--out", dets) == 0, name
+        outputs[name] = dets.read_bytes()
+    assert outputs["hash key"] == outputs["default key"] != outputs["no class key"]
+
+
 @pytest.mark.parametrize("text, message", [
     ("window = -1\n", "window must be an odd integer >= 1, got '-1'"),
     ("window = abc\n", "window must be an odd integer >= 1, got 'abc'"),

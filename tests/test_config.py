@@ -12,6 +12,13 @@ def test_parse_basic_syntax():
     assert list(entries) == [(1, "a.b", "1"), (4, "c", "hello")]
 
 
+def test_parse_keeps_a_hash_in_the_key_and_cuts_the_value_at_one():
+    text = "  # indented comment\nthreshold.a#b = 0.3  # note\nc#=1#2\n#x = 1\n"
+    assert list(_entries(text, "params.cfg")) == [(2, "threshold.a#b", "0.3"), (3, "c#", "1")]
+    with pytest.raises(ValueError, match=r"^params\.cfg:1: expected 'key = value', got 'a#b 0\.3  # note'$"):
+        list(_entries("a#b 0.3  # note", "params.cfg"))
+
+
 def test_parse_rejects_bad_lines():
     with pytest.raises(ValueError, match=r"^run\.cfg:1: expected 'key = value', got 'not a pair'$"):
         list(_entries("not a pair", "run.cfg"))

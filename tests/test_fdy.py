@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetsed import fdy
 from hetsed.fdy import (
     FdyParams,
     batchnorm_infer,
@@ -13,7 +16,7 @@ from hetsed.fdy import (
     random_fdy_params,
 )
 
-from oracles import frozen_batchnorm_infer, frozen_glu
+from oracles import frozen_batchnorm_infer, frozen_fdy_conv, frozen_glu
 
 
 def test_conv_naive_delta_kernel_is_identity():
@@ -135,6 +138,56 @@ def test_fdy_equals_attention_weighted_naive_convolutions(c_in, c_out, num_kerne
     got = fdy_conv(x, params)
     assert got.shape == (c_out, f, t)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+# (input shape, c_out, kernel shape); at WINDOW_BLOCK_BYTES = 1 MB the bench
+# stem takes 14 bins a block (128 = 9 * 14 + 2), the bench block one bin a
+# block, "short" fewer bins than one block, and "wide bin" has one bin's
+# columns (288 x 494 x 8 bytes) over the buffer size
+CONV_CASES = {
+    "bench stem": ((1, 128, 988), 32, (3, 3)),
+    "bench block": ((16, 64, 494), 32, (3, 3)),
+    "odd": ((3, 37, 211), 5, (3, 3)),
+    "short": ((2, 5, 40), 3, (3, 3)),
+    "wide bin": ((32, 9, 494), 4, (3, 3)),
+    "1x1": ((4, 50, 300), 6, (1, 1)),
+    "5x5": ((2, 40, 301), 3, (5, 5)),
+    "c_out 1": ((16, 64, 494), 1, (3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_CASES))
+def test_fdy_conv_gives_the_bytes_of_the_whole_layer_matmul(case):
+    shape, c_out, kernel_shape = CONV_CASES[case]
+    rng = np.random.default_rng(16)
+    params = random_fdy_params(rng, c_in=shape[0], c_out=c_out, kernel_shape=kernel_shape)
+    x = rng.normal(size=shape)
+    if case == "bench stem":  # the bench's stem input: a float32 [T, F] map, transposed
+        x = np.ascontiguousarray(x[0].T.astype(np.float32)).T[None]
+    out = fdy_conv(x, params)
+    ref = frozen_fdy_conv(x, params)
+    assert out.dtype == np.float64 and out.shape == ref.shape and out.flags.c_contiguous
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3 * 9 * 211 * 8 * 4, 1 << 30])
+def test_fdy_conv_bytes_do_not_depend_on_the_block_size(monkeypatch, block_bytes):
+    # one bin a block, 4 bins a block (37 = 9 * 4 + 1), and every bin in one block
+    rng = np.random.default_rng(17)
+    params = random_fdy_params(rng, c_in=3, c_out=5)
+    x = rng.normal(size=(3, 37, 211))
+    ref = fdy_conv(x, params)
+    monkeypatch.setattr(fdy, "WINDOW_BLOCK_BYTES", block_bytes)
+    assert fdy_conv(x, params).tobytes() == ref.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(1, 0, 5), (1, 5, 0), (0, 5, 5), (2, 0, 0)])
+@pytest.mark.parametrize("function", [fdy_conv, freq_attention])
+def test_fdy_refuses_an_input_without_bins_or_frames(function, shape):
+    params = random_fdy_params(np.random.default_rng(18), c_in=shape[0], c_out=2)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        function(np.zeros(shape), params)
 
 
 def test_fdy_linear_in_input_for_fixed_attention():
@@ -261,3 +314,30 @@ def test_params_validation():
         FdyParams(np.zeros((2, 1, 1, 3, 3)), np.zeros((3, 3)), np.zeros(2))  # K mismatch
     with pytest.raises(ValueError):
         FdyParams(np.zeros((2, 1, 1, 3, 3)), np.zeros((2, 3)), np.zeros(2), temperature=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("basis_kernels", np.nan),
+        ("basis_kernels", np.inf),
+        ("attn_weight", np.nan),
+        ("attn_weight", -np.inf),
+        ("attn_bias", np.nan),
+        ("attn_bias", np.inf),
+        ("temperature", np.nan),
+        ("temperature", np.inf),
+        ("temperature", 0.0),
+        ("temperature", -1.0),
+    ],
+)
+def test_params_refuse_values_the_convolution_cannot_compute_with(field, value):
+    rng = np.random.default_rng(19)
+    fields = {"basis_kernels": rng.normal(size=(2, 1, 1, 3, 3)), "attn_weight": rng.normal(size=(2, 3)),
+              "attn_bias": rng.normal(size=2), "temperature": 31.0}
+    if field == "temperature":
+        fields[field] = value
+    else:
+        fields[field].flat[1] = value
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=field):
+        FdyParams(**fields)

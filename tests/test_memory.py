@@ -1,4 +1,5 @@
-"""Peak memory of the log-mel front-end and the training-side transforms.
+"""Peak memory of the log-mel front-end, the FDY convolution and the
+training-side transforms.
 
 The front-end transforms a clip in blocks of frames, so no whole-clip
 spectrum is ever held: its traced peak stays within the [T, n_mels] output
@@ -11,6 +12,12 @@ besides per-(instance, bin) statistics, so its traced peak stays within the
 output's bytes plus two rows plus a small multiple of the [B, F] float64
 statistics, for mixup on a transposed batch too.  Batch-sized temporaries, as in whole-family fancy-index
 copies or a batch-sized product, would each add a whole output's bytes.
+
+The FDY convolution copies the window columns of a block of frequency bins
+at a time into one buffer of about ``fdy.WINDOW_BLOCK_BYTES``, so its traced
+peak stays within the output, the float64 input, the padded input, that
+buffer and the [F, C_out, J] mixed kernels.  On the bench's block a copy of
+every window column of the layer would add 36.4 MB, 4.5 outputs.
 """
 
 import tracemalloc
@@ -18,7 +25,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hetsed import augment, domain_gen, features
+from hetsed import augment, domain_gen, fdy, features
 from hetsed.core import ClipMetadata, Origin
 
 B, F, T = 24, 64, 300
@@ -81,3 +88,32 @@ def test_log_mel_peak_is_the_output_plus_a_few_blocks(dtype):
     blocks = rows * features.WINDOW_SIZE * item + rows * bins * 3 * item + rows * bins * 8
     bound = out.values.nbytes + blocks + 2 * features.WINDOW_SIZE * 8
     assert peak <= bound, f"{np.dtype(dtype).name}: peak {peak} B > bound {bound} B"
+
+
+@pytest.mark.parametrize("layer", ["stem", "block"])
+def test_fdy_conv_peak_is_the_output_input_padding_and_one_block(layer):
+    # the bench's stem (a transposed float32 [T, F] map) and block shapes
+    rng = np.random.default_rng(23)
+    if layer == "stem":
+        x = rng.normal(size=(988, 128)).astype(np.float32).T[None]
+    else:
+        x = rng.normal(size=(16, 64, 494))
+    c_in, f, t = x.shape
+    params = fdy.random_fdy_params(rng, c_in=c_in, c_out=32)
+    n_k, c_out, _, k_f, k_t = params.basis_kernels.shape
+    fdy.fdy_conv(x, params)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fdy.fdy_conv(x, params)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (c_out, f, t)
+    column = c_in * k_f * k_t * t * 8  # one bin's window columns
+    buffer = max(fdy.WINDOW_BLOCK_BYTES, column)
+    padded = c_in * (f + k_f - 1) * (t + k_t - 1) * 8
+    mixed = f * c_out * c_in * k_f * k_t * 8
+    attention = 8 * f * (n_k + params.attn_weight.shape[1]) * 8  # descriptor, logits and softmax rows
+    bound = out.nbytes + x.size * 8 + padded + buffer + mixed + attention
+    assert peak <= bound, f"{layer}: peak {peak} B > bound {bound} B"
