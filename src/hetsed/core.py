@@ -367,14 +367,22 @@ def rasterize(events: EventTable, n: int, period: float, num_classes: int) -> np
 
 @dataclass(frozen=True, eq=False)
 class Posteriorgram:
-    """Frame-by-class sound presence scores for one clip."""
+    """Frame-by-class sound presence scores for one clip.
+
+    The scores keep a float32 or float64 array as it is, under the
+    ``float_array`` rule of the training-side transforms, so a posteriorgram
+    read from a file holds the stored float32 and no float64 copy of it.
+    Every consumer that sums scores does so in float64, and a float32 score
+    widens exactly, so float32 scores give the same results as their float64
+    copy.
+    """
 
     scores: np.ndarray  # [T, C], values in [0, 1]
     frame_period: float  # seconds per frame
     clip_id: str
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = float_array(self.scores)
         object.__setattr__(self, "scores", scores)
         if scores.ndim != 2 or scores.shape[0] < 1:
             raise ValueError(f"scores must be [T>=1, C], got shape {scores.shape}")

@@ -15,12 +15,15 @@ The window, the FFT and the power spectrum run at the samples' dtype, as
 ``core.float_array`` gives it: float32 samples (PCM16 and float32 WAVs, as
 ``load_wav`` reads them) take a float32 STFT, any other input a float64 one.
 The mel product, the log and the returned values are float64 either way.
+Frames that lie wholly in the zero padding of a clip shorter than 10 s are
+not transformed: their mel power is exactly +0, which is what they get.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -186,10 +189,14 @@ def extract_log_mel(clip: AudioClip, hop: int, n_mels: int = DEFAULT_MEL_BINS) -
             f"clip {clip.clip_id!r}: expected {SAMPLE_RATE} Hz input, got {clip.sample_rate}"
         )
     frames = _frames(pad_or_trim(clip).samples, WINDOW_SIZE, hop)
+    # frames from -(-size // hop) on lie wholly in the zero padding: their
+    # mel power is exactly +0, so only the live frames are transformed
+    live = min(-(-clip.samples.size // hop), frames.shape[0])
     fb = _band_filterbank(n_mels, MEL_RANGE, SAMPLE_RATE, WINDOW_SIZE)
     mel_power = np.empty((frames.shape[0], n_mels))
-    power = np.empty((min(_BLOCK_FRAMES, frames.shape[0]), WINDOW_SIZE // 2 + 1), frames.dtype)
-    for start, windowed in _windowed_blocks(frames):
+    mel_power[live:] = 0.0
+    power = np.empty((min(_BLOCK_FRAMES, live), WINDOW_SIZE // 2 + 1), frames.dtype)
+    for start, windowed in _windowed_blocks(frames[:live]):
         n = windowed.shape[0]
         # scipy's rfft has a float32 kernel (numpy's upcasts) and, at float64,
         # gives numpy's bits; it has no out=, so each block allocates its spectrum
@@ -204,10 +211,15 @@ def load_wav(path, clip_id: str | None = None) -> AudioClip:
 
     PCM16 and float32 samples come back as float32 (int16 / 32768 is exact
     there), PCM32 and float64 ones as float64: a 31-bit integer does not fit
-    float32's mantissa."""
+    float32's mantissa.  A file that ``scipy.io.wavfile`` cannot parse is a
+    ValueError that names it; scipy raises other exception types, without the
+    path, for some malformed headers."""
     from scipy.io import wavfile
 
-    rate, data = wavfile.read(path)
+    try:
+        rate, data = wavfile.read(path)
+    except (ValueError, struct.error, TypeError, UnboundLocalError, ZeroDivisionError) as exc:
+        raise ValueError(f"{path}: not a readable WAV file: {exc}") from None
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono audio, got shape {data.shape}")
     if rate != SAMPLE_RATE:

@@ -24,7 +24,9 @@ tuned parameters is written as its ``:g`` text only when that text reads
 back to the same float.
 
 Every reader takes one file path as its first argument and opens that path
-as given.  A posteriorgram reader remembers the last class table it decoded,
+as given.  Both binary readers read a file into one writable buffer and
+return its float32 payload as a view of that buffer, not as a copy.  A
+posteriorgram reader remembers the last class table it decoded,
 so the files of one directory, which share a table, each compare its bytes
 instead of decoding it again.
 """
@@ -267,17 +269,20 @@ def write_posteriorgram(path: Path | str, post: Posteriorgram, class_names: Sequ
         fh.write(np.ascontiguousarray(post.scores, dtype="<f4").data)  # the buffer itself, not a bytes copy
 
 
-def _check_length(path: Path | str, data: bytes, end: int, part: str) -> None:
+def _check_length(path: Path | str, data: bytearray, end: int, part: str) -> None:
     """``data`` must hold at least ``end`` bytes, the end of ``part``."""
     if len(data) < end:
         raise ValueError(f"{path}: truncated {part}: {len(data)} bytes, need at least {end}")
 
 
-def _read_header(path: Path | str, magic: bytes, header: struct.Struct) -> tuple[bytes, tuple]:
-    """The bytes of a binary file and its header fields after the magic; the
-    last field, the frame period, must be positive and is returned in seconds."""
+def _read_header(path: Path | str, magic: bytes, header: struct.Struct) -> tuple[bytearray, tuple]:
+    """The bytes of a binary file, in a writable buffer that its payload is
+    then read from in place, and its header fields after the magic; the last
+    field, the frame period, must be positive and is returned in seconds."""
     with open(path, "rb", buffering=0) as fh:  # read whole, so a buffer object is only overhead
-        data = fh.read()
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data) :]  # a file that shrank since its size was taken reads short
+        data += fh.read()  # and one that grew, or a pipe, reads on to its end
     if data[:4] != magic:
         raise ValueError(f"{path}: bad magic {data[:4]!r}")
     _check_length(path, data, header.size, "header")
@@ -287,13 +292,16 @@ def _read_header(path: Path | str, magic: bytes, header: struct.Struct) -> tuple
     return data, (*fields, period_us / 1e6)
 
 
-def _float32_payload(path: Path | str, data: bytes, offset: int, count: int) -> np.ndarray:
-    """The ``count`` float32 values at ``offset``, which must end the file."""
+def _float32_payload(path: Path | str, data: bytearray, offset: int, count: int) -> np.ndarray:
+    """The ``count`` little-endian float32 values at ``offset``, which must end
+    the file, as a writable native float32 array: a view of ``data`` itself
+    on a little-endian host, a converted copy on any other."""
     end = offset + 4 * count
     _check_length(path, data, end, "data")
     if len(data) > end:
         raise ValueError(f"{path}: {len(data) - end} trailing bytes after the data")
-    return np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+    values = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+    return values if values.dtype.isnative else values.astype(np.float32)
 
 
 # The class table last decoded, as (its bytes, its names): the files of one
@@ -303,7 +311,7 @@ def _float32_payload(path: Path | str, data: bytes, offset: int, count: int) -> 
 _last_table: tuple[bytes, tuple[str, ...]] = (b"", ())
 
 
-def _class_table(path: Path | str, data: bytes, offset: int, count: int) -> tuple[list[str], int]:
+def _class_table(path: Path | str, data: bytearray, offset: int, count: int) -> tuple[list[str], int]:
     """The ``count`` length-prefixed UTF-8 names at ``offset``, and the offset
     after them."""
     global _last_table
@@ -325,13 +333,17 @@ def _class_table(path: Path | str, data: bytes, offset: int, count: int) -> tupl
         offset += length
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: class table repeats a name: {names}")
-    _last_table = (data[start:offset], tuple(names))
+    _last_table = (bytes(data[start:offset]), tuple(names))
     return names, offset
 
 
 def read_posteriorgram(path: Path | str, clip_id: str | None = None) -> tuple[Posteriorgram, list[str]]:
     """One ``.sedp`` file as a posteriorgram and its class names.  The clip id
-    defaults to the file name without its suffix, as ``Path(path).stem``."""
+    defaults to the file name without its suffix, as ``Path(path).stem``.
+
+    The scores are the stored float32, writable and in the buffer the file
+    was read into (see ``_float32_payload``): no float64 copy is made.
+    """
     data, (version, t, c, period) = _read_header(path, POSTERIOR_MAGIC, _POSTERIOR_HEADER)
     if version != POSTERIOR_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
@@ -342,7 +354,7 @@ def read_posteriorgram(path: Path | str, clip_id: str | None = None) -> tuple[Po
         dot = name.rfind(".")  # as PurePath.stem: a dot that starts or ends the name begins no suffix
         clip_id = name[:dot] if 0 < dot < len(name) - 1 else name
     try:
-        post = Posteriorgram(scores=scores.astype(np.float64), frame_period=period, clip_id=clip_id)
+        post = Posteriorgram(scores=scores, frame_period=period, clip_id=clip_id)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return post, names
@@ -364,13 +376,13 @@ def read_features(path: Path | str) -> tuple[np.ndarray, float]:
     """A ``write_features`` file as its [T, M] values and frame period in
     seconds.
 
-    The values come back as the stored float32, in a new writable
-    native-endian array: the training-side transforms keep that precision,
-    and the FDY layers and losses upcast on entry.
+    The values come back as the stored float32, writable and in the buffer
+    the file was read into, as a posteriorgram's scores do: the
+    training-side transforms keep that precision, and the FDY layers and
+    losses upcast on entry.
     """
     data, (t, m, period) = _read_header(path, FEATURE_MAGIC, _FEATURE_HEADER)
-    values = _float32_payload(path, data, _FEATURE_HEADER.size, t * m).reshape(t, m)
-    return values.astype(np.float32), period
+    return _float32_payload(path, data, _FEATURE_HEADER.size, t * m).reshape(t, m), period
 
 
 _SEBB_FIELDS = ("window", "half_width", "rel_merge", "abs_merge", "min_gap")

@@ -527,7 +527,9 @@ def csebb_detect(
 
 
 def ensemble_average(posts: Sequence[Posteriorgram]) -> Posteriorgram:
-    """Cell-wise mean of aligned posteriorgrams (same clip, shape, rate)."""
+    """Cell-wise mean of aligned posteriorgrams (same clip, shape, rate),
+    summed in float64 whatever the scores' dtype, so float32 scores give the
+    bits of their float64 copy."""
     if not posts:
         raise ValueError("need at least one posteriorgram")
     first = posts[0]
@@ -538,7 +540,7 @@ def ensemble_average(posts: Sequence[Posteriorgram]) -> Posteriorgram:
             raise ValueError(f"frame period mismatch: {p.frame_period} vs {first.frame_period}")
         if p.clip_id != first.clip_id:
             raise ValueError(f"clip id mismatch: {p.clip_id!r} vs {first.clip_id!r}")
-    mean = np.mean([p.scores for p in posts], axis=0)
+    mean = np.mean([p.scores for p in posts], axis=0, dtype=np.float64)
     return Posteriorgram(scores=mean, frame_period=first.frame_period, clip_id=first.clip_id)
 
 

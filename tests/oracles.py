@@ -454,13 +454,34 @@ def frozen_float64_log_mel(samples: np.ndarray, hop: int, n_mels: int) -> np.nda
     HTK mel triangles (0 to 8 kHz) as a CSR product, natural log floored at
     1e-10.  It runs in the caller's process, so both sides take numpy's
     ``log`` kernel for this CPU."""
+    return _frozen_log_mel(np.asarray(samples, dtype=np.float64), hop, n_mels, np.fft.rfft)
+
+
+def frozen_every_frame_log_mel(samples: np.ndarray, hop: int, n_mels: int) -> np.ndarray:
+    """Log-mel [T x n_mels] of a 16 kHz clip by ``features.extract_log_mel``
+    as it stood before it skipped the frames that lie wholly in the zero
+    padding, frozen here as the bit-exact reference: every frame of the
+    clip zero-padded or cut to 10 s goes through the window, the STFT
+    (``scipy.fft.rfft``) and the power spectrum at the samples' dtype
+    (float32 stays float32, anything else is float64), then the float64
+    mel product and floored log of ``frozen_float64_log_mel``."""
+    from scipy import fft
+
+    samples = np.asarray(samples)
+    dtype = samples.dtype if samples.dtype in (np.float32, np.float64) else np.float64
+    return _frozen_log_mel(samples.astype(dtype), hop, n_mels, fft.rfft)
+
+
+def _frozen_log_mel(samples: np.ndarray, hop: int, n_mels: int, rfft) -> np.ndarray:
+    """The front-end at the samples' dtype with the given rfft, every frame
+    transformed."""
     from scipy import sparse
 
-    x = np.zeros(160000)
+    x = np.zeros(160000, samples.dtype)
     kept = min(x.size, samples.size)
     x[:kept] = samples[:kept]
     frames = np.lib.stride_tricks.sliding_window_view(x, 2048)[::hop][: 1 + (x.size - 2048) // hop]
-    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(2048) / 2048)
+    hann = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(2048) / 2048)).astype(samples.dtype)
     edges = 700.0 * (10.0 ** (np.linspace(0.0, 2595.0 * np.log10(1.0 + 8000.0 / 700.0), n_mels + 2) / 2595.0) - 1.0)
     bins = np.arange(1025) * (16000 / 2048)
     fb = np.zeros((n_mels, bins.size))
@@ -470,7 +491,7 @@ def frozen_float64_log_mel(samples: np.ndarray, hop: int, n_mels: int) -> np.nda
     fb = sparse.csr_array(fb)
     mel_power = np.empty((frames.shape[0], n_mels))
     for start in range(0, frames.shape[0], 128):
-        power = np.square(np.abs(np.fft.rfft(frames[start : start + 128] * hann, axis=1)))
+        power = np.square(np.abs(rfft(frames[start : start + 128] * hann, axis=1)))
         mel_power[start : start + power.shape[0]] = (fb @ power.T).T
     return np.log(np.maximum(mel_power, 1e-10))
 

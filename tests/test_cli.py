@@ -216,6 +216,50 @@ def test_features_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "f").exists()
 
 
+def _wav_bytes(edit=None) -> bytes:
+    """A 100-sample PCM16 16 kHz WAV, with ``edit(header)`` applied to its
+    44-byte header: fmt fields at 20 (format tag), 22 (channels), 28 (bytes
+    per second), 32 (block align), 34 (bits per sample)."""
+    from scipy.io import wavfile
+
+    buf = io.BytesIO()
+    wavfile.write(buf, 16000, np.zeros(100, dtype=np.int16))
+    data = bytearray(buf.getvalue())
+    if edit is not None:
+        edit(data)
+    return bytes(data)
+
+
+def _fields(**at):
+    """An edit that packs each ``offset=(format, value)`` into the header."""
+    def edit(data):
+        for offset, (fmt, value) in at.items():
+            struct.pack_into(fmt, data, int(offset[1:]), value)
+    return edit
+
+
+# bytes that scipy.io.wavfile fails to parse, each with the exception it
+# raises there
+MALFORMED_WAVS = {
+    "cut at 30 bytes (struct.error)": _wav_bytes()[:30],
+    "RIFF, WAVE, then junk (UnboundLocalError)": b"RIFF\x00\x00\x00\x00WAVE" + b"junk" * 10,
+    "RIFF then junk (ValueError)": b"RIFF" + bytes(range(40)),
+    "zero block align (ZeroDivisionError)": _wav_bytes(_fields(o28=("<I", 0), o32=("<H", 0))),
+    "5-byte float samples (TypeError)": _wav_bytes(_fields(o20=("<H", 3), o28=("<I", 80000), o32=("<H", 5),
+                                                           o34=("<H", 32))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WAVS))
+def test_features_names_a_wav_that_cannot_be_parsed(tmp_path, capsys, case):
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    (wav_dir / "bad.wav").write_bytes(MALFORMED_WAVS[case])
+    assert run("features", "--input", wav_dir, "--out", tmp_path / "f") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {wav_dir / 'bad.wav'}: not a readable WAV file: ") and err.count("\n") == 1
+
+
 def test_loss_command_masks_desed_columns(tmp_path, capsys):
     vocab = default_vocabulary()
     rng = np.random.default_rng(2)

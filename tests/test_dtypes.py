@@ -7,6 +7,9 @@ the same process and the transforms as the digests below; a float32 input must s
 front-end: take a float32 STFT) and agree with the float64 path on the same
 values to a pinned relative bound; the losses upcast on entry, so a float32
 slice changes no loss arithmetic.
+
+Posteriorgrams keep float32 scores as they are read, so every consumer of
+them must give the same bytes for float32 scores as for their float64 copy.
 """
 
 import hashlib
@@ -16,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetsed import augment, domain_gen, features, training
-from hetsed.core import ClipMetadata, Origin
+from hetsed import augment, cli, domain_gen, evaluation, features, formats, postprocess, training
+from hetsed.core import ClipMetadata, Event, EventTable, Origin, Posteriorgram, default_vocabulary
 from oracles import FLOAT32_MEL_TOLERANCE, frozen_float64_log_mel, reference_mel_power
 
 CFG = domain_gen.MixStyleConfig()
@@ -342,3 +345,118 @@ def test_losses_upcast_float32_slices():
         pooled = training.attention_pool(frame, attn, mask)
         assert pooled.dtype == np.float64
         assert np.array_equal(pooled, training.attention_pool(wide[0], wide[1], mask))
+
+
+def _posteriorgrams_in_both_dtypes(classes: int = 3):
+    """Seeded float32 posteriorgrams of held levels plus noise, a fifth of
+    the cells exactly 0.0, 0.5 or 1.0, over two frame counts of one period
+    and one of another, and their float64 copies."""
+    rng = np.random.default_rng(31)
+    posts = []
+    for i, (t, fp) in enumerate(((120, 0.05), (120, 0.05), (87, 0.05), (200, 0.02))):
+        levels = np.repeat(rng.uniform(size=(t // 6 + 1, classes)), 6, axis=0)[:t]
+        scores = np.clip(levels + rng.normal(scale=0.05, size=(t, classes)), 0.0, 1.0).astype(np.float32)
+        exact = rng.random(size=scores.shape) < 0.2
+        scores[exact] = rng.choice(np.float32([0.0, 0.5, 1.0]), size=int(exact.sum()))
+        posts.append(Posteriorgram(scores, fp, f"clip{i}"))
+    wide = [Posteriorgram(p.scores.astype(np.float64), p.frame_period, p.clip_id) for p in posts]
+    assert all(p.scores.dtype == np.float32 for p in posts)
+    return posts, wide
+
+
+def _table_bytes(events: EventTable) -> tuple:
+    return (list(events.clip_ids), *(_digest(column) for column in (
+        events.clip, events.class_idx, events.onset, events.offset, events.confidence, events.has_confidence)))
+
+
+@pytest.mark.parametrize("window", [1, 7])
+def test_frame_threshold_merge_of_float32_scores_is_that_of_their_float64_copy(window):
+    posts, wide = _posteriorgrams_in_both_dtypes()
+    thresholds = [0.5, 0.3, 0.5]  # a score of exactly 0.5 is not above 0.5
+    events = postprocess.frame_threshold_merge(posts, thresholds, window)
+    assert len(events) > 20
+    assert _table_bytes(events) == _table_bytes(postprocess.frame_threshold_merge(wide, thresholds, window))
+
+
+def test_csebb_detect_and_tune_csebb_of_float32_scores_are_those_of_their_float64_copy():
+    posts, wide = _posteriorgrams_in_both_dtypes()
+    boxes = postprocess.csebb_detect(posts, postprocess.CsebbParams(), None)
+    assert len(boxes) > 20
+    assert _table_bytes(boxes) == _table_bytes(postprocess.csebb_detect(wide, postprocess.CsebbParams(), None))
+
+    refs = postprocess.frame_threshold_merge(wide, [0.6] * 3, 7)
+    hours = sum(p.duration for p in wide) / evaluation.SECONDS_PER_HOUR
+    grid = postprocess.default_grid()
+
+    def tuned(ps):
+        seen = []
+
+        def metric(boxes, sets, refs_):
+            seen.append((_table_bytes(boxes), [_digest(s) for s in sets]))
+            curves = evaluation.roc_from_confidences(boxes, sets, refs_, hours, evaluation.PsdsConfig(), 3)
+            return [evaluation.psds(curve) for curve in curves]
+
+        return postprocess.tune_csebb(ps, refs, grid, metric), seen
+
+    assert tuned(posts) == tuned(wide)
+
+
+def test_segment_scores_and_mpauc_of_float32_scores_are_those_of_their_float64_copy():
+    posts, wide = _posteriorgrams_in_both_dtypes()
+    pooled, pooled_wide = evaluation.segment_scores(posts), evaluation.segment_scores(wide)
+    assert pooled.dtype == np.float64 and _digest(pooled) == _digest(pooled_wide)
+    hard = np.random.default_rng(34).random(size=pooled.shape) < 0.4  # labels that the scores only partly rank
+    per_class = evaluation.mpauc_per_class(pooled, hard)
+    assert not np.isnan(per_class).any()
+    assert _digest(per_class) == _digest(evaluation.mpauc_per_class(pooled_wide, hard))
+
+
+@pytest.mark.parametrize("members", [2, 3, 8, 9, 16, 17])
+def test_ensemble_average_of_float32_scores_is_that_of_their_float64_copy(members):
+    rng = np.random.default_rng([32, members])
+    posts = []
+    for _ in range(members):
+        scores = rng.uniform(size=(50, 4)).astype(np.float32)
+        exact = rng.random(size=scores.shape) < 0.3
+        scores[exact] = rng.choice(np.float32([0.0, 0.5, 1.0]), size=int(exact.sum()))
+        posts.append(Posteriorgram(scores, 0.05, "avg"))
+    wide = [Posteriorgram(p.scores.astype(np.float64), 0.05, "avg") for p in posts]
+    mean = postprocess.ensemble_average(posts).scores
+    assert mean.dtype == np.float64 and _digest(mean) == _digest(postprocess.ensemble_average(wide).scores)
+
+
+def test_loss_of_a_float32_posteriorgram_is_that_of_its_float64_copy(tmp_path, monkeypatch, capsys):
+    vocab = default_vocabulary()
+    rng = np.random.default_rng(33)
+    scores = rng.uniform(size=(40, len(vocab))).astype(np.float32)
+    scores[:, ::3] = rng.choice(np.float32([0.0, 0.5, 1.0]), size=scores[:, ::3].shape)
+    pred = tmp_path / "m1.sedp"
+    formats.write_posteriorgram(pred, Posteriorgram(scores, 0.05, "m1"), list(vocab.classes))
+    target = tmp_path / "target.tsv"
+    formats.write_soft_events_tsv(target, EventTable.from_events([
+        Event("m1", vocab.index("people_talking"), 0.0, 1.0, 0.8),
+        Event("m1", vocab.index("dog"), 0.5, 1.75, None),
+        Event("m1", vocab.index("car"), 1.0, 2.0, 0.5),
+    ]), list(vocab.classes))
+    read, loss = formats.read_posteriorgram, training.soft_clip_loss
+    values = []
+    monkeypatch.setattr(cli.training, "soft_clip_loss", lambda *args: values.append(loss(*args)) or values[-1])
+
+    def runs():
+        out = []
+        for origin in ("desed", "maestro"):
+            for mode in ("independent", "baseline"):
+                code = cli.main(["loss", "--pred", str(pred), "--target", str(target), "--origin", origin,
+                                 "--mode", mode])
+                out.append((code, capsys.readouterr().out, values[-1]))
+        return out
+
+    narrow = runs()
+
+    def read_wide(path, clip_id=None):
+        post, names = read(path, clip_id)
+        return Posteriorgram(post.scores.astype(np.float64), post.frame_period, post.clip_id), names
+
+    monkeypatch.setattr(cli.formats, "read_posteriorgram", read_wide)
+    assert narrow == runs()
+    assert all(code == 0 for code, _, _ in narrow) and len({value for _, _, value in narrow}) > 1

@@ -13,7 +13,7 @@ from hetsed.features import (
     num_frames,
     pad_or_trim,
 )
-from oracles import FLOAT32_MEL_TOLERANCE, reference_mel_power
+from oracles import FLOAT32_MEL_TOLERANCE, frozen_every_frame_log_mel, reference_mel_power
 
 SR = 16000
 
@@ -220,6 +220,18 @@ def test_mel_spectrogram_rejects_a_bad_frame_period(period):
 def test_mel_filterbank_rejects_a_bad_range(f_range):
     with pytest.raises(ValueError, match="f_range"):
         mel_filterbank(f_range=f_range)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [1, 2047, 2048, 2049, 40000, 159999, 160000, 200000])
+@pytest.mark.parametrize("hop, n_mels", [(160, 2), (256, 128)])
+def test_log_mel_gives_the_bits_of_transforming_every_frame(dtype, size, hop, n_mels):
+    # frames wholly in the zero padding are not transformed: they get the
+    # floored log of +0 mel power, which transforming them gives
+    samples = np.random.default_rng([size, hop]).normal(scale=0.1, size=size).astype(dtype)
+    got = extract_log_mel(clip_of(samples), hop, n_mels).values
+    want = frozen_every_frame_log_mel(samples, hop, n_mels)
+    assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_load_wav_pcm16_and_float32(tmp_path):

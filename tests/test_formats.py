@@ -160,6 +160,35 @@ def test_posteriorgram_round_trip(tmp_path):
     assert path.read_bytes()[:4] == b"SEDP"
 
 
+def _read_buffer(array):
+    """What ``array`` is a view of: the end of its chain of bases, through a
+    memoryview to the object it views."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base
+
+
+@pytest.mark.parametrize("kind", ["posteriorgram", "features"])
+def test_a_binary_read_returns_the_stored_float32_in_the_buffer_it_read(tmp_path, kind):
+    scores = np.random.default_rng(3).uniform(size=(40, 3)).astype(np.float32)
+    path = tmp_path / f"clip.{kind}"
+    if kind == "posteriorgram":
+        write_posteriorgram(path, Posteriorgram(scores, 0.016, "clip"), CLASSES)
+        values = read_posteriorgram(path)[0].scores
+    else:
+        write_features(path, scores, 0.016)
+        values = read_features(path)[0]
+    assert values.dtype == np.float32 and values.dtype.isnative and np.array_equal(values, scores)
+    # no copy: the values are the payload of the whole file as it was read
+    buffer = _read_buffer(values)
+    assert isinstance(buffer, bytearray) and bytes(buffer) == path.read_bytes()
+    assert np.shares_memory(values, np.frombuffer(buffer, np.uint8))
+    assert values.flags.writeable
+    values[0, 0] = 0.25  # lands in the buffer, not in the file
+    assert bytes(buffer) != path.read_bytes()
+
+
 def test_every_reader_takes_one_file_path_first():
     # a traced benchmark run sizes each read from the reader's first argument
     readers = [fn for name, fn in vars(formats).items() if name.startswith("read_") and callable(fn)]

@@ -1,5 +1,5 @@
-"""Peak memory of the log-mel front-end, the FDY convolution and the
-training-side transforms.
+"""Peak memory of the log-mel front-end, the FDY convolution, the
+training-side transforms and a posteriorgram directory read.
 
 The front-end transforms a clip in blocks of frames, so no whole-clip
 spectrum is ever held: its traced peak stays within the [T, n_mels] output
@@ -18,6 +18,10 @@ at a time into one buffer of about ``fdy.WINDOW_BLOCK_BYTES``, so its traced
 peak stays within the output, the float64 input, the padded input, that
 buffer and the [F, C_out, J] mixed kernels.  On the bench's block a copy of
 every window column of the layer would add 36.4 MB, 4.5 outputs.
+
+A posteriorgram read keeps its scores in the buffer the file was read into,
+so a directory read holds the files' bytes and a few Python objects per
+file.  A float64 copy of each clip's scores would add twice the payload.
 """
 
 import tracemalloc
@@ -25,8 +29,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hetsed import augment, domain_gen, fdy, features
-from hetsed.core import ClipMetadata, Origin
+from hetsed import augment, cli, domain_gen, fdy, features, formats
+from hetsed.core import ClipMetadata, Origin, Posteriorgram
 
 B, F, T = 24, 64, 300
 # float64 [B, F] arrays allowed for the statistics and the buffers of the
@@ -117,3 +121,32 @@ def test_fdy_conv_peak_is_the_output_input_padding_and_one_block(layer):
     attention = 8 * f * (n_k + params.attn_weight.shape[1]) * 8  # descriptor, logits and softmax rows
     bound = out.nbytes + x.size * 8 + padded + buffer + mixed + attention
     assert peak <= bound, f"{layer}: peak {peak} B > bound {bound} B"
+
+
+# Bytes per file of a directory read besides the file itself: the
+# Posteriorgram, its arrays' headers, the path string and the class-name
+# list (1.2 kB measured on 250 bulk-shaped files)
+READ_OBJECT_BYTES = 2048
+
+
+def test_posteriorgram_directory_read_holds_the_files_bytes(tmp_path):
+    # the bench's bulk directory: 250 clips of 10 s at 20 ms frames, 10 classes
+    classes = ["Alarm_bell_ringing", "Blender", "Cat", "Dishes", "Dog", "Electric_shaver_toothbrush", "Frying",
+               "Running_water", "Speech", "Vacuum_cleaner"]
+    rng = np.random.default_rng(24)
+    for i in range(250):
+        scores = rng.uniform(size=(500, len(classes))).astype(np.float32)
+        formats.write_posteriorgram(tmp_path / f"clip_{i:04d}.sedp", Posteriorgram(scores, 0.02, "c"), classes)
+    files = sorted(tmp_path.iterdir())
+    file_bytes = sum(path.stat().st_size for path in files)
+    cli._load_posteriors(tmp_path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        posts, _ = cli._load_posteriors(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(posts) == len(files) == 250
+    bound = file_bytes + READ_OBJECT_BYTES * len(files)
+    assert peak <= bound, f"peak {peak} B > bound {bound} B"
