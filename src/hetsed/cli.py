@@ -17,6 +17,7 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from . import config as config_mod
 from . import evaluation, features, formats, postprocess, synth, training
 from .core import (
     ClassOrigin,
+    ClipFrames,
     ClipMetadata,
     EventTable,
     MaskMode,
@@ -214,7 +216,7 @@ def _cmd_synth(args, cfg) -> int:
     return EXIT_OK
 
 
-def _load_posteriors(path: Path) -> tuple[list[Posteriorgram], list[str]]:
+def _posteriorgrams(path: Path) -> _Posteriorgrams:
     """One posteriorgram file, or every ``*.sedp`` in a directory (dot-files
     too) in name order: the files ``sorted(path.glob("*.sedp"))`` gives, from
     one listing and with the same path strings."""
@@ -230,16 +232,78 @@ def _load_posteriors(path: Path) -> tuple[list[Posteriorgram], list[str]]:
         paths = [prefix + name for name in names]
     if not paths:
         raise ValueError(f"no posteriorgram files under {path}")
-    return _read_posteriorgrams(paths)
+    return _Posteriorgrams(paths)
 
 
-def _read_posteriorgrams(paths: list[Path | str], clip_id: str | None = None) -> tuple[list[Posteriorgram], list[str]]:
-    """The posteriorgrams of files that must share one class table, and that table."""
-    posts, tables = zip(*[formats.read_posteriorgram(p, clip_id) for p in paths])
-    for names, p in zip(tables, paths):
-        if names != tables[0]:
-            raise ValueError(f"{p}: class table differs from {paths[0]}")
-    return list(posts), tables[0]
+class _Posteriorgrams:
+    """The posteriorgrams of files that must share one class table, read one
+    file at a time, in the given order, as a consumer iterates over them
+    (once).  The first file is read at once, for ``class_names``; the
+    frames of every file read stay in ``clips``.
+
+    The errors come as from a read of every file before anything else: a
+    read error of any file, then the first file whose class table differs
+    from the first's, raised only once the files after it are read.  A
+    command that fails before the stream is through calls ``drain`` first
+    (see ``_files_first``).
+    """
+
+    def __init__(self, paths: list[Path | str], clip_id: str | None = None) -> None:
+        self._paths, self._clip_id = paths, clip_id
+        first, self.class_names = formats.read_posteriorgram(paths[0], clip_id)
+        self.clips = [first.frames]
+        self._first: Posteriorgram | None = first
+        self._read = 1  # files read
+        self._error: Exception | None = None  # to raise once every file is read
+
+    def __iter__(self):
+        if self._first is not None:
+            first, self._first = self._first, None
+            yield first
+        while self._read < len(self._paths):
+            post = self._next()
+            if self._error is not None:
+                break
+            yield post
+        self.drain()
+
+    def _next(self) -> Posteriorgram:
+        path = self._paths[self._read]
+        try:
+            post, names = formats.read_posteriorgram(path, self._clip_id)
+        except (ValueError, OSError) as exc:
+            # the first read error comes before any table that differs, and
+            # nothing after it is read
+            self._read, self._error = len(self._paths), exc
+            raise
+        self._read += 1
+        self.clips.append(post.frames)
+        if names != self.class_names and self._error is None:
+            self._error = ValueError(f"{path}: class table differs from {self._paths[0]}")
+        return post
+
+    def drain(self) -> None:
+        """Read the files not read yet, keeping their frames only, then
+        raise the first read error or differing class table, if any."""
+        while self._read < len(self._paths):
+            self._next()
+        if self._error is not None:
+            raise self._error
+
+
+@contextmanager
+def _files_first(posts: _Posteriorgrams, *checks):
+    """Raise an error of the block only after every posteriorgram file has
+    been read and ``checks`` (the steps a command takes before the block,
+    but which need every clip) have run, so that their errors come first,
+    as they did when every file was read before anything else."""
+    try:
+        yield
+    except (ValueError, KeyError, OSError):
+        posts.drain()
+        for check in checks:
+            check()
+        raise
 
 
 def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np.ndarray, int]:
@@ -276,46 +340,54 @@ def _class_thresholds(cfg_file: Path | None, class_names: list[str]) -> tuple[np
 
 
 def _cmd_postprocess(args, cfg) -> int:
-    posts, class_names = _load_posteriors(args.input)
-    if args.method == "csebb":
-        params = formats.read_csebb_params(args.params) if args.params else postprocess.CsebbParams()
-        boxes = postprocess.csebb_detect(posts, params, class_names)
-        formats.write_soft_events_tsv(args.out, boxes, class_names)
-        print(f"wrote {len(boxes)} boxes to {args.out}", file=sys.stderr)
-        return EXIT_OK
-
-    thresholds, window = _class_thresholds(args.params, class_names)
-    if args.method == "frame":
-        window = 1
-    events = postprocess.frame_threshold_merge(posts, thresholds, window)
-    formats.write_events_tsv(args.out, events, class_names)
-    print(f"wrote {len(events)} events to {args.out}", file=sys.stderr)
+    posts = _posteriorgrams(args.input)
+    class_names = posts.class_names
+    with _files_first(posts):
+        if args.method == "csebb":
+            params = formats.read_csebb_params(args.params) if args.params else postprocess.CsebbParams()
+            found = postprocess.csebb_detect(posts, params, class_names)
+            write, what = formats.write_soft_events_tsv, "boxes"
+        else:
+            thresholds, window = _class_thresholds(args.params, class_names)
+            if args.method == "frame":
+                window = 1
+            found = postprocess.frame_threshold_merge(posts, thresholds, window)
+            write, what = formats.write_events_tsv, "events"
+    write(args.out, found, class_names)
+    print(f"wrote {len(found)} {what} to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_tune_csebb(args, cfg) -> int:
-    posts, class_names = _load_posteriors(args.val_posteriors)
-    refs = _read_refs(args.val_refs, class_names, posts)
-    if args.durations is not None:
-        hours = _read_hours(args.durations, [p.clip_id for p in posts])
-    else:
-        hours = sum(p.duration for p in posts) / evaluation.SECONDS_PER_HOUR
-    psds_cfg = _psds_config_from(cfg)
+    posts = _posteriorgrams(args.val_posteriors)
+    class_names = posts.class_names
 
-    def metric(boxes, sets, refs_):
-        curves = evaluation.roc_from_confidences(boxes, sets, refs_, hours, psds_cfg, len(class_names))
+    def scoring() -> tuple:
+        """What the metric scores against, read once every clip is known."""
+        refs = _read_refs(args.val_refs, class_names, posts.clips)
+        if args.durations is not None:
+            hours = _read_hours(args.durations, [clip.clip_id for clip in posts.clips])
+        else:
+            hours = sum(clip.duration for clip in posts.clips) / evaluation.SECONDS_PER_HOUR
+        return refs, hours, _psds_config_from(cfg)
+
+    def metric(boxes, sets):
+        refs, hours, psds_cfg = scoring()
+        curves = evaluation.roc_from_confidences(boxes, sets, refs, hours, psds_cfg, len(class_names))
         return [evaluation.psds(curve, psds_cfg) for curve in curves]
 
-    grid = formats.read_csebb_grid(args.grid) if args.grid is not None else postprocess.default_grid()
-    best = postprocess.tune_csebb(posts, refs, grid, metric, class_names)
+    with _files_first(posts, scoring):
+        grid = formats.read_csebb_grid(args.grid) if args.grid is not None else postprocess.default_grid()
+        best = postprocess.tune_csebb(posts, grid, metric, class_names)
     formats.write_csebb_params(args.out, best)
     print(f"wrote tuned parameters to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_ensemble(args, cfg) -> int:
-    posts, class_names = _read_posteriorgrams(args.inputs, clip_id=args.out.stem)
-    formats.write_posteriorgram(args.out, postprocess.ensemble_average(posts), class_names)
+    stream = _Posteriorgrams(args.inputs, clip_id=args.out.stem)
+    posts = list(stream)
+    formats.write_posteriorgram(args.out, postprocess.ensemble_average(posts), stream.class_names)
     print(f"averaged {len(posts)} posteriorgrams into {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -343,10 +415,10 @@ def _reindex(events: EventTable, names: list[str], class_names: list[str]) -> Ev
     return dataclasses.replace(events, class_idx=index[events.class_idx])
 
 
-def _read_refs(path: Path, class_names: list[str], posts: list[Posteriorgram]) -> EventTable:
+def _read_refs(path: Path, class_names: list[str], clips: list[ClipFrames]) -> EventTable:
     """The events of a reference file, every clip of which must have a posteriorgram."""
     refs, _ = formats.read_events_tsv(path, class_names)
-    missing = sorted(set(refs.clip_ids) - {post.clip_id for post in posts})
+    missing = sorted(set(refs.clip_ids) - {clip.clip_id for clip in clips})
     if missing:
         raise ValueError(f"{path}: references for clips without posteriors: {missing[:5]}")
     return refs
@@ -387,10 +459,15 @@ def _cmd_eval_mpauc(args, cfg) -> int:
     segment = _setting(args.segment, cfg, "eval.segment")
     max_fpr = _setting(args.max_fpr, cfg, "eval.max_fpr")
     hard_thr = _setting(args.hard_threshold, cfg, "eval.hard_threshold")
-    posts, class_names = _load_posteriors(args.posteriors)
-    refs = _read_refs(args.refs, class_names, posts)
-    scores = evaluation.segment_scores(posts, segment)
-    hard = evaluation.segmentize(refs, posts, segment) >= hard_thr
+    posts = _posteriorgrams(args.posteriors)
+    class_names = posts.class_names
+
+    def refs() -> EventTable:
+        return _read_refs(args.refs, class_names, posts.clips)
+
+    with _files_first(posts, refs):
+        scores = evaluation.segment_scores(posts, segment)
+    hard = evaluation.segmentize(refs(), posts.clips, segment) >= hard_thr
     per_class = evaluation.mpauc_per_class(scores, hard, max_fpr)
     if np.all(np.isnan(per_class)):
         raise ValueError(f"no class has both positive and negative segments at hard threshold {hard_thr:g}")

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -365,6 +365,26 @@ def rasterize(events: EventTable, n: int, period: float, num_classes: int) -> np
     return grid
 
 
+class ClipFrames(NamedTuple):
+    """The frame grid of one posteriorgram without its scores: what a
+    consumer of a stream of posteriorgrams keeps of each clip once its pass
+    is done.  It answers ``clip_id``, ``frame_period``, ``num_frames``,
+    ``num_classes``, ``duration`` and ``frames`` as a posteriorgram does."""
+
+    clip_id: str
+    frame_period: float
+    num_frames: int
+    num_classes: int
+
+    @property
+    def duration(self) -> float:
+        return self.num_frames * self.frame_period
+
+    @property
+    def frames(self) -> ClipFrames:
+        return self
+
+
 @dataclass(frozen=True, eq=False)
 class Posteriorgram:
     """Frame-by-class sound presence scores for one clip.
@@ -406,3 +426,8 @@ class Posteriorgram:
     @property
     def duration(self) -> float:
         return self.num_frames * self.frame_period
+
+    @property
+    def frames(self) -> ClipFrames:
+        """The clip's frame grid, without the scores."""
+        return ClipFrames(self.clip_id, self.frame_period, *self.scores.shape)

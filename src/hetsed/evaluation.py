@@ -17,8 +17,11 @@ over all their detections, not one per set.
 
 mPAUC scores one-second segments per class by the partial area under the
 ROC up to a maximum false positive rate, McClish-standardized so chance
-sits at 0.5, then macro averaged.  The ranking joint score is simply
-PSDS + mPAUC.
+sits at 0.5, then macro averaged.  ``segment_scores`` takes the clips as an
+iterable and pools each one as it arrives, keeping only its segment rows,
+and ``segmentize`` reads only the clips' frame grids, so a stream of
+posteriorgrams is scored without holding its scores.  The ranking joint
+score is simply PSDS + mPAUC.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import EventTable, Posteriorgram, _expand, frame_spans
+from .core import ClipFrames, EventTable, Posteriorgram, _expand, frame_spans
 
 SECONDS_PER_HOUR = 3600.0
 SEGMENT_SECONDS = 1.0
@@ -446,26 +449,23 @@ def _segment_runs(t: int, fp: float, segment: float, n_segments: int) -> tuple[n
     return seg_idx[runs], runs
 
 
-def _segment_grid(posts: Sequence[Posteriorgram], segment: float) -> tuple[np.ndarray, np.ndarray, list]:
-    """The segment rows of many clips stacked in clip order: per clip, its
-    segment count, the row its segments open at, and its (count, segment of
-    each frame run, frame that opens it), found once per clip shape.  A bad
-    segment raises before anything else."""
-    if not posts:
-        raise ValueError("need at least one posteriorgram")
+def _segment_pools(segment: float) -> Callable[[ClipFrames], tuple[int, np.ndarray, np.ndarray]]:
+    """Per clip, its segment count and its (segment of each frame run,
+    frame that opens it), found once per clip shape.  A bad segment raises
+    at the first clip."""
     shapes: dict[tuple[int, float], tuple[int, np.ndarray, np.ndarray]] = {}
-    pools = []
-    for post in posts:
-        shape = (post.num_frames, post.frame_period)
+
+    def pool(frames: ClipFrames) -> tuple[int, np.ndarray, np.ndarray]:
+        shape = (frames.num_frames, frames.frame_period)
         if shape not in shapes:
-            count = _segment_count(post.duration, segment)
+            count = _segment_count(frames.duration, segment)
             shapes[shape] = (count, *_segment_runs(*shape, segment, count))
-        pools.append(shapes[shape])
-    n = np.array([count for count, _, _ in pools], dtype=np.int64)
-    return n, np.cumsum(n) - n, pools
+        return shapes[shape]
+
+    return pool
 
 
-def segment_scores(posts: Sequence[Posteriorgram], segment: float = SEGMENT_SECONDS) -> np.ndarray:
+def segment_scores(posts: Iterable[Posteriorgram], segment: float = SEGMENT_SECONDS) -> np.ndarray:
     """Max-pool frame scores into segments: [S, C], each clip's
     ceil(T*fp / segment) rows stacked in clip order.
 
@@ -473,47 +473,60 @@ def segment_scores(posts: Sequence[Posteriorgram], segment: float = SEGMENT_SECO
     integer arithmetic; otherwise frames are binned by their center time.  A
     segment that no frame's center falls in scores 0.  The frame runs of a
     clip shape are found once, and each clip is pooled by one reduceat into
-    its rows.
+    its rows as it arrives, so only its rows outlive it.
     """
-    n, top, pools = _segment_grid(posts, segment)
-    scores = np.zeros((int(n.sum()), posts[0].num_classes))
-    for post, (_, seg, runs), row in zip(posts, pools, top.tolist()):
-        scores[row + seg] = np.maximum.reduceat(post.scores, runs, axis=0)
-    return scores
+    pool = _segment_pools(segment)
+    rows = []
+    for post in posts:
+        count, seg, runs = pool(post.frames)
+        block = np.zeros((count, rows[0].shape[1] if rows else post.num_classes))
+        block[seg] = np.maximum.reduceat(post.scores, runs, axis=0)
+        rows.append(block)
+    if not rows:
+        raise ValueError("need at least one posteriorgram")
+    return np.concatenate(rows)
 
 
-def segmentize(refs: EventTable, posts: Sequence[Posteriorgram],
+def segmentize(refs: EventTable, posts: Iterable[Posteriorgram | ClipFrames],
                segment: float = SEGMENT_SECONDS) -> np.ndarray:
     """Soft segment labels on the rows of ``segment_scores(posts, segment)``:
     the max value of the references of a clip's id overlapping each of its
     segments, by the ``frame_spans`` rule.
 
-    The value of a hard event (confidence None) is 1.0.  Harden against a
-    threshold downstream for mPAUC.  The spans of all references come from
-    one ``frame_spans`` call, and their cells are written by one unbuffered
-    max.  A clip id held by several posteriorgrams labels each of them.
-    After a bad segment, the first clip shorter than one segment is refused,
-    as are references of a class or clip id that no posteriorgram has.
+    Only the clips' frame grids are read, so ``posts`` may be the
+    ``ClipFrames`` kept of a stream of posteriorgrams that
+    ``segment_scores`` has consumed.  The value of a hard event (confidence
+    None) is 1.0.  Harden against a threshold downstream for mPAUC.  The
+    spans of all references come from one ``frame_spans`` call, and their
+    cells are written by one unbuffered max.  A clip id held by several
+    posteriorgrams labels each of them.  After a bad segment, the first
+    clip shorter than one segment is refused, as are references of a class
+    or clip id that no posteriorgram has.
     """
-    n, top, _ = _segment_grid(posts, segment)
-    for post in posts:
-        if post.duration < segment:
-            raise ValueError(f"duration {post.duration} shorter than one segment {segment}")
-    num_classes = posts[0].num_classes
+    clips = [post.frames for post in posts]
+    if not clips:
+        raise ValueError("need at least one posteriorgram")
+    pool = _segment_pools(segment)
+    n = np.array([pool(frames)[0] for frames in clips], dtype=np.int64)
+    top = np.cumsum(n) - n
+    for frames in clips:
+        if frames.duration < segment:
+            raise ValueError(f"duration {frames.duration} shorter than one segment {segment}")
+    num_classes = clips[0].num_classes
     bad = (refs.class_idx < 0) | (refs.class_idx >= num_classes)
     if bad.any():
         raise ValueError(f"class index {refs.class_idx[bad][0]} out of range")
     # one (reference, clip) pair per clip of the reference's id
     of_id: dict[str, list[int]] = {}
-    for i, post in enumerate(posts):
-        of_id.setdefault(post.clip_id, []).append(i)
+    for i, frames in enumerate(clips):
+        of_id.setdefault(frames.clip_id, []).append(i)
     missing = sorted({refs.clip_ids[i] for i in np.unique(refs.clip).tolist()} - of_id.keys())
     if missing:
         raise ValueError(f"references for clips without posteriors: {missing[:5]}")
-    clips = [of_id.get(clip_id, []) for clip_id in refs.clip_ids]
-    bounds = np.cumsum([0] + [len(c) for c in clips])
+    of_ref = [of_id.get(clip_id, []) for clip_id in refs.clip_ids]
+    bounds = np.cumsum([0] + [len(c) for c in of_ref])
     ref, at = _expand(bounds[:-1][refs.clip], bounds[1:][refs.clip])
-    clip = np.array([i for c in clips for i in c], dtype=np.int64)[at]
+    clip = np.array([i for c in of_ref for i in c], dtype=np.int64)[at]
     first, stop = frame_spans(refs.onset[ref], refs.offset[ref], segment, n[clip])
     owner, cell = _expand(top[clip] + first, top[clip] + stop)
     value = refs.value[ref]

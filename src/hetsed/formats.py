@@ -9,9 +9,10 @@ plain ``open`` would give it.
 
 The event TSV writers take a ``core.EventTable``, check it in one
 vectorised pass with the errors of ``canonicalize_events``, order the rows
-with one stable sort and format each distinct time once.  The event TSV
-reader checks each row as it parses it and returns the rows as a table in
-canonical order.
+with one stable sort and write them in blocks of ``_WRITE_ROWS``, formatting
+each distinct time once per block, so the text held grows with a block, not
+with the table.  The event TSV reader checks each row as it parses it and
+returns the rows as a table in canonical order.
 
 A text writer refuses, before it writes anything, a clip id, class name or
 key that holds a tab or a character at which ``str.splitlines`` ends a
@@ -25,10 +26,13 @@ back to the same float.
 
 Every reader takes one file path as its first argument and opens that path
 as given.  Both binary readers read a file into one writable buffer and
-return its float32 payload as a view of that buffer, not as a copy.  A
-posteriorgram reader remembers the last class table it decoded,
-so the files of one directory, which share a table, each compare its bytes
-instead of decoding it again.
+return its float32 payload as a view of that buffer, not as a copy, so a
+posteriorgram holds its file's bytes and no more.  A directory is read one
+file at a time (the command line's posteriorgram stream), and a consumer
+keeps a file's buffer only while the clip is in its current pass.  A
+posteriorgram reader remembers the last class table it decoded, so the
+files of one directory, which share a table, each compare its bytes instead
+of decoding it again.
 """
 
 from __future__ import annotations
@@ -101,29 +105,39 @@ def _formatted(values: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
             for bits, value in zip(values.view(np.int64).tolist(), values.tolist())]
 
 
+# Rows of an event TSV formatted and written at a time, so the text held
+# while writing stays the same size whatever the number of events.
+_WRITE_ROWS = 1 << 12
+
+
 def _write_events(path: Path | str, header: str, events: EventTable, class_names: Sequence[str],
                   soft: bool) -> None:
     """An event TSV: the header, then one row per event in canonical order,
-    checked as ``canonicalize_events`` checks them; each class name once."""
+    checked as ``canonicalize_events`` checks them; each class name once.
+    The rows are written in blocks of ``_WRITE_ROWS``."""
     rows = events.canonical()
     _check_fields(path, "clip id", rows.clip_ids)
     _check_fields(path, "class name", class_names)
     if len(set(class_names)) != len(class_names):
         raise ValueError(f"{path}: class names repeat a name: {list(class_names)}")
-    times = _formatted(np.concatenate([rows.onset, rows.offset]), _format_seconds)
-    columns = [[rows.clip_ids[i] for i in rows.clip.tolist()], times[: len(rows)], times[len(rows) :],
-               [class_names[c] for c in rows.class_idx.tolist()]]
-    if soft:  # an absent confidence stays empty
-        confidences = _formatted(rows.confidence, "{:.6f}".format)
-        columns.append([text if has else "" for text, has in zip(confidences, rows.has_confidence.tolist())])
-    text = "\n".join([header, *map("\t".join, zip(*columns))]) + "\n"
     with atomic_write(path) as fh:
-        fh.write(text)
+        fh.write(header + "\n")
+        for lo in range(0, len(rows), _WRITE_ROWS):
+            block = slice(lo, lo + _WRITE_ROWS)
+            n = rows.clip[block].size
+            times = _formatted(np.concatenate([rows.onset[block], rows.offset[block]]), _format_seconds)
+            columns = [[rows.clip_ids[i] for i in rows.clip[block].tolist()], times[:n], times[n:],
+                       [class_names[c] for c in rows.class_idx[block].tolist()]]
+            if soft:  # an absent confidence stays empty
+                confidences = _formatted(rows.confidence[block], "{:.6f}".format)
+                columns.append([text if has else ""
+                                for text, has in zip(confidences, rows.has_confidence[block].tolist())])
+            fh.write("\n".join(map("\t".join, zip(*columns))) + "\n")
 
 
 def write_events_tsv(path: Path | str, events: EventTable, class_names: Sequence[str]) -> None:
     """Four-column ground-truth/detection TSV (no confidence); each distinct
-    time is formatted once."""
+    time is formatted once per block of rows."""
     _write_events(path, EVENTS_HEADER, events, class_names, soft=False)
 
 

@@ -4,9 +4,9 @@ change-point sound event bounding boxes (SEBBs) and ensemble averaging.
 A box is an event whose confidence is always set (the mean smoothed score
 of its segment), so boxes go wherever events go: the TSV writers and the
 PSDS sweep, whose confidence thresholds keep or drop whole boxes.
-``frame_threshold_merge`` and ``csebb_detect`` take a whole directory's
-clips and return its events or boxes as one ``core.EventTable``, which the
-TSV writers and the PSDS sweep read as it is.
+``frame_threshold_merge`` and ``csebb_detect`` take the clips of a
+directory as an iterable and return its events or boxes as one
+``core.EventTable``, which the TSV writers and the PSDS sweep read as it is.
 
 Frame-level thresholding couples an event's extent to the detection
 threshold: raising the threshold shrinks or fragments events.  SEBBs decouple
@@ -18,28 +18,36 @@ Each step takes a whole [T, C] posteriorgram in a few whole-array passes
 rather than one class track at a time, and none builds the [T, C, window]
 sliding windows; results equal the track-by-track computation bit for bit.
 
+Clips stream through in passes.  ``_stacked_passes`` groups them as they
+arrive: clips of one frame count, up to ``_STACK_CELLS`` cells a pass,
+each pass handed on once it is full and the rest when the clips end.  A
+consumer works on a pass under every threshold or smoothing key while it
+holds it, then keeps only its results and each clip's ``core.ClipFrames``,
+so what it holds of the scores does not grow with the clip count.
+
 Box detection (``csebb_detect`` for one parameter set, ``tune_csebb`` for a
-grid) treats all clips and candidates as one problem.  The clips of one
-frame count are smoothed and cut together, once per smoothing key (window,
-half_width, min_gap), into flat per-segment arrays.  Only the tracks whose
-step response exceeds min_gap somewhere can be cut, so only those go
-through the change-point search, and a track left uncut is one segment
-summed as a whole row.  One greedy merge then
-runs in lock step over every track of every key, and each (rel_merge,
-abs_merge) candidate reads its boxes off the step where it stops.  The boxes
-are built once, and each candidate holds the index array of its boxes among
-them, so candidates that reach the same merge state share boxes by index.
+grid) treats all clips and candidates as one problem.  Each pass is smoothed
+and cut together under every smoothing key (window, half_width, min_gap)
+into flat per-segment arrays.  Only the tracks whose step response exceeds
+min_gap somewhere can be cut, so only those go through the change-point
+search; a track left uncut is one segment summed as a whole row, and the
+cut tracks are kept, up to ``_CUT_CELLS`` cells, until their segments are
+summed.  Once the clips end, one greedy merge runs in lock step over every
+track of every key, and each (rel_merge, abs_merge) candidate reads its
+boxes off the step where it stops.  The boxes are built once, and each
+candidate holds the index array of its boxes among them, so candidates
+that reach the same merge state share boxes by index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import EventTable, Posteriorgram, frame_time
+from .core import ClipFrames, EventTable, Posteriorgram, frame_time
 
 NOISE_FLOOR = 0.01
 
@@ -134,21 +142,30 @@ def moving_average(scores: np.ndarray, window: int) -> np.ndarray:
     order ``np.mean`` adds the values of one window, so every mean equals
     that of its window alone bit for bit, without building the windows.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
     if scores.ndim not in (1, 2):
         raise ValueError(f"expected a [T] or [T, C] score array, got shape {scores.shape}")
     if window % 2 == 0:
         raise ValueError(f"window must be odd, got {window}")
     if window == 1:
-        return scores.copy()
-    total = _shifted_sum(_edge_padded(scores, window // 2), window, scores.shape[0])
+        return np.array(scores, dtype=np.float64)
+    t, pad = scores.shape[0], window // 2
+    if t == 0:
+        raise ValueError("cannot extend an empty axis")
+    # the edge-padded tracks in one float64 array: the scores widened as
+    # they are assigned, then the first and last rows repeated
+    padded = np.empty((t + 2 * pad, *scores.shape[1:]))
+    padded[pad : pad + t] = scores
+    padded[:pad] = padded[pad]
+    padded[pad + t :] = padded[pad + t - 1]
+    total = _shifted_sum(padded, window, t)
     # a reduction starts from the identity 0.0, which turns a -0.0 sum into 0.0
     total += 0.0
     total /= window
     return total
 
 
-def frame_threshold_merge(posts: Sequence[Posteriorgram], thresholds: Sequence[float],
+def frame_threshold_merge(posts: Iterable[Posteriorgram], thresholds: Sequence[float],
                           window: int = 1) -> EventTable:
     """Threshold each class track of every clip and merge consecutive
     positive frames, as an event table in (clip, class, onset) order within
@@ -165,38 +182,44 @@ def frame_threshold_merge(posts: Sequence[Posteriorgram], thresholds: Sequence[f
     the events equal those of scipy's edge-replicated median filter
     (``mode="nearest"``) followed by thresholding.
 
-    Each clip is checked in turn, so an error is the one the first failing
-    clip would raise on its own.  The clips of one frame count are then
+    Each clip is checked as it arrives, so an error is the one the first
+    failing clip would raise on its own.  The clips of one frame count are
     thresholded together, in the passes of ``_stacked_passes``, as one bool
     block of their class tracks whose runs come from one comparison of
     neighbouring frames and one nonzero.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    for i, post in enumerate(posts):
-        if thresholds.shape != (post.num_classes,):
-            raise ValueError(f"need one threshold per class, got {thresholds.shape}")
-        if i == 0 and not np.all((thresholds >= 0.0) & (thresholds <= 1.0)):
-            raise ValueError("thresholds must lie in [0, 1]")
-        if i == 0 and (window < 1 or window % 2 == 0):
-            raise ValueError(f"window must be odd and >= 1, got {window}")
-        if window > 2 * post.num_frames - 1:
-            raise ValueError(f"window {window} too large for {post.num_frames} frames")
+
+    def checked():
+        for i, post in enumerate(posts):
+            if thresholds.shape != (post.num_classes,):
+                raise ValueError(f"need one threshold per class, got {thresholds.shape}")
+            if i == 0 and not np.all((thresholds >= 0.0) & (thresholds <= 1.0)):
+                raise ValueError("thresholds must lie in [0, 1]")
+            if i == 0 and (window < 1 or window % 2 == 0):
+                raise ValueError(f"window must be odd and >= 1, got {window}")
+            if window > 2 * post.num_frames - 1:
+                raise ValueError(f"window {window} too large for {post.num_frames} frames")
+            yield post
+
     c = thresholds.size
+    clips: list[ClipFrames] = []
     parts = [(np.zeros(0, dtype=np.intp),) * 4]  # (clip, class, start, stop) per pass
-    for group in _stacked_passes(posts):
+    for members in _stacked_passes(checked(), clips):
         # the [clips * C, T] class tracks above threshold, between two
         # inactive frames
-        t = posts[group[0]].num_frames
-        active = np.zeros((len(group) * c, t + 2), dtype=bool)
-        for k, i in enumerate(group):
-            np.greater(posts[i].scores.T, thresholds[:, None], out=active[k * c : (k + 1) * c, 1:-1])
+        t = members[0][2].num_frames
+        active = np.zeros((len(members) * c, t + 2), dtype=bool)
+        for k, (_, _, post) in enumerate(members):
+            np.greater(post.scores.T, thresholds[:, None], out=active[k * c : (k + 1) * c, 1:-1])
         if window > 1:
             active[:, 1:-1] = _window_counts(active[:, 1:-1], window) > window // 2
         # per track, run starts and stops alternate along the frames
         row, frame = np.divmod(np.flatnonzero(active[:, 1:] != active[:, :-1]), t + 1)
         clip, cls = np.divmod(row[::2], c)
-        parts.append((np.asarray(group)[clip], cls, frame[::2], frame[1::2]))
-    return _frame_events(posts, *(np.concatenate(column) for column in zip(*parts)))
+        index = np.array([i for i, _, _ in members])
+        parts.append((index[clip], cls, frame[::2], frame[1::2]))
+    return _frame_events(clips, *(np.concatenate(column) for column in zip(*parts)))
 
 
 def _window_counts(x: np.ndarray, window: int) -> np.ndarray:
@@ -221,18 +244,18 @@ def _window_counts(x: np.ndarray, window: int) -> np.ndarray:
         size *= 2
 
 
-def _frame_events(posts: Sequence[Posteriorgram], clip: np.ndarray, class_idx: np.ndarray, start: np.ndarray,
+def _frame_events(clips: Sequence[ClipFrames], clip: np.ndarray, class_idx: np.ndarray, start: np.ndarray,
                   stop: np.ndarray, confidence: np.ndarray | None = None) -> EventTable:
-    """Events of clips ``posts[clip]`` over frames [start, stop), times as
+    """Events of clips ``clips[clip]`` over frames [start, stop), times as
     in ``frame_time`` on each clip's own grid; no confidence when None."""
-    period = np.array([post.frame_period for post in posts])[clip]
+    period = np.array([frames.frame_period for frames in clips])[clip]
     onset, offset = np.empty(clip.size), np.empty(clip.size)
     for fp in np.unique(period).tolist():
         at = period == fp
         onset[at] = frame_time(start[at], fp)
         offset[at] = frame_time(stop[at], fp)
     has = np.full(clip.size, confidence is not None)
-    return EventTable([post.clip_id for post in posts], clip, class_idx, onset, offset,
+    return EventTable([frames.clip_id for frames in clips], clip, class_idx, onset, offset,
                       np.zeros(clip.size) if confidence is None else confidence, has)
 
 
@@ -316,78 +339,114 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> np.nd
 
 
 # Cap on one stacked pass, in [rows, T] cells (a row is a class track), for
-# both pass kinds: a box search's segmentation pass and a threshold pass.  A
-# segmentation pass holds its smoothed tracks and their step response, and
-# the dozen arrays of the change-point search over its live rows only.  On
-# 500-frame clips of 10 classes (the bulk benchmark, 2-core Xeon), 2**15
-# beat the earlier code by more than the run-to-run spread and 2**14 did
-# not; 2**16 was no faster and held about 1.5 MB more memory at peak.  A
-# threshold pass holds a few bool and integer blocks of that size.
+# both pass kinds: a box search's segmentation pass and a threshold pass.
+# It bounds what a command holds of a directory's scores: the open pass of
+# each frame count (its clips' float32 scores, which the consumer keeps only
+# until the pass is full) and that pass's work arrays.  A segmentation pass
+# holds its smoothed tracks and their step response, and the dozen arrays of
+# the change-point search over its live rows only; a threshold pass holds a
+# few bool and integer blocks of that size.  It also trades speed against
+# memory: on 500-frame clips of 10 classes (the bulk benchmark, 2-core
+# Xeon), 2**15 beat the earlier code by more than the run-to-run spread and
+# 2**14 did not; 2**16 was no faster and held about 1.5 MB more at peak.
 _STACK_CELLS = 1 << 15
 
 
-def _stacked_passes(posts: Sequence[Posteriorgram]):
-    """Clip indices grouped into stacked passes: clips of one frame count,
-    as many as keep the pass within _STACK_CELLS cells (at least one clip
-    per pass)."""
-    by_frames: dict[int, list[int]] = {}
+def _stacked_passes(posts: Iterable[Posteriorgram], clips: list[ClipFrames]) -> Iterator[list[tuple]]:
+    """The clips of ``posts`` grouped into stacked passes as they arrive:
+    clips of one frame count, as many as keep the pass within _STACK_CELLS
+    cells (at least one clip per pass).  A pass is handed on as soon as the
+    next clip of its frame count would overfill it, and the passes still
+    open when ``posts`` ends follow.  A pass is a list of (clip index, the
+    clip's first track, its posteriorgram), tracks numbered clip-major; the
+    frames of each clip are appended to ``clips`` as it arrives.
+    """
+    passes: dict[int, tuple[int, list]] = {}  # frame count -> (rows, members) of its open pass
+    tracks = 0
     for i, post in enumerate(posts):
-        by_frames.setdefault(post.num_frames, []).append(i)
-    for t, members in by_frames.items():
-        group: list[int] = []
-        rows = 0
-        for i in members:
-            if group and (rows + posts[i].num_classes) * t > _STACK_CELLS:
-                yield group
-                group, rows = [], 0
-            group.append(i)
-            rows += posts[i].num_classes
-        yield group
+        clips.append(post.frames)
+        t, c = post.num_frames, post.num_classes
+        rows, members = passes.get(t, (0, []))
+        if members and (rows + c) * t > _STACK_CELLS:
+            yield members
+            rows, members = 0, []
+        members.append((i, tracks, post))
+        passes[t] = (rows + c, members)
+        tracks += c
+    for _, members in passes.values():
+        yield members
 
 
-def _segment_arrays(posts: Sequence[Posteriorgram], first_track: np.ndarray, key: tuple) -> tuple:
+# Cap on the cut tracks, in cells, that a box search keeps before summing
+# their segments.  The segments are summed one length at a time over all the
+# kept tracks, and within one pass most lengths occur once, so the sums are
+# put off across passes to make the gathers fewer and larger; the cap keeps
+# the float64 copies of the cut tracks from growing with the clip count.
+_CUT_CELLS = 1 << 18
+
+
+def _segment_arrays(posts: Iterable[Posteriorgram], keys: Sequence[tuple], clips: list[ClipFrames]) -> list[tuple]:
     """Every class track of every clip smoothed and cut at its change points
-    under one smoothing key (window, half_width, min_gap), as flat
+    under each smoothing key (window, half_width, min_gap), per key as flat
     per-segment arrays (track, start frame, length, sum of the smoothed
-    scores); track ``first_track[i] + c`` is class c of clip i."""
-    window, half_width, min_gap = key
-    parts, kept, cut_at = [], [], []
-    done = kept_cells = 0
-    for group in _stacked_passes(posts):
-        scores = [posts[i].scores for i in group]
-        tracks = np.ascontiguousarray(moving_average(scores[0] if len(group) == 1 else np.hstack(scores), window).T)
-        rows, t = tracks.shape
-        # segments open at each row's first frame and at its change points,
-        # as flat indices into the [rows, t] tracks
-        opens = np.sort(np.concatenate([np.arange(rows) * t, _change_points(tracks, half_width, min_gap)]))
-        length = np.diff(opens, append=rows * t)
-        row, start = np.divmod(opens, t)
-        # an uncut track is one segment, summed as its row; a cut track is
-        # kept, with where each of its segments opens among the kept tracks
-        total = np.empty(opens.size)
-        whole = length == t
-        total[whole] = tracks[row[whole]].sum(axis=1)
-        cut = np.flatnonzero(~whole)
-        cut_rows, slot = np.unique(row[cut], return_inverse=True)
-        kept.append(tracks[cut_rows].ravel())
-        cut_at.append((done + cut, kept_cells + slot * t + start[cut]))
-        done += opens.size
-        kept_cells += cut_rows.size * t
-        track = np.concatenate([first_track[i] + np.arange(posts[i].num_classes) for i in group])
-        parts.append((track[row], start, length, total))
-    track, start, length, total = (np.concatenate(columns) for columns in zip(*parts))
-    # the segments of all cut tracks in one contiguous [m, n] gather per
-    # length, summed along its rows: the bits of summing each segment of its
-    # track alone.  Within one pass most lengths occur once; over all passes
-    # the gathers are fewer and larger
-    flat = np.concatenate(kept)
-    at, kept_open = (np.concatenate(columns) for columns in zip(*cut_at))
-    order = np.argsort(length[at], kind="stable")
-    bounds = np.flatnonzero(np.diff(length[at][order], prepend=-1, append=-1)).tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        same = order[lo:hi]
-        total[at[same]] = flat[kept_open[same, None] + np.arange(length[at[same[0]]])].sum(axis=1)
-    return track, start, length, total
+    scores).  Tracks are numbered clip-major from 0, as ``_stacked_passes``
+    numbers them; each pass is segmented under every key while it is held,
+    and the frames of each clip are appended to ``clips``."""
+    none = np.zeros(0, dtype=np.intp)
+    parts = [[(none, none, none, np.zeros(0))] for _ in keys]
+    kept, pending = [], []  # cut tracks, and (total, cut segments, their opens in the kept cells, lengths)
+    kept_cells = 0
+
+    def sum_cut_segments() -> None:
+        # the segments of the kept tracks in one contiguous [m, n] gather
+        # per length, summed along its rows: the bits of summing each
+        # segment of its track alone
+        nonlocal kept_cells
+        flat = np.concatenate(kept)
+        opens = np.concatenate([opens for _, _, opens, _ in pending])
+        length = np.concatenate([length for _, _, _, length in pending])
+        sums = np.empty(opens.size)
+        order = np.argsort(length, kind="stable")
+        bounds = np.flatnonzero(np.diff(length[order], prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            same = order[lo:hi]
+            sums[same] = flat[opens[same, None] + np.arange(length[same[0]])].sum(axis=1)
+        done = 0
+        for total, cut, _, _ in pending:
+            total[cut] = sums[done : done + cut.size]
+            done += cut.size
+        kept.clear()
+        pending.clear()
+        kept_cells = 0
+
+    for members in _stacked_passes(posts, clips):
+        scores = [post.scores for _, _, post in members]
+        stacked = scores[0] if len(scores) == 1 else np.hstack(scores)
+        track = np.concatenate([first + np.arange(post.num_classes) for _, first, post in members])
+        for (window, half_width, min_gap), segments in zip(keys, parts):
+            tracks = np.ascontiguousarray(moving_average(stacked, window).T)
+            rows, t = tracks.shape
+            # segments open at each row's first frame and at its change
+            # points, as flat indices into the [rows, t] tracks
+            opens = np.sort(np.concatenate([np.arange(rows) * t, _change_points(tracks, half_width, min_gap)]))
+            length = np.diff(opens, append=rows * t)
+            row, start = np.divmod(opens, t)
+            # an uncut track is one segment, summed as its row; a cut track
+            # is kept until its segments are summed
+            total = np.empty(opens.size)
+            whole = length == t
+            total[whole] = tracks[row[whole]].sum(axis=1)
+            cut = np.flatnonzero(~whole)
+            cut_rows, slot = np.unique(row[cut], return_inverse=True)
+            kept.append(tracks[cut_rows].ravel())
+            pending.append((total, cut, kept_cells + slot * t + start[cut], length[cut]))
+            kept_cells += cut_rows.size * t
+            segments.append((track[row], start, length, total))
+        if kept_cells >= _CUT_CELLS:
+            sum_cut_segments()
+    if pending:
+        sum_cut_segments()
+    return [tuple(np.concatenate(columns) for columns in zip(*segments)) for segments in parts]
 
 
 def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.ndarray,
@@ -405,11 +464,13 @@ def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.nd
     taken once, however many candidates stop there.
 
     Returns the boxes as (track, start, length, mean) arrays and, per
-    candidate, the [begin, end) range of its boxes in them.
+    candidate, the [begin, end) range of its boxes in them.  The first merge
+    step writes into ``segments``' arrays.
     """
     track, start, length, total = segments
-    order = np.argsort(track, kind="stable")
-    track, start, length, total = (a[order] for a in (track, start, length, total))
+    if np.any(track[1:] < track[:-1]):  # passes of several frame counts can end out of track order
+        order = np.argsort(track, kind="stable")
+        track, start, length, total = (a[order] for a in (track, start, length, total))
     cand = np.arange(cand_track.size)
     begin = np.empty(cand.size, dtype=np.intp)
     end = np.empty(cand.size, dtype=np.intp)
@@ -452,7 +513,7 @@ def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.nd
     return tuple(np.concatenate(columns) for columns in zip(*boxes)), begin, end
 
 
-def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
+def _box_sets(posts: Iterable[Posteriorgram], grid: Sequence[CsebbParams],
               class_names: Sequence[str] | None) -> tuple[EventTable, list[np.ndarray]]:
     """The boxes of all clips under every parameter set of ``grid``, as the
     table of the distinct boxes and, per parameter set, the index array of
@@ -460,43 +521,56 @@ def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
 
     Tracks are numbered clip-major, class-minor.  A candidate entry is one
     (smoothing key, class, rel_merge, abs_merge) that some parameter set
-    asks of every track of that class.  Each smoothing key segments all
-    tracks once, one lock-step merge serves every entry, and parameter sets
-    that reach the same merge state share its boxes by index.
+    asks of every track of that class.  Each pass of clips is segmented
+    under every smoothing key as it arrives, each clip checked first; once
+    ``posts`` ends, one lock-step merge serves every entry, and parameter
+    sets that reach the same merge state share its boxes by index.
     """
-    if class_names is not None and any(len(class_names) != post.num_classes for post in posts):
-        raise ValueError("class_names length must match the posteriorgram")
-    widths = [post.num_classes for post in posts]
+    # smoothing keys in the order the parameter sets first ask for them
+    keys: dict[tuple, int] = {}
+    for params in grid:
+        for p in [params.default] if class_names is None else map(params.for_class, class_names):
+            keys.setdefault((p.window, p.half_width, p.min_gap), len(keys))
+
+    def checked():
+        for post in posts:
+            if class_names is not None and len(class_names) != post.num_classes:
+                raise ValueError("class_names length must match the posteriorgram")
+            yield post
+
+    clips: list[ClipFrames] = []
+    segments = _segment_arrays(checked(), list(keys), clips)
+    widths = [frames.num_classes for frames in clips]
     first_track = np.cumsum([0] + widths)
     n_tracks = int(first_track[-1])
     if n_tracks == 0:
         none = np.zeros(0, dtype=np.intp)
-        return _frame_events(posts, none, none, none, none, np.zeros(0)), [none for _ in grid]
+        return _frame_events(clips, none, none, none, none, np.zeros(0)), [none for _ in grid]
     class_of = np.arange(n_tracks) - np.repeat(first_track[:-1], widths)
     n_classes = max(widths) if class_names is None else len(class_names)
     rows_of = [np.flatnonzero(class_of == c) for c in range(n_classes)]
-    keys: dict[tuple, int] = {}
     entries: dict[tuple, int] = {}
     picks = []  # per parameter set, the entry of each class
     for params in grid:
         chosen = [params.default] * n_classes if class_names is None else map(params.for_class, class_names)
         picks.append([
-            entries.setdefault((keys.setdefault((p.window, p.half_width, p.min_gap), len(keys)),
-                                c, p.rel_merge, p.abs_merge), len(entries))
+            entries.setdefault((keys[p.window, p.half_width, p.min_gap], c, p.rel_merge, p.abs_merge), len(entries))
             for c, p in enumerate(chosen)
         ])
     sizes = [rows_of[c].size for _, c, _, _ in entries]
     first_cand = np.cumsum(sizes) - sizes
-    segments = [_segment_arrays(posts, first_track + k * n_tracks, key) for key, k in keys.items()]
+    for k, (track, *_) in enumerate(segments):
+        track += k * n_tracks
+    segments = tuple(columns[0] if len(columns) == 1 else np.concatenate(columns) for columns in zip(*segments))
     (track, start, length, mean), begin, end = _greedy_merge_stops(
-        tuple(np.concatenate(columns) for columns in zip(*segments)),
+        segments,
         np.concatenate([k * n_tracks + rows_of[c] for k, c, _, _ in entries]),
         np.repeat([rel for _, _, rel, _ in entries], sizes),
         np.repeat([abs_ for _, _, _, abs_ in entries], sizes),
     )
     track %= n_tracks
-    clip = np.repeat(np.arange(len(posts)), widths)[track]
-    boxes = _frame_events(posts, clip, class_of[track], start, start + length, np.minimum(mean, 1.0))
+    clip = np.repeat(np.arange(len(clips)), widths)[track]
+    boxes = _frame_events(clips, clip, class_of[track], start, start + length, np.minimum(mean, 1.0))
     sets = []
     for pick in picks:
         cand = np.empty(n_tracks, dtype=np.intp)
@@ -508,7 +582,7 @@ def _box_sets(posts: Sequence[Posteriorgram], grid: Sequence[CsebbParams],
 
 
 def csebb_detect(
-    posts: Sequence[Posteriorgram],
+    posts: Iterable[Posteriorgram],
     params: CsebbParams = CsebbParams(),
     class_names: Sequence[str] | None = None,
 ) -> EventTable:
@@ -568,10 +642,9 @@ def default_grid() -> list[CsebbParams]:
 
 
 def tune_csebb(
-    posts: Sequence[Posteriorgram],
-    refs: EventTable,
+    posts: Iterable[Posteriorgram],
     grid: Sequence[CsebbParams],
-    metric: Callable[[EventTable, list[np.ndarray], EventTable], Sequence[float]],
+    metric: Callable[[EventTable, list[np.ndarray]], Sequence[float]],
     class_names: Sequence[str] | None = None,
 ) -> CsebbParams:
     """Grid-search the detector parameters against a validation metric
@@ -579,20 +652,22 @@ def tune_csebb(
     event bounding boxes", Interspeech 2024).
 
     Each candidate is scored on exactly the boxes ``csebb_detect`` gives,
-    all found in one search: each smoothing key segments the clips once,
-    one merge serves every (rel_merge, abs_merge) pair, and candidates
-    reaching the same merge state share its boxes by index.  ``metric(boxes,
-    sets, refs)`` takes the table of the distinct boxes and, per candidate
-    in grid order, the index array of its boxes among them, and returns one
-    score per candidate, so a PSDS metric can run one
-    ``evaluation.roc_from_confidences`` sweep over the whole grid.
+    all found in one search: each pass of clips is segmented under every
+    smoothing key while it is held, one merge serves every (rel_merge,
+    abs_merge) pair, and candidates reaching the same merge state share its
+    boxes by index.  ``metric(boxes, sets)`` takes the table of the
+    distinct boxes and, per candidate in grid order, the index array of its
+    boxes among them, and returns one score per candidate, so a PSDS metric
+    can run one ``evaluation.roc_from_confidences`` sweep over the whole
+    grid.  It is called once every clip has been read, so it may read what
+    it scores against (the references) only then.
 
     Ties break toward the smaller smoothing window, then lexicographically
     over the remaining parameters, so results never depend on grid order.
     """
     if not grid:
         raise ValueError("parameter grid is empty")
-    scores = list(metric(*_box_sets(posts, grid, class_names), refs))
+    scores = list(metric(*_box_sets(posts, grid, class_names)))
     if len(scores) != len(grid):
         raise ValueError(f"metric gave {len(scores)} scores for {len(grid)} candidates")
     best_score = max(scores)

@@ -7,10 +7,12 @@ structured implementations are checked against a genuinely separate route.
 
 import functools
 import math
+import warnings
 
 import numpy as np
 from scipy.ndimage import median_filter
 
+from hetsed import cli, evaluation, formats, postprocess
 from hetsed.core import _event_problems
 from hetsed.evaluation import OperatingPointCurve, PsdsConfig, _segment_count
 from hetsed.fdy import freq_attention
@@ -543,3 +545,56 @@ def frozen_fdy_conv(x: np.ndarray, params) -> np.ndarray:
     out = np.empty((c_out, f, t))
     np.matmul(mixed, cols, out=out.transpose(1, 0, 2))
     return out
+
+
+def frozen_read_posteriorgrams(paths, clip_id=None):
+    """The posteriorgrams of files that must share one class table, and that
+    table, as commands read a directory when they held all of it: every file
+    read first, then each table compared with the first's."""
+    posts, tables = zip(*[formats.read_posteriorgram(p, clip_id) for p in paths])
+    for names, p in zip(tables, paths):
+        if names != tables[0]:
+            raise ValueError(f"{p}: class table differs from {paths[0]}")
+    return list(posts), tables[0]
+
+
+def frozen_command_error(command, paths, refs=None, durations=None, params=None, segment=1.0):
+    """The error a command raised when it read every posteriorgram file
+    before anything else, or None: ``command`` is "frame", "median", "csebb"
+    (postprocess with ``params``), "tune" (tune-csebb with ``refs`` and
+    ``durations`` on the default grid) or "mpauc" (eval mpauc with ``refs``
+    and ``segment``), each taking its steps in the order it took them then.
+    Outputs are not written."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            posts, class_names = frozen_read_posteriorgrams(paths)
+            if command == "csebb":
+                csebb = formats.read_csebb_params(params) if params else postprocess.CsebbParams()
+                postprocess.csebb_detect(posts, csebb, class_names)
+            elif command in ("frame", "median"):
+                thresholds, window = cli._class_thresholds(params, class_names)
+                postprocess.frame_threshold_merge(posts, thresholds, 1 if command == "frame" else window)
+            elif command == "tune":
+                ref_table = cli._read_refs(refs, class_names, posts)
+                if durations is not None:
+                    hours = cli._read_hours(durations, [p.clip_id for p in posts])
+                else:
+                    hours = sum(p.duration for p in posts) / evaluation.SECONDS_PER_HOUR
+                cfg = PsdsConfig()
+
+                def metric(boxes, sets):
+                    curves = evaluation.roc_from_confidences(boxes, sets, ref_table, hours, cfg, len(class_names))
+                    return [evaluation.psds(curve, cfg) for curve in curves]
+
+                postprocess.tune_csebb(posts, postprocess.default_grid(), metric, class_names)
+            else:
+                ref_table = cli._read_refs(refs, class_names, posts)
+                scores = evaluation.segment_scores(posts, segment)
+                hard = evaluation.segmentize(ref_table, posts, segment) >= evaluation.HARD_LABEL_THRESHOLD
+                if np.all(np.isnan(evaluation.mpauc_per_class(scores, hard, evaluation.MAX_FPR))):
+                    raise ValueError("no class has both positive and negative segments at hard threshold "
+                                     f"{evaluation.HARD_LABEL_THRESHOLD:g}")
+    except (ValueError, KeyError, OSError) as exc:
+        return str(exc)
+    return None

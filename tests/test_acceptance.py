@@ -120,12 +120,13 @@ def test_criterion_03_csebb_beats_best_single_threshold():
             for rel in (0.4, 0.5, 0.6)
         ]
 
-        def metric(boxes, sets, refs):
+        def metric(boxes, sets):
             return _quiet(
-                lambda: [psds(c, cfg) for c in roc_from_confidences(boxes, sets, refs, val_hours, cfg, num_classes)]
+                lambda: [psds(c, cfg) for c in roc_from_confidences(boxes, sets, val_refs, val_hours, cfg,
+                                                                    num_classes)]
             )
 
-        tuned = tune_csebb(val_posts, val_refs, grid, metric)
+        tuned = tune_csebb(val_posts, grid, metric)
         boxes = csebb_detect(test_posts, tuned)
         csebb_value = _quiet(
             lambda: _psds(boxes, test_refs, test_hours, cfg, num_classes)

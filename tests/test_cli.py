@@ -22,7 +22,7 @@ from hetsed import cli, evaluation, formats
 from hetsed.config import DEFAULTS
 from hetsed.core import Event, EventTable, Posteriorgram, default_vocabulary, rasterize
 from hetsed.postprocess import ClassSebbParams, CsebbParams
-from oracles import event_tsv_text, median_threshold_runs, segment_scores_at
+from oracles import event_tsv_text, frozen_command_error, median_threshold_runs, segment_scores_at
 
 table = EventTable.from_events
 
@@ -648,11 +648,12 @@ def test_a_directory_load_equals_reading_each_file_in_glob_order(directory):
         if differs:
             message = f"{differs[0]}: class table differs from {paths[0]}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                cli._load_posteriors(tmp)
+                list(cli._posteriorgrams(tmp))
             posts, tables = [post for post, _ in in_order], [names for _, names in in_order]
         else:
-            posts, class_names = cli._load_posteriors(tmp)
-            tables = [class_names] * len(posts)
+            stream = cli._posteriorgrams(tmp)
+            posts = list(stream)
+            tables = [stream.class_names] * len(posts)
     assert [post.clip_id for post in posts] == [p.stem for p in paths]
     assert len({id(names) for _, names in in_order}) == len(in_order)  # each read its own list
     for post, names, (want, want_names) in zip(posts, tables, expected, strict=True):
@@ -660,6 +661,97 @@ def test_a_directory_load_equals_reading_each_file_in_glob_order(directory):
         assert post.clip_id == want.clip_id
         assert post.frame_period == want.frame_period
         assert post.scores.dtype == want.scores.dtype and np.array_equal(post.scores, want.scores)
+
+
+FAULTS = ("truncated", "out_of_range", "bad_magic", "table")
+# per command, the side inputs that can be bad
+SIDE_INPUTS = {"frame": ("params",), "median": ("params",), "csebb": ("params",),
+               "tune": ("refs", "durations"), "mpauc": ("refs", "segment")}
+
+
+@st.composite
+def faulty_runs(draw):
+    """A command on a directory of 2-5 posteriorgram files with 0-3 faults
+    (a file cut short, a score above 1, a bad magic, a class table of its
+    own), and bad side inputs: none, one, or two where the command has two.
+    Each bad side input takes one of two bad forms."""
+    command = draw(st.sampled_from(sorted(SIDE_INPUTS)))
+    clips = draw(st.integers(2, 5))
+    faults = draw(st.lists(st.tuples(st.integers(0, clips - 1), st.sampled_from(FAULTS)), max_size=3))
+    forms = [draw(st.sampled_from([None, 0, 1])) for _ in SIDE_INPUTS[command]]
+    bad = {name: form for name, form in zip(SIDE_INPUTS[command], forms) if form is not None}
+    seed = draw(st.integers(0, 2**16))
+    return command, clips, faults, bad, seed
+
+
+def _faulty_directory(root, clips, faults, seed):
+    """Posteriorgrams of 1-2 s at 50 ms frames with ``faults`` applied, and
+    references of the "car" class on every clip."""
+    rng = np.random.default_rng(seed)
+    posteriors = root / "posteriors"
+    rows = []
+    for i in range(clips):
+        t = int(rng.choice([20, 40]))
+        scores = np.clip(rng.normal(0.3, 0.3, size=(t, 2)), 0.0, 1.0)
+        tables = [fault for at, fault in faults if at == i]
+        names = ["car", "cat"] if "table" in tables else ["car", "dog"]
+        path = posteriors / f"clip_{i}.sedp"
+        formats.write_posteriorgram(path, Posteriorgram(scores, 0.05, f"clip_{i}"), names)
+        data = bytearray(path.read_bytes())
+        if "out_of_range" in tables:
+            data[-4:] = struct.pack("<f", 1.5)
+        if "truncated" in tables:
+            del data[-6:]
+        if "bad_magic" in tables:
+            data[:4] = b"SEDX"
+        path.write_bytes(bytes(data))
+        rows.append(Event(f"clip_{i}", 0, 0.2, 0.8))
+    return posteriors, rows
+
+
+@settings(max_examples=250, deadline=None)
+@given(faulty_runs())
+def test_errors_keep_the_order_of_reading_every_file_first(case):
+    command, clips, faults, bad, seed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        posteriors, rows = _faulty_directory(root, clips, faults, seed)
+        refs, durations, params, segment = root / "refs.tsv", None, None, 1.0
+        formats.write_events_tsv(refs, table(rows), ["car", "dog"])
+        if "params" in bad:
+            params = root / "params.tsv"
+            if command == "csebb":
+                params.write_text(["class\twindow\n", "class\twindow\thalf_width\trel_merge\tabs_merge\tmin_gap\n"
+                                   "*\t4\t1\t0.2\t0.15\t0.1\n"][bad["params"]])
+            else:
+                params.write_text(["threshold.bird = 0.5\n", "window = 4\n"][bad["params"]])
+        if "refs" in bad:  # a label of no class, or a clip without a posteriorgram
+            refs.write_text([f"{formats.EVENTS_HEADER}\nclip_0\t0.2\t0.8\tbird\n",
+                             f"{formats.EVENTS_HEADER}\nclip_99\t0.2\t0.8\tcar\n"][bad["refs"]])
+        if "durations" in bad:  # a negative duration, or a clip left out
+            durations = root / "durations.tsv"
+            durations.write_text([f"{formats.DURATIONS_HEADER}\nclip_0\t-1\n",
+                                  f"{formats.DURATIONS_HEADER}\nclip_0\t1.0\n"][bad["durations"]])
+        if "segment" in bad:  # not a length, or longer than every clip
+            segment = [0.0, 100.0][bad["segment"]]
+        paths = sorted(str(p) for p in posteriors.glob("*.sedp"))
+        want = frozen_command_error(command, paths, refs, durations, params, segment)
+        if command in ("frame", "median", "csebb"):
+            argv = ["postprocess", "--method", command, "--in", posteriors, "--out", root / "out.tsv"]
+            argv += ["--params", params] if params is not None else []
+        elif command == "tune":
+            argv = ["tune-csebb", "--val-posteriors", posteriors, "--val-refs", refs, "--out", root / "out.tsv"]
+            argv += ["--durations", durations] if durations is not None else []
+        else:
+            argv = ["eval", "mpauc", "--posteriors", posteriors, "--refs", refs, "--segment", segment]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = run(*argv)
+    if want is None:
+        assert code == 0, err.getvalue()
+    else:
+        assert (code, err.getvalue()) == (2, f"error: {want}\n")
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -1175,7 +1267,8 @@ def test_eval_mpauc_equals_the_per_clip_segments(case):
             formats.write_posteriorgram(root / "posteriors" / f"clip_{i}.sedp", post, names)
         refs = root / "refs.tsv"
         (formats.write_soft_events_tsv if soft else formats.write_events_tsv)(refs, table(rows), names)
-        posts, class_names = cli._load_posteriors(root / "posteriors")
+        stream = cli._posteriorgrams(root / "posteriors")
+        posts, class_names = list(stream), stream.class_names
         columns = cli._read_refs(refs, class_names, posts)
         scores = evaluation.segment_scores(posts, segment)
         labels = evaluation.segmentize(columns, posts, segment)

@@ -391,12 +391,12 @@ def test_csebb_detect_and_tune_csebb_of_float32_scores_are_those_of_their_float6
     def tuned(ps):
         seen = []
 
-        def metric(boxes, sets, refs_):
+        def metric(boxes, sets):
             seen.append((_table_bytes(boxes), [_digest(s) for s in sets]))
-            curves = evaluation.roc_from_confidences(boxes, sets, refs_, hours, evaluation.PsdsConfig(), 3)
+            curves = evaluation.roc_from_confidences(boxes, sets, refs, hours, evaluation.PsdsConfig(), 3)
             return [evaluation.psds(curve) for curve in curves]
 
-        return postprocess.tune_csebb(ps, refs, grid, metric), seen
+        return postprocess.tune_csebb(ps, grid, metric), seen
 
     assert tuned(posts) == tuned(wide)
 

@@ -1,5 +1,6 @@
 """Peak memory of the log-mel front-end, the FDY convolution, the
-training-side transforms and a posteriorgram directory read.
+training-side transforms, the moving average and the commands that read a
+posteriorgram directory.
 
 The front-end transforms a clip in blocks of frames, so no whole-clip
 spectrum is ever held: its traced peak stays within the [T, n_mels] output
@@ -19,18 +20,28 @@ peak stays within the output, the float64 input, the padded input, that
 buffer and the [F, C_out, J] mixed kernels.  On the bench's block a copy of
 every window column of the layer would add 36.4 MB, 4.5 outputs.
 
-A posteriorgram read keeps its scores in the buffer the file was read into,
-so a directory read holds the files' bytes and a few Python objects per
-file.  A float64 copy of each clip's scores would add twice the payload.
+The moving average pads float32 scores straight into one float64 array, so
+its peak is that array and the output, as for float64 scores; a float64
+copy of the scores padded again would add a third.
+
+A command reads a posteriorgram directory file by file and its consumer
+holds one pass of clips at a time, so its traced peak grows with the clip
+count only by each clip's frame grid and its share of the results: from
+250 to 1,000 bulk-shaped clips, by a few kB a clip, where one clip's scores
+are 20 kB.  A read of the whole directory first would add those 20 kB a
+clip, and a float64 copy of the scores twice that.
 """
 
+import contextlib
+import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from hetsed import augment, cli, domain_gen, fdy, features, formats
-from hetsed.core import ClipMetadata, Origin, Posteriorgram
+from hetsed import augment, cli, domain_gen, fdy, features, postprocess
+from hetsed.core import ClipMetadata, Origin
 
 B, F, T = 24, 64, 300
 # float64 [B, F] arrays allowed for the statistics and the buffers of the
@@ -123,30 +134,81 @@ def test_fdy_conv_peak_is_the_output_input_padding_and_one_block(layer):
     assert peak <= bound, f"{layer}: peak {peak} B > bound {bound} B"
 
 
-# Bytes per file of a directory read besides the file itself: the
-# Posteriorgram, its arrays' headers, the path string and the class-name
-# list (1.2 kB measured on 250 bulk-shaped files)
-READ_OBJECT_BYTES = 2048
-
-
-def test_posteriorgram_directory_read_holds_the_files_bytes(tmp_path):
-    # the bench's bulk directory: 250 clips of 10 s at 20 ms frames, 10 classes
-    classes = ["Alarm_bell_ringing", "Blender", "Cat", "Dishes", "Dog", "Electric_shaver_toothbrush", "Frying",
-               "Running_water", "Speech", "Vacuum_cleaner"]
-    rng = np.random.default_rng(24)
-    for i in range(250):
-        scores = rng.uniform(size=(500, len(classes))).astype(np.float32)
-        formats.write_posteriorgram(tmp_path / f"clip_{i:04d}.sedp", Posteriorgram(scores, 0.02, "c"), classes)
-    files = sorted(tmp_path.iterdir())
-    file_bytes = sum(path.stat().st_size for path in files)
-    cli._load_posteriors(tmp_path)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_moving_average_peak_is_the_padded_tracks_and_the_output(dtype):
+    # float32 scores are widened as they are padded, with no float64 copy of them first
+    scores = np.random.default_rng(25).uniform(size=(500, 2000)).astype(dtype)
+    window = 7
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        posts, _ = cli._load_posteriors(tmp_path)
+        out = postprocess.moving_average(scores, window)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert len(posts) == len(files) == 250
-    bound = file_bytes + READ_OBJECT_BYTES * len(files)
-    assert peak <= bound, f"peak {peak} B > bound {bound} B"
+    padded = (scores.shape[0] + window - 1) * scores.shape[1] * 8
+    bound = padded + out.nbytes + 65536  # and the edge rows and array headers
+    assert peak <= bound, f"{np.dtype(dtype).name}: peak {peak} B > bound {bound} B"
+
+
+BULK_CLASSES = ["Alarm_bell_ringing", "Blender", "Cat", "Dishes", "Dog", "Electric_shaver_toothbrush", "Frying",
+                "Running_water", "Speech", "Vacuum_cleaner"]
+# Bytes a command may hold per clip of a directory besides one pass: the
+# clip's frames, kept by the reader and by its consumer, and its share of
+# what the command computes (events or boxes, segment rows, their text).
+# 0.9-2.6 kB measured; one clip's scores are 20 kB.
+CLIP_BYTES = 4096
+# tune-csebb also holds the boxes of every candidate and the PSDS sweep over
+# one candidate's boxes, which grow with the clips (13.8 kB a clip
+# measured); holding the directory's scores would add 20 kB a clip to that.
+TUNE_CLIP_BYTES = 16384
+
+COMMANDS = {
+    "postprocess-frame": (["postprocess", "--method", "frame", "--in", "{posts}", "--out", "{out}"], CLIP_BYTES),
+    "postprocess-median": (["postprocess", "--method", "median", "--in", "{posts}", "--out", "{out}"], CLIP_BYTES),
+    "postprocess-csebb": (["postprocess", "--method", "csebb", "--in", "{posts}", "--out", "{out}"], CLIP_BYTES),
+    "tune-csebb": (["tune-csebb", "--val-posteriors", "{posts}", "--val-refs", "{refs}", "--out", "{out}"],
+                   TUNE_CLIP_BYTES),
+    "eval-mpauc": (["eval", "mpauc", "--posteriors", "{posts}", "--refs", "{refs}"], CLIP_BYTES),
+}
+
+
+@pytest.fixture(scope="module")
+def bulk_directories(tmp_path_factory):
+    """Bulk-shaped synthetic directories of 250 and 1,000 clips: 10 s at
+    20 ms frames, 10 classes, blurred, dipped and noisy scores."""
+    root = tmp_path_factory.mktemp("bulk")
+    (root / "classes.txt").write_text("\n".join(BULK_CLASSES) + "\n")
+    for clips in (250, 1000):
+        assert _quiet(["synth", "--seed", "5", "--clips", str(clips), "--classes", str(root / "classes.txt"),
+                       "--out", str(root / str(clips)), "--frame-period", "0.02", "--blur", "3",
+                       "--noise", "0.05", "--dip-prob", "1.0"]) == 0
+    return root
+
+
+def _quiet(argv):
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        return cli.main(argv)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_command_holds_one_pass_not_the_directory(bulk_directories, command):
+    argv, clip_bytes = COMMANDS[command]
+    peaks = {}
+    for clips in (250, 1000):
+        data = bulk_directories / str(clips)
+        filled = [arg.format(posts=data / "posteriors", refs=data / "refs.tsv", out=data / f"{command}.tsv")
+                  for arg in argv]
+        if clips == 250:
+            assert _quiet(filled) == 0  # warms the parser and the caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert _quiet(filled) == 0
+            peaks[clips] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    bound = peaks[250] + clip_bytes * 750
+    assert peaks[1000] <= bound, f"{command}: peak {peaks[1000]} B at 1,000 clips > bound {bound} B"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsed import postprocess
-from hetsed.core import Event, EventTable, Posteriorgram, canonicalize_events, frame_time
+from hetsed.core import Event, Posteriorgram, canonicalize_events, frame_time
 from hetsed.postprocess import (
     NOISE_FLOOR,
     ClassSebbParams,
@@ -22,7 +22,6 @@ from hetsed.postprocess import (
 from oracles import change_points_loop, greedy_merge, median_threshold_runs, window_mean_moving_average
 
 
-NO_REFS = EventTable.from_events([])
 
 
 def post_of(track, fp=0.05, clip_id="p0"):
@@ -246,14 +245,14 @@ def _dip_fixture():
     return posts
 
 
-def box_count_metric(boxes, sets, refs):
+def box_count_metric(boxes, sets):
     # plant: exactly one box per clip is optimal
     return [-abs(len(index) - 3) for index in sets]
 
 
 def recording_metric(seen):
     """A metric that records the boxes of every candidate and scores all 0."""
-    def metric(boxes, sets, refs):
+    def metric(boxes, sets):
         # every box belongs to some candidate
         assert np.array_equal(np.unique(np.concatenate(sets)), np.arange(len(boxes)))
         seen.extend([boxes[i] for i in index.tolist()] for index in sets)
@@ -263,7 +262,7 @@ def recording_metric(seen):
 
 def test_tune_csebb_singleton_grid():
     only = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
-    assert tune_csebb(_dip_fixture(), NO_REFS, [only], box_count_metric) is only
+    assert tune_csebb(_dip_fixture(), [only], box_count_metric) is only
 
 
 def test_tune_csebb_selects_planted_optimum():
@@ -273,17 +272,17 @@ def test_tune_csebb_selects_planted_optimum():
     fragmenting = CsebbParams(
         default=ClassSebbParams(window=3, half_width=1, rel_merge=0.0, abs_merge=0.0)
     )
-    best = tune_csebb(_dip_fixture(), NO_REFS, [fragmenting, merging], box_count_metric)
+    best = tune_csebb(_dip_fixture(), [fragmenting, merging], box_count_metric)
     assert best is merging
     # deterministic across runs and grid orderings
-    again = tune_csebb(_dip_fixture(), NO_REFS, [merging, fragmenting], box_count_metric)
+    again = tune_csebb(_dip_fixture(), [merging, fragmenting], box_count_metric)
     assert again is merging
 
 
 def test_tune_csebb_tie_breaks_toward_smaller_window():
     small = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
     large = CsebbParams(default=ClassSebbParams(window=11, half_width=5))
-    best = tune_csebb(_dip_fixture(), NO_REFS, [large, small], lambda boxes, sets, r: [0.0] * len(sets))
+    best = tune_csebb(_dip_fixture(), [large, small], lambda boxes, sets: [0.0] * len(sets))
     assert best is small
 
 
@@ -299,7 +298,7 @@ def test_tune_csebb_scores_the_boxes_csebb_detect_gives():
                     per_class={"y": ClassSebbParams(window=7, half_width=2, min_gap=0.05)})
     ]
     seen = []
-    tune_csebb(posts, NO_REFS, grid, recording_metric(seen), names)
+    tune_csebb(posts, grid, recording_metric(seen), names)
     assert seen == [[b for p in posts for b in csebb_detect([p], cand, names)] for cand in grid]
     assert len({len(boxes) for boxes in seen}) > 1
 
@@ -307,12 +306,12 @@ def test_tune_csebb_scores_the_boxes_csebb_detect_gives():
 def test_tune_csebb_needs_one_score_per_candidate():
     grid = default_grid()[:3]
     with pytest.raises(ValueError, match="metric gave 2 scores for 3 candidates"):
-        tune_csebb(_dip_fixture(), NO_REFS, grid, lambda boxes, sets, refs: [0.0, 0.0])
+        tune_csebb(_dip_fixture(), grid, lambda boxes, sets: [0.0, 0.0])
 
 
 def test_tune_csebb_empty_grid():
     with pytest.raises(ValueError):
-        tune_csebb([], NO_REFS, [], box_count_metric)
+        tune_csebb([], [], box_count_metric)
 
 
 def test_default_grid_shape():
@@ -636,7 +635,7 @@ def segment_directories(draw):
 @given(segment_directories())
 def test_segment_arrays_equal_the_slice_sums_of_each_track_bit_for_bit(case):
     posts, (window, half_width, min_gap), cap = case
-    first_track = 5 + np.cumsum([0] + [post.num_classes for post in posts])
+    first_track = np.cumsum([0] + [post.num_classes for post in posts])
     want = []
     for i, post in enumerate(posts):
         smoothed = window_mean_moving_average(post.scores, window)
@@ -645,7 +644,7 @@ def test_segment_arrays_equal_the_slice_sums_of_each_track_bit_for_bit(case):
             edges = [0] + change_points_loop(track, half_width, min_gap) + [track.size]
             want.extend((first_track[i] + c, a, b - a, track[a:b].sum()) for a, b in zip(edges[:-1], edges[1:]))
     with patch.object(postprocess, "_STACK_CELLS", cap):
-        track, start, length, total = postprocess._segment_arrays(posts, first_track, (window, half_width, min_gap))
+        (track, start, length, total), = postprocess._segment_arrays(posts, [(window, half_width, min_gap)], [])
     order = np.lexsort((start, track))
     assert [(tr, a, n) for tr, a, n, _ in want] == list(zip(*(x[order].tolist() for x in (track, start, length))))
     assert np.array_equal(total[order].view(np.int64), np.array([sum_ for *_, sum_ in want]).view(np.int64))
@@ -757,7 +756,7 @@ def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_bo
     monkeypatch.setattr(postprocess, "moving_average",
                         lambda scores, window: passes.append((scores.shape, window)) or smooth(scores, window))
     seen = []
-    tune_csebb(posts, NO_REFS, grid, recording_metric(seen), names)
+    tune_csebb(posts, grid, recording_metric(seen), names)
     # every pass stacks clips of one frame count within the cap; the eight
     # 400-frame clips take three passes per smoothing key
     assert all(rows * t <= postprocess._STACK_CELLS for (t, rows), _ in passes if rows > 3)
