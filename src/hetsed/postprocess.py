@@ -19,11 +19,14 @@ rather than one class track at a time, and none builds the [T, C, window]
 sliding windows; results equal the track-by-track computation bit for bit.
 
 Clips stream through in passes.  ``_stacked_passes`` groups them as they
-arrive: clips of one frame count, up to ``_STACK_CELLS`` cells a pass,
-each pass handed on once it is full and the rest when the clips end.  A
+arrive into runs of consecutive clips of one frame count, up to
+``_STACK_CELLS`` cells a pass, with one pass open at a time: it is handed
+on when the next clip has another frame count or would overfill it.  A
 consumer works on a pass under every threshold or smoothing key while it
 holds it, then keeps only its results and each clip's ``core.ClipFrames``,
-so what it holds of the scores does not grow with the clip count.
+so what it holds of the scores does not grow with the clip count, whatever
+the mix of clip lengths.  Every clip has the first clip's class count, so
+the tracks clip * C + class of a pass form one ascending range.
 
 Box detection (``csebb_detect`` for one parameter set, ``tune_csebb`` for a
 grid) treats all clips and candidates as one problem.  Each pass is smoothed
@@ -42,7 +45,7 @@ that reach the same merge state share boxes by index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -77,16 +80,10 @@ class CsebbParams:
     """Detector parameters keyed by class name, with a fallback default."""
 
     default: ClassSebbParams = ClassSebbParams()
-    per_class: Mapping[str, ClassSebbParams] = None  # type: ignore[assignment]
+    per_class: Mapping[str, ClassSebbParams] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.per_class is None:
-            object.__setattr__(self, "per_class", {})
-
-    def for_class(self, name: str | None) -> ClassSebbParams:
-        if name is not None and name in self.per_class:
-            return self.per_class[name]
-        return self.default
+    def for_class(self, name: str) -> ClassSebbParams:
+        return self.per_class.get(name, self.default)
 
     def sort_key(self, class_names: Sequence[str] | None = None) -> tuple:
         """Canonical comparison key: smoothing window first, then the rest."""
@@ -98,15 +95,21 @@ class CsebbParams:
         )
 
 
-def _edge_padded(a: np.ndarray, pad: int, axis: int = 0) -> np.ndarray:
-    """``a`` with its first and last entries along ``axis`` repeated ``pad``
-    more times: np.pad's "edge" mode at a fraction of its cost per call."""
-    if a.shape[axis] == 0:
+def _edge_padded(a: np.ndarray, pad: int, axis: int = 0, dtype=None) -> np.ndarray:
+    """A new C-ordered array of ``dtype`` (``a``'s when None) holding ``a``
+    with its first and last entries along ``axis`` repeated ``pad`` more
+    times: np.pad's "edge" mode at a fraction of its cost per call."""
+    n = a.shape[axis]
+    if n == 0:
         raise ValueError("cannot extend an empty axis")
-    counts = np.ones(a.shape[axis], dtype=np.intp)
-    counts[0] += pad
-    counts[-1] += pad
-    return np.repeat(a, counts, axis=axis)
+    shape = list(a.shape)
+    shape[axis] += 2 * pad
+    out = np.empty(shape, dtype=a.dtype if dtype is None else dtype)
+    lead = (slice(None),) * axis
+    out[lead + (slice(pad, pad + n),)] = a
+    out[lead + (slice(None, pad),)] = out[lead + (slice(pad, pad + 1),)]
+    out[lead + (slice(pad + n, None),)] = out[lead + (slice(pad + n - 1, pad + n),)]
+    return out
 
 
 def _shifted_sum(padded: np.ndarray, n: int, t: int) -> np.ndarray:
@@ -149,16 +152,10 @@ def moving_average(scores: np.ndarray, window: int) -> np.ndarray:
         raise ValueError(f"window must be odd, got {window}")
     if window == 1:
         return np.array(scores, dtype=np.float64)
-    t, pad = scores.shape[0], window // 2
-    if t == 0:
-        raise ValueError("cannot extend an empty axis")
-    # the edge-padded tracks in one float64 array: the scores widened as
-    # they are assigned, then the first and last rows repeated
-    padded = np.empty((t + 2 * pad, *scores.shape[1:]))
-    padded[pad : pad + t] = scores
-    padded[:pad] = padded[pad]
-    padded[pad + t :] = padded[pad + t - 1]
-    total = _shifted_sum(padded, window, t)
+    # the edge-padded tracks in one float64 array, the scores widened as
+    # they are assigned
+    padded = _edge_padded(scores, window // 2, dtype=np.float64)
+    total = _shifted_sum(padded, window, scores.shape[0])
     # a reduction starts from the identity 0.0, which turns a -0.0 sum into 0.0
     total += 0.0
     total /= window
@@ -168,8 +165,7 @@ def moving_average(scores: np.ndarray, window: int) -> np.ndarray:
 def frame_threshold_merge(posts: Iterable[Posteriorgram], thresholds: Sequence[float],
                           window: int = 1) -> EventTable:
     """Threshold each class track of every clip and merge consecutive
-    positive frames, as an event table in (clip, class, onset) order within
-    each stacked pass.
+    positive frames, as an event table in (clip, class, onset) order.
 
     A maximal run of frames with score > threshold becomes one event spanning
     the frame boundaries start and end + 1 (times as in ``frame_time``).
@@ -183,10 +179,10 @@ def frame_threshold_merge(posts: Iterable[Posteriorgram], thresholds: Sequence[f
     (``mode="nearest"``) followed by thresholding.
 
     Each clip is checked as it arrives, so an error is the one the first
-    failing clip would raise on its own.  The clips of one frame count are
-    thresholded together, in the passes of ``_stacked_passes``, as one bool
-    block of their class tracks whose runs come from one comparison of
-    neighbouring frames and one nonzero.
+    failing clip would raise on its own.  The clips of a pass of
+    ``_stacked_passes`` are thresholded together, as one bool block of
+    their class tracks whose runs come from one comparison of neighbouring
+    frames and one nonzero.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
 
@@ -205,20 +201,19 @@ def frame_threshold_merge(posts: Iterable[Posteriorgram], thresholds: Sequence[f
     c = thresholds.size
     clips: list[ClipFrames] = []
     parts = [(np.zeros(0, dtype=np.intp),) * 4]  # (clip, class, start, stop) per pass
-    for members in _stacked_passes(checked(), clips):
+    for first, members in _stacked_passes(checked(), clips):
         # the [clips * C, T] class tracks above threshold, between two
         # inactive frames
-        t = members[0][2].num_frames
+        t = members[0].num_frames
         active = np.zeros((len(members) * c, t + 2), dtype=bool)
-        for k, (_, _, post) in enumerate(members):
+        for k, post in enumerate(members):
             np.greater(post.scores.T, thresholds[:, None], out=active[k * c : (k + 1) * c, 1:-1])
         if window > 1:
             active[:, 1:-1] = _window_counts(active[:, 1:-1], window) > window // 2
         # per track, run starts and stops alternate along the frames
         row, frame = np.divmod(np.flatnonzero(active[:, 1:] != active[:, :-1]), t + 1)
         clip, cls = np.divmod(row[::2], c)
-        index = np.array([i for i, _, _ in members])
-        parts.append((index[clip], cls, frame[::2], frame[1::2]))
+        parts.append((first + clip, cls, frame[::2], frame[1::2]))
     return _frame_events(clips, *(np.concatenate(column) for column in zip(*parts)))
 
 
@@ -227,11 +222,8 @@ def _window_counts(x: np.ndarray, window: int) -> np.ndarray:
     window (odd, edge replication) are true, in O(log window) array adds:
     ``span[:, j]`` counts the ``size`` padded frames from j, and the binary
     digits of ``window`` pick the spans that tile each window."""
-    t, pad = x.shape[1], window // 2
-    span = np.empty((x.shape[0], t + 2 * pad), dtype=np.min_scalar_type(window))
-    span[:, pad : pad + t] = x
-    span[:, :pad] = x[:, :1]
-    span[:, pad + t :] = x[:, -1:]
+    t = x.shape[1]
+    span = _edge_padded(x, window // 2, axis=1, dtype=np.min_scalar_type(window))
     counts = np.zeros(x.shape, dtype=span.dtype)
     start, size = 0, 1
     while True:
@@ -340,41 +332,44 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> np.nd
 
 # Cap on one stacked pass, in [rows, T] cells (a row is a class track), for
 # both pass kinds: a box search's segmentation pass and a threshold pass.
-# It bounds what a command holds of a directory's scores: the open pass of
-# each frame count (its clips' float32 scores, which the consumer keeps only
-# until the pass is full) and that pass's work arrays.  A segmentation pass
-# holds its smoothed tracks and their step response, and the dozen arrays of
-# the change-point search over its live rows only; a threshold pass holds a
-# few bool and integer blocks of that size.  It also trades speed against
+# It bounds what a command holds of a directory's scores, for any mix of
+# clip lengths: the one open pass (its clips' float32 scores, which the
+# consumer keeps only until the pass is handed on) and that pass's work
+# arrays.  A segmentation pass holds its smoothed tracks and their step
+# response, and the dozen arrays of the change-point search over its live
+# rows only; a threshold pass holds a few bool and integer blocks of that
+# size.  It also trades speed against
 # memory: on 500-frame clips of 10 classes (the bulk benchmark, 2-core
 # Xeon), 2**15 beat the earlier code by more than the run-to-run spread and
 # 2**14 did not; 2**16 was no faster and held about 1.5 MB more at peak.
 _STACK_CELLS = 1 << 15
 
 
-def _stacked_passes(posts: Iterable[Posteriorgram], clips: list[ClipFrames]) -> Iterator[list[tuple]]:
+def _stacked_passes(posts: Iterable[Posteriorgram],
+                    clips: list[ClipFrames]) -> Iterator[tuple[int, list[Posteriorgram]]]:
     """The clips of ``posts`` grouped into stacked passes as they arrive:
-    clips of one frame count, as many as keep the pass within _STACK_CELLS
-    cells (at least one clip per pass).  A pass is handed on as soon as the
-    next clip of its frame count would overfill it, and the passes still
-    open when ``posts`` ends follow.  A pass is a list of (clip index, the
-    clip's first track, its posteriorgram), tracks numbered clip-major; the
-    frames of each clip are appended to ``clips`` as it arrives.
+    runs of consecutive clips of one frame count, as many as keep the pass
+    within _STACK_CELLS cells (at least one clip per pass).  The one open
+    pass is handed on when the next clip has another frame count or would
+    overfill it, and when ``posts`` ends.  A pass is (the index of its
+    first clip, its posteriorgrams); the frames of each clip are appended
+    to ``clips``, empty at the start, as it arrives.  A clip whose class
+    count differs from the first clip's is refused, so the tracks of a
+    pass, numbered clip * C + class, form one ascending range.
     """
-    passes: dict[int, tuple[int, list]] = {}  # frame count -> (rows, members) of its open pass
-    tracks = 0
+    first, members = 0, []
     for i, post in enumerate(posts):
+        if clips and post.num_classes != clips[0].num_classes:
+            raise ValueError(f"clip {post.clip_id!r} has {post.num_classes} classes, "
+                             f"the first clip {clips[0].num_classes}")
         clips.append(post.frames)
-        t, c = post.num_frames, post.num_classes
-        rows, members = passes.get(t, (0, []))
-        if members and (rows + c) * t > _STACK_CELLS:
-            yield members
-            rows, members = 0, []
-        members.append((i, tracks, post))
-        passes[t] = (rows + c, members)
-        tracks += c
-    for _, members in passes.values():
-        yield members
+        if members and (post.num_frames != members[0].num_frames
+                        or (len(members) + 1) * post.num_classes * post.num_frames > _STACK_CELLS):
+            yield first, members
+            first, members = i, []
+        members.append(post)
+    if members:
+        yield first, members
 
 
 # Cap on the cut tracks, in cells, that a box search keeps before summing
@@ -389,9 +384,9 @@ def _segment_arrays(posts: Iterable[Posteriorgram], keys: Sequence[tuple], clips
     """Every class track of every clip smoothed and cut at its change points
     under each smoothing key (window, half_width, min_gap), per key as flat
     per-segment arrays (track, start frame, length, sum of the smoothed
-    scores).  Tracks are numbered clip-major from 0, as ``_stacked_passes``
-    numbers them; each pass is segmented under every key while it is held,
-    and the frames of each clip are appended to ``clips``."""
+    scores).  Tracks are numbered clip * C + class, each pass's from the
+    index of its first clip; each pass is segmented under every key while
+    it is held, and the frames of each clip are appended to ``clips``."""
     none = np.zeros(0, dtype=np.intp)
     parts = [[(none, none, none, np.zeros(0))] for _ in keys]
     kept, pending = [], []  # cut tracks, and (total, cut segments, their opens in the kept cells, lengths)
@@ -419,10 +414,9 @@ def _segment_arrays(posts: Iterable[Posteriorgram], keys: Sequence[tuple], clips
         pending.clear()
         kept_cells = 0
 
-    for members in _stacked_passes(posts, clips):
-        scores = [post.scores for _, _, post in members]
-        stacked = scores[0] if len(scores) == 1 else np.hstack(scores)
-        track = np.concatenate([first + np.arange(post.num_classes) for _, first, post in members])
+    for first, members in _stacked_passes(posts, clips):
+        stacked = members[0].scores if len(members) == 1 else np.hstack([post.scores for post in members])
+        first_track = first * members[0].num_classes
         for (window, half_width, min_gap), segments in zip(keys, parts):
             tracks = np.ascontiguousarray(moving_average(stacked, window).T)
             rows, t = tracks.shape
@@ -441,7 +435,7 @@ def _segment_arrays(posts: Iterable[Posteriorgram], keys: Sequence[tuple], clips
             kept.append(tracks[cut_rows].ravel())
             pending.append((total, cut, kept_cells + slot * t + start[cut], length[cut]))
             kept_cells += cut_rows.size * t
-            segments.append((track[row], start, length, total))
+            segments.append((first_track + row, start, length, total))
         if kept_cells >= _CUT_CELLS:
             sum_cut_segments()
     if pending:
@@ -454,8 +448,9 @@ def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.nd
     """The greedy merge of many segmented tracks in lock step, stopped for
     any number of (rel_merge, abs_merge) candidates per track.
 
-    ``segments`` is (track, start, length, sum), each track's segments
-    together and in time order; candidate j stops on track cand_track[j].
+    ``segments`` is (track, start, length, sum), tracks ascending and each
+    track's segments in time order; candidate j stops on track
+    cand_track[j].
     Each step merges, on every track, the adjacent pair with the smallest
     mean difference (the first pair on a tie).  A candidate stops before the
     step whose difference reaches max(abs_merge, rel_merge * the larger of
@@ -468,9 +463,6 @@ def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.nd
     step writes into ``segments``' arrays.
     """
     track, start, length, total = segments
-    if np.any(track[1:] < track[:-1]):  # passes of several frame counts can end out of track order
-        order = np.argsort(track, kind="stable")
-        track, start, length, total = (a[order] for a in (track, start, length, total))
     cand = np.arange(cand_track.size)
     begin = np.empty(cand.size, dtype=np.intp)
     end = np.empty(cand.size, dtype=np.intp)
@@ -519,9 +511,10 @@ def _box_sets(posts: Iterable[Posteriorgram], grid: Sequence[CsebbParams],
     table of the distinct boxes and, per parameter set, the index array of
     its boxes among them in (clip, class, time) order.
 
-    Tracks are numbered clip-major, class-minor.  A candidate entry is one
-    (smoothing key, class, rel_merge, abs_merge) that some parameter set
-    asks of every track of that class.  Each pass of clips is segmented
+    Track clip * C + class is class ``track % C`` of clip ``track // C``,
+    every clip having C classes.  A candidate entry is one (smoothing key,
+    class, rel_merge, abs_merge) that some parameter set asks of every track
+    of that class, one candidate per clip.  Each pass of clips is segmented
     under every smoothing key as it arrives, each clip checked first; once
     ``posts`` ends, one lock-step merge serves every entry, and parameter
     sets that reach the same merge state share its boxes by index.
@@ -540,15 +533,12 @@ def _box_sets(posts: Iterable[Posteriorgram], grid: Sequence[CsebbParams],
 
     clips: list[ClipFrames] = []
     segments = _segment_arrays(checked(), list(keys), clips)
-    widths = [frames.num_classes for frames in clips]
-    first_track = np.cumsum([0] + widths)
-    n_tracks = int(first_track[-1])
+    n_clips = len(clips)
+    n_classes = clips[0].num_classes if clips else 0
+    n_tracks = n_clips * n_classes
     if n_tracks == 0:
         none = np.zeros(0, dtype=np.intp)
         return _frame_events(clips, none, none, none, none, np.zeros(0)), [none for _ in grid]
-    class_of = np.arange(n_tracks) - np.repeat(first_track[:-1], widths)
-    n_classes = max(widths) if class_names is None else len(class_names)
-    rows_of = [np.flatnonzero(class_of == c) for c in range(n_classes)]
     entries: dict[tuple, int] = {}
     picks = []  # per parameter set, the entry of each class
     for params in grid:
@@ -557,25 +547,21 @@ def _box_sets(posts: Iterable[Posteriorgram], grid: Sequence[CsebbParams],
             entries.setdefault((keys[p.window, p.half_width, p.min_gap], c, p.rel_merge, p.abs_merge), len(entries))
             for c, p in enumerate(chosen)
         ])
-    sizes = [rows_of[c].size for _, c, _, _ in entries]
-    first_cand = np.cumsum(sizes) - sizes
     for k, (track, *_) in enumerate(segments):
         track += k * n_tracks
     segments = tuple(columns[0] if len(columns) == 1 else np.concatenate(columns) for columns in zip(*segments))
+    # entry e's candidates are e * n_clips + clip
     (track, start, length, mean), begin, end = _greedy_merge_stops(
         segments,
-        np.concatenate([k * n_tracks + rows_of[c] for k, c, _, _ in entries]),
-        np.repeat([rel for _, _, rel, _ in entries], sizes),
-        np.repeat([abs_ for _, _, _, abs_ in entries], sizes),
+        np.concatenate([k * n_tracks + np.arange(c, n_tracks, n_classes) for k, c, _, _ in entries]),
+        np.repeat([rel for _, _, rel, _ in entries], n_clips),
+        np.repeat([abs_ for _, _, _, abs_ in entries], n_clips),
     )
-    track %= n_tracks
-    clip = np.repeat(np.arange(len(clips)), widths)[track]
-    boxes = _frame_events(clips, clip, class_of[track], start, start + length, np.minimum(mean, 1.0))
+    clip, cls = np.divmod(track % n_tracks, n_classes)
+    boxes = _frame_events(clips, clip, cls, start, start + length, np.minimum(mean, 1.0))
     sets = []
     for pick in picks:
-        cand = np.empty(n_tracks, dtype=np.intp)
-        for rows, e in zip(rows_of, pick):
-            cand[rows] = first_cand[e] + np.arange(rows.size)
+        cand = (np.arange(n_clips)[:, None] + n_clips * np.array(pick)).ravel()
         lo, n = begin[cand], end[cand] - begin[cand]
         sets.append(np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum()))
     return boxes, sets

@@ -218,47 +218,24 @@ def plan_batch(batch_size: int = BATCH_SIZE) -> dict[str, int]:
     return {name: c for (name, _), c in zip(_BATCH_FRACTIONS, counts)}
 
 
-class BatchComposer:
-    """Draw batches without replacement per pool, reshuffling on exhaustion.
-
-    Each origin pool keeps its own shuffled queue; a pool that runs dry is
-    reshuffled and drawing continues, so every id in a pool appears exactly
-    once per pass through that pool.
-    """
-
-    def __init__(
-        self,
-        pools: Mapping[str, Sequence[str]],
-        batch_size: int = BATCH_SIZE,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        self.plan = plan_batch(batch_size)
-        missing = [name for name, _ in _BATCH_FRACTIONS if not pools.get(name)]
-        if missing:
-            raise ValueError(f"empty pools: {missing}")
-        self._rng = rng if rng is not None else np.random.default_rng()
-        self._pools = {name: list(pools[name]) for name, _ in _BATCH_FRACTIONS}
-        self._queues: dict[str, list[str]] = {name: [] for name, _ in _BATCH_FRACTIONS}
-
-    def _draw(self, name: str, count: int) -> list[str]:
-        queue = self._queues[name]
-        drawn: list[str] = []
-        while len(drawn) < count:
-            if not queue:
-                order = self._rng.permutation(len(self._pools[name]))
-                queue.extend(self._pools[name][i] for i in order)
-            drawn.append(queue.pop(0))
-        return drawn
-
-    def next_batch(self) -> tuple[dict[str, int], dict[str, list[str]]]:
-        ids = {name: self._draw(name, count) for name, count in self.plan.items()}
-        return dict(self.plan), ids
-
-
 def compose_batch(
     pools: Mapping[str, Sequence[str]],
     batch_size: int = BATCH_SIZE,
     rng: np.random.Generator | None = None,
 ) -> tuple[dict[str, int], dict[str, list[str]]]:
-    """One batch from fresh shuffles; see BatchComposer for epoch semantics."""
-    return BatchComposer(pools, batch_size, rng).next_batch()
+    """One batch from fresh shuffles: each pool's ``plan_batch`` count of
+    ids, drawn in pool order from shuffled passes through the pool, so a
+    pool smaller than its count gives each id once per pass."""
+    plan = plan_batch(batch_size)
+    missing = [name for name in plan if not pools.get(name)]
+    if missing:
+        raise ValueError(f"empty pools: {missing}")
+    rng = rng if rng is not None else np.random.default_rng()
+    ids = {}
+    for name, count in plan.items():
+        pool = list(pools[name])
+        drawn: list[str] = []
+        while len(drawn) < count:
+            drawn.extend(pool[i] for i in rng.permutation(len(pool)))
+        ids[name] = drawn[:count]
+    return plan, ids

@@ -25,11 +25,13 @@ its peak is that array and the output, as for float64 scores; a float64
 copy of the scores padded again would add a third.
 
 A command reads a posteriorgram directory file by file and its consumer
-holds one pass of clips at a time, so its traced peak grows with the clip
-count only by each clip's frame grid and its share of the results: from
-250 to 1,000 bulk-shaped clips, by a few kB a clip, where one clip's scores
-are 20 kB.  A read of the whole directory first would add those 20 kB a
-clip, and a float64 copy of the scores twice that.
+holds one pass of consecutive clips at a time, so its traced peak grows
+with the clip count only by each clip's frame grid and its share of the
+results: from 250 to 1,000 bulk-shaped clips, by a few kB a clip, where one
+clip's scores are 20 kB.  A read of the whole directory first would add
+those 20 kB a clip, and a float64 copy of the scores twice that.  The same
+bound holds on directories whose clips all differ in length, where an open
+pass per frame count would hold every clip's scores.
 """
 
 import contextlib
@@ -40,8 +42,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hetsed import augment, cli, domain_gen, fdy, features, postprocess
-from hetsed.core import ClipMetadata, Origin
+from hetsed import augment, cli, domain_gen, fdy, features, formats, postprocess
+from hetsed.core import ClipMetadata, Origin, Posteriorgram
 
 B, F, T = 24, 64, 300
 # float64 [B, F] arrays allowed for the statistics and the buffers of the
@@ -193,12 +195,36 @@ def _quiet(argv):
         return cli.main(argv)
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_a_command_holds_one_pass_not_the_directory(bulk_directories, command):
+@pytest.fixture(scope="module")
+def length_directories(tmp_path_factory):
+    """Directories of 250 and 1,000 clips whose frame counts all differ:
+    clip i has 500 + i frames of 20 ms and 10 classes, a faint noise floor
+    and one event, which the refs list."""
+    root = tmp_path_factory.mktemp("lengths")
+    rng = np.random.default_rng(6)
+    for clips in (250, 1000):
+        (root / str(clips) / "posteriors").mkdir(parents=True)
+        refs = ["filename\tonset\toffset\tevent_label"]
+        for i in range(clips):
+            scores = rng.uniform(0.0, 0.05, size=(500 + i, len(BULK_CLASSES))).astype(np.float32)
+            onset, name = 100 + i % 50, BULK_CLASSES[i % len(BULK_CLASSES)]
+            scores[onset : onset + 100, i % len(BULK_CLASSES)] += 0.8
+            post = Posteriorgram(scores, 0.02, f"clip_{i:04d}")
+            formats.write_posteriorgram(root / str(clips) / "posteriors" / f"{post.clip_id}.sedp", post,
+                                        BULK_CLASSES)
+            refs.append(f"{post.clip_id}\t{onset * 0.02:.2f}\t{(onset + 100) * 0.02:.2f}\t{name}")
+        (root / str(clips) / "refs.tsv").write_text("\n".join(refs) + "\n")
+    return root
+
+
+def _assert_peak_grows_by_clip_bytes(root, command):
+    """Run ``command`` on the 250- and 1,000-clip directories under
+    ``root`` and bound its traced peak at 1,000 clips by the peak at 250
+    plus the command's bytes per added clip."""
     argv, clip_bytes = COMMANDS[command]
     peaks = {}
     for clips in (250, 1000):
-        data = bulk_directories / str(clips)
+        data = root / str(clips)
         filled = [arg.format(posts=data / "posteriors", refs=data / "refs.tsv", out=data / f"{command}.tsv")
                   for arg in argv]
         if clips == 250:
@@ -212,3 +238,13 @@ def test_a_command_holds_one_pass_not_the_directory(bulk_directories, command):
             tracemalloc.stop()
     bound = peaks[250] + clip_bytes * 750
     assert peaks[1000] <= bound, f"{command}: peak {peaks[1000]} B at 1,000 clips > bound {bound} B"
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_command_holds_one_pass_not_the_directory(bulk_directories, command):
+    _assert_peak_grows_by_clip_bytes(bulk_directories, command)
+
+
+@pytest.mark.parametrize("command", ["postprocess-csebb", "postprocess-frame", "postprocess-median", "tune-csebb"])
+def test_a_command_holds_one_pass_whatever_its_clips_lengths(length_directories, command):
+    _assert_peak_grows_by_clip_bytes(length_directories, command)

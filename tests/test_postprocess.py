@@ -610,15 +610,16 @@ def test_change_points_take_the_step_response_of_ranged_rows_only(case):
 
 @st.composite
 def segment_directories(draw):
-    """Clips of mixed frame counts and class counts whose class tracks are
-    flat, or stepped with rounded noise, under one smoothing key, with a
+    """Clips of mixed frame counts and one class count whose class tracks
+    are flat, or stepped with rounded noise, under one smoothing key, with a
     stacking cap from one cell per pass to ``_STACK_CELLS``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(1, 3))
     posts = []
     for i in range(draw(st.integers(1, 6))):
         t = draw(st.sampled_from([1, 2, 5, 12, 40]))
         columns = []
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(c):
             if draw(st.booleans()):
                 columns.append(np.full(t, draw(st.sampled_from([0.0, 0.005, 0.4]))))
                 continue
@@ -714,9 +715,9 @@ def merge_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(merge_cases(), min_size=1, max_size=6))
 def test_lock_step_merge_stops_and_boxes_equal_the_merge_loop(cases):
-    # all tracks merge in one call, listed in descending track order, each
+    # all tracks merge in one call, listed in ascending track order, each
     # with its own segment count and candidates (none, or repeated pairs)
-    ids = range(len(cases) - 1, -1, -1)
+    ids = range(len(cases))
     segments = tuple(np.array(column) for column in zip(*[
         (i, start, n, total)
         for i, (sums, lengths, _) in zip(ids, cases)
@@ -729,7 +730,7 @@ def test_lock_step_merge_stops_and_boxes_equal_the_merge_loop(cases):
     boxes = [Event("clip", 1, frame_time(s, 0.1), frame_time(s + n, 0.1), min(1.0, m))
              for s, n, m in zip(start.tolist(), length.tolist(), mean.tolist())]
     for j, (i, r, a) in enumerate(candidates):
-        sums, lengths, _ = cases[len(cases) - 1 - i]
+        sums, lengths, _ = cases[i]
         assert set(track[begin[j]:end[j]].tolist()) <= {i}
         assert boxes[begin[j]:end[j]] == _boxes_of(*greedy_merge(sums, lengths, r, a), "clip", 1, 0.1)
 
@@ -757,16 +758,30 @@ def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_bo
                         lambda scores, window: passes.append((scores.shape, window)) or smooth(scores, window))
     seen = []
     tune_csebb(posts, grid, recording_metric(seen), names)
-    # every pass stacks clips of one frame count within the cap; the eight
-    # 400-frame clips take three passes per smoothing key
+    # every pass stacks consecutive clips of one frame count within the cap;
+    # the eight 400-frame clips take four passes per smoothing key: [c0],
+    # [c2, c3], [c5, c6] and [c8, c9, c10]
     assert all(rows * t <= postprocess._STACK_CELLS for (t, rows), _ in passes if rows > 3)
-    assert sum(1 for (t, _), window in passes if (t, window) == (400, 21)) == 3
+    assert [rows for (t, rows), window in passes if (t, window) == (400, 21)] == [3, 6, 6, 9]
     assert sum(rows for (t, rows), window in passes if window == 3) == 3 * len(posts)
     monkeypatch.setattr(postprocess, "moving_average", smooth)
     assert seen == [[b for p in posts for b in csebb_detect([p], cand, names)] for cand in grid]
     assert seen == [list(csebb_detect(posts, cand, names)) for cand in grid]
     assert list(csebb_detect(posts, grid[-1])) == [b for p in posts for b in csebb_detect([p], grid[-1])]
     assert len({len(boxes) for boxes in seen}) > 1
+
+
+@pytest.mark.parametrize("search", ["csebb_detect", "tune_csebb"])
+def test_box_search_refuses_a_clip_of_another_class_count(search):
+    rng = np.random.default_rng(12)
+    posts = [_stepped_post(rng, 40, "c0"), _stepped_post(rng, 40, "c1"),
+             post_of(np.full((40, 2), 0.5), fp=0.02, clip_id="narrow"), _stepped_post(rng, 40, "c3")]
+    params = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
+    with pytest.raises(ValueError, match="clip 'narrow' has 2 classes, the first clip 3"):
+        if search == "csebb_detect":
+            csebb_detect(posts, params)
+        else:
+            tune_csebb(posts, [params], lambda boxes, sets: [0.0])
 
 
 def test_moving_average_edge_replication():

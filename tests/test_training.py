@@ -5,7 +5,6 @@ import pytest
 
 from hetsed.core import ClipMetadata, MaskMode, Origin, build_vocabulary, class_mask
 from hetsed.training import (
-    BatchComposer,
     attention_class_softmax,
     attention_pool,
     baseline_expand_targets,
@@ -211,25 +210,7 @@ def test_compose_batch_draws_requested_counts():
         assert len(set(ids[name])) == count
 
 
-def test_composer_without_replacement_within_epoch():
-    pools = {
-        "maestro": [f"m{i}" for i in range(24)],
-        "synth": [f"s{i}" for i in range(12)],
-        "synth_strong": [f"ss{i}" for i in range(12)],
-        "weak": [f"w{i}" for i in range(24)],
-        "unlabeled": [f"u{i}" for i in range(48)],
-    }
-    composer = BatchComposer(pools, 60, np.random.default_rng(1))
-    seen: dict[str, list[str]] = {k: [] for k in pools}
-    for _ in range(2):  # exactly one pass through every pool
-        _, ids = composer.next_batch()
-        for name, drawn in ids.items():
-            seen[name].extend(drawn)
-    for name, drawn in seen.items():
-        assert sorted(drawn) == sorted(pools[name]), f"{name} not a clean epoch"
-
-
-def test_composer_reshuffles_on_exhaustion():
+def test_compose_batch_gives_each_id_once_per_pass_through_a_small_pool():
     pools = {
         "maestro": ["a", "b", "c"],
         "synth": ["s0", "s1"],
@@ -237,16 +218,20 @@ def test_composer_reshuffles_on_exhaustion():
         "weak": ["w0", "w1", "w2"],
         "unlabeled": [f"u{i}" for i in range(6)],
     }
-    composer = BatchComposer(pools, 10, np.random.default_rng(2))
-    for _ in range(10):
-        plan, ids = composer.next_batch()
-        assert sum(plan.values()) == 10
-        assert len(ids["maestro"]) == 2
+    # 60 clips: 12 maestro (four passes), 6 synth (three passes), ...
+    plan, ids = compose_batch(pools, 60, np.random.default_rng(2))
+    assert plan == plan_batch(60)
+    for name, pool in pools.items():
+        drawn = ids[name]
+        assert len(drawn) == plan[name]
+        for lo in range(0, len(drawn), len(pool)):
+            chunk = drawn[lo : lo + len(pool)]
+            assert len(set(chunk)) == len(chunk) and set(chunk) <= set(pool), f"{name}: {drawn}"
 
 
-def test_composer_rejects_empty_pool():
+def test_compose_batch_rejects_empty_pool():
     with pytest.raises(ValueError, match="empty pools"):
-        BatchComposer({"maestro": [], "synth": ["x"], "synth_strong": ["y"],
+        compose_batch({"maestro": [], "synth": ["x"], "synth_strong": ["y"],
                        "weak": ["z"], "unlabeled": ["u"]}, 10)
 
 
