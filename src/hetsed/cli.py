@@ -239,19 +239,22 @@ class _Posteriorgrams:
     """The posteriorgrams of files that must share one class table, read one
     file at a time, in the given order, as a consumer iterates over them
     (once).  The first file is read at once, for ``class_names``; the
-    frames of every file read stay in ``clips``.
+    frames of every file read stay in ``clips``.  Without ``clip_id``, each
+    file's clip id is its name without the suffix, and no two files may
+    give the same id.
 
     The errors come as from a read of every file before anything else: a
     read error of any file, then the first file whose class table differs
-    from the first's, raised only once the files after it are read.  A
-    command that fails before the stream is through calls ``drain`` first
-    (see ``_files_first``).
+    from the first's or whose clip id an earlier file gave, raised only
+    once the files after it are read.  A command that fails before the
+    stream is through calls ``drain`` first (see ``_files_first``).
     """
 
     def __init__(self, paths: list[Path | str], clip_id: str | None = None) -> None:
         self._paths, self._clip_id = paths, clip_id
         first, self.class_names = formats.read_posteriorgram(paths[0], clip_id)
         self.clips = [first.frames]
+        self._read_from = {first.clip_id: paths[0]}  # the file that gave each clip id
         self._first: Posteriorgram | None = first
         self._read = 1  # files read
         self._error: Exception | None = None  # to raise once every file is read
@@ -278,13 +281,18 @@ class _Posteriorgrams:
             raise
         self._read += 1
         self.clips.append(post.frames)
-        if names != self.class_names and self._error is None:
+        if self._error is None and names != self.class_names:
             self._error = ValueError(f"{path}: class table differs from {self._paths[0]}")
+        elif self._error is None and self._clip_id is None and post.clip_id in self._read_from:
+            earlier = self._read_from[post.clip_id]
+            self._error = ValueError(f"{path}: clip id {post.clip_id!r} already read from {earlier}")
+        self._read_from.setdefault(post.clip_id, path)
         return post
 
     def drain(self) -> None:
         """Read the files not read yet, keeping their frames only, then
-        raise the first read error or differing class table, if any."""
+        raise the first read error, differing class table or repeated clip
+        id, if any."""
         while self._read < len(self._paths):
             self._next()
         if self._error is not None:

@@ -20,8 +20,9 @@ ROC up to a maximum false positive rate, McClish-standardized so chance
 sits at 0.5, then macro averaged.  ``segment_scores`` takes the clips as an
 iterable and pools each one as it arrives, keeping only its segment rows,
 and ``segmentize`` reads only the clips' frame grids, so a stream of
-posteriorgrams is scored without holding its scores.  The ranking joint
-score is simply PSDS + mPAUC.
+posteriorgrams is scored without holding its scores.  Each clip has an id
+of its own, which its references name.  The ranking joint score is simply
+PSDS + mPAUC.
 """
 
 from __future__ import annotations
@@ -437,13 +438,7 @@ def _segment_runs(t: int, fp: float, segment: float, n_segments: int) -> tuple[n
     """The segments that t frames of fp seconds fall in by the rule of
     ``segment_scores``, as runs: the segment of each run and the frame that
     opens it.  A frame past the last segment joins it."""
-    ratio = segment / fp
-    if abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1:
-        per = int(round(ratio))
-        seg_idx = np.arange(t) // per
-    else:
-        seg_idx = np.floor((np.arange(t) + 0.5) * fp / segment).astype(np.int64)
-    seg_idx = np.minimum(seg_idx, n_segments - 1)
+    seg_idx = np.minimum(np.floor((np.arange(t) + 0.5) * fp / segment).astype(np.int64), n_segments - 1)
     # seg_idx never decreases, so each segment's frames form one run
     runs = np.flatnonzero(np.diff(seg_idx, prepend=-1))
     return seg_idx[runs], runs
@@ -469,11 +464,11 @@ def segment_scores(posts: Iterable[Posteriorgram], segment: float = SEGMENT_SECO
     """Max-pool frame scores into segments: [S, C], each clip's
     ceil(T*fp / segment) rows stacked in clip order.
 
-    When the segment is an integer number of frames the assignment is exact
-    integer arithmetic; otherwise frames are binned by their center time.  A
-    segment that no frame's center falls in scores 0.  The frame runs of a
-    clip shape are found once, and each clip is pooled by one reduceat into
-    its rows as it arrives, so only its rows outlive it.
+    Frames are binned by their center time: frame k of period fp falls in
+    segment floor((k + 0.5) * fp / segment).  A segment that no frame's
+    center falls in scores 0.  The frame runs of a clip shape are found
+    once, and each clip is pooled by one reduceat into its rows as it
+    arrives, so only its rows outlive it.
     """
     pool = _segment_pools(segment)
     rows = []
@@ -491,17 +486,17 @@ def segmentize(refs: EventTable, posts: Iterable[Posteriorgram | ClipFrames],
                segment: float = SEGMENT_SECONDS) -> np.ndarray:
     """Soft segment labels on the rows of ``segment_scores(posts, segment)``:
     the max value of the references of a clip's id overlapping each of its
-    segments, by the ``frame_spans`` rule.
+    segments, by the ``frame_spans`` rule.  Each clip has an id of its own.
 
     Only the clips' frame grids are read, so ``posts`` may be the
     ``ClipFrames`` kept of a stream of posteriorgrams that
     ``segment_scores`` has consumed.  The value of a hard event (confidence
     None) is 1.0.  Harden against a threshold downstream for mPAUC.  The
     spans of all references come from one ``frame_spans`` call, and their
-    cells are written by one unbuffered max.  A clip id held by several
-    posteriorgrams labels each of them.  After a bad segment, the first
-    clip shorter than one segment is refused, as are references of a class
-    or clip id that no posteriorgram has.
+    cells are written by one unbuffered max.  After a bad segment, the
+    first clip shorter than one segment is refused, as are references of a
+    class that no posteriorgram has, a clip id that an earlier clip has,
+    and references of a clip id that no posteriorgram has.
     """
     clips = [post.frames for post in posts]
     if not clips:
@@ -516,22 +511,18 @@ def segmentize(refs: EventTable, posts: Iterable[Posteriorgram | ClipFrames],
     bad = (refs.class_idx < 0) | (refs.class_idx >= num_classes)
     if bad.any():
         raise ValueError(f"class index {refs.class_idx[bad][0]} out of range")
-    # one (reference, clip) pair per clip of the reference's id
-    of_id: dict[str, list[int]] = {}
+    index_of: dict[str, int] = {}
     for i, frames in enumerate(clips):
-        of_id.setdefault(frames.clip_id, []).append(i)
-    missing = sorted({refs.clip_ids[i] for i in np.unique(refs.clip).tolist()} - of_id.keys())
+        if index_of.setdefault(frames.clip_id, i) != i:
+            raise ValueError(f"clip {i} has the id {frames.clip_id!r} of clip {index_of[frames.clip_id]}")
+    missing = sorted({refs.clip_ids[i] for i in np.unique(refs.clip).tolist()} - index_of.keys())
     if missing:
         raise ValueError(f"references for clips without posteriors: {missing[:5]}")
-    of_ref = [of_id.get(clip_id, []) for clip_id in refs.clip_ids]
-    bounds = np.cumsum([0] + [len(c) for c in of_ref])
-    ref, at = _expand(bounds[:-1][refs.clip], bounds[1:][refs.clip])
-    clip = np.array([i for c in of_ref for i in c], dtype=np.int64)[at]
-    first, stop = frame_spans(refs.onset[ref], refs.offset[ref], segment, n[clip])
+    clip = np.array([index_of.get(clip_id, -1) for clip_id in refs.clip_ids], dtype=np.int64)[refs.clip]
+    first, stop = frame_spans(refs.onset, refs.offset, segment, n[clip])
     owner, cell = _expand(top[clip] + first, top[clip] + stop)
-    value = refs.value[ref]
     labels = np.zeros((int(n.sum()), num_classes))
-    np.maximum.at(labels, (cell, refs.class_idx[ref][owner]), value[owner])
+    np.maximum.at(labels, (cell, refs.class_idx[owner]), refs.value[owner])
     return labels
 
 

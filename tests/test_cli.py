@@ -589,6 +589,59 @@ def test_a_directory_must_share_one_class_table(tmp_path, capsys):
     assert f"error: {later}: class table differs from {first}\n" in capsys.readouterr().err
 
 
+def _repeated_id_directory(root, later=()):
+    """Posteriorgrams ``.sedp`` and ``.sedp.sedp`` (both clip ``.sedp``) of
+    10 s at 50 ms frames, then ``later`` (file name, class table) pairs, and
+    references of the "car" class on clip ``.sedp``."""
+    rng = np.random.default_rng(5)
+    posteriors = root / "posteriors"
+    for name, names in [(".sedp", ["car", "dog"]), (".sedp.sedp", ["car", "dog"]), *later]:
+        formats.write_posteriorgram(posteriors / name, Posteriorgram(rng.uniform(size=(200, 2)), 0.05, "c"), names)
+    refs = root / "refs.tsv"
+    formats.write_events_tsv(refs, table([Event(".sedp", 0, 0.2, 0.8)]), ["car", "dog"])
+    return posteriors, refs
+
+
+def _argv(command, posteriors, refs, out):
+    """The arguments of ``command`` ("frame", "median", "csebb", "tune" or
+    "mpauc") on a posteriorgram directory."""
+    if command == "tune":
+        return ["tune-csebb", "--val-posteriors", posteriors, "--val-refs", refs, "--out", out]
+    if command == "mpauc":
+        return ["eval", "mpauc", "--posteriors", posteriors, "--refs", refs, "--out", out]
+    return ["postprocess", "--method", command, "--in", posteriors, "--out", out]
+
+
+# extra files for the ".sedp" + ".sedp.sedp" directory, and the error each
+# gives (None: the read error of the file cut short): ".sedp-a.sedp" comes
+# between the two in name order, "clip.sedp" after both
+REPEATED_ID_CASES = {
+    "alone": ([], "{later}: clip id '.sedp' already read from {first}"),
+    "later file cut short": ([("clip.sedp", ["car", "dog"])], None),
+    "table differs before": ([(".sedp-a.sedp", ["car", "cat"])],
+                             "{posteriors}/.sedp-a.sedp: class table differs from {first}"),
+    "table differs after": ([("clip.sedp", ["car", "cat"])], "{later}: clip id '.sedp' already read from {first}"),
+}
+
+
+@pytest.mark.parametrize("command", ["frame", "median", "csebb", "tune", "mpauc"])
+@pytest.mark.parametrize("case", sorted(REPEATED_ID_CASES))
+def test_a_directory_refuses_two_files_of_one_clip_id(tmp_path, capsys, command, case):
+    extra, message = REPEATED_ID_CASES[case]
+    posteriors, refs = _repeated_id_directory(tmp_path, extra)
+    if message is None:
+        cut = posteriors / "clip.sedp"
+        cut.write_bytes(cut.read_bytes()[:-6])
+        with pytest.raises(ValueError) as read_error:
+            formats.read_posteriorgram(cut)
+        message = str(read_error.value)
+    else:
+        message = message.format(posteriors=posteriors, first=posteriors / ".sedp", later=posteriors / ".sedp.sedp")
+    assert run(*_argv(command, posteriors, refs, tmp_path / "out.tsv")) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["posteriors", "refs.tsv"]  # no output file
+
+
 def _fresh_read(path):
     """``read_posteriorgram`` with no class table remembered from another file."""
     formats._last_table = (b"", ())

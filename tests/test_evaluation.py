@@ -513,19 +513,19 @@ def test_segment_scores_count_formula():
 
 @st.composite
 def segment_directories(draw):
-    """Clips of mixed frame counts and periods (some sharing a clip id), a
+    """Clips of mixed frame counts and periods, each with an id of its own, a
     segment that need not be a whole number of frames, and references with
     and without confidences: edges a hair either side of a segment boundary,
     spans shorter than the boundary tolerance, and ends past the clip."""
     segment = draw(st.sampled_from([1.0, 0.5, 0.3, 0.75, 1.3, 0.07]))
     value = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
     posts = []
-    for _ in range(draw(st.integers(1, 5))):
+    for clip_id in draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True)):
         fp = draw(st.sampled_from([0.02, 0.05, 0.1, 0.25, 0.03, 0.07, 0.3, 0.6, 1.5]))
         least = math.ceil(segment / fp - 1e-9)
         t = draw(st.integers(least, least + 30))
         cells = draw(st.lists(value, min_size=2 * t, max_size=2 * t))
-        posts.append(Posteriorgram(np.array(cells).reshape(t, 2), fp, draw(st.sampled_from("abcd"))))
+        posts.append(Posteriorgram(np.array(cells).reshape(t, 2), fp, clip_id))
     time = (st.integers(0, 40).map(lambda k: k * segment)
             | st.builds(lambda k, e: max(0.0, k * segment + e), st.integers(0, 40), st.sampled_from([-1e-10, 1e-10]))
             | st.floats(0.0, 40.0))
@@ -572,6 +572,13 @@ def test_segmentize_refuses_references_without_a_segment_row():
         segmentize(table([Event("a", 0, 0.0, 1.0), Event("b", 0, 0.0, 1.0)]), posts[:1])
     with pytest.raises(ValueError, match="need at least one posteriorgram"):
         segment_scores([])
+
+
+def test_segmentize_refuses_a_repeated_clip_id():
+    posts = [ten_seconds(2, "a"), ten_seconds(2, "b"), ten_seconds(2, "a")]
+    assert segment_scores(posts).shape == (30, 2)
+    with pytest.raises(ValueError, match="^clip 2 has the id 'a' of clip 0$"):
+        segmentize(table([Event("a", 0, 0.0, 1.0)]), posts)
 
 
 # -------------------------------------------------------------------- mPAUC

@@ -784,6 +784,20 @@ def test_box_search_refuses_a_clip_of_another_class_count(search):
             tune_csebb(posts, [params], lambda boxes, sets: [0.0])
 
 
+@pytest.mark.parametrize("search", ["frame_threshold_merge", "csebb_detect", "tune_csebb"])
+def test_a_stream_refuses_a_repeated_clip_id(search):
+    rng = np.random.default_rng(13)
+    posts = [_stepped_post(rng, 40, "c0"), _stepped_post(rng, 40, "c1"), _stepped_post(rng, 40, "c0")]
+    params = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
+    with pytest.raises(ValueError, match="^clip 2 has the id 'c0' of clip 0$"):
+        if search == "frame_threshold_merge":
+            frame_threshold_merge(posts, np.full(3, 0.5))
+        elif search == "csebb_detect":
+            csebb_detect(posts, params)
+        else:
+            tune_csebb(posts, [params], lambda boxes, sets: [0.0])
+
+
 def test_moving_average_edge_replication():
     out = moving_average(np.array([1.0, 0.0, 0.0]), 3)
     assert np.allclose(out, [2 / 3, 1 / 3, 0.0])
