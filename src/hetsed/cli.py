@@ -149,12 +149,17 @@ def _cmd_features(args, cfg) -> int:
     wavs = sorted(args.input.glob("*.wav"))
     if not wavs:
         raise ValueError(f"no .wav files under {args.input}")
+    read_from: dict[str, Path] = {}  # the file of each clip id
+    for path in wavs:
+        clip_id = features.wav_clip_id(path)
+        if clip_id in read_from:
+            raise ValueError(f"{path}: clip id {clip_id!r} already read from {read_from[clip_id]}")
+        read_from[clip_id] = path
     args.out.mkdir(parents=True, exist_ok=True)
 
-    def extract(path: Path):
-        clip = features.load_wav(path)
-        mel = features.extract_log_mel(clip, hop=args.hop, n_mels=args.n_mels)
-        return clip.clip_id, mel
+    def extract(clip_id: str, path: Path):
+        mel = features.extract_log_mel(features.load_wav(path, clip_id), hop=args.hop, n_mels=args.n_mels)
+        return clip_id, mel
 
     def write(done: Future) -> None:
         clip_id, mel = done.result()
@@ -164,10 +169,10 @@ def _cmd_features(args, cfg) -> int:
     # extracted and not yet written at any time
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         pending: deque[Future] = deque()
-        for path in wavs:
+        for clip_id, path in read_from.items():
             if len(pending) == args.jobs:
                 write(pending.popleft())
-            pending.append(pool.submit(extract, path))
+            pending.append(pool.submit(extract, clip_id, path))
         for done in pending:
             write(done)
     print(f"wrote {len(wavs)} feature files to {args.out}", file=sys.stderr)
@@ -352,7 +357,7 @@ def _cmd_postprocess(args, cfg) -> int:
     class_names = posts.class_names
     with _files_first(posts):
         if args.method == "csebb":
-            params = formats.read_csebb_params(args.params) if args.params else postprocess.CsebbParams()
+            params = formats.read_csebb_params(args.params, class_names) if args.params else postprocess.CsebbParams()
             found = postprocess.csebb_detect(posts, params, class_names)
             write, what = formats.write_soft_events_tsv, "boxes"
         else:

@@ -349,6 +349,13 @@ def _expand(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return owner, position
 
 
+def check_class_range(class_idx: np.ndarray, num_classes: int, what: str = "class index") -> None:
+    """Refuse a class index outside [0, num_classes), naming the first."""
+    bad = np.flatnonzero((class_idx < 0) | (class_idx >= num_classes))
+    if bad.size:
+        raise ValueError(f"{what} {class_idx[bad[0]]} out of range")
+
+
 def rasterize(events: EventTable, n: int, period: float, num_classes: int) -> np.ndarray:
     """Per-frame max of event values, [n, num_classes], frames as in
     ``frame_spans``.
@@ -356,9 +363,7 @@ def rasterize(events: EventTable, n: int, period: float, num_classes: int) -> np
     The value of a hard event (confidence None) is 1.0; frames no event
     meets stay 0.
     """
-    bad = (events.class_idx < 0) | (events.class_idx >= num_classes)
-    if bad.any():
-        raise ValueError(f"class index {events.class_idx[bad][0]} out of range")
+    check_class_range(events.class_idx, num_classes)
     row, frame = _expand(*frame_spans(events.onset, events.offset, period, n))
     grid = np.zeros((n, num_classes))
     np.maximum.at(grid, (frame, events.class_idx[row]), events.value[row])
@@ -383,6 +388,19 @@ class ClipFrames(NamedTuple):
     @property
     def frames(self) -> ClipFrames:
         return self
+
+
+def admit_clip(clips: list[ClipFrames], index_of: dict[str, int], frames: ClipFrames) -> None:
+    """Append ``frames`` to ``clips``, the clips of a stream so far, and
+    its index to ``index_of`` under its id: the one rule of a stream of
+    posteriorgrams.  A clip whose class count differs from the first
+    clip's is refused, as is a clip whose id an earlier clip has."""
+    i, width = len(clips), frames.num_classes
+    if clips and width != clips[0].num_classes:
+        raise ValueError(f"clip {frames.clip_id!r} has {width} classes, the first clip {clips[0].num_classes}")
+    if index_of.setdefault(frames.clip_id, i) != i:
+        raise ValueError(f"clip {i} has the id {frames.clip_id!r} of clip {index_of[frames.clip_id]}")
+    clips.append(frames)
 
 
 @dataclass(frozen=True, eq=False)

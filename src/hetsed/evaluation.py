@@ -20,7 +20,9 @@ ROC up to a maximum false positive rate, McClish-standardized so chance
 sits at 0.5, then macro averaged.  ``segment_scores`` takes the clips as an
 iterable and pools each one as it arrives, keeping only its segment rows,
 and ``segmentize`` reads only the clips' frame grids, so a stream of
-posteriorgrams is scored without holding its scores.  Each clip has an id
+posteriorgrams is scored without holding its scores.  Both admit each
+clip by ``core.admit_clip``, the stream rule that the post-processing
+passes apply too: every clip has the first clip's class count and an id
 of its own, which its references name.  The ranking joint score is simply
 PSDS + mPAUC.
 """
@@ -34,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import ClipFrames, EventTable, Posteriorgram, _expand, frame_spans
+from .core import ClipFrames, EventTable, Posteriorgram, _expand, admit_clip, check_class_range, frame_spans
 
 SECONDS_PER_HOUR = 3600.0
 SEGMENT_SECONDS = 1.0
@@ -251,9 +253,7 @@ def roc_from_confidences(
     """
     if total_hours <= 0:
         raise ValueError(f"total_hours must be > 0, got {total_hours}")
-    out_of_range = np.flatnonzero((refs.class_idx < 0) | (refs.class_idx >= num_classes))
-    if out_of_range.size:
-        raise ValueError(f"reference class index {refs.class_idx[out_of_range[0]]} out of range")
+    check_class_range(refs.class_idx, num_classes, "reference class index")
     n_refs = np.bincount(refs.class_idx, minlength=num_classes)
     excluded = np.flatnonzero(n_refs == 0)
     if excluded.size:
@@ -273,8 +273,8 @@ def roc_from_confidences(
     r_group, r_lo, r_hi = r_group[order], r_lo[order], r_hi[order]
 
     # DTC: the part of each detection that the merged references cover; a
-    # detection of a class out of range is not scored, and one on a clip
-    # without references covers nothing, so it is a false positive
+    # detection of a class outside [0, num_classes) is not scored, and one
+    # on a clip without references covers nothing, so it is a false positive
     d_lo, d_hi, d_class = dets.onset, dets.offset, dets.class_idx
     _check_spans(dets, "detection")
     d_clip = np.array([clip_index.get(clip_id, -1) for clip_id in dets.clip_ids], dtype=np.int64)[dets.clip]
@@ -468,13 +468,16 @@ def segment_scores(posts: Iterable[Posteriorgram], segment: float = SEGMENT_SECO
     segment floor((k + 0.5) * fp / segment).  A segment that no frame's
     center falls in scores 0.  The frame runs of a clip shape are found
     once, and each clip is pooled by one reduceat into its rows as it
-    arrives, so only its rows outlive it.
+    arrives, so only its rows and frames outlive it.  Each clip is admitted
+    by ``core.admit_clip`` as it arrives: a clip of another class count
+    than the first's, or of an id an earlier clip has, is refused.
     """
     pool = _segment_pools(segment)
-    rows = []
+    clips, index_of, rows = [], {}, []
     for post in posts:
-        count, seg, runs = pool(post.frames)
-        block = np.zeros((count, rows[0].shape[1] if rows else post.num_classes))
+        admit_clip(clips, index_of, post.frames)
+        count, seg, runs = pool(clips[-1])
+        block = np.zeros((count, post.num_classes))
         block[seg] = np.maximum.reduceat(post.scores, runs, axis=0)
         rows.append(block)
     if not rows:
@@ -486,19 +489,23 @@ def segmentize(refs: EventTable, posts: Iterable[Posteriorgram | ClipFrames],
                segment: float = SEGMENT_SECONDS) -> np.ndarray:
     """Soft segment labels on the rows of ``segment_scores(posts, segment)``:
     the max value of the references of a clip's id overlapping each of its
-    segments, by the ``frame_spans`` rule.  Each clip has an id of its own.
+    segments, by the ``frame_spans`` rule.
 
     Only the clips' frame grids are read, so ``posts`` may be the
     ``ClipFrames`` kept of a stream of posteriorgrams that
     ``segment_scores`` has consumed.  The value of a hard event (confidence
     None) is 1.0.  Harden against a threshold downstream for mPAUC.  The
     spans of all references come from one ``frame_spans`` call, and their
-    cells are written by one unbuffered max.  After a bad segment, the
-    first clip shorter than one segment is refused, as are references of a
-    class that no posteriorgram has, a clip id that an earlier clip has,
-    and references of a clip id that no posteriorgram has.
+    cells are written by one unbuffered max.  Each clip is admitted by
+    ``core.admit_clip`` as it is read, so a clip of another class count
+    than the first's, or of an id an earlier clip has, is refused first.
+    Then, after a bad segment, the first clip shorter than one segment is
+    refused, as are references of a class that no posteriorgram has and
+    references of a clip id that no posteriorgram has.
     """
-    clips = [post.frames for post in posts]
+    clips, index_of = [], {}
+    for post in posts:
+        admit_clip(clips, index_of, post.frames)
     if not clips:
         raise ValueError("need at least one posteriorgram")
     pool = _segment_pools(segment)
@@ -508,13 +515,7 @@ def segmentize(refs: EventTable, posts: Iterable[Posteriorgram | ClipFrames],
         if frames.duration < segment:
             raise ValueError(f"duration {frames.duration} shorter than one segment {segment}")
     num_classes = clips[0].num_classes
-    bad = (refs.class_idx < 0) | (refs.class_idx >= num_classes)
-    if bad.any():
-        raise ValueError(f"class index {refs.class_idx[bad][0]} out of range")
-    index_of: dict[str, int] = {}
-    for i, frames in enumerate(clips):
-        if index_of.setdefault(frames.clip_id, i) != i:
-            raise ValueError(f"clip {i} has the id {frames.clip_id!r} of clip {index_of[frames.clip_id]}")
+    check_class_range(refs.class_idx, num_classes)
     missing = sorted({refs.clip_ids[i] for i in np.unique(refs.clip).tolist()} - index_of.keys())
     if missing:
         raise ValueError(f"references for clips without posteriors: {missing[:5]}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -206,6 +207,11 @@ def extract_log_mel(clip: AudioClip, hop: int, n_mels: int = DEFAULT_MEL_BINS) -
     return MelSpectrogram(values=_floored_log(mel_power), frame_period=hop / clip.sample_rate)
 
 
+def wav_clip_id(path) -> str:
+    """The clip id of a WAV file: its name without its last suffix."""
+    return os.path.splitext(os.path.basename(str(path)))[0]
+
+
 def load_wav(path, clip_id: str | None = None) -> AudioClip:
     """Read a mono 16 kHz WAV (PCM16, PCM32, or float32) as an AudioClip.
 
@@ -213,7 +219,8 @@ def load_wav(path, clip_id: str | None = None) -> AudioClip:
     there), PCM32 and float64 ones as float64: a 31-bit integer does not fit
     float32's mantissa.  A file that ``scipy.io.wavfile`` cannot parse is a
     ValueError that names it; scipy raises other exception types, without the
-    path, for some malformed headers."""
+    path, for some malformed headers.  The clip id is ``wav_clip_id(path)``
+    unless one is given."""
     from scipy.io import wavfile
 
     try:
@@ -232,8 +239,4 @@ def load_wav(path, clip_id: str | None = None) -> AudioClip:
         samples = data
     else:
         raise ValueError(f"{path}: unsupported WAV sample format {data.dtype}")
-    if clip_id is None:
-        import os
-
-        clip_id = os.path.splitext(os.path.basename(str(path)))[0]
-    return AudioClip(samples=samples, sample_rate=rate, clip_id=clip_id)
+    return AudioClip(samples=samples, sample_rate=rate, clip_id=wav_clip_id(path) if clip_id is None else clip_id)

@@ -43,7 +43,7 @@ import re
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -229,14 +229,18 @@ def write_durations_tsv(path: Path | str, durations: dict[str, float]) -> None:
             fh.write(f"{clip_id}\t{_format_seconds(durations[clip_id])}\n")
 
 
-def _keyed_table(path: Path | str, header: str, what: str, value: Callable[[list[str]], object]) -> dict:
-    """Rows keyed by their first cell, each key once: ``{key: value(rest)}``."""
+def _keyed_table(path: Path | str, header: str, what: str, value: Callable[[list[str]], object],
+                 classes: Collection[str] | None = None) -> dict:
+    """Rows keyed by their first cell, each key once and, given ``classes``,
+    one of them: ``{key: value(rest)}``."""
     first_line: dict[str, int] = {}
 
     def row(fields: list[str], lineno: int) -> tuple[str, object]:
         key = fields[0]
         if key in first_line:
             raise ValueError(f"{what} {key!r} already listed on line {first_line[key]}")
+        if classes is not None and key not in classes:
+            raise ValueError(f"no class {key!r} in the posteriorgrams' class table")
         first_line[key] = lineno
         return key, value(fields[1:])
 
@@ -428,9 +432,12 @@ def _sebb_params(fields: list[str]) -> ClassSebbParams:
     return ClassSebbParams(int(window), int(half_width), *map(_finite, merges))
 
 
-def read_csebb_params(path: Path | str) -> CsebbParams:
+def read_csebb_params(path: Path | str, class_names: Sequence[str] | None = None) -> CsebbParams:
+    """Per-class box-detector parameters, the row of class ``*`` the
+    default; given ``class_names``, every other row must name one of them."""
     header = "class\t" + "\t".join(_SEBB_FIELDS)
-    per_class = _keyed_table(path, header, "class", _sebb_params)
+    known = None if class_names is None else {"*", *class_names}
+    per_class = _keyed_table(path, header, "class", _sebb_params, known)
     return CsebbParams(default=per_class.pop("*", ClassSebbParams()), per_class=per_class)
 
 

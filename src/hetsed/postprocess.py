@@ -25,9 +25,10 @@ on when the next clip has another frame count or would overfill it.  A
 consumer works on a pass under every threshold or smoothing key while it
 holds it, then keeps only its results and each clip's ``core.ClipFrames``,
 so what it holds of the scores does not grow with the clip count, whatever
-the mix of clip lengths.  Every clip has the first clip's class count, so
-the tracks clip * C + class of a pass form one ascending range, and an id
-that no earlier clip has.
+the mix of clip lengths.  Each clip is admitted by ``core.admit_clip``, as
+the mPAUC pooling admits it: it has the first clip's class count, so the
+tracks clip * C + class of a pass form one ascending range, and an id that
+no earlier clip has.
 
 Box detection (``csebb_detect`` for one parameter set, ``tune_csebb`` for a
 grid) treats all clips and candidates as one problem.  Each pass is smoothed
@@ -51,7 +52,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import ClipFrames, EventTable, Posteriorgram, frame_time
+from .core import ClipFrames, EventTable, Posteriorgram, admit_clip, frame_time
 
 NOISE_FLOOR = 0.01
 
@@ -354,19 +355,15 @@ def _stacked_passes(posts: Iterable[Posteriorgram],
     pass is handed on when the next clip has another frame count or would
     overfill it, and when ``posts`` ends.  A pass is (the index of its
     first clip, its posteriorgrams); the frames of each clip are appended
-    to ``clips``, empty at the start, as it arrives.  A clip whose class
-    count differs from the first clip's is refused, so the tracks of a
-    pass, numbered clip * C + class, form one ascending range.  So is a
-    clip whose id an earlier clip has, so no two clips' events share an id.
+    to ``clips``, empty at the start, by ``core.admit_clip`` as it
+    arrives.  It refuses a clip whose class count differs from the first
+    clip's, so the tracks of a pass, numbered clip * C + class, form one
+    ascending range, and a clip whose id an earlier clip has, so no two
+    clips' events share an id.
     """
     first, members, index_of = 0, [], {}
     for i, post in enumerate(posts):
-        if clips and post.num_classes != clips[0].num_classes:
-            raise ValueError(f"clip {post.clip_id!r} has {post.num_classes} classes, "
-                             f"the first clip {clips[0].num_classes}")
-        if index_of.setdefault(post.clip_id, i) != i:
-            raise ValueError(f"clip {i} has the id {post.clip_id!r} of clip {index_of[post.clip_id]}")
-        clips.append(post.frames)
+        admit_clip(clips, index_of, post.frames)
         if members and (post.num_frames != members[0].num_frames
                         or (len(members) + 1) * post.num_classes * post.num_frames > _STACK_CELLS):
             yield first, members

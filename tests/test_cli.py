@@ -216,6 +216,19 @@ def test_features_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "f").exists()
 
 
+def test_features_refuses_two_wavs_of_one_clip_id(tmp_path, capsys):
+    from scipy.io import wavfile
+
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    for name in ("a.wav", ".wav", ".wav.wav"):  # the last two are both clip ".wav"
+        wavfile.write(wav_dir / name, 16000, np.zeros(16000, dtype=np.int16))
+    assert run("features", "--input", wav_dir, "--out", tmp_path / "f") == 2
+    assert capsys.readouterr() == (
+        "", f"error: {wav_dir / '.wav.wav'}: clip id '.wav' already read from {wav_dir / '.wav'}\n")
+    assert not (tmp_path / "f").exists()
+
+
 def _wav_bytes(edit=None) -> bytes:
     """A 100-sample PCM16 16 kHz WAV, with ``edit(header)`` applied to its
     44-byte header: fmt fields at 20 (format tag), 22 (channels), 28 (bytes
@@ -897,6 +910,20 @@ def test_postprocess_rejects_bad_params_naming_the_file_and_key(tmp_path, capsys
     assert run("postprocess", "--method", method, "--params", params, "--in", data / "posteriors", "--out", dets) == 2
     assert f"error: {params}:1: {message}" in capsys.readouterr().err
     assert not dets.exists()
+
+
+def test_csebb_params_refuse_a_class_row_of_no_class(tmp_path, capsys):
+    data = synth_dir(tmp_path, clips=2)
+    capsys.readouterr()
+    params, boxes = tmp_path / "params.tsv", tmp_path / "boxes.tsv"
+    params.write_text("class\twindow\thalf_width\trel_merge\tabs_merge\tmin_gap\n"
+                      "*\t3\t1\t0.2\t0.15\t0.1\n"
+                      "car\t5\t2\t0.2\t0.15\t0.1\n"
+                      "cra\t5\t2\t0.2\t0.15\t0.1\n")  # "car" misspelled, line 4
+    assert run("postprocess", "--method", "csebb", "--params", params, "--in", data / "posteriors",
+               "--out", boxes) == 2
+    assert capsys.readouterr() == ("", f"error: {params}:4: no class 'cra' in the posteriorgrams' class table\n")
+    assert not boxes.exists()
 
 
 def test_median_frame_and_mpauc_outputs_are_pinned(tmp_path):

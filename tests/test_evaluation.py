@@ -576,7 +576,6 @@ def test_segmentize_refuses_references_without_a_segment_row():
 
 def test_segmentize_refuses_a_repeated_clip_id():
     posts = [ten_seconds(2, "a"), ten_seconds(2, "b"), ten_seconds(2, "a")]
-    assert segment_scores(posts).shape == (30, 2)
     with pytest.raises(ValueError, match="^clip 2 has the id 'a' of clip 0$"):
         segmentize(table([Event("a", 0, 0.0, 1.0)]), posts)
 

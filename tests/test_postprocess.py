@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsed import postprocess
-from hetsed.core import Event, Posteriorgram, canonicalize_events, frame_time
+from hetsed.core import Event, EventTable, Posteriorgram, canonicalize_events, frame_time
+from hetsed.evaluation import segment_scores, segmentize
 from hetsed.postprocess import (
     NOISE_FLOOR,
     ClassSebbParams,
@@ -771,31 +772,37 @@ def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_bo
     assert len({len(boxes) for boxes in seen}) > 1
 
 
-@pytest.mark.parametrize("search", ["csebb_detect", "tune_csebb"])
+_SEARCH_PARAMS = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
+
+# the library consumers of a stream of 3-class clips, the mPAUC pair on
+# 0.2 s segments
+STREAM_CONSUMERS = {
+    "frame_threshold_merge": lambda posts: frame_threshold_merge(posts, np.full(3, 0.5)),
+    "csebb_detect": lambda posts: csebb_detect(posts, _SEARCH_PARAMS),
+    "tune_csebb": lambda posts: tune_csebb(posts, [_SEARCH_PARAMS], lambda boxes, sets: [0.0]),
+    "segment_scores": lambda posts: segment_scores(posts, 0.2),
+    "segmentize": lambda posts: segmentize(EventTable.from_events([]), posts, 0.2),
+}
+
+
+@pytest.mark.parametrize("search", ["csebb_detect", "tune_csebb", "segment_scores", "segmentize"])
 def test_box_search_refuses_a_clip_of_another_class_count(search):
-    rng = np.random.default_rng(12)
-    posts = [_stepped_post(rng, 40, "c0"), _stepped_post(rng, 40, "c1"),
-             post_of(np.full((40, 2), 0.5), fp=0.02, clip_id="narrow"), _stepped_post(rng, 40, "c3")]
-    params = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
-    with pytest.raises(ValueError, match="clip 'narrow' has 2 classes, the first clip 3"):
-        if search == "csebb_detect":
-            csebb_detect(posts, params)
-        else:
-            tune_csebb(posts, [params], lambda boxes, sets: [0.0])
+    # the third clip has 1 class, then 2: a 1-class track would fit every
+    # column of a 3-class block
+    for width in (1, 2):
+        rng = np.random.default_rng(12)
+        posts = [_stepped_post(rng, 40, "c0"), _stepped_post(rng, 40, "c1"),
+                 post_of(np.full((40, width), 0.5), fp=0.02, clip_id="narrow"), _stepped_post(rng, 40, "c3")]
+        with pytest.raises(ValueError, match=f"^clip 'narrow' has {width} classes, the first clip 3$"):
+            STREAM_CONSUMERS[search](posts)
 
 
-@pytest.mark.parametrize("search", ["frame_threshold_merge", "csebb_detect", "tune_csebb"])
+@pytest.mark.parametrize("search", ["frame_threshold_merge", "csebb_detect", "tune_csebb", "segment_scores"])
 def test_a_stream_refuses_a_repeated_clip_id(search):
     rng = np.random.default_rng(13)
     posts = [_stepped_post(rng, 40, "c0"), _stepped_post(rng, 40, "c1"), _stepped_post(rng, 40, "c0")]
-    params = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
     with pytest.raises(ValueError, match="^clip 2 has the id 'c0' of clip 0$"):
-        if search == "frame_threshold_merge":
-            frame_threshold_merge(posts, np.full(3, 0.5))
-        elif search == "csebb_detect":
-            csebb_detect(posts, params)
-        else:
-            tune_csebb(posts, [params], lambda boxes, sets: [0.0])
+        STREAM_CONSUMERS[search](posts)
 
 
 def test_moving_average_edge_replication():
