@@ -420,15 +420,19 @@ class Posteriorgram:
     clip_id: str
 
     def __post_init__(self) -> None:
-        scores = float_array(self.scores)
-        object.__setattr__(self, "scores", scores)
+        scores = self.scores
+        # float_array's rule, without its asarray for an array that passes as it is
+        if not (type(scores) is np.ndarray and scores.dtype in (np.float32, np.float64)):
+            scores = float_array(scores)
+            object.__setattr__(self, "scores", scores)
         if scores.ndim != 2 or scores.shape[0] < 1:
             raise ValueError(f"scores must be [T>=1, C], got shape {scores.shape}")
         if not (self.frame_period > 0) or not math.isfinite(self.frame_period):
             raise ValueError(f"frame_period must be positive and finite, got {self.frame_period}")
         # NaN carries through min and max, so it fails the range test too; a
         # [T, 0] array has no scores to test
-        if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
+        if scores.size and not (np.minimum.reduce(scores, axis=None) >= 0.0
+                                and np.maximum.reduce(scores, axis=None) <= 1.0):
             if not np.all(np.isfinite(scores)):
                 raise ValueError("scores contain non-finite values")
             raise ValueError("scores outside [0, 1]")

@@ -285,9 +285,9 @@ def roc_from_confidences(
 
     curves: list[OperatingPointCurve] = []
     for group in _sweep_groups(sets):
-        # the counting pass's arrays are freed before the curves are built
-        counts = _counts(group, pool, r_group, r_lo, r_hi, cfg.rho_gtc, num_classes)
-        curves += _curves(*counts, n_refs, total_hours)
+        # the counting pass's arrays are freed before the curves are built,
+        # and its counts before the next pass
+        curves += _curves(*_counts(group, pool, r_group, r_lo, r_hi, cfg.rho_gtc, num_classes), n_refs, total_hours)
     return curves
 
 

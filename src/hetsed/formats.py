@@ -37,9 +37,11 @@ of decoding it again.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import re
+import stat
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -99,10 +101,9 @@ def _format_seconds(value: float) -> str:
 def _formatted(values: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
     """``fmt`` of each value, called once per distinct value; values are
     told apart by their bits, so 0.0 and -0.0 keep their own texts."""
-    texts: dict[int, str] = {}
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    return [texts.get(bits) or texts.setdefault(bits, fmt(value))
-            for bits, value in zip(values.view(np.int64).tolist(), values.tolist())]
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
+    texts = np.array([fmt(value) for value in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 # Rows of an event TSV formatted and written at a time, so the text held
@@ -297,10 +298,20 @@ def _read_header(path: Path | str, magic: bytes, header: struct.Struct) -> tuple
     """The bytes of a binary file, in a writable buffer that its payload is
     then read from in place, and its header fields after the magic; the last
     field, the frame period, must be positive and is returned in seconds."""
-    with open(path, "rb", buffering=0) as fh:  # read whole, so a buffer object is only overhead
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        del data[fh.readinto(data) :]  # a file that shrank since its size was taken reads short
-        data += fh.read()  # and one that grew, or a pipe, reads on to its end
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        status = os.fstat(fd)
+        if stat.S_ISDIR(status.st_mode):  # refused as ``open`` refuses it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        # one byte over the size, so a whole file is read, and its end seen,
+        # in one call
+        data = bytearray(status.st_size + 1)
+        del data[os.readv(fd, [data]) :]  # a file that shrank since its size was taken reads short
+        if len(data) > status.st_size:  # and one that grew, or a pipe, reads on to its end
+            while chunk := os.read(fd, 1 << 16):
+                data += chunk
+    finally:
+        os.close(fd)
     if data[:4] != magic:
         raise ValueError(f"{path}: bad magic {data[:4]!r}")
     _check_length(path, data, header.size, "header")

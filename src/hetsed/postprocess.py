@@ -32,16 +32,21 @@ no earlier clip has.
 
 Box detection (``csebb_detect`` for one parameter set, ``tune_csebb`` for a
 grid) treats all clips and candidates as one problem.  Each pass is smoothed
-and cut together under every smoothing key (window, half_width, min_gap)
-into flat per-segment arrays.  Only the tracks whose step response exceeds
-min_gap somewhere can be cut, so only those go through the change-point
-search; a track left uncut is one segment summed as a whole row, and the
-cut tracks are kept, up to ``_CUT_CELLS`` cells, until their segments are
-summed.  Once the clips end, one greedy merge runs in lock step over every
-track of every key, and each (rel_merge, abs_merge) candidate reads its
-boxes off the step where it stops.  The boxes are built once, and each
-candidate holds the index array of its boxes among them, so candidates
-that reach the same merge state share boxes by index.
+under every smoothing key (window, half_width, min_gap) while it is held.
+Only the tracks whose step response exceeds min_gap somewhere can be cut:
+each such live track keeps its smoothed row and its hot cells, the step
+response values above min_gap, and any other track is one segment, summed
+as a whole row.  At a flush (the kept tracks reach ``_CUT_CELLS`` cells,
+the next pass has another frame count, or the clips end) one change-point
+search runs over the hot cells of every kept track, one gather per length
+sums their segments, and one greedy merge runs in lock step over the
+flush's tracks, each (rel_merge, abs_merge) candidate reading its boxes off
+the step where it stops.  A track's merge reads only its own segments, so
+the flush keeps only its boxes and each candidate's range of them.  Once
+the clips end the boxes are ordered as one merge of every track would emit
+them and built once, and each candidate holds the index array of its boxes
+among them, so candidates that reach the same merge state share boxes by
+index.
 """
 
 from __future__ import annotations
@@ -270,10 +275,9 @@ def _anchored_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> np.ndarray:
-    """The plateau-midpoint local maxima of the two-sided step response |d|
-    of every row of ``tracks`` [K, T], as ascending flat indices row * T +
-    frame.
+def _hot_cells(tracks: np.ndarray, half_width: int, min_gap: float) -> tuple:
+    """What the change-point search needs of the two-sided step response
+    |d| of the rows of ``tracks`` [K, T], taken while they are held.
 
     d[t] = y[t+s] - y[t-s] with edge replication.  A plateau is a run of |d|
     values within a tolerance of the run's first value (the same mean
@@ -283,53 +287,86 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> np.nd
     rounded up, which straddles symmetric ramps onto the true edge.
 
     A kept plateau opens at a value above min_gap, so only the live rows,
-    those with |d| above min_gap somewhere, are searched.  Each |d| is a
+    those with |d| above min_gap somewhere, can be cut.  Each |d| is a
     rounded difference of two values of its row, and rounding is monotonic,
     so it cannot exceed the row's rounded range: |d| is taken only on rows
-    whose range exceeds min_gap, the others being flat.  Live plateaus
-    come from one vectorised pass that chains consecutive values within the
-    tolerance.  Chaining and the anchored rule agree unless a chained run
-    drifts past the tolerance from its first value, or the value after it is
-    back within the tolerance of that first value; only a row where either
-    happens is rescanned with the anchored rule.  The candidate tests run on
-    the dense [live rows, T] grid: the left side at each plateau's first
-    frame, carried to its last frame, and the right side at the last frame,
-    so only the kept plateaus are listed.
+    whose range exceeds min_gap, the others being flat.
+
+    Returns the live rows as indices into ``tracks`` and, as ascending flat
+    indices live position * T + frame, the hot cells of the live rows, with
+    their values, and the change points of the live rows that hold a |d|
+    within twice the tolerance of min_gap.  A hot cell is a |d| above
+    min_gap; on a row with no |d| that close to min_gap, every hot value
+    lies more than twice the tolerance above every other value of the row,
+    so each maximal run of hot cells opens at a plateau's first frame, ends
+    at one's last, and passes the neighbour tests at its ends, and
+    ``_change_points`` finds the row's change points from its hot cells
+    alone.  The other live rows are searched at once, each as one run of
+    all its cells.
     """
     t = tracks.shape[1]
     rows = np.flatnonzero(tracks.max(axis=1) - tracks.min(axis=1) > min_gap)
     padded = _edge_padded(tracks[rows], half_width, axis=1)
     a = np.abs(padded[:, 2 * half_width :] - padded[:, :t])
-    live = np.flatnonzero((a > min_gap).any(axis=1))
-    a = a[live]
-    live = rows[live]
-    k = live.size
-    starts = np.ones((k, t), dtype=bool)
-    starts[:, 1:] = ~(np.abs(np.diff(a, axis=1)) <= _PLATEAU_TOL)
-    # flat index of each frame's plateau start; every row opens with a start
-    flat = np.arange(k * t).reshape(k, t)
-    first = np.maximum.accumulate(np.where(starts, flat, 0).ravel()).reshape(k, t)
-    first_value = a.take(first)
-    drifts = ~starts & ~(np.abs(a - first_value) <= _PLATEAU_TOL)
-    rejoins = starts[:, 1:] & (np.abs(a[:, 1:] - first_value[:, :-1]) <= _PLATEAU_TOL)
-    for r in np.flatnonzero(drifts.any(axis=1) | rejoins.any(axis=1)):
-        starts[r] = _anchored_starts(a[r])
-        first[r] = np.maximum.accumulate(np.where(starts[r], flat[r], 0))
-        first_value[r] = a.take(first[r])
+    hot = a > min_gap
+    live = np.flatnonzero(hot.any(axis=1))
+    a, hot = a[live], hot[live]
+    near = np.flatnonzero((np.abs(a - min_gap) <= 2 * _PLATEAU_TOL).any(axis=1))
+    cuts = np.zeros(0, dtype=np.intp)
+    if near.size:
+        hot[near] = False
+        row, frame = np.divmod(_change_points(np.arange(near.size * t), a[near].ravel(), t, min_gap), t)
+        cuts = near[row] * t + frame
+    cells = np.flatnonzero(hot)
+    return rows[live], cells, a.take(cells), cuts
 
-    # at a plateau's first frame: above min_gap and above its left neighbour
-    rises = a > min_gap
-    rises[:, 1:] &= a[:, 1:] > a[:, :-1] + _PLATEAU_TOL
-    # at its last frame: the left test carried over, and above the right
-    # neighbour; neither a whole row nor a plateau ending at frame 0 counts
-    keep = rises.take(first)
-    keep[:, :-1] &= starts[:, 1:] & (first_value[:, :-1] > a[:, 1:] + _PLATEAU_TOL)
-    keep[:, -1] &= first[:, -1] > flat[:, 0]
-    keep[:, 0] = False
+
+def _change_points(cells: np.ndarray, values: np.ndarray, t: int, min_gap: float = -np.inf) -> np.ndarray:
+    """The change points of rows of T frames read off cells of their |d|
+    (see ``_hot_cells``): ``cells`` the ascending flat indices row * T +
+    frame of the cells, ``values`` their |d|; the change points come back as
+    ascending flat indices.  Only plateaus above ``min_gap`` are kept, which
+    every plateau of hot cells is.
+
+    The search works on runs of consecutive cells of one row.  Plateaus
+    come from one vectorised pass that chains consecutive values within the
+    tolerance, and a run where chaining and the anchored rule part ways (a
+    chained plateau drifts past the tolerance from its first value, or the
+    value after it is back within the tolerance of that first value) is
+    rescanned with the anchored rule.  The ends of a run of hot cells, like
+    a row's ends, pass the neighbour tests, so the left test is taken only
+    inside a run, at a plateau's first cell, and the right test at its last;
+    neither a whole row nor a plateau ending at frame 0 counts.
+    """
+    n = cells.size
+    frame = cells % t
+    # a run opens where the cells skip a frame or a row begins
+    opens = np.ones(n, dtype=bool)
+    opens[1:] = (np.diff(cells) != 1) | (frame[1:] == 0)
+    starts = opens.copy()
+    starts[1:] |= ~(np.abs(np.diff(values)) <= _PLATEAU_TOL)
+    at = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, at, 0))
+    first_value = values.take(first)
+    parted = ~starts & ~(np.abs(values - first_value) <= _PLATEAU_TOL)
+    parted[:-1] |= starts[1:] & ~opens[1:] & (np.abs(values[1:] - first_value[:-1]) <= _PLATEAU_TOL)
+    if parted.any():
+        bounds = np.append(np.flatnonzero(opens), n)
+        for run in np.unique(np.searchsorted(bounds, np.flatnonzero(parted), side="right") - 1).tolist():
+            lo, hi = bounds[run], bounds[run + 1]
+            starts[lo:hi] = _anchored_starts(values[lo:hi])
+        first = np.maximum.accumulate(np.where(starts, at, 0))
+        first_value = values.take(first)
+    # at a plateau's first cell: a run's first, or above its left neighbour
+    rises = opens.copy()
+    rises[1:] |= values[1:] > values[:-1] + _PLATEAU_TOL
+    # at its last cell: the left test carried over, and a run's last or
+    # above the right neighbour
+    keep = rises.take(first) & (first_value > min_gap)
+    keep[:-1] &= starts[1:] & (opens[1:] | (first_value[:-1] > values[1:] + _PLATEAU_TOL))
+    keep &= (frame > 0) & ~((frame.take(first) == 0) & (frame == t - 1))
     last = np.flatnonzero(keep)
-    # the midpoint rounded up, in the plateau's row, then in the live row's track
-    row, frame = np.divmod((first.ravel()[last] + last + 1) // 2, t)
-    return live[row] * t + frame
+    return (cells.take(first[last]) + cells[last] + 1) // 2
 
 
 # Cap on one stacked pass, in [rows, T] cells (a row is a class track), for
@@ -337,10 +374,10 @@ def _change_points(tracks: np.ndarray, half_width: int, min_gap: float) -> np.nd
 # It bounds what a command holds of a directory's scores, for any mix of
 # clip lengths: the one open pass (its clips' float32 scores, which the
 # consumer keeps only until the pass is handed on) and that pass's work
-# arrays.  A segmentation pass holds its smoothed tracks and their step
-# response, and the dozen arrays of the change-point search over its live
-# rows only; a threshold pass holds a few bool and integer blocks of that
-# size.  It also trades speed against
+# arrays.  A segmentation pass holds its smoothed tracks, the step response
+# of its ranged rows and a few bool blocks of it, and the search arrays of
+# the rare rows searched on all their cells; a threshold pass holds a few
+# bool and integer blocks of that size.  It also trades speed against
 # memory: on 500-frame clips of 10 classes (the bulk benchmark, 2-core
 # Xeon), 2**15 beat the earlier code by more than the run-to-run spread and
 # 2**14 did not; 2**16 was no faster and held about 1.5 MB more at peak.
@@ -373,75 +410,89 @@ def _stacked_passes(posts: Iterable[Posteriorgram],
         yield first, members
 
 
-# Cap on the cut tracks, in cells, that a box search keeps before summing
-# their segments.  The segments are summed one length at a time over all the
-# kept tracks, and within one pass most lengths occur once, so the sums are
-# put off across passes to make the gathers fewer and larger; the cap keeps
-# the float64 copies of the cut tracks from growing with the clip count.
+# Cap on the live tracks, in cells, that a box search keeps before a
+# flush searches their hot cells, sums their segments and merges them.  Each
+# of those steps runs once per flush over every kept track, so putting them
+# off across passes makes the numpy calls fewer and larger: within one pass
+# most segment lengths occur once, and the segments are summed one length at
+# a time.  The cap keeps the float64 copies of the live tracks, and the
+# segments of a flush, from growing with the clip count.
 _CUT_CELLS = 1 << 18
 
 
-def _segment_arrays(posts: Iterable[Posteriorgram], keys: Sequence[tuple], clips: list[ClipFrames]) -> list[tuple]:
+def _segment_arrays(posts: Iterable[Posteriorgram], keys: Sequence[tuple],
+                    clips: list[ClipFrames]) -> Iterator[tuple[int, int, tuple]]:
     """Every class track of every clip smoothed and cut at its change points
-    under each smoothing key (window, half_width, min_gap), per key as flat
-    per-segment arrays (track, start frame, length, sum of the smoothed
-    scores).  Tracks are numbered clip * C + class, each pass's from the
-    index of its first clip; each pass is segmented under every key while
-    it is held, and the frames of each clip are appended to ``clips``."""
-    none = np.zeros(0, dtype=np.intp)
-    parts = [[(none, none, none, np.zeros(0))] for _ in keys]
-    kept, pending = [], []  # cut tracks, and (total, cut segments, their opens in the kept cells, lengths)
-    kept_cells = 0
+    under each smoothing key (window, half_width, min_gap), in flushes.
 
-    def sum_cut_segments() -> None:
-        # the segments of the kept tracks in one contiguous [m, n] gather
-        # per length, summed along its rows: the bits of summing each
-        # segment of its track alone
-        nonlocal kept_cells
-        flat = np.concatenate(kept)
-        opens = np.concatenate([opens for _, _, opens, _ in pending])
-        length = np.concatenate([length for _, _, _, length in pending])
-        sums = np.empty(opens.size)
+    Each pass is smoothed under every key while it is held.  A track that is
+    not live (see ``_hot_cells``) is one segment, summed as its row; a live
+    track is kept with its hot cells, and no other array of the pass's size
+    outlives the pass.  A flush comes once the kept tracks reach
+    ``_CUT_CELLS`` cells, before a pass of another frame count and when
+    ``posts`` ends.  It runs one ``_change_points`` search over the hot cells
+    of every kept track and one segment sum, and yields (first clip, stop
+    clip, segments): the segments of clips [first, stop) as flat arrays
+    (track, start frame, length, sum of the smoothed scores), sorted by
+    track, then start, where class c of clip i under key k is track k * n +
+    (i - first) * C + c of the flush's n class tracks.  The frames of each
+    clip are appended to ``clips``.
+    """
+    kept, found, whole = [], [], []  # per pass and key: live tracks, their hot cells and cuts, the other tracks
+    flush_first = kept_cells = t = 0
+
+    def flush(stop: int) -> tuple[int, int, tuple]:
+        nonlocal flush_first, kept_cells
+        first, n = flush_first, (stop - flush_first) * clips[0].num_classes
+        rows = np.concatenate([k * n + ids for k, ids, _ in kept])
+        flat = np.concatenate([tracks.ravel() for *_, tracks in kept])
+        kept.clear()
+        cells, values, cuts = (np.concatenate(column) for column in zip(*found))
+        found.clear()
+        # segments open at each kept track's first frame and at its change points
+        opens = np.concatenate([np.arange(rows.size) * t, _change_points(cells, values, t), cuts])
+        del cells, values, cuts
+        opens.sort()
+        length = np.diff(opens, append=flat.size)
+        row, start = np.divmod(opens, t)
+        # the segments in one contiguous [m, length] gather per length,
+        # summed along its rows: the bits of summing each segment alone
+        total = np.empty(opens.size)
         order = np.argsort(length, kind="stable")
         bounds = np.flatnonzero(np.diff(length[order], prepend=-1, append=-1)).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             same = order[lo:hi]
-            sums[same] = flat[opens[same, None] + np.arange(length[same[0]])].sum(axis=1)
-        done = 0
-        for total, cut, _, _ in pending:
-            total[cut] = sums[done : done + cut.size]
-            done += cut.size
-        kept.clear()
-        pending.clear()
-        kept_cells = 0
+            total[same] = flat[opens[same, None] + np.arange(length[same[0]])].sum(axis=1)
+        idle = np.concatenate([k * n + ids for k, ids, _ in whole])
+        segments = (np.concatenate([rows[row], idle]), np.concatenate([start, np.zeros(idle.size, dtype=np.intp)]),
+                    np.concatenate([length, np.full(idle.size, t)]),
+                    np.concatenate([total, *(sums for *_, sums in whole)]))
+        order = np.argsort(segments[0], kind="stable")
+        whole.clear()
+        flush_first, kept_cells = stop, 0
+        return first, stop, tuple(column[order] for column in segments)
 
     for first, members in _stacked_passes(posts, clips):
+        if kept and members[0].num_frames != t:
+            yield flush(first)
+        t = members[0].num_frames
         stacked = members[0].scores if len(members) == 1 else np.hstack([post.scores for post in members])
-        first_track = first * members[0].num_classes
-        for (window, half_width, min_gap), segments in zip(keys, parts):
+        base = (first - flush_first) * members[0].num_classes
+        for k, (window, half_width, min_gap) in enumerate(keys):
             tracks = np.ascontiguousarray(moving_average(stacked, window).T)
-            rows, t = tracks.shape
-            # segments open at each row's first frame and at its change
-            # points, as flat indices into the [rows, t] tracks
-            opens = np.sort(np.concatenate([np.arange(rows) * t, _change_points(tracks, half_width, min_gap)]))
-            length = np.diff(opens, append=rows * t)
-            row, start = np.divmod(opens, t)
-            # an uncut track is one segment, summed as its row; a cut track
-            # is kept until its segments are summed
-            total = np.empty(opens.size)
-            whole = length == t
-            total[whole] = tracks[row[whole]].sum(axis=1)
-            cut = np.flatnonzero(~whole)
-            cut_rows, slot = np.unique(row[cut], return_inverse=True)
-            kept.append(tracks[cut_rows].ravel())
-            pending.append((total, cut, kept_cells + slot * t + start[cut], length[cut]))
-            kept_cells += cut_rows.size * t
-            segments.append((first_track + row, start, length, total))
+            live, cells, values, cuts = _hot_cells(tracks, half_width, min_gap)
+            idle = np.ones(tracks.shape[0], dtype=bool)
+            idle[live] = False
+            idle = np.flatnonzero(idle)
+            whole.append((k, base + idle, tracks.sum(axis=1)[idle]))
+            kept.append((k, base + live, tracks[live]))
+            found.append((kept_cells + cells, values, kept_cells + cuts))
+            kept_cells += live.size * t
+        stop = first + len(members)
         if kept_cells >= _CUT_CELLS:
-            sum_cut_segments()
-    if pending:
-        sum_cut_segments()
-    return [tuple(np.concatenate(columns) for columns in zip(*segments)) for segments in parts]
+            yield flush(stop)
+    if kept:
+        yield flush(stop)
 
 
 def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.ndarray,
@@ -459,16 +510,17 @@ def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.nd
     until its last candidate stops, and the boxes of a track's state are
     taken once, however many candidates stop there.
 
-    Returns the boxes as (track, start, length, mean) arrays and, per
-    candidate, the [begin, end) range of its boxes in them.  The first merge
-    step writes into ``segments``' arrays.
+    Returns the boxes as (track, start, length, mean, step) arrays, step
+    the number of merge steps taken before the box, in (step, track, start)
+    order, and, per candidate, the [begin, end) range of its boxes in them.
+    The first merge step writes into ``segments``' arrays.
     """
     track, start, length, total = segments
     cand = np.arange(cand_track.size)
     begin = np.empty(cand.size, dtype=np.intp)
     end = np.empty(cand.size, dtype=np.intp)
-    boxes = [(track[:0], start[:0], length[:0], total[:0])]
-    emitted = 0
+    boxes = [(track[:0], start[:0], length[:0], total[:0], track[:0])]
+    emitted = step = 0
     while cand.size:
         first = np.flatnonzero(np.diff(track, prepend=-1))
         counts = np.diff(first, append=track.size)
@@ -491,8 +543,9 @@ def _greedy_merge_stops(segments: tuple, cand_track: np.ndarray, cand_rel: np.nd
         opens = emitted + np.cumsum(per_track) - per_track
         begin[cand[stops]] = opens[at[stops]]
         end[cand[stops]] = opens[at[stops]] + per_track[at[stops]]
-        boxes.append((track[shown], start[shown], length[shown], means[shown]))
+        boxes.append((track[shown], start[shown], length[shown], means[shown], np.full(per_track.sum(), step)))
         emitted += boxes[-1][0].size
+        step += 1
         cand, at = cand[~stops], at[~stops]
         # merge on the tracks with a candidate left; drop the others
         live = np.zeros(first.size, dtype=bool)
@@ -515,10 +568,16 @@ def _box_sets(posts: Iterable[Posteriorgram], grid: Sequence[CsebbParams],
     Track clip * C + class is class ``track % C`` of clip ``track // C``,
     every clip having C classes.  A candidate entry is one (smoothing key,
     class, rel_merge, abs_merge) that some parameter set asks of every track
-    of that class, one candidate per clip.  Each pass of clips is segmented
-    under every smoothing key as it arrives, each clip checked first; once
-    ``posts`` ends, one lock-step merge serves every entry, and parameter
-    sets that reach the same merge state share its boxes by index.
+    of that class, one candidate per clip.  The clips are segmented under
+    every smoothing key as they arrive, each clip checked first, and each
+    flush of ``_segment_arrays`` is merged at once for the candidates of its
+    clips: a track's merge reads only its own segments, so it stops where a
+    merge of every track in lock step would.  Only the flush's boxes, each
+    with its merge step, and each candidate's range of them are kept.  Once
+    ``posts`` ends, the boxes are ordered by (merge step, smoothing key,
+    track, start), as one lock-step merge of every track would emit them,
+    and parameter sets that reach the same merge state share its boxes by
+    index.
     """
     # smoothing keys in the order the parameter sets first ask for them
     keys: dict[tuple, int] = {}
@@ -533,37 +592,61 @@ def _box_sets(posts: Iterable[Posteriorgram], grid: Sequence[CsebbParams],
             yield post
 
     clips: list[ClipFrames] = []
-    segments = _segment_arrays(checked(), list(keys), clips)
-    n_clips = len(clips)
-    n_classes = clips[0].num_classes if clips else 0
-    n_tracks = n_clips * n_classes
-    if n_tracks == 0:
-        none = np.zeros(0, dtype=np.intp)
-        return _frame_events(clips, none, none, none, none, np.zeros(0)), [none for _ in grid]
     entries: dict[tuple, int] = {}
     picks = []  # per parameter set, the entry of each class
-    for params in grid:
-        chosen = [params.default] * n_classes if class_names is None else map(params.for_class, class_names)
-        picks.append([
-            entries.setdefault((keys[p.window, p.half_width, p.min_gap], c, p.rel_merge, p.abs_merge), len(entries))
-            for c, p in enumerate(chosen)
-        ])
-    for k, (track, *_) in enumerate(segments):
-        track += k * n_tracks
-    segments = tuple(columns[0] if len(columns) == 1 else np.concatenate(columns) for columns in zip(*segments))
-    # entry e's candidates are e * n_clips + clip
-    (track, start, length, mean), begin, end = _greedy_merge_stops(
-        segments,
-        np.concatenate([k * n_tracks + np.arange(c, n_tracks, n_classes) for k, c, _, _ in entries]),
-        np.repeat([rel for _, _, rel, _ in entries], n_clips),
-        np.repeat([abs_ for _, _, _, abs_ in entries], n_clips),
-    )
-    clip, cls = np.divmod(track % n_tracks, n_classes)
-    boxes = _frame_events(clips, clip, cls, start, start + length, np.minimum(mean, 1.0))
+    held = []  # per flush: its boxes' (step, key, track, start, end, mean), its candidates' first box and count
+    emitted = 0
+    for first, stop, segments in _segment_arrays(checked(), list(keys), clips):
+        n_classes = clips[0].num_classes
+        if not picks:
+            for params in grid:
+                chosen = [params.default] * n_classes if class_names is None else map(params.for_class, class_names)
+                picks.append([
+                    entries.setdefault((keys[p.window, p.half_width, p.min_gap], c, p.rel_merge, p.abs_merge),
+                                       len(entries))
+                    for c, p in enumerate(chosen)
+                ])
+        n = (stop - first) * n_classes
+        if n == 0:
+            continue
+        # entry e's candidates are e * clips + clip, over the flush's clips
+        (track, start, length, mean, step), lo, hi = _greedy_merge_stops(
+            segments,
+            np.concatenate([k * n + np.arange(c, n, n_classes) for k, c, _, _ in entries]),
+            np.repeat([rel for _, _, rel, _ in entries], stop - first),
+            np.repeat([abs_ for _, _, _, abs_ in entries], stop - first),
+        )
+        key, track = np.divmod(track, n)
+        # in 32 bits: the boxes of every flush are held until the clips end
+        held.append((tuple(column.astype(np.int32) for column in (step, key, first * n_classes + track, start,
+                                                                   start + length)) + (mean,),
+                     (emitted + lo).astype(np.int32).reshape(len(entries), -1),
+                     (hi - lo).astype(np.int32).reshape(len(entries), -1)))
+        emitted += track.size
+    if not held:
+        none = np.zeros(0, dtype=np.intp)
+        return _frame_events(clips, none, none, none, none, np.zeros(0)), [none for _ in grid]
+    step, key, track, start, end, mean = (np.concatenate(column) for column in zip(*(boxes for boxes, _, _ in held)))
+    begin = np.concatenate([begin for _, begin, _ in held], axis=1)
+    count = np.concatenate([count for *_, count in held], axis=1)
+    del held
+    # a stable sort: the flushes come in clip order, and a flush's boxes of
+    # one step and key in track order
+    order = np.lexsort((key, step))
+    del step, key
+    # where each box moves to; an empty range's first box may be one past the end
+    moved = np.empty(order.size + 1, dtype=np.intp)
+    moved[order] = np.arange(order.size)
+    moved[-1] = order.size
+    clip, cls = np.divmod(track[order].astype(np.intp), n_classes)
+    start, end, mean = start[order].astype(np.intp), end[order].astype(np.intp), np.minimum(mean[order], 1.0)
+    del track, order
+    boxes = _frame_events(clips, clip, cls, start, end, mean)
+    del start, end, mean
     sets = []
     for pick in picks:
-        cand = (np.arange(n_clips)[:, None] + n_clips * np.array(pick)).ravel()
-        lo, n = begin[cand], end[cand] - begin[cand]
+        # per clip, per class: the boxes of its entry's candidate
+        lo, n = moved[begin[pick].T.ravel()], count[pick].T.ravel()
         sets.append(np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum()))
     return boxes, sets
 
@@ -640,9 +723,10 @@ def tune_csebb(
 
     Each candidate is scored on exactly the boxes ``csebb_detect`` gives,
     all found in one search: each pass of clips is segmented under every
-    smoothing key while it is held, one merge serves every (rel_merge,
-    abs_merge) pair, and candidates reaching the same merge state share its
-    boxes by index.  ``metric(boxes, sets)`` takes the table of the
+    smoothing key while it is held, each flush of segments is merged once
+    for every (rel_merge, abs_merge) pair and dropped, so only boxes are
+    kept, and candidates reaching the same merge state share its boxes by
+    index.  ``metric(boxes, sets)`` takes the table of the
     distinct boxes and, per candidate in grid order, the index array of its
     boxes among them, and returns one score per candidate, so a PSDS metric
     can run one ``evaluation.roc_from_confidences`` sweep over the whole

@@ -189,6 +189,34 @@ def test_a_binary_read_returns_the_stored_float32_in_the_buffer_it_read(tmp_path
     assert bytes(buffer) != path.read_bytes()
 
 
+@pytest.mark.parametrize("skew", [-1000, -1, 0, 1, 1000])
+def test_a_binary_read_takes_the_whole_file_whatever_size_was_taken_first(tmp_path, monkeypatch, skew):
+    # a size taken short stands for a file that grew before the read, one
+    # taken long for a file that shrank
+    scores = np.random.default_rng(4).uniform(size=(300, 3)).astype(np.float32)
+    path = tmp_path / "clip.sedp"
+    write_posteriorgram(path, Posteriorgram(scores, 0.02, "clip"), CLASSES)
+    fstat = os.fstat
+
+    def skewed(fd):
+        status = tuple(fstat(fd))
+        return os.stat_result(status[:6] + (max(status[6] + skew, 0),) + status[7:])
+
+    monkeypatch.setattr(os, "fstat", skewed)
+    post, names = read_posteriorgram(path)
+    assert np.array_equal(post.scores, scores) and names == CLASSES
+    assert bytes(_read_buffer(post.scores)) == path.read_bytes()
+
+
+def test_a_binary_read_of_a_directory_is_refused_as_open_refuses_it(tmp_path):
+    with pytest.raises(IsADirectoryError) as opened:
+        open(tmp_path, "rb")
+    for read in (read_posteriorgram, read_features):
+        with pytest.raises(IsADirectoryError) as refused:
+            read(tmp_path)
+        assert str(refused.value) == str(opened.value)
+
+
 def test_every_reader_takes_one_file_path_first():
     # a traced benchmark run sizes each read from the reader's first argument
     readers = [fn for name, fn in vars(formats).items() if name.startswith("read_") and callable(fn)]

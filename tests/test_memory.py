@@ -160,10 +160,13 @@ BULK_CLASSES = ["Alarm_bell_ringing", "Blender", "Cat", "Dishes", "Dog", "Electr
 # what the command computes (events or boxes, segment rows, their text).
 # 0.9-2.6 kB measured; one clip's scores are 20 kB.
 CLIP_BYTES = 4096
-# tune-csebb also holds the boxes of every candidate and the PSDS sweep over
-# one candidate's boxes, which grow with the clips (13.8 kB a clip
-# measured); holding the directory's scores would add 20 kB a clip to that.
-TUNE_CLIP_BYTES = 16384
+# tune-csebb also holds the distinct boxes of every candidate, in 32-bit
+# columns with each candidate's range of them, and the PSDS sweep over one
+# candidate's boxes, which grow with the clips: 11.2 kB a clip measured on
+# the bulk directories (6.2 kB on the length directories).  Keeping every
+# segment for one merge once the clips end measured 13.8 kB, and holding
+# the directory's scores would add 20 kB a clip.
+TUNE_CLIP_BYTES = 12288
 
 COMMANDS = {
     "postprocess-frame": (["postprocess", "--method", "frame", "--in", "{posts}", "--out", "{out}"], CLIP_BYTES),

@@ -496,6 +496,17 @@ def change_point_cases(draw):
     return np.array(rows), half_width, draw(st.sampled_from([0.0, 0.05, 0.3]))
 
 
+def _change_points_of(tracks, half_width, min_gap):
+    """The change points of the rows of ``tracks`` [K, T] as the box search
+    finds them, as ascending flat indices row * T + frame: the hot cells
+    taken as a pass is held and searched as at a flush, with the cuts of the
+    rows searched on all their cells as the pass is held."""
+    t = tracks.shape[1]
+    live, cells, values, cuts = postprocess._hot_cells(tracks, half_width, min_gap)
+    row, frame = np.divmod(np.union1d(postprocess._change_points(cells, values, t), cuts), t)
+    return live[row] * t + frame
+
+
 def _per_row(flat, tracks):
     """Flat change-point indices as per-row frame lists."""
     k, t = tracks.shape
@@ -506,7 +517,7 @@ def _per_row(flat, tracks):
 @given(change_point_cases())
 def test_vectorised_change_points_equal_the_loop(case):
     tracks, half_width, min_gap = case
-    flat = postprocess._change_points(tracks, half_width, min_gap)
+    flat = _change_points_of(tracks, half_width, min_gap)
     assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
     got = _per_row(flat, tracks)
     assert got == [change_points_loop(row, half_width, min_gap) for row in tracks]
@@ -525,7 +536,7 @@ def test_change_points_rescan_rows_where_chaining_differs(monkeypatch, steps):
     anchored = postprocess._anchored_starts
     monkeypatch.setattr(postprocess, "_anchored_starts", lambda a: rescanned.append(a) or anchored(a))
     tracks = np.array([_track_with_steps(steps, 1), np.linspace(0.0, 1.0, len(steps) + 2)])
-    got = _per_row(postprocess._change_points(tracks, 1, 0.1), tracks)
+    got = _per_row(_change_points_of(tracks, 1, 0.1), tracks)
     assert got == [change_points_loop(row, 1, 0.1) for row in tracks]
     assert len(rescanned) == 1
 
@@ -564,7 +575,58 @@ def sparse_change_point_cases(draw):
 @given(sparse_change_point_cases())
 def test_change_points_of_mostly_dead_rows_equal_the_loop(case):
     tracks, half_width, min_gap = case
-    flat = postprocess._change_points(tracks, half_width, min_gap)
+    flat = _change_points_of(tracks, half_width, min_gap)
+    assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
+    assert _per_row(flat, tracks) == [change_points_loop(row, half_width, min_gap) for row in tracks]
+
+
+@st.composite
+def hot_cell_cases(draw):
+    """Rows of one length T whose step response |d| sits at min_gap plus or
+    minus k * 1e-9 (k = 0..6), on plateaus within the tolerance, on chained
+    runs that drift from their first value or come back to it, on hot runs
+    that touch frame 0 or frame T - 1, and on whole-row plateaus; min_gap 0
+    and negative too.  A row with a |d| that close to min_gap is searched on
+    all its cells, any other through its hot cells alone."""
+    half_width = draw(st.integers(1, 3))
+    min_gap = draw(st.sampled_from([-0.2, -1e-9, 0.0, 0.1, 0.35]))
+    gap = max(min_gap, 0.0)
+    near = [gap + k * 1e-9 for k in range(-6, 7)]
+    wobble = [0.6 + j * 4e-10 for j in range(-4, 5)]
+    t = draw(st.integers(1, 30))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["levels", "steps", "steps", "whole"]))
+        if kind == "levels":
+            # a score of 0 next to one of these makes a |d| of it, at either end too
+            rows.append(np.array(draw(st.lists(st.sampled_from([0.0, 1.0] + near + wobble), min_size=t, max_size=t))))
+        elif kind == "whole":
+            # |d| within the tolerance of its first value on the whole row
+            base = draw(st.sampled_from([0.0, 0.5, gap]))
+            rows.append(base + np.array(draw(st.lists(st.integers(0, 4), min_size=t, max_size=t))) * 1e-10)
+        else:
+            steps = []
+            while len(steps) < t - 2 * half_width:
+                sign, n = draw(st.sampled_from([1.0, -1.0])), draw(st.integers(1, 5))
+                run = draw(st.sampled_from(["near", "wobble", "drift", "zero"]))
+                if run == "near":
+                    steps += [sign * draw(st.sampled_from(near))] * n
+                elif run == "wobble":
+                    steps += [sign * draw(st.sampled_from(wobble)) for _ in range(n)]
+                elif run == "drift":  # each value within 1e-9 of the last, drifting from the first
+                    j = draw(st.integers(-4, 4))
+                    steps += [sign * (0.6 + (j + i) * 4e-10) for i in range(n + 2)]
+                else:
+                    steps += [0.0] * n
+            rows.append(_track_with_steps(steps[: max(t - 2 * half_width, 0)], half_width)[:t])
+    return np.array(rows), half_width, min_gap
+
+
+@settings(max_examples=600, deadline=None)
+@given(hot_cell_cases())
+def test_change_points_from_hot_cells_equal_the_loop(case):
+    tracks, half_width, min_gap = case
+    flat = _change_points_of(tracks, half_width, min_gap)
     assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
     assert _per_row(flat, tracks) == [change_points_loop(row, half_width, min_gap) for row in tracks]
 
@@ -603,7 +665,7 @@ def test_change_points_take_the_step_response_of_ranged_rows_only(case):
     edge_padded = postprocess._edge_padded
     with patch.object(postprocess, "_edge_padded",
                       lambda a, pad, axis=0: padded_rows.append(a.shape[0]) or edge_padded(a, pad, axis)):
-        flat = postprocess._change_points(tracks, half_width, min_gap)
+        flat = _change_points_of(tracks, half_width, min_gap)
     assert padded_rows == [int(np.sum(tracks.max(axis=1) - tracks.min(axis=1) > min_gap))]
     assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
     assert _per_row(flat, tracks) == [change_points_loop(row, half_width, min_gap) for row in tracks]
@@ -646,7 +708,11 @@ def test_segment_arrays_equal_the_slice_sums_of_each_track_bit_for_bit(case):
             edges = [0] + change_points_loop(track, half_width, min_gap) + [track.size]
             want.extend((first_track[i] + c, a, b - a, track[a:b].sum()) for a, b in zip(edges[:-1], edges[1:]))
     with patch.object(postprocess, "_STACK_CELLS", cap):
-        (track, start, length, total), = postprocess._segment_arrays(posts, [(window, half_width, min_gap)], [])
+        flushes = list(postprocess._segment_arrays(posts, [(window, half_width, min_gap)], []))
+    # a flush's tracks are numbered from its first clip's, one key here
+    assert [first for first, _, _ in flushes] == [0] + [stop for _, stop, _ in flushes[:-1]]
+    track, start, length, total = (np.concatenate(column) for column in zip(*(
+        (segments[0] + first_track[first], *segments[1:]) for first, _, segments in flushes)))
     order = np.lexsort((start, track))
     assert [(tr, a, n) for tr, a, n, _ in want] == list(zip(*(x[order].tolist() for x in (track, start, length))))
     assert np.array_equal(total[order].view(np.int64), np.array([sum_ for *_, sum_ in want]).view(np.int64))
@@ -725,14 +791,17 @@ def test_lock_step_merge_stops_and_boxes_equal_the_merge_loop(cases):
         for start, n, total in zip(np.cumsum([0] + lengths[:-1]).tolist(), lengths, sums)
     ]))
     candidates = [(i, rel, abs_) for i, (_, _, pairs) in zip(ids, cases) for rel, abs_ in pairs]
-    (track, start, length, mean), begin, end = postprocess._greedy_merge_stops(
+    (track, start, length, mean, step), begin, end = postprocess._greedy_merge_stops(
         segments, *(np.array([c[k] for c in candidates], dtype=dtype)
                     for k, dtype in enumerate((np.intp, float, float))))
     boxes = [Event("clip", 1, frame_time(s, 0.1), frame_time(s + n, 0.1), min(1.0, m))
              for s, n, m in zip(start.tolist(), length.tolist(), mean.tolist())]
+    assert np.all(np.diff(step) >= 0)
     for j, (i, r, a) in enumerate(candidates):
         sums, lengths, _ = cases[i]
         assert set(track[begin[j]:end[j]].tolist()) <= {i}
+        # a candidate's boxes are those of its track at the step it stops
+        assert len(set(step[begin[j]:end[j]].tolist())) <= 1
         assert boxes[begin[j]:end[j]] == _boxes_of(*greedy_merge(sums, lengths, r, a), "clip", 1, 0.1)
 
 
@@ -770,6 +839,44 @@ def test_tune_csebb_stacks_clips_in_capped_passes_and_scores_the_csebb_detect_bo
     assert seen == [list(csebb_detect(posts, cand, names)) for cand in grid]
     assert list(csebb_detect(posts, grid[-1])) == [b for p in posts for b in csebb_detect([p], grid[-1])]
     assert len({len(boxes) for boxes in seen}) > 1
+
+
+@st.composite
+def flush_directories(draw):
+    """Clips of mixed frame counts with stepped 3-class tracks, a class
+    table or none, and a grid of several smoothing keys and per-class
+    parameters, min_gap 0 and negative among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = draw(st.lists(st.sampled_from([1, 30, 60, 60]), min_size=1, max_size=7))
+    posts = [_stepped_post(rng, t, f"c{i}") for i, t in enumerate(frames)]
+    grid = [
+        CsebbParams(default=ClassSebbParams(window=3, half_width=1)),
+        CsebbParams(default=ClassSebbParams(window=5, half_width=2, rel_merge=0.3, min_gap=0.0),
+                    per_class={"y": ClassSebbParams(window=1, half_width=1, abs_merge=0.05, min_gap=-0.1)}),
+        CsebbParams(default=ClassSebbParams(window=7, half_width=3, abs_merge=0.05),
+                    per_class={"x": ClassSebbParams(window=3, half_width=1, rel_merge=0.1)}),
+    ]
+    return posts, draw(st.sampled_from([["x", "y", "z"], None])), grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(flush_directories())
+def test_box_search_gives_the_same_boxes_sets_and_choice_at_every_flush_cap(case):
+    # one cell flushes after every pass, a few hundred after a few passes
+    posts, names, grid = case
+    results = []
+    for cap in [1, 300, postprocess._CUT_CELLS]:
+        seen = []
+
+        def metric(boxes, sets):
+            seen.append((list(boxes), [index.tolist() for index in sets]))
+            return [float(np.sum(boxes.confidence[index])) for index in sets]
+
+        with patch.object(postprocess, "_CUT_CELLS", cap):
+            best = tune_csebb(posts, grid, metric, names)
+            detected = [list(csebb_detect(posts, params, names)) for params in grid]
+        results.append((seen, best, detected))
+    assert results[0] == results[1] == results[2]
 
 
 _SEARCH_PARAMS = CsebbParams(default=ClassSebbParams(window=3, half_width=1))
